@@ -1,12 +1,12 @@
 """Fused simulation kernels: the fast path behind :func:`ehcsim.runner.run_policy`.
 
 One flat loop per trace covers all built-in policies (dispatched on a policy
-id), with cache state held in preallocated numpy arrays. The loop is
-decorated with ``numba.njit`` unless the ``EHCSIM_NUMBA`` environment
-variable disables it (``0``/``false``/``no``/``off``) or numba is missing,
-in which case the very same function runs as interpreted Python over the
-same arrays — bit-identical results either way, which the test suite
-enforces against the reference engine.
+id), with cache state held in preallocated tables. The loop is decorated
+with ``numba.njit`` unless the ``EHCSIM_NUMBA`` environment variable
+disables it (``0``/``false``/``no``/``off``) or numba is missing, in which
+case the very same function runs as interpreted Python over memoryviews of
+the trace columns and lists of the state tables — bit-identical results
+either way, which the test suite enforces against the reference engine.
 
 The kernels trade generality for speed: no event logging, no invariant
 checking, and addresses/PCs must fit in signed 64-bit space. Anything else
@@ -43,6 +43,20 @@ def _jit(fn):
     return fn
 
 
+# How ``run`` hands its arrays to ``_simulate``. Under numba, as they are.
+# Interpreted, CPython indexes memoryviews and lists far faster than numpy
+# arrays, whose items come back as boxed numpy scalars: trace-length columns
+# go in as zero-copy memoryviews (writes to ``hit_flags`` land in the array)
+# and the geometry-sized tables as lists.
+if JIT_ENABLED:
+    def _column(a):
+        return a
+
+    _table = _column
+else:
+    _column, _table = memoryview, np.ndarray.tolist
+
+
 _POLICY_IDS = {
     "lru": 0,
     "srrip": 1,
@@ -76,7 +90,7 @@ def _region_push(region_tag, region_ring, region_count, region_head, addr, hits)
         region_count[idx] = 0
         region_head[idx] = 0
     h = region_head[idx]
-    region_ring[idx, h] = hits
+    region_ring[idx][h] = hits
     region_head[idx] = (h + 1) % 4
     if region_count[idx] < 4:
         region_count[idx] += 1
@@ -89,9 +103,10 @@ def _region_expected(region_tag, region_ring, region_count, addr):
     cnt = region_count[idx]
     if region_tag[idx] != rid or cnt == 0:
         return 1
+    ring = region_ring[idx]
     total = 0
     for k in range(cnt):
-        total += region_ring[idx, k]
+        total += ring[k]
     avg = (2 * total + cnt) // (2 * cnt)
     if avg > 7:
         avg = 7
@@ -105,15 +120,27 @@ def _simulate(
     policy_id, draws, aging, fixed_init, sample_period,
     valid, tagv, rrpv, efh, stamp, lastpc,
     sig, outcome, shct,
-    psel_box, ins_box, pc_tbl,
+    pc_tbl,
     region_tag, region_ring, region_count, region_head,
     occ, occ_base, occ_len,
     slot_live, slot_tag, slot_pc, slot_addr, slot_pos, slot_hits,
     hit_flags, out,
 ):
-    n = addr.shape[0]
-    cap = occ.shape[1]
+    # Written for both modes: 2-D state is indexed ``arr[i][j]`` (a row is a
+    # view under numba and a list when interpreted), and sizes come from
+    # ``len`` so lists and memoryviews work as well as arrays.
+    n = len(addr)
+    cap = len(occ[0])
     set_mask = num_sets - 1
+    hits = 0
+    evictions = 0
+    no_averse_count = 0
+    long_inserts = 0
+    optgen_cold = 0
+    optgen_hit = 0
+    optgen_miss = 0
+    psel = 512
+    ins = 0
     for i in range(n):
         a = addr[i]
         p = pc[i]
@@ -124,188 +151,207 @@ def _simulate(
         if policy_id >= 5 and si % sample_period == 0:
             s = si // sample_period
             t = block >> set_bits
+            orow = occ[s]
+            live = slot_live[s]
+            stag = slot_tag[s]
+            spc = slot_pc[s]
+            saddr = slot_addr[s]
+            spos = slot_pos[s]
+            shits = slot_hits[s]
             hit_slot = -1
             for k in range(cap):
-                if slot_live[s, k] == 1 and slot_tag[s, k] == t:
+                if stag[k] == t and live[k] == 1:
                     hit_slot = k
                     break
             carried_hits = 0
             ent_addr = a
             if hit_slot < 0:
-                out[8] += 1
+                optgen_cold += 1
             else:
-                pos0 = slot_pos[s, hit_slot]
+                pos0 = spos[hit_slot]
                 end = occ_base[s] + occ_len[s]
                 ok = True
                 for j in range(pos0, end):
-                    if occ[s, j % cap] >= assoc:
+                    if orow[j % cap] >= assoc:
                         ok = False
                         break
-                fi = _xor_fold(slot_pc[s, hit_slot], 13)
+                fi = _xor_fold(spc[hit_slot], 13)
                 if ok:
-                    out[9] += 1
+                    optgen_hit += 1
                     for j in range(pos0, end):
-                        occ[s, j % cap] += 1
-                    carried_hits = slot_hits[s, hit_slot] + 1
+                        orow[j % cap] += 1
+                    carried_hits = shits[hit_slot] + 1
                     if pc_tbl[fi] < 7:
                         pc_tbl[fi] += 1
                 else:
-                    out[10] += 1
+                    optgen_miss += 1
                     if pc_tbl[fi] > 0:
                         pc_tbl[fi] -= 1
                     _region_push(region_tag, region_ring, region_count,
-                                 region_head, slot_addr[s, hit_slot],
-                                 slot_hits[s, hit_slot])
-                ent_addr = slot_addr[s, hit_slot]
-                slot_live[s, hit_slot] = 0
+                                 region_head, saddr[hit_slot], shits[hit_slot])
+                ent_addr = saddr[hit_slot]
+                live[hit_slot] = 0
             new_pos = occ_base[s] + occ_len[s]
             k2 = new_pos % cap
             if occ_len[s] == cap:
-                if slot_live[s, k2] == 1:
+                if live[k2] == 1:
                     _region_push(region_tag, region_ring, region_count,
-                                 region_head, slot_addr[s, k2], slot_hits[s, k2])
-                    slot_live[s, k2] = 0
+                                 region_head, saddr[k2], shits[k2])
+                    live[k2] = 0
                 occ_base[s] += 1
             else:
                 occ_len[s] += 1
-            occ[s, k2] = 0
-            slot_live[s, k2] = 1
-            slot_tag[s, k2] = t
-            slot_pc[s, k2] = p
-            slot_addr[s, k2] = ent_addr
-            slot_pos[s, k2] = new_pos
-            slot_hits[s, k2] = carried_hits
+            orow[k2] = 0
+            live[k2] = 1
+            stag[k2] = t
+            spc[k2] = p
+            saddr[k2] = ent_addr
+            spos[k2] = new_pos
+            shits[k2] = carried_hits
 
-        out[0] += 1
+        vrow = valid[si]
+        trow = tagv[si]
+        rrow = rrpv[si]
         way = -1
         for w in range(assoc):
-            if valid[si, w] == 1 and tagv[si, w] == block:
+            if trow[w] == block and vrow[w] == 1:
                 way = w
                 break
 
         if way >= 0:
-            out[1] += 1
+            hits += 1
             hit_flags[i] = 1
-            stamp[si, way] = i
-            lastpc[si, way] = p
-            if 1 <= policy_id <= 3:
-                rrpv[si, way] = 0
+            if policy_id == 0:
+                stamp[si][way] = i
+            elif policy_id <= 3:
+                rrow[way] = 0
             elif policy_id == 4:
-                rrpv[si, way] = 0
-                outcome[si, way] = 1
-            elif policy_id >= 5:
-                if policy_id == 6 and efh[si, way] > 0:
-                    efh[si, way] -= 1
+                rrow[way] = 0
+                outcome[si][way] = 1
+            else:
+                lastpc[si][way] = p
+                if policy_id == 6:
+                    erow = efh[si]
+                    if erow[way] > 0:
+                        erow[way] -= 1
                 fi = _xor_fold(p, 13)
-                rrpv[si, way] = 0 if pc_tbl[fi] >= 4 else 7
+                rrow[way] = 0 if pc_tbl[fi] >= 4 else 7
             continue
 
-        out[2] += 1
         way = -1
         for w in range(assoc):
-            if valid[si, w] == 0:
+            if vrow[w] == 0:
                 way = w
                 break
         if way < 0:
-            no_averse = False
             if policy_id == 0:
+                srow = stamp[si]
                 way = 0
                 for w in range(1, assoc):
-                    if stamp[si, w] < stamp[si, way]:
+                    if srow[w] < srow[way]:
                         way = w
             elif policy_id <= 4:
                 while way < 0:
                     for w in range(assoc):
-                        if rrpv[si, w] == 7:
+                        if rrow[w] == 7:
                             way = w
                             break
                     if way < 0:
                         for w in range(assoc):
-                            rrpv[si, w] += 1
+                            rrow[w] += 1
                 if policy_id == 4:
-                    sgv = sig[si, way]
-                    if outcome[si, way] == 1:
+                    sgv = sig[si][way]
+                    if outcome[si][way] == 1:
                         if shct[sgv] < 7:
                             shct[sgv] += 1
                     elif shct[sgv] > 0:
                         shct[sgv] -= 1
             else:
+                erow = efh[si]
                 found = -1
                 best = 0
                 for w in range(assoc):
-                    if rrpv[si, w] == 7:
+                    if rrow[w] == 7:
                         found = w
                         break
                     if policy_id == 5:
-                        if rrpv[si, w] > rrpv[si, best]:
+                        if rrow[w] > rrow[best]:
                             best = w
-                    elif efh[si, w] - rrpv[si, w] < efh[si, best] - rrpv[si, best]:
+                    elif erow[w] - rrow[w] < erow[best] - rrow[best]:
                         best = w
                 if found >= 0:
                     way = found
                 else:
                     way = best
-                    no_averse = True
-                    fi = _xor_fold(lastpc[si, way], 13)
+                    no_averse_count += 1
+                    fi = _xor_fold(lastpc[si][way], 13)
                     if pc_tbl[fi] > 0:
                         pc_tbl[fi] -= 1
-            out[3] += 1
-            out[4] += 1
-            if no_averse:
-                out[5] += 1
+            evictions += 1
 
-        valid[si, way] = 1
-        tagv[si, way] = block
-        stamp[si, way] = i
-        lastpc[si, way] = p
-        if policy_id == 1:
-            rrpv[si, way] = 6
+        vrow[way] = 1
+        trow[way] = block
+        if policy_id == 0:
+            stamp[si][way] = i
+        elif policy_id == 1:
+            rrow[way] = 6
         elif policy_id == 2:
-            d = draws[ins_box[0]]
-            ins_box[0] += 1
+            d = draws[ins]
+            ins += 1
             if d == 1:
-                out[6] += 1
-                rrpv[si, way] = 6
+                long_inserts += 1
+                rrow[way] = 6
             else:
-                rrpv[si, way] = 7
+                rrow[way] = 7
         elif policy_id == 3:
             off = si % 64
             if off == 0:
-                if psel_box[0] < 1023:
-                    psel_box[0] += 1
+                if psel < 1023:
+                    psel += 1
             elif off == 33:
-                if psel_box[0] > 0:
-                    psel_box[0] -= 1
-            if off == 33 or (off != 0 and psel_box[0] >= 512):
-                d = draws[ins_box[0]]
-                ins_box[0] += 1
-                rrpv[si, way] = 6 if d == 1 else 7
+                if psel > 0:
+                    psel -= 1
+            if off == 33 or (off != 0 and psel >= 512):
+                d = draws[ins]
+                ins += 1
+                rrow[way] = 6 if d == 1 else 7
             else:
-                rrpv[si, way] = 6
+                rrow[way] = 6
         elif policy_id == 4:
             sgv = _xor_fold(p, 14)
-            sig[si, way] = sgv
-            outcome[si, way] = 0
-            rrpv[si, way] = 7 if shct[sgv] == 0 else 6
-        elif policy_id >= 5:
+            sig[si][way] = sgv
+            outcome[si][way] = 0
+            rrow[way] = 7 if shct[sgv] == 0 else 6
+        else:
+            lastpc[si][way] = p
             fi = _xor_fold(p, 13)
             if pc_tbl[fi] >= 4:
                 if aging == 1:
                     for w2 in range(assoc):
-                        if w2 != way and valid[si, w2] == 1 and rrpv[si, w2] < 6:
-                            rrpv[si, w2] += 1
-                rrpv[si, way] = 0
+                        if w2 != way and vrow[w2] == 1 and rrow[w2] < 6:
+                            rrow[w2] += 1
+                rrow[way] = 0
             else:
-                rrpv[si, way] = 7
+                rrow[way] = 7
             if policy_id == 6:
                 if fixed_init >= 0:
-                    efh[si, way] = fixed_init
+                    efh[si][way] = fixed_init
                 else:
-                    efh[si, way] = _region_expected(
+                    efh[si][way] = _region_expected(
                         region_tag, region_ring, region_count, a
                     )
 
-    out[7] = psel_box[0]
+    out[0] = n
+    out[1] = hits
+    out[2] = n - hits
+    out[3] = evictions
+    out[4] = evictions
+    out[5] = no_averse_count
+    out[6] = long_inserts
+    out[7] = psel
+    out[8] = optgen_cold
+    out[9] = optgen_hit
+    out[10] = optgen_miss
     return 0
 
 
@@ -334,8 +380,10 @@ def run(
     n = len(trace)
     num_sets, assoc = geom.num_sets, geom.associativity
 
-    addr = trace.addr.astype(np.int64)
-    pc = trace.pc.astype(np.int64)
+    # Zero-copy: the trace keeps its columns as contiguous uint64, and
+    # ``supports`` has checked that every value fits in int64.
+    addr = trace.addr.view(np.int64)
+    pc = trace.pc.view(np.int64)
     if name in ("brrip", "drrip"):
         draws = brrip_draws(seed, n)
     else:
@@ -350,8 +398,6 @@ def run(
     sig = np.zeros((num_sets, assoc), dtype=np.int64)
     outcome = np.zeros((num_sets, assoc), dtype=np.int64)
     shct = np.zeros(1 << 14, dtype=np.int64)
-    psel_box = np.array([512], dtype=np.int64)
-    ins_box = np.zeros(1, dtype=np.int64)
     pc_tbl = np.full(1 << 13, 4, dtype=np.int64)
     region_tag = np.full(1 << 10, -1, dtype=np.int64)
     region_ring = np.zeros((1 << 10, 4), dtype=np.int64)
@@ -371,21 +417,23 @@ def run(
     slot_hits = np.zeros((nsamp, cap), dtype=np.int64)
 
     hit_flags = np.zeros(n, dtype=np.uint8)
-    out = np.zeros(12, dtype=np.int64)
+    out = np.zeros(11, dtype=np.int64)
 
     _simulate(
-        addr, pc,
+        _column(addr), _column(pc),
         num_sets, assoc, geom.block_offset_bits, geom.set_bits,
-        policy_id, draws, 1 if aging else 0,
+        policy_id, _column(draws), 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
         SAMPLE_PERIOD,
-        valid, tagv, rrpv, efh, stamp, lastpc,
-        sig, outcome, shct,
-        psel_box, ins_box, pc_tbl,
-        region_tag, region_ring, region_count, region_head,
-        occ, occ_base, occ_len,
-        slot_live, slot_tag, slot_pc, slot_addr, slot_pos, slot_hits,
-        hit_flags, out,
+        _table(valid), _table(tagv), _table(rrpv), _table(efh), _table(stamp),
+        _table(lastpc), _table(sig), _table(outcome), _table(shct),
+        _table(pc_tbl),
+        _table(region_tag), _table(region_ring), _table(region_count),
+        _table(region_head),
+        _table(occ), _table(occ_base), _table(occ_len),
+        _table(slot_live), _table(slot_tag), _table(slot_pc), _table(slot_addr),
+        _table(slot_pos), _table(slot_hits),
+        _column(hit_flags), out,
     )
 
     stats = SimStats(

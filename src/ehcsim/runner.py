@@ -1,7 +1,7 @@
 """Policy registry and the single entry point for running a simulation.
 
-``run_policy`` picks between the two execution paths: the fused numba
-kernels (fast, stats/hit-flags only) and the reference engine (slower, but
+``run_policy`` picks between the two execution paths: the fused kernels
+(fast, stats/hit-flags only) and the reference engine (slower, but
 supports event logging and arbitrary policy objects). ``backend="auto"``
 uses the kernels whenever they can express the request.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import _kernels
 from .belady import EhcPolicy, HawkeyePolicy
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
-from .errors import UnknownPolicy
+from .errors import UnknownPolicy, UsageError
 from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 from .trace import Trace
 
@@ -28,6 +28,8 @@ POLICY_CLASSES = {
 POLICY_NAMES = tuple(POLICY_CLASSES)
 
 DEFAULT_SEED = 42
+
+BACKENDS = ("auto", "kernel", "reference")
 
 
 def make_policy(
@@ -66,6 +68,10 @@ def run_policy(
     if name not in POLICY_CLASSES:
         raise UnknownPolicy(
             f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
+        )
+    if backend not in BACKENDS:
+        raise UsageError(
+            f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
         )
     want_kernel = backend == "kernel" or (
         backend == "auto" and not record_events and not check

@@ -281,7 +281,8 @@ def _gen_region(spec: GeneratorSpec, rng: np.random.Generator, phase: int) -> np
 def gen_synthetic(spec: GeneratorSpec) -> Trace:
     """Generate a deterministic synthetic trace from ``spec``.
 
-    Every record is a read on core 0 with ``seq`` equal to its index.
+    Every record is a read on core 0 with ``seq`` equal to its index plus
+    one, so the trace counts one instruction per access.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "mixed":
@@ -301,7 +302,7 @@ def gen_synthetic(spec: GeneratorSpec) -> Trace:
         addr = _dispatch_addrs(spec, rng, phase=0)
         pcs = _cycled_pcs(spec.length, phase=0)
 
-    seq = np.arange(spec.length, dtype=np.uint64)
+    seq = np.arange(1, spec.length + 1, dtype=np.uint64)
     core = np.zeros(spec.length, dtype=np.uint8)
     kind = np.full(spec.length, KIND_READ, dtype=np.uint8)
     return Trace(seq, pcs, addr, core, kind)

@@ -15,6 +15,7 @@ from ehcsim import (
     analyze,
     compare,
     gen_synthetic,
+    load_trace,
     mpki,
     mpki_reduction,
     no_averse_fraction,
@@ -178,6 +179,18 @@ def test_cli_gen_run(tmp_path):
     report = Report.parse(out.read_text())
     assert report.meta["policy"] == "ehc"
     assert "run" in report.tables
+
+
+def test_cli_gen_run_single_access(tmp_path):
+    # A generated trace counts one instruction per access, so even a
+    # one-access trace has a defined MPKI.
+    trace = tmp_path / "one.trace"
+    out = tmp_path / "run.csv"
+    assert main(["gen", "--kind", "loop", "--blocks", "1", "--length", "1",
+                 "-o", str(trace)]) == 0
+    assert load_trace(trace).instruction_count == 1
+    assert main(["run", "--trace", str(trace), "--policy", "lru",
+                 "--csv", str(out)]) == 0
 
 
 def test_cli_run_writes_events(trace_file, tmp_path):

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ehcsim import CacheGeometry, GeneratorSpec, gen_synthetic, simulate
 from ehcsim import _kernels
+from ehcsim.engine import DEFAULT_GEOMETRY
+from ehcsim.errors import UsageError
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
 from conftest import make_trace, random_trace
@@ -21,9 +24,15 @@ TRACES = {
 
 
 def _assert_same_run(trace, name, geom, **kw):
+    columns = [c.copy() for c in (trace.seq, trace.pc, trace.addr, trace.core, trace.kind)]
     k_stats, _, k_flags = run_policy(
         trace, name, geom, backend="kernel", record_hits=True, **kw
     )
+    assert isinstance(k_flags, np.ndarray)
+    assert k_flags.dtype == np.uint8 and k_flags.shape == (len(trace),)
+    for before, after in zip(columns, (trace.seq, trace.pc, trace.addr,
+                                       trace.core, trace.kind)):
+        assert np.array_equal(before, after)
     policy = make_policy(name, geom, seed=kw.get("seed", 42),
                          ehc_fixed_init=kw.get("ehc_fixed_init"),
                          aging=kw.get("aging", True))
@@ -54,6 +63,33 @@ def test_kernel_random_traces(rng):
             _assert_same_run(trace, policy, geom)
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_kernel_matches_reference_default_geometry(policy, rng):
+    # 2048 x 16 with 40 tags in each of the sampled sets 0 and 64, the DRRIP
+    # leader sets 0 and 33, and set 2047, so every set fills and evicts.
+    geom = DEFAULT_GEOMETRY
+    sets = rng.choice([0, 33, 64, 2047], size=3000)
+    tags = rng.integers(0, 40, size=3000)
+    pcs = rng.integers(0, 6, size=3000) * 4 + 0x400000
+    trace = make_trace([(int(p), geom.block_addr(int(s), int(t)))
+                        for p, s, t in zip(pcs, sets, tags)])
+    _assert_same_run(trace, policy, geom)
+
+
+def test_kernel_matches_reference_near_int64_limit(rng):
+    # The largest addresses and PCs the kernel accepts: every PC hash and
+    # region id folds many bits, and set/tag math runs near 2**62.
+    geom = CacheGeometry(4, 2)
+    top = _kernels._INT64_LIMIT
+    blocks = rng.integers(1, 40, size=400)
+    pcs = rng.integers(1, 5, size=400)
+    trace = make_trace([(top - 4 * int(p), top - 64 * int(b) + 7)
+                        for p, b in zip(pcs, blocks)])
+    assert _kernels.supports(trace, "lru")
+    for policy in POLICY_NAMES:
+        _assert_same_run(trace, policy, geom)
+
+
 def test_kernel_honors_ehc_options():
     trace = gen_synthetic(TRACES["region"])
     geom = CacheGeometry(64, 4)
@@ -79,6 +115,12 @@ def test_supports_rejects_unknown_and_huge_addresses():
     # auto silently falls back to the reference engine
     stats, _, _ = run_policy(huge, "lru", CacheGeometry(2, 2))
     assert stats.misses == 1
+
+
+def test_run_policy_rejects_unknown_backend():
+    trace = make_trace([0x40, 0x80])
+    with pytest.raises(UsageError, match="unknown backend 'kernal'"):
+        run_policy(trace, "lru", CacheGeometry(2, 2), backend="kernal")
 
 
 def test_empty_trace():
