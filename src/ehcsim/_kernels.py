@@ -8,9 +8,11 @@ case the very same function runs as interpreted Python over memoryviews of
 the trace columns and lists of the state tables — bit-identical results
 either way, which the test suite enforces against the reference engine.
 
-The kernels trade generality for speed: no event logging, no invariant
-checking, and addresses/PCs must fit in signed 64-bit space. Anything else
-runs on the reference engine.
+With ``record_events`` the loop also writes each replacement into one
+preallocated int64 buffer, which ``run`` turns into an
+:class:`~ehcsim.engine.EventLog`. The kernels trade generality for speed:
+no invariant checking, only the built-in policies, and addresses/PCs must
+fit in signed 64-bit space. Anything else runs on the reference engine.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 
 import numpy as np
 
-from .engine import CacheGeometry, SimStats
+from .engine import CacheGeometry, EventLog, SimStats
 from .policies import brrip_draws
 from .sampler import SAMPLE_PERIOD, WINDOW_SLOTS_PER_WAY
 from .trace import Trace
@@ -69,6 +71,10 @@ _POLICY_IDS = {
 
 #: Addresses/PCs at or above this cannot safely be viewed as int64.
 _INT64_LIMIT = 1 << 62
+
+#: Leading fields of an event row: trace position, victim way, no_averse.
+#: The resident block of every way follows, as it was before the fill.
+_EVENT_FIELDS = 3
 
 
 @_jit
@@ -124,12 +130,16 @@ def _simulate(
     region_tag, region_ring, region_count, region_head,
     occ, occ_base, occ_len,
     slot_live, slot_tag, slot_pc, slot_addr, slot_pos, slot_hits,
+    record_events, events,
     hit_flags, out,
 ):
     # Written for both modes: 2-D state is indexed ``arr[i][j]`` (a row is a
     # view under numba and a list when interpreted), and sizes come from
-    # ``len`` so lists and memoryviews work as well as arrays.
+    # ``len`` so lists and memoryviews work as well as arrays. With
+    # ``record_events`` set, replacement k fills the flat row
+    # ``events[k * ev_width:(k + 1) * ev_width]``.
     n = len(addr)
+    ev_width = _EVENT_FIELDS + assoc
     cap = len(occ[0])
     set_mask = num_sets - 1
     hits = 0
@@ -244,6 +254,7 @@ def _simulate(
                 way = w
                 break
         if way < 0:
+            no_averse = 0
             if policy_id == 0:
                 srow = stamp[si]
                 way = 0
@@ -283,10 +294,18 @@ def _simulate(
                     way = found
                 else:
                     way = best
+                    no_averse = 1
                     no_averse_count += 1
                     fi = _xor_fold(lastpc[si][way], 13)
                     if pc_tbl[fi] > 0:
                         pc_tbl[fi] -= 1
+            if record_events:
+                base = evictions * ev_width
+                events[base] = i
+                events[base + 1] = way
+                events[base + 2] = no_averse
+                for w in range(assoc):
+                    events[base + _EVENT_FIELDS + w] = trow[w]
             evictions += 1
 
         vrow[way] = 1
@@ -372,6 +391,7 @@ def run(
     geom: CacheGeometry,
     seed: int,
     record_hits: bool = False,
+    record_events: bool = False,
     ehc_fixed_init: int | None = None,
     aging: bool = True,
 ):
@@ -418,6 +438,10 @@ def run(
 
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(11, dtype=np.int64)
+    # Room for a replacement at every access; pages never written are never
+    # touched, so only the rows used take memory.
+    ev_width = _EVENT_FIELDS + assoc
+    events = np.empty(n * ev_width if record_events else 1, dtype=np.int64)
 
     _simulate(
         _column(addr), _column(pc),
@@ -433,6 +457,7 @@ def run(
         _table(occ), _table(occ_base), _table(occ_len),
         _table(slot_live), _table(slot_tag), _table(slot_pc), _table(slot_addr),
         _table(slot_pos), _table(slot_hits),
+        record_events, _column(events),
         _column(hit_flags), out,
     )
 
@@ -452,4 +477,23 @@ def run(
         stats.per_policy["optgen_cold"] = int(out[8])
         stats.per_policy["optgen_hit"] = int(out[9])
         stats.per_policy["optgen_miss"] = int(out[10])
-    return stats, None, (hit_flags if record_hits else None)
+    log = None
+    if record_events:
+        log = _event_log(trace, geom, events[:stats.evictions * ev_width].reshape(-1, ev_width))
+    return stats, log, (hit_flags if record_hits else None)
+
+
+def _event_log(trace: Trace, geom: CacheGeometry, rows: np.ndarray) -> EventLog:
+    """The :class:`EventLog` of the kernel's event rows; the set and the
+    incoming block follow from each row's trace position."""
+    index = rows[:, 0]
+    shift = np.uint64(geom.block_offset_bits)
+    incoming = trace.addr[index] >> shift
+    return EventLog(
+        index,
+        incoming & np.uint64(geom.num_sets - 1),
+        rows[:, 1],
+        rows[:, 2],
+        incoming << shift,
+        rows[:, _EVENT_FIELDS:].view(np.uint64) << shift,
+    )

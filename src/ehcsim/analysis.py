@@ -152,8 +152,9 @@ def compare(
     """Side-by-side policy table with MPKI reduction against LRU.
 
     LRU is simulated (and reported) even when absent from ``policies`` so
-    the reduction column always has its baseline. With ``events`` the
-    victim-quality mean rank column is populated (reference engine).
+    the reduction column always has its baseline. With ``events`` each run
+    records its replacement events and the victim-quality mean rank column
+    is populated.
     """
     names = list(policies)
     if "lru" not in names:

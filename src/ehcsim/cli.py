@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--events", action="store_true",
-                   help="score victim quality too (slower, reference engine)")
+                   help="score victim quality too (records every replacement)")
     p.add_argument("--csv", required=True)
 
     p = sub.add_parser("analyze", help="replacement-quality instruments")

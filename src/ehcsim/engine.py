@@ -145,6 +145,80 @@ class ReplacementEvent:
     resident_addrs: tuple  # block-aligned byte address per way
 
 
+class EventLog:
+    """Replacement events as columns, one row per decision.
+
+    ``index``, ``set_index`` and ``victim_way`` are int64, ``no_averse`` is
+    bool, ``incoming_addr`` is uint64 and ``resident_addrs`` is a uint64
+    array of shape ``(len, associativity)``. ``len``, ``[k]`` and iteration
+    give :class:`ReplacementEvent` rows, so the log reads like a list of
+    events without holding one object per row.
+    """
+
+    __slots__ = (
+        "index", "set_index", "victim_way", "no_averse", "incoming_addr",
+        "resident_addrs",
+    )
+
+    _ITER_ROWS = 4096  # rows converted to Python objects at a time
+
+    def __init__(self, index, set_index, victim_way, no_averse, incoming_addr,
+                 resident_addrs):
+        self.index = np.ascontiguousarray(index, dtype=np.int64)
+        self.set_index = np.ascontiguousarray(set_index, dtype=np.int64)
+        self.victim_way = np.ascontiguousarray(victim_way, dtype=np.int64)
+        self.no_averse = np.ascontiguousarray(no_averse, dtype=bool)
+        self.incoming_addr = np.ascontiguousarray(incoming_addr, dtype=np.uint64)
+        self.resident_addrs = np.ascontiguousarray(resident_addrs, dtype=np.uint64)
+        n = len(self.index)
+        if not (len(self.set_index) == len(self.victim_way) == len(self.no_averse)
+                == len(self.incoming_addr) == n):
+            raise ValueError("event log columns must have equal length")
+        if self.resident_addrs.ndim != 2 or len(self.resident_addrs) != n:
+            raise ValueError("resident_addrs must have one row per event")
+
+    @classmethod
+    def from_events(cls, events, associativity: int) -> "EventLog":
+        """Columns of a sequence of :class:`ReplacementEvent`."""
+        events = list(events)
+        return cls(
+            [ev.index for ev in events],
+            [ev.set_index for ev in events],
+            [ev.victim_way for ev in events],
+            [ev.no_averse for ev in events],
+            [ev.incoming_addr for ev in events],
+            np.array([ev.resident_addrs for ev in events],
+                     dtype=np.uint64).reshape(-1, associativity),
+        )
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k: int) -> ReplacementEvent:
+        return ReplacementEvent(
+            index=int(self.index[k]),
+            set_index=int(self.set_index[k]),
+            victim_way=int(self.victim_way[k]),
+            no_averse=bool(self.no_averse[k]),
+            incoming_addr=int(self.incoming_addr[k]),
+            resident_addrs=tuple(self.resident_addrs[k].tolist()),
+        )
+
+    def __iter__(self):
+        for lo in range(0, len(self), self._ITER_ROWS):
+            hi = lo + self._ITER_ROWS
+            rows = zip(
+                self.index[lo:hi].tolist(),
+                self.set_index[lo:hi].tolist(),
+                self.victim_way[lo:hi].tolist(),
+                self.no_averse[lo:hi].tolist(),
+                self.incoming_addr[lo:hi].tolist(),
+                map(tuple, self.resident_addrs[lo:hi].tolist()),
+            )
+            for row in rows:
+                yield ReplacementEvent(*row)
+
+
 def simulate(
     trace: Trace,
     policy: ReplacementPolicy,
@@ -155,15 +229,17 @@ def simulate(
 ):
     """Run ``trace`` through the cache with ``policy`` deciding replacements.
 
-    Returns ``(stats, events, hit_flags)``; ``events`` is None unless
-    ``record_events``, ``hit_flags`` is None unless ``record_hits``.
+    Returns ``(stats, events, hit_flags)``; ``events`` is an
+    :class:`EventLog` when ``record_events`` and None otherwise,
+    ``hit_flags`` is None unless ``record_hits``.
     ``check=True`` validates stats and counter-range invariants after every
     access (slow; meant for tests).
     """
     assoc = geom.associativity
     sets = [[BlockState() for _ in range(assoc)] for _ in range(geom.num_sets)]
     stats = SimStats()
-    events = [] if record_events else None
+    # Event log columns; ``ev_resident`` holds ``assoc`` addresses per event.
+    ev_index, ev_set, ev_way, ev_no_averse, ev_incoming, ev_resident = [], [], [], [], [], []
     hit_flags = np.zeros(len(trace), dtype=np.uint8) if record_hits else None
 
     block_mask = ~((1 << geom.block_offset_bits) - 1)
@@ -207,16 +283,14 @@ def simulate(
                 if not 0 <= way < assoc:
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
                 if record_events:
-                    events.append(ReplacementEvent(
-                        index=i,
-                        set_index=si,
-                        victim_way=way,
-                        no_averse=no_averse,
-                        incoming_addr=record.addr & block_mask,
-                        resident_addrs=tuple(
-                            geom.block_addr(si, ways[w].tag) for w in range(assoc)
-                        ),
-                    ))
+                    ev_index.append(i)
+                    ev_set.append(si)
+                    ev_way.append(way)
+                    ev_no_averse.append(no_averse)
+                    ev_incoming.append(record.addr & block_mask)
+                    ev_resident.extend(
+                        geom.block_addr(si, ways[w].tag) for w in range(assoc)
+                    )
                 stats.evictions += 1
                 stats.replacements_total += 1
                 if no_averse:
@@ -240,4 +314,10 @@ def simulate(
                     )
 
     stats.per_policy.update(policy.extra_stats())
+    events = None
+    if record_events:
+        events = EventLog(
+            ev_index, ev_set, ev_way, ev_no_averse, ev_incoming,
+            np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc),
+        )
     return stats, events, hit_flags

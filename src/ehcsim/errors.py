@@ -36,6 +36,14 @@ class Truncated(DataError):
     """Trace header promises more records than the payload contains."""
 
 
+class TrailingBytes(DataError):
+    """Trace file holds bytes after the records its header declares."""
+
+
+class InvalidTrace(DataError, ValueError):
+    """Trace contents break an invariant (access kind, seq order)."""
+
+
 # --- generators / interleaving ---
 
 class InvalidSpec(UsageError):

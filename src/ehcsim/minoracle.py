@@ -1,20 +1,20 @@
 """Offline Belady MIN oracles and ground-truth analyses.
 
 Everything here may look at the whole trace at once: next-use indices from a
-backward scan, MIN simulation with and without bypass, per-residency hit
-counts, hit-count prediction-error histograms, and reuse-distance ranking of
-a policy's evicted victims.
+stable sort of the block column, MIN simulation with and without bypass,
+per-residency hit counts, hit-count prediction-error histograms, and
+reuse-distance ranking of a policy's evicted victims (binary searches over
+the sorted (block, position) keys).
 """
 
 from __future__ import annotations
 
 import collections
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, ReplacementEvent, SimStats
+from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import MissingEventLog
 from .sampler import MinDecision
 from .trace import REGION_SHIFT, Trace
@@ -39,16 +39,13 @@ class ResidencyRecord:
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    n = len(trace)
     blocks = trace.addr >> np.uint64(geom.block_offset_bits)
-    next_use = np.full(n, NO_NEXT_USE, dtype=np.int64)
-    last: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        b = int(blocks[i])
-        p = last.get(b)
-        if p is not None:
-            next_use[i] = p
-        last[b] = i
+    # A stable sort keeps each block's accesses in trace order, so every
+    # access is followed by its next use unless the block changes there.
+    order = np.argsort(blocks, kind="stable")
+    same = blocks[order[1:]] == blocks[order[:-1]]
+    next_use = np.full(len(trace), NO_NEXT_USE, dtype=np.int64)
+    next_use[order[:-1][same]] = order[1:][same]
     return next_use
 
 
@@ -65,88 +62,106 @@ def simulate_min(
     the residents). Returns ``(stats, decisions, residencies, events)``:
     ``decisions`` holds one :class:`MinDecision` code per access,
     ``residencies`` covers every fill including blocks still resident at the
-    end of the trace, ``events`` is None unless requested.
+    end of the trace (those last, set by set in the order the sets were
+    first touched), ``events`` is an :class:`EventLog` when requested and
+    None otherwise.
     """
     n = len(trace)
     next_use = compute_next_use(trace, geom)
     assoc = geom.associativity
+    shift = geom.block_offset_bits
+    blocks = trace.addr >> np.uint64(shift)
+    set_ids = blocks & np.uint64(geom.num_sets - 1)
+    hit = np.zeros(n, dtype=np.uint8)
 
-    tags = collections.defaultdict(dict)   # set -> {tag: way}
-    way_tag = collections.defaultdict(dict)  # set -> {way: (next_pos, fill, hits)}
-    stats = SimStats()
-    decisions = np.empty(n, dtype=np.uint8)
+    # Memoryviews index as Python ints without copying the columns.
+    block_at, set_at, next_at, hit_at = (
+        memoryview(blocks), memoryview(set_ids), memoryview(next_use), memoryview(hit)
+    )
+    way_of: dict[int, int] = {}  # resident block -> its way
+    # set -> per-way lists [next use, block, fill position, hits]; the dict
+    # keeps the sets in the order they were first touched.
+    state: dict[int, tuple] = {}
     residencies: list[ResidencyRecord] = []
-    events: list[ReplacementEvent] | None = [] if record_events else None
-    seen: set[int] = set()
-    bypasses = 0
+    ev_index, ev_set, ev_way, ev_resident = [], [], [], []  # event log columns
+    hits = evictions = bypasses = 0
 
-    block_mask = ~((1 << geom.block_offset_bits) - 1)
     for i in range(n):
-        addr = int(trace.addr[i])
-        block = addr & block_mask
-        si = geom.set_index(addr)
-        tag = geom.tag(addr)
-        resident = tags[si]
-        ways = way_tag[si]
-
-        stats.accesses += 1
-        way = resident.get(tag)
+        b = block_at[i]
+        way = way_of.get(b)
         if way is not None:
-            stats.hits += 1
-            decisions[i] = MinDecision.HIT
-            nxt, fill, hits = ways[way]
-            ways[way] = (int(next_use[i]), fill, hits + 1)
+            nexts, _, _, way_hits = state[set_at[i]]
+            nexts[way] = next_at[i]
+            way_hits[way] += 1
+            hit_at[i] = 1
+            hits += 1
             continue
 
-        stats.misses += 1
-        decisions[i] = MinDecision.MISS if block in seen else MinDecision.COLD_MISS
-        seen.add(block)
+        si = set_at[i]
+        ways = state.get(si)
+        if ways is None:
+            ways = state[si] = ([], [], [], [])
+        nexts, way_block, fills, way_hits = ways
+        nu = next_at[i]
+        if len(nexts) < assoc:
+            way_of[b] = len(nexts)
+            nexts.append(nu)
+            way_block.append(b)
+            fills.append(i)
+            way_hits.append(0)
+            continue
 
-        if len(resident) < assoc:
-            way = len(resident)
-        else:
-            victim = 0
-            victim_next = -1
-            for w in range(assoc):
-                if ways[w][0] > victim_next:
-                    victim = w
-                    victim_next = ways[w][0]
-            if record_events:
-                by_way = {w: t for t, w in resident.items()}
-                events.append(ReplacementEvent(
-                    index=i,
-                    set_index=si,
-                    victim_way=BYPASS if bypass and int(next_use[i]) > victim_next else victim,
-                    no_averse=False,
-                    incoming_addr=block,
-                    resident_addrs=tuple(
-                        geom.block_addr(si, by_way[w]) for w in range(assoc)
-                    ),
-                ))
-            if bypass and int(next_use[i]) > victim_next:
-                bypasses += 1
-                continue
-            _, fill, hits = ways[victim]
-            victim_tag = next(t for t, w in resident.items() if w == victim)
+        farthest = max(nexts)
+        victim = nexts.index(farthest)  # the first way on ties
+        skip = bypass and nu > farthest
+        if record_events:
+            ev_index.append(i)
+            ev_set.append(si)
+            ev_way.append(BYPASS if skip else victim)
+            ev_resident.extend(way_block)
+        if skip:
+            bypasses += 1
+            continue
+        old = way_block[victim]
+        residencies.append(ResidencyRecord(
+            addr=old << shift, fill=fills[victim], end=i, hits=way_hits[victim],
+        ))
+        del way_of[old]
+        way_of[b] = victim
+        nexts[victim] = nu
+        way_block[victim] = b
+        fills[victim] = i
+        way_hits[victim] = 0
+        evictions += 1
+
+    for _, way_block, fills, way_hits in state.values():
+        # Within a set, the residents in the order they were filled.
+        for w in sorted(range(len(fills)), key=fills.__getitem__):
             residencies.append(ResidencyRecord(
-                addr=geom.block_addr(si, victim_tag), fill=fill, end=i, hits=hits,
-            ))
-            del resident[victim_tag]
-            stats.evictions += 1
-            stats.replacements_total += 1
-            way = victim
-
-        resident[tag] = way
-        ways[way] = (int(next_use[i]), i, 0)
-
-    for si, resident in tags.items():
-        for tag, way in resident.items():
-            _, fill, hits = way_tag[si][way]
-            residencies.append(ResidencyRecord(
-                addr=geom.block_addr(si, tag), fill=fill, end=n, hits=hits,
+                addr=way_block[w] << shift, fill=fills[w], end=n, hits=way_hits[w],
             ))
 
+    # A block's first access is the next use of no earlier access.
+    first = np.ones(n, dtype=bool)
+    first[next_use[next_use != NO_NEXT_USE]] = False
+    decisions = np.where(
+        hit == 1, MinDecision.HIT,
+        np.where(first, MinDecision.COLD_MISS, MinDecision.MISS),
+    ).astype(np.uint8)
+
+    stats = SimStats(
+        accesses=n, hits=hits, misses=n - hits,
+        evictions=evictions, replacements_total=evictions,
+    )
     stats.per_policy["bypasses"] = bypasses
+    events = None
+    if record_events:
+        index = np.array(ev_index, dtype=np.int64)
+        events = EventLog(
+            index, ev_set, ev_way, np.zeros(len(index), dtype=bool),
+            blocks[index] << np.uint64(shift),
+            np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc) << np.uint64(shift),
+        )
     return stats, decisions, residencies, events
 
 
@@ -200,31 +215,55 @@ def victim_quality(events, trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY)
     rank is how many candidates would be referenced strictly farther in the
     future (so rank 0 is the MIN-optimal choice and the worst possible rank
     equals the associativity). Bypass decisions score the incoming block.
-    Returns a histogram over ranks ``0..associativity``.
+    ``events`` is an :class:`EventLog` or a sequence of
+    :class:`ReplacementEvent`. Returns a histogram over ranks
+    ``0..associativity``.
     """
     if events is None:
         raise MissingEventLog("victim quality requires a recorded event log")
-    block_mask = ~((1 << geom.block_offset_bits) - 1)
-    positions: dict[int, list[int]] = collections.defaultdict(list)
-    for i in range(len(trace)):
-        positions[int(trace.addr[i]) & block_mask].append(i)
+    if not isinstance(events, EventLog):
+        events = EventLog.from_events(events, geom.associativity)
+    next_use_after = _next_use_finder(trace, geom)
+    at = events.index
+    bypassed = events.victim_way == BYPASS
+    victim_addr = events.resident_addrs[
+        np.arange(len(events)), np.where(bypassed, 0, events.victim_way)
+    ]
+    victim_addr[bypassed] = events.incoming_addr[bypassed]
+    victim_use = next_use_after(victim_addr, at)
+    # One candidate column at a time keeps every temporary at len(events).
+    rank = (next_use_after(events.incoming_addr, at) > victim_use).astype(np.int64)
+    for w in range(events.resident_addrs.shape[1]):
+        rank += next_use_after(events.resident_addrs[:, w], at) > victim_use
+    return np.bincount(rank, minlength=geom.associativity + 1).astype(np.int64)
 
-    def next_use_after(block: int, i: int) -> int:
-        pos = positions.get(block)
-        if pos:
-            k = bisect_right(pos, i)
-            if k < len(pos):
-                return pos[k]
-        return NO_NEXT_USE
 
-    hist = np.zeros(geom.associativity + 1, dtype=np.int64)
-    for ev in events:
-        uses = [next_use_after(a, ev.index) for a in ev.resident_addrs]
-        uses.append(next_use_after(ev.incoming_addr, ev.index))
-        victim_use = uses[-1] if ev.victim_way == BYPASS else uses[ev.victim_way]
-        rank = sum(1 for u in uses if u > victim_use)
-        hist[rank] += 1
-    return hist
+def _next_use_finder(trace: Trace, geom: CacheGeometry):
+    """``f(addrs, at)``: per element, the first trace position after ``at``
+    that accesses block-aligned address ``addrs`` (:data:`NO_NEXT_USE` when
+    none does)."""
+    n = len(trace)
+    aligned = trace.addr & ~np.uint64((1 << geom.block_offset_bits) - 1)
+    order = np.argsort(aligned, kind="stable")
+    by_block = aligned[order]
+    new_block = np.ones(n, dtype=bool)
+    new_block[1:] = by_block[1:] != by_block[:-1]
+    uniq = by_block[new_block]
+    # Keys (block id, position), packed as block_id * n + position; the
+    # stable sort already orders them.
+    keys = (np.cumsum(new_block) - 1) * n + order
+
+    def next_use_after(addrs, at):
+        if n == 0:
+            return np.full(len(addrs), NO_NEXT_USE, dtype=np.int64)
+        ids = np.minimum(np.searchsorted(uniq, addrs), len(uniq) - 1)
+        base = ids * n
+        k = np.searchsorted(keys, base + at, side="right")
+        key = keys[np.minimum(k, n - 1)]
+        found = (uniq[ids] == addrs) & (k < n) & (key < base + n)
+        return np.where(found, key - base, NO_NEXT_USE)
+
+    return next_use_after
 
 
 def mean_rank(hist: np.ndarray) -> float:

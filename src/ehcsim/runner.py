@@ -1,9 +1,11 @@
 """Policy registry and the single entry point for running a simulation.
 
 ``run_policy`` picks between the two execution paths: the fused kernels
-(fast, stats/hit-flags only) and the reference engine (slower, but
-supports event logging and arbitrary policy objects). ``backend="auto"``
-uses the kernels whenever they can express the request.
+(fast; stats, hit flags and replacement events) and the reference engine
+(slower, but supports per-access invariant checking and addresses of 2**62
+and above). ``backend="auto"`` uses the kernels whenever they can express
+the request. Arbitrary policy objects run on :func:`ehcsim.engine.simulate`
+directly.
 """
 
 from __future__ import annotations
@@ -73,13 +75,12 @@ def run_policy(
         raise UsageError(
             f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
         )
-    want_kernel = backend == "kernel" or (
-        backend == "auto" and not record_events and not check
-    )
+    want_kernel = backend == "kernel" or (backend == "auto" and not check)
     if want_kernel and _kernels.supports(trace, name):
         return _kernels.run(
             trace, name, geom, seed,
             record_hits=record_hits,
+            record_events=record_events,
             ehc_fixed_init=ehc_fixed_init,
             aging=aging,
         )

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, InvalidSpec, TooManyCores, Truncated, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    InvalidSpec,
+    InvalidTrace,
+    TooManyCores,
+    TrailingBytes,
+    Truncated,
+    UnsupportedVersion,
+)
 
 MAGIC = b"EHCT"
 FORMAT_VERSION = 1
@@ -62,11 +70,13 @@ class Trace:
     __slots__ = ("seq", "pc", "addr", "core", "kind", "instruction_count")
 
     def __init__(self, seq, pc, addr, core, kind, instruction_count=None):
-        self.seq = np.ascontiguousarray(seq, dtype=np.uint64)
-        self.pc = np.ascontiguousarray(pc, dtype=np.uint64)
-        self.addr = np.ascontiguousarray(addr, dtype=np.uint64)
-        self.core = np.ascontiguousarray(core, dtype=np.uint8)
-        self.kind = np.ascontiguousarray(kind, dtype=np.uint8)
+        # Contiguous and aligned: a column viewed straight out of a file
+        # buffer (one record) may be neither, and the kernels index it raw.
+        self.seq = np.require(seq, dtype=np.uint64, requirements="CA")
+        self.pc = np.require(pc, dtype=np.uint64, requirements="CA")
+        self.addr = np.require(addr, dtype=np.uint64, requirements="CA")
+        self.core = np.require(core, dtype=np.uint8, requirements="CA")
+        self.kind = np.require(kind, dtype=np.uint8, requirements="CA")
         n = len(self.seq)
         if not (len(self.pc) == len(self.addr) == len(self.core) == len(self.kind) == n):
             raise ValueError("trace columns must have equal length")
@@ -114,17 +124,28 @@ class Trace:
         )
 
     def validate(self) -> None:
-        """Check trace invariants; raises ValueError on the first violation."""
+        """Check trace invariants; raises :class:`InvalidTrace` (a
+        ValueError) on the first violation."""
         if len(self) == 0:
             return
         if int(self.seq.max()) > self.instruction_count:
-            raise ValueError("instruction_count below the largest seq")
-        if not np.all((self.kind == KIND_READ) | (self.kind == KIND_WRITE)):
-            raise ValueError("kind must be Read or Write")
-        for core in np.unique(self.core):
-            seqs = self.seq[self.core == core]
-            if np.any(np.diff(seqs.astype(np.int64)) < 0):
-                raise ValueError(f"seq not non-decreasing for core {core}")
+            raise InvalidTrace("instruction_count below the largest seq")
+        # Every CLI command runs this on load, so it allocates little: kinds
+        # are uint8 with KIND_READ = 0 and KIND_WRITE = 1, a one-core trace
+        # needs no per-core copy, and bincount stands in for np.unique,
+        # which imports numpy.ma (about 15 ms per process).
+        if int(self.kind.max()) > KIND_WRITE:
+            raise InvalidTrace("kind must be Read or Write")
+        if self.core.min() == self.core.max():
+            per_core = [(int(self.core[0]), self.seq)]
+        else:
+            per_core = (
+                (core, self.seq[self.core == core])
+                for core in np.flatnonzero(np.bincount(self.core))
+            )
+        for core, seqs in per_core:
+            if np.any(seqs[1:] < seqs[:-1]):
+                raise InvalidTrace(f"seq not non-decreasing for core {core}")
 
 
 def write_trace(trace: Trace) -> bytes:
@@ -148,11 +169,15 @@ def read_trace(data: bytes) -> Trace:
     if len(data) < _HEADER.size:
         raise Truncated("trace header incomplete")
     _, _, count, instruction_count = _HEADER.unpack_from(data)
-    payload = data[_HEADER.size:]
+    payload = memoryview(data)[_HEADER.size:]  # no copy of the records
     need = count * RECORD_DTYPE.itemsize
     if len(payload) < need:
         raise Truncated(f"header declares {count} records, payload holds fewer")
-    cols = np.frombuffer(payload[:need], dtype=RECORD_DTYPE)
+    if len(payload) > need:
+        raise TrailingBytes(
+            f"{len(payload) - need} bytes follow the {count} declared records"
+        )
+    cols = np.frombuffer(payload, dtype=RECORD_DTYPE)
     return Trace(
         cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
         instruction_count=instruction_count,
@@ -160,8 +185,11 @@ def read_trace(data: bytes) -> Trace:
 
 
 def load_trace(path) -> Trace:
+    """Read and validate a trace file; any defect raises a DataError."""
     with open(path, "rb") as fh:
-        return read_trace(fh.read())
+        trace = read_trace(fh.read())
+    trace.validate()
+    return trace
 
 
 def save_trace(trace: Trace, path) -> None:

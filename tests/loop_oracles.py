@@ -1,0 +1,135 @@
+"""Per-access loop implementations of the MIN oracle and victim scoring.
+
+These are the straightforward versions that :mod:`ehcsim.minoracle` replaced
+with array code; the property tests check that both agree.
+"""
+
+import collections
+from bisect import bisect_right
+
+import numpy as np
+
+from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, ReplacementEvent, ResidencyRecord, SimStats
+
+
+def loop_next_use(trace, geom):
+    """Backward scan with a dict of each block's latest position."""
+    n = len(trace)
+    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    next_use = np.full(n, NO_NEXT_USE, dtype=np.int64)
+    last = {}
+    for i in range(n - 1, -1, -1):
+        b = int(blocks[i])
+        p = last.get(b)
+        if p is not None:
+            next_use[i] = p
+        last[b] = i
+    return next_use
+
+
+def loop_simulate_min(trace, geom, bypass=True):
+    """MIN with per-set dicts; returns (stats, decisions, residencies, events)
+    with the events as a list of ReplacementEvent."""
+    n = len(trace)
+    next_use = loop_next_use(trace, geom)
+    assoc = geom.associativity
+
+    tags = collections.defaultdict(dict)     # set -> {tag: way}
+    way_tag = collections.defaultdict(dict)  # set -> {way: (next_pos, fill, hits)}
+    stats = SimStats()
+    decisions = np.empty(n, dtype=np.uint8)
+    residencies = []
+    events = []
+    seen = set()
+    bypasses = 0
+
+    block_mask = ~((1 << geom.block_offset_bits) - 1)
+    for i in range(n):
+        addr = int(trace.addr[i])
+        block = addr & block_mask
+        si = geom.set_index(addr)
+        tag = geom.tag(addr)
+        resident = tags[si]
+        ways = way_tag[si]
+
+        stats.accesses += 1
+        way = resident.get(tag)
+        if way is not None:
+            stats.hits += 1
+            decisions[i] = MinDecision.HIT
+            _, fill, hits = ways[way]
+            ways[way] = (int(next_use[i]), fill, hits + 1)
+            continue
+
+        stats.misses += 1
+        decisions[i] = MinDecision.MISS if block in seen else MinDecision.COLD_MISS
+        seen.add(block)
+
+        if len(resident) < assoc:
+            way = len(resident)
+        else:
+            victim = 0
+            victim_next = -1
+            for w in range(assoc):
+                if ways[w][0] > victim_next:
+                    victim = w
+                    victim_next = ways[w][0]
+            skip = bypass and int(next_use[i]) > victim_next
+            by_way = {w: t for t, w in resident.items()}
+            events.append(ReplacementEvent(
+                index=i,
+                set_index=si,
+                victim_way=BYPASS if skip else victim,
+                no_averse=False,
+                incoming_addr=block,
+                resident_addrs=tuple(geom.block_addr(si, by_way[w]) for w in range(assoc)),
+            ))
+            if skip:
+                bypasses += 1
+                continue
+            _, fill, hits = ways[victim]
+            victim_tag = by_way[victim]
+            residencies.append(ResidencyRecord(
+                addr=geom.block_addr(si, victim_tag), fill=fill, end=i, hits=hits,
+            ))
+            del resident[victim_tag]
+            stats.evictions += 1
+            stats.replacements_total += 1
+            way = victim
+
+        resident[tag] = way
+        ways[way] = (int(next_use[i]), i, 0)
+
+    for si, resident in tags.items():
+        for tag, way in resident.items():
+            _, fill, hits = way_tag[si][way]
+            residencies.append(ResidencyRecord(
+                addr=geom.block_addr(si, tag), fill=fill, end=n, hits=hits,
+            ))
+
+    stats.per_policy["bypasses"] = bypasses
+    return stats, decisions, residencies, events
+
+
+def loop_victim_quality(events, trace, geom):
+    """Rank histogram from a per-block position list and bisect."""
+    block_mask = ~((1 << geom.block_offset_bits) - 1)
+    positions = collections.defaultdict(list)
+    for i in range(len(trace)):
+        positions[int(trace.addr[i]) & block_mask].append(i)
+
+    def next_use_after(block, i):
+        pos = positions.get(block)
+        if pos:
+            k = bisect_right(pos, i)
+            if k < len(pos):
+                return pos[k]
+        return NO_NEXT_USE
+
+    hist = np.zeros(geom.associativity + 1, dtype=np.int64)
+    for ev in events:
+        uses = [next_use_after(a, ev.index) for a in ev.resident_addrs]
+        uses.append(next_use_after(ev.incoming_addr, ev.index))
+        victim_use = uses[-1] if ev.victim_way == BYPASS else uses[ev.victim_way]
+        hist[sum(1 for u in uses if u > victim_use)] += 1
+    return hist

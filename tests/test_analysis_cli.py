@@ -254,6 +254,32 @@ def test_cli_data_errors(tmp_path):
                  "--csv", out]) == 2
 
 
+def _write_bad_kind(trace, path):
+    trace.kind[3] = 7
+    save_trace(trace, path)
+
+
+def _write_decreasing_seq(trace, path):
+    trace.seq[5] = 1
+    save_trace(trace, path)
+
+
+def _write_trailing_bytes(trace, path):
+    save_trace(trace, path)
+    with open(path, "ab") as fh:
+        fh.write(bytes(8))
+
+
+@pytest.mark.parametrize(
+    "write_bad", [_write_bad_kind, _write_decreasing_seq, _write_trailing_bytes]
+)
+def test_cli_rejects_invalid_trace_files(tmp_path, write_bad):
+    path = tmp_path / "bad.trace"
+    write_bad(_loop_trace(), path)
+    assert main(["run", "--trace", str(path), "--policy", "lru",
+                 "--csv", str(tmp_path / "x.csv")]) == 2
+
+
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
 

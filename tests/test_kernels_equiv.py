@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ehcsim import CacheGeometry, GeneratorSpec, gen_synthetic, simulate
+from ehcsim import CacheGeometry, EventLog, GeneratorSpec, gen_synthetic, simulate
 from ehcsim import _kernels
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.errors import UsageError
@@ -25,20 +25,29 @@ TRACES = {
 
 def _assert_same_run(trace, name, geom, **kw):
     columns = [c.copy() for c in (trace.seq, trace.pc, trace.addr, trace.core, trace.kind)]
-    k_stats, _, k_flags = run_policy(
+    k_stats, k_none, k_flags = run_policy(
         trace, name, geom, backend="kernel", record_hits=True, **kw
     )
+    assert k_none is None
     assert isinstance(k_flags, np.ndarray)
     assert k_flags.dtype == np.uint8 and k_flags.shape == (len(trace),)
+    # Recording events must not change the run.
+    e_stats, k_log, e_flags = run_policy(
+        trace, name, geom, backend="kernel", record_hits=True, record_events=True, **kw
+    )
     for before, after in zip(columns, (trace.seq, trace.pc, trace.addr,
                                        trace.core, trace.kind)):
         assert np.array_equal(before, after)
     policy = make_policy(name, geom, seed=kw.get("seed", 42),
                          ehc_fixed_init=kw.get("ehc_fixed_init"),
                          aging=kw.get("aging", True))
-    r_stats, _, r_flags = simulate(trace, policy, geom, record_hits=True, check=True)
-    assert k_stats == r_stats
-    assert k_flags.tolist() == r_flags.tolist()
+    r_stats, r_log, r_flags = simulate(trace, policy, geom, record_hits=True,
+                                       record_events=True, check=True)
+    assert k_stats == e_stats == r_stats
+    assert k_flags.tolist() == e_flags.tolist() == r_flags.tolist()
+    assert isinstance(k_log, EventLog) and isinstance(r_log, EventLog)
+    assert len(k_log) == r_stats.replacements_total
+    assert list(k_log) == list(r_log)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -127,6 +136,32 @@ def test_empty_trace():
     trace = make_trace([])
     stats, _, _ = run_policy(trace, "ehc", CacheGeometry(2, 2), backend="kernel")
     assert stats.accesses == 0
+    _, log, _ = run_policy(trace, "ehc", CacheGeometry(2, 2), backend="kernel",
+                           record_events=True)
+    assert len(log) == 0 and log.resident_addrs.shape == (0, 2)
+
+
+def test_auto_records_events_on_the_kernel(monkeypatch):
+    # auto runs event logging on the kernel; check=True and addresses the
+    # kernel cannot take still go to the reference engine.
+    calls = []
+    real_run = _kernels.run
+
+    def counted_run(*args, **kwargs):
+        calls.append("kernel")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "run", counted_run)
+    trace = gen_synthetic(TRACES["zipf"])
+    geom = CacheGeometry(64, 4)
+    _, log, _ = run_policy(trace, "ehc", geom, record_events=True)
+    assert calls == ["kernel"] and len(log) > 0
+    run_policy(trace, "ehc", geom, record_events=True, check=True)
+    run_policy(trace, "ehc", geom, record_events=True, backend="reference")
+    _, huge_log, _ = run_policy(make_trace([1 << 63, (1 << 63) + 64]), "lru",
+                                CacheGeometry(1, 1), record_events=True)
+    assert calls == ["kernel"]
+    assert list(huge_log)[0].resident_addrs == (1 << 63,)
 
 
 _CHILD = """
@@ -139,11 +174,15 @@ assert not _kernels.JIT_ENABLED
 trace = gen_synthetic(GeneratorSpec("mixed", block_count=512, length=1500, seed=2))
 out = {}
 for name in ("lru", "drrip", "ehc"):
-    stats, _, flags = run_policy(
-        trace, name, CacheGeometry(64, 4), backend="kernel", record_hits=True
+    stats, log, flags = run_policy(
+        trace, name, CacheGeometry(64, 4), backend="kernel", record_hits=True,
+        record_events=True,
     )
     out[name] = [stats.hits, stats.misses, stats.replacements_no_averse,
-                 sorted(stats.per_policy.items()), int(flags.sum())]
+                 sorted(stats.per_policy.items()), int(flags.sum()),
+                 len(log), {c: getattr(log, c).tolist() for c in (
+                     "index", "set_index", "victim_way", "no_averse",
+                     "incoming_addr", "resident_addrs")}]
 json.dump(out, sys.stdout)
 """
 
@@ -158,11 +197,15 @@ def test_interpreted_kernel_equivalence():
 
     trace = gen_synthetic(GeneratorSpec("mixed", block_count=512, length=1500, seed=2))
     geom = CacheGeometry(64, 4)
-    for name, (hits, misses, no_averse, per_policy, flagsum) in interpreted.items():
-        stats, _, flags = run_policy(trace, name, geom, backend="kernel",
-                                     record_hits=True)
+    for name, (hits, misses, no_averse, per_policy, flagsum, n_events,
+               columns) in interpreted.items():
+        stats, log, flags = run_policy(trace, name, geom, backend="kernel",
+                                       record_hits=True, record_events=True)
         assert [stats.hits, stats.misses, stats.replacements_no_averse] == [
             hits, misses, no_averse
         ]
         assert [[k, v] for k, v in sorted(stats.per_policy.items())] == per_policy
         assert int(flags.sum()) == flagsum
+        assert len(log) == n_events > 0
+        assert len(columns) == 6
+        assert {c: getattr(log, c).tolist() for c in columns} == columns

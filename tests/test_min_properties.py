@@ -1,0 +1,123 @@
+"""Property tests: the array MIN oracle and victim scoring equal the loops.
+
+Geometries of 1-16 sets and 1-8 ways, short traces over a small pool of
+blocks anywhere in the 64-bit address space, and hand-made event logs
+(bypass rows, addresses the trace never touches, the empty log) are
+checked against the per-access implementations in ``loop_oracles``.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ehcsim import (
+    BYPASS,
+    CacheGeometry,
+    EventLog,
+    ReplacementEvent,
+    compute_next_use,
+    simulate_min,
+    victim_quality,
+)
+from ehcsim._kernels import _INT64_LIMIT
+from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
+from ehcsim.engine import simulate
+
+from conftest import make_trace
+from loop_oracles import loop_next_use, loop_simulate_min, loop_victim_quality
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def geometries(draw):
+    return CacheGeometry(
+        num_sets=1 << draw(st.integers(0, 4)),
+        associativity=draw(st.integers(1, 8)),
+        block_offset_bits=draw(st.sampled_from([1, 6])),
+    )
+
+
+@st.composite
+def traced_geometries(draw, max_addr=(1 << 64) - 1, max_len=80):
+    """A geometry and a trace over a pool of at most 12 byte addresses."""
+    geom = draw(geometries())
+    pool = draw(st.lists(st.integers(0, max_addr), min_size=1, max_size=12, unique=True))
+    addrs = draw(st.lists(st.sampled_from(pool), max_size=max_len))
+    return geom, make_trace(addrs)
+
+
+@PROPERTY_SETTINGS
+@given(traced_geometries())
+def test_next_use_matches_loop(case):
+    geom, trace = case
+    assert compute_next_use(trace, geom).tolist() == loop_next_use(trace, geom).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(traced_geometries(), st.booleans())
+def test_simulate_min_matches_loop(case, bypass):
+    geom, trace = case
+    stats, decisions, residencies, events = simulate_min(
+        trace, geom, bypass=bypass, record_events=True
+    )
+    o_stats, o_decisions, o_residencies, o_events = loop_simulate_min(trace, geom, bypass)
+    assert stats == o_stats
+    assert decisions.dtype == np.uint8
+    assert decisions.tolist() == o_decisions.tolist()
+    assert residencies == o_residencies  # same records in the same order
+    assert isinstance(events, EventLog)
+    assert list(events) == o_events
+    assert victim_quality(events, trace, geom).tolist() == \
+        loop_victim_quality(o_events, trace, geom).tolist()
+    no_log = simulate_min(trace, geom, bypass=bypass)
+    assert no_log[0] == stats and no_log[3] is None
+
+
+@st.composite
+def event_logs(draw):
+    """A trace plus replacement events that need not come from any run:
+    bypass rows, candidates the trace never touches, unaligned addresses
+    and the empty log all occur."""
+    geom, trace = draw(traced_geometries(max_len=60))
+    assoc = geom.associativity
+    touched = sorted(set(int(a) for a in trace.addr))
+    block = 1 << geom.block_offset_bits
+    aligned = sorted({a & -block for a in touched})
+    candidates = st.one_of(
+        st.sampled_from(aligned or [0]),
+        st.sampled_from(touched or [1]),
+        st.integers(0, (1 << 64) - 1).map(lambda a: a & -block),
+    )
+    event = st.builds(
+        ReplacementEvent,
+        index=st.integers(0, max(len(trace) - 1, 0)),
+        set_index=st.integers(0, geom.num_sets - 1),
+        victim_way=st.sampled_from([BYPASS, *range(assoc)]),
+        no_averse=st.booleans(),
+        incoming_addr=candidates,
+        resident_addrs=st.lists(candidates, min_size=assoc, max_size=assoc).map(tuple),
+    )
+    return geom, trace, draw(st.lists(event, max_size=20))
+
+
+@PROPERTY_SETTINGS
+@given(event_logs())
+def test_victim_quality_matches_loop(case):
+    geom, trace, events = case
+    expected = loop_victim_quality(events, trace, geom).tolist()
+    assert victim_quality(events, trace, geom).tolist() == expected
+    log = EventLog.from_events(events, geom.associativity)
+    assert list(log) == events
+    assert victim_quality(log, trace, geom).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(traced_geometries(max_addr=_INT64_LIMIT - 1, max_len=120),
+       st.sampled_from(POLICY_NAMES))
+def test_kernel_events_match_reference(case, name):
+    geom, trace = case
+    k_stats, k_log, _ = run_policy(trace, name, geom, backend="kernel", record_events=True)
+    r_stats, r_log, _ = simulate(trace, make_policy(name, geom), geom,
+                                 record_events=True, check=True)
+    assert k_stats == r_stats
+    assert list(k_log) == list(r_log)

@@ -9,12 +9,16 @@ from ehcsim import (
     GeneratorSpec,
     InvalidSpec,
     TooManyCores,
+    InvalidTrace,
     Trace,
+    TrailingBytes,
     Truncated,
     UnsupportedVersion,
     gen_synthetic,
     interleave,
+    load_trace,
     read_trace,
+    save_trace,
     write_trace,
 )
 from ehcsim.trace import FORMAT_VERSION, MAGIC, RECORD_DTYPE
@@ -77,6 +81,40 @@ def test_truncated_records():
     data = write_trace(t)
     with pytest.raises(Truncated):
         read_trace(data[:-26])
+
+
+def test_validate_checks_seq_per_core():
+    # seq may go down between cores, never within one
+    t = Trace([1, 5, 2, 6], [0] * 4, [0x40] * 4, [0, 1, 0, 1], [0] * 4)
+    t.validate()
+    t.seq[3] = 4
+    with pytest.raises(InvalidTrace, match="core 1"):
+        t.validate()
+
+
+def test_trailing_bytes():
+    # The format has no padding and no footer.
+    data = write_trace(make_trace([0x40 * i for i in range(10)]))
+    with pytest.raises(TrailingBytes):
+        read_trace(data + bytes(8))
+    with pytest.raises(TrailingBytes):
+        read_trace(write_trace(make_trace([])) + b"\x00")
+
+
+def test_one_record_round_trip():
+    # The record sits at an odd offset in the file buffer.
+    t = make_trace([(0x500, 0x40)])
+    back = read_trace(write_trace(t))
+    assert back == t and back.addr.flags.aligned
+
+
+def test_load_trace_validates(tmp_path):
+    t = make_trace([0x40, 0x80])
+    t.kind[1] = 7
+    path = tmp_path / "bad.trace"
+    save_trace(t, path)
+    with pytest.raises(InvalidTrace):
+        load_trace(path)
 
 
 def test_records_iteration():
