@@ -1,0 +1,384 @@
+/* Fused cache-simulation kernel behind ehcsim._kernels.run.
+ *
+ * One loop over the trace covers every built-in policy, dispatched on
+ * policy_id, and reproduces the reference engine (ehcsim.engine.simulate)
+ * bit for bit. ehcsim._kernels prepends a generated #define block before
+ * compiling: the policy constants from ehcsim.engine, ehcsim.policies and
+ * ehcsim.sampler, the POLICY_* ids, the OUT_* counter slots and the EVENT_*
+ * fields of an event row. So this file holds no policy literal of its own.
+ *
+ * Addresses, PCs and block tags are uint64_t; counters and positions are
+ * int64_t; flags and 3-bit fields are uint8_t.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+#define REGION_TABLE_SIZE ((int64_t)1 << REGION_TABLE_BITS)
+#define REGION_NONE UINT64_MAX /* no region id reaches it: ids are addr >> REGION_SHIFT */
+
+typedef struct {
+    uint64_t tag[REGION_TABLE_SIZE];
+    int64_t ring[REGION_TABLE_SIZE][REGION_RING_SLOTS];
+    int64_t count[REGION_TABLE_SIZE];
+    int64_t head[REGION_TABLE_SIZE];
+} RegionTable;
+
+/* x >> n as Python computes it: C leaves shifts by 64 or more undefined. */
+static inline uint64_t shr(uint64_t x, int64_t n)
+{
+    return n < 64 ? x >> n : 0;
+}
+
+/* ehcsim.hashing.xor_fold */
+static inline uint64_t xor_fold(uint64_t value, int bits)
+{
+    uint64_t mask = ((uint64_t)1 << bits) - 1, out = 0;
+    while (value) {
+        out ^= value & mask;
+        value >>= bits;
+    }
+    return out;
+}
+
+/* RegionHitTable.record_eviction */
+static void region_push(RegionTable *rt, uint64_t addr, int64_t hits)
+{
+    uint64_t rid = addr >> REGION_SHIFT;
+    uint64_t idx = xor_fold(rid, REGION_TABLE_BITS);
+    if (rt->tag[idx] != rid) {
+        rt->tag[idx] = rid;
+        rt->count[idx] = 0;
+        rt->head[idx] = 0;
+    }
+    rt->ring[idx][rt->head[idx]] = hits;
+    rt->head[idx] = (rt->head[idx] + 1) % REGION_RING_SLOTS;
+    if (rt->count[idx] < REGION_RING_SLOTS)
+        rt->count[idx]++;
+}
+
+/* RegionHitTable.expected_hits */
+static int64_t region_expected(const RegionTable *rt, uint64_t addr)
+{
+    uint64_t rid = addr >> REGION_SHIFT;
+    uint64_t idx = xor_fold(rid, REGION_TABLE_BITS);
+    int64_t cnt = rt->count[idx], total = 0, avg;
+    if (rt->tag[idx] != rid || cnt == 0)
+        return DEFAULT_EXPECTED_HITS;
+    for (int64_t k = 0; k < cnt; k++)
+        total += rt->ring[idx][k];
+    avg = (2 * total + cnt) / (2 * cnt);
+    return avg > EFH_MAX ? EFH_MAX : avg;
+}
+
+/* Zeroed tables, all released by free_tables. */
+#define MAX_TABLES 24
+typedef struct {
+    void *ptr[MAX_TABLES];
+    int n;
+    int failed;
+} Tables;
+
+static void *table(Tables *t, int64_t count, size_t size)
+{
+    void *p = calloc(count > 0 ? (size_t)count : 1, size);
+    if (!p)
+        t->failed = 1;
+    t->ptr[t->n++] = p;
+    return p;
+}
+
+static void free_tables(Tables *t)
+{
+    for (int k = 0; k < t->n; k++)
+        free(t->ptr[k]);
+}
+
+/* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
+ * receives the counters. With record_events, replacement k fills the row
+ * events[k * (EVENT_FIELDS + assoc) ...]: the EVENT_* fields, then the
+ * resident block of every way before the fill. draws holds the bimodal
+ * insertion decisions (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from
+ * the region table. Returns 0, or -1 when the tables cannot be allocated. */
+int ehcsim_simulate(
+    int64_t n, const uint64_t *addr, const uint64_t *pc,
+    int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
+    int64_t policy_id, const uint8_t *draws, int64_t aging, int64_t fixed_init,
+    int64_t record_events, uint64_t *events, uint8_t *hit_flags, int64_t *out)
+{
+    const int64_t lines = num_sets * assoc;
+    const int64_t nsamp = (num_sets + SAMPLE_PERIOD - 1) / SAMPLE_PERIOD;
+    const int64_t cap = WINDOW_SLOTS_PER_WAY * assoc;
+    const int64_t ev_width = EVENT_FIELDS + assoc;
+    const uint64_t set_mask = (uint64_t)num_sets - 1;
+    Tables t = {{0}, 0, 0};
+
+    uint8_t *valid = table(&t, lines, sizeof *valid);
+    uint64_t *tagv = table(&t, lines, sizeof *tagv);
+    uint8_t *rrpv = table(&t, lines, sizeof *rrpv);
+    int64_t *efh = table(&t, lines, sizeof *efh);
+    int64_t *stamp = table(&t, lines, sizeof *stamp);
+    uint64_t *lastpc = table(&t, lines, sizeof *lastpc);
+    int64_t *sig = table(&t, lines, sizeof *sig);
+    uint8_t *outcome = table(&t, lines, sizeof *outcome);
+    uint8_t *shct = table(&t, (int64_t)1 << SHCT_BITS, sizeof *shct);
+    uint8_t *pc_tbl = table(&t, (int64_t)1 << PC_TABLE_BITS, sizeof *pc_tbl);
+    RegionTable *rt = table(&t, 1, sizeof *rt);
+    int64_t *occ = table(&t, nsamp * cap, sizeof *occ);
+    int64_t *occ_base = table(&t, nsamp, sizeof *occ_base);
+    int64_t *occ_len = table(&t, nsamp, sizeof *occ_len);
+    uint8_t *slot_live = table(&t, nsamp * cap, sizeof *slot_live);
+    uint64_t *slot_tag = table(&t, nsamp * cap, sizeof *slot_tag);
+    uint64_t *slot_pc = table(&t, nsamp * cap, sizeof *slot_pc);
+    uint64_t *slot_addr = table(&t, nsamp * cap, sizeof *slot_addr);
+    int64_t *slot_pos = table(&t, nsamp * cap, sizeof *slot_pos);
+    int64_t *slot_hits = table(&t, nsamp * cap, sizeof *slot_hits);
+    if (t.failed) {
+        free_tables(&t);
+        return -1;
+    }
+    for (int64_t k = 0; k < ((int64_t)1 << PC_TABLE_BITS); k++)
+        pc_tbl[k] = PC_COUNTER_INIT;
+    for (int64_t k = 0; k < REGION_TABLE_SIZE; k++)
+        rt->tag[k] = REGION_NONE;
+
+    int64_t hits = 0, evictions = 0, no_averse_count = 0, long_inserts = 0;
+    int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
+    int64_t psel = PSEL_INIT, ins = 0;
+
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t a = addr[i], p = pc[i];
+        const uint64_t block = shr(a, block_bits);
+        const int64_t si = (int64_t)(block & set_mask);
+
+        /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
+        if (policy_id >= POLICY_HAWKEYE && si % SAMPLE_PERIOD == 0) {
+            const int64_t s = si / SAMPLE_PERIOD;
+            const uint64_t tg = shr(block, set_bits);
+            int64_t *orow = occ + s * cap;
+            uint8_t *live = slot_live + s * cap;
+            uint64_t *stag = slot_tag + s * cap;
+            uint64_t *spc = slot_pc + s * cap;
+            uint64_t *saddr = slot_addr + s * cap;
+            int64_t *spos = slot_pos + s * cap;
+            int64_t *shits = slot_hits + s * cap;
+            int64_t hit_slot = -1, carried_hits = 0;
+            uint64_t ent_addr = a;
+            for (int64_t k = 0; k < cap; k++) {
+                if (stag[k] == tg && live[k]) {
+                    hit_slot = k;
+                    break;
+                }
+            }
+            if (hit_slot < 0) {
+                optgen_cold++;
+            } else {
+                const int64_t pos0 = spos[hit_slot];
+                const int64_t end = occ_base[s] + occ_len[s];
+                const uint64_t fi = xor_fold(spc[hit_slot], PC_TABLE_BITS);
+                int ok = 1;
+                for (int64_t j = pos0; j < end; j++) {
+                    if (orow[j % cap] >= assoc) {
+                        ok = 0;
+                        break;
+                    }
+                }
+                if (ok) {
+                    optgen_hit++;
+                    for (int64_t j = pos0; j < end; j++)
+                        orow[j % cap]++;
+                    carried_hits = shits[hit_slot] + 1;
+                    if (pc_tbl[fi] < PC_COUNTER_MAX)
+                        pc_tbl[fi]++;
+                } else {
+                    optgen_miss++;
+                    if (pc_tbl[fi] > 0)
+                        pc_tbl[fi]--;
+                    region_push(rt, saddr[hit_slot], shits[hit_slot]);
+                }
+                ent_addr = saddr[hit_slot];
+                live[hit_slot] = 0;
+            }
+            const int64_t new_pos = occ_base[s] + occ_len[s];
+            const int64_t k2 = new_pos % cap;
+            if (occ_len[s] == cap) {
+                if (live[k2]) {
+                    region_push(rt, saddr[k2], shits[k2]);
+                    live[k2] = 0;
+                }
+                occ_base[s]++;
+            } else {
+                occ_len[s]++;
+            }
+            orow[k2] = 0;
+            live[k2] = 1;
+            stag[k2] = tg;
+            spc[k2] = p;
+            saddr[k2] = ent_addr;
+            spos[k2] = new_pos;
+            shits[k2] = carried_hits;
+        }
+
+        const int64_t row = si * assoc;
+        uint8_t *vrow = valid + row;
+        uint64_t *trow = tagv + row;
+        uint8_t *rrow = rrpv + row;
+        int64_t *erow = efh + row;
+        int64_t way = -1;
+        for (int64_t w = 0; w < assoc; w++) {
+            if (trow[w] == block && vrow[w]) {
+                way = w;
+                break;
+            }
+        }
+
+        if (way >= 0) {
+            hits++;
+            hit_flags[i] = 1;
+            if (policy_id == POLICY_LRU) {
+                stamp[row + way] = i;
+            } else if (policy_id <= POLICY_DRRIP) {
+                rrow[way] = 0;
+            } else if (policy_id == POLICY_SHIP) {
+                rrow[way] = 0;
+                outcome[row + way] = 1;
+            } else {
+                lastpc[row + way] = p;
+                if (policy_id == POLICY_EHC && erow[way] > 0)
+                    erow[way]--;
+                rrow[way] = pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD
+                    ? 0 : RRPV_MAX;
+            }
+            continue;
+        }
+
+        for (int64_t w = 0; w < assoc; w++) {
+            if (!vrow[w]) {
+                way = w;
+                break;
+            }
+        }
+        if (way < 0) {
+            int64_t no_averse = 0;
+            if (policy_id == POLICY_LRU) {
+                const int64_t *srow = stamp + row;
+                way = 0;
+                for (int64_t w = 1; w < assoc; w++)
+                    if (srow[w] < srow[way])
+                        way = w;
+            } else if (policy_id <= POLICY_SHIP) {
+                while (way < 0) {
+                    for (int64_t w = 0; w < assoc; w++) {
+                        if (rrow[w] == RRPV_MAX) {
+                            way = w;
+                            break;
+                        }
+                    }
+                    if (way < 0)
+                        for (int64_t w = 0; w < assoc; w++)
+                            rrow[w]++;
+                }
+                if (policy_id == POLICY_SHIP) {
+                    const int64_t sg = sig[row + way];
+                    if (outcome[row + way]) {
+                        if (shct[sg] < SHCT_MAX)
+                            shct[sg]++;
+                    } else if (shct[sg] > 0) {
+                        shct[sg]--;
+                    }
+                }
+            } else {
+                int64_t best = 0;
+                for (int64_t w = 0; w < assoc; w++) {
+                    if (rrow[w] == RRPV_MAX) {
+                        way = w;
+                        break;
+                    }
+                    if (policy_id == POLICY_HAWKEYE) {
+                        if (rrow[w] > rrow[best])
+                            best = w;
+                    } else if (erow[w] - rrow[w] < erow[best] - rrow[best]) {
+                        best = w;
+                    }
+                }
+                if (way < 0) {
+                    const uint64_t fi = xor_fold(lastpc[row + best], PC_TABLE_BITS);
+                    way = best;
+                    no_averse = 1;
+                    no_averse_count++;
+                    if (pc_tbl[fi] > 0)
+                        pc_tbl[fi]--;
+                }
+            }
+            if (record_events) {
+                uint64_t *ev = events + evictions * ev_width;
+                ev[EVENT_INDEX] = (uint64_t)i;
+                ev[EVENT_VICTIM_WAY] = (uint64_t)way;
+                ev[EVENT_NO_AVERSE] = (uint64_t)no_averse;
+                for (int64_t w = 0; w < assoc; w++)
+                    ev[EVENT_FIELDS + w] = trow[w];
+            }
+            evictions++;
+        }
+
+        vrow[way] = 1;
+        trow[way] = block;
+        if (policy_id == POLICY_LRU) {
+            stamp[row + way] = i;
+        } else if (policy_id == POLICY_SRRIP) {
+            rrow[way] = RRPV_MAX - 1;
+        } else if (policy_id == POLICY_BRRIP) {
+            if (draws[ins++]) {
+                long_inserts++;
+                rrow[way] = RRPV_MAX - 1;
+            } else {
+                rrow[way] = RRPV_MAX;
+            }
+        } else if (policy_id == POLICY_DRRIP) {
+            const int64_t off = si % LEADER_PERIOD;
+            if (off == SRRIP_LEADER_OFFSET) {
+                if (psel < PSEL_MAX)
+                    psel++;
+            } else if (off == BRRIP_LEADER_OFFSET) {
+                if (psel > 0)
+                    psel--;
+            }
+            if (off == BRRIP_LEADER_OFFSET
+                || (off != SRRIP_LEADER_OFFSET && psel >= PSEL_INIT))
+                rrow[way] = draws[ins++] ? RRPV_MAX - 1 : RRPV_MAX;
+            else
+                rrow[way] = RRPV_MAX - 1;
+        } else if (policy_id == POLICY_SHIP) {
+            const int64_t sg = (int64_t)xor_fold(p, SHCT_BITS);
+            sig[row + way] = sg;
+            outcome[row + way] = 0;
+            rrow[way] = shct[sg] == 0 ? RRPV_MAX : RRPV_MAX - 1;
+        } else {
+            lastpc[row + way] = p;
+            if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
+                if (aging)
+                    for (int64_t w = 0; w < assoc; w++)
+                        if (w != way && vrow[w] && rrow[w] < RRPV_MAX - 1)
+                            rrow[w]++;
+                rrow[way] = 0;
+            } else {
+                rrow[way] = RRPV_MAX;
+            }
+            if (policy_id == POLICY_EHC)
+                erow[way] = fixed_init >= 0 ? fixed_init : region_expected(rt, a);
+        }
+    }
+
+    out[OUT_ACCESSES] = n;
+    out[OUT_HITS] = hits;
+    out[OUT_MISSES] = n - hits;
+    out[OUT_EVICTIONS] = evictions;
+    out[OUT_REPLACEMENTS_TOTAL] = evictions;
+    out[OUT_REPLACEMENTS_NO_AVERSE] = no_averse_count;
+    out[OUT_LONG_INSERTS] = long_inserts;
+    out[OUT_PSEL] = psel;
+    out[OUT_OPTGEN_COLD] = optgen_cold;
+    out[OUT_OPTGEN_HIT] = optgen_hit;
+    out[OUT_OPTGEN_MISS] = optgen_miss;
+    free_tables(&t);
+    return 0;
+}

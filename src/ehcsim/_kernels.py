@@ -1,388 +1,222 @@
-"""Fused simulation kernels: the fast path behind :func:`ehcsim.runner.run_policy`.
+"""The native simulation kernel: the fast path behind :func:`ehcsim.runner.run_policy`.
 
-One flat loop per trace covers all built-in policies (dispatched on a policy
-id), with cache state held in preallocated tables. The loop is decorated
-with ``numba.njit`` unless the ``EHCSIM_NUMBA`` environment variable
-disables it (``0``/``false``/``no``/``off``) or numba is missing, in which
-case the very same function runs as interpreted Python over memoryviews of
-the trace columns and lists of the state tables — bit-identical results
-either way, which the test suite enforces against the reference engine.
+``_kernel.c`` runs one flat loop per trace that covers all built-in
+policies (dispatched on a policy id) and reproduces the reference engine
+bit for bit, which the test suite enforces. On first use this module
+prepends a ``#define`` block generated from the Python policy constants,
+compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
+and loads it with ctypes. The library goes to ``__pycache__`` next to this
+file, or, when that is not writable, to a per-user directory under the
+system temporary directory; its name carries a digest of the header, the
+source and the flags, so an edit to either builds a new one.
 
-With ``record_events`` the loop also writes each replacement into one
-preallocated int64 buffer, which ``run`` turns into an
-:class:`~ehcsim.engine.EventLog`. The kernels trade generality for speed:
-no invariant checking, only the built-in policies, and addresses/PCs must
-fit in signed 64-bit space. Anything else runs on the reference engine.
+With ``record_events`` the kernel also writes each replacement into one
+preallocated buffer, which ``run`` turns into an
+:class:`~ehcsim.engine.EventLog`. When no compiler is found or the build
+fails, :func:`supports` is False, ``backend="auto"`` runs the reference
+engine, and one line on stderr says why.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from . import engine, policies, sampler
 from .engine import CacheGeometry, EventLog, SimStats
+from .errors import UsageError
 from .policies import brrip_draws
-from .sampler import SAMPLE_PERIOD, WINDOW_SLOTS_PER_WAY
-from .trace import Trace
+from .trace import REGION_SHIFT, Trace
 
-_env = os.environ.get("EHCSIM_NUMBA", "1").strip().lower()
-_want_jit = _env not in ("0", "false", "no", "off")
+# The kernel compares policy ids by order: the RRIP family sits between LRU
+# and SHiP, and the sampled-set predictors serve every id from Hawkeye on.
+_POLICY_IDS = {
+    name: k
+    for k, name in enumerate(("lru", "srrip", "brrip", "drrip", "ship", "hawkeye", "ehc"))
+}
 
-JIT_ENABLED = False
-if _want_jit:
+#: The kernel's counter slots, in ``out`` order.
+_COUNTERS = (
+    "accesses", "hits", "misses", "evictions", "replacements_total",
+    "replacements_no_averse", "long_inserts", "psel", "optgen_cold",
+    "optgen_hit", "optgen_miss",
+)
+_STATS_FIELDS = _COUNTERS[:6]
+_PER_POLICY = {
+    "brrip": ("long_inserts",),
+    "drrip": ("psel",),
+    "hawkeye": ("optgen_cold", "optgen_hit", "optgen_miss"),
+    "ehc": ("optgen_cold", "optgen_hit", "optgen_miss"),
+}
+
+#: Leading fields of an event row. The resident block of every way follows,
+#: as it was before the fill.
+_EVENT_FIELDS = ("index", "victim_way", "no_averse")
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_COMPILER = "cc"
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_SYMBOL = "ehcsim_simulate"
+
+
+def _header() -> str:
+    """The ``#define`` block prepended to ``_kernel.c``."""
+    defines = {
+        "RRPV_MAX": engine.RRPV_MAX,
+        "EFH_MAX": engine.EFH_MAX,
+        "PSEL_MAX": policies.PSEL_MAX,
+        "PSEL_INIT": policies.PSEL_INIT,
+        "LEADER_PERIOD": policies.LEADER_PERIOD,
+        "SRRIP_LEADER_OFFSET": policies.SRRIP_LEADER_OFFSET,
+        "BRRIP_LEADER_OFFSET": policies.BRRIP_LEADER_OFFSET,
+        "SHCT_BITS": policies.SHCT_BITS,
+        "SHCT_MAX": policies.SHCT_MAX,
+        "PC_TABLE_BITS": sampler.PC_TABLE_BITS,
+        "PC_COUNTER_INIT": sampler.PC_COUNTER_INIT,
+        "PC_COUNTER_MAX": sampler.PC_COUNTER_MAX,
+        "PC_FRIENDLY_THRESHOLD": sampler.PC_FRIENDLY_THRESHOLD,
+        "REGION_SHIFT": REGION_SHIFT,
+        "REGION_TABLE_BITS": sampler.REGION_TABLE_BITS,
+        "REGION_RING_SLOTS": sampler.REGION_RING_SLOTS,
+        "DEFAULT_EXPECTED_HITS": sampler.DEFAULT_EXPECTED_HITS,
+        "SAMPLE_PERIOD": sampler.SAMPLE_PERIOD,
+        "WINDOW_SLOTS_PER_WAY": sampler.WINDOW_SLOTS_PER_WAY,
+        "EVENT_FIELDS": len(_EVENT_FIELDS),
+    }
+    defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
+    defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
+    defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
+    return "".join(f"#define {name} {value}\n" for name, value in defines.items())
+
+
+def _cache_dirs():
+    """Where the compiled library may live, in order of preference. Lazy:
+    finding the temporary directory may probe the file system."""
+    yield Path(__file__).with_name("__pycache__")
+    yield Path(tempfile.gettempdir()) / f"ehcsim-{os.getuid()}"
+
+
+def _usable_dir(path: Path) -> bool:
+    """Create ``path`` if needed; True when this user owns it and may write
+    there (a library loaded from it runs as this user's code)."""
     try:
-        from numba import njit as _njit
+        path.mkdir(mode=0o700, exist_ok=True)
+        owner = path.stat().st_uid
+    except OSError:
+        return False
+    return owner == os.getuid() and os.access(path, os.W_OK)
 
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+
+class _BuildError(Exception):
+    """The native kernel could not be built or loaded; the message says why."""
 
 
-def _jit(fn):
-    if JIT_ENABLED:
-        return _njit(cache=True)(fn)
+def _compile(text: str, target: Path) -> None:
+    """Compile ``text`` into the shared library ``target``, atomically."""
+    import shutil  # only a build needs these two
+    import subprocess
+
+    cc = shutil.which(_COMPILER)
+    if cc is None:
+        raise _BuildError(f"no C compiler ({_COMPILER}) on PATH")
+    fd, src = tempfile.mkstemp(suffix=".c", prefix=target.stem, dir=target.parent)
+    tmp = Path(src).with_suffix(".so")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        try:
+            proc = subprocess.run(
+                [cc, *_CFLAGS, "-o", str(tmp), src],
+                capture_output=True, text=True, timeout=120,
+            )
+        except (OSError, subprocess.TimeoutExpired) as e:
+            raise _BuildError(f"{_COMPILER} failed: {e}") from None
+        if proc.returncode != 0:
+            detail = (proc.stderr.strip().splitlines() or ["no output"])[0]
+            raise _BuildError(f"{_COMPILER} exited with status {proc.returncode}: {detail}")
+        os.replace(tmp, target)
+    finally:
+        for leftover in (Path(src), tmp):
+            leftover.unlink(missing_ok=True)
+
+
+def _bind(path: Path):
+    """The kernel function of the library at ``path``, with its argument
+    types declared; arrays are checked for dtype and contiguity per call."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    fn = getattr(lib, _SYMBOL)
+    i64 = ctypes.c_int64
+
+    def array(dtype):
+        return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+
+    fn.argtypes = [
+        i64, array(np.uint64), array(np.uint64),
+        i64, i64, i64, i64,
+        i64, array(np.uint8), i64, i64,
+        i64, array(np.uint64), array(np.uint8), array(np.int64),
+    ]
+    fn.restype = ctypes.c_int
     return fn
 
 
-# How ``run`` hands its arrays to ``_simulate``. Under numba, as they are.
-# Interpreted, CPython indexes memoryviews and lists far faster than numpy
-# arrays, whose items come back as boxed numpy scalars: trace-length columns
-# go in as zero-copy memoryviews (writes to ``hit_flags`` land in the array)
-# and the geometry-sized tables as lists.
-if JIT_ENABLED:
-    def _column(a):
-        return a
-
-    _table = _column
-else:
-    _column, _table = memoryview, np.ndarray.tolist
+def _source() -> tuple[str, str]:
+    """The C text to compile and the file name of its library."""
+    text = _header() + _SOURCE.read_text()
+    digest = hashlib.blake2b(
+        "\0".join((text, *_CFLAGS)).encode(), digest_size=12
+    ).hexdigest()
+    return text, f"_kernel-{digest}.so"
 
 
-_POLICY_IDS = {
-    "lru": 0,
-    "srrip": 1,
-    "brrip": 2,
-    "drrip": 3,
-    "ship": 4,
-    "hawkeye": 5,
-    "ehc": 6,
-}
-
-#: Addresses/PCs at or above this cannot safely be viewed as int64.
-_INT64_LIMIT = 1 << 62
-
-#: Leading fields of an event row: trace position, victim way, no_averse.
-#: The resident block of every way follows, as it was before the fill.
-_EVENT_FIELDS = 3
-
-
-@_jit
-def _xor_fold(value, bits):
-    mask = (1 << bits) - 1
-    out = 0
-    while value != 0:
-        out ^= value & mask
-        value >>= bits
-    return out
+def _load():
+    """Load the cached library, building it first when it is missing or
+    unreadable; raises :class:`_BuildError`."""
+    text, name = _source()
+    for directory in _cache_dirs():
+        target = directory / name
+        if target.is_file():
+            try:
+                return _bind(target)
+            except (OSError, AttributeError):
+                pass  # truncated or foreign: rebuild it below
+        if _usable_dir(directory):
+            _compile(text, target)
+            try:
+                return _bind(target)
+            except (OSError, AttributeError) as e:
+                raise _BuildError(f"cannot load {target}: {e}") from None
+    raise _BuildError("no writable cache directory for the compiled kernel")
 
 
-@_jit
-def _region_push(region_tag, region_ring, region_count, region_head, addr, hits):
-    rid = addr >> 17
-    idx = _xor_fold(rid, 10)
-    if region_tag[idx] != rid:
-        region_tag[idx] = rid
-        region_count[idx] = 0
-        region_head[idx] = 0
-    h = region_head[idx]
-    region_ring[idx][h] = hits
-    region_head[idx] = (h + 1) % 4
-    if region_count[idx] < 4:
-        region_count[idx] += 1
+@functools.cache
+def _native():
+    """``(kernel function, None)``, or ``(None, reason)`` when it is unavailable."""
+    try:
+        return _load(), None
+    except (_BuildError, OSError) as e:
+        reason = str(e)
+        print(f"ehcsim: native kernel unavailable ({reason}); "
+              "using the reference engine", file=sys.stderr)
+        return None, reason
 
 
-@_jit
-def _region_expected(region_tag, region_ring, region_count, addr):
-    rid = addr >> 17
-    idx = _xor_fold(rid, 10)
-    cnt = region_count[idx]
-    if region_tag[idx] != rid or cnt == 0:
-        return 1
-    ring = region_ring[idx]
-    total = 0
-    for k in range(cnt):
-        total += ring[k]
-    avg = (2 * total + cnt) // (2 * cnt)
-    if avg > 7:
-        avg = 7
-    return avg
+def unavailable() -> str | None:
+    """Why the native kernel cannot run, or None when it can."""
+    return _native()[1]
 
 
-@_jit
-def _simulate(
-    addr, pc,
-    num_sets, assoc, block_bits, set_bits,
-    policy_id, draws, aging, fixed_init, sample_period,
-    valid, tagv, rrpv, efh, stamp, lastpc,
-    sig, outcome, shct,
-    pc_tbl,
-    region_tag, region_ring, region_count, region_head,
-    occ, occ_base, occ_len,
-    slot_live, slot_tag, slot_pc, slot_addr, slot_pos, slot_hits,
-    record_events, events,
-    hit_flags, out,
-):
-    # Written for both modes: 2-D state is indexed ``arr[i][j]`` (a row is a
-    # view under numba and a list when interpreted), and sizes come from
-    # ``len`` so lists and memoryviews work as well as arrays. With
-    # ``record_events`` set, replacement k fills the flat row
-    # ``events[k * ev_width:(k + 1) * ev_width]``.
-    n = len(addr)
-    ev_width = _EVENT_FIELDS + assoc
-    cap = len(occ[0])
-    set_mask = num_sets - 1
-    hits = 0
-    evictions = 0
-    no_averse_count = 0
-    long_inserts = 0
-    optgen_cold = 0
-    optgen_hit = 0
-    optgen_miss = 0
-    psel = 512
-    ins = 0
-    for i in range(n):
-        a = addr[i]
-        p = pc[i]
-        block = a >> block_bits
-        si = block & set_mask
-
-        # Sampled-set MIN emulation feeding the hawkeye/ehc predictors.
-        if policy_id >= 5 and si % sample_period == 0:
-            s = si // sample_period
-            t = block >> set_bits
-            orow = occ[s]
-            live = slot_live[s]
-            stag = slot_tag[s]
-            spc = slot_pc[s]
-            saddr = slot_addr[s]
-            spos = slot_pos[s]
-            shits = slot_hits[s]
-            hit_slot = -1
-            for k in range(cap):
-                if stag[k] == t and live[k] == 1:
-                    hit_slot = k
-                    break
-            carried_hits = 0
-            ent_addr = a
-            if hit_slot < 0:
-                optgen_cold += 1
-            else:
-                pos0 = spos[hit_slot]
-                end = occ_base[s] + occ_len[s]
-                ok = True
-                for j in range(pos0, end):
-                    if orow[j % cap] >= assoc:
-                        ok = False
-                        break
-                fi = _xor_fold(spc[hit_slot], 13)
-                if ok:
-                    optgen_hit += 1
-                    for j in range(pos0, end):
-                        orow[j % cap] += 1
-                    carried_hits = shits[hit_slot] + 1
-                    if pc_tbl[fi] < 7:
-                        pc_tbl[fi] += 1
-                else:
-                    optgen_miss += 1
-                    if pc_tbl[fi] > 0:
-                        pc_tbl[fi] -= 1
-                    _region_push(region_tag, region_ring, region_count,
-                                 region_head, saddr[hit_slot], shits[hit_slot])
-                ent_addr = saddr[hit_slot]
-                live[hit_slot] = 0
-            new_pos = occ_base[s] + occ_len[s]
-            k2 = new_pos % cap
-            if occ_len[s] == cap:
-                if live[k2] == 1:
-                    _region_push(region_tag, region_ring, region_count,
-                                 region_head, saddr[k2], shits[k2])
-                    live[k2] = 0
-                occ_base[s] += 1
-            else:
-                occ_len[s] += 1
-            orow[k2] = 0
-            live[k2] = 1
-            stag[k2] = t
-            spc[k2] = p
-            saddr[k2] = ent_addr
-            spos[k2] = new_pos
-            shits[k2] = carried_hits
-
-        vrow = valid[si]
-        trow = tagv[si]
-        rrow = rrpv[si]
-        way = -1
-        for w in range(assoc):
-            if trow[w] == block and vrow[w] == 1:
-                way = w
-                break
-
-        if way >= 0:
-            hits += 1
-            hit_flags[i] = 1
-            if policy_id == 0:
-                stamp[si][way] = i
-            elif policy_id <= 3:
-                rrow[way] = 0
-            elif policy_id == 4:
-                rrow[way] = 0
-                outcome[si][way] = 1
-            else:
-                lastpc[si][way] = p
-                if policy_id == 6:
-                    erow = efh[si]
-                    if erow[way] > 0:
-                        erow[way] -= 1
-                fi = _xor_fold(p, 13)
-                rrow[way] = 0 if pc_tbl[fi] >= 4 else 7
-            continue
-
-        way = -1
-        for w in range(assoc):
-            if vrow[w] == 0:
-                way = w
-                break
-        if way < 0:
-            no_averse = 0
-            if policy_id == 0:
-                srow = stamp[si]
-                way = 0
-                for w in range(1, assoc):
-                    if srow[w] < srow[way]:
-                        way = w
-            elif policy_id <= 4:
-                while way < 0:
-                    for w in range(assoc):
-                        if rrow[w] == 7:
-                            way = w
-                            break
-                    if way < 0:
-                        for w in range(assoc):
-                            rrow[w] += 1
-                if policy_id == 4:
-                    sgv = sig[si][way]
-                    if outcome[si][way] == 1:
-                        if shct[sgv] < 7:
-                            shct[sgv] += 1
-                    elif shct[sgv] > 0:
-                        shct[sgv] -= 1
-            else:
-                erow = efh[si]
-                found = -1
-                best = 0
-                for w in range(assoc):
-                    if rrow[w] == 7:
-                        found = w
-                        break
-                    if policy_id == 5:
-                        if rrow[w] > rrow[best]:
-                            best = w
-                    elif erow[w] - rrow[w] < erow[best] - rrow[best]:
-                        best = w
-                if found >= 0:
-                    way = found
-                else:
-                    way = best
-                    no_averse = 1
-                    no_averse_count += 1
-                    fi = _xor_fold(lastpc[si][way], 13)
-                    if pc_tbl[fi] > 0:
-                        pc_tbl[fi] -= 1
-            if record_events:
-                base = evictions * ev_width
-                events[base] = i
-                events[base + 1] = way
-                events[base + 2] = no_averse
-                for w in range(assoc):
-                    events[base + _EVENT_FIELDS + w] = trow[w]
-            evictions += 1
-
-        vrow[way] = 1
-        trow[way] = block
-        if policy_id == 0:
-            stamp[si][way] = i
-        elif policy_id == 1:
-            rrow[way] = 6
-        elif policy_id == 2:
-            d = draws[ins]
-            ins += 1
-            if d == 1:
-                long_inserts += 1
-                rrow[way] = 6
-            else:
-                rrow[way] = 7
-        elif policy_id == 3:
-            off = si % 64
-            if off == 0:
-                if psel < 1023:
-                    psel += 1
-            elif off == 33:
-                if psel > 0:
-                    psel -= 1
-            if off == 33 or (off != 0 and psel >= 512):
-                d = draws[ins]
-                ins += 1
-                rrow[way] = 6 if d == 1 else 7
-            else:
-                rrow[way] = 6
-        elif policy_id == 4:
-            sgv = _xor_fold(p, 14)
-            sig[si][way] = sgv
-            outcome[si][way] = 0
-            rrow[way] = 7 if shct[sgv] == 0 else 6
-        else:
-            lastpc[si][way] = p
-            fi = _xor_fold(p, 13)
-            if pc_tbl[fi] >= 4:
-                if aging == 1:
-                    for w2 in range(assoc):
-                        if w2 != way and vrow[w2] == 1 and rrow[w2] < 6:
-                            rrow[w2] += 1
-                rrow[way] = 0
-            else:
-                rrow[way] = 7
-            if policy_id == 6:
-                if fixed_init >= 0:
-                    efh[si][way] = fixed_init
-                else:
-                    efh[si][way] = _region_expected(
-                        region_tag, region_ring, region_count, a
-                    )
-
-    out[0] = n
-    out[1] = hits
-    out[2] = n - hits
-    out[3] = evictions
-    out[4] = evictions
-    out[5] = no_averse_count
-    out[6] = long_inserts
-    out[7] = psel
-    out[8] = optgen_cold
-    out[9] = optgen_hit
-    out[10] = optgen_miss
-    return 0
-
-
-def supports(trace: Trace, name: str) -> bool:
-    """Whether the kernel path can reproduce this run exactly."""
-    if name not in _POLICY_IDS:
-        return False
-    if len(trace) == 0:
-        return True
-    return (
-        int(trace.addr.max()) < _INT64_LIMIT and int(trace.pc.max()) < _INT64_LIMIT
-    )
+def supports(name: str) -> bool:
+    """Whether the kernel path can reproduce a run of this policy exactly."""
+    return name in _POLICY_IDS and _native()[0] is not None
 
 
 def run(
@@ -396,104 +230,54 @@ def run(
     aging: bool = True,
 ):
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`."""
-    policy_id = _POLICY_IDS[name]
+    kernel, reason = _native()
+    if kernel is None:
+        raise UsageError(f"kernel backend unavailable: {reason}")
     n = len(trace)
-    num_sets, assoc = geom.num_sets, geom.associativity
-
-    # Zero-copy: the trace keeps its columns as contiguous uint64, and
-    # ``supports`` has checked that every value fits in int64.
-    addr = trace.addr.view(np.int64)
-    pc = trace.pc.view(np.int64)
+    assoc = geom.associativity
     if name in ("brrip", "drrip"):
         draws = brrip_draws(seed, n)
     else:
         draws = np.zeros(1, dtype=np.uint8)
-
-    valid = np.zeros((num_sets, assoc), dtype=np.int64)
-    tagv = np.zeros((num_sets, assoc), dtype=np.int64)
-    rrpv = np.zeros((num_sets, assoc), dtype=np.int64)
-    efh = np.zeros((num_sets, assoc), dtype=np.int64)
-    stamp = np.zeros((num_sets, assoc), dtype=np.int64)
-    lastpc = np.zeros((num_sets, assoc), dtype=np.int64)
-    sig = np.zeros((num_sets, assoc), dtype=np.int64)
-    outcome = np.zeros((num_sets, assoc), dtype=np.int64)
-    shct = np.zeros(1 << 14, dtype=np.int64)
-    pc_tbl = np.full(1 << 13, 4, dtype=np.int64)
-    region_tag = np.full(1 << 10, -1, dtype=np.int64)
-    region_ring = np.zeros((1 << 10, 4), dtype=np.int64)
-    region_count = np.zeros(1 << 10, dtype=np.int64)
-    region_head = np.zeros(1 << 10, dtype=np.int64)
-
-    nsamp = (num_sets + SAMPLE_PERIOD - 1) // SAMPLE_PERIOD
-    cap = WINDOW_SLOTS_PER_WAY * assoc
-    occ = np.zeros((nsamp, cap), dtype=np.int64)
-    occ_base = np.zeros(nsamp, dtype=np.int64)
-    occ_len = np.zeros(nsamp, dtype=np.int64)
-    slot_live = np.zeros((nsamp, cap), dtype=np.int64)
-    slot_tag = np.zeros((nsamp, cap), dtype=np.int64)
-    slot_pc = np.zeros((nsamp, cap), dtype=np.int64)
-    slot_addr = np.zeros((nsamp, cap), dtype=np.int64)
-    slot_pos = np.zeros((nsamp, cap), dtype=np.int64)
-    slot_hits = np.zeros((nsamp, cap), dtype=np.int64)
-
     hit_flags = np.zeros(n, dtype=np.uint8)
-    out = np.zeros(11, dtype=np.int64)
+    out = np.zeros(len(_COUNTERS), dtype=np.int64)
     # Room for a replacement at every access; pages never written are never
     # touched, so only the rows used take memory.
-    ev_width = _EVENT_FIELDS + assoc
-    events = np.empty(n * ev_width if record_events else 1, dtype=np.int64)
+    ev_width = len(_EVENT_FIELDS) + assoc
+    events = np.empty(n * ev_width if record_events else 1, dtype=np.uint64)
 
-    _simulate(
-        _column(addr), _column(pc),
-        num_sets, assoc, geom.block_offset_bits, geom.set_bits,
-        policy_id, _column(draws), 1 if aging else 0,
+    status = kernel(
+        n, trace.addr, trace.pc,
+        geom.num_sets, assoc, geom.block_offset_bits, geom.set_bits,
+        _POLICY_IDS[name], draws, 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
-        SAMPLE_PERIOD,
-        _table(valid), _table(tagv), _table(rrpv), _table(efh), _table(stamp),
-        _table(lastpc), _table(sig), _table(outcome), _table(shct),
-        _table(pc_tbl),
-        _table(region_tag), _table(region_ring), _table(region_count),
-        _table(region_head),
-        _table(occ), _table(occ_base), _table(occ_len),
-        _table(slot_live), _table(slot_tag), _table(slot_pc), _table(slot_addr),
-        _table(slot_pos), _table(slot_hits),
-        record_events, _column(events),
-        _column(hit_flags), out,
+        1 if record_events else 0, events, hit_flags, out,
     )
+    if status != 0:
+        raise MemoryError(f"native kernel could not allocate the tables for {geom}")
 
-    stats = SimStats(
-        accesses=int(out[0]),
-        hits=int(out[1]),
-        misses=int(out[2]),
-        evictions=int(out[3]),
-        replacements_total=int(out[4]),
-        replacements_no_averse=int(out[5]),
-    )
-    if name == "brrip":
-        stats.per_policy["long_inserts"] = int(out[6])
-    elif name == "drrip":
-        stats.per_policy["psel"] = int(out[7])
-    elif name in ("hawkeye", "ehc"):
-        stats.per_policy["optgen_cold"] = int(out[8])
-        stats.per_policy["optgen_hit"] = int(out[9])
-        stats.per_policy["optgen_miss"] = int(out[10])
+    counts = dict(zip(_COUNTERS, out.tolist()))
+    stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
+    stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     log = None
     if record_events:
-        log = _event_log(trace, geom, events[:stats.evictions * ev_width].reshape(-1, ev_width))
+        rows = events[:stats.evictions * ev_width].reshape(-1, ev_width)
+        log = _event_log(trace, geom, rows)
     return stats, log, (hit_flags if record_hits else None)
 
 
 def _event_log(trace: Trace, geom: CacheGeometry, rows: np.ndarray) -> EventLog:
     """The :class:`EventLog` of the kernel's event rows; the set and the
     incoming block follow from each row's trace position."""
-    index = rows[:, 0]
+    index, victim_way, no_averse = rows[:, :len(_EVENT_FIELDS)].T
+    index = index.astype(np.int64)
     shift = np.uint64(geom.block_offset_bits)
     incoming = trace.addr[index] >> shift
     return EventLog(
         index,
         incoming & np.uint64(geom.num_sets - 1),
-        rows[:, 1],
-        rows[:, 2],
+        victim_way,
+        no_averse,
         incoming << shift,
-        rows[:, _EVENT_FIELDS:].view(np.uint64) << shift,
+        rows[:, len(_EVENT_FIELDS):] << shift,
     )

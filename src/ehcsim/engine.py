@@ -3,8 +3,8 @@
 This is the reference execution path: a plain Python loop over the trace that
 calls back into a policy object for every decision. It favors clarity and
 extensibility (any PolicyInterface subclass plugs in, and it can record full
-replacement events for victim-quality analysis). The fused kernels in
-:mod:`ehcsim._kernels` reproduce the built-in policies bit-for-bit for bulk
+replacement events for victim-quality analysis). The native kernel in
+:mod:`ehcsim._kernels` reproduces the built-in policies bit-for-bit for bulk
 runs; equivalence between the two paths is enforced by tests.
 """
 

@@ -35,7 +35,7 @@ def brrip_long_insert(seed: int, n: int) -> bool:
     """Whether the n-th bimodal insertion uses the long (max-1) RRPV.
 
     Counter-mode splitmix64 keyed by (seed, n): stateless, so the reference
-    engine and the fused kernels consume identical decision streams.
+    engine and the native kernel consume identical decision streams.
     """
     z = (seed + (n + 1) * _SM_GAMMA) & _M64
     z = ((z ^ (z >> 30)) * _SM_MIX1) & _M64

@@ -1,11 +1,11 @@
 """Policy registry and the single entry point for running a simulation.
 
-``run_policy`` picks between the two execution paths: the fused kernels
+``run_policy`` picks between the two execution paths: the native kernel
 (fast; stats, hit flags and replacement events) and the reference engine
-(slower, but supports per-access invariant checking and addresses of 2**62
-and above). ``backend="auto"`` uses the kernels whenever they can express
-the request. Arbitrary policy objects run on :func:`ehcsim.engine.simulate`
-directly.
+(slower, but supports per-access invariant checking and runs without a C
+compiler). ``backend="auto"`` uses the kernel unless ``check`` is set or the
+kernel could not be built. Arbitrary policy objects run on
+:func:`ehcsim.engine.simulate` directly.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ def run_policy(
         raise UsageError(
             f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
         )
-    want_kernel = backend == "kernel" or (backend == "auto" and not check)
-    if want_kernel and _kernels.supports(trace, name):
+    if backend == "kernel" or (backend == "auto" and not check and _kernels.supports(name)):
         return _kernels.run(
             trace, name, geom, seed,
             record_hits=record_hits,
@@ -84,8 +83,6 @@ def run_policy(
             ehc_fixed_init=ehc_fixed_init,
             aging=aging,
         )
-    if backend == "kernel":
-        raise UnknownPolicy(f"kernel backend cannot run policy {name!r} on this trace")
     policy = make_policy(name, geom, seed=seed, ehc_fixed_init=ehc_fixed_init, aging=aging)
     return simulate(
         trace, policy, geom,

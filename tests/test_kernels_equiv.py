@@ -1,9 +1,5 @@
-"""The fused kernels must reproduce the reference engine bit for bit."""
-
-import json
-import os
-import subprocess
-import sys
+"""The native kernel must reproduce the reference engine bit for bit, and
+fall back to it when the kernel cannot be built."""
 
 import numpy as np
 import pytest
@@ -86,15 +82,31 @@ def test_kernel_matches_reference_default_geometry(policy, rng):
 
 
 def test_kernel_matches_reference_near_int64_limit(rng):
-    # The largest addresses and PCs the kernel accepts: every PC hash and
-    # region id folds many bits, and set/tag math runs near 2**62.
+    # Addresses and PCs just below 2**62: every PC hash and region id folds
+    # many bits, and set/tag math runs near the top of signed 64-bit space.
     geom = CacheGeometry(4, 2)
-    top = _kernels._INT64_LIMIT
+    top = 1 << 62
     blocks = rng.integers(1, 40, size=400)
     pcs = rng.integers(1, 5, size=400)
     trace = make_trace([(top - 4 * int(p), top - 64 * int(b) + 7)
                         for p, b in zip(pcs, blocks)])
-    assert _kernels.supports(trace, "lru")
+    for policy in POLICY_NAMES:
+        _assert_same_run(trace, policy, geom)
+
+
+@pytest.mark.parametrize("geom", [
+    CacheGeometry(4, 2), CacheGeometry(64, 4), CacheGeometry(2, 2, 64), CacheGeometry(2, 2, 70),
+])
+def test_kernel_matches_reference_full_64bit_range(geom, rng):
+    # The kernel is unsigned: addresses and PCs up to 2**64 - 1, with the
+    # top bit set, hash, index and report like the reference engine's. With
+    # 64 or more offset bits every address falls in block 0, as in Python.
+    top = (1 << 64) - 1
+    blocks = rng.integers(0, 300, size=1500)
+    pcs = rng.integers(0, 5, size=1500)
+    trace = make_trace([(top - 4 * int(p), top - 64 * int(b))
+                        for p, b in zip(pcs, blocks)])
+    assert int(trace.addr.max()) == top and int(trace.pc.max()) == top
     for policy in POLICY_NAMES:
         _assert_same_run(trace, policy, geom)
 
@@ -115,15 +127,9 @@ def test_kernel_seed_changes_brrip():
     assert a.per_policy["long_inserts"] != b.per_policy["long_inserts"]
 
 
-def test_supports_rejects_unknown_and_huge_addresses():
-    trace = make_trace([0x40, 0x80])
-    assert _kernels.supports(trace, "lru")
-    assert not _kernels.supports(trace, "belady")
-    huge = make_trace([1 << 63])
-    assert not _kernels.supports(huge, "lru")
-    # auto silently falls back to the reference engine
-    stats, _, _ = run_policy(huge, "lru", CacheGeometry(2, 2))
-    assert stats.misses == 1
+def test_supports_rejects_unknown_policies():
+    assert _kernels.supports("lru")
+    assert not _kernels.supports("belady")
 
 
 def test_run_policy_rejects_unknown_backend():
@@ -142,8 +148,8 @@ def test_empty_trace():
 
 
 def test_auto_records_events_on_the_kernel(monkeypatch):
-    # auto runs event logging on the kernel; check=True and addresses the
-    # kernel cannot take still go to the reference engine.
+    # auto runs event logging on the kernel, whatever the addresses;
+    # check=True and backend="reference" still go to the reference engine.
     calls = []
     real_run = _kernels.run
 
@@ -158,54 +164,130 @@ def test_auto_records_events_on_the_kernel(monkeypatch):
     assert calls == ["kernel"] and len(log) > 0
     run_policy(trace, "ehc", geom, record_events=True, check=True)
     run_policy(trace, "ehc", geom, record_events=True, backend="reference")
+    assert calls == ["kernel"]
     _, huge_log, _ = run_policy(make_trace([1 << 63, (1 << 63) + 64]), "lru",
                                 CacheGeometry(1, 1), record_events=True)
-    assert calls == ["kernel"]
+    assert calls == ["kernel", "kernel"]
     assert list(huge_log)[0].resident_addrs == (1 << 63,)
 
 
-_CHILD = """
-import json, sys
-from ehcsim import CacheGeometry, GeneratorSpec, gen_synthetic
-from ehcsim import _kernels
-from ehcsim.runner import run_policy
+# --- building and loading the native kernel -------------------------------
 
-assert not _kernels.JIT_ENABLED
-trace = gen_synthetic(GeneratorSpec("mixed", block_count=512, length=1500, seed=2))
-out = {}
-for name in ("lru", "drrip", "ehc"):
-    stats, log, flags = run_policy(
-        trace, name, CacheGeometry(64, 4), backend="kernel", record_hits=True,
-        record_events=True,
-    )
-    out[name] = [stats.hits, stats.misses, stats.replacements_no_averse,
-                 sorted(stats.per_policy.items()), int(flags.sum()),
-                 len(log), {c: getattr(log, c).tolist() for c in (
-                     "index", "set_index", "victim_way", "no_averse",
-                     "incoming_addr", "resident_addrs")}]
-json.dump(out, sys.stdout)
-"""
+LOADER_TRACE = GeneratorSpec("mixed", block_count=512, length=1500, seed=2)
+TRUNCATED_ELF = b"\x7fELF\x02\x01\x01" + bytes(57)
 
 
-def test_interpreted_kernel_equivalence():
-    env = dict(os.environ, EHCSIM_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    interpreted = json.loads(proc.stdout)
+@pytest.fixture
+def kernel_cache(monkeypatch, tmp_path):
+    """An empty directory as the only kernel cache; the loaded kernel is
+    forgotten before and after the test."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [cache])
+    _kernels._native.cache_clear()
+    yield cache
+    _kernels._native.cache_clear()
 
-    trace = gen_synthetic(GeneratorSpec("mixed", block_count=512, length=1500, seed=2))
-    geom = CacheGeometry(64, 4)
-    for name, (hits, misses, no_averse, per_policy, flagsum, n_events,
-               columns) in interpreted.items():
-        stats, log, flags = run_policy(trace, name, geom, backend="kernel",
+
+def _runs(backend):
+    trace = gen_synthetic(LOADER_TRACE)
+    out = {}
+    for name in ("lru", "drrip", "ehc"):
+        stats, log, flags = run_policy(trace, name, CacheGeometry(64, 4), backend=backend,
                                        record_hits=True, record_events=True)
-        assert [stats.hits, stats.misses, stats.replacements_no_averse] == [
-            hits, misses, no_averse
-        ]
-        assert [[k, v] for k, v in sorted(stats.per_policy.items())] == per_policy
-        assert int(flags.sum()) == flagsum
-        assert len(log) == n_events > 0
-        assert len(columns) == 6
-        assert {c: getattr(log, c).tolist() for c in columns} == columns
+        out[name] = (stats, flags.tolist(), list(log))
+    return out
+
+
+def _no_compiler(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "_COMPILER", "ehcsim-no-such-cc")
+
+
+def _failing_build(monkeypatch, tmp_path):
+    broken = tmp_path / "broken.c"
+    broken.write_text("#error this kernel does not build\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", broken)
+
+
+def test_cold_build_then_warm_load(kernel_cache, monkeypatch):
+    cold = _runs("kernel")
+    _, name = _kernels._source()
+    assert [p.name for p in kernel_cache.iterdir()] == [name]  # no leftovers
+
+    def no_compile(*args):
+        raise AssertionError("a warm load must not compile")
+
+    _kernels._native.cache_clear()
+    monkeypatch.setattr(_kernels, "_compile", no_compile)
+    warm = _runs("kernel")
+    assert warm == cold == _runs("reference")
+
+
+@pytest.mark.parametrize("breakage, reason", [
+    (_no_compiler, "no C compiler"),
+    (_failing_build, "exited with status"),
+], ids=["no-compiler", "failing-build"])
+def test_unbuildable_kernel_falls_back(kernel_cache, monkeypatch, tmp_path, capsys,
+                                       breakage, reason):
+    expected = _runs("reference")
+    breakage(monkeypatch, tmp_path)
+    assert not _kernels.supports("lru")
+    assert reason in _kernels.unavailable()
+    assert _runs("auto") == expected
+    with pytest.raises(UsageError, match=f"kernel backend unavailable: .*{reason}"):
+        run_policy(gen_synthetic(LOADER_TRACE), "lru", CacheGeometry(64, 4),
+                   backend="kernel")
+    # One line per process, however many runs fell back.
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert reason in err[0] and "using the reference engine" in err[0]
+    assert list(kernel_cache.iterdir()) == []
+
+
+def test_unusable_first_cache_directory_is_skipped(kernel_cache, monkeypatch, tmp_path):
+    # A directory that cannot be created (here: below a regular file) is
+    # passed over for the next one.
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "cache", kernel_cache])
+    assert _kernels.supports("lru")
+    _, name = _kernels._source()
+    assert [p.name for p in kernel_cache.iterdir()] == [name]
+
+
+def test_truncated_cached_library_is_rebuilt(kernel_cache):
+    _, name = _kernels._source()
+    (kernel_cache / name).write_bytes(TRUNCATED_ELF)
+    assert _kernels.supports("ehc")
+    assert (kernel_cache / name).stat().st_size > len(TRUNCATED_ELF)
+    assert _runs("auto") == _runs("reference")
+
+
+def test_truncated_cached_library_without_compiler_falls_back(kernel_cache, monkeypatch,
+                                                              tmp_path, capsys):
+    _, name = _kernels._source()
+    (kernel_cache / name).write_bytes(TRUNCATED_ELF)
+    _no_compiler(monkeypatch, tmp_path)
+    assert not _kernels.supports("ehc")
+    assert _runs("auto") == _runs("reference")
+    assert "no C compiler" in capsys.readouterr().err
+
+
+def test_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys):
+    # The fallback notice goes to stderr only; the report is unchanged.
+    from ehcsim.cli import main
+
+    trace = tmp_path / "t.trace"
+    assert main(["gen", "--kind", "mixed", "--blocks", "512", "--length", "1500",
+                 "-o", str(trace)]) == 0
+    args = ["compare", "--trace", str(trace), "--policies", "ehc,drrip",
+            "--sets", "64", "--ways", "4", "--events"]
+    native, fallback = tmp_path / "native.csv", tmp_path / "fallback.csv"
+    assert main([*args, "--csv", str(native)]) == 0
+    assert capsys.readouterr().err == ""
+    _kernels._native.cache_clear()
+    _failing_build(monkeypatch, tmp_path)
+    assert main([*args, "--csv", str(fallback)]) == 0
+    assert fallback.read_bytes() == native.read_bytes()
+    assert "native kernel unavailable" not in fallback.read_text()
+    assert len(capsys.readouterr().err.splitlines()) == 1

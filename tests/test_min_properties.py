@@ -1,9 +1,11 @@
-"""Property tests: the array MIN oracle and victim scoring equal the loops.
+"""Property tests: the array MIN oracle and victim scoring equal the loops,
+and the native kernel equals the reference engine.
 
 Geometries of 1-16 sets and 1-8 ways, short traces over a small pool of
 blocks anywhere in the 64-bit address space, and hand-made event logs
 (bypass rows, addresses the trace never touches, the empty log) are
-checked against the per-access implementations in ``loop_oracles``.
+checked against the per-access implementations in ``loop_oracles``. The
+kernel is checked over 1-64 sets and 1-16 ways.
 """
 
 import numpy as np
@@ -18,7 +20,6 @@ from ehcsim import (
     simulate_min,
     victim_quality,
 )
-from ehcsim._kernels import _INT64_LIMIT
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
 
@@ -29,19 +30,20 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
-def geometries(draw):
+def geometries(draw, max_set_bits=4, max_ways=8):
     return CacheGeometry(
-        num_sets=1 << draw(st.integers(0, 4)),
-        associativity=draw(st.integers(1, 8)),
+        num_sets=1 << draw(st.integers(0, max_set_bits)),
+        associativity=draw(st.integers(1, max_ways)),
         block_offset_bits=draw(st.sampled_from([1, 6])),
     )
 
 
 @st.composite
-def traced_geometries(draw, max_addr=(1 << 64) - 1, max_len=80):
+def traced_geometries(draw, max_len=80):
     """A geometry and a trace over a pool of at most 12 byte addresses."""
     geom = draw(geometries())
-    pool = draw(st.lists(st.integers(0, max_addr), min_size=1, max_size=12, unique=True))
+    pool = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=12,
+                         unique=True))
     addrs = draw(st.lists(st.sampled_from(pool), max_size=max_len))
     return geom, make_trace(addrs)
 
@@ -111,13 +113,33 @@ def test_victim_quality_matches_loop(case):
     assert victim_quality(log, trace, geom).tolist() == expected
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(traced_geometries(max_addr=_INT64_LIMIT - 1, max_len=120),
-       st.sampled_from(POLICY_NAMES))
+@st.composite
+def crowded_traces(draw):
+    """A geometry of 1-64 sets and 1-16 ways and a trace whose blocks crowd
+    at most three sets (often the sampled set 0), so even 16-way sets fill
+    and evict. Tags and PCs span the whole 64-bit range."""
+    geom = draw(geometries(max_set_bits=6, max_ways=16))
+    sets = draw(st.lists(st.one_of(st.just(0), st.integers(0, geom.num_sets - 1)),
+                         min_size=1, max_size=3))
+    tag_bits = 64 - geom.block_offset_bits - geom.set_bits
+    tags = draw(st.lists(st.integers(0, (1 << tag_bits) - 1),
+                         min_size=geom.associativity + 1,
+                         max_size=2 * geom.associativity + 2, unique=True))
+    blocks = [geom.block_addr(s, t) for s in sets for t in tags]
+    pcs = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4))
+    accesses = draw(st.lists(st.tuples(st.sampled_from(pcs), st.sampled_from(blocks)),
+                             min_size=min(3 * len(blocks), 300), max_size=300))
+    return geom, make_trace(accesses)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
 def test_kernel_events_match_reference(case, name):
     geom, trace = case
-    k_stats, k_log, _ = run_policy(trace, name, geom, backend="kernel", record_events=True)
-    r_stats, r_log, _ = simulate(trace, make_policy(name, geom), geom,
-                                 record_events=True, check=True)
+    k_stats, k_log, k_flags = run_policy(trace, name, geom, backend="kernel",
+                                         record_events=True, record_hits=True)
+    r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
+                                       record_events=True, record_hits=True, check=True)
     assert k_stats == r_stats
+    assert k_flags.tolist() == r_flags.tolist()
     assert list(k_log) == list(r_log)
