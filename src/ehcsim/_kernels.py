@@ -6,8 +6,9 @@ bit for bit, which the test suite enforces. On first use this module
 prepends a ``#define`` block generated from the Python policy constants,
 compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
 and loads it with ctypes. The library goes to ``__pycache__`` next to this
-file, or, when that is not writable, to a per-user directory under the
-system temporary directory; its name carries a digest of the header, the
+file, or, when that is not private to this user, to a per-user directory
+under the system temporary directory; nothing is loaded from a directory
+another user owns or may write to. Its name carries a digest of the header, the
 source and the flags, so an edit to either builds a new one.
 
 With ``record_events`` the kernel also writes each replacement into one
@@ -103,14 +104,16 @@ def _cache_dirs():
 
 
 def _usable_dir(path: Path) -> bool:
-    """Create ``path`` if needed; True when this user owns it and may write
-    there (a library loaded from it runs as this user's code)."""
+    """Create ``path`` if needed; True when this user owns it, nobody else
+    may write there and this user may. A library loaded from it runs as this
+    user's code, so nothing is loaded from a directory that fails this."""
     try:
         path.mkdir(mode=0o700, exist_ok=True)
-        owner = path.stat().st_uid
+        st = path.stat()
     except OSError:
         return False
-    return owner == os.getuid() and os.access(path, os.W_OK)
+    return (st.st_uid == os.getuid() and not st.st_mode & 0o022
+            and os.access(path, os.W_OK))
 
 
 class _BuildError(Exception):
@@ -182,19 +185,20 @@ def _load():
     unreadable; raises :class:`_BuildError`."""
     text, name = _source()
     for directory in _cache_dirs():
+        if not _usable_dir(directory):
+            continue
         target = directory / name
         if target.is_file():
             try:
                 return _bind(target)
             except (OSError, AttributeError):
                 pass  # truncated or foreign: rebuild it below
-        if _usable_dir(directory):
-            _compile(text, target)
-            try:
-                return _bind(target)
-            except (OSError, AttributeError) as e:
-                raise _BuildError(f"cannot load {target}: {e}") from None
-    raise _BuildError("no writable cache directory for the compiled kernel")
+        _compile(text, target)
+        try:
+            return _bind(target)
+        except (OSError, AttributeError) as e:
+            raise _BuildError(f"cannot load {target}: {e}") from None
+    raise _BuildError("no private writable cache directory for the compiled kernel")
 
 
 @functools.cache

@@ -1,6 +1,8 @@
 """The native kernel must reproduce the reference engine bit for bit, and
 fall back to it when the kernel cannot be built."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ def kernel_cache(monkeypatch, tmp_path):
     """An empty directory as the only kernel cache; the loaded kernel is
     forgotten before and after the test."""
     cache = tmp_path / "cache"
-    cache.mkdir()
+    cache.mkdir(mode=0o700)
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [cache])
     _kernels._native.cache_clear()
     yield cache
@@ -253,6 +255,57 @@ def test_unusable_first_cache_directory_is_skipped(kernel_cache, monkeypatch, tm
     assert _kernels.supports("lru")
     _, name = _kernels._source()
     assert [p.name for p in kernel_cache.iterdir()] == [name]
+
+
+def _planted_library(tmp_path, kernel_cache):
+    """A directory holding a loadable library under the kernel's cache name,
+    as another user could plant it; plus a spy on what gets loaded."""
+    assert _kernels.supports("lru")  # builds the real library into kernel_cache
+    _, name = _kernels._source()
+    planted = tmp_path / "planted"
+    planted.mkdir(mode=0o700)
+    (kernel_cache / name).rename(planted / name)
+    _kernels._native.cache_clear()
+    return planted, name
+
+
+def _spy_on_loads(monkeypatch):
+    loaded = []
+    bind = _kernels._bind
+
+    def spy(path):
+        loaded.append(path)
+        return bind(path)
+
+    monkeypatch.setattr(_kernels, "_bind", spy)
+    return loaded
+
+
+def test_library_in_a_writable_by_others_directory_is_not_loaded(kernel_cache, monkeypatch,
+                                                                 tmp_path):
+    planted, name = _planted_library(tmp_path, kernel_cache)
+    planted.chmod(0o777)
+    loaded = _spy_on_loads(monkeypatch)
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [planted, kernel_cache])
+    assert _kernels.supports("ehc")
+    # The fresh build goes to the private directory, and only it is loaded.
+    assert loaded == [kernel_cache / name]
+    assert _runs("auto") == _runs("reference")
+
+
+def test_library_in_another_users_directory_is_not_loaded(kernel_cache, monkeypatch,
+                                                          tmp_path, capsys):
+    planted, name = _planted_library(tmp_path, kernel_cache)
+    loaded = _spy_on_loads(monkeypatch)
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [planted])
+    # The directory is private, but to a different user than this one.
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert not _kernels.supports("ehc")
+    assert loaded == []
+    assert "no private writable cache directory" in _kernels.unavailable()
+    assert [p.name for p in planted.iterdir()] == [name]  # not overwritten either
+    assert "using the reference engine" in capsys.readouterr().err
 
 
 def test_truncated_cached_library_is_rebuilt(kernel_cache):
