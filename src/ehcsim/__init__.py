@@ -64,7 +64,6 @@ from .sampler import (
     RegionHitTable,
     SampledSetHistory,
     is_sampled_set,
-    optgen_access,
 )
 from .trace import (
     AccessRecord,
@@ -137,7 +136,6 @@ __all__ = [
     "mpki",
     "mpki_reduction",
     "no_averse_fraction",
-    "optgen_access",
     "per_block_prediction_error",
     "per_region_prediction_error",
     "read_trace",

@@ -4,8 +4,9 @@
  * policy_id, and reproduces the reference engine (ehcsim.engine.simulate)
  * bit for bit. ehcsim._kernels prepends a generated #define block before
  * compiling: the policy constants from ehcsim.engine, ehcsim.policies and
- * ehcsim.sampler, the POLICY_* ids, the OUT_* counter slots and the EVENT_*
- * fields of an event row. So this file holds no policy literal of its own.
+ * ehcsim.sampler (64-bit ones with a ULL suffix), the POLICY_* ids, the
+ * OUT_* counter slots and the EVENT_* fields of an event row. So this file
+ * holds no policy literal of its own.
  *
  * Addresses, PCs and block tags are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -38,6 +39,19 @@ static inline uint64_t xor_fold(uint64_t value, int bits)
         value >>= bits;
     }
     return out;
+}
+
+/* ehcsim.policies.brrip_long_insert: whether bimodal insertion n of the
+ * run uses the long RRPV. Counter-mode splitmix64 keyed by (seed, n), with
+ * seed already reduced modulo 2^64; unsigned arithmetic wraps as the
+ * Python version's masks do. */
+static inline int brrip_long_insert(uint64_t seed, uint64_t n)
+{
+    uint64_t z = seed + (n + 1) * SM_GAMMA;
+    z = (z ^ (z >> 30)) * SM_MIX1;
+    z = (z ^ (z >> 27)) * SM_MIX2;
+    z ^= z >> 31;
+    return (z & (BRRIP_LONG_ODDS - 1)) == 0;
 }
 
 /* RegionHitTable.record_eviction */
@@ -96,13 +110,13 @@ static void free_tables(Tables *t)
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
  * receives the counters. With record_events, replacement k fills the row
  * events[k * (EVENT_FIELDS + assoc) ...]: the EVENT_* fields, then the
- * resident block of every way before the fill. draws holds the bimodal
- * insertion decisions (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from
- * the region table. Returns 0, or -1 when the tables cannot be allocated. */
+ * resident block of every way before the fill. seed keys the bimodal
+ * insertion draws (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from the
+ * region table. Returns 0, or -1 when the tables cannot be allocated. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
-    int64_t policy_id, const uint8_t *draws, int64_t aging, int64_t fixed_init,
+    int64_t policy_id, uint64_t seed, int64_t aging, int64_t fixed_init,
     int64_t record_events, uint64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     const int64_t lines = num_sets * assoc;
@@ -141,9 +155,10 @@ int ehcsim_simulate(
     for (int64_t k = 0; k < REGION_TABLE_SIZE; k++)
         rt->tag[k] = REGION_NONE;
 
-    int64_t hits = 0, evictions = 0, no_averse_count = 0, long_inserts = 0;
+    int64_t hits = 0, replacements = 0, no_averse_count = 0, long_inserts = 0;
     int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
-    int64_t psel = PSEL_INIT, ins = 0;
+    int64_t psel = PSEL_INIT;
+    uint64_t ins = 0;
 
     for (int64_t i = 0; i < n; i++) {
         const uint64_t a = addr[i], p = pc[i];
@@ -310,14 +325,14 @@ int ehcsim_simulate(
                 }
             }
             if (record_events) {
-                uint64_t *ev = events + evictions * ev_width;
+                uint64_t *ev = events + replacements * ev_width;
                 ev[EVENT_INDEX] = (uint64_t)i;
                 ev[EVENT_VICTIM_WAY] = (uint64_t)way;
                 ev[EVENT_NO_AVERSE] = (uint64_t)no_averse;
                 for (int64_t w = 0; w < assoc; w++)
                     ev[EVENT_FIELDS + w] = trow[w];
             }
-            evictions++;
+            replacements++;
         }
 
         vrow[way] = 1;
@@ -327,7 +342,7 @@ int ehcsim_simulate(
         } else if (policy_id == POLICY_SRRIP) {
             rrow[way] = RRPV_MAX - 1;
         } else if (policy_id == POLICY_BRRIP) {
-            if (draws[ins++]) {
+            if (brrip_long_insert(seed, ins++)) {
                 long_inserts++;
                 rrow[way] = RRPV_MAX - 1;
             } else {
@@ -344,7 +359,7 @@ int ehcsim_simulate(
             }
             if (off == BRRIP_LEADER_OFFSET
                 || (off != SRRIP_LEADER_OFFSET && psel >= PSEL_INIT))
-                rrow[way] = draws[ins++] ? RRPV_MAX - 1 : RRPV_MAX;
+                rrow[way] = brrip_long_insert(seed, ins++) ? RRPV_MAX - 1 : RRPV_MAX;
             else
                 rrow[way] = RRPV_MAX - 1;
         } else if (policy_id == POLICY_SHIP) {
@@ -371,8 +386,7 @@ int ehcsim_simulate(
     out[OUT_ACCESSES] = n;
     out[OUT_HITS] = hits;
     out[OUT_MISSES] = n - hits;
-    out[OUT_EVICTIONS] = evictions;
-    out[OUT_REPLACEMENTS_TOTAL] = evictions;
+    out[OUT_REPLACEMENTS_TOTAL] = replacements;
     out[OUT_REPLACEMENTS_NO_AVERSE] = no_averse_count;
     out[OUT_LONG_INSERTS] = long_inserts;
     out[OUT_PSEL] = psel;

@@ -32,7 +32,6 @@ import numpy as np
 from . import engine, policies, sampler
 from .engine import CacheGeometry, EventLog, SimStats
 from .errors import UsageError
-from .policies import brrip_draws
 from .trace import REGION_SHIFT, Trace
 
 # The kernel compares policy ids by order: the RRIP family sits between LRU
@@ -44,11 +43,11 @@ _POLICY_IDS = {
 
 #: The kernel's counter slots, in ``out`` order.
 _COUNTERS = (
-    "accesses", "hits", "misses", "evictions", "replacements_total",
+    "accesses", "hits", "misses", "replacements_total",
     "replacements_no_averse", "long_inserts", "psel", "optgen_cold",
     "optgen_hit", "optgen_miss",
 )
-_STATS_FIELDS = _COUNTERS[:6]
+_STATS_FIELDS = _COUNTERS[:5]
 _PER_POLICY = {
     "brrip": ("long_inserts",),
     "drrip": ("psel",),
@@ -90,6 +89,13 @@ def _header() -> str:
         "WINDOW_SLOTS_PER_WAY": sampler.WINDOW_SLOTS_PER_WAY,
         "EVENT_FIELDS": len(_EVENT_FIELDS),
     }
+    # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
+    defines.update((name, f"{value}ULL") for name, value in (
+        ("SM_GAMMA", policies.SM_GAMMA),
+        ("SM_MIX1", policies.SM_MIX1),
+        ("SM_MIX2", policies.SM_MIX2),
+        ("BRRIP_LONG_ODDS", policies.BRRIP_LONG_ODDS),
+    ))
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
     defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
@@ -164,7 +170,7 @@ def _bind(path: Path):
     fn.argtypes = [
         i64, array(np.uint64), array(np.uint64),
         i64, i64, i64, i64,
-        i64, array(np.uint8), i64, i64,
+        i64, ctypes.c_uint64, i64, i64,
         i64, array(np.uint64), array(np.uint8), array(np.int64),
     ]
     fn.restype = ctypes.c_int
@@ -228,7 +234,6 @@ def run(
     name: str,
     geom: CacheGeometry,
     seed: int,
-    record_hits: bool = False,
     record_events: bool = False,
     ehc_fixed_init: int | None = None,
     aging: bool = True,
@@ -239,10 +244,6 @@ def run(
         raise UsageError(f"kernel backend unavailable: {reason}")
     n = len(trace)
     assoc = geom.associativity
-    if name in ("brrip", "drrip"):
-        draws = brrip_draws(seed, n)
-    else:
-        draws = np.zeros(1, dtype=np.uint8)
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_COUNTERS), dtype=np.int64)
     # Room for a replacement at every access; pages never written are never
@@ -253,7 +254,7 @@ def run(
     status = kernel(
         n, trace.addr, trace.pc,
         geom.num_sets, assoc, geom.block_offset_bits, geom.set_bits,
-        _POLICY_IDS[name], draws, 1 if aging else 0,
+        _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
         1 if record_events else 0, events, hit_flags, out,
     )
@@ -265,9 +266,9 @@ def run(
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     log = None
     if record_events:
-        rows = events[:stats.evictions * ev_width].reshape(-1, ev_width)
+        rows = events[:stats.replacements_total * ev_width].reshape(-1, ev_width)
         log = _event_log(trace, geom, rows)
-    return stats, log, (hit_flags if record_hits else None)
+    return stats, log, hit_flags
 
 
 def _event_log(trace: Trace, geom: CacheGeometry, rows: np.ndarray) -> EventLog:

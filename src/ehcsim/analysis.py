@@ -147,7 +147,6 @@ def compare(
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
     events: bool = False,
-    backend: str = "auto",
 ) -> Report:
     """Side-by-side policy table with MPKI reduction against LRU.
 
@@ -166,9 +165,7 @@ def compare(
 
     results = {}
     for name in names:
-        stats, evs, _ = run_policy(
-            trace, name, geom, seed=seed, record_events=events, backend=backend
-        )
+        stats, evs, _ = run_policy(trace, name, geom, seed=seed, record_events=events)
         results[name] = (stats, evs)
 
     lru_mpki = mpki(results["lru"][0], trace.instruction_count)

@@ -25,11 +25,10 @@ class HawkeyePolicy(ReplacementPolicy):
 
     name = "hawkeye"
 
-    def __init__(self, geom: CacheGeometry, seed: int = 0,
-                 aging: bool = True, sampler: MinSampler | None = None):
+    def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True):
         self.geom = geom
         self.aging = aging
-        self.sampler = sampler if sampler is not None else MinSampler(geom)
+        self.sampler = MinSampler(geom)
         self.pc_table = self.sampler.pc_table
 
     def on_observe(self, record):
@@ -91,8 +90,8 @@ class EhcPolicy(HawkeyePolicy):
     name = "ehc"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True,
-                 fixed_init: int | None = None, sampler: MinSampler | None = None):
-        super().__init__(geom, seed=seed, aging=aging, sampler=sampler)
+                 fixed_init: int | None = None):
+        super().__init__(geom, seed=seed, aging=aging)
         self.region_table = self.sampler.region_table
         self.fixed_init = fixed_init
 

@@ -30,13 +30,6 @@ def _geometry(args) -> CacheGeometry:
         raise UsageError(str(e)) from None
 
 
-def _fixed_init(args) -> int | None:
-    value = getattr(args, "ehc_fixed_init", None)
-    if value is not None and not 0 <= value <= 7:
-        raise UsageError("--ehc-fixed-init must be in 0..7")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,7 +111,7 @@ def _cmd_run(args) -> int:
         geom,
         seed=args.seed,
         record_events=bool(args.events),
-        ehc_fixed_init=_fixed_init(args),
+        ehc_fixed_init=args.ehc_fixed_init,
         aging=not args.no_aging,
     )
     report.write(args.csv)

@@ -63,17 +63,10 @@ class CacheGeometry:
 DEFAULT_GEOMETRY = CacheGeometry()
 
 
-def set_index(addr: int, geom: CacheGeometry) -> int:
-    return geom.set_index(addr)
-
-
 class BlockState:
     """Per-way metadata. ``rrpv`` and ``efh`` are 3-bit fields."""
 
-    __slots__ = (
-        "valid", "tag", "rrpv", "efh", "recency_stamp", "insert_seq",
-        "residency_hits", "last_pc",
-    )
+    __slots__ = ("valid", "tag", "rrpv", "efh", "recency_stamp", "last_pc")
 
     def __init__(self):
         self.valid = False
@@ -81,8 +74,6 @@ class BlockState:
         self.rrpv = 0
         self.efh = 0
         self.recency_stamp = 0
-        self.insert_seq = 0
-        self.residency_hits = 0
         self.last_pc = 0
 
 
@@ -93,7 +84,6 @@ class SimStats:
     accesses: int = 0
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     replacements_total: int = 0
     replacements_no_averse: int = 0
     per_policy: dict = field(default_factory=dict)
@@ -224,14 +214,13 @@ def simulate(
     policy: ReplacementPolicy,
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     record_events: bool = False,
-    record_hits: bool = False,
     check: bool = False,
 ):
     """Run ``trace`` through the cache with ``policy`` deciding replacements.
 
     Returns ``(stats, events, hit_flags)``; ``events`` is an
-    :class:`EventLog` when ``record_events`` and None otherwise,
-    ``hit_flags`` is None unless ``record_hits``.
+    :class:`EventLog` when ``record_events`` and None otherwise, and
+    ``hit_flags`` is a uint8 array holding 1 at every hit.
     ``check=True`` validates stats and counter-range invariants after every
     access (slow; meant for tests).
     """
@@ -240,7 +229,7 @@ def simulate(
     stats = SimStats()
     # Event log columns; ``ev_resident`` holds ``assoc`` addresses per event.
     ev_index, ev_set, ev_way, ev_no_averse, ev_incoming, ev_resident = [], [], [], [], [], []
-    hit_flags = np.zeros(len(trace), dtype=np.uint8) if record_hits else None
+    hit_flags = bytearray(len(trace))
 
     block_mask = ~((1 << geom.block_offset_bits) - 1)
     for i in range(len(trace)):
@@ -261,12 +250,10 @@ def simulate(
         if way >= 0:
             stats.hits += 1
             blk = ways[way]
-            blk.residency_hits += 1
             blk.recency_stamp = i
             blk.last_pc = record.pc
             policy.on_hit(si, ways, way, record)
-            if hit_flags is not None:
-                hit_flags[i] = 1
+            hit_flags[i] = 1
         else:
             stats.misses += 1
             way = -1
@@ -291,15 +278,12 @@ def simulate(
                     ev_resident.extend(
                         geom.block_addr(si, ways[w].tag) for w in range(assoc)
                     )
-                stats.evictions += 1
                 stats.replacements_total += 1
                 if no_averse:
                     stats.replacements_no_averse += 1
             blk = ways[way]
             blk.valid = True
             blk.tag = tag
-            blk.residency_hits = 0
-            blk.insert_seq = i
             blk.recency_stamp = i
             blk.last_pc = record.pc
             policy.on_insert(si, ways, way, record)
@@ -320,4 +304,4 @@ def simulate(
             ev_index, ev_set, ev_way, ev_no_averse, ev_incoming,
             np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc),
         )
-    return stats, events, hit_flags
+    return stats, events, np.frombuffer(hit_flags, dtype=np.uint8)

@@ -84,7 +84,7 @@ def simulate_min(
     state: dict[int, tuple] = {}
     residencies: list[ResidencyRecord] = []
     ev_index, ev_set, ev_way, ev_resident = [], [], [], []  # event log columns
-    hits = evictions = bypasses = 0
+    hits = replacements = bypasses = 0
 
     for i in range(n):
         b = block_at[i]
@@ -132,7 +132,7 @@ def simulate_min(
         way_block[victim] = b
         fills[victim] = i
         way_hits[victim] = 0
-        evictions += 1
+        replacements += 1
 
     for _, way_block, fills, way_hits in state.values():
         # Within a set, the residents in the order they were filled.
@@ -151,7 +151,7 @@ def simulate_min(
 
     stats = SimStats(
         accesses=n, hits=hits, misses=n - hits,
-        evictions=evictions, replacements_total=evictions,
+        replacements_total=replacements,
     )
     stats.per_policy["bypasses"] = bypasses
     events = None

@@ -13,9 +13,9 @@ from .engine import CacheGeometry, ReplacementPolicy, RRPV_MAX
 from .hashing import xor_fold
 
 _M64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MIX1 = 0xBF58476D1CE4E5B9
-_SM_MIX2 = 0x94D049BB133111EB
+SM_GAMMA = 0x9E3779B97F4A7C15
+SM_MIX1 = 0xBF58476D1CE4E5B9
+SM_MIX2 = 0x94D049BB133111EB
 
 BRRIP_LONG_ODDS = 32  # long (max-1) insertion with probability 1/32
 
@@ -35,23 +35,14 @@ def brrip_long_insert(seed: int, n: int) -> bool:
     """Whether the n-th bimodal insertion uses the long (max-1) RRPV.
 
     Counter-mode splitmix64 keyed by (seed, n): stateless, so the reference
-    engine and the native kernel consume identical decision streams.
+    engine and the native kernel (which ports this function to C) consume
+    identical decision streams.
     """
-    z = (seed + (n + 1) * _SM_GAMMA) & _M64
-    z = ((z ^ (z >> 30)) * _SM_MIX1) & _M64
-    z = ((z ^ (z >> 27)) * _SM_MIX2) & _M64
+    z = (seed + (n + 1) * SM_GAMMA) & _M64
+    z = ((z ^ (z >> 30)) * SM_MIX1) & _M64
+    z = ((z ^ (z >> 27)) * SM_MIX2) & _M64
     z ^= z >> 31
     return (z & (BRRIP_LONG_ODDS - 1)) == 0
-
-
-def brrip_draws(seed: int, n: int) -> np.ndarray:
-    """Vectorized ``brrip_long_insert`` for insertions 0..n-1 (uint8 array)."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed & _M64) + idx * np.uint64(_SM_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MIX2)
-    z ^= z >> np.uint64(31)
-    return ((z & np.uint64(BRRIP_LONG_ODDS - 1)) == 0).astype(np.uint8)
 
 
 def lru_choose_victim(ways) -> int:

@@ -1,10 +1,10 @@
 """Policy registry and the single entry point for running a simulation.
 
-``run_policy`` picks between the two execution paths: the native kernel
-(fast; stats, hit flags and replacement events) and the reference engine
-(slower, but supports per-access invariant checking and runs without a C
-compiler). ``backend="auto"`` uses the kernel unless ``check`` is set or the
-kernel could not be built. Arbitrary policy objects run on
+``run_policy`` picks between the two execution paths, which return the same
+stats, hit flags and replacement events: the native kernel (fast) and the
+reference engine (slower, but runs without a C compiler).
+``backend="auto"`` uses the kernel unless it could not be built. Per-access
+invariant checks and arbitrary policy objects run on
 :func:`ehcsim.engine.simulate` directly.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import _kernels
 from .belady import EhcPolicy, HawkeyePolicy
-from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
+from .engine import CacheGeometry, DEFAULT_GEOMETRY, EFH_MAX, simulate
 from .errors import UnknownPolicy, UsageError
 from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 from .trace import Trace
@@ -60,13 +60,15 @@ def run_policy(
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
     record_events: bool = False,
-    record_hits: bool = False,
     backend: str = "auto",
-    check: bool = False,
     ehc_fixed_init: int | None = None,
     aging: bool = True,
 ):
-    """Simulate ``trace`` under the named policy; returns (stats, events, hit_flags)."""
+    """Simulate ``trace`` under the named policy; returns (stats, events, hit_flags).
+
+    ``ehc_fixed_init``, when given, is the EFH every EHC insertion starts
+    from instead of the region table's prediction.
+    """
     if name not in POLICY_CLASSES:
         raise UnknownPolicy(
             f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
@@ -75,18 +77,14 @@ def run_policy(
         raise UsageError(
             f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
         )
-    if backend == "kernel" or (backend == "auto" and not check and _kernels.supports(name)):
+    if ehc_fixed_init is not None and not 0 <= ehc_fixed_init <= EFH_MAX:
+        raise UsageError(f"ehc_fixed_init must be in 0..{EFH_MAX}, not {ehc_fixed_init}")
+    if backend == "kernel" or (backend == "auto" and _kernels.supports(name)):
         return _kernels.run(
             trace, name, geom, seed,
-            record_hits=record_hits,
             record_events=record_events,
             ehc_fixed_init=ehc_fixed_init,
             aging=aging,
         )
     policy = make_policy(name, geom, seed=seed, ehc_fixed_init=ehc_fixed_init, aging=aging)
-    return simulate(
-        trace, policy, geom,
-        record_events=record_events,
-        record_hits=record_hits,
-        check=check,
-    )
+    return simulate(trace, policy, geom, record_events=record_events)

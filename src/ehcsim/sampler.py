@@ -38,8 +38,8 @@ class MinDecision(enum.IntEnum):
     MISS = 2
 
 
-def is_sampled_set(set_index: int, period: int = SAMPLE_PERIOD) -> bool:
-    return set_index % period == 0
+def is_sampled_set(set_index: int) -> bool:
+    return set_index % SAMPLE_PERIOD == 0
 
 
 def region_id(addr: int) -> int:
@@ -195,27 +195,17 @@ class SampledSetHistory:
         return decision
 
 
-def optgen_access(history: SampledSetHistory, tag: int, pc: int, addr: int = 0) -> MinDecision:
-    """Functional alias for :meth:`SampledSetHistory.access`."""
-    return history.access(tag, pc, addr)
-
-
 class MinSampler:
-    """Bundle of per-sampled-set histories and the shared predictor tables."""
+    """Bundle of per-sampled-set histories and the shared predictor tables.
 
-    def __init__(
-        self,
-        geom: CacheGeometry,
-        sample_period: int = SAMPLE_PERIOD,
-        window_capacity: int | None = None,
-        pc_table: PcCounterTable | None = None,
-        region_table: RegionHitTable | None = None,
-    ):
+    Hardware budget, fixed: one set in :data:`SAMPLE_PERIOD` is sampled and
+    each history keeps :data:`WINDOW_SLOTS_PER_WAY` slots per way.
+    """
+
+    def __init__(self, geom: CacheGeometry):
         self.geom = geom
-        self.sample_period = sample_period
-        self.window_capacity = window_capacity
-        self.pc_table = pc_table if pc_table is not None else PcCounterTable()
-        self.region_table = region_table if region_table is not None else RegionHitTable()
+        self.pc_table = PcCounterTable()
+        self.region_table = RegionHitTable()
         self.histories: dict[int, SampledSetHistory] = {}
         self.cold = 0
         self.hit = 0
@@ -223,13 +213,12 @@ class MinSampler:
 
     def observe(self, set_index: int, tag: int, addr: int, pc: int):
         """Feed one access; returns the MIN decision on sampled sets, else None."""
-        if not is_sampled_set(set_index, self.sample_period):
+        if not is_sampled_set(set_index):
             return None
         hist = self.histories.get(set_index)
         if hist is None:
             hist = SampledSetHistory(
                 self.geom.associativity,
-                capacity=self.window_capacity,
                 pc_table=self.pc_table,
                 region_table=self.region_table,
             )

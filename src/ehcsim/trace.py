@@ -84,17 +84,6 @@ class Trace:
             instruction_count = int(self.seq.max()) if n else 0
         self.instruction_count = int(instruction_count)
 
-    @classmethod
-    def from_records(cls, records, instruction_count=None) -> "Trace":
-        records = list(records)
-        cols = np.empty(len(records), dtype=RECORD_DTYPE)
-        for i, r in enumerate(records):
-            cols[i] = (r.seq, r.pc, r.addr, r.core, r.kind)
-        return cls(
-            cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
-            instruction_count=instruction_count,
-        )
-
     def __len__(self) -> int:
         return len(self.seq)
 
@@ -106,10 +95,6 @@ class Trace:
             addr=int(self.addr[i]),
             kind=int(self.kind[i]),
         )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -237,17 +222,17 @@ def _cycled_pcs(length: int, phase: int) -> np.ndarray:
     return _pc_pool(phase)[np.arange(length) % PC_POOL_SIZE]
 
 
-def _gen_stream(spec: GeneratorSpec, phase: int) -> np.ndarray:
+def _gen_stream(spec: GeneratorSpec) -> np.ndarray:
     # Strictly increasing block addresses, never repeated.
     return np.arange(spec.length, dtype=np.uint64) * BLOCK_BYTES
 
 
-def _gen_loop(spec: GeneratorSpec, phase: int) -> np.ndarray:
+def _gen_loop(spec: GeneratorSpec) -> np.ndarray:
     blocks = np.arange(spec.length, dtype=np.uint64) % spec.block_count
     return blocks * BLOCK_BYTES
 
 
-def _gen_zipf(spec: GeneratorSpec, rng: np.random.Generator, phase: int) -> np.ndarray:
+def _gen_zipf(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     ranks = np.arange(1, spec.block_count + 1, dtype=np.float64)
     weights = ranks ** -spec.alpha
     cdf = np.cumsum(weights / weights.sum())
@@ -259,7 +244,6 @@ def _gen_zipf(spec: GeneratorSpec, rng: np.random.Generator, phase: int) -> np.n
 # Region-correlated generator: blocks are placed in 128 KB regions and every
 # region belongs to one reuse class, so the hit counts of blocks in a region
 # correlate. Slots are strided so one region's blocks land in many cache sets.
-REGION_BLOCK_SLOTS = 1 << (REGION_SHIFT - 6)  # 2048 block slots per region
 BLOCKS_PER_REGION = 64
 REGION_SLOT_STRIDE = 32
 SHORT_HOT_BLOCKS = 8
@@ -270,7 +254,7 @@ _REGION_CLASS_CYCLE = (_CLASS_SHORT, _CLASS_NEVER, _CLASS_MEDIUM, _CLASS_NEVER)
 _CLASS_TRAFFIC = {_CLASS_SHORT: 6.0, _CLASS_MEDIUM: 2.0, _CLASS_NEVER: 1.5}
 
 
-def _gen_region(spec: GeneratorSpec, rng: np.random.Generator, phase: int) -> np.ndarray:
+def _gen_region(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     n_regions = max(4, spec.block_count // BLOCKS_PER_REGION)
     classes = np.array(
         [_REGION_CLASS_CYCLE[r % len(_REGION_CLASS_CYCLE)] for r in range(n_regions)]
@@ -322,12 +306,12 @@ def gen_synthetic(spec: GeneratorSpec) -> Trace:
             if length == 0:
                 continue
             sub = GeneratorSpec(kind, spec.block_count, length, spec.alpha, spec.seed)
-            addr_parts.append(_dispatch_addrs(sub, rng, phase))
+            addr_parts.append(_dispatch_addrs(sub, rng))
             pc_parts.append(_cycled_pcs(length, phase))
         addr = np.concatenate(addr_parts)
         pcs = np.concatenate(pc_parts)
     else:
-        addr = _dispatch_addrs(spec, rng, phase=0)
+        addr = _dispatch_addrs(spec, rng)
         pcs = _cycled_pcs(spec.length, phase=0)
 
     seq = np.arange(1, spec.length + 1, dtype=np.uint64)
@@ -336,15 +320,15 @@ def gen_synthetic(spec: GeneratorSpec) -> Trace:
     return Trace(seq, pcs, addr, core, kind)
 
 
-def _dispatch_addrs(spec: GeneratorSpec, rng: np.random.Generator, phase: int) -> np.ndarray:
+def _dispatch_addrs(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "stream":
-        return _gen_stream(spec, phase)
+        return _gen_stream(spec)
     if spec.kind == "loop":
-        return _gen_loop(spec, phase)
+        return _gen_loop(spec)
     if spec.kind == "zipf":
-        return _gen_zipf(spec, rng, phase)
+        return _gen_zipf(spec, rng)
     if spec.kind == "region":
-        return _gen_region(spec, rng, phase)
+        return _gen_region(spec, rng)
     raise InvalidSpec(f"unknown generator kind {spec.kind!r}")
 
 

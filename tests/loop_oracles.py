@@ -93,7 +93,6 @@ def loop_simulate_min(trace, geom, bypass=True):
                 addr=geom.block_addr(si, victim_tag), fill=fill, end=i, hits=hits,
             ))
             del resident[victim_tag]
-            stats.evictions += 1
             stats.replacements_total += 1
             way = victim
 

@@ -93,7 +93,7 @@ def test_c04_lru_matches_recency_list_oracle(corpus):
     from conftest import lru_oracle_hits
 
     for trace, geom in corpus:
-        _, _, flags = run_policy(trace, "lru", geom, record_hits=True)
+        _, _, flags = run_policy(trace, "lru", geom)
         assert flags.tolist() == lru_oracle_hits(trace, geom).tolist()
 
 
@@ -237,7 +237,6 @@ def test_c10_counters_stay_in_range():
                 continue
             if kinds[k] < 60:
                 way = int(hit_ways[k])
-                ways[way].residency_hits += 1
                 ways[way].last_pc = rec.pc
                 policy.on_hit(si, ways, way, rec)
                 blk = ways[way]
@@ -247,7 +246,6 @@ def test_c10_counters_stay_in_range():
                 if way != BYPASS:
                     blk = ways[way]
                     blk.tag = rec.addr >> 6
-                    blk.residency_hits = 0
                     blk.last_pc = rec.pc
                     policy.on_insert(si, ways, way, rec)
                 for blk in ways:

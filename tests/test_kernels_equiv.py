@@ -10,7 +10,7 @@ from ehcsim import CacheGeometry, EventLog, GeneratorSpec, gen_synthetic, simula
 from ehcsim import _kernels
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.errors import UsageError
-from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
+from ehcsim.runner import BACKENDS, POLICY_NAMES, make_policy, run_policy
 
 from conftest import make_trace, random_trace
 
@@ -24,14 +24,14 @@ TRACES = {
 def _assert_same_run(trace, name, geom, **kw):
     columns = [c.copy() for c in (trace.seq, trace.pc, trace.addr, trace.core, trace.kind)]
     k_stats, k_none, k_flags = run_policy(
-        trace, name, geom, backend="kernel", record_hits=True, **kw
+        trace, name, geom, backend="kernel", **kw
     )
     assert k_none is None
     assert isinstance(k_flags, np.ndarray)
     assert k_flags.dtype == np.uint8 and k_flags.shape == (len(trace),)
     # Recording events must not change the run.
     e_stats, k_log, e_flags = run_policy(
-        trace, name, geom, backend="kernel", record_hits=True, record_events=True, **kw
+        trace, name, geom, backend="kernel", record_events=True, **kw
     )
     for before, after in zip(columns, (trace.seq, trace.pc, trace.addr,
                                        trace.core, trace.kind)):
@@ -39,8 +39,7 @@ def _assert_same_run(trace, name, geom, **kw):
     policy = make_policy(name, geom, seed=kw.get("seed", 42),
                          ehc_fixed_init=kw.get("ehc_fixed_init"),
                          aging=kw.get("aging", True))
-    r_stats, r_log, r_flags = simulate(trace, policy, geom, record_hits=True,
-                                       record_events=True, check=True)
+    r_stats, r_log, r_flags = simulate(trace, policy, geom, record_events=True, check=True)
     assert k_stats == e_stats == r_stats
     assert k_flags.tolist() == e_flags.tolist() == r_flags.tolist()
     assert isinstance(k_log, EventLog) and isinstance(r_log, EventLog)
@@ -116,9 +115,21 @@ def test_kernel_matches_reference_full_64bit_range(geom, rng):
 def test_kernel_honors_ehc_options():
     trace = gen_synthetic(TRACES["region"])
     geom = CacheGeometry(64, 4)
-    _assert_same_run(trace, "ehc", geom, ehc_fixed_init=3)
+    for value in (0, 3, 7):
+        _assert_same_run(trace, "ehc", geom, ehc_fixed_init=value)
     _assert_same_run(trace, "ehc", geom, aging=False)
     _assert_same_run(trace, "hawkeye", geom, aging=False)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("value", [-2, -1, 8, 9])
+def test_ehc_fixed_init_out_of_range_raises(backend, value):
+    # The kernel reads a negative value as "use the region table" and the
+    # engine would store any value, so the range is checked before either.
+    trace = gen_synthetic(TRACES["region"])
+    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
+        run_policy(trace, "ehc", CacheGeometry(64, 4), backend=backend,
+                   ehc_fixed_init=value)
 
 
 def test_kernel_seed_changes_brrip():
@@ -127,6 +138,15 @@ def test_kernel_seed_changes_brrip():
     a, _, _ = run_policy(trace, "brrip", geom, seed=1, backend="kernel")
     b, _, _ = run_policy(trace, "brrip", geom, seed=2, backend="kernel")
     assert a.per_policy["long_inserts"] != b.per_policy["long_inserts"]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 1 << 63, (1 << 64) + 5])
+@pytest.mark.parametrize("policy", ["brrip", "drrip"])
+def test_kernel_brrip_hash_matches_reference(policy, seed):
+    # The kernel computes the bimodal draws from the seed itself, modulo
+    # 2**64 as brrip_long_insert does.
+    trace = gen_synthetic(TRACES["zipf"])
+    _assert_same_run(trace, policy, CacheGeometry(64, 4), seed=seed)
 
 
 def test_supports_rejects_unknown_policies():
@@ -151,7 +171,7 @@ def test_empty_trace():
 
 def test_auto_records_events_on_the_kernel(monkeypatch):
     # auto runs event logging on the kernel, whatever the addresses;
-    # check=True and backend="reference" still go to the reference engine.
+    # backend="reference" still goes to the reference engine.
     calls = []
     real_run = _kernels.run
 
@@ -164,7 +184,6 @@ def test_auto_records_events_on_the_kernel(monkeypatch):
     geom = CacheGeometry(64, 4)
     _, log, _ = run_policy(trace, "ehc", geom, record_events=True)
     assert calls == ["kernel"] and len(log) > 0
-    run_policy(trace, "ehc", geom, record_events=True, check=True)
     run_policy(trace, "ehc", geom, record_events=True, backend="reference")
     assert calls == ["kernel"]
     _, huge_log, _ = run_policy(make_trace([1 << 63, (1 << 63) + 64]), "lru",
@@ -196,7 +215,7 @@ def _runs(backend):
     out = {}
     for name in ("lru", "drrip", "ehc"):
         stats, log, flags = run_policy(trace, name, CacheGeometry(64, 4), backend=backend,
-                                       record_hits=True, record_events=True)
+                                       record_events=True)
         out[name] = (stats, flags.tolist(), list(log))
     return out
 

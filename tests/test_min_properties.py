@@ -1,24 +1,29 @@
 """Property tests: the array MIN oracle and victim scoring equal the loops,
-and the native kernel equals the reference engine.
+the native kernel equals the reference engine, no policy beats MIN,
+unbounded OPTgen equals offline MIN, and traces survive their file format.
 
 Geometries of 1-16 sets and 1-8 ways, short traces over a small pool of
 blocks anywhere in the 64-bit address space, and hand-made event logs
 (bypass rows, addresses the trace never touches, the empty log) are
 checked against the per-access implementations in ``loop_oracles``. The
-kernel is checked over 1-64 sets and 1-16 ways.
+kernel and the MIN bounds are checked over 1-64 sets and 1-16 ways.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import (
     BYPASS,
     CacheGeometry,
     EventLog,
     ReplacementEvent,
+    SampledSetHistory,
+    Trace,
     compute_next_use,
+    read_trace,
     simulate_min,
     victim_quality,
+    write_trace,
 )
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
@@ -137,9 +142,73 @@ def crowded_traces(draw):
 def test_kernel_events_match_reference(case, name):
     geom, trace = case
     k_stats, k_log, k_flags = run_policy(trace, name, geom, backend="kernel",
-                                         record_events=True, record_hits=True)
+                                         record_events=True)
     r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
-                                       record_events=True, record_hits=True, check=True)
+                                       record_events=True, check=True)
     assert k_stats == r_stats
     assert k_flags.tolist() == r_flags.tolist()
     assert list(k_log) == list(r_log)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces())
+def test_policies_never_beat_min(case):
+    # Every policy inserts on every miss, so MIN without bypass bounds it;
+    # MIN with bypass may also skip an insertion, so it bounds both.
+    geom, trace = case
+    nobypass, _, _, _ = simulate_min(trace, geom, bypass=False)
+    bypass, _, _, _ = simulate_min(trace, geom, bypass=True)
+    assert nobypass.hits <= bypass.hits
+    for name in POLICY_NAMES:
+        stats, _, _ = run_policy(trace, name, geom)
+        assert stats.hits <= nobypass.hits, name
+
+
+@st.composite
+def single_set_traces(draw):
+    """A geometry of 1-64 sets and 1-16 ways and a trace confined to set 0
+    over at most 3 x ways + 2 tags spanning the 64-bit range."""
+    geom = draw(geometries(max_set_bits=6, max_ways=16))
+    tag_bits = 64 - geom.block_offset_bits - geom.set_bits
+    tags = draw(st.lists(st.integers(0, (1 << tag_bits) - 1), min_size=1,
+                         max_size=3 * geom.associativity + 2, unique=True))
+    pcs = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4))
+    blocks = [geom.block_addr(0, t) for t in tags]
+    accesses = draw(st.lists(st.tuples(st.sampled_from(pcs), st.sampled_from(blocks)),
+                             max_size=200))
+    return geom, make_trace(accesses)
+
+
+@PROPERTY_SETTINGS
+@given(single_set_traces())
+def test_unbounded_optgen_matches_min(case):
+    geom, trace = case
+    hist = SampledSetHistory(geom.associativity, capacity=0)
+    got = [int(hist.access(geom.tag(a), p, a))
+           for a, p in zip(trace.addr.tolist(), trace.pc.tolist())]
+    _, decisions, _, _ = simulate_min(trace, geom, bypass=True)
+    assert got == decisions.tolist()
+
+
+U64 = st.integers(0, (1 << 64) - 1)
+
+
+@st.composite
+def traces(draw):
+    """Any trace the file format can hold: seq, pc and addr over the full
+    u64 range, cores 0-254, kinds 0-1, and any instruction count."""
+    rows = draw(st.lists(
+        st.tuples(U64, U64, U64, st.integers(0, 254), st.integers(0, 1)), max_size=40,
+    ))
+    columns = list(zip(*rows)) or [()] * 5
+    return Trace(*columns, instruction_count=draw(st.one_of(st.none(), U64)))
+
+
+@PROPERTY_SETTINGS
+@given(traces())
+@example(Trace([], [], [], [], []))
+@example(Trace([(1 << 64) - 1], [(1 << 64) - 1], [(1 << 64) - 1], [254], [1]))
+@example(Trace([3, 1, 2], [0, 4, 8], [64, 128, 64], [0, 7, 254], [0, 1, 0],
+               instruction_count=0))
+def test_trace_file_round_trip(trace):
+    assert read_trace(write_trace(trace)) == trace

@@ -70,7 +70,7 @@ def test_min_with_bypass():
         MinDecision.HIT, MinDecision.HIT,
     ]
     assert stats.per_policy["bypasses"] == 1
-    assert stats.evictions == 0
+    assert stats.replacements_total == 0
     # C was never inserted, so only A and B ever occupied the set
     assert {r.addr for r in residencies} == {A, B}
 
@@ -82,7 +82,7 @@ def test_bypass_loses_ties():
     t = make_trace([A, B, C])
     stats, _, residencies, _ = simulate_min(t, CacheGeometry(1, 1), bypass=True)
     assert stats.per_policy["bypasses"] == 0
-    assert stats.evictions == 2
+    assert stats.replacements_total == 2
     assert {r.addr for r in residencies} == {A, B, C}
 
 

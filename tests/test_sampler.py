@@ -10,7 +10,6 @@ from ehcsim.sampler import (
     PcCounterTable,
     RegionHitTable,
     is_sampled_set,
-    optgen_access,
 )
 
 from conftest import single_set_trace
@@ -149,12 +148,6 @@ def test_is_sampled_set():
     assert is_sampled_set(64)
     assert not is_sampled_set(1)
     assert not is_sampled_set(63)
-
-
-def test_optgen_access_alias():
-    hist = SampledSetHistory(associativity=2, capacity=0)
-    assert optgen_access(hist, "A", 0, 0) == COLD
-    assert optgen_access(hist, "A", 0, 0) == HIT
 
 
 def test_min_sampler_routes_and_counts():

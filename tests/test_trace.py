@@ -119,7 +119,7 @@ def test_load_trace_validates(tmp_path):
 
 def test_records_iteration():
     t = make_trace([(0x500, 0x40), (0x504, 0x80)])
-    recs = list(t)
+    recs = [t.record(i) for i in range(len(t))]
     assert recs[0] == AccessRecord(seq=0, core=0, pc=0x500, addr=0x40, kind=0)
     assert recs[1].addr == 0x80
 
