@@ -1,12 +1,15 @@
-/* Fused cache-simulation kernel behind ehcsim._kernels.run.
+/* Native kernels behind ehcsim._kernels: the policy loop (ehcsim_simulate)
+ * and the offline Belady MIN oracle (ehcsim_min).
  *
- * One loop over the trace covers every built-in policy, dispatched on
- * policy_id, and reproduces the reference engine (ehcsim.engine.simulate)
- * bit for bit. ehcsim._kernels prepends a generated #define block before
- * compiling: the policy constants from ehcsim.engine, ehcsim.policies and
- * ehcsim.sampler (64-bit ones with a ULL suffix), the POLICY_* ids, the
- * OUT_* counter slots and the EVENT_* fields of an event row. So this file
- * holds no policy literal of its own.
+ * ehcsim_simulate runs one loop over the trace that covers every built-in
+ * policy, dispatched on policy_id, and reproduces the reference engine
+ * (ehcsim.engine.simulate) bit for bit. ehcsim_min reproduces the Python
+ * MIN of ehcsim.minoracle the same way. ehcsim._kernels prepends a
+ * generated #define block before compiling: the policy constants from
+ * ehcsim.engine, ehcsim.policies and ehcsim.sampler (64-bit ones with a ULL
+ * suffix), the POLICY_* ids, the OUT_* and MIN_OUT_* counter slots, the
+ * EVENT_* fields of an event row and BYPASS. So this file holds no policy
+ * literal of its own.
  *
  * Addresses, PCs and block tags are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -393,6 +396,128 @@ int ehcsim_simulate(
     out[OUT_OPTGEN_COLD] = optgen_cold;
     out[OUT_OPTGEN_HIT] = optgen_hit;
     out[OUT_OPTGEN_MISS] = optgen_miss;
+    free_tables(&t);
+    return 0;
+}
+
+/* Belady's MIN over n accesses, behind ehcsim._kernels.run_min: on a miss
+ * in a full set, evict the resident whose next use is farthest (the first
+ * way on ties). With bypass, the incoming block is not inserted when its
+ * own next use is strictly farther than that. next_use[i] is the position
+ * of the next access to the block of access i (NO_NEXT_USE when none).
+ *
+ * hit_flags[i] is set for every hit; out[MIN_OUT_*] receives the counts.
+ * Every fill ends up as one residency row (res_block, res_fill, res_end,
+ * res_hits): evictions in eviction order, then the blocks still resident,
+ * set by set in the order the sets were first touched and by fill position
+ * within a set, with res_end = n. A trace of n accesses has at most n
+ * fills, so n rows always suffice. With record_events, every full-set miss
+ * writes one event row as ehcsim_simulate does, with BYPASS as the victim
+ * way of a bypass. Returns 0, or -1 when the tables cannot be allocated. */
+int ehcsim_min(
+    int64_t n, const uint64_t *addr, const int64_t *next_use,
+    int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t bypass,
+    int64_t record_events, uint64_t *events, uint8_t *hit_flags,
+    uint64_t *res_block, int64_t *res_fill, int64_t *res_end, int64_t *res_hits,
+    int64_t *out)
+{
+    const int64_t lines = num_sets * assoc;
+    const int64_t ev_width = EVENT_FIELDS + assoc;
+    const uint64_t set_mask = (uint64_t)num_sets - 1;
+    Tables t = {{0}, 0, 0};
+
+    uint64_t *blockv = table(&t, lines, sizeof *blockv);
+    int64_t *nextv = table(&t, lines, sizeof *nextv);
+    int64_t *fillv = table(&t, lines, sizeof *fillv);
+    int64_t *hitv = table(&t, lines, sizeof *hitv);
+    int64_t *used = table(&t, num_sets, sizeof *used);      /* filled ways per set */
+    int64_t *touched = table(&t, num_sets, sizeof *touched); /* sets, first touch first */
+    int64_t *by_fill = table(&t, assoc, sizeof *by_fill);
+    if (t.failed) {
+        free_tables(&t);
+        return -1;
+    }
+
+    int64_t hits = 0, replacements = 0, bypasses = 0, rows = 0, ntouched = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t block = shr(addr[i], block_bits);
+        const int64_t si = (int64_t)(block & set_mask);
+        const int64_t row = si * assoc, filled = used[si];
+        uint64_t *brow = blockv + row;
+        int64_t *nrow = nextv + row;
+        int64_t way = -1;
+        for (int64_t w = 0; w < filled; w++) {
+            if (brow[w] == block) {
+                way = w;
+                break;
+            }
+        }
+        if (way >= 0) {
+            nrow[way] = next_use[i];
+            hitv[row + way]++;
+            hit_flags[i] = 1;
+            hits++;
+            continue;
+        }
+
+        if (filled < assoc) {
+            if (filled == 0)
+                touched[ntouched++] = si;
+            way = used[si]++;
+        } else {
+            way = 0;
+            for (int64_t w = 1; w < assoc; w++)
+                if (nrow[w] > nrow[way])
+                    way = w;
+            const int skip = bypass && next_use[i] > nrow[way];
+            if (record_events) {
+                uint64_t *ev = events + (replacements + bypasses) * ev_width;
+                ev[EVENT_INDEX] = (uint64_t)i;
+                ev[EVENT_VICTIM_WAY] = skip ? (uint64_t)(BYPASS) : (uint64_t)way;
+                ev[EVENT_NO_AVERSE] = 0;
+                for (int64_t w = 0; w < assoc; w++)
+                    ev[EVENT_FIELDS + w] = brow[w];
+            }
+            if (skip) {
+                bypasses++;
+                continue;
+            }
+            res_block[rows] = brow[way];
+            res_fill[rows] = fillv[row + way];
+            res_end[rows] = i;
+            res_hits[rows] = hitv[row + way];
+            rows++;
+            replacements++;
+        }
+        brow[way] = block;
+        nrow[way] = next_use[i];
+        fillv[row + way] = i;
+        hitv[row + way] = 0;
+    }
+
+    for (int64_t k = 0; k < ntouched; k++) {
+        const int64_t row = touched[k] * assoc, filled = used[touched[k]];
+        /* Insertion sort of the set's ways by fill position. */
+        for (int64_t w = 0; w < filled; w++) {
+            int64_t j = w;
+            for (; j > 0 && fillv[row + by_fill[j - 1]] > fillv[row + w]; j--)
+                by_fill[j] = by_fill[j - 1];
+            by_fill[j] = w;
+        }
+        for (int64_t j = 0; j < filled; j++) {
+            const int64_t w = row + by_fill[j];
+            res_block[rows] = blockv[w];
+            res_fill[rows] = fillv[w];
+            res_end[rows] = n;
+            res_hits[rows] = hitv[w];
+            rows++;
+        }
+    }
+
+    out[MIN_OUT_HITS] = hits;
+    out[MIN_OUT_REPLACEMENTS] = replacements;
+    out[MIN_OUT_BYPASSES] = bypasses;
+    out[MIN_OUT_RESIDENCIES] = rows;
     free_tables(&t);
     return 0;
 }

@@ -1,8 +1,11 @@
-"""The native simulation kernel: the fast path behind :func:`ehcsim.runner.run_policy`.
+"""The native kernels: the fast paths behind :func:`ehcsim.runner.run_policy`
+and :func:`ehcsim.minoracle.simulate_min`.
 
-``_kernel.c`` runs one flat loop per trace that covers all built-in
-policies (dispatched on a policy id) and reproduces the reference engine
-bit for bit, which the test suite enforces. On first use this module
+``_kernel.c`` exports two functions. ``ehcsim_simulate`` runs one flat loop
+per trace that covers all built-in policies (dispatched on a policy id) and
+reproduces the reference engine bit for bit; ``ehcsim_min`` runs Belady's
+MIN over a next-use column and reproduces the Python MIN loop bit for bit.
+The test suite enforces both. On first use this module
 prepends a ``#define`` block generated from the Python policy constants,
 compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
 and loads it with ctypes. The library goes to ``__pycache__`` next to this
@@ -11,11 +14,11 @@ under the system temporary directory; nothing is loaded from a directory
 another user owns or may write to. Its name carries a digest of the header, the
 source and the flags, so an edit to either builds a new one.
 
-With ``record_events`` the kernel also writes each replacement into one
-preallocated buffer, which ``run`` turns into an
+With ``record_events`` either kernel also writes each replacement into one
+preallocated buffer, which :func:`run` and :func:`run_min` turn into an
 :class:`~ehcsim.engine.EventLog`. When no compiler is found or the build
 fails, :func:`supports` is False, ``backend="auto"`` runs the reference
-engine, and one line on stderr says why.
+engine and the Python MIN, and one line on stderr per process says why.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ _PER_POLICY = {
     "ehc": ("optgen_cold", "optgen_hit", "optgen_miss"),
 }
 
+#: The MIN kernel's counter slots, in ``out`` order.
+_MIN_COUNTERS = ("hits", "replacements", "bypasses", "residencies")
+
 #: Leading fields of an event row. The resident block of every way follows,
 #: as it was before the fill.
 _EVENT_FIELDS = ("index", "victim_way", "no_averse")
@@ -62,7 +68,8 @@ _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "cc"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
-_SYMBOL = "ehcsim_simulate"
+
+BACKENDS = ("auto", "kernel", "reference")
 
 
 def _header() -> str:
@@ -88,6 +95,7 @@ def _header() -> str:
         "SAMPLE_PERIOD": sampler.SAMPLE_PERIOD,
         "WINDOW_SLOTS_PER_WAY": sampler.WINDOW_SLOTS_PER_WAY,
         "EVENT_FIELDS": len(_EVENT_FIELDS),
+        "BYPASS": engine.BYPASS,
     }
     # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
     defines.update((name, f"{value}ULL") for name, value in (
@@ -98,6 +106,7 @@ def _header() -> str:
     ))
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
+    defines.update((f"MIN_OUT_{name.upper()}", k) for k, name in enumerate(_MIN_COUNTERS))
     defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
     return "".join(f"#define {name} {value}\n" for name, value in defines.items())
 
@@ -156,25 +165,32 @@ def _compile(text: str, target: Path) -> None:
 
 
 def _bind(path: Path):
-    """The kernel function of the library at ``path``, with its argument
-    types declared; arrays are checked for dtype and contiguity per call."""
+    """The library at ``path``, with the argument types of both kernel
+    functions declared; arrays are checked for dtype and contiguity per
+    call. Raises AttributeError when either function is missing."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
-    fn = getattr(lib, _SYMBOL)
     i64 = ctypes.c_int64
 
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
 
-    fn.argtypes = [
+    lib.ehcsim_simulate.argtypes = [
         i64, array(np.uint64), array(np.uint64),
         i64, i64, i64, i64,
         i64, ctypes.c_uint64, i64, i64,
         i64, array(np.uint64), array(np.uint8), array(np.int64),
     ]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.ehcsim_min.argtypes = [
+        i64, array(np.uint64), array(np.int64),
+        i64, i64, i64, i64,
+        i64, array(np.uint64), array(np.uint8),
+        array(np.uint64), array(np.int64), array(np.int64), array(np.int64),
+        array(np.int64),
+    ]
+    lib.ehcsim_simulate.restype = lib.ehcsim_min.restype = ctypes.c_int
+    return lib
 
 
 def _source() -> tuple[str, str]:
@@ -209,7 +225,7 @@ def _load():
 
 @functools.cache
 def _native():
-    """``(kernel function, None)``, or ``(None, reason)`` when it is unavailable."""
+    """``(kernel library, None)``, or ``(None, reason)`` when it is unavailable."""
     try:
         return _load(), None
     except (_BuildError, OSError) as e:
@@ -229,6 +245,21 @@ def supports(name: str) -> bool:
     return name in _POLICY_IDS and _native()[0] is not None
 
 
+def check_backend(backend: str) -> None:
+    """Raise :class:`UsageError` unless ``backend`` is one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise UsageError(
+            f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
+        )
+
+
+def _library():
+    lib, reason = _native()
+    if lib is None:
+        raise UsageError(f"kernel backend unavailable: {reason}")
+    return lib
+
+
 def run(
     trace: Trace,
     name: str,
@@ -239,9 +270,7 @@ def run(
     aging: bool = True,
 ):
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`."""
-    kernel, reason = _native()
-    if kernel is None:
-        raise UsageError(f"kernel backend unavailable: {reason}")
+    lib = _library()
     n = len(trace)
     assoc = geom.associativity
     hit_flags = np.zeros(n, dtype=np.uint8)
@@ -251,7 +280,7 @@ def run(
     ev_width = len(_EVENT_FIELDS) + assoc
     events = np.empty(n * ev_width if record_events else 1, dtype=np.uint64)
 
-    status = kernel(
+    status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
         geom.num_sets, assoc, geom.block_offset_bits, geom.set_bits,
         _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
@@ -269,6 +298,56 @@ def run(
         rows = events[:stats.replacements_total * ev_width].reshape(-1, ev_width)
         log = _event_log(trace, geom, rows)
     return stats, log, hit_flags
+
+
+def run_min(
+    trace: Trace,
+    geom: CacheGeometry,
+    next_use: np.ndarray,
+    bypass: bool,
+    record_events: bool = False,
+):
+    """Kernel-path MIN over ``trace``, given its next-use column.
+
+    Returns ``(hit_flags, counts, residencies, events)``: ``counts`` maps
+    each of :data:`_MIN_COUNTERS` to its value, ``residencies`` holds the
+    columns (block-aligned address, fill, end, hits) in the order
+    ``_kernel.c`` documents, and ``events`` is an :class:`EventLog` when
+    ``record_events`` is set and None otherwise.
+    """
+    lib = _library()
+    n = len(trace)
+    if len(next_use) != n:
+        raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
+    assoc = geom.associativity
+    hit_flags = np.zeros(n, dtype=np.uint8)
+    out = np.zeros(len(_MIN_COUNTERS), dtype=np.int64)
+    ev_width = len(_EVENT_FIELDS) + assoc
+    events = np.empty(n * ev_width if record_events else 1, dtype=np.uint64)
+    # At most one fill per access; unwritten pages take no memory.
+    res_block = np.empty(n, dtype=np.uint64)
+    res_fill, res_end, res_hits = (np.empty(n, dtype=np.int64) for _ in range(3))
+
+    status = lib.ehcsim_min(
+        n, trace.addr, np.ascontiguousarray(next_use, dtype=np.int64),
+        geom.num_sets, assoc, geom.block_offset_bits, 1 if bypass else 0,
+        1 if record_events else 0, events, hit_flags,
+        res_block, res_fill, res_end, res_hits, out,
+    )
+    if status != 0:
+        raise MemoryError(f"native MIN could not allocate the tables for {geom}")
+
+    counts = dict(zip(_MIN_COUNTERS, out.tolist()))
+    rows = counts["residencies"]
+    residencies = (
+        res_block[:rows] << np.uint64(geom.block_offset_bits),
+        res_fill[:rows], res_end[:rows], res_hits[:rows],
+    )
+    log = None
+    if record_events:
+        full = counts["replacements"] + counts["bypasses"]
+        log = _event_log(trace, geom, events[:full * ev_width].reshape(-1, ev_width))
+    return hit_flags, counts, residencies, log
 
 
 def _event_log(trace: Trace, geom: CacheGeometry, rows: np.ndarray) -> EventLog:

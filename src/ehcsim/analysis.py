@@ -247,8 +247,9 @@ def analyze(
         )
     elif kind == "min-gap":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
-        nobyp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=False)
-        byp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=True)
+        next_use = minoracle.compute_next_use(trace, geom)
+        nobyp, _, _, _ = minoracle._simulate_min(trace, geom, next_use, bypass=False)
+        byp, _, _, _ = minoracle._simulate_min(trace, geom, next_use, bypass=True)
         rows = [
             (label, s.hits, s.misses, mpki(s, trace.instruction_count))
             for label, s in ((policy, stats), ("min-nobypass", nobyp), ("min-bypass", byp))

@@ -9,8 +9,19 @@ least predicted remaining value instead of merely the oldest one.
 
 from __future__ import annotations
 
-from .engine import RRPV_MAX, CacheGeometry, ReplacementPolicy
+from .engine import EFH_MAX, RRPV_MAX, CacheGeometry, ReplacementPolicy
+from .errors import UsageError
 from .sampler import MinSampler
+
+
+def check_fixed_init(value: int | None) -> None:
+    """Raise :class:`UsageError` unless ``value`` is None or a valid EFH.
+
+    The kernel reads a negative value as "use the region table" and the
+    engine would store any value, so both backends check it first.
+    """
+    if value is not None and not 0 <= value <= EFH_MAX:
+        raise UsageError(f"ehc_fixed_init must be in 0..{EFH_MAX}, not {value}")
 
 
 class HawkeyePolicy(ReplacementPolicy):
@@ -84,13 +95,15 @@ class EhcPolicy(HawkeyePolicy):
     decrements it toward zero. When a set holds an averse block the victim
     choice is exactly Hawkeye's; otherwise the block minimizing
     ``efh - rrpv`` (first index on ties) is evicted — low expected value and
-    old age both push a block toward eviction.
+    old age both push a block toward eviction. A ``fixed_init`` outside
+    ``0..EFH_MAX`` raises :class:`~ehcsim.errors.UsageError`.
     """
 
     name = "ehc"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True,
                  fixed_init: int | None = None):
+        check_fixed_init(fixed_init)
         super().__init__(geom, seed=seed, aging=aging)
         self.region_table = self.sampler.region_table
         self.fixed_init = fixed_init

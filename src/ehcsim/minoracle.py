@@ -5,15 +5,21 @@ stable sort of the block column, MIN simulation with and without bypass,
 per-residency hit counts, hit-count prediction-error histograms, and
 reuse-distance ranking of a policy's evicted victims (binary searches over
 the sorted (block, position) keys).
+
+MIN runs on the native kernel (``ehcsim_min`` in ``_kernel.c``) when it
+could be built, and on a Python loop over memoryviews otherwise; both take
+the next-use column computed here with numpy and give the same results,
+which the test suite enforces. The prediction-error histograms are array
+code over a columnar :class:`ResidencyLog`.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import MissingEventLog
 from .sampler import MinDecision
@@ -36,6 +42,50 @@ class ResidencyRecord:
     hits: int
 
 
+class ResidencyLog:
+    """Residencies as columns, one row per fill.
+
+    ``addr`` is uint64 and ``fill``, ``end`` and ``hits`` are int64, with
+    the meanings of the :class:`ResidencyRecord` fields. ``len``, ``[k]``
+    and iteration give :class:`ResidencyRecord` rows, so the log reads like
+    a list of records without holding one object per row.
+    """
+
+    __slots__ = ("addr", "fill", "end", "hits")
+
+    def __init__(self, addr, fill, end, hits):
+        self.addr = np.ascontiguousarray(addr, dtype=np.uint64)
+        self.fill = np.ascontiguousarray(fill, dtype=np.int64)
+        self.end = np.ascontiguousarray(end, dtype=np.int64)
+        self.hits = np.ascontiguousarray(hits, dtype=np.int64)
+        if not len(self.addr) == len(self.fill) == len(self.end) == len(self.hits):
+            raise ValueError("residency log columns must have equal length")
+
+    @classmethod
+    def from_records(cls, records) -> "ResidencyLog":
+        """Columns of a sequence of :class:`ResidencyRecord`."""
+        records = list(records)
+        return cls(
+            [r.addr for r in records],
+            [r.fill for r in records],
+            [r.end for r in records],
+            [r.hits for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+    def __getitem__(self, k: int) -> ResidencyRecord:
+        return ResidencyRecord(
+            addr=int(self.addr[k]), fill=int(self.fill[k]),
+            end=int(self.end[k]), hits=int(self.hits[k]),
+        )
+
+    def __iter__(self):
+        return map(ResidencyRecord, self.addr.tolist(), self.fill.tolist(),
+                   self.end.tolist(), self.hits.tolist())
+
+
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
@@ -54,6 +104,7 @@ def simulate_min(
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     bypass: bool = True,
     record_events: bool = False,
+    backend: str = "auto",
 ):
     """Belady's MIN: evict whatever is referenced farthest in the future.
 
@@ -61,13 +112,54 @@ def simulate_min(
     inserted when its own next use is strictly farthest (ties go to keeping
     the residents). Returns ``(stats, decisions, residencies, events)``:
     ``decisions`` holds one :class:`MinDecision` code per access,
-    ``residencies`` covers every fill including blocks still resident at the
-    end of the trace (those last, set by set in the order the sets were
-    first touched), ``events`` is an :class:`EventLog` when requested and
-    None otherwise.
+    ``residencies`` is a :class:`ResidencyLog` of every fill, evictions
+    first in eviction order, then the blocks still resident at the end of
+    the trace (set by set in the order the sets were first touched, and by
+    fill position within a set), ``events`` is an :class:`EventLog` when
+    requested and None otherwise. ``backend`` chooses the execution path as
+    in :func:`ehcsim.runner.run_policy`: ``"auto"`` runs the native kernel
+    unless it could not be built, ``"kernel"`` raises
+    :class:`~ehcsim.errors.UsageError` when it could not, and
+    ``"reference"`` always runs the Python loop.
     """
+    _kernels.check_backend(backend)
+    return _simulate_min(trace, geom, compute_next_use(trace, geom), bypass,
+                         record_events, backend)
+
+
+def _simulate_min(trace, geom, next_use, bypass, record_events=False, backend="auto"):
+    """:func:`simulate_min` given the trace's :func:`compute_next_use` column,
+    so that several MIN runs over one trace compute it once."""
     n = len(trace)
-    next_use = compute_next_use(trace, geom)
+    if backend == "kernel" or (backend == "auto" and _kernels.unavailable() is None):
+        hit, counts, columns, events = _kernels.run_min(
+            trace, geom, next_use, bypass, record_events)
+    else:
+        hit, counts, columns, events = _reference_min(
+            trace, geom, next_use, bypass, record_events)
+
+    # A block's first access is the next use of no earlier access.
+    first = np.ones(n, dtype=bool)
+    first[next_use[next_use != NO_NEXT_USE]] = False
+    decisions = np.where(
+        hit == 1, MinDecision.HIT,
+        np.where(first, MinDecision.COLD_MISS, MinDecision.MISS),
+    ).astype(np.uint8)
+
+    stats = SimStats(
+        accesses=n, hits=counts["hits"], misses=n - counts["hits"],
+        replacements_total=counts["replacements"],
+    )
+    stats.per_policy["bypasses"] = counts["bypasses"]
+    return stats, decisions, ResidencyLog(*columns), events
+
+
+def _reference_min(trace, geom, next_use, bypass, record_events):
+    """The Python MIN loop, for hosts without a C compiler. Returns
+    ``(hit_flags, counts, residency columns, events)`` as
+    :func:`ehcsim._kernels.run_min` does; ``counts`` holds the hits,
+    replacements and bypasses."""
+    n = len(trace)
     assoc = geom.associativity
     shift = geom.block_offset_bits
     blocks = trace.addr >> np.uint64(shift)
@@ -82,7 +174,7 @@ def simulate_min(
     # set -> per-way lists [next use, block, fill position, hits]; the dict
     # keeps the sets in the order they were first touched.
     state: dict[int, tuple] = {}
-    residencies: list[ResidencyRecord] = []
+    res_addr, res_fill, res_end, res_hits = [], [], [], []  # residency columns
     ev_index, ev_set, ev_way, ev_resident = [], [], [], []  # event log columns
     hits = replacements = bypasses = 0
 
@@ -123,9 +215,10 @@ def simulate_min(
             bypasses += 1
             continue
         old = way_block[victim]
-        residencies.append(ResidencyRecord(
-            addr=old << shift, fill=fills[victim], end=i, hits=way_hits[victim],
-        ))
+        res_addr.append(old << shift)
+        res_fill.append(fills[victim])
+        res_end.append(i)
+        res_hits.append(way_hits[victim])
         del way_of[old]
         way_of[b] = victim
         nexts[victim] = nu
@@ -137,23 +230,11 @@ def simulate_min(
     for _, way_block, fills, way_hits in state.values():
         # Within a set, the residents in the order they were filled.
         for w in sorted(range(len(fills)), key=fills.__getitem__):
-            residencies.append(ResidencyRecord(
-                addr=way_block[w] << shift, fill=fills[w], end=n, hits=way_hits[w],
-            ))
+            res_addr.append(way_block[w] << shift)
+            res_fill.append(fills[w])
+            res_end.append(n)
+            res_hits.append(way_hits[w])
 
-    # A block's first access is the next use of no earlier access.
-    first = np.ones(n, dtype=bool)
-    first[next_use[next_use != NO_NEXT_USE]] = False
-    decisions = np.where(
-        hit == 1, MinDecision.HIT,
-        np.where(first, MinDecision.COLD_MISS, MinDecision.MISS),
-    ).astype(np.uint8)
-
-    stats = SimStats(
-        accesses=n, hits=hits, misses=n - hits,
-        replacements_total=replacements,
-    )
-    stats.per_policy["bypasses"] = bypasses
     events = None
     if record_events:
         index = np.array(ev_index, dtype=np.int64)
@@ -162,50 +243,54 @@ def simulate_min(
             blocks[index] << np.uint64(shift),
             np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc) << np.uint64(shift),
         )
-    return stats, decisions, residencies, events
+    counts = {"hits": hits, "replacements": replacements, "bypasses": bypasses}
+    columns = (np.array(res_addr, dtype=np.uint64), res_fill, res_end, res_hits)
+    return hit, counts, columns, events
 
 
-def _round_half_up_mean(values) -> int:
-    total = sum(values)
-    n = len(values)
-    return (2 * total + n) // (2 * n)
+def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
+    """Take residencies in completion order (by end, then fill), predict
+    each hit count as the round-half-up mean of its key's previous (up to
+    four) counts, and bucket |actual - predicted|. A key's first residency
+    has nothing to predict from and is not counted."""
+    done = np.lexsort((residencies.fill, residencies.end))
+    # Stable, so each key's residencies stay in completion order.
+    order = done[np.argsort(keys[done], kind="stable")]
+    key, hits = keys[order], residencies.hits[order]
+    pos = np.arange(len(hits))
+    starts = np.ones(len(hits), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    # The key's residencies completed before each one, at most four.
+    behind = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    count = np.minimum(behind, PREDICTION_HISTORY)
+    cumulative = np.concatenate(([0], np.cumsum(hits)))
+    has = count > 0
+    count, at = count[has], pos[has]
+    total = cumulative[at] - cumulative[at - count]
+    diff = np.abs(hits[has] - (2 * total + count) // (2 * count))
+    return np.bincount(np.minimum(diff, ERROR_BUCKETS - 1),
+                       minlength=ERROR_BUCKETS).astype(np.int64)
 
 
-def _error_histogram(keyed_residencies) -> np.ndarray:
-    """Walk residencies in completion order, predict each hit count as the
-    round-half-up mean of the key's last four known counts, and bucket
-    |actual - predicted| (first sighting excluded)."""
-    hist = np.zeros(ERROR_BUCKETS, dtype=np.int64)
-    history: dict[int, collections.deque] = collections.defaultdict(
-        lambda: collections.deque(maxlen=PREDICTION_HISTORY)
-    )
-    for key, rec in keyed_residencies:
-        past = history[key]
-        if past:
-            diff = abs(rec.hits - _round_half_up_mean(past))
-            hist[min(diff, ERROR_BUCKETS - 1)] += 1
-        past.append(rec.hits)
-    return hist
-
-
-def _completion_order(residencies):
-    return sorted(residencies, key=lambda r: (r.end, r.fill))
+def _as_log(residencies) -> ResidencyLog:
+    if isinstance(residencies, ResidencyLog):
+        return residencies
+    return ResidencyLog.from_records(residencies)
 
 
 def per_block_prediction_error(residencies) -> np.ndarray:
     """Histogram of |actual - predicted| hits, predicting each residency from
-    the same block's previous (up to four) residencies."""
-    return _error_histogram(
-        (r.addr, r) for r in _completion_order(residencies)
-    )
+    the same block's previous (up to four) residencies. ``residencies`` is a
+    :class:`ResidencyLog` or a sequence of :class:`ResidencyRecord`."""
+    log = _as_log(residencies)
+    return _error_histogram(log.addr, log)
 
 
 def per_region_prediction_error(residencies) -> np.ndarray:
     """Same histogram but predicting from the last four completed residencies
     anywhere in the block's 128 KB region."""
-    return _error_histogram(
-        (r.addr >> REGION_SHIFT, r) for r in _completion_order(residencies)
-    )
+    log = _as_log(residencies)
+    return _error_histogram(log.addr >> np.uint64(REGION_SHIFT), log)
 
 
 def victim_quality(events, trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:

@@ -11,9 +11,10 @@ invariant checks and arbitrary policy objects run on
 from __future__ import annotations
 
 from . import _kernels
-from .belady import EhcPolicy, HawkeyePolicy
-from .engine import CacheGeometry, DEFAULT_GEOMETRY, EFH_MAX, simulate
-from .errors import UnknownPolicy, UsageError
+from ._kernels import BACKENDS  # noqa: F401 (the backends run_policy takes)
+from .belady import EhcPolicy, HawkeyePolicy, check_fixed_init
+from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
+from .errors import UnknownPolicy
 from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 from .trace import Trace
 
@@ -30,8 +31,6 @@ POLICY_CLASSES = {
 POLICY_NAMES = tuple(POLICY_CLASSES)
 
 DEFAULT_SEED = 42
-
-BACKENDS = ("auto", "kernel", "reference")
 
 
 def make_policy(
@@ -73,12 +72,8 @@ def run_policy(
         raise UnknownPolicy(
             f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
         )
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
-        )
-    if ehc_fixed_init is not None and not 0 <= ehc_fixed_init <= EFH_MAX:
-        raise UsageError(f"ehc_fixed_init must be in 0..{EFH_MAX}, not {ehc_fixed_init}")
+    _kernels.check_backend(backend)
+    check_fixed_init(ehc_fixed_init)
     if backend == "kernel" or (backend == "auto" and _kernels.supports(name)):
         return _kernels.run(
             trace, name, geom, seed,

@@ -45,6 +45,49 @@ def single_set_trace(rng, length, num_tags, geom, num_pcs=4):
 
 
 # ---------------------------------------------------------------------------
+# Equality checks that name the first difference. A whole-list ``==`` makes
+# pytest diff every row of a mismatch, which on a long run takes minutes and
+# hundreds of megabytes; these compare with numpy and report one row.
+# ---------------------------------------------------------------------------
+
+
+def assert_same_array(got, want, what):
+    """``got`` equals ``want`` in shape and every element."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        raise AssertionError(f"{what}: shape {got.shape} != {want.shape}")
+    if not np.array_equal(got, want):
+        rows = (got != want).reshape(len(got), -1).any(axis=1)
+        k = int(np.flatnonzero(rows)[0])
+        raise AssertionError(f"{what}: first difference at row {k}: "
+                             f"{got[k].tolist()!r} != {want[k].tolist()!r}")
+
+
+def assert_same_log(got, want, what="log"):
+    """Two column logs (``EventLog``, ``ResidencyLog``) of one type hold the
+    same rows in the same order."""
+    if type(got) is not type(want):
+        raise AssertionError(f"{what}: {type(got).__name__} != {type(want).__name__}")
+    for column in type(want).__slots__:
+        assert_same_array(getattr(got, column), getattr(want, column), f"{what}.{column}")
+
+
+def assert_same_min(got, want):
+    """Two ``simulate_min`` results are equal: stats, decisions, residencies
+    in order, and event logs (or both None)."""
+    stats, decisions, residencies, events = got
+    w_stats, w_decisions, w_residencies, w_events = want
+    assert stats == w_stats
+    assert decisions.dtype == w_decisions.dtype == np.uint8
+    assert_same_array(decisions, w_decisions, "decisions")
+    assert_same_log(residencies, w_residencies, "residencies")
+    if w_events is None:
+        assert events is None
+    else:
+        assert_same_log(events, w_events, "events")
+
+
+# ---------------------------------------------------------------------------
 # Oracle 1: brute-force LRU via an explicit recency list.
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Per-access loop implementations of the MIN oracle and victim scoring.
+"""Per-access loop implementations of the MIN oracle, the hit-count
+prediction-error histograms and victim scoring.
 
 These are the straightforward versions that :mod:`ehcsim.minoracle` replaced
 with array code; the property tests check that both agree.
@@ -108,6 +109,20 @@ def loop_simulate_min(trace, geom, bypass=True):
 
     stats.per_policy["bypasses"] = bypasses
     return stats, decisions, residencies, events
+
+
+def loop_prediction_error(residencies, key):
+    """Prediction-error histogram from a walk in completion order with a
+    deque of each key's last four hit counts."""
+    hist = np.zeros(5, dtype=np.int64)
+    history = collections.defaultdict(lambda: collections.deque(maxlen=4))
+    for rec in sorted(residencies, key=lambda r: (r.end, r.fill)):
+        past = history[key(rec)]
+        if past:
+            predicted = (2 * sum(past) + len(past)) // (2 * len(past))
+            hist[min(abs(rec.hits - predicted), 4)] += 1
+        past.append(rec.hits)
+    return hist
 
 
 def loop_victim_quality(events, trace, geom):

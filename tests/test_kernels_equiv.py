@@ -6,13 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from ehcsim import CacheGeometry, EventLog, GeneratorSpec, gen_synthetic, simulate
+from ehcsim import (
+    CacheGeometry, EhcPolicy, EventLog, GeneratorSpec, gen_synthetic, simulate, simulate_min,
+)
 from ehcsim import _kernels
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.errors import UsageError
 from ehcsim.runner import BACKENDS, POLICY_NAMES, make_policy, run_policy
 
-from conftest import make_trace, random_trace
+from conftest import assert_same_array, assert_same_log, assert_same_min, make_trace, random_trace
 
 TRACES = {
     "zipf": GeneratorSpec("zipf", block_count=400, length=2500, seed=3),
@@ -41,10 +43,12 @@ def _assert_same_run(trace, name, geom, **kw):
                          aging=kw.get("aging", True))
     r_stats, r_log, r_flags = simulate(trace, policy, geom, record_events=True, check=True)
     assert k_stats == e_stats == r_stats
-    assert k_flags.tolist() == e_flags.tolist() == r_flags.tolist()
+    assert r_flags.dtype == np.uint8
+    assert_same_array(k_flags, r_flags, "hit flags")
+    assert_same_array(e_flags, r_flags, "hit flags with events")
     assert isinstance(k_log, EventLog) and isinstance(r_log, EventLog)
     assert len(k_log) == r_stats.replacements_total
-    assert list(k_log) == list(r_log)
+    assert_same_log(k_log, r_log, "events")
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -130,6 +134,18 @@ def test_ehc_fixed_init_out_of_range_raises(backend, value):
     with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
         run_policy(trace, "ehc", CacheGeometry(64, 4), backend=backend,
                    ehc_fixed_init=value)
+
+
+@pytest.mark.parametrize("value", [-2, -1, 8, 9])
+def test_ehc_policy_rejects_fixed_init_out_of_range(value):
+    # A policy built for engine.simulate gets the check run_policy makes.
+    geom = CacheGeometry(64, 4)
+    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
+        EhcPolicy(geom, fixed_init=value)
+    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
+        make_policy("ehc", geom, ehc_fixed_init=value)
+    for valid in (None, 0, 7):
+        assert EhcPolicy(geom, fixed_init=valid).fixed_init == valid
 
 
 def test_kernel_seed_changes_brrip():
@@ -220,6 +236,13 @@ def _runs(backend):
     return out
 
 
+def _min_runs(backend):
+    trace = gen_synthetic(LOADER_TRACE)
+    return [simulate_min(trace, CacheGeometry(64, 4), bypass=bypass, record_events=True,
+                         backend=backend)
+            for bypass in (False, True)]
+
+
 def _no_compiler(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_COMPILER", "ehcsim-no-such-cc")
 
@@ -251,13 +274,18 @@ def test_cold_build_then_warm_load(kernel_cache, monkeypatch):
 def test_unbuildable_kernel_falls_back(kernel_cache, monkeypatch, tmp_path, capsys,
                                        breakage, reason):
     expected = _runs("reference")
+    expected_min = _min_runs("reference")
     breakage(monkeypatch, tmp_path)
     assert not _kernels.supports("lru")
     assert reason in _kernels.unavailable()
     assert _runs("auto") == expected
+    for got, want in zip(_min_runs("auto"), expected_min, strict=True):
+        assert_same_min(got, want)
     with pytest.raises(UsageError, match=f"kernel backend unavailable: .*{reason}"):
         run_policy(gen_synthetic(LOADER_TRACE), "lru", CacheGeometry(64, 4),
                    backend="kernel")
+    with pytest.raises(UsageError, match=f"kernel backend unavailable: .*{reason}"):
+        simulate_min(gen_synthetic(LOADER_TRACE), CacheGeometry(64, 4), backend="kernel")
     # One line per process, however many runs fell back.
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -345,21 +373,46 @@ def test_truncated_cached_library_without_compiler_falls_back(kernel_cache, monk
     assert "no C compiler" in capsys.readouterr().err
 
 
-def test_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys):
-    # The fallback notice goes to stderr only; the report is unchanged.
+def _assert_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys,
+                                             breakage):
+    # The fallback notice goes to stderr only; the reports are unchanged.
     from ehcsim.cli import main
 
     trace = tmp_path / "t.trace"
     assert main(["gen", "--kind", "mixed", "--blocks", "512", "--length", "1500",
                  "-o", str(trace)]) == 0
-    args = ["compare", "--trace", str(trace), "--policies", "ehc,drrip",
-            "--sets", "64", "--ways", "4", "--events"]
-    native, fallback = tmp_path / "native.csv", tmp_path / "fallback.csv"
-    assert main([*args, "--csv", str(native)]) == 0
+    common = ["--trace", str(trace), "--sets", "64", "--ways", "4"]
+    commands = {
+        "compare": ["compare", *common, "--policies", "ehc,drrip", "--events"],
+        "min-gap": ["analyze", *common, "--report", "min-gap"],
+        "hitcount-region": ["analyze", *common, "--report", "hitcount-region"],
+    }
+
+    def run_all(side):
+        for name, args in commands.items():
+            assert main([*args, "--csv", str(tmp_path / f"{side}-{name}.csv")]) == 0
+
+    run_all("native")
     assert capsys.readouterr().err == ""
     _kernels._native.cache_clear()
-    _failing_build(monkeypatch, tmp_path)
-    assert main([*args, "--csv", str(fallback)]) == 0
-    assert fallback.read_bytes() == native.read_bytes()
-    assert "native kernel unavailable" not in fallback.read_text()
+    for library in kernel_cache.iterdir():  # a host without one has none cached
+        library.unlink()
+    breakage(monkeypatch, tmp_path)
+    run_all("fallback")
+    for name in commands:
+        fallback = tmp_path / f"fallback-{name}.csv"
+        assert fallback.read_bytes() == (tmp_path / f"native-{name}.csv").read_bytes(), name
+        assert "native kernel unavailable" not in fallback.read_text()
+    # One line for the whole process, whichever commands fell back.
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys):
+    _assert_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys,
+                                             _failing_build)
+
+
+def test_cli_without_compiler_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path,
+                                                  capsys):
+    _assert_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys,
+                                             _no_compiler)

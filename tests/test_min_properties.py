@@ -1,15 +1,17 @@
-"""Property tests: the array MIN oracle and victim scoring equal the loops,
-the native kernel equals the reference engine, no policy beats MIN,
-unbounded OPTgen equals offline MIN, and traces survive their file format.
+"""Property tests: both MIN backends, the prediction-error histograms and
+victim scoring equal the loops, the native kernel equals the reference
+engine, no policy beats MIN, unbounded OPTgen equals offline MIN, and
+traces survive their file format.
 
-Geometries of 1-16 sets and 1-8 ways, short traces over a small pool of
-blocks anywhere in the 64-bit address space, and hand-made event logs
-(bypass rows, addresses the trace never touches, the empty log) are
-checked against the per-access implementations in ``loop_oracles``. The
-kernel and the MIN bounds are checked over 1-64 sets and 1-16 ways.
+Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
+anywhere in the 64-bit address space (two of three trace shapes crowd a
+few sets so that they fill, evict and bypass), hand-made event logs
+(bypass rows, addresses the trace never touches, the empty log) and
+hand-made residency lists (ties in completion order, shared blocks and
+regions) are checked against the per-access implementations in
+``loop_oracles``.
 """
 
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import (
@@ -17,9 +19,13 @@ from ehcsim import (
     CacheGeometry,
     EventLog,
     ReplacementEvent,
+    ResidencyLog,
+    ResidencyRecord,
     SampledSetHistory,
     Trace,
     compute_next_use,
+    per_block_prediction_error,
+    per_region_prediction_error,
     read_trace,
     simulate_min,
     victim_quality,
@@ -27,9 +33,15 @@ from ehcsim import (
 )
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
+from ehcsim.trace import REGION_SHIFT
 
-from conftest import make_trace
-from loop_oracles import loop_next_use, loop_simulate_min, loop_victim_quality
+from conftest import assert_same_array, assert_same_log, assert_same_min, make_trace
+from loop_oracles import (
+    loop_next_use,
+    loop_prediction_error,
+    loop_simulate_min,
+    loop_victim_quality,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -43,41 +55,99 @@ def geometries(draw, max_set_bits=4, max_ways=8):
     )
 
 
+def top_heavy(bits):
+    """Integers below 2**bits, half of them from the top quarter of the
+    range, where the leading bits are set."""
+    return st.one_of(st.integers(0, (1 << bits) - 1),
+                     st.integers(3 << (bits - 2), (1 << bits) - 1))
+
+
 @st.composite
-def traced_geometries(draw, max_len=80):
-    """A geometry and a trace over a pool of at most 12 byte addresses."""
-    geom = draw(geometries())
-    pool = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=12,
-                         unique=True))
-    addrs = draw(st.lists(st.sampled_from(pool), max_size=max_len))
-    return geom, make_trace(addrs)
+def traced_geometries(draw, max_len):
+    """A geometry of 1-64 sets and 1-16 ways and a trace of three shapes.
+    "anywhere": at most 12 addresses anywhere in the 64-bit space, with
+    the empty trace included. "crowded" and "loop": 1-3 sets (often the
+    sampled set 0) with ways + 1 to ways + 3 tags each, over the whole tag
+    range and at one byte offset, touched about twice each at random or
+    in a loop, so that even 16-way sets fill, evict and bypass."""
+    geom = draw(geometries(max_set_bits=6, max_ways=16))
+    shape = draw(st.sampled_from(["anywhere", "crowded", "loop"]))
+    if shape == "anywhere":
+        pool = draw(st.lists(top_heavy(64), min_size=1, max_size=12, unique=True))
+        return geom, make_trace(draw(st.lists(st.sampled_from(pool), max_size=max_len)))
+    sets = draw(st.lists(st.one_of(st.just(0), st.integers(0, geom.num_sets - 1)),
+                         min_size=1, max_size=3))
+    tag_bits = 64 - geom.block_offset_bits - geom.set_bits
+    # Distinct tags without a unique-list draw, which is slow: an odd
+    # stride is invertible modulo 2**tag_bits.
+    base, stride = draw(top_heavy(tag_bits)), 2 * draw(top_heavy(tag_bits - 1)) + 1
+    count = draw(st.integers(geom.associativity + 1, geom.associativity + 3))
+    tags = [(base + k * stride) % (1 << tag_bits) for k in range(count)]
+    offset = draw(st.integers(0, (1 << geom.block_offset_bits) - 1))
+    pool = [geom.block_addr(s, t) | offset for s in sets for t in tags]
+    if shape == "loop":
+        loop = draw(st.permutations(pool))
+        return geom, make_trace((loop * (max_len // len(loop) + 1))[:max_len])
+    return geom, make_trace(draw(st.lists(
+        st.sampled_from(pool), min_size=min(2 * len(pool), max_len), max_size=max_len)))
 
 
 @PROPERTY_SETTINGS
-@given(traced_geometries())
+@given(traced_geometries(max_len=40))
 def test_next_use_matches_loop(case):
     geom, trace = case
     assert compute_next_use(trace, geom).tolist() == loop_next_use(trace, geom).tolist()
 
 
 @PROPERTY_SETTINGS
-@given(traced_geometries(), st.booleans())
-def test_simulate_min_matches_loop(case, bypass):
+@given(traced_geometries(max_len=120))
+def test_simulate_min_matches_loop(case):
     geom, trace = case
-    stats, decisions, residencies, events = simulate_min(
-        trace, geom, bypass=bypass, record_events=True
+    for bypass in (False, True):
+        o_stats, o_decisions, o_residencies, o_events = loop_simulate_min(trace, geom, bypass)
+        expected = (
+            o_stats, o_decisions, ResidencyLog.from_records(o_residencies),
+            EventLog.from_events(o_events, geom.associativity),
+        )
+        ranks = loop_victim_quality(o_events, trace, geom)
+        for backend in ("kernel", "reference"):
+            got = simulate_min(trace, geom, bypass=bypass, record_events=True, backend=backend)
+            assert isinstance(got[2], ResidencyLog) and isinstance(got[3], EventLog)
+            assert_same_min(got, expected)
+            assert_same_array(victim_quality(got[3], trace, geom), ranks, "victim ranks")
+            no_log = simulate_min(trace, geom, bypass=bypass, backend=backend)
+            assert no_log[0] == got[0] and no_log[3] is None
+            assert_same_log(no_log[2], got[2], "residencies without events")
+
+
+@st.composite
+def residency_lists(draw):
+    """Residency records that need not come from any run: blocks in two
+    128 KB regions anywhere in the 64-bit space, completion-order ties,
+    and hit counts large enough to reach the last bucket."""
+    regions = draw(st.lists(st.integers(0, (1 << (64 - REGION_SHIFT)) - 1),
+                            min_size=1, max_size=2, unique=True))
+    blocks = draw(st.lists(
+        st.builds(lambda r, b: (r << REGION_SHIFT) | (b << 6),
+                  st.sampled_from(regions), st.integers(0, 7)),
+        min_size=1, max_size=5))
+    record = st.builds(
+        ResidencyRecord, addr=st.sampled_from(blocks), fill=st.integers(0, 6),
+        end=st.integers(0, 6), hits=st.integers(0, 12),
     )
-    o_stats, o_decisions, o_residencies, o_events = loop_simulate_min(trace, geom, bypass)
-    assert stats == o_stats
-    assert decisions.dtype == np.uint8
-    assert decisions.tolist() == o_decisions.tolist()
-    assert residencies == o_residencies  # same records in the same order
-    assert isinstance(events, EventLog)
-    assert list(events) == o_events
-    assert victim_quality(events, trace, geom).tolist() == \
-        loop_victim_quality(o_events, trace, geom).tolist()
-    no_log = simulate_min(trace, geom, bypass=bypass)
-    assert no_log[0] == stats and no_log[3] is None
+    return draw(st.lists(record, max_size=40))
+
+
+@PROPERTY_SETTINGS
+@given(residency_lists())
+def test_prediction_error_matches_loop(records):
+    log = ResidencyLog.from_records(records)
+    assert list(log) == records
+    for histogram, key in ((per_block_prediction_error, lambda r: r.addr),
+                           (per_region_prediction_error, lambda r: r.addr >> REGION_SHIFT)):
+        expected = loop_prediction_error(records, key)
+        assert_same_array(histogram(log), expected, histogram.__name__)
+        assert_same_array(histogram(records), expected, histogram.__name__)
 
 
 @st.composite
@@ -85,7 +155,7 @@ def event_logs(draw):
     """A trace plus replacement events that need not come from any run:
     bypass rows, candidates the trace never touches, unaligned addresses
     and the empty log all occur."""
-    geom, trace = draw(traced_geometries(max_len=60))
+    geom, trace = draw(traced_geometries(max_len=40))
     assoc = geom.associativity
     touched = sorted(set(int(a) for a in trace.addr))
     block = 1 << geom.block_offset_bits
@@ -146,8 +216,8 @@ def test_kernel_events_match_reference(case, name):
     r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
                                        record_events=True, check=True)
     assert k_stats == r_stats
-    assert k_flags.tolist() == r_flags.tolist()
-    assert list(k_log) == list(r_log)
+    assert_same_array(k_flags, r_flags, "hit flags")
+    assert_same_log(k_log, r_log, "events")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -10,7 +10,9 @@ from ehcsim import (
     MissingEventLog,
     NO_NEXT_USE,
     ReplacementEvent,
+    ResidencyLog,
     ResidencyRecord,
+    UsageError,
     compute_next_use,
     mean_rank,
     per_block_prediction_error,
@@ -19,7 +21,7 @@ from ehcsim import (
     victim_quality,
 )
 
-from conftest import make_trace, max_hits_exhaustive, random_trace
+from conftest import assert_same_min, make_trace, max_hits_exhaustive, random_trace
 
 A, B, C, D, Z = 0x000, 0x040, 0x080, 0x0C0, 0x100
 GEOM1x2 = CacheGeometry(1, 2)
@@ -208,3 +210,64 @@ def test_min_events_rank_zero(rng):
     hist = victim_quality(events, t, geom)
     assert hist.sum() > 0
     assert hist[0] == hist.sum()  # MIN's choices are always rank 0
+
+
+# --- the native MIN against the Python MIN on edge cases -------------------
+
+TOP = (1 << 64) - 1
+
+
+def _top_blocks(rng, length=600, blocks=40):
+    """Byte addresses in the highest ``blocks`` 64-byte blocks of the 64-bit
+    space, the last one included."""
+    return [TOP - 64 * int(b) for b in rng.integers(0, blocks, size=length)]
+
+
+MIN_EDGE_CASES = {
+    "empty": lambda rng: (CacheGeometry(2, 2), []),
+    "single-access": lambda rng: (CacheGeometry(2, 2), [TOP]),
+    "1x1": lambda rng: (CacheGeometry(1, 1), [A, B, A, C, A, A, B, C, C, A]),
+    "1x1-random": lambda rng: (CacheGeometry(1, 1), [64 * int(b) for b in
+                                                     rng.integers(0, 4, size=300)]),
+    "top-of-address-space": lambda rng: (CacheGeometry(4, 2), _top_blocks(rng)),
+    "top-of-address-space-wide": lambda rng: (CacheGeometry(64, 16), _top_blocks(rng, 3000, 2000)),
+    "64-offset-bits": lambda rng: (CacheGeometry(2, 2, 64), _top_blocks(rng, 50)),
+    "70-offset-bits": lambda rng: (CacheGeometry(2, 2, 70), [0, 64, TOP, 1 << 63]),
+}
+
+
+@pytest.mark.parametrize("bypass", [False, True])
+@pytest.mark.parametrize("case", MIN_EDGE_CASES)
+def test_kernel_min_matches_python_min_on_edge_cases(case, bypass, rng):
+    geom, addrs = MIN_EDGE_CASES[case](rng)
+    trace = make_trace(addrs)
+    for record_events in (False, True):
+        got = simulate_min(trace, geom, bypass=bypass, record_events=record_events,
+                           backend="kernel")
+        assert_same_min(got, simulate_min(trace, geom, bypass=bypass,
+                                          record_events=record_events,
+                                          backend="reference"))
+    stats, _, residencies, events = got
+    assert stats.accesses == len(trace)
+    # Every fill is one residency, and every hit belongs to one.
+    assert len(residencies) == stats.misses - stats.per_policy["bypasses"]
+    assert int(residencies.hits.sum()) == stats.hits
+    assert events.resident_addrs.shape == (len(events), geom.associativity)
+    if geom.block_offset_bits >= 64:
+        # As in Python, every address falls in block 0.
+        assert stats.misses == min(len(trace), 1)
+        assert residencies.addr.tolist() == [0] * len(residencies)
+
+
+def test_min_kernel_handles_the_last_block():
+    trace = make_trace([TOP, TOP - 64, TOP])
+    stats, _, residencies, _ = simulate_min(trace, CacheGeometry(1, 1), bypass=False,
+                                            backend="kernel")
+    assert stats.hits == 0
+    assert residencies.addr.tolist() == [TOP - 63, TOP - 127, TOP - 63]
+    assert isinstance(residencies, ResidencyLog)
+
+
+def test_simulate_min_rejects_unknown_backend():
+    with pytest.raises(UsageError, match="unknown backend 'kernal'"):
+        simulate_min(make_trace([A]), GEOM1x2, backend="kernal")
