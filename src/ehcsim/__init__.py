@@ -48,7 +48,6 @@ from .errors import (
 from .minoracle import (
     NO_NEXT_USE,
     ResidencyLog,
-    ResidencyRecord,
     compute_next_use,
     mean_rank,
     per_block_prediction_error,
@@ -67,7 +66,6 @@ from .sampler import (
     is_sampled_set,
 )
 from .trace import (
-    AccessRecord,
     GENERATOR_KINDS,
     GeneratorSpec,
     Trace,
@@ -82,7 +80,6 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessRecord",
     "BYPASS",
     "BadMagic",
     "BrripPolicy",
@@ -113,7 +110,6 @@ __all__ = [
     "ReplacementPolicy",
     "Report",
     "ResidencyLog",
-    "ResidencyRecord",
     "SampledSetHistory",
     "ShipPolicy",
     "SimStats",

@@ -27,6 +27,12 @@ typedef struct {
     int64_t head[REGION_TABLE_SIZE];
 } RegionTable;
 
+/* Whether a * b overflows int64_t, for a, b >= 0. */
+static inline int mul_overflows(int64_t a, int64_t b)
+{
+    return b != 0 && a > INT64_MAX / b;
+}
+
 /* x >> n as Python computes it: C leaves shifts by 64 or more undefined. */
 static inline uint64_t shr(uint64_t x, int64_t n)
 {
@@ -115,13 +121,18 @@ static void free_tables(Tables *t)
  * events[k * (EVENT_FIELDS + assoc) ...]: the EVENT_* fields, then the
  * resident block of every way before the fill. seed keys the bimodal
  * insertion draws (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from the
- * region table. Returns 0, or -1 when the tables cannot be allocated. */
+ * region table. Returns 0, or -1 when the tables cannot be allocated,
+ * which includes a geometry whose table sizes overflow int64_t: a wrapped
+ * size would allocate too little and the loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
     int64_t policy_id, uint64_t seed, int64_t aging, int64_t fixed_init,
     int64_t record_events, uint64_t *events, uint8_t *hit_flags, int64_t *out)
 {
+    if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
+        || mul_overflows(num_sets / SAMPLE_PERIOD + 1, WINDOW_SLOTS_PER_WAY * assoc))
+        return -1;
     const int64_t lines = num_sets * assoc;
     const int64_t nsamp = (num_sets + SAMPLE_PERIOD - 1) / SAMPLE_PERIOD;
     const int64_t cap = WINDOW_SLOTS_PER_WAY * assoc;
@@ -413,7 +424,8 @@ int ehcsim_simulate(
  * within a set, with res_end = n. A trace of n accesses has at most n
  * fills, so n rows always suffice. With record_events, every full-set miss
  * writes one event row as ehcsim_simulate does, with BYPASS as the victim
- * way of a bypass. Returns 0, or -1 when the tables cannot be allocated. */
+ * way of a bypass. Returns 0, or -1 when the tables cannot be allocated,
+ * as for ehcsim_simulate. */
 int ehcsim_min(
     int64_t n, const uint64_t *addr, const int64_t *next_use,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t bypass,
@@ -421,6 +433,8 @@ int ehcsim_min(
     uint64_t *res_block, int64_t *res_fill, int64_t *res_end, int64_t *res_hits,
     int64_t *out)
 {
+    if (mul_overflows(num_sets, assoc) || assoc > INT64_MAX - EVENT_FIELDS)
+        return -1;
     const int64_t lines = num_sets * assoc;
     const int64_t ev_width = EVENT_FIELDS + assoc;
     const uint64_t set_mask = (uint64_t)num_sets - 1;

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine, policies, sampler
 from .engine import CacheGeometry, EventLog, SimStats
-from .errors import UsageError
+from .errors import GeometryTooLarge, UsageError
 from .trace import REGION_SHIFT, Trace
 
 # The kernel compares policy ids by order: the RRIP family sits between LRU
@@ -260,6 +260,31 @@ def _library():
     return lib
 
 
+def _int64_geometry(geom: CacheGeometry):
+    """``(num_sets, associativity, block_offset_bits)`` as the C kernels
+    take them. ctypes wraps an integer beyond int64_t silently, so a
+    geometry that large raises :class:`GeometryTooLarge`; an offset of 64
+    bits or more puts every address in block 0, in C as in Python, so it
+    passes as 64."""
+    if max(geom.num_sets, geom.associativity) >= 1 << 63:
+        raise _too_large(geom)
+    return geom.num_sets, geom.associativity, min(geom.block_offset_bits, 64)
+
+
+def _event_buffer(geom: CacheGeometry, size: int) -> np.ndarray:
+    """An uninitialised uint64 buffer of ``size`` elements. Pages never
+    written are never touched, so only the event rows used take memory."""
+    try:
+        return np.empty(size, dtype=np.uint64)
+    except (ValueError, MemoryError):  # more elements than an array or memory holds
+        raise _too_large(geom) from None
+
+
+def _too_large(geom: CacheGeometry) -> GeometryTooLarge:
+    return GeometryTooLarge(f"cannot allocate the tables of a cache of "
+                            f"{geom.num_sets} sets x {geom.associativity} ways")
+
+
 def run(
     trace: Trace,
     name: str,
@@ -272,23 +297,22 @@ def run(
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`."""
     lib = _library()
     n = len(trace)
-    assoc = geom.associativity
+    num_sets, assoc, block_bits = _int64_geometry(geom)
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_COUNTERS), dtype=np.int64)
-    # Room for a replacement at every access; pages never written are never
-    # touched, so only the rows used take memory.
+    # Room for an event row at every access.
     ev_width = len(_EVENT_FIELDS) + assoc
-    events = np.empty(n * ev_width if record_events else 1, dtype=np.uint64)
+    events = _event_buffer(geom, n * ev_width if record_events else 1)
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
-        geom.num_sets, assoc, geom.block_offset_bits, geom.set_bits,
+        num_sets, assoc, block_bits, geom.set_bits,
         _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
         1 if record_events else 0, events, hit_flags, out,
     )
     if status != 0:
-        raise MemoryError(f"native kernel could not allocate the tables for {geom}")
+        raise _too_large(geom)
 
     counts = dict(zip(_COUNTERS, out.tolist()))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
@@ -319,23 +343,24 @@ def run_min(
     n = len(trace)
     if len(next_use) != n:
         raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
-    assoc = geom.associativity
+    num_sets, assoc, block_bits = _int64_geometry(geom)
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_MIN_COUNTERS), dtype=np.int64)
+    # Room for an event row at every access.
     ev_width = len(_EVENT_FIELDS) + assoc
-    events = np.empty(n * ev_width if record_events else 1, dtype=np.uint64)
+    events = _event_buffer(geom, n * ev_width if record_events else 1)
     # At most one fill per access; unwritten pages take no memory.
     res_block = np.empty(n, dtype=np.uint64)
     res_fill, res_end, res_hits = (np.empty(n, dtype=np.int64) for _ in range(3))
 
     status = lib.ehcsim_min(
         n, trace.addr, np.ascontiguousarray(next_use, dtype=np.int64),
-        geom.num_sets, assoc, geom.block_offset_bits, 1 if bypass else 0,
+        num_sets, assoc, block_bits, 1 if bypass else 0,
         1 if record_events else 0, events, hit_flags,
         res_block, res_fill, res_end, res_hits, out,
     )
     if status != 0:
-        raise MemoryError(f"native MIN could not allocate the tables for {geom}")
+        raise _too_large(geom)
 
     counts = dict(zip(_MIN_COUNTERS, out.tolist()))
     rows = counts["residencies"]

@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from . import minoracle
-from .engine import CacheGeometry, DEFAULT_GEOMETRY, SimStats
+from .engine import CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import DataError, UsageError, ZeroInstructions
 from .runner import DEFAULT_SEED, POLICY_NAMES, run_policy
 from .trace import Trace
@@ -116,7 +116,7 @@ def run_report(
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
     **kwargs,
-) -> tuple[Report, SimStats, list | None]:
+) -> tuple[Report, SimStats, EventLog | None]:
     """Single-policy run: stats table plus any per-policy counters."""
     stats, events, _ = run_policy(trace, policy, geom, seed=seed, **kwargs)
     report = Report(_base_meta(geom, seed) | {"policy": policy})
@@ -191,7 +191,9 @@ def compare(
 
 REPORT_KINDS = ("no-averse", "hitcount-block", "hitcount-region", "victim-quality", "min-gap")
 
-_BUCKET_LABELS = ("0", "1", "2", "3", "4+")
+# "0", "1", "2", "3", "4+": the last bucket holds every larger error.
+_BUCKET_LABELS = (*map(str, range(minoracle.ERROR_BUCKETS - 1)),
+                  f"{minoracle.ERROR_BUCKETS - 1}+")
 
 
 def _histogram_table(report: Report, name: str, labels, hist) -> None:
@@ -247,9 +249,8 @@ def analyze(
         )
     elif kind == "min-gap":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
-        next_use = minoracle.compute_next_use(trace, geom)
-        nobyp, _, _, _ = minoracle._simulate_min(trace, geom, next_use, bypass=False)
-        byp, _, _, _ = minoracle._simulate_min(trace, geom, next_use, bypass=True)
+        nobyp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=False)
+        byp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=True)
         rows = [
             (label, s.hits, s.misses, mpki(s, trace.instruction_count))
             for label, s in ((policy, stats), ("min-nobypass", nobyp), ("min-bypass", byp))

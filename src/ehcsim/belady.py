@@ -37,21 +37,15 @@ class HawkeyePolicy(ReplacementPolicy):
     name = "hawkeye"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True):
-        self.geom = geom
         self.aging = aging
         self.sampler = MinSampler(geom)
         self.pc_table = self.sampler.pc_table
 
-    def on_observe(self, record):
-        self.sampler.observe(
-            self.geom.set_index(record.addr),
-            self.geom.tag(record.addr),
-            record.addr,
-            record.pc,
-        )
+    def on_observe(self, set_index, tag, addr, pc):
+        self.sampler.observe(set_index, tag, addr, pc)
 
-    def _classify(self, ways, way, record, inserted: bool) -> None:
-        if self.pc_table.is_friendly(record.pc):
+    def _classify(self, ways, way, pc, inserted: bool) -> None:
+        if self.pc_table.is_friendly(pc):
             if inserted and self.aging:
                 for w, blk in enumerate(ways):
                     if w != way and blk.valid and blk.rrpv < RRPV_MAX - 1:
@@ -60,16 +54,16 @@ class HawkeyePolicy(ReplacementPolicy):
         else:
             ways[way].rrpv = RRPV_MAX
 
-    def on_hit(self, set_index, ways, way, record):
-        self._classify(ways, way, record, inserted=False)
+    def on_hit(self, set_index, ways, way, addr, pc):
+        self._classify(ways, way, pc, inserted=False)
 
-    def on_insert(self, set_index, ways, way, record):
-        self._classify(ways, way, record, inserted=True)
+    def on_insert(self, set_index, ways, way, addr, pc):
+        self._classify(ways, way, pc, inserted=True)
 
     def _detrain(self, ways, way) -> None:
         self.pc_table.train(ways[way].last_pc, -1)
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         best = 0
         for w, blk in enumerate(ways):
             if blk.rrpv == RRPV_MAX:
@@ -108,20 +102,20 @@ class EhcPolicy(HawkeyePolicy):
         self.region_table = self.sampler.region_table
         self.fixed_init = fixed_init
 
-    def on_hit(self, set_index, ways, way, record):
+    def on_hit(self, set_index, ways, way, addr, pc):
         blk = ways[way]
         if blk.efh > 0:
             blk.efh -= 1
-        super().on_hit(set_index, ways, way, record)
+        super().on_hit(set_index, ways, way, addr, pc)
 
-    def on_insert(self, set_index, ways, way, record):
-        super().on_insert(set_index, ways, way, record)
+    def on_insert(self, set_index, ways, way, addr, pc):
+        super().on_insert(set_index, ways, way, addr, pc)
         if self.fixed_init is not None:
             ways[way].efh = self.fixed_init
         else:
-            ways[way].efh = self.region_table.expected_hits(record.addr)
+            ways[way].efh = self.region_table.expected_hits(addr)
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         best = 0
         best_score = ways[0].efh - ways[0].rrpv
         for w, blk in enumerate(ways):

@@ -98,7 +98,12 @@ class SimStats:
 class ReplacementPolicy:
     """Behavioral contract the engine drives.
 
-    ``choose_victim`` returns ``(way, no_averse)`` where ``way`` may be
+    The engine computes every access's set index and tag once, from the
+    trace's columns, and hands each hook only what the built-in policies
+    read: ``on_observe`` gets the set index, tag, byte address and PC of
+    every access; ``on_hit`` and ``on_insert`` get the set's ways, the way
+    touched and the access's address and PC; ``choose_victim`` gets the
+    set alone. It returns ``(way, no_averse)`` where ``way`` may be
     :data:`BYPASS`; ``no_averse`` reports that no cache-averse candidate
     existed at decision time (meaningful for the Belady-inspired policies,
     always False elsewhere).
@@ -106,16 +111,16 @@ class ReplacementPolicy:
 
     name = "abstract"
 
-    def on_observe(self, record) -> None:
+    def on_observe(self, set_index: int, tag: int, addr: int, pc: int) -> None:
         """Called for every access before lookup; samplers train here."""
 
-    def on_hit(self, set_index: int, ways, way: int, record) -> None:
+    def on_hit(self, set_index: int, ways, way: int, addr: int, pc: int) -> None:
         pass
 
-    def choose_victim(self, set_index: int, ways, record):
+    def choose_victim(self, set_index: int, ways):
         raise NotImplementedError
 
-    def on_insert(self, set_index: int, ways, way: int, record) -> None:
+    def on_insert(self, set_index: int, ways, way: int, addr: int, pc: int) -> None:
         pass
 
     def extra_stats(self) -> dict:
@@ -140,9 +145,8 @@ class EventLog:
 
     ``index``, ``set_index`` and ``victim_way`` are int64, ``no_averse`` is
     bool, ``incoming_addr`` is uint64 and ``resident_addrs`` is a uint64
-    array of shape ``(len, associativity)``. ``len``, ``[k]`` and iteration
-    give :class:`ReplacementEvent` rows, so the log reads like a list of
-    events without holding one object per row.
+    array of shape ``(len, associativity)``. Iteration gives
+    :class:`ReplacementEvent` rows, a few thousand at a time.
     """
 
     __slots__ = (
@@ -167,32 +171,8 @@ class EventLog:
         if self.resident_addrs.ndim != 2 or len(self.resident_addrs) != n:
             raise ValueError("resident_addrs must have one row per event")
 
-    @classmethod
-    def from_events(cls, events, associativity: int) -> "EventLog":
-        """Columns of a sequence of :class:`ReplacementEvent`."""
-        events = list(events)
-        return cls(
-            [ev.index for ev in events],
-            [ev.set_index for ev in events],
-            [ev.victim_way for ev in events],
-            [ev.no_averse for ev in events],
-            [ev.incoming_addr for ev in events],
-            np.array([ev.resident_addrs for ev in events],
-                     dtype=np.uint64).reshape(-1, associativity),
-        )
-
     def __len__(self) -> int:
         return len(self.index)
-
-    def __getitem__(self, k: int) -> ReplacementEvent:
-        return ReplacementEvent(
-            index=int(self.index[k]),
-            set_index=int(self.set_index[k]),
-            victim_way=int(self.victim_way[k]),
-            no_averse=bool(self.no_averse[k]),
-            incoming_addr=int(self.incoming_addr[k]),
-            resident_addrs=tuple(self.resident_addrs[k].tolist()),
-        )
 
     def __iter__(self):
         for lo in range(0, len(self), self._ITER_ROWS):
@@ -231,13 +211,15 @@ def simulate(
     ev_index, ev_set, ev_way, ev_no_averse, ev_incoming, ev_resident = [], [], [], [], [], []
     hit_flags = bytearray(len(trace))
 
+    # Set index and tag of every access, shifted as compute_next_use does;
+    # plain lists iterate as Python ints without per-element numpy scalars.
+    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    set_col = (blocks & np.uint64(geom.num_sets - 1)).tolist()
+    tag_col = (blocks >> np.uint64(geom.set_bits)).tolist()
     block_mask = ~((1 << geom.block_offset_bits) - 1)
-    for i in range(len(trace)):
-        record = trace.record(i)
-        policy.on_observe(record)
-
-        si = geom.set_index(record.addr)
-        tag = geom.tag(record.addr)
+    columns = zip(set_col, tag_col, trace.addr.tolist(), trace.pc.tolist())
+    for i, (si, tag, addr, pc) in enumerate(columns):
+        policy.on_observe(si, tag, addr, pc)
         ways = sets[si]
 
         way = -1
@@ -251,8 +233,8 @@ def simulate(
             stats.hits += 1
             blk = ways[way]
             blk.recency_stamp = i
-            blk.last_pc = record.pc
-            policy.on_hit(si, ways, way, record)
+            blk.last_pc = pc
+            policy.on_hit(si, ways, way, addr, pc)
             hit_flags[i] = 1
         else:
             stats.misses += 1
@@ -262,7 +244,7 @@ def simulate(
                     way = w
                     break
             if way < 0:
-                way, no_averse = policy.choose_victim(si, ways, record)
+                way, no_averse = policy.choose_victim(si, ways)
                 if way == BYPASS:
                     if check:
                         stats.check()
@@ -274,7 +256,7 @@ def simulate(
                     ev_set.append(si)
                     ev_way.append(way)
                     ev_no_averse.append(no_averse)
-                    ev_incoming.append(record.addr & block_mask)
+                    ev_incoming.append(addr & block_mask)
                     ev_resident.extend(
                         geom.block_addr(si, ways[w].tag) for w in range(assoc)
                     )
@@ -285,8 +267,8 @@ def simulate(
             blk.valid = True
             blk.tag = tag
             blk.recency_stamp = i
-            blk.last_pc = record.pc
-            policy.on_insert(si, ways, way, record)
+            blk.last_pc = pc
+            policy.on_insert(si, ways, way, addr, pc)
 
         if check:
             stats.check()

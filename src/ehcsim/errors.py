@@ -68,5 +68,11 @@ class ZeroInstructions(UsageError):
     """MPKI is undefined for a trace with no instructions."""
 
 
+class GeometryTooLarge(UsageError, MemoryError):
+    """The native kernel cannot allocate the tables of a cache geometry.
+    Also a MemoryError, so callers that catch running out of memory catch
+    it too."""
+
+
 class MissingEventLog(UsageError):
     """Victim-quality analysis needs a run recorded with event logging."""

@@ -15,40 +15,28 @@ code over a columnar :class:`ResidencyLog`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import MissingEventLog
-from .sampler import MinDecision
+from .sampler import REGION_RING_SLOTS, MinDecision
 from .trace import REGION_SHIFT, Trace
 
 #: Sentinel next-use position for blocks never referenced again ("infinity").
 NO_NEXT_USE = 1 << 62
 
-PREDICTION_HISTORY = 4  # residencies averaged per block/region prediction
-ERROR_BUCKETS = 5       # |actual - predicted| of 0, 1, 2, 3, >=4
-
-
-@dataclass(frozen=True)
-class ResidencyRecord:
-    """One stay of a block in the cache under MIN."""
-
-    addr: int   # block-aligned byte address
-    fill: int   # trace position that inserted the block
-    end: int    # eviction position, or len(trace) if still resident
-    hits: int
+ERROR_BUCKETS = 5  # |actual - predicted| of 0, 1, 2, 3, >=4
 
 
 class ResidencyLog:
-    """Residencies as columns, one row per fill.
+    """Residencies as columns, one row per fill: the stays of blocks in the
+    cache under MIN.
 
-    ``addr`` is uint64 and ``fill``, ``end`` and ``hits`` are int64, with
-    the meanings of the :class:`ResidencyRecord` fields. ``len``, ``[k]``
-    and iteration give :class:`ResidencyRecord` rows, so the log reads like
-    a list of records without holding one object per row.
+    ``addr`` (uint64) is the block-aligned byte address, ``fill`` (int64)
+    the trace position that inserted the block, ``end`` (int64) its
+    eviction position, or the trace length if it was still resident, and
+    ``hits`` (int64) the hits during the stay.
     """
 
     __slots__ = ("addr", "fill", "end", "hits")
@@ -61,29 +49,8 @@ class ResidencyLog:
         if not len(self.addr) == len(self.fill) == len(self.end) == len(self.hits):
             raise ValueError("residency log columns must have equal length")
 
-    @classmethod
-    def from_records(cls, records) -> "ResidencyLog":
-        """Columns of a sequence of :class:`ResidencyRecord`."""
-        records = list(records)
-        return cls(
-            [r.addr for r in records],
-            [r.fill for r in records],
-            [r.end for r in records],
-            [r.hits for r in records],
-        )
-
     def __len__(self) -> int:
         return len(self.addr)
-
-    def __getitem__(self, k: int) -> ResidencyRecord:
-        return ResidencyRecord(
-            addr=int(self.addr[k]), fill=int(self.fill[k]),
-            end=int(self.end[k]), hits=int(self.hits[k]),
-        )
-
-    def __iter__(self):
-        return map(ResidencyRecord, self.addr.tolist(), self.fill.tolist(),
-                   self.end.tolist(), self.hits.tolist())
 
 
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
@@ -123,13 +90,7 @@ def simulate_min(
     ``"reference"`` always runs the Python loop.
     """
     _kernels.check_backend(backend)
-    return _simulate_min(trace, geom, compute_next_use(trace, geom), bypass,
-                         record_events, backend)
-
-
-def _simulate_min(trace, geom, next_use, bypass, record_events=False, backend="auto"):
-    """:func:`simulate_min` given the trace's :func:`compute_next_use` column,
-    so that several MIN runs over one trace compute it once."""
+    next_use = compute_next_use(trace, geom)
     n = len(trace)
     if backend == "kernel" or (backend == "auto" and _kernels.unavailable() is None):
         hit, counts, columns, events = _kernels.run_min(
@@ -252,7 +213,8 @@ def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
     """Take residencies in completion order (by end, then fill), predict
     each hit count as the round-half-up mean of its key's previous (up to
     four) counts, and bucket |actual - predicted|. A key's first residency
-    has nothing to predict from and is not counted."""
+    has nothing to predict from and is not counted. This is the online
+    predictor's rule (``RegionHitTable.expected_hits``), window included."""
     done = np.lexsort((residencies.fill, residencies.end))
     # Stable, so each key's residencies stay in completion order.
     order = done[np.argsort(keys[done], kind="stable")]
@@ -262,7 +224,7 @@ def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
     starts[1:] = key[1:] != key[:-1]
     # The key's residencies completed before each one, at most four.
     behind = pos - np.maximum.accumulate(np.where(starts, pos, 0))
-    count = np.minimum(behind, PREDICTION_HISTORY)
+    count = np.minimum(behind, REGION_RING_SLOTS)
     cumulative = np.concatenate(([0], np.cumsum(hits)))
     has = count > 0
     count, at = count[has], pos[has]
@@ -272,42 +234,31 @@ def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
                        minlength=ERROR_BUCKETS).astype(np.int64)
 
 
-def _as_log(residencies) -> ResidencyLog:
-    if isinstance(residencies, ResidencyLog):
-        return residencies
-    return ResidencyLog.from_records(residencies)
-
-
-def per_block_prediction_error(residencies) -> np.ndarray:
+def per_block_prediction_error(residencies: ResidencyLog) -> np.ndarray:
     """Histogram of |actual - predicted| hits, predicting each residency from
-    the same block's previous (up to four) residencies. ``residencies`` is a
-    :class:`ResidencyLog` or a sequence of :class:`ResidencyRecord`."""
-    log = _as_log(residencies)
-    return _error_histogram(log.addr, log)
+    the same block's previous (up to four) residencies."""
+    return _error_histogram(residencies.addr, residencies)
 
 
-def per_region_prediction_error(residencies) -> np.ndarray:
+def per_region_prediction_error(residencies: ResidencyLog) -> np.ndarray:
     """Same histogram but predicting from the last four completed residencies
     anywhere in the block's 128 KB region."""
-    log = _as_log(residencies)
-    return _error_histogram(log.addr >> np.uint64(REGION_SHIFT), log)
+    return _error_histogram(residencies.addr >> np.uint64(REGION_SHIFT), residencies)
 
 
-def victim_quality(events, trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
+def victim_quality(events: EventLog, trace: Trace,
+                   geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Rank each evicted victim among the replacement's candidates by next use.
 
     Candidates are the set's residents plus the incoming block; a victim's
     rank is how many candidates would be referenced strictly farther in the
     future (so rank 0 is the MIN-optimal choice and the worst possible rank
     equals the associativity). Bypass decisions score the incoming block.
-    ``events`` is an :class:`EventLog` or a sequence of
-    :class:`ReplacementEvent`. Returns a histogram over ranks
-    ``0..associativity``.
+    Returns a histogram over ranks ``0..associativity``; an ``events`` of
+    None raises :class:`~ehcsim.errors.MissingEventLog`.
     """
     if events is None:
         raise MissingEventLog("victim quality requires a recorded event log")
-    if not isinstance(events, EventLog):
-        events = EventLog.from_events(events, geom.associativity)
     next_use_after = _next_use_finder(trace, geom)
     at = events.index
     bypassed = events.victim_way == BYPASS

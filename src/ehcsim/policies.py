@@ -73,7 +73,7 @@ class LruPolicy(ReplacementPolicy):
     def __init__(self, geom: CacheGeometry, seed: int = 0):
         pass
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return lru_choose_victim(ways), False
 
 
@@ -83,13 +83,13 @@ class SrripPolicy(ReplacementPolicy):
     def __init__(self, geom: CacheGeometry, seed: int = 0):
         pass
 
-    def on_hit(self, set_index, ways, way, record):
+    def on_hit(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = 0
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return rrip_choose_victim(ways), False
 
-    def on_insert(self, set_index, ways, way, record):
+    def on_insert(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = RRPV_MAX - 1
 
 
@@ -109,13 +109,13 @@ class BrripPolicy(ReplacementPolicy):
             return RRPV_MAX - 1
         return RRPV_MAX
 
-    def on_hit(self, set_index, ways, way, record):
+    def on_hit(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = 0
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return rrip_choose_victim(ways), False
 
-    def on_insert(self, set_index, ways, way, record):
+    def on_insert(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = self.bimodal_rrpv()
 
     def extra_stats(self):
@@ -147,13 +147,13 @@ class DrripPolicy(ReplacementPolicy):
             return True
         return self.psel >= PSEL_INIT
 
-    def on_hit(self, set_index, ways, way, record):
+    def on_hit(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = 0
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return rrip_choose_victim(ways), False
 
-    def on_insert(self, set_index, ways, way, record):
+    def on_insert(self, set_index, ways, way, addr, pc):
         if self.srrip_leader[set_index]:
             self.psel = min(self.psel + 1, PSEL_MAX)
         elif self.brrip_leader[set_index]:
@@ -180,11 +180,11 @@ class ShipPolicy(ReplacementPolicy):
         self.signature = np.zeros((geom.num_sets, geom.associativity), dtype=np.int64)
         self.outcome = np.zeros((geom.num_sets, geom.associativity), dtype=np.uint8)
 
-    def on_hit(self, set_index, ways, way, record):
+    def on_hit(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = 0
         self.outcome[set_index, way] = 1
 
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         way = rrip_choose_victim(ways)
         sig = self.signature[set_index, way]
         if self.outcome[set_index, way]:
@@ -194,8 +194,8 @@ class ShipPolicy(ReplacementPolicy):
             self.shct[sig] -= 1
         return way, False
 
-    def on_insert(self, set_index, ways, way, record):
-        sig = xor_fold(record.pc, SHCT_BITS)
+    def on_insert(self, set_index, ways, way, addr, pc):
+        sig = xor_fold(pc, SHCT_BITS)
         self.signature[set_index, way] = sig
         self.outcome[set_index, way] = 0
         ways[way].rrpv = RRPV_MAX if self.shct[sig] == 0 else RRPV_MAX - 1

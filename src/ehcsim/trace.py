@@ -49,17 +49,6 @@ PC_POOL_SIZE = 8
 _PC_BASE = 0x400000
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One LLC access."""
-
-    seq: int
-    core: int
-    pc: int
-    addr: int
-    kind: int = KIND_READ
-
-
 class Trace:
     """Column-oriented access trace.
 
@@ -86,15 +75,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.seq)
-
-    def record(self, i: int) -> AccessRecord:
-        return AccessRecord(
-            seq=int(self.seq[i]),
-            core=int(self.core[i]),
-            pc=int(self.pc[i]),
-            addr=int(self.addr[i]),
-            kind=int(self.kind[i]),
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):

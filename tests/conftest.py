@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from ehcsim import CacheGeometry, Trace
+from ehcsim import CacheGeometry, EventLog, ResidencyLog, Trace
 
 
 def make_trace(accesses, pc=0x400000):
@@ -41,6 +41,28 @@ def single_set_trace(rng, length, num_tags, geom, num_pcs=4):
     pcs = rng.integers(0, num_pcs, size=length) * 4 + 0x400000
     return make_trace(
         [(int(p), geom.block_addr(0, int(t))) for p, t in zip(pcs, tags)]
+    )
+
+
+def residency_log(rows):
+    """A ``ResidencyLog`` of rows with ``addr``, ``fill``, ``end`` and
+    ``hits`` attributes, in order."""
+    rows = list(rows)
+    return ResidencyLog(*([getattr(r, column) for r in rows]
+                          for column in ResidencyLog.__slots__))
+
+
+def event_log(events, associativity):
+    """An ``EventLog`` of ``ReplacementEvent`` rows, in order."""
+    events = list(events)
+    return EventLog(
+        [ev.index for ev in events],
+        [ev.set_index for ev in events],
+        [ev.victim_way for ev in events],
+        [ev.no_averse for ev in events],
+        [ev.incoming_addr for ev in events],
+        np.array([ev.resident_addrs for ev in events],
+                 dtype=np.uint64).reshape(-1, associativity),
     )
 
 

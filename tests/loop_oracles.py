@@ -10,7 +10,10 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, ReplacementEvent, ResidencyRecord, SimStats
+from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, ReplacementEvent, SimStats
+
+#: One stay of a block in the cache under MIN, as a row.
+Residency = collections.namedtuple("Residency", "addr fill end hits")
 
 
 def loop_next_use(trace, geom):
@@ -30,7 +33,8 @@ def loop_next_use(trace, geom):
 
 def loop_simulate_min(trace, geom, bypass=True):
     """MIN with per-set dicts; returns (stats, decisions, residencies, events)
-    with the events as a list of ReplacementEvent."""
+    with the residencies as a list of Residency rows and the events as a
+    list of ReplacementEvent."""
     n = len(trace)
     next_use = loop_next_use(trace, geom)
     assoc = geom.associativity
@@ -90,7 +94,7 @@ def loop_simulate_min(trace, geom, bypass=True):
                 continue
             _, fill, hits = ways[victim]
             victim_tag = by_way[victim]
-            residencies.append(ResidencyRecord(
+            residencies.append(Residency(
                 addr=geom.block_addr(si, victim_tag), fill=fill, end=i, hits=hits,
             ))
             del resident[victim_tag]
@@ -103,7 +107,7 @@ def loop_simulate_min(trace, geom, bypass=True):
     for si, resident in tags.items():
         for tag, way in resident.items():
             _, fill, hits = way_tag[si][way]
-            residencies.append(ResidencyRecord(
+            residencies.append(Residency(
                 addr=geom.block_addr(si, tag), fill=fill, end=n, hits=hits,
             ))
 

@@ -114,23 +114,23 @@ def _ways(pairs):
 
 
 def test_c05_ehc_victim_formula():
-    rec = make_trace([0x40]).record(0)
+    addr, pc = 0x40, 0x400000
     policy = _pinned_ehc()
     # argmin of (efh - rrpv): scores 1, -2, -3
-    assert policy.choose_victim(0, _ways([(1, 0), (0, 2), (3, 6)]), rec) == (2, True)
+    assert policy.choose_victim(0, _ways([(1, 0), (0, 2), (3, 6)])) == (2, True)
     # ties break toward the first index
-    assert policy.choose_victim(0, _ways([(0, 4), (0, 4)]), rec) == (0, True)
-    assert policy.choose_victim(0, _ways([(2, 1), (3, 2), (1, 0)]), rec) == (0, True)
+    assert policy.choose_victim(0, _ways([(0, 4), (0, 4)])) == (0, True)
+    assert policy.choose_victim(0, _ways([(2, 1), (3, 2), (1, 0)])) == (0, True)
     # an rrpv==7 block delegates to the Hawkeye rule, reported averse
-    assert policy.choose_victim(0, _ways([(0, 0), (5, 7), (0, 3)]), rec) == (1, False)
+    assert policy.choose_victim(0, _ways([(0, 0), (5, 7), (0, 3)])) == (1, False)
     hawkeye = HawkeyePolicy(CacheGeometry(64, 4))
     for pairs in ([(2, 7), (1, 1)], [(0, 3), (0, 7), (4, 7)]):
-        assert (policy.choose_victim(0, _ways(pairs), rec)
-                == hawkeye.choose_victim(0, _ways(pairs), rec))
+        assert (policy.choose_victim(0, _ways(pairs))
+                == hawkeye.choose_victim(0, _ways(pairs)))
     # efh decrements on hits and saturates at zero
     ways = _ways([(2, 0)])
     for expected in (1, 0, 0):
-        policy.on_hit(0, ways, 0, rec)
+        policy.on_hit(0, ways, 0, addr, pc)
         assert ways[0].efh == expected
 
 
@@ -149,8 +149,8 @@ def test_c06_no_averse_fraction_plumbing():
     fraction = no_averse_fraction(stats)
     assert 0.0 < fraction < 1.0
     # the stats counters are exactly the event-log tallies
-    no_averse = sum(1 for ev in events if ev.no_averse)
-    averse_present = sum(1 for ev in events if not ev.no_averse)
+    no_averse = int(np.count_nonzero(events.no_averse))
+    averse_present = int(np.count_nonzero(~events.no_averse))
     assert stats.replacements_no_averse == no_averse
     assert stats.replacements_total == no_averse + averse_present == len(events)
     assert fraction == no_averse / len(events)
@@ -215,7 +215,7 @@ def test_c10_counters_stay_in_range():
     blocks = rng.integers(0, 1 << 34, size=n)
     pcs = rng.integers(0, 1 << 30, size=n) * 4
     source = make_trace([(int(p), int(b) * 64) for p, b in zip(pcs, blocks)])
-    records = [source.record(i) for i in range(n)]
+    addrs, pcs = source.addr.tolist(), source.pc.tolist()
 
     for name in POLICY_NAMES:
         geom = CacheGeometry(64, 4) if name == "drrip" else CacheGeometry(1, 4)
@@ -224,30 +224,30 @@ def test_c10_counters_stay_in_range():
         for w in range(4):
             ways[w].valid = True
             ways[w].tag = w
-            policy.on_insert(0, ways, w, records[w])
+            policy.on_insert(0, ways, w, addrs[w], pcs[w])
 
         kinds = rng.integers(0, 100, size=events_per_policy)
         hit_ways = rng.integers(0, 4, size=events_per_policy)
         sets = rng.integers(0, geom.num_sets, size=events_per_policy)
         for k in range(events_per_policy):
-            rec = records[k % n]
+            addr, pc = addrs[k % n], pcs[k % n]
             si = int(sets[k])
             if kinds[k] < 30:
-                policy.on_observe(rec)
+                policy.on_observe(geom.set_index(addr), geom.tag(addr), addr, pc)
                 continue
             if kinds[k] < 60:
                 way = int(hit_ways[k])
-                ways[way].last_pc = rec.pc
-                policy.on_hit(si, ways, way, rec)
+                ways[way].last_pc = pc
+                policy.on_hit(si, ways, way, addr, pc)
                 blk = ways[way]
                 assert 0 <= blk.rrpv <= RRPV_MAX and 0 <= blk.efh <= EFH_MAX
             else:
-                way, _ = policy.choose_victim(si, ways, rec)
+                way, _ = policy.choose_victim(si, ways)
                 if way != BYPASS:
                     blk = ways[way]
-                    blk.tag = rec.addr >> 6
-                    blk.last_pc = rec.pc
-                    policy.on_insert(si, ways, way, rec)
+                    blk.tag = addr >> 6
+                    blk.last_pc = pc
+                    policy.on_insert(si, ways, way, addr, pc)
                 for blk in ways:
                     assert 0 <= blk.rrpv <= RRPV_MAX and 0 <= blk.efh <= EFH_MAX
             if name == "drrip":

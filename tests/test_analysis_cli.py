@@ -22,6 +22,7 @@ from ehcsim import (
     run_report,
     save_trace,
 )
+from ehcsim import _kernels
 from ehcsim.cli import main
 from ehcsim.errors import DataError
 
@@ -243,6 +244,34 @@ def test_cli_usage_errors(trace_file, tmp_path):
     for value in ("-1", "8", "9"):
         assert main(["run", "--trace", str(trace_file), "--policy", "ehc",
                      "--ehc-fixed-init", value, "--csv", out]) == 1
+
+
+WRAPPING_WAYS = str((1 << 60) + 1)  # 16 sets x these ways wrap around int64
+
+
+@pytest.mark.parametrize("command, sets, ways", [
+    (["run", "--policy", "lru"], "16", WRAPPING_WAYS),
+    (["run", "--policy", "lru", "--events"], "16", WRAPPING_WAYS),
+    (["analyze", "--report", "min-gap", "--policy", "lru"], "16", WRAPPING_WAYS),
+    (["analyze", "--report", "hitcount-block"], "16", WRAPPING_WAYS),
+    (["run", "--policy", "lru"], str(1 << 40), "16"),  # more memory than any host
+    (["run", "--policy", "ehc"], str(1 << 70), "2"),   # beyond int64
+])
+def test_cli_reports_a_geometry_it_cannot_allocate(trace_file, tmp_path, command, sets, ways):
+    # In a child process, so that a crash in the kernel fails this test
+    # instead of ending the test run. Without the kernel the reference
+    # engine would try to build these tables in Python.
+    assert _kernels.supports("lru"), _kernels.unavailable()
+    if command[-1] == "--events":
+        command = [*command, str(tmp_path / "events.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ehcsim", *command, "--trace", str(trace_file),
+         "--sets", sets, "--ways", ways, "--csv", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
 
 
 def test_cli_data_errors(tmp_path):

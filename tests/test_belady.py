@@ -31,20 +31,21 @@ def _policy(cls=HawkeyePolicy, **kw):
     return policy
 
 
-def _record(pc=FRIENDLY_PC, addr=0):
-    return make_trace([(pc, addr)]).record(0)
+def _access(pc=FRIENDLY_PC, addr=0):
+    """The (addr, pc) arguments of on_hit and on_insert."""
+    return addr, pc
 
 
 def test_hawkeye_evicts_averse_first():
     policy = _policy()
     ways = _ways(rrpv=[7, 0, 3])
-    assert policy.choose_victim(0, ways, _record()) == (0, False)
+    assert policy.choose_victim(0, ways) == (0, False)
 
 
 def test_hawkeye_falls_back_to_oldest_friendly():
     policy = _policy()
     ways = _ways(rrpv=[0, 6, 3], last_pc=[0, 0x600000, 0])
-    assert policy.choose_victim(0, ways, _record()) == (1, True)
+    assert policy.choose_victim(0, ways) == (1, True)
     # the fallback eviction detrains the victim's last toucher
     idx = policy.pc_table.index(0x600000)
     assert policy.pc_table.counters[idx] == PC_COUNTER_INIT - 1
@@ -53,37 +54,37 @@ def test_hawkeye_falls_back_to_oldest_friendly():
 def test_hawkeye_fallback_tie_breaks_low_way():
     policy = _policy()
     ways = _ways(rrpv=[5, 5, 2])
-    way, no_averse = policy.choose_victim(0, ways, _record())
+    way, no_averse = policy.choose_victim(0, ways)
     assert (way, no_averse) == (0, True)
 
 
 def test_friendly_insert_ages_other_friendly_blocks():
     policy = _policy()
     ways = _ways(rrpv=[0, 3, 6])
-    policy.on_insert(0, ways, 0, _record(FRIENDLY_PC))
+    policy.on_insert(0, ways, 0, *_access(FRIENDLY_PC))
     assert [b.rrpv for b in ways] == [0, 4, 6]  # 6 is capped, new block at 0
 
 
 def test_averse_insert_does_not_age():
     policy = _policy()
     ways = _ways(rrpv=[0, 3, 6])
-    policy.on_insert(0, ways, 1, _record(AVERSE_PC))
+    policy.on_insert(0, ways, 1, *_access(AVERSE_PC))
     assert [b.rrpv for b in ways] == [0, 7, 6]
 
 
 def test_hit_reclassifies_without_aging():
     policy = _policy()
     ways = _ways(rrpv=[4, 3, 2])
-    policy.on_hit(0, ways, 0, _record(FRIENDLY_PC))
+    policy.on_hit(0, ways, 0, *_access(FRIENDLY_PC))
     assert [b.rrpv for b in ways] == [0, 3, 2]
-    policy.on_hit(0, ways, 1, _record(AVERSE_PC))
+    policy.on_hit(0, ways, 1, *_access(AVERSE_PC))
     assert [b.rrpv for b in ways] == [0, 7, 2]
 
 
 def test_aging_can_be_disabled():
     policy = _policy(aging=False)
     ways = _ways(rrpv=[0, 3, 5])
-    policy.on_insert(0, ways, 0, _record(FRIENDLY_PC))
+    policy.on_insert(0, ways, 0, *_access(FRIENDLY_PC))
     assert [b.rrpv for b in ways] == [0, 3, 5]
 
 
@@ -91,19 +92,19 @@ def test_ehc_minimizes_efh_minus_rrpv():
     policy = _policy(EhcPolicy)
     ways = _ways(efh=[1, 0, 3], rrpv=[0, 2, 6])
     # scores 1, -2, -3: way 2 loses despite high expected hits once old
-    assert policy.choose_victim(0, ways, _record()) == (2, True)
+    assert policy.choose_victim(0, ways) == (2, True)
 
 
 def test_ehc_tie_breaks_first_index():
     policy = _policy(EhcPolicy)
     ways = _ways(efh=[0, 0], rrpv=[4, 4])
-    assert policy.choose_victim(0, ways, _record()) == (0, True)
+    assert policy.choose_victim(0, ways) == (0, True)
 
 
 def test_ehc_defers_to_averse_eviction():
     policy = _policy(EhcPolicy)
     ways = _ways(efh=[0, 5, 0], rrpv=[0, 7, 3])
-    assert policy.choose_victim(0, ways, _record()) == (1, False)
+    assert policy.choose_victim(0, ways) == (1, False)
 
 
 def test_ehc_matches_hawkeye_when_averse_present():
@@ -112,16 +113,16 @@ def test_ehc_matches_hawkeye_when_averse_present():
     for rrpvs in ([7, 1, 2], [3, 7, 7], [0, 0, 7]):
         hw = _ways(rrpv=rrpvs)
         ew = _ways(rrpv=rrpvs, efh=[2, 2, 2])
-        assert h.choose_victim(0, hw, _record()) == e.choose_victim(0, ew, _record())
+        assert h.choose_victim(0, hw) == e.choose_victim(0, ew)
 
 
 def test_efh_decrements_on_hits_and_saturates():
     policy = _policy(EhcPolicy, fixed_init=3)
     ways = _ways(efh=[0], rrpv=[0])
-    policy.on_insert(0, ways, 0, _record())
+    policy.on_insert(0, ways, 0, *_access())
     assert ways[0].efh == 3
     for expected in (2, 1, 0, 0, 0):
-        policy.on_hit(0, ways, 0, _record())
+        policy.on_hit(0, ways, 0, *_access())
         assert ways[0].efh == expected
 
 
@@ -131,10 +132,10 @@ def test_efh_seeded_from_region_history():
     for h in (2, 2, 2, 2):
         policy.region_table.record_eviction(addr, h)
     ways = _ways(efh=[0], rrpv=[0])
-    policy.on_insert(0, ways, 0, _record(addr=addr))
+    policy.on_insert(0, ways, 0, *_access(addr=addr))
     assert ways[0].efh == 2
     # unknown region falls back to the default of one expected hit
-    policy.on_insert(0, ways, 0, _record(addr=99 << 17))
+    policy.on_insert(0, ways, 0, *_access(addr=99 << 17))
     assert ways[0].efh == 1
 
 
@@ -144,7 +145,7 @@ def test_efh_zero_history_region():
     for h in (0, 0, 0, 0):
         policy.region_table.record_eviction(addr, h)
     ways = _ways(efh=[5], rrpv=[0])
-    policy.on_insert(0, ways, 0, _record(addr=addr))
+    policy.on_insert(0, ways, 0, *_access(addr=addr))
     assert ways[0].efh == 0
 
 
@@ -153,7 +154,7 @@ def test_fixed_init_overrides_region_table():
     addr = 6 << 17
     policy.region_table.record_eviction(addr, 1)
     ways = _ways(efh=[0], rrpv=[0])
-    policy.on_insert(0, ways, 0, _record(addr=addr))
+    policy.on_insert(0, ways, 0, *_access(addr=addr))
     assert ways[0].efh == 5
 
 

@@ -1,5 +1,6 @@
 """Cache engine: geometry math, the simulate loop, events, invariants."""
 
+import numpy as np
 import pytest
 
 from ehcsim import (
@@ -80,9 +81,9 @@ def test_cold_fills_are_not_replacements():
     stats, events, _ = simulate(t, LruPolicy(g), g, record_events=True)
     assert stats.replacements_total == 1  # only the third access replaces
     assert len(events) == 1
-    assert events[0].index == 2
-    assert events[0].incoming_addr == 0x080
-    assert set(events[0].resident_addrs) == {0x000, 0x040}
+    assert events.index.tolist() == [2]
+    assert events.incoming_addr.tolist() == [0x080]
+    assert set(events.resident_addrs[0].tolist()) == {0x000, 0x040}
 
 
 def test_hit_flags():
@@ -93,7 +94,7 @@ def test_hit_flags():
 
 
 class _OutOfRangePolicy(ReplacementPolicy):
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return len(ways), False
 
 
@@ -105,7 +106,7 @@ def test_victim_out_of_range():
 
 
 class _AlwaysBypass(ReplacementPolicy):
-    def choose_victim(self, set_index, ways, record):
+    def choose_victim(self, set_index, ways):
         return BYPASS, False
 
 
@@ -133,3 +134,59 @@ def test_one_valid_way_per_tag():
     policy = LruPolicy(g)
     stats, _, _ = simulate(t, policy, g, check=True)
     assert stats.accesses == 200
+
+
+class _RecordingPolicy(LruPolicy):
+    """LRU that records the arguments of every hook call."""
+
+    def __init__(self, geom):
+        super().__init__(geom)
+        self.observed, self.touched, self.victim_sets = [], [], []
+
+    def on_observe(self, set_index, tag, addr, pc):
+        self.observed.append((set_index, tag, addr, pc))
+
+    def on_hit(self, set_index, ways, way, addr, pc):
+        self.touched.append((set_index, addr, pc))
+
+    def on_insert(self, set_index, ways, way, addr, pc):
+        self.touched.append((set_index, addr, pc))
+
+    def choose_victim(self, set_index, ways):
+        self.victim_sets.append(set_index)
+        return super().choose_victim(set_index, ways)
+
+
+TOP = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("block_bits", [1, 6, 64, 70])
+def test_hooks_receive_each_access_set_tag_addr_and_pc(block_bits):
+    # The engine shifts numpy columns; every value must equal the
+    # geometry's Python-int arithmetic, up to the last address and PC.
+    geom = CacheGeometry(4, 2, block_bits)
+    rng = np.random.default_rng(block_bits)
+    addrs = [TOP, TOP - 1, 0, 1 << 63, (1 << 63) - 1, TOP, 0x40, 0x80,
+             *(int(a) for a in rng.integers(0, TOP, size=40, dtype=np.uint64, endpoint=True))]
+    pcs = [TOP, 0, 1 << 63, *(int(p) for p in rng.integers(0, TOP, size=len(addrs) - 3,
+                                                            dtype=np.uint64, endpoint=True))]
+    trace = make_trace(list(zip(pcs, addrs)))
+    policy = _RecordingPolicy(geom)
+    _, _, flags = simulate(trace, policy, geom, check=True)
+
+    assert policy.observed == [(geom.set_index(a), geom.tag(a), a, p)
+                               for a, p in zip(addrs, pcs)]
+    # One hit or insert per access (LRU never bypasses), and a victim
+    # choice at each miss in a full set: LRU inserts on every miss, so a
+    # set is full from its ways-th miss on.
+    assert policy.touched == [(geom.set_index(a), a, p) for a, p in zip(addrs, pcs)]
+    misses_in = {}
+    full_set_misses = []
+    for a, hit in zip(addrs, flags.tolist()):
+        if not hit:
+            s = geom.set_index(a)
+            if misses_in.get(s, 0) >= geom.associativity:
+                full_set_misses.append(s)
+            misses_in[s] = misses_in.get(s, 0) + 1
+    assert policy.victim_sets == full_set_misses
+    assert all(type(v) is int for row in policy.observed for v in row)

@@ -7,7 +7,7 @@ Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
 anywhere in the 64-bit address space (two of three trace shapes crowd a
 few sets so that they fill, evict and bypass), hand-made event logs
 (bypass rows, addresses the trace never touches, the empty log) and
-hand-made residency lists (ties in completion order, shared blocks and
+hand-made residency rows (ties in completion order, shared blocks and
 regions) are checked against the per-access implementations in
 ``loop_oracles``.
 """
@@ -20,7 +20,6 @@ from ehcsim import (
     EventLog,
     ReplacementEvent,
     ResidencyLog,
-    ResidencyRecord,
     SampledSetHistory,
     Trace,
     compute_next_use,
@@ -35,8 +34,16 @@ from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
 from ehcsim.trace import REGION_SHIFT
 
-from conftest import assert_same_array, assert_same_log, assert_same_min, make_trace
+from conftest import (
+    assert_same_array,
+    assert_same_log,
+    assert_same_min,
+    event_log,
+    make_trace,
+    residency_log,
+)
 from loop_oracles import (
+    Residency,
     loop_next_use,
     loop_prediction_error,
     loop_simulate_min,
@@ -106,8 +113,8 @@ def test_simulate_min_matches_loop(case):
     for bypass in (False, True):
         o_stats, o_decisions, o_residencies, o_events = loop_simulate_min(trace, geom, bypass)
         expected = (
-            o_stats, o_decisions, ResidencyLog.from_records(o_residencies),
-            EventLog.from_events(o_events, geom.associativity),
+            o_stats, o_decisions, residency_log(o_residencies),
+            event_log(o_events, geom.associativity),
         )
         ranks = loop_victim_quality(o_events, trace, geom)
         for backend in ("kernel", "reference"):
@@ -132,7 +139,7 @@ def residency_lists(draw):
                   st.sampled_from(regions), st.integers(0, 7)),
         min_size=1, max_size=5))
     record = st.builds(
-        ResidencyRecord, addr=st.sampled_from(blocks), fill=st.integers(0, 6),
+        Residency, addr=st.sampled_from(blocks), fill=st.integers(0, 6),
         end=st.integers(0, 6), hits=st.integers(0, 12),
     )
     return draw(st.lists(record, max_size=40))
@@ -141,13 +148,13 @@ def residency_lists(draw):
 @PROPERTY_SETTINGS
 @given(residency_lists())
 def test_prediction_error_matches_loop(records):
-    log = ResidencyLog.from_records(records)
-    assert list(log) == records
+    log = residency_log(records)
+    assert list(zip(log.addr.tolist(), log.fill.tolist(), log.end.tolist(),
+                    log.hits.tolist())) == records
     for histogram, key in ((per_block_prediction_error, lambda r: r.addr),
                            (per_region_prediction_error, lambda r: r.addr >> REGION_SHIFT)):
         expected = loop_prediction_error(records, key)
         assert_same_array(histogram(log), expected, histogram.__name__)
-        assert_same_array(histogram(records), expected, histogram.__name__)
 
 
 @st.composite
@@ -182,8 +189,7 @@ def event_logs(draw):
 def test_victim_quality_matches_loop(case):
     geom, trace, events = case
     expected = loop_victim_quality(events, trace, geom).tolist()
-    assert victim_quality(events, trace, geom).tolist() == expected
-    log = EventLog.from_events(events, geom.associativity)
+    log = event_log(events, geom.associativity)
     assert list(log) == events
     assert victim_quality(log, trace, geom).tolist() == expected
 

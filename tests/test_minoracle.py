@@ -11,7 +11,6 @@ from ehcsim import (
     NO_NEXT_USE,
     ReplacementEvent,
     ResidencyLog,
-    ResidencyRecord,
     UsageError,
     compute_next_use,
     mean_rank,
@@ -21,7 +20,15 @@ from ehcsim import (
     victim_quality,
 )
 
-from conftest import assert_same_min, make_trace, max_hits_exhaustive, random_trace
+from conftest import (
+    assert_same_min,
+    event_log,
+    make_trace,
+    max_hits_exhaustive,
+    random_trace,
+    residency_log,
+)
+from loop_oracles import Residency
 
 A, B, C, D, Z = 0x000, 0x040, 0x080, 0x0C0, 0x100
 GEOM1x2 = CacheGeometry(1, 2)
@@ -56,11 +63,12 @@ def test_min_without_bypass():
         MinDecision.HIT, MinDecision.MISS,
     ]
     assert stats.per_policy["bypasses"] == 0
-    by_addr = {(r.addr, r.end): r for r in residencies}
-    assert by_addr[(B, 2)].hits == 0   # evicted for C
-    assert by_addr[(A, 4)].hits == 1   # evicted for B's return
-    assert by_addr[(C, 5)].end == len(t)  # still resident at the end
-    assert sum(r.hits for r in residencies) == stats.hits
+    hits_by_stay = dict(zip(zip(residencies.addr.tolist(), residencies.end.tolist()),
+                            residencies.hits.tolist()))
+    assert hits_by_stay[(B, 2)] == 0   # evicted for C
+    assert hits_by_stay[(A, 4)] == 1   # evicted for B's return
+    assert (C, len(t)) in hits_by_stay  # still resident at the end
+    assert int(residencies.hits.sum()) == stats.hits
 
 
 def test_min_with_bypass():
@@ -74,7 +82,7 @@ def test_min_with_bypass():
     assert stats.per_policy["bypasses"] == 1
     assert stats.replacements_total == 0
     # C was never inserted, so only A and B ever occupied the set
-    assert {r.addr for r in residencies} == {A, B}
+    assert set(residencies.addr.tolist()) == {A, B}
 
 
 def test_bypass_loses_ties():
@@ -85,7 +93,7 @@ def test_bypass_loses_ties():
     stats, _, residencies, _ = simulate_min(t, CacheGeometry(1, 1), bypass=True)
     assert stats.per_policy["bypasses"] == 0
     assert stats.replacements_total == 2
-    assert {r.addr for r in residencies} == {A, B, C}
+    assert set(residencies.addr.tolist()) == {A, B, C}
 
 
 def test_min_bypass_never_hurts(rng):
@@ -111,54 +119,54 @@ def test_min_bypass_matches_exhaustive_search(rng):
 
 def _recs(addr, hit_counts, start=0):
     return [
-        ResidencyRecord(addr=addr, fill=start + 10 * k, end=start + 10 * k + 9, hits=h)
+        Residency(addr=addr, fill=start + 10 * k, end=start + 10 * k + 9, hits=h)
         for k, h in enumerate(hit_counts)
     ]
 
 
 def test_block_error_steady_block_is_exact():
-    hist = per_block_prediction_error(_recs(A, [2, 2, 2, 2, 2]))
+    hist = per_block_prediction_error(residency_log(_recs(A, [2, 2, 2, 2, 2])))
     assert hist.tolist() == [4, 0, 0, 0, 0]
 
 
 def test_block_error_mixed_history():
     # predictions: 0, 1, 1, 1 against actuals 1, 1, 2, 3
-    hist = per_block_prediction_error(_recs(A, [0, 1, 1, 2, 3]))
+    hist = per_block_prediction_error(residency_log(_recs(A, [0, 1, 1, 2, 3])))
     assert hist.tolist() == [1, 2, 1, 0, 0]
 
 
 def test_block_error_last_bucket_saturates():
-    hist = per_block_prediction_error(_recs(A, [0, 9]))
+    hist = per_block_prediction_error(residency_log(_recs(A, [0, 9])))
     assert hist.tolist() == [0, 0, 0, 0, 1]
 
 
 def test_block_error_first_sighting_excluded():
-    assert per_block_prediction_error(_recs(A, [5])).sum() == 0
+    assert per_block_prediction_error(residency_log(_recs(A, [5]))).sum() == 0
     # ... per block: two different blocks, one residency each
     recs = _recs(A, [3]) + _recs(B, [3], start=100)
-    assert per_block_prediction_error(recs).sum() == 0
+    assert per_block_prediction_error(residency_log(recs)).sum() == 0
 
 
 def test_block_error_window_is_four():
     # five 0-hit residencies then a 4: the lone spike predicts from [0,0,0,0]
-    hist = per_block_prediction_error(_recs(A, [0, 0, 0, 0, 0, 4]))
+    hist = per_block_prediction_error(residency_log(_recs(A, [0, 0, 0, 0, 0, 4])))
     assert hist.tolist() == [4, 0, 0, 0, 1]
 
 
 def test_region_error_pools_blocks():
     # same 128 KB region: B's first residency is predicted from A's
     recs = _recs(A, [1]) + _recs(B, [1], start=100)
-    assert per_region_prediction_error(recs).tolist() == [1, 0, 0, 0, 0]
+    assert per_region_prediction_error(residency_log(recs)).tolist() == [1, 0, 0, 0, 0]
     # different regions: nothing to predict from
     far = A + (1 << 17)
     recs = _recs(A, [1]) + _recs(far, [1], start=100)
-    assert per_region_prediction_error(recs).sum() == 0
+    assert per_region_prediction_error(residency_log(recs)).sum() == 0
 
 
 def test_error_histograms_sort_by_completion():
     recs = _recs(A, [0, 4])
-    hist_fwd = per_block_prediction_error(recs)
-    hist_rev = per_block_prediction_error(list(reversed(recs)))
+    hist_fwd = per_block_prediction_error(residency_log(recs))
+    hist_rev = per_block_prediction_error(residency_log(list(reversed(recs))))
     assert hist_fwd.tolist() == hist_rev.tolist() == [0, 0, 0, 0, 1]
 
 
@@ -168,27 +176,27 @@ def _quality_fixture():
     t = make_trace(addrs)
     # candidates at index 0: residents A (next use 10), B (3), C (never),
     # incoming D (5)
-    def event(victim_way):
-        return ReplacementEvent(
+    def events(victim_way):
+        return event_log([ReplacementEvent(
             index=0, set_index=0, victim_way=victim_way, no_averse=False,
             incoming_addr=D, resident_addrs=(A, B, C),
-        )
-    return geom, t, event
+        )], geom.associativity)
+    return geom, t, events
 
 
 def test_victim_quality_ranks():
-    geom, t, event = _quality_fixture()
-    hist = victim_quality([event(2)], t, geom)     # evicting C: optimal
+    geom, t, events = _quality_fixture()
+    hist = victim_quality(events(2), t, geom)     # evicting C: optimal
     assert hist.tolist() == [1, 0, 0, 0]
-    hist = victim_quality([event(1)], t, geom)     # evicting B: worst
+    hist = victim_quality(events(1), t, geom)     # evicting B: worst
     assert hist.tolist() == [0, 0, 0, 1]
-    hist = victim_quality([event(0)], t, geom)     # evicting A: only C farther
+    hist = victim_quality(events(0), t, geom)     # evicting A: only C farther
     assert hist.tolist() == [0, 1, 0, 0]
 
 
 def test_victim_quality_scores_bypass():
-    geom, t, event = _quality_fixture()
-    hist = victim_quality([event(BYPASS)], t, geom)  # D at 5: A and C farther
+    geom, t, events = _quality_fixture()
+    hist = victim_quality(events(BYPASS), t, geom)  # D at 5: A and C farther
     assert hist.tolist() == [0, 0, 1, 0]
 
 

@@ -77,9 +77,9 @@ def test_srrip_insert_and_promote():
     geom = CacheGeometry(1, 2)
     policy = SrripPolicy(geom)
     ways = _ways(rrpv=[0, 0])
-    policy.on_insert(0, ways, 1, None)
+    policy.on_insert(0, ways, 1, 0, 0)
     assert ways[1].rrpv == RRPV_MAX - 1
-    policy.on_hit(0, ways, 1, None)
+    policy.on_hit(0, ways, 1, 0, 0)
     assert ways[1].rrpv == 0
 
 
@@ -99,7 +99,7 @@ def test_brrip_insert_rrpvs():
     seen = set()
     ways = _ways(rrpv=[0])
     for _ in range(200):
-        policy.on_insert(0, ways, 0, None)
+        policy.on_insert(0, ways, 0, 0, 0)
         seen.add(ways[0].rrpv)
     assert seen == {RRPV_MAX, RRPV_MAX - 1}
     assert policy.extra_stats()["long_inserts"] == policy.long_inserts
@@ -130,9 +130,9 @@ def test_drrip_psel_moves_on_leader_misses():
     geom = CacheGeometry(64, 1)
     policy = DrripPolicy(geom)
     ways = _ways(rrpv=[0])
-    policy.on_insert(0, ways, 0, None)   # SRRIP leader miss
+    policy.on_insert(0, ways, 0, 0, 0)   # SRRIP leader miss
     assert policy.psel == PSEL_INIT + 1
-    policy.on_insert(33, ways, 0, None)  # BRRIP leader miss
+    policy.on_insert(33, ways, 0, 0, 0)  # BRRIP leader miss
     assert policy.psel == PSEL_INIT
 
 
@@ -155,13 +155,12 @@ def test_drrip_beats_srrip_on_thrash():
 def test_ship_insertion_follows_counter():
     geom = CacheGeometry(1, 2)
     policy = ShipPolicy(geom)
-    rec = make_trace([(0x500, 0)]).record(0)
     sig_ways = _ways(rrpv=[0, 0])
-    policy.on_insert(0, sig_ways, 0, rec)
+    policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX        # counter at zero: distant
     sig = policy.signature[0, 0]
     policy.shct[sig] = 5
-    policy.on_insert(0, sig_ways, 0, rec)
+    policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX - 1
     assert policy.outcome[0, 0] == 0           # insert clears the outcome bit
 
@@ -169,16 +168,15 @@ def test_ship_insertion_follows_counter():
 def test_ship_trains_on_eviction():
     geom = CacheGeometry(1, 1)
     policy = ShipPolicy(geom)
-    rec = make_trace([(0x500, 0)]).record(0)
     ways = _ways(rrpv=[7])
-    policy.on_insert(0, ways, 0, rec)
+    policy.on_insert(0, ways, 0, 0, 0x500)
     sig = policy.signature[0, 0]
-    policy.on_hit(0, ways, 0, rec)             # block got reused
-    policy.choose_victim(0, ways, rec)
+    policy.on_hit(0, ways, 0, 0, 0x500)        # block got reused
+    policy.choose_victim(0, ways)
     assert policy.shct[sig] == 1
     policy.outcome[0, 0] = 0                   # dead block this time
     ways[0].rrpv = 7
-    policy.choose_victim(0, ways, rec)
+    policy.choose_victim(0, ways)
     assert policy.shct[sig] == 0
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ehcsim import (
-    AccessRecord,
     BadMagic,
     GeneratorSpec,
     InvalidSpec,
@@ -115,13 +114,6 @@ def test_load_trace_validates(tmp_path):
     save_trace(t, path)
     with pytest.raises(InvalidTrace):
         load_trace(path)
-
-
-def test_records_iteration():
-    t = make_trace([(0x500, 0x40), (0x504, 0x80)])
-    recs = [t.record(i) for i in range(len(t))]
-    assert recs[0] == AccessRecord(seq=0, core=0, pc=0x500, addr=0x40, kind=0)
-    assert recs[1].addr == 0x80
 
 
 def test_validate_rejects_bad_kind():
