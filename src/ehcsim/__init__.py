@@ -5,143 +5,60 @@ family, SHiP), the MIN-emulation-driven Hawkeye policy, and EHC — Hawkeye
 extended with a per-block expected-further-hits countdown seeded from
 per-region residency history — plus offline Belady MIN oracles and the
 analyses built on them.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first use (PEP 562), so a process pays only
+for the layers it runs.
 """
 
-from .analysis import (
-    Report,
-    analyze,
-    compare,
-    mpki,
-    mpki_reduction,
-    no_averse_fraction,
-    run_report,
-)
-from .belady import EhcPolicy, HawkeyePolicy
-from .engine import (
-    BYPASS,
-    CacheGeometry,
-    DEFAULT_GEOMETRY,
-    EFH_MAX,
-    RRPV_MAX,
-    EventLog,
-    ReplacementEvent,
-    ReplacementPolicy,
-    SimStats,
-    simulate,
-)
-from .errors import (
-    BadMagic,
-    DataError,
-    EhcSimError,
-    InternalInvariantError,
-    InvalidSpec,
-    InvalidTrace,
-    MissingEventLog,
-    TooManyCores,
-    TrailingBytes,
-    Truncated,
-    UnknownPolicy,
-    UnsupportedVersion,
-    UsageError,
-    ZeroInstructions,
-)
-from .minoracle import (
-    NO_NEXT_USE,
-    ResidencyLog,
-    compute_next_use,
-    mean_rank,
-    per_block_prediction_error,
-    per_region_prediction_error,
-    simulate_min,
-    victim_quality,
-)
-from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
-from .runner import POLICY_NAMES, make_policy, run_policy
-from .sampler import (
-    MinDecision,
-    MinSampler,
-    PcCounterTable,
-    RegionHitTable,
-    SampledSetHistory,
-    is_sampled_set,
-)
-from .trace import (
-    GENERATOR_KINDS,
-    GeneratorSpec,
-    Trace,
-    gen_synthetic,
-    interleave,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BYPASS",
-    "BadMagic",
-    "BrripPolicy",
-    "CacheGeometry",
-    "DEFAULT_GEOMETRY",
-    "DataError",
-    "DrripPolicy",
-    "EFH_MAX",
-    "EhcPolicy",
-    "EhcSimError",
-    "EventLog",
-    "GENERATOR_KINDS",
-    "GeneratorSpec",
-    "HawkeyePolicy",
-    "InternalInvariantError",
-    "InvalidSpec",
-    "InvalidTrace",
-    "LruPolicy",
-    "MinDecision",
-    "MinSampler",
-    "MissingEventLog",
-    "NO_NEXT_USE",
-    "PcCounterTable",
-    "POLICY_NAMES",
-    "RRPV_MAX",
-    "RegionHitTable",
-    "ReplacementEvent",
-    "ReplacementPolicy",
-    "Report",
-    "ResidencyLog",
-    "SampledSetHistory",
-    "ShipPolicy",
-    "SimStats",
-    "SrripPolicy",
-    "TooManyCores",
-    "Trace",
-    "TrailingBytes",
-    "Truncated",
-    "UnknownPolicy",
-    "UnsupportedVersion",
-    "UsageError",
-    "ZeroInstructions",
-    "analyze",
-    "compare",
-    "compute_next_use",
-    "gen_synthetic",
-    "interleave",
-    "is_sampled_set",
-    "load_trace",
-    "make_policy",
-    "mean_rank",
-    "mpki",
-    "mpki_reduction",
-    "no_averse_fraction",
-    "per_block_prediction_error",
-    "per_region_prediction_error",
-    "read_trace",
-    "run_policy",
-    "run_report",
-    "save_trace",
-    "simulate",
-    "simulate_min",
-    "victim_quality",
-    "write_trace",
-]
+#: The public names, by the module that defines them.
+_MODULES = {
+    "analysis": (
+        "Report", "analyze", "compare", "mpki", "mpki_reduction", "no_averse_fraction",
+        "run_report",
+    ),
+    "belady": ("EhcPolicy", "HawkeyePolicy"),
+    "engine": (
+        "BYPASS", "CacheGeometry", "DEFAULT_GEOMETRY", "EFH_MAX", "EventLog", "RRPV_MAX",
+        "ReplacementEvent", "ReplacementPolicy", "SimStats", "simulate",
+    ),
+    "errors": (
+        "BadMagic", "DataError", "EhcSimError", "InternalInvariantError", "InvalidSpec",
+        "InvalidTrace", "MissingEventLog", "TooManyCores", "TrailingBytes", "Truncated",
+        "UnknownPolicy", "UnsupportedVersion", "UsageError", "ZeroInstructions",
+    ),
+    "minoracle": (
+        "NO_NEXT_USE", "ResidencyLog", "compute_next_use", "mean_rank",
+        "per_block_prediction_error", "per_region_prediction_error", "simulate_min",
+        "victim_quality",
+    ),
+    "policies": ("BrripPolicy", "DrripPolicy", "LruPolicy", "ShipPolicy", "SrripPolicy"),
+    "runner": ("POLICY_NAMES", "make_policy", "run_policy"),
+    "sampler": (
+        "MinDecision", "MinSampler", "PcCounterTable", "RegionHitTable",
+        "SampledSetHistory", "is_sampled_set",
+    ),
+    "trace": (
+        "GENERATOR_KINDS", "GeneratorSpec", "Trace", "gen_synthetic", "interleave",
+        "load_trace", "read_trace", "save_trace", "write_trace",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,7 +6,7 @@ per trace that covers all built-in policies (dispatched on a policy id) and
 reproduces the reference engine bit for bit; ``ehcsim_min`` runs Belady's
 MIN over a next-use column and reproduces the Python MIN loop bit for bit.
 The test suite enforces both. On first use this module
-prepends a ``#define`` block generated from the Python policy constants,
+prepends a ``#define`` block generated from :mod:`ehcsim.params`,
 compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
 and loads it with ctypes. The library goes to ``__pycache__`` next to this
 file, or, when that is not private to this user, to a per-user directory
@@ -24,7 +24,6 @@ engine and the Python MIN, and one line on stderr per process says why.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import sys
 import tempfile
@@ -32,17 +31,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, policies, sampler
+from . import params
 from .engine import CacheGeometry, EventLog, SimStats
 from .errors import GeometryTooLarge, UsageError
-from .trace import REGION_SHIFT, Trace
+from .trace import Trace
 
-# The kernel compares policy ids by order: the RRIP family sits between LRU
-# and SHiP, and the sampled-set predictors serve every id from Hawkeye on.
-_POLICY_IDS = {
-    name: k
-    for k, name in enumerate(("lru", "srrip", "brrip", "drrip", "ship", "hawkeye", "ehc"))
-}
+try:
+    from _blake2 import blake2b  # what hashlib.blake2b is, without hashlib's import
+except ImportError:
+    from hashlib import blake2b
+
+_POLICY_IDS = {name: k for k, name in enumerate(params.POLICY_NAMES)}
 
 #: The kernel's counter slots, in ``out`` order.
 _COUNTERS = (
@@ -75,35 +74,22 @@ BACKENDS = ("auto", "kernel", "reference")
 def _header() -> str:
     """The ``#define`` block prepended to ``_kernel.c``."""
     defines = {
-        "RRPV_MAX": engine.RRPV_MAX,
-        "EFH_MAX": engine.EFH_MAX,
-        "PSEL_MAX": policies.PSEL_MAX,
-        "PSEL_INIT": policies.PSEL_INIT,
-        "LEADER_PERIOD": policies.LEADER_PERIOD,
-        "SRRIP_LEADER_OFFSET": policies.SRRIP_LEADER_OFFSET,
-        "BRRIP_LEADER_OFFSET": policies.BRRIP_LEADER_OFFSET,
-        "SHCT_BITS": policies.SHCT_BITS,
-        "SHCT_MAX": policies.SHCT_MAX,
-        "PC_TABLE_BITS": sampler.PC_TABLE_BITS,
-        "PC_COUNTER_INIT": sampler.PC_COUNTER_INIT,
-        "PC_COUNTER_MAX": sampler.PC_COUNTER_MAX,
-        "PC_FRIENDLY_THRESHOLD": sampler.PC_FRIENDLY_THRESHOLD,
-        "REGION_SHIFT": REGION_SHIFT,
-        "REGION_TABLE_BITS": sampler.REGION_TABLE_BITS,
-        "REGION_RING_SLOTS": sampler.REGION_RING_SLOTS,
-        "DEFAULT_EXPECTED_HITS": sampler.DEFAULT_EXPECTED_HITS,
-        "SAMPLE_PERIOD": sampler.SAMPLE_PERIOD,
-        "WINDOW_SLOTS_PER_WAY": sampler.WINDOW_SLOTS_PER_WAY,
-        "EVENT_FIELDS": len(_EVENT_FIELDS),
-        "BYPASS": engine.BYPASS,
+        name: getattr(params, name)
+        for name in (
+            "RRPV_MAX", "EFH_MAX", "PSEL_MAX", "PSEL_INIT", "LEADER_PERIOD",
+            "SRRIP_LEADER_OFFSET", "BRRIP_LEADER_OFFSET", "SHCT_BITS", "SHCT_MAX",
+            "PC_TABLE_BITS", "PC_COUNTER_INIT", "PC_COUNTER_MAX", "PC_FRIENDLY_THRESHOLD",
+            "REGION_SHIFT", "REGION_TABLE_BITS", "REGION_RING_SLOTS",
+            "DEFAULT_EXPECTED_HITS", "SAMPLE_PERIOD", "WINDOW_SLOTS_PER_WAY",
+        )
     }
+    defines["EVENT_FIELDS"] = len(_EVENT_FIELDS)
+    defines["BYPASS"] = params.BYPASS
     # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
-    defines.update((name, f"{value}ULL") for name, value in (
-        ("SM_GAMMA", policies.SM_GAMMA),
-        ("SM_MIX1", policies.SM_MIX1),
-        ("SM_MIX2", policies.SM_MIX2),
-        ("BRRIP_LONG_ODDS", policies.BRRIP_LONG_ODDS),
-    ))
+    defines.update(
+        (name, f"{getattr(params, name)}ULL")
+        for name in ("SM_GAMMA", "SM_MIX1", "SM_MIX2", "BRRIP_LONG_ODDS")
+    )
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
     defines.update((f"MIN_OUT_{name.upper()}", k) for k, name in enumerate(_MIN_COUNTERS))
@@ -196,7 +182,7 @@ def _bind(path: Path):
 def _source() -> tuple[str, str]:
     """The C text to compile and the file name of its library."""
     text = _header() + _SOURCE.read_text()
-    digest = hashlib.blake2b(
+    digest = blake2b(
         "\0".join((text, *_CFLAGS)).encode(), digest_size=12
     ).hexdigest()
     return text, f"_kernel-{digest}.so"
@@ -260,13 +246,14 @@ def _library():
     return lib
 
 
-def _int64_geometry(geom: CacheGeometry):
+def check_geometry(geom: CacheGeometry):
     """``(num_sets, associativity, block_offset_bits)`` as the C kernels
-    take them. ctypes wraps an integer beyond int64_t silently, so a
-    geometry that large raises :class:`GeometryTooLarge`; an offset of 64
-    bits or more puts every address in block 0, in C as in Python, so it
-    passes as 64."""
-    if max(geom.num_sets, geom.associativity) >= 1 << 63:
+    take them. ctypes wraps an integer beyond int64_t silently and the
+    kernels refuse a table of 2^63 entries or more, so a geometry that
+    large raises :class:`GeometryTooLarge`; both backends check this first.
+    An offset of 64 bits or more puts every address in block 0, in C as in
+    Python, so it passes as 64."""
+    if geom.num_sets * geom.associativity >= 1 << 63:
         raise _too_large(geom)
     return geom.num_sets, geom.associativity, min(geom.block_offset_bits, 64)
 
@@ -297,7 +284,7 @@ def run(
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`."""
     lib = _library()
     n = len(trace)
-    num_sets, assoc, block_bits = _int64_geometry(geom)
+    num_sets, assoc, block_bits = check_geometry(geom)
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_COUNTERS), dtype=np.int64)
     # Room for an event row at every access.
@@ -343,7 +330,7 @@ def run_min(
     n = len(trace)
     if len(next_use) != n:
         raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
-    num_sets, assoc, block_bits = _int64_geometry(geom)
+    num_sets, assoc, block_bits = check_geometry(geom)
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_MIN_COUNTERS), dtype=np.int64)
     # Room for an event row at every access.

@@ -1,4 +1,8 @@
-"""Metrics, CSV reports, and the experiment drivers behind the CLI."""
+"""Metrics, CSV reports, and the experiment drivers behind the CLI.
+
+The MIN oracle (:mod:`ehcsim.minoracle`) is imported where a report needs
+it, so ``run`` and a plain ``compare`` never load it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import io
 
 import numpy as np
 
-from . import minoracle
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import DataError, UsageError, ZeroInstructions
 from .runner import DEFAULT_SEED, POLICY_NAMES, run_policy
@@ -161,6 +164,8 @@ def compare(
 
     columns = ["hits", "misses", "mpki", "mpki_reduction_vs_lru", "no_averse_fraction"]
     if events:
+        from . import minoracle
+
         columns.append("mean_victim_rank")
 
     results = {}
@@ -191,10 +196,6 @@ def compare(
 
 REPORT_KINDS = ("no-averse", "hitcount-block", "hitcount-region", "victim-quality", "min-gap")
 
-# "0", "1", "2", "3", "4+": the last bucket holds every larger error.
-_BUCKET_LABELS = (*map(str, range(minoracle.ERROR_BUCKETS - 1)),
-                  f"{minoracle.ERROR_BUCKETS - 1}+")
-
 
 def _histogram_table(report: Report, name: str, labels, hist) -> None:
     total = int(np.sum(hist))
@@ -220,6 +221,8 @@ def analyze(
     the policy's victims by next use. ``min-gap``: the policy's miss counts
     next to both MIN variants.
     """
+    from . import minoracle
+
     report = Report(_base_meta(geom, seed) | {"report": kind, "policy": policy})
     if kind == "no-averse":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
@@ -239,7 +242,10 @@ def analyze(
             hist = minoracle.per_block_prediction_error(residencies)
         else:
             hist = minoracle.per_region_prediction_error(residencies)
-        _histogram_table(report, "prediction_error", _BUCKET_LABELS, hist)
+        # "0", "1", "2", "3", "4+": the last bucket holds every larger error.
+        last = minoracle.ERROR_BUCKETS - 1
+        labels = (*map(str, range(last)), f"{last}+")
+        _histogram_table(report, "prediction_error", labels, hist)
     elif kind == "victim-quality":
         _, events, _ = run_policy(trace, policy, geom, seed=seed, record_events=True)
         hist = minoracle.victim_quality(events, trace, geom)

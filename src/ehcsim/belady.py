@@ -9,19 +9,9 @@ least predicted remaining value instead of merely the oldest one.
 
 from __future__ import annotations
 
-from .engine import EFH_MAX, RRPV_MAX, CacheGeometry, ReplacementPolicy
-from .errors import UsageError
+from .engine import CacheGeometry, ReplacementPolicy
+from .params import RRPV_MAX, check_fixed_init
 from .sampler import MinSampler
-
-
-def check_fixed_init(value: int | None) -> None:
-    """Raise :class:`UsageError` unless ``value`` is None or a valid EFH.
-
-    The kernel reads a negative value as "use the region table" and the
-    engine would store any value, so both backends check it first.
-    """
-    if value is not None and not 0 <= value <= EFH_MAX:
-        raise UsageError(f"ehc_fixed_init must be in 0..{EFH_MAX}, not {value}")
 
 
 class HawkeyePolicy(ReplacementPolicy):

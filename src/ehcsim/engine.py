@@ -10,38 +10,30 @@ runs; equivalence between the two paths is enforced by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InternalInvariantError, VictimOutOfRange
-from .trace import Trace
-
-RRPV_MAX = 7  # 3-bit re-reference prediction value
-EFH_MAX = 7   # 3-bit expected-further-hits counter
-
-#: Distinguished choose_victim outcome: skip insertion entirely.
-BYPASS = -1
+from .params import BYPASS, EFH_MAX, RRPV_MAX
+from .trace import Record, Trace
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
+class CacheGeometry(Record):
     """Cache shape: number of sets, ways per set, and block size.
 
     Defaults give the 2 MB, 16-way, 64 B-block configuration.
     """
 
-    num_sets: int = 2048
-    associativity: int = 16
-    block_offset_bits: int = 6
+    __slots__ = ("num_sets", "associativity", "block_offset_bits")
 
-    def __post_init__(self):
-        if self.num_sets < 1 or self.num_sets & (self.num_sets - 1):
+    def __init__(self, num_sets: int = 2048, associativity: int = 16,
+                 block_offset_bits: int = 6):
+        if num_sets < 1 or num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a positive power of two")
-        if self.associativity < 1:
+        if associativity < 1:
             raise ValueError("associativity must be positive")
-        if self.block_offset_bits < 1:
+        if block_offset_bits < 1:
             raise ValueError("block_offset_bits must be positive")
+        self._init(num_sets, associativity, block_offset_bits)
 
     @property
     def set_bits(self) -> int:
@@ -77,16 +69,21 @@ class BlockState:
         self.last_pc = 0
 
 
-@dataclass
-class SimStats:
-    """Counters produced by one simulation run."""
+class SimStats(Record):
+    """Counters produced by one simulation run. Mutable, so unhashable."""
 
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    replacements_total: int = 0
-    replacements_no_averse: int = 0
-    per_policy: dict = field(default_factory=dict)
+    __slots__ = ("accesses", "hits", "misses", "replacements_total",
+                 "replacements_no_averse", "per_policy")
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, accesses: int = 0, hits: int = 0, misses: int = 0,
+                 replacements_total: int = 0, replacements_no_averse: int = 0,
+                 per_policy: dict | None = None):
+        self._init(accesses, hits, misses, replacements_total, replacements_no_averse,
+                   {} if per_policy is None else per_policy)
 
     def check(self) -> None:
         if self.accesses != self.hits + self.misses:
@@ -128,16 +125,21 @@ class ReplacementPolicy:
         return {}
 
 
-@dataclass(frozen=True)
-class ReplacementEvent:
-    """One replacement decision, for victim-quality scoring."""
+class ReplacementEvent(Record):
+    """One replacement decision, for victim-quality scoring.
 
-    index: int            # trace position of the missing access
-    set_index: int
-    victim_way: int       # BYPASS when the incoming block was not inserted
-    no_averse: bool
-    incoming_addr: int    # block-aligned byte address
-    resident_addrs: tuple  # block-aligned byte address per way
+    ``index`` is the trace position of the missing access, ``victim_way``
+    is :data:`BYPASS` when the incoming block was not inserted, and
+    ``incoming_addr`` and ``resident_addrs`` (one per way) are block-aligned
+    byte addresses.
+    """
+
+    __slots__ = ("index", "set_index", "victim_way", "no_averse", "incoming_addr",
+                 "resident_addrs")
+
+    def __init__(self, index: int, set_index: int, victim_way: int, no_averse: bool,
+                 incoming_addr: int, resident_addrs: tuple):
+        self._init(index, set_index, victim_way, no_averse, incoming_addr, resident_addrs)
 
 
 class EventLog:

@@ -20,8 +20,9 @@ import numpy as np
 from . import _kernels
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import MissingEventLog
-from .sampler import REGION_RING_SLOTS, MinDecision
-from .trace import REGION_SHIFT, Trace
+from .params import REGION_RING_SLOTS, REGION_SHIFT
+from .sampler import MinDecision
+from .trace import Trace
 
 #: Sentinel next-use position for blocks never referenced again ("infinity").
 NO_NEXT_USE = 1 << 62
@@ -56,14 +57,19 @@ class ResidencyLog:
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    return _sort_by_block(trace.addr >> np.uint64(geom.block_offset_bits))[1]
+
+
+def _sort_by_block(blocks: np.ndarray):
+    """``(order, next_use)``: the stable argsort of a column of block keys,
+    and the next-use column it gives."""
     # A stable sort keeps each block's accesses in trace order, so every
     # access is followed by its next use unless the block changes there.
     order = np.argsort(blocks, kind="stable")
     same = blocks[order[1:]] == blocks[order[:-1]]
-    next_use = np.full(len(trace), NO_NEXT_USE, dtype=np.int64)
+    next_use = np.full(len(blocks), NO_NEXT_USE, dtype=np.int64)
     next_use[order[:-1][same]] = order[1:][same]
-    return next_use
+    return order, next_use
 
 
 def simulate_min(
@@ -87,9 +93,12 @@ def simulate_min(
     in :func:`ehcsim.runner.run_policy`: ``"auto"`` runs the native kernel
     unless it could not be built, ``"kernel"`` raises
     :class:`~ehcsim.errors.UsageError` when it could not, and
-    ``"reference"`` always runs the Python loop.
+    ``"reference"`` always runs the Python loop. A geometry beyond the
+    kernel's bound raises :class:`~ehcsim.errors.GeometryTooLarge` on
+    either backend.
     """
     _kernels.check_backend(backend)
+    _kernels.check_geometry(geom)
     next_use = compute_next_use(trace, geom)
     n = len(trace)
     if backend == "kernel" or (backend == "auto" and _kernels.unavailable() is None):
@@ -259,28 +268,39 @@ def victim_quality(events: EventLog, trace: Trace,
     """
     if events is None:
         raise MissingEventLog("victim quality requires a recorded event log")
-    next_use_after = _next_use_finder(trace, geom)
+    # Block-aligned addresses; an offset of 64 bits or more aligns all to 0.
+    mask = ~((1 << geom.block_offset_bits) - 1) & ((1 << 64) - 1)
+    aligned = trace.addr & np.uint64(mask)
+    order, next_use = _sort_by_block(aligned)
+    next_use_after = _next_use_finder(aligned, order)
     at = events.index
+    rows = np.arange(len(events))
+    # The incoming block of an event recorded on this trace is the one
+    # accessed at ``at``, whose next use the sort gave; any other incoming
+    # address is looked up.
+    if len(trace):
+        incoming_use = next_use[at]
+        foreign = np.flatnonzero(events.incoming_addr != aligned[at])
+        incoming_use[foreign] = next_use_after(events.incoming_addr[foreign], at[foreign])
+    else:
+        incoming_use = np.full(len(events), NO_NEXT_USE, dtype=np.int64)
+    resident_use = np.empty(events.resident_addrs.shape, dtype=np.int64)
+    for w in range(resident_use.shape[1]):
+        resident_use[:, w] = next_use_after(events.resident_addrs[:, w], at)
     bypassed = events.victim_way == BYPASS
-    victim_addr = events.resident_addrs[
-        np.arange(len(events)), np.where(bypassed, 0, events.victim_way)
-    ]
-    victim_addr[bypassed] = events.incoming_addr[bypassed]
-    victim_use = next_use_after(victim_addr, at)
-    # One candidate column at a time keeps every temporary at len(events).
-    rank = (next_use_after(events.incoming_addr, at) > victim_use).astype(np.int64)
-    for w in range(events.resident_addrs.shape[1]):
-        rank += next_use_after(events.resident_addrs[:, w], at) > victim_use
+    victim_use = np.where(
+        bypassed, incoming_use, resident_use[rows, np.where(bypassed, 0, events.victim_way)]
+    )
+    rank = (incoming_use > victim_use) + np.sum(resident_use > victim_use[:, None], axis=1)
     return np.bincount(rank, minlength=geom.associativity + 1).astype(np.int64)
 
 
-def _next_use_finder(trace: Trace, geom: CacheGeometry):
+def _next_use_finder(aligned: np.ndarray, order: np.ndarray):
     """``f(addrs, at)``: per element, the first trace position after ``at``
     that accesses block-aligned address ``addrs`` (:data:`NO_NEXT_USE` when
-    none does)."""
-    n = len(trace)
-    aligned = trace.addr & ~np.uint64((1 << geom.block_offset_bits) - 1)
-    order = np.argsort(aligned, kind="stable")
+    none does), given the trace's aligned addresses and their stable
+    argsort."""
+    n = len(aligned)
     by_block = aligned[order]
     new_block = np.ones(n, dtype=bool)
     new_block[1:] = by_block[1:] != by_block[:-1]

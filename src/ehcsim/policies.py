@@ -9,26 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import CacheGeometry, ReplacementPolicy, RRPV_MAX
+from .engine import CacheGeometry, ReplacementPolicy
 from .hashing import xor_fold
+from .params import (
+    BRRIP_LEADER_OFFSET,
+    BRRIP_LONG_ODDS,
+    LEADER_PERIOD,
+    PSEL_INIT,
+    PSEL_MAX,
+    RRPV_MAX,
+    SHCT_BITS,
+    SHCT_MAX,
+    SHCT_SIZE,
+    SM_GAMMA,
+    SM_MIX1,
+    SM_MIX2,
+    SRRIP_LEADER_OFFSET,
+)
 
 _M64 = (1 << 64) - 1
-SM_GAMMA = 0x9E3779B97F4A7C15
-SM_MIX1 = 0xBF58476D1CE4E5B9
-SM_MIX2 = 0x94D049BB133111EB
-
-BRRIP_LONG_ODDS = 32  # long (max-1) insertion with probability 1/32
-
-PSEL_BITS = 10
-PSEL_MAX = (1 << PSEL_BITS) - 1
-PSEL_INIT = 1 << (PSEL_BITS - 1)
-LEADER_PERIOD = 64
-SRRIP_LEADER_OFFSET = 0
-BRRIP_LEADER_OFFSET = 33
-
-SHCT_BITS = 14
-SHCT_SIZE = 1 << SHCT_BITS
-SHCT_MAX = 7
 
 
 def brrip_long_insert(seed: int, n: int) -> bool:

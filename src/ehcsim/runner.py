@@ -12,25 +12,19 @@ from __future__ import annotations
 
 from . import _kernels
 from ._kernels import BACKENDS  # noqa: F401 (the backends run_policy takes)
-from .belady import EhcPolicy, HawkeyePolicy, check_fixed_init
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
 from .errors import UnknownPolicy
-from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
+from .params import POLICY_NAMES, check_fixed_init
 from .trace import Trace
 
-POLICY_CLASSES = {
-    "lru": LruPolicy,
-    "srrip": SrripPolicy,
-    "brrip": BrripPolicy,
-    "drrip": DrripPolicy,
-    "ship": ShipPolicy,
-    "hawkeye": HawkeyePolicy,
-    "ehc": EhcPolicy,
-}
-
-POLICY_NAMES = tuple(POLICY_CLASSES)
-
 DEFAULT_SEED = 42
+
+
+def _check_name(name: str) -> None:
+    if name not in POLICY_NAMES:
+        raise UnknownPolicy(
+            f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
+        )
 
 
 def make_policy(
@@ -40,16 +34,18 @@ def make_policy(
     ehc_fixed_init: int | None = None,
     aging: bool = True,
 ):
-    try:
-        cls = POLICY_CLASSES[name]
-    except KeyError:
-        raise UnknownPolicy(
-            f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
-        ) from None
-    if cls is EhcPolicy:
-        return cls(geom, seed=seed, aging=aging, fixed_init=ehc_fixed_init)
-    if cls is HawkeyePolicy:
-        return cls(geom, seed=seed, aging=aging)
+    """A reference-engine policy object for the named built-in policy."""
+    # Only the reference path needs the policy classes, so only it imports them.
+    from .belady import EhcPolicy, HawkeyePolicy
+    from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
+
+    _check_name(name)
+    if name == "ehc":
+        return EhcPolicy(geom, seed=seed, aging=aging, fixed_init=ehc_fixed_init)
+    if name == "hawkeye":
+        return HawkeyePolicy(geom, seed=seed, aging=aging)
+    cls = {"lru": LruPolicy, "srrip": SrripPolicy, "brrip": BrripPolicy,
+           "drrip": DrripPolicy, "ship": ShipPolicy}[name]
     return cls(geom, seed=seed)
 
 
@@ -66,14 +62,14 @@ def run_policy(
     """Simulate ``trace`` under the named policy; returns (stats, events, hit_flags).
 
     ``ehc_fixed_init``, when given, is the EFH every EHC insertion starts
-    from instead of the region table's prediction.
+    from instead of the region table's prediction. A geometry beyond the
+    kernel's bound raises :class:`~ehcsim.errors.GeometryTooLarge` on
+    either backend.
     """
-    if name not in POLICY_CLASSES:
-        raise UnknownPolicy(
-            f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
-        )
+    _check_name(name)
     _kernels.check_backend(backend)
     check_fixed_init(ehc_fixed_init)
+    _kernels.check_geometry(geom)
     if backend == "kernel" or (backend == "auto" and _kernels.supports(name)):
         return _kernels.run(
             trace, name, geom, seed,

@@ -13,23 +13,23 @@ from __future__ import annotations
 
 import enum
 
-from .engine import CacheGeometry, EFH_MAX
+from .engine import CacheGeometry
 from .hashing import xor_fold
-from .trace import REGION_SHIFT
-
-SAMPLE_PERIOD = 64
-WINDOW_SLOTS_PER_WAY = 8  # recording 8x associativity suffices
-
-PC_TABLE_BITS = 13
-PC_TABLE_SIZE = 1 << PC_TABLE_BITS
-PC_COUNTER_MAX = 7
-PC_COUNTER_INIT = 4
-PC_FRIENDLY_THRESHOLD = 4
-
-REGION_TABLE_BITS = 10
-REGION_TABLE_SIZE = 1 << REGION_TABLE_BITS
-REGION_RING_SLOTS = 4
-DEFAULT_EXPECTED_HITS = 1
+from .params import (
+    DEFAULT_EXPECTED_HITS,
+    EFH_MAX,
+    PC_COUNTER_INIT,
+    PC_COUNTER_MAX,
+    PC_FRIENDLY_THRESHOLD,
+    PC_TABLE_BITS,
+    PC_TABLE_SIZE,
+    REGION_RING_SLOTS,
+    REGION_SHIFT,
+    REGION_TABLE_BITS,
+    REGION_TABLE_SIZE,
+    SAMPLE_PERIOD,
+    WINDOW_SLOTS_PER_WAY,
+)
 
 
 class MinDecision(enum.IntEnum):

@@ -13,8 +13,9 @@ count, u64 instruction count, then packed 26-byte records
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     Truncated,
     UnsupportedVersion,
 )
+from .params import REGION_SHIFT  # 128 KB regions
 
 MAGIC = b"EHCT"
 FORMAT_VERSION = 1
@@ -41,12 +43,49 @@ KIND_READ = 0
 KIND_WRITE = 1
 
 BLOCK_BYTES = 64
-REGION_SHIFT = 17  # 128 KB regions
 
 # Synthetic PCs: each generator phase cycles through a small pool so PC-indexed
 # predictors get trainable signal without modeling real code.
 PC_POOL_SIZE = 8
 _PC_BASE = 0x400000
+
+
+class Record:
+    """Base of the simulator's value types (:class:`GeneratorSpec` here,
+    the geometry, stats and event records in :mod:`ehcsim.engine`): the
+    fields are the ``__slots__``, set by ``_init`` and read-only after it
+    unless a subclass allows assignment, and two instances of one class
+    are equal, and hash alike, when every field is."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class Trace:
@@ -125,34 +164,53 @@ def write_trace(trace: Trace) -> bytes:
     return header + cols.tobytes()
 
 
-def read_trace(data: bytes) -> Trace:
-    """Parse trace bytes; the exact inverse of :func:`write_trace`."""
-    if len(data) < 5 or data[:4] != MAGIC:
+def _parse_header(head: bytes, size: int) -> tuple[int, int]:
+    """``(record count, instruction count)`` from the first bytes of a
+    trace of ``size`` bytes; raises unless exactly those records follow."""
+    if len(head) < 5 or head[:4] != MAGIC:
         raise BadMagic("not a trace file (bad magic)")
-    if data[4] != FORMAT_VERSION:
-        raise UnsupportedVersion(f"trace format version {data[4]} not supported")
-    if len(data) < _HEADER.size:
+    if head[4] != FORMAT_VERSION:
+        raise UnsupportedVersion(f"trace format version {head[4]} not supported")
+    if len(head) < _HEADER.size:
         raise Truncated("trace header incomplete")
-    _, _, count, instruction_count = _HEADER.unpack_from(data)
-    payload = memoryview(data)[_HEADER.size:]  # no copy of the records
-    need = count * RECORD_DTYPE.itemsize
-    if len(payload) < need:
+    _, _, count, instruction_count = _HEADER.unpack_from(head)
+    payload, need = size - _HEADER.size, count * RECORD_DTYPE.itemsize
+    if payload < need:
         raise Truncated(f"header declares {count} records, payload holds fewer")
-    if len(payload) > need:
-        raise TrailingBytes(
-            f"{len(payload) - need} bytes follow the {count} declared records"
-        )
-    cols = np.frombuffer(payload, dtype=RECORD_DTYPE)
+    if payload > need:
+        raise TrailingBytes(f"{payload - need} bytes follow the {count} declared records")
+    return count, instruction_count
+
+
+def _from_records(cols: np.ndarray, instruction_count: int) -> Trace:
     return Trace(
         cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
         instruction_count=instruction_count,
     )
 
 
+def read_trace(data: bytes) -> Trace:
+    """Parse trace bytes; the exact inverse of :func:`write_trace`."""
+    _, instruction_count = _parse_header(data, len(data))
+    payload = memoryview(data)[_HEADER.size:]  # no copy of the records
+    return _from_records(np.frombuffer(payload, dtype=RECORD_DTYPE), instruction_count)
+
+
 def load_trace(path) -> Trace:
-    """Read and validate a trace file; any defect raises a DataError."""
+    """Read and validate a trace file; any defect raises a DataError.
+
+    A regular file's size is checked against its header before numpy
+    reads the records straight into their array; anything else (a pipe)
+    is read whole and parsed by :func:`read_trace`.
+    """
     with open(path, "rb") as fh:
-        trace = read_trace(fh.read())
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            trace = read_trace(fh.read())
+        else:
+            count, instruction_count = _parse_header(fh.read(_HEADER.size), st.st_size)
+            cols = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
+            trace = _from_records(cols, instruction_count)
     trace.validate()
     return trace
 
@@ -169,28 +227,25 @@ def save_trace(trace: Trace, path) -> None:
 GENERATOR_KINDS = ("stream", "loop", "zipf", "region", "mixed")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Parameters of a synthetic trace.
 
     ``alpha`` is the Zipf skew and only matters for the zipf/mixed kinds.
     """
 
-    kind: str
-    block_count: int
-    length: int
-    alpha: float = 1.0
-    seed: int = 42
+    __slots__ = ("kind", "block_count", "length", "alpha", "seed")
 
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise InvalidSpec(f"unknown generator kind {self.kind!r}")
-        if self.block_count < 1:
+    def __init__(self, kind: str, block_count: int, length: int, alpha: float = 1.0,
+                 seed: int = 42):
+        if kind not in GENERATOR_KINDS:
+            raise InvalidSpec(f"unknown generator kind {kind!r}")
+        if block_count < 1:
             raise InvalidSpec("block_count must be >= 1")
-        if self.length < 1:
+        if length < 1:
             raise InvalidSpec("length must be >= 1")
-        if self.alpha < 0:
+        if alpha < 0:
             raise InvalidSpec("alpha must be >= 0")
+        self._init(kind, block_count, length, alpha, seed)
 
 
 def _pc_pool(phase: int) -> np.ndarray:

@@ -274,6 +274,39 @@ def test_cli_reports_a_geometry_it_cannot_allocate(trace_file, tmp_path, command
     assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
 
 
+# Without the kernel, these must fail the same way and before any table is
+# built: the Python MIN cannot convert 2^70 sets to uint64, and the reference
+# engine would build all 16 x (2^60 + 1) blocks.
+NO_KERNEL = """
+import resource, sys
+# Should the check regress, run out of memory at 1 GiB instead of the host's.
+resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))
+from ehcsim import _kernels
+_kernels._native = lambda: (None, "disabled")
+from ehcsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, sets, ways", [
+    (["run", "--policy", "ehc"], str(1 << 70), "2"),
+    (["analyze", "--report", "hitcount-block"], str(1 << 70), "2"),
+    (["run", "--policy", "lru"], "16", WRAPPING_WAYS),
+    (["compare", "--policies", "ship"], "16", WRAPPING_WAYS),
+    (["analyze", "--report", "min-gap", "--policy", "lru"], "16", WRAPPING_WAYS),
+])
+def test_cli_reports_a_geometry_too_large_without_the_kernel(trace_file, tmp_path, command,
+                                                             sets, ways):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_KERNEL, *command, "--trace", str(trace_file),
+         "--sets", sets, "--ways", ways, "--csv", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
+
+
 def test_cli_data_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     missing = str(tmp_path / "nope.trace")

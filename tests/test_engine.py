@@ -1,5 +1,8 @@
 """Cache engine: geometry math, the simulate loop, events, invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,11 @@ from ehcsim import (
     BYPASS,
     CacheGeometry,
     DEFAULT_GEOMETRY,
+    GeneratorSpec,
     InternalInvariantError,
+    InvalidSpec,
     LruPolicy,
+    ReplacementEvent,
     ReplacementPolicy,
     SimStats,
     simulate,
@@ -51,6 +57,64 @@ def test_geometry_validation():
         CacheGeometry(num_sets=3)
     with pytest.raises(ValueError):
         CacheGeometry(associativity=0)
+
+
+# Per value type: a maker whose argument is the last field, and the default
+# instance's fields as a tuple.
+VALUE_TYPES = {
+    "geometry": (lambda last=6: CacheGeometry(64, 4, last), (64, 4, 6)),
+    "spec": (lambda last=42: GeneratorSpec("zipf", 100, 1000, 0.5, last),
+             ("zipf", 100, 1000, 0.5, 42)),
+    "event": (lambda last=(0x40, 0x80): ReplacementEvent(3, 1, BYPASS, True, 0xC0, last),
+              (3, 1, BYPASS, True, 0xC0, (0x40, 0x80))),
+}
+
+
+@pytest.mark.parametrize("make, fields", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_are_immutable_values(make, fields):
+    a, b, other = make(), make(), make(7)
+    assert a == b and hash(a) == hash(b) and len({a, b, other}) == 2
+    assert a != other and a != fields
+    assert a != type("Subclass", (type(a),), {})(*fields)
+    for restored in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert restored == a and type(restored) is type(a)
+    for name in ("num_sets", "kind", "index", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.seed
+    assert a == b
+
+
+def test_value_type_reprs():
+    assert repr(CacheGeometry()) == (
+        "CacheGeometry(num_sets=2048, associativity=16, block_offset_bits=6)")
+    assert repr(GeneratorSpec("loop", 3, 6)) == (
+        "GeneratorSpec(kind='loop', block_count=3, length=6, alpha=1.0, seed=42)")
+    assert repr(ReplacementEvent(0, 1, 2, False, 64, (0, 128))) == (
+        "ReplacementEvent(index=0, set_index=1, victim_way=2, no_averse=False, "
+        "incoming_addr=64, resident_addrs=(0, 128))")
+    assert repr(SimStats(hits=2, per_policy={"psel": 5})) == (
+        "SimStats(accesses=0, hits=2, misses=0, replacements_total=0, "
+        "replacements_no_averse=0, per_policy={'psel': 5})")
+
+
+def test_value_types_validate_by_keyword_too():
+    with pytest.raises(ValueError, match="block_offset_bits"):
+        CacheGeometry(block_offset_bits=0)
+    with pytest.raises(InvalidSpec, match="alpha"):
+        GeneratorSpec(kind="zipf", block_count=1, length=1, alpha=-1.0)
+    assert GeneratorSpec(kind="loop", block_count=2, length=3).seed == 42
+
+
+def test_sim_stats_are_mutable_and_unhashable():
+    a, b = SimStats(), SimStats()
+    assert a == b and a.per_policy is not b.per_policy
+    a.hits += 1
+    a.per_policy["psel"] = 1
+    assert a != b and a == SimStats(hits=1, per_policy={"psel": 1})
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_stream_has_no_hits():

@@ -1,6 +1,7 @@
 """The native kernel must reproduce the reference engine bit for bit, and
 fall back to it when the kernel cannot be built."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from ehcsim import (
     CacheGeometry, EhcPolicy, EventLog, GeneratorSpec, gen_synthetic, simulate, simulate_min,
 )
-from ehcsim import _kernels
+from ehcsim import _kernels, engine, policies, sampler
+from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.errors import UsageError
 from ehcsim.runner import BACKENDS, POLICY_NAMES, make_policy, run_policy
@@ -163,6 +165,22 @@ def test_kernel_brrip_hash_matches_reference(policy, seed):
     # 2**64 as brrip_long_insert does.
     trace = gen_synthetic(TRACES["zipf"])
     _assert_same_run(trace, policy, CacheGeometry(64, 4), seed=seed)
+
+
+def test_kernel_header_holds_the_constants_the_python_policies_use():
+    defines = dict(line.split()[1:] for line in _kernels._header().splitlines())
+    checked = set()
+    for name, value in defines.items():
+        for module in (engine, trace_module, policies, sampler):
+            if hasattr(module, name):
+                assert value.removesuffix("ULL") == str(getattr(module, name)), name
+                checked.add(name)
+    assert len(checked) == 24, sorted(checked)
+    assert _kernels._source()[0] == _kernels._header() + _kernels._SOURCE.read_text()
+    # The header is part of the library's name, so a change to it is a
+    # change to the kernel that rebuilds every cached library.
+    digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
+    assert digest == "f05cac56639e029da7d49212"
 
 
 def test_supports_rejects_unknown_policies():

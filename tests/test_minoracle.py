@@ -261,6 +261,10 @@ def test_kernel_min_matches_python_min_on_edge_cases(case, bypass, rng):
     assert len(residencies) == stats.misses - stats.per_policy["bypasses"]
     assert int(residencies.hits.sum()) == stats.hits
     assert events.resident_addrs.shape == (len(events), geom.associativity)
+    ranks = victim_quality(events, trace, geom)
+    assert ranks.sum() == len(events)
+    if bypass:  # then MIN's choices are all rank 0
+        assert ranks[0] == len(events)
     if geom.block_offset_bits >= 64:
         # As in Python, every address falls in block 0.
         assert stats.misses == min(len(trace), 1)

@@ -1,0 +1,60 @@
+"""The package's public names and what each command imports."""
+
+import subprocess
+import sys
+
+import pytest
+
+import ehcsim
+from ehcsim import GeneratorSpec, gen_synthetic, save_trace
+from ehcsim.engine import CacheGeometry
+
+
+def test_every_public_name_resolves():
+    for name in ehcsim.__all__:
+        assert getattr(ehcsim, name) is not None, name
+    assert set(ehcsim.__all__) <= set(dir(ehcsim))
+    namespace = {}
+    exec("from ehcsim import *", namespace)
+    assert set(ehcsim.__all__) <= set(namespace)
+    assert namespace["CacheGeometry"] is CacheGeometry
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ehcsim.no_such_name
+
+
+# Modules the kernel path of ``run`` needs none of: the reference policies,
+# the MIN oracle, and two standard modules numpy does not import itself.
+NOT_ON_THE_RUN_PATH = (
+    "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
+    "ehcsim.sampler",
+)
+
+
+def test_run_loads_no_reference_policy_or_oracle(tmp_path):
+    trace = tmp_path / "t.trace"
+    # ``gen`` needs numpy.random, which imports hashlib.
+    save_trace(gen_synthetic(GeneratorSpec("mixed", 256, 2000)), trace)
+    # In a child process: this one has imported everything already.
+    code = f"""
+import sys
+import ehcsim.cli
+absent = {NOT_ON_THE_RUN_PATH!r}
+loaded = [m for m in absent if m in sys.modules]
+assert not loaded, ("import", loaded)
+from ehcsim import _kernels
+assert _kernels.supports("ehc"), _kernels.unavailable()
+args = ["--trace", {str(trace)!r}, "--sets", "64", "--ways", "4"]
+for policy in ("lru", "ship", "ehc"):
+    assert ehcsim.cli.main(["run", "--policy", policy, *args,
+                            "--csv", {str(tmp_path / "run.csv")!r}]) == 0
+assert ehcsim.cli.main(["compare", "--policies", "drrip,hawkeye", *args,
+                        "--csv", {str(tmp_path / "compare.csv")!r}]) == 0
+loaded = [m for m in absent if m in sys.modules]
+assert not loaded, ("run", loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

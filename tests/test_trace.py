@@ -1,10 +1,14 @@
 """Trace data model: binary format, generators, interleaving."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from ehcsim import (
     BadMagic,
+    DataError,
     GeneratorSpec,
     InvalidSpec,
     TooManyCores,
@@ -114,6 +118,49 @@ def test_load_trace_validates(tmp_path):
     save_trace(t, path)
     with pytest.raises(InvalidTrace):
         load_trace(path)
+
+
+def _trace_files():
+    ten = write_trace(make_trace([0x40 * i for i in range(10)]))
+    old_version = bytearray(ten)
+    old_version[4] = FORMAT_VERSION + 1
+    return {
+        "ten": ten,
+        "empty-trace": write_trace(make_trace([])),
+        "one-record": write_trace(make_trace([(0x500, 0x40)])),
+        "empty-file": b"",
+        "bad-magic": b"NOPE" + ten[4:],
+        "old-version": bytes(old_version),
+        "short-header": ten[:12],
+        "truncated": ten[:-1],
+        "trailing": ten + bytes(8),
+    }
+
+
+@pytest.mark.parametrize("name", _trace_files())
+def test_load_trace_reads_files_as_read_trace_reads_bytes(tmp_path, name):
+    data = _trace_files()[name]
+    path = tmp_path / "t.trace"
+    path.write_bytes(data)
+    try:
+        expected = read_trace(data)
+    except DataError as e:
+        with pytest.raises(type(e)):
+            load_trace(path)
+    else:
+        got = load_trace(path)
+        assert got == expected and got.addr.flags.aligned
+
+
+def test_load_trace_reads_a_pipe():
+    # Not a regular file, so its size says nothing about the records.
+    data = write_trace(make_trace([0x40 * i for i in range(10)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from ehcsim import load_trace; print(len(load_trace('/dev/stdin')))"],
+        input=data, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == b"10", proc.stderr
 
 
 def test_validate_rejects_bad_kind():
