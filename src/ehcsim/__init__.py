@@ -24,7 +24,7 @@ _MODULES = {
     "belady": ("EhcPolicy", "HawkeyePolicy"),
     "engine": (
         "BYPASS", "CacheGeometry", "DEFAULT_GEOMETRY", "EFH_MAX", "EventLog", "RRPV_MAX",
-        "ReplacementEvent", "ReplacementPolicy", "SimStats", "simulate",
+        "ReplacementPolicy", "SimStats", "simulate",
     ),
     "errors": (
         "BadMagic", "DataError", "EhcSimError", "InternalInvariantError", "InvalidSpec",

@@ -6,10 +6,14 @@
  * (ehcsim.engine.simulate) bit for bit. ehcsim_min reproduces the Python
  * MIN of ehcsim.minoracle the same way. ehcsim._kernels prepends a
  * generated #define block before compiling: the policy constants from
- * ehcsim.engine, ehcsim.policies and ehcsim.sampler (64-bit ones with a ULL
- * suffix), the POLICY_* ids, the OUT_* and MIN_OUT_* counter slots, the
- * EVENT_* fields of an event row and BYPASS. So this file holds no policy
- * literal of its own.
+ * ehcsim.params (64-bit ones with a ULL suffix), the POLICY_* ids, the
+ * OUT_* and MIN_OUT_* counter slots, the EVENT_* fields of an event row and
+ * BYPASS. So this file holds no policy literal of its own.
+ *
+ * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
+ * (the trace position of the replacing miss, the victim way, no_averse),
+ * then, for every way, the trace position of its resident's latest access.
+ * Sets, addresses and next uses are gathers from the trace by position.
  *
  * Addresses, PCs and block tags are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -117,9 +121,9 @@ static void free_tables(Tables *t)
 }
 
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
- * receives the counters. With record_events, replacement k fills the row
- * events[k * (EVENT_FIELDS + assoc) ...]: the EVENT_* fields, then the
- * resident block of every way before the fill. seed keys the bimodal
+ * receives the counters. With record_events, replacement k fills event row
+ * k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds the latest access
+ * of every line, for LRU's victim and for that row. seed keys the bimodal
  * insertion draws (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from the
  * region table. Returns 0, or -1 when the tables cannot be allocated,
  * which includes a geometry whose table sizes overflow int64_t: a wrapped
@@ -128,7 +132,7 @@ int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
     int64_t policy_id, uint64_t seed, int64_t aging, int64_t fixed_init,
-    int64_t record_events, uint64_t *events, uint8_t *hit_flags, int64_t *out)
+    int64_t record_events, int64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
         || mul_overflows(num_sets / SAMPLE_PERIOD + 1, WINDOW_SLOTS_PER_WAY * assoc))
@@ -263,8 +267,9 @@ int ehcsim_simulate(
         if (way >= 0) {
             hits++;
             hit_flags[i] = 1;
+            stamp[row + way] = i;
             if (policy_id == POLICY_LRU) {
-                stamp[row + way] = i;
+                /* the stamp is all LRU keeps */
             } else if (policy_id <= POLICY_DRRIP) {
                 rrow[way] = 0;
             } else if (policy_id == POLICY_SHIP) {
@@ -339,20 +344,21 @@ int ehcsim_simulate(
                 }
             }
             if (record_events) {
-                uint64_t *ev = events + replacements * ev_width;
-                ev[EVENT_INDEX] = (uint64_t)i;
-                ev[EVENT_VICTIM_WAY] = (uint64_t)way;
-                ev[EVENT_NO_AVERSE] = (uint64_t)no_averse;
+                int64_t *ev = events + replacements * ev_width;
+                ev[EVENT_INDEX] = i;
+                ev[EVENT_VICTIM_WAY] = way;
+                ev[EVENT_NO_AVERSE] = no_averse;
                 for (int64_t w = 0; w < assoc; w++)
-                    ev[EVENT_FIELDS + w] = trow[w];
+                    ev[EVENT_FIELDS + w] = stamp[row + w];
             }
             replacements++;
         }
 
         vrow[way] = 1;
         trow[way] = block;
+        stamp[row + way] = i;
         if (policy_id == POLICY_LRU) {
-            stamp[row + way] = i;
+            /* as on a hit */
         } else if (policy_id == POLICY_SRRIP) {
             rrow[way] = RRPV_MAX - 1;
         } else if (policy_id == POLICY_BRRIP) {
@@ -424,12 +430,12 @@ int ehcsim_simulate(
  * within a set, with res_end = n. A trace of n accesses has at most n
  * fills, so n rows always suffice. With record_events, every full-set miss
  * writes one event row as ehcsim_simulate does, with BYPASS as the victim
- * way of a bypass. Returns 0, or -1 when the tables cannot be allocated,
- * as for ehcsim_simulate. */
+ * way of a bypass; lastv holds each way's latest access for it. Returns 0,
+ * or -1 when the tables cannot be allocated, as for ehcsim_simulate. */
 int ehcsim_min(
     int64_t n, const uint64_t *addr, const int64_t *next_use,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t bypass,
-    int64_t record_events, uint64_t *events, uint8_t *hit_flags,
+    int64_t record_events, int64_t *events, uint8_t *hit_flags,
     uint64_t *res_block, int64_t *res_fill, int64_t *res_end, int64_t *res_hits,
     int64_t *out)
 {
@@ -443,6 +449,7 @@ int ehcsim_min(
     uint64_t *blockv = table(&t, lines, sizeof *blockv);
     int64_t *nextv = table(&t, lines, sizeof *nextv);
     int64_t *fillv = table(&t, lines, sizeof *fillv);
+    int64_t *lastv = table(&t, lines, sizeof *lastv);
     int64_t *hitv = table(&t, lines, sizeof *hitv);
     int64_t *used = table(&t, num_sets, sizeof *used);      /* filled ways per set */
     int64_t *touched = table(&t, num_sets, sizeof *touched); /* sets, first touch first */
@@ -468,6 +475,7 @@ int ehcsim_min(
         }
         if (way >= 0) {
             nrow[way] = next_use[i];
+            lastv[row + way] = i;
             hitv[row + way]++;
             hit_flags[i] = 1;
             hits++;
@@ -485,12 +493,12 @@ int ehcsim_min(
                     way = w;
             const int skip = bypass && next_use[i] > nrow[way];
             if (record_events) {
-                uint64_t *ev = events + (replacements + bypasses) * ev_width;
-                ev[EVENT_INDEX] = (uint64_t)i;
-                ev[EVENT_VICTIM_WAY] = skip ? (uint64_t)(BYPASS) : (uint64_t)way;
+                int64_t *ev = events + (replacements + bypasses) * ev_width;
+                ev[EVENT_INDEX] = i;
+                ev[EVENT_VICTIM_WAY] = skip ? BYPASS : way;
                 ev[EVENT_NO_AVERSE] = 0;
                 for (int64_t w = 0; w < assoc; w++)
-                    ev[EVENT_FIELDS + w] = brow[w];
+                    ev[EVENT_FIELDS + w] = lastv[row + w];
             }
             if (skip) {
                 bypasses++;
@@ -506,6 +514,7 @@ int ehcsim_min(
         brow[way] = block;
         nrow[way] = next_use[i];
         fillv[row + way] = i;
+        lastv[row + way] = i;
         hitv[row + way] = 0;
     }
 

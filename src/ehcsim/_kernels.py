@@ -15,8 +15,9 @@ another user owns or may write to. Its name carries a digest of the header, the
 source and the flags, so an edit to either builds a new one.
 
 With ``record_events`` either kernel also writes each replacement into one
-preallocated buffer, which :func:`run` and :func:`run_min` turn into an
-:class:`~ehcsim.engine.EventLog`. When no compiler is found or the build
+preallocated int64 buffer as one row of trace positions, whose columns
+:func:`run` and :func:`run_min` hand to an :class:`~ehcsim.engine.EventLog`
+as they are. When no compiler is found or the build
 fails, :func:`supports` is False, ``backend="auto"`` runs the reference
 engine and the Python MIN, and one line on stderr per process says why.
 """
@@ -60,8 +61,8 @@ _PER_POLICY = {
 #: The MIN kernel's counter slots, in ``out`` order.
 _MIN_COUNTERS = ("hits", "replacements", "bypasses", "residencies")
 
-#: Leading fields of an event row. The resident block of every way follows,
-#: as it was before the fill.
+#: Leading fields of an event row. The trace position of the latest access
+#: to every way's resident follows, as it was before the fill.
 _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -166,12 +167,12 @@ def _bind(path: Path):
         i64, array(np.uint64), array(np.uint64),
         i64, i64, i64, i64,
         i64, ctypes.c_uint64, i64, i64,
-        i64, array(np.uint64), array(np.uint8), array(np.int64),
+        i64, array(np.int64), array(np.uint8), array(np.int64),
     ]
     lib.ehcsim_min.argtypes = [
         i64, array(np.uint64), array(np.int64),
         i64, i64, i64, i64,
-        i64, array(np.uint64), array(np.uint8),
+        i64, array(np.int64), array(np.uint8),
         array(np.uint64), array(np.int64), array(np.int64), array(np.int64),
         array(np.int64),
     ]
@@ -259,10 +260,10 @@ def check_geometry(geom: CacheGeometry):
 
 
 def _event_buffer(geom: CacheGeometry, size: int) -> np.ndarray:
-    """An uninitialised uint64 buffer of ``size`` elements. Pages never
+    """An uninitialised int64 buffer of ``size`` elements. Pages never
     written are never touched, so only the event rows used take memory."""
     try:
-        return np.empty(size, dtype=np.uint64)
+        return np.empty(size, dtype=np.int64)
     except (ValueError, MemoryError):  # more elements than an array or memory holds
         raise _too_large(geom) from None
 
@@ -304,10 +305,7 @@ def run(
     counts = dict(zip(_COUNTERS, out.tolist()))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
-    log = None
-    if record_events:
-        rows = events[:stats.replacements_total * ev_width].reshape(-1, ev_width)
-        log = _event_log(trace, geom, rows)
+    log = _event_log(events, stats.replacements_total, ev_width) if record_events else None
     return stats, log, hit_flags
 
 
@@ -357,23 +355,12 @@ def run_min(
     )
     log = None
     if record_events:
-        full = counts["replacements"] + counts["bypasses"]
-        log = _event_log(trace, geom, events[:full * ev_width].reshape(-1, ev_width))
+        log = _event_log(events, counts["replacements"] + counts["bypasses"], ev_width)
     return hit_flags, counts, residencies, log
 
 
-def _event_log(trace: Trace, geom: CacheGeometry, rows: np.ndarray) -> EventLog:
-    """The :class:`EventLog` of the kernel's event rows; the set and the
-    incoming block follow from each row's trace position."""
-    index, victim_way, no_averse = rows[:, :len(_EVENT_FIELDS)].T
-    index = index.astype(np.int64)
-    shift = np.uint64(geom.block_offset_bits)
-    incoming = trace.addr[index] >> shift
-    return EventLog(
-        index,
-        incoming & np.uint64(geom.num_sets - 1),
-        victim_way,
-        no_averse,
-        incoming << shift,
-        rows[:, len(_EVENT_FIELDS):] << shift,
-    )
+def _event_log(events: np.ndarray, count: int, width: int) -> EventLog:
+    """The :class:`EventLog` of the first ``count`` event rows in ``events``."""
+    rows = events[:count * width].reshape(count, width)
+    fields = len(_EVENT_FIELDS)
+    return EventLog(*rows[:, :fields].T, rows[:, fields:])

@@ -10,6 +10,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from .analysis import REPORT_KINDS, analyze, compare, run_report
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY
 from .errors import DataError, InternalInvariantError, UsageError
@@ -82,23 +84,30 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _write_events(path, events, assoc: int) -> None:
+def _write_events(path, events, trace, geom: CacheGeometry) -> None:
+    """One CSV row per event: its position and set, the victim way, the
+    no-averse flag, and the block-aligned addresses of the incoming block
+    and of every resident, gathered from ``trace`` at the logged positions."""
+    shift = np.uint64(geom.block_offset_bits)
+    blocks = trace.addr >> shift
+    aligned = blocks << shift
+    columns = (
+        events.index, (blocks & np.uint64(geom.num_sets - 1))[events.index],
+        events.victim_way, events.no_averse, aligned[events.index],
+        aligned[events.resident_pos],
+    )
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["index", "set", "victim_way", "no_averse", "incoming"]
-            + [f"resident_{w}" for w in range(assoc)]
+            + [f"resident_{w}" for w in range(geom.associativity)]
         )
-        for ev in events:
+        rows = zip(*(column.tolist() for column in columns))
+        for index, si, way, no_averse, incoming, residents in rows:
             writer.writerow(
-                [
-                    ev.index,
-                    ev.set_index,
-                    "bypass" if ev.victim_way == BYPASS else ev.victim_way,
-                    int(ev.no_averse),
-                    f"0x{ev.incoming_addr:x}",
-                ]
-                + [f"0x{a:x}" for a in ev.resident_addrs]
+                [index, si, "bypass" if way == BYPASS else way, int(no_averse),
+                 f"0x{incoming:x}"]
+                + [f"0x{a:x}" for a in residents]
             )
 
 
@@ -116,7 +125,7 @@ def _cmd_run(args) -> int:
     )
     report.write(args.csv)
     if args.events:
-        _write_events(args.events, events, geom.associativity)
+        _write_events(args.events, events, trace, geom)
     return 0
 
 

@@ -56,7 +56,8 @@ DEFAULT_GEOMETRY = CacheGeometry()
 
 
 class BlockState:
-    """Per-way metadata. ``rrpv`` and ``efh`` are 3-bit fields."""
+    """Per-way metadata. ``rrpv`` and ``efh`` are 3-bit fields;
+    ``recency_stamp`` is the trace position of the block's latest access."""
 
     __slots__ = ("valid", "tag", "rrpv", "efh", "recency_stamp", "last_pc")
 
@@ -125,70 +126,33 @@ class ReplacementPolicy:
         return {}
 
 
-class ReplacementEvent(Record):
-    """One replacement decision, for victim-quality scoring.
-
-    ``index`` is the trace position of the missing access, ``victim_way``
-    is :data:`BYPASS` when the incoming block was not inserted, and
-    ``incoming_addr`` and ``resident_addrs`` (one per way) are block-aligned
-    byte addresses.
-    """
-
-    __slots__ = ("index", "set_index", "victim_way", "no_averse", "incoming_addr",
-                 "resident_addrs")
-
-    def __init__(self, index: int, set_index: int, victim_way: int, no_averse: bool,
-                 incoming_addr: int, resident_addrs: tuple):
-        self._init(index, set_index, victim_way, no_averse, incoming_addr, resident_addrs)
-
-
 class EventLog:
-    """Replacement events as columns, one row per decision.
+    """Replacement decisions as columns, one row per full-set miss, in
+    trace positions of the trace they were recorded on.
 
-    ``index``, ``set_index`` and ``victim_way`` are int64, ``no_averse`` is
-    bool, ``incoming_addr`` is uint64 and ``resident_addrs`` is a uint64
-    array of shape ``(len, associativity)``. Iteration gives
-    :class:`ReplacementEvent` rows, a few thousand at a time.
+    ``index`` (int64) is the position of the missing access, ``victim_way``
+    (int64) the way it replaced or :data:`BYPASS`, ``no_averse`` (bool) as
+    ``choose_victim`` reported it, and ``resident_pos`` (int64, shape
+    ``(len, associativity)``) the position of the latest access to every
+    way's resident before the fill. A set, an address or a next use is a
+    gather from the trace at these positions.
     """
 
-    __slots__ = (
-        "index", "set_index", "victim_way", "no_averse", "incoming_addr",
-        "resident_addrs",
-    )
+    __slots__ = ("index", "victim_way", "no_averse", "resident_pos")
 
-    _ITER_ROWS = 4096  # rows converted to Python objects at a time
-
-    def __init__(self, index, set_index, victim_way, no_averse, incoming_addr,
-                 resident_addrs):
+    def __init__(self, index, victim_way, no_averse, resident_pos):
         self.index = np.ascontiguousarray(index, dtype=np.int64)
-        self.set_index = np.ascontiguousarray(set_index, dtype=np.int64)
         self.victim_way = np.ascontiguousarray(victim_way, dtype=np.int64)
         self.no_averse = np.ascontiguousarray(no_averse, dtype=bool)
-        self.incoming_addr = np.ascontiguousarray(incoming_addr, dtype=np.uint64)
-        self.resident_addrs = np.ascontiguousarray(resident_addrs, dtype=np.uint64)
+        self.resident_pos = np.ascontiguousarray(resident_pos, dtype=np.int64)
         n = len(self.index)
-        if not (len(self.set_index) == len(self.victim_way) == len(self.no_averse)
-                == len(self.incoming_addr) == n):
+        if not len(self.victim_way) == len(self.no_averse) == n:
             raise ValueError("event log columns must have equal length")
-        if self.resident_addrs.ndim != 2 or len(self.resident_addrs) != n:
-            raise ValueError("resident_addrs must have one row per event")
+        if self.resident_pos.ndim != 2 or len(self.resident_pos) != n:
+            raise ValueError("resident_pos must have one row per event")
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __iter__(self):
-        for lo in range(0, len(self), self._ITER_ROWS):
-            hi = lo + self._ITER_ROWS
-            rows = zip(
-                self.index[lo:hi].tolist(),
-                self.set_index[lo:hi].tolist(),
-                self.victim_way[lo:hi].tolist(),
-                self.no_averse[lo:hi].tolist(),
-                self.incoming_addr[lo:hi].tolist(),
-                map(tuple, self.resident_addrs[lo:hi].tolist()),
-            )
-            for row in rows:
-                yield ReplacementEvent(*row)
 
 
 def simulate(
@@ -207,10 +171,10 @@ def simulate(
     access (slow; meant for tests).
     """
     assoc = geom.associativity
-    sets = [[BlockState() for _ in range(assoc)] for _ in range(geom.num_sets)]
+    sets: dict[int, list] = {}  # the ways of each set touched so far
     stats = SimStats()
-    # Event log columns; ``ev_resident`` holds ``assoc`` addresses per event.
-    ev_index, ev_set, ev_way, ev_no_averse, ev_incoming, ev_resident = [], [], [], [], [], []
+    # Event log columns; ``ev_resident`` holds ``assoc`` positions per event.
+    ev_index, ev_way, ev_no_averse, ev_resident = [], [], [], []
     hit_flags = bytearray(len(trace))
 
     # Set index and tag of every access, shifted as compute_next_use does;
@@ -218,11 +182,12 @@ def simulate(
     blocks = trace.addr >> np.uint64(geom.block_offset_bits)
     set_col = (blocks & np.uint64(geom.num_sets - 1)).tolist()
     tag_col = (blocks >> np.uint64(geom.set_bits)).tolist()
-    block_mask = ~((1 << geom.block_offset_bits) - 1)
     columns = zip(set_col, tag_col, trace.addr.tolist(), trace.pc.tolist())
     for i, (si, tag, addr, pc) in enumerate(columns):
         policy.on_observe(si, tag, addr, pc)
-        ways = sets[si]
+        ways = sets.get(si)
+        if ways is None:
+            ways = sets[si] = [BlockState() for _ in range(assoc)]
 
         way = -1
         for w in range(assoc):
@@ -255,13 +220,9 @@ def simulate(
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
                 if record_events:
                     ev_index.append(i)
-                    ev_set.append(si)
                     ev_way.append(way)
                     ev_no_averse.append(no_averse)
-                    ev_incoming.append(addr & block_mask)
-                    ev_resident.extend(
-                        geom.block_addr(si, ways[w].tag) for w in range(assoc)
-                    )
+                    ev_resident.extend(blk.recency_stamp for blk in ways)
                 stats.replacements_total += 1
                 if no_averse:
                     stats.replacements_no_averse += 1
@@ -284,8 +245,6 @@ def simulate(
     stats.per_policy.update(policy.extra_stats())
     events = None
     if record_events:
-        events = EventLog(
-            ev_index, ev_set, ev_way, ev_no_averse, ev_incoming,
-            np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc),
-        )
+        events = EventLog(ev_index, ev_way, ev_no_averse,
+                          np.array(ev_resident, dtype=np.int64).reshape(-1, assoc))
     return stats, events, np.frombuffer(hit_flags, dtype=np.uint8)

@@ -3,8 +3,8 @@
 Everything here may look at the whole trace at once: next-use indices from a
 stable sort of the block column, MIN simulation with and without bypass,
 per-residency hit counts, hit-count prediction-error histograms, and
-reuse-distance ranking of a policy's evicted victims (binary searches over
-the sorted (block, position) keys).
+reuse-distance ranking of a policy's evicted victims (gathers from the
+next-use column at the positions an event log records).
 
 MIN runs on the native kernel (``ehcsim_min`` in ``_kernel.c``) when it
 could be built, and on a Python loop over memoryviews otherwise; both take
@@ -57,19 +57,14 @@ class ResidencyLog:
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    return _sort_by_block(trace.addr >> np.uint64(geom.block_offset_bits))[1]
-
-
-def _sort_by_block(blocks: np.ndarray):
-    """``(order, next_use)``: the stable argsort of a column of block keys,
-    and the next-use column it gives."""
+    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
     # A stable sort keeps each block's accesses in trace order, so every
     # access is followed by its next use unless the block changes there.
     order = np.argsort(blocks, kind="stable")
     same = blocks[order[1:]] == blocks[order[:-1]]
     next_use = np.full(len(blocks), NO_NEXT_USE, dtype=np.int64)
     next_use[order[:-1][same]] = order[1:][same]
-    return order, next_use
+    return next_use
 
 
 def simulate_min(
@@ -141,19 +136,20 @@ def _reference_min(trace, geom, next_use, bypass, record_events):
         memoryview(blocks), memoryview(set_ids), memoryview(next_use), memoryview(hit)
     )
     way_of: dict[int, int] = {}  # resident block -> its way
-    # set -> per-way lists [next use, block, fill position, hits]; the dict
-    # keeps the sets in the order they were first touched.
+    # set -> per-way lists [next use, block, fill position, latest access,
+    # hits]; the dict keeps the sets in the order they were first touched.
     state: dict[int, tuple] = {}
     res_addr, res_fill, res_end, res_hits = [], [], [], []  # residency columns
-    ev_index, ev_set, ev_way, ev_resident = [], [], [], []  # event log columns
+    ev_index, ev_way, ev_resident = [], [], []  # event log columns
     hits = replacements = bypasses = 0
 
     for i in range(n):
         b = block_at[i]
         way = way_of.get(b)
         if way is not None:
-            nexts, _, _, way_hits = state[set_at[i]]
+            nexts, _, _, lasts, way_hits = state[set_at[i]]
             nexts[way] = next_at[i]
+            lasts[way] = i
             way_hits[way] += 1
             hit_at[i] = 1
             hits += 1
@@ -162,14 +158,15 @@ def _reference_min(trace, geom, next_use, bypass, record_events):
         si = set_at[i]
         ways = state.get(si)
         if ways is None:
-            ways = state[si] = ([], [], [], [])
-        nexts, way_block, fills, way_hits = ways
+            ways = state[si] = ([], [], [], [], [])
+        nexts, way_block, fills, lasts, way_hits = ways
         nu = next_at[i]
         if len(nexts) < assoc:
             way_of[b] = len(nexts)
             nexts.append(nu)
             way_block.append(b)
             fills.append(i)
+            lasts.append(i)
             way_hits.append(0)
             continue
 
@@ -178,9 +175,8 @@ def _reference_min(trace, geom, next_use, bypass, record_events):
         skip = bypass and nu > farthest
         if record_events:
             ev_index.append(i)
-            ev_set.append(si)
             ev_way.append(BYPASS if skip else victim)
-            ev_resident.extend(way_block)
+            ev_resident.extend(lasts)
         if skip:
             bypasses += 1
             continue
@@ -193,11 +189,11 @@ def _reference_min(trace, geom, next_use, bypass, record_events):
         way_of[b] = victim
         nexts[victim] = nu
         way_block[victim] = b
-        fills[victim] = i
+        fills[victim] = lasts[victim] = i
         way_hits[victim] = 0
         replacements += 1
 
-    for _, way_block, fills, way_hits in state.values():
+    for _, way_block, fills, _, way_hits in state.values():
         # Within a set, the residents in the order they were filled.
         for w in sorted(range(len(fills)), key=fills.__getitem__):
             res_addr.append(way_block[w] << shift)
@@ -207,12 +203,8 @@ def _reference_min(trace, geom, next_use, bypass, record_events):
 
     events = None
     if record_events:
-        index = np.array(ev_index, dtype=np.int64)
-        events = EventLog(
-            index, ev_set, ev_way, np.zeros(len(index), dtype=bool),
-            blocks[index] << np.uint64(shift),
-            np.array(ev_resident, dtype=np.uint64).reshape(-1, assoc) << np.uint64(shift),
-        )
+        events = EventLog(ev_index, ev_way, np.zeros(len(ev_index), dtype=bool),
+                          np.array(ev_resident, dtype=np.int64).reshape(-1, assoc))
     counts = {"hits": hits, "replacements": replacements, "bypasses": bypasses}
     columns = (np.array(res_addr, dtype=np.uint64), res_fill, res_end, res_hits)
     return hit, counts, columns, events
@@ -263,63 +255,38 @@ def victim_quality(events: EventLog, trace: Trace,
     rank is how many candidates would be referenced strictly farther in the
     future (so rank 0 is the MIN-optimal choice and the worst possible rank
     equals the associativity). Bypass decisions score the incoming block.
-    Returns a histogram over ranks ``0..associativity``; an ``events`` of
-    None raises :class:`~ehcsim.errors.MissingEventLog`.
+    Every next use is a gather from :func:`compute_next_use` at a position
+    the log recorded: a resident's latest access is next used where the
+    block is next used after the event. Returns a histogram over ranks
+    ``0..associativity``. An ``events`` of None raises
+    :class:`~ehcsim.errors.MissingEventLog`; a log that cannot come from
+    ``trace`` on ``geom`` raises ValueError: a way count other than the
+    associativity, a victim way outside it, a position outside the trace,
+    a resident position not before its event's, or a resident accessed
+    again before the event.
     """
     if events is None:
         raise MissingEventLog("victim quality requires a recorded event log")
-    # Block-aligned addresses; an offset of 64 bits or more aligns all to 0.
-    mask = ~((1 << geom.block_offset_bits) - 1) & ((1 << 64) - 1)
-    aligned = trace.addr & np.uint64(mask)
-    order, next_use = _sort_by_block(aligned)
-    next_use_after = _next_use_finder(aligned, order)
-    at = events.index
-    rows = np.arange(len(events))
-    # The incoming block of an event recorded on this trace is the one
-    # accessed at ``at``, whose next use the sort gave; any other incoming
-    # address is looked up.
-    if len(trace):
-        incoming_use = next_use[at]
-        foreign = np.flatnonzero(events.incoming_addr != aligned[at])
-        incoming_use[foreign] = next_use_after(events.incoming_addr[foreign], at[foreign])
-    else:
-        incoming_use = np.full(len(events), NO_NEXT_USE, dtype=np.int64)
-    resident_use = np.empty(events.resident_addrs.shape, dtype=np.int64)
-    for w in range(resident_use.shape[1]):
-        resident_use[:, w] = next_use_after(events.resident_addrs[:, w], at)
-    bypassed = events.victim_way == BYPASS
+    ways = geom.associativity
+    way = events.victim_way
+    if events.resident_pos.shape[1] != ways or ((way >= ways) | (way < BYPASS)).any():
+        raise ValueError(f"event log does not hold the ways of a {ways}-way cache")
+    next_use = compute_next_use(trace, geom)
+    at, resident = events.index, events.resident_pos
+    if len(at) and (at.min() < 0 or at.max() >= len(trace) or resident.min() < 0):
+        raise ValueError(f"event positions outside the trace of {len(trace)} accesses")
+    if (resident >= at[:, None]).any():
+        raise ValueError("a resident position is not before its event's index")
+    incoming_use = next_use[at]
+    resident_use = next_use[resident]
+    if (resident_use <= at[:, None]).any():
+        raise ValueError("a resident is accessed again before its event")
+    bypassed = way == BYPASS
     victim_use = np.where(
-        bypassed, incoming_use, resident_use[rows, np.where(bypassed, 0, events.victim_way)]
+        bypassed, incoming_use, resident_use[np.arange(len(at)), np.where(bypassed, 0, way)]
     )
     rank = (incoming_use > victim_use) + np.sum(resident_use > victim_use[:, None], axis=1)
-    return np.bincount(rank, minlength=geom.associativity + 1).astype(np.int64)
-
-
-def _next_use_finder(aligned: np.ndarray, order: np.ndarray):
-    """``f(addrs, at)``: per element, the first trace position after ``at``
-    that accesses block-aligned address ``addrs`` (:data:`NO_NEXT_USE` when
-    none does), given the trace's aligned addresses and their stable
-    argsort."""
-    n = len(aligned)
-    by_block = aligned[order]
-    new_block = np.ones(n, dtype=bool)
-    new_block[1:] = by_block[1:] != by_block[:-1]
-    uniq = by_block[new_block]
-    # Keys (block id, position), packed as block_id * n + position; the
-    # stable sort already orders them.
-    keys = (np.cumsum(new_block) - 1) * n + order
-
-    def next_use_after(addrs, at):
-        if n == 0:
-            return np.full(len(addrs), NO_NEXT_USE, dtype=np.int64)
-        ids = np.minimum(np.searchsorted(uniq, addrs), len(uniq) - 1)
-        base = ids * n
-        k = np.searchsorted(keys, base + at, side="right")
-        key = keys[np.minimum(k, n - 1)]
-        found = (uniq[ids] == addrs) & (k < n) & (key < base + n)
-        return np.where(found, key - base, NO_NEXT_USE)
-
-    return next_use_after
+    return np.bincount(rank, minlength=ways + 1).astype(np.int64)
 
 
 def mean_rank(hist: np.ndarray) -> float:

@@ -76,11 +76,13 @@ class LruPolicy(ReplacementPolicy):
         return lru_choose_victim(ways), False
 
 
-class SrripPolicy(ReplacementPolicy):
-    name = "srrip"
+class RripPolicy(ReplacementPolicy):
+    """What the RRIP family shares: a hit resets the block's RRPV to 0 and
+    the victim is :func:`rrip_choose_victim`'s. Insertion is SRRIP's, at
+    ``RRPV_MAX - 1``; subclasses change it."""
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
-        pass
+        self.seed = seed
 
     def on_hit(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = 0
@@ -92,11 +94,15 @@ class SrripPolicy(ReplacementPolicy):
         ways[way].rrpv = RRPV_MAX - 1
 
 
-class BrripPolicy(ReplacementPolicy):
+class SrripPolicy(RripPolicy):
+    name = "srrip"
+
+
+class BrripPolicy(RripPolicy):
     name = "brrip"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
-        self.seed = seed
+        super().__init__(geom, seed)
         self.insertions = 0
         self.long_inserts = 0
 
@@ -108,12 +114,6 @@ class BrripPolicy(ReplacementPolicy):
             return RRPV_MAX - 1
         return RRPV_MAX
 
-    def on_hit(self, set_index, ways, way, addr, pc):
-        ways[way].rrpv = 0
-
-    def choose_victim(self, set_index, ways):
-        return rrip_choose_victim(ways), False
-
     def on_insert(self, set_index, ways, way, addr, pc):
         ways[way].rrpv = self.bimodal_rrpv()
 
@@ -121,46 +121,38 @@ class BrripPolicy(ReplacementPolicy):
         return {"long_inserts": self.long_inserts}
 
 
-class DrripPolicy(ReplacementPolicy):
+class DrripPolicy(BrripPolicy):
     """Set-dueling between SRRIP and BRRIP insertion.
 
     Leader sets are fixed, not random, for reproducibility: sets at
     ``index % 64 == 0`` always insert SRRIP-style, sets at
     ``index % 64 == 33`` BRRIP-style (32 + 32 leaders at 2048 sets).
-    Followers use SRRIP while PSEL sits below the midpoint.
+    Followers use SRRIP while PSEL sits below the midpoint. Bimodal
+    insertions draw from BRRIP's stream.
     """
 
     name = "drrip"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
-        self.seed = seed
+        super().__init__(geom, seed)
         self.psel = PSEL_INIT
-        self.insertions = 0  # bimodal insertions only
-        self.srrip_leader = np.arange(geom.num_sets) % LEADER_PERIOD == SRRIP_LEADER_OFFSET
-        self.brrip_leader = np.arange(geom.num_sets) % LEADER_PERIOD == BRRIP_LEADER_OFFSET
 
     def uses_brrip(self, set_index: int) -> bool:
-        if self.srrip_leader[set_index]:
+        offset = set_index % LEADER_PERIOD
+        if offset == SRRIP_LEADER_OFFSET:
             return False
-        if self.brrip_leader[set_index]:
+        if offset == BRRIP_LEADER_OFFSET:
             return True
         return self.psel >= PSEL_INIT
 
-    def on_hit(self, set_index, ways, way, addr, pc):
-        ways[way].rrpv = 0
-
-    def choose_victim(self, set_index, ways):
-        return rrip_choose_victim(ways), False
-
     def on_insert(self, set_index, ways, way, addr, pc):
-        if self.srrip_leader[set_index]:
+        offset = set_index % LEADER_PERIOD
+        if offset == SRRIP_LEADER_OFFSET:
             self.psel = min(self.psel + 1, PSEL_MAX)
-        elif self.brrip_leader[set_index]:
+        elif offset == BRRIP_LEADER_OFFSET:
             self.psel = max(self.psel - 1, 0)
         if self.uses_brrip(set_index):
-            long = brrip_long_insert(self.seed, self.insertions)
-            self.insertions += 1
-            ways[way].rrpv = RRPV_MAX - 1 if long else RRPV_MAX
+            super().on_insert(set_index, ways, way, addr, pc)
         else:
             ways[way].rrpv = RRPV_MAX - 1
 
@@ -168,30 +160,32 @@ class DrripPolicy(ReplacementPolicy):
         return {"psel": self.psel}
 
 
-class ShipPolicy(ReplacementPolicy):
+class ShipPolicy(RripPolicy):
     """Signature-based hit prediction: PCs whose blocks die unused insert at
-    the maximum RRPV, everything else at max-1."""
+    the maximum RRPV, everything else at max-1. ``signature`` and
+    ``outcome`` are keyed by (set, way) and hold only lines filled so far."""
 
     name = "ship"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
+        super().__init__(geom, seed)
         self.shct = np.zeros(SHCT_SIZE, dtype=np.uint8)
-        self.signature = np.zeros((geom.num_sets, geom.associativity), dtype=np.int64)
-        self.outcome = np.zeros((geom.num_sets, geom.associativity), dtype=np.uint8)
+        self.signature: dict[tuple[int, int], int] = {}
+        self.outcome: dict[tuple[int, int], int] = {}
 
     def on_hit(self, set_index, ways, way, addr, pc):
-        ways[way].rrpv = 0
+        super().on_hit(set_index, ways, way, addr, pc)
         self.outcome[set_index, way] = 1
 
     def choose_victim(self, set_index, ways):
-        way = rrip_choose_victim(ways)
+        way, no_averse = super().choose_victim(set_index, ways)
         sig = self.signature[set_index, way]
         if self.outcome[set_index, way]:
             if self.shct[sig] < SHCT_MAX:
                 self.shct[sig] += 1
         elif self.shct[sig] > 0:
             self.shct[sig] -= 1
-        return way, False
+        return way, no_averse
 
     def on_insert(self, set_index, ways, way, addr, pc):
         sig = xor_fold(pc, SHCT_BITS)

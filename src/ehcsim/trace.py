@@ -52,7 +52,7 @@ _PC_BASE = 0x400000
 
 class Record:
     """Base of the simulator's value types (:class:`GeneratorSpec` here,
-    the geometry, stats and event records in :mod:`ehcsim.engine`): the
+    the geometry and the stats in :mod:`ehcsim.engine`): the
     fields are the ``__slots__``, set by ``_init`` and read-only after it
     unless a subclass allows assignment, and two instances of one class
     are equal, and hash alike, when every field is."""

@@ -53,16 +53,14 @@ def residency_log(rows):
 
 
 def event_log(events, associativity):
-    """An ``EventLog`` of ``ReplacementEvent`` rows, in order."""
+    """An ``EventLog`` of rows with ``index``, ``victim_way``, ``no_averse``
+    and ``resident_pos`` attributes, in order."""
     events = list(events)
     return EventLog(
         [ev.index for ev in events],
-        [ev.set_index for ev in events],
         [ev.victim_way for ev in events],
         [ev.no_averse for ev in events],
-        [ev.incoming_addr for ev in events],
-        np.array([ev.resident_addrs for ev in events],
-                 dtype=np.uint64).reshape(-1, associativity),
+        np.array([ev.resident_pos for ev in events], dtype=np.int64).reshape(-1, associativity),
     )
 
 

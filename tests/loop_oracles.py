@@ -10,10 +10,14 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, ReplacementEvent, SimStats
+from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, SimStats
 
 #: One stay of a block in the cache under MIN, as a row.
 Residency = collections.namedtuple("Residency", "addr fill end hits")
+
+#: One replacement decision, as a row: the missing access's position, the
+#: victim way, the no-averse flag and every way's latest access position.
+Event = collections.namedtuple("Event", "index victim_way no_averse resident_pos")
 
 
 def loop_next_use(trace, geom):
@@ -34,13 +38,13 @@ def loop_next_use(trace, geom):
 def loop_simulate_min(trace, geom, bypass=True):
     """MIN with per-set dicts; returns (stats, decisions, residencies, events)
     with the residencies as a list of Residency rows and the events as a
-    list of ReplacementEvent."""
+    list of Event rows."""
     n = len(trace)
     next_use = loop_next_use(trace, geom)
     assoc = geom.associativity
 
     tags = collections.defaultdict(dict)     # set -> {tag: way}
-    way_tag = collections.defaultdict(dict)  # set -> {way: (next_pos, fill, hits)}
+    way_tag = collections.defaultdict(dict)  # set -> {way: (next_pos, fill, hits, last)}
     stats = SimStats()
     decisions = np.empty(n, dtype=np.uint8)
     residencies = []
@@ -62,8 +66,8 @@ def loop_simulate_min(trace, geom, bypass=True):
         if way is not None:
             stats.hits += 1
             decisions[i] = MinDecision.HIT
-            _, fill, hits = ways[way]
-            ways[way] = (int(next_use[i]), fill, hits + 1)
+            _, fill, hits, _ = ways[way]
+            ways[way] = (int(next_use[i]), fill, hits + 1, i)
             continue
 
         stats.misses += 1
@@ -81,18 +85,16 @@ def loop_simulate_min(trace, geom, bypass=True):
                     victim_next = ways[w][0]
             skip = bypass and int(next_use[i]) > victim_next
             by_way = {w: t for t, w in resident.items()}
-            events.append(ReplacementEvent(
+            events.append(Event(
                 index=i,
-                set_index=si,
                 victim_way=BYPASS if skip else victim,
                 no_averse=False,
-                incoming_addr=block,
-                resident_addrs=tuple(geom.block_addr(si, by_way[w]) for w in range(assoc)),
+                resident_pos=tuple(ways[w][3] for w in range(assoc)),
             ))
             if skip:
                 bypasses += 1
                 continue
-            _, fill, hits = ways[victim]
+            _, fill, hits, _ = ways[victim]
             victim_tag = by_way[victim]
             residencies.append(Residency(
                 addr=geom.block_addr(si, victim_tag), fill=fill, end=i, hits=hits,
@@ -102,11 +104,11 @@ def loop_simulate_min(trace, geom, bypass=True):
             way = victim
 
         resident[tag] = way
-        ways[way] = (int(next_use[i]), i, 0)
+        ways[way] = (int(next_use[i]), i, 0, i)
 
     for si, resident in tags.items():
         for tag, way in resident.items():
-            _, fill, hits = way_tag[si][way]
+            _, fill, hits, _ = way_tag[si][way]
             residencies.append(Residency(
                 addr=geom.block_addr(si, tag), fill=fill, end=n, hits=hits,
             ))
@@ -130,11 +132,14 @@ def loop_prediction_error(residencies, key):
 
 
 def loop_victim_quality(events, trace, geom):
-    """Rank histogram from a per-block position list and bisect."""
+    """Rank histogram from a per-block position list and bisect: each
+    candidate's block-aligned address is read from the trace at its
+    position and searched for after the event's index."""
     block_mask = ~((1 << geom.block_offset_bits) - 1)
+    aligned = [a & block_mask for a in trace.addr.tolist()]
     positions = collections.defaultdict(list)
-    for i in range(len(trace)):
-        positions[int(trace.addr[i]) & block_mask].append(i)
+    for i, block in enumerate(aligned):
+        positions[block].append(i)
 
     def next_use_after(block, i):
         pos = positions.get(block)
@@ -146,8 +151,8 @@ def loop_victim_quality(events, trace, geom):
 
     hist = np.zeros(geom.associativity + 1, dtype=np.int64)
     for ev in events:
-        uses = [next_use_after(a, ev.index) for a in ev.resident_addrs]
-        uses.append(next_use_after(ev.incoming_addr, ev.index))
+        uses = [next_use_after(aligned[p], ev.index) for p in ev.resident_pos]
+        uses.append(next_use_after(aligned[ev.index], ev.index))
         victim_use = uses[-1] if ev.victim_way == BYPASS else uses[ev.victim_way]
         hist[sum(1 for u in uses if u > victim_use)] += 1
     return hist

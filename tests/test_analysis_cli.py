@@ -1,5 +1,6 @@
 """Metrics, report CSV round trips, experiment drivers, and the CLI."""
 
+import csv
 import subprocess
 import sys
 
@@ -26,7 +27,7 @@ from ehcsim import _kernels
 from ehcsim.cli import main
 from ehcsim.errors import DataError
 
-from conftest import make_trace
+from conftest import lru_oracle_hits, make_trace
 
 GEOM = CacheGeometry(64, 4)
 
@@ -194,7 +195,7 @@ def test_cli_gen_run_single_access(tmp_path):
                  "--csv", str(out)]) == 0
 
 
-def test_cli_run_writes_events(trace_file, tmp_path):
+def test_cli_run_writes_events(trace_file, tmp_path, monkeypatch):
     out = tmp_path / "run.csv"
     events = tmp_path / "events.csv"
     assert main(["run", "--trace", str(trace_file), "--policy", "lru",
@@ -203,6 +204,21 @@ def test_cli_run_writes_events(trace_file, tmp_path):
     lines = events.read_text().splitlines()
     assert lines[0].startswith("index,set,victim_way,no_averse,incoming")
     assert len(lines) > 1
+    # Sets and addresses are the trace's at the logged positions.
+    trace = load_trace(trace_file)
+    for row in csv.reader(lines[1:]):
+        addr = int(trace.addr[int(row[0])])
+        assert int(row[1]) == GEOM.set_index(addr) and int(row[4], 16) == addr & ~63
+        residents = [int(a, 16) for a in row[5:]]
+        assert {GEOM.set_index(a) for a in residents} == {int(row[1])}
+        assert len(set(residents)) == 4 and int(row[4], 16) not in residents
+    # The reference engine writes the same file.
+    monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
+    reference = tmp_path / "reference.csv"
+    assert main(["run", "--trace", str(trace_file), "--policy", "lru",
+                 "--sets", "64", "--ways", "4",
+                 "--events", str(reference), "--csv", str(out)]) == 0
+    assert reference.read_text() == events.read_text()
 
 
 def test_cli_compare(trace_file, tmp_path):
@@ -305,6 +321,42 @@ def test_cli_reports_a_geometry_too_large_without_the_kernel(trace_file, tmp_pat
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
+
+
+# Without the kernel, the reference engine allocates what a set needs when
+# the set is first touched, so a geometry far larger than memory runs.
+NO_COMPILER = """
+import resource, sys
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_DATA, (512 << 20, 512 << 20))
+from ehcsim import _kernels
+_kernels._COMPILER = "ehcsim-no-such-cc"
+_kernels._cache_dirs = lambda: [Path(sys.argv[1])]
+from ehcsim.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("policy", ["lru", "drrip", "ship", "ehc"])
+def test_reference_engine_runs_a_geometry_larger_than_memory(trace_file, tmp_path, policy):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    out = tmp_path / "run.csv"
+    sets, ways = 1 << 30, 16
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_COMPILER, str(cache), "run", "--policy", policy,
+         "--trace", str(trace_file), "--sets", str(sets), "--ways", str(ways),
+         "--csv", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "native kernel unavailable (no C compiler" in proc.stderr
+    _, rows = Report.parse(out.read_text()).tables["run"]
+    accesses, hits = int(rows[0][1]), int(rows[0][2])
+    trace = load_trace(trace_file)
+    assert accesses == len(trace)
+    if policy == "lru":
+        assert hits == int(lru_oracle_hits(trace, CacheGeometry(sets, ways)).sum())
 
 
 def test_cli_data_errors(tmp_path):

@@ -14,7 +14,6 @@ from ehcsim import (
     InternalInvariantError,
     InvalidSpec,
     LruPolicy,
-    ReplacementEvent,
     ReplacementPolicy,
     SimStats,
     simulate,
@@ -65,8 +64,6 @@ VALUE_TYPES = {
     "geometry": (lambda last=6: CacheGeometry(64, 4, last), (64, 4, 6)),
     "spec": (lambda last=42: GeneratorSpec("zipf", 100, 1000, 0.5, last),
              ("zipf", 100, 1000, 0.5, 42)),
-    "event": (lambda last=(0x40, 0x80): ReplacementEvent(3, 1, BYPASS, True, 0xC0, last),
-              (3, 1, BYPASS, True, 0xC0, (0x40, 0x80))),
 }
 
 
@@ -91,9 +88,6 @@ def test_value_type_reprs():
         "CacheGeometry(num_sets=2048, associativity=16, block_offset_bits=6)")
     assert repr(GeneratorSpec("loop", 3, 6)) == (
         "GeneratorSpec(kind='loop', block_count=3, length=6, alpha=1.0, seed=42)")
-    assert repr(ReplacementEvent(0, 1, 2, False, 64, (0, 128))) == (
-        "ReplacementEvent(index=0, set_index=1, victim_way=2, no_averse=False, "
-        "incoming_addr=64, resident_addrs=(0, 128))")
     assert repr(SimStats(hits=2, per_policy={"psel": 5})) == (
         "SimStats(accesses=0, hits=2, misses=0, replacements_total=0, "
         "replacements_no_averse=0, per_policy={'psel': 5})")
@@ -146,8 +140,7 @@ def test_cold_fills_are_not_replacements():
     assert stats.replacements_total == 1  # only the third access replaces
     assert len(events) == 1
     assert events.index.tolist() == [2]
-    assert events.incoming_addr.tolist() == [0x080]
-    assert set(events.resident_addrs[0].tolist()) == {0x000, 0x040}
+    assert set(events.resident_pos[0].tolist()) == {0, 1}
 
 
 def test_hit_flags():

@@ -200,7 +200,7 @@ def test_empty_trace():
     assert stats.accesses == 0
     _, log, _ = run_policy(trace, "ehc", CacheGeometry(2, 2), backend="kernel",
                            record_events=True)
-    assert len(log) == 0 and log.resident_addrs.shape == (0, 2)
+    assert len(log) == 0 and log.resident_pos.shape == (0, 2)
 
 
 def test_auto_records_events_on_the_kernel(monkeypatch):
@@ -223,7 +223,7 @@ def test_auto_records_events_on_the_kernel(monkeypatch):
     _, huge_log, _ = run_policy(make_trace([1 << 63, (1 << 63) + 64]), "lru",
                                 CacheGeometry(1, 1), record_events=True)
     assert calls == ["kernel", "kernel"]
-    assert list(huge_log)[0].resident_addrs == (1 << 63,)
+    assert huge_log.index.tolist() == [1] and huge_log.resident_pos.tolist() == [[0]]
 
 
 # --- building and loading the native kernel -------------------------------
@@ -250,7 +250,8 @@ def _runs(backend):
     for name in ("lru", "drrip", "ehc"):
         stats, log, flags = run_policy(trace, name, CacheGeometry(64, 4), backend=backend,
                                        record_events=True)
-        out[name] = (stats, flags.tolist(), list(log))
+        out[name] = (stats, flags.tolist(),
+                     [getattr(log, column).tolist() for column in EventLog.__slots__])
     return out
 
 

@@ -1,24 +1,25 @@
 """Property tests: both MIN backends, the prediction-error histograms and
 victim scoring equal the loops, the native kernel equals the reference
-engine, no policy beats MIN, unbounded OPTgen equals offline MIN, and
-traces survive their file format.
+engine, every event log holds the residents of its set, no policy beats
+MIN, unbounded OPTgen equals offline MIN, and traces survive their file
+format.
 
 Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
 anywhere in the 64-bit address space (two of three trace shapes crowd a
 few sets so that they fill, evict and bypass), hand-made event logs
-(bypass rows, addresses the trace never touches, the empty log) and
-hand-made residency rows (ties in completion order, shared blocks and
-regions) are checked against the per-access implementations in
-``loop_oracles``.
+(bypass rows, residents of any block the trace touched before the event,
+the empty log) and hand-made residency rows (ties in completion order,
+shared blocks and regions) are checked against the per-access
+implementations in ``loop_oracles``.
 """
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import (
     BYPASS,
     CacheGeometry,
     EventLog,
-    ReplacementEvent,
     ResidencyLog,
     SampledSetHistory,
     Trace,
@@ -43,6 +44,7 @@ from conftest import (
     residency_log,
 )
 from loop_oracles import (
+    Event,
     Residency,
     loop_next_use,
     loop_prediction_error,
@@ -160,28 +162,28 @@ def test_prediction_error_matches_loop(records):
 @st.composite
 def event_logs(draw):
     """A trace plus replacement events that need not come from any run:
-    bypass rows, candidates the trace never touches, unaligned addresses
-    and the empty log all occur."""
+    residents of any block touched before the event other than the
+    incoming one (of any set, or repeated), bypass rows and the empty log
+    all occur. Each resident position is its block's latest access before
+    the event, as a recorded log holds."""
     geom, trace = draw(traced_geometries(max_len=40))
     assoc = geom.associativity
-    touched = sorted(set(int(a) for a in trace.addr))
-    block = 1 << geom.block_offset_bits
-    aligned = sorted({a & -block for a in touched})
-    candidates = st.one_of(
-        st.sampled_from(aligned or [0]),
-        st.sampled_from(touched or [1]),
-        st.integers(0, (1 << 64) - 1).map(lambda a: a & -block),
-    )
-    event = st.builds(
-        ReplacementEvent,
-        index=st.integers(0, max(len(trace) - 1, 0)),
-        set_index=st.integers(0, geom.num_sets - 1),
-        victim_way=st.sampled_from([BYPASS, *range(assoc)]),
-        no_averse=st.booleans(),
-        incoming_addr=candidates,
-        resident_addrs=st.lists(candidates, min_size=assoc, max_size=assoc).map(tuple),
-    )
-    return geom, trace, draw(st.lists(event, max_size=20))
+    blocks = (trace.addr >> np.uint64(geom.block_offset_bits)).tolist()
+    events = []
+    for _ in range(draw(st.integers(0, 20)) if len(trace) else 0):
+        index = draw(st.integers(0, len(trace) - 1))
+        latest = {blocks[p]: p for p in range(index)}  # each block's latest access
+        latest.pop(blocks[index], None)                # a hit, not a replacement
+        if not latest:
+            continue
+        events.append(Event(
+            index=index,
+            victim_way=draw(st.sampled_from([BYPASS, *range(assoc)])),
+            no_averse=draw(st.booleans()),
+            resident_pos=tuple(draw(st.lists(st.sampled_from(sorted(latest.values())),
+                                              min_size=assoc, max_size=assoc))),
+        ))
+    return geom, trace, events
 
 
 @PROPERTY_SETTINGS
@@ -190,7 +192,8 @@ def test_victim_quality_matches_loop(case):
     geom, trace, events = case
     expected = loop_victim_quality(events, trace, geom).tolist()
     log = event_log(events, geom.associativity)
-    assert list(log) == events
+    assert list(zip(log.index.tolist(), log.victim_way.tolist(), log.no_averse.tolist(),
+                    map(tuple, log.resident_pos.tolist()))) == events
     assert victim_quality(log, trace, geom).tolist() == expected
 
 
@@ -224,6 +227,39 @@ def test_kernel_events_match_reference(case, name):
     assert k_stats == r_stats
     assert_same_array(k_flags, r_flags, "hit flags")
     assert_same_log(k_log, r_log, "events")
+
+
+def _assert_residents_of_the_event_set(log, trace, geom):
+    """Every resident position precedes its event's, and the residents are
+    distinct blocks of the incoming block's set, none of them that block."""
+    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    incoming, resident = blocks[log.index], blocks[log.resident_pos]
+    set_mask = np.uint64(geom.num_sets - 1)
+    assert (log.resident_pos < log.index[:, None]).all()
+    assert ((resident & set_mask) == (incoming & set_mask)[:, None]).all()
+    assert (resident != incoming[:, None]).all()
+    by_block = np.sort(resident, axis=1)
+    assert (by_block[:, 1:] != by_block[:, :-1]).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
+def test_every_event_log_holds_the_residents_of_its_set(case, name):
+    # All four producers: the kernel, the engine, and MIN on either backend.
+    geom, trace = case
+    for backend in ("kernel", "reference"):
+        _, log, _ = run_policy(trace, name, geom, backend=backend, record_events=True)
+        _assert_residents_of_the_event_set(log, trace, geom)
+        assert victim_quality(log, trace, geom).sum() == len(log)
+        for bypass in (False, True):
+            log = simulate_min(trace, geom, bypass=bypass, record_events=True,
+                               backend=backend)[3]
+            _assert_residents_of_the_event_set(log, trace, geom)
+            ranks = victim_quality(log, trace, geom)
+            # MIN evicts the farthest resident; only an incoming block it
+            # does not bypass can be farther still.
+            worst = 0 if bypass else 1
+            assert ranks.sum() == len(log) and not ranks[worst + 1:].any()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

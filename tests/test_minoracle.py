@@ -9,7 +9,6 @@ from ehcsim import (
     MinDecision,
     MissingEventLog,
     NO_NEXT_USE,
-    ReplacementEvent,
     ResidencyLog,
     UsageError,
     compute_next_use,
@@ -28,7 +27,7 @@ from conftest import (
     random_trace,
     residency_log,
 )
-from loop_oracles import Residency
+from loop_oracles import Event, Residency
 
 A, B, C, D, Z = 0x000, 0x040, 0x080, 0x0C0, 0x100
 GEOM1x2 = CacheGeometry(1, 2)
@@ -172,15 +171,13 @@ def test_error_histograms_sort_by_completion():
 
 def _quality_fixture():
     geom = CacheGeometry(1, 3)
-    addrs = [D, Z, Z, B, Z, D, Z, Z, Z, Z, A]
+    addrs = [A, B, C, D, Z, Z, B, Z, D, Z, Z, Z, Z, A]
     t = make_trace(addrs)
-    # candidates at index 0: residents A (next use 10), B (3), C (never),
-    # incoming D (5)
-    def events(victim_way):
-        return event_log([ReplacementEvent(
-            index=0, set_index=0, victim_way=victim_way, no_averse=False,
-            incoming_addr=D, resident_addrs=(A, B, C),
-        )], geom.associativity)
+    # candidates at index 3: residents A (last access 0, next use 13),
+    # B (1, 6), C (2, never), incoming D (8)
+    def events(victim_way, resident_pos=(0, 1, 2), index=3):
+        return event_log([Event(index=index, victim_way=victim_way, no_averse=False,
+                                resident_pos=resident_pos)], geom.associativity)
     return geom, t, events
 
 
@@ -204,6 +201,31 @@ def test_victim_quality_requires_events():
     _, t, _ = _quality_fixture()
     with pytest.raises(MissingEventLog):
         victim_quality(None, t, CacheGeometry(1, 3))
+
+
+@pytest.mark.parametrize("index, resident_pos, message", [
+    (14, (0, 1, 2), "outside the trace"),        # past the last access
+    (-1, (0, 1, 2), "outside the trace"),
+    (3, (0, -1, 2), "outside the trace"),
+    (3, (0, 1, 3), "not before its event"),      # the incoming access itself
+    (3, (0, 1, 20), "not before its event"),
+    (7, (0, 1, 2), "accessed again before"),     # B's latest access is 6, not 1
+    (8, (0, 6, 3), "accessed again before"),     # D, the incoming block, at 3
+], ids=["past-end", "negative-index", "negative-resident", "at-index", "after-index",
+        "stale-resident", "incoming-resident"])
+def test_victim_quality_rejects_a_log_from_another_trace(index, resident_pos, message):
+    geom, t, events = _quality_fixture()
+    with pytest.raises(ValueError, match=message):
+        victim_quality(events(0, resident_pos, index), t, geom)
+
+
+@pytest.mark.parametrize("victim_way", [3, -2])
+def test_victim_quality_rejects_a_victim_outside_the_ways(victim_way):
+    geom, t, events = _quality_fixture()
+    with pytest.raises(ValueError, match="3-way cache"):
+        victim_quality(events(victim_way), t, geom)
+    with pytest.raises(ValueError, match="4-way cache"):
+        victim_quality(events(0), t, CacheGeometry(1, 4))
 
 
 def test_mean_rank():
@@ -260,7 +282,7 @@ def test_kernel_min_matches_python_min_on_edge_cases(case, bypass, rng):
     # Every fill is one residency, and every hit belongs to one.
     assert len(residencies) == stats.misses - stats.per_policy["bypasses"]
     assert int(residencies.hits.sum()) == stats.hits
-    assert events.resident_addrs.shape == (len(events), geom.associativity)
+    assert events.resident_pos.shape == (len(events), geom.associativity)
     ranks = victim_quality(events, trace, geom)
     assert ranks.sum() == len(events)
     if bypass:  # then MIN's choices are all rank 0

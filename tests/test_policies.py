@@ -119,11 +119,16 @@ def test_drrip_follower_obeys_psel():
 
 
 def test_drrip_leader_counts():
+    # Leaders insert their own way whatever PSEL says: 32 of each at 2048
+    # sets, and no set leads for both.
     geom = CacheGeometry(2048, 16)
     policy = DrripPolicy(geom)
-    assert int(policy.srrip_leader.sum()) == 32
-    assert int(policy.brrip_leader.sum()) == 32
-    assert not (policy.srrip_leader & policy.brrip_leader).any()
+    policy.psel = PSEL_MAX
+    srrip_leaders = {s for s in range(geom.num_sets) if not policy.uses_brrip(s)}
+    policy.psel = 0
+    brrip_leaders = {s for s in range(geom.num_sets) if policy.uses_brrip(s)}
+    assert len(srrip_leaders) == len(brrip_leaders) == 32
+    assert not srrip_leaders & brrip_leaders
 
 
 def test_drrip_psel_moves_on_leader_misses():
