@@ -1,14 +1,13 @@
-/* Native kernels behind ehcsim._kernels: the policy loop (ehcsim_simulate)
- * and the offline Belady MIN oracle (ehcsim_min).
+/* The native kernel behind ehcsim._kernels: one cache loop (ehcsim_simulate)
+ * for every built-in policy and for the offline Belady MIN oracle.
  *
- * ehcsim_simulate runs one loop over the trace that covers every built-in
- * policy, dispatched on policy_id, and reproduces the reference engine
- * (ehcsim.engine.simulate) bit for bit. ehcsim_min reproduces the Python
- * MIN of ehcsim.minoracle the same way. ehcsim._kernels prepends a
- * generated #define block before compiling: the policy constants from
- * ehcsim.params (64-bit ones with a ULL suffix), the POLICY_* ids, the
- * OUT_* and MIN_OUT_* counter slots, the EVENT_* fields of an event row and
- * BYPASS. So this file holds no policy literal of its own.
+ * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
+ * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
+ * the seven built-in policies as for MIN (ehcsim.minoracle.MinPolicy).
+ * ehcsim._kernels prepends a generated #define block before compiling: the
+ * policy constants from ehcsim.params (64-bit ones with a ULL suffix), the
+ * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row
+ * and BYPASS. So this file holds no policy literal of its own.
  *
  * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
  * (the trace position of the replacing miss, the victim way, no_averse),
@@ -121,17 +120,23 @@ static void free_tables(Tables *t)
 }
 
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
- * receives the counters. With record_events, replacement k fills event row
- * k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds the latest access
- * of every line, for LRU's victim and for that row. seed keys the bimodal
- * insertion draws (BRRIP, DRRIP). fixed_init < 0 seeds EHC's EFH from the
- * region table. Returns 0, or -1 when the tables cannot be allocated,
+ * receives the counters. With record_events, the k-th miss in a full set
+ * fills event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds
+ * the latest access of every line, for LRU's and MIN's victims and for
+ * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
+ * fixed_init < 0 seeds EHC's EFH from the region table. MIN evicts the
+ * first way whose next use, next_use[stamp], is farthest; next_use[i] is
+ * the position of the next access to the block of access i. With bypass,
+ * MIN leaves the incoming block out when its own next use is strictly
+ * farther, and logs the miss with BYPASS as its victim way. Only MIN reads
+ * next_use and bypass. Returns 0, or -1 when the tables cannot be allocated,
  * which includes a geometry whose table sizes overflow int64_t: a wrapped
  * size would allocate too little and the loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
     int64_t policy_id, uint64_t seed, int64_t aging, int64_t fixed_init,
+    const int64_t *next_use, int64_t bypass,
     int64_t record_events, int64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
@@ -142,6 +147,7 @@ int ehcsim_simulate(
     const int64_t cap = WINDOW_SLOTS_PER_WAY * assoc;
     const int64_t ev_width = EVENT_FIELDS + assoc;
     const uint64_t set_mask = (uint64_t)num_sets - 1;
+    const int sampled = policy_id == POLICY_HAWKEYE || policy_id == POLICY_EHC;
     Tables t = {{0}, 0, 0};
 
     uint8_t *valid = table(&t, lines, sizeof *valid);
@@ -173,7 +179,7 @@ int ehcsim_simulate(
     for (int64_t k = 0; k < REGION_TABLE_SIZE; k++)
         rt->tag[k] = REGION_NONE;
 
-    int64_t hits = 0, replacements = 0, no_averse_count = 0, long_inserts = 0;
+    int64_t hits = 0, replacements = 0, bypasses = 0, no_averse_count = 0, long_inserts = 0;
     int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
     int64_t psel = PSEL_INIT;
     uint64_t ins = 0;
@@ -184,7 +190,7 @@ int ehcsim_simulate(
         const int64_t si = (int64_t)(block & set_mask);
 
         /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
-        if (policy_id >= POLICY_HAWKEYE && si % SAMPLE_PERIOD == 0) {
+        if (sampled && si % SAMPLE_PERIOD == 0) {
             const int64_t s = si / SAMPLE_PERIOD;
             const uint64_t tg = shr(block, set_bits);
             int64_t *orow = occ + s * cap;
@@ -269,13 +275,13 @@ int ehcsim_simulate(
             hit_flags[i] = 1;
             stamp[row + way] = i;
             if (policy_id == POLICY_LRU) {
-                /* the stamp is all LRU keeps */
+                /* LRU keeps only the stamp, as MIN does, which takes no branch */
             } else if (policy_id <= POLICY_DRRIP) {
                 rrow[way] = 0;
             } else if (policy_id == POLICY_SHIP) {
                 rrow[way] = 0;
                 outcome[row + way] = 1;
-            } else {
+            } else if (policy_id <= POLICY_EHC) {
                 lastpc[row + way] = p;
                 if (policy_id == POLICY_EHC && erow[way] > 0)
                     erow[way]--;
@@ -320,6 +326,14 @@ int ehcsim_simulate(
                         shct[sg]--;
                     }
                 }
+            } else if (policy_id == POLICY_MIN) {
+                const int64_t *srow = stamp + row;
+                way = 0;
+                for (int64_t w = 1; w < assoc; w++)
+                    if (next_use[srow[w]] > next_use[srow[way]])
+                        way = w;
+                if (bypass && next_use[i] > next_use[srow[way]])
+                    way = BYPASS;
             } else {
                 int64_t best = 0;
                 for (int64_t w = 0; w < assoc; w++) {
@@ -344,12 +358,16 @@ int ehcsim_simulate(
                 }
             }
             if (record_events) {
-                int64_t *ev = events + replacements * ev_width;
+                int64_t *ev = events + (replacements + bypasses) * ev_width;
                 ev[EVENT_INDEX] = i;
                 ev[EVENT_VICTIM_WAY] = way;
                 ev[EVENT_NO_AVERSE] = no_averse;
                 for (int64_t w = 0; w < assoc; w++)
                     ev[EVENT_FIELDS + w] = stamp[row + w];
+            }
+            if (way == BYPASS) {
+                bypasses++;
+                continue;
             }
             replacements++;
         }
@@ -387,7 +405,7 @@ int ehcsim_simulate(
             sig[row + way] = sg;
             outcome[row + way] = 0;
             rrow[way] = shct[sg] == 0 ? RRPV_MAX : RRPV_MAX - 1;
-        } else {
+        } else if (policy_id <= POLICY_EHC) {
             lastpc[row + way] = p;
             if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
                 if (aging)
@@ -413,134 +431,7 @@ int ehcsim_simulate(
     out[OUT_OPTGEN_COLD] = optgen_cold;
     out[OUT_OPTGEN_HIT] = optgen_hit;
     out[OUT_OPTGEN_MISS] = optgen_miss;
-    free_tables(&t);
-    return 0;
-}
-
-/* Belady's MIN over n accesses, behind ehcsim._kernels.run_min: on a miss
- * in a full set, evict the resident whose next use is farthest (the first
- * way on ties). With bypass, the incoming block is not inserted when its
- * own next use is strictly farther than that. next_use[i] is the position
- * of the next access to the block of access i (NO_NEXT_USE when none).
- *
- * hit_flags[i] is set for every hit; out[MIN_OUT_*] receives the counts.
- * Every fill ends up as one residency row (res_block, res_fill, res_end,
- * res_hits): evictions in eviction order, then the blocks still resident,
- * set by set in the order the sets were first touched and by fill position
- * within a set, with res_end = n. A trace of n accesses has at most n
- * fills, so n rows always suffice. With record_events, every full-set miss
- * writes one event row as ehcsim_simulate does, with BYPASS as the victim
- * way of a bypass; lastv holds each way's latest access for it. Returns 0,
- * or -1 when the tables cannot be allocated, as for ehcsim_simulate. */
-int ehcsim_min(
-    int64_t n, const uint64_t *addr, const int64_t *next_use,
-    int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t bypass,
-    int64_t record_events, int64_t *events, uint8_t *hit_flags,
-    uint64_t *res_block, int64_t *res_fill, int64_t *res_end, int64_t *res_hits,
-    int64_t *out)
-{
-    if (mul_overflows(num_sets, assoc) || assoc > INT64_MAX - EVENT_FIELDS)
-        return -1;
-    const int64_t lines = num_sets * assoc;
-    const int64_t ev_width = EVENT_FIELDS + assoc;
-    const uint64_t set_mask = (uint64_t)num_sets - 1;
-    Tables t = {{0}, 0, 0};
-
-    uint64_t *blockv = table(&t, lines, sizeof *blockv);
-    int64_t *nextv = table(&t, lines, sizeof *nextv);
-    int64_t *fillv = table(&t, lines, sizeof *fillv);
-    int64_t *lastv = table(&t, lines, sizeof *lastv);
-    int64_t *hitv = table(&t, lines, sizeof *hitv);
-    int64_t *used = table(&t, num_sets, sizeof *used);      /* filled ways per set */
-    int64_t *touched = table(&t, num_sets, sizeof *touched); /* sets, first touch first */
-    int64_t *by_fill = table(&t, assoc, sizeof *by_fill);
-    if (t.failed) {
-        free_tables(&t);
-        return -1;
-    }
-
-    int64_t hits = 0, replacements = 0, bypasses = 0, rows = 0, ntouched = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const uint64_t block = shr(addr[i], block_bits);
-        const int64_t si = (int64_t)(block & set_mask);
-        const int64_t row = si * assoc, filled = used[si];
-        uint64_t *brow = blockv + row;
-        int64_t *nrow = nextv + row;
-        int64_t way = -1;
-        for (int64_t w = 0; w < filled; w++) {
-            if (brow[w] == block) {
-                way = w;
-                break;
-            }
-        }
-        if (way >= 0) {
-            nrow[way] = next_use[i];
-            lastv[row + way] = i;
-            hitv[row + way]++;
-            hit_flags[i] = 1;
-            hits++;
-            continue;
-        }
-
-        if (filled < assoc) {
-            if (filled == 0)
-                touched[ntouched++] = si;
-            way = used[si]++;
-        } else {
-            way = 0;
-            for (int64_t w = 1; w < assoc; w++)
-                if (nrow[w] > nrow[way])
-                    way = w;
-            const int skip = bypass && next_use[i] > nrow[way];
-            if (record_events) {
-                int64_t *ev = events + (replacements + bypasses) * ev_width;
-                ev[EVENT_INDEX] = i;
-                ev[EVENT_VICTIM_WAY] = skip ? BYPASS : way;
-                ev[EVENT_NO_AVERSE] = 0;
-                for (int64_t w = 0; w < assoc; w++)
-                    ev[EVENT_FIELDS + w] = lastv[row + w];
-            }
-            if (skip) {
-                bypasses++;
-                continue;
-            }
-            res_block[rows] = brow[way];
-            res_fill[rows] = fillv[row + way];
-            res_end[rows] = i;
-            res_hits[rows] = hitv[row + way];
-            rows++;
-            replacements++;
-        }
-        brow[way] = block;
-        nrow[way] = next_use[i];
-        fillv[row + way] = i;
-        lastv[row + way] = i;
-        hitv[row + way] = 0;
-    }
-
-    for (int64_t k = 0; k < ntouched; k++) {
-        const int64_t row = touched[k] * assoc, filled = used[touched[k]];
-        /* Insertion sort of the set's ways by fill position. */
-        for (int64_t w = 0; w < filled; w++) {
-            int64_t j = w;
-            for (; j > 0 && fillv[row + by_fill[j - 1]] > fillv[row + w]; j--)
-                by_fill[j] = by_fill[j - 1];
-            by_fill[j] = w;
-        }
-        for (int64_t j = 0; j < filled; j++) {
-            const int64_t w = row + by_fill[j];
-            res_block[rows] = blockv[w];
-            res_fill[rows] = fillv[w];
-            res_end[rows] = n;
-            res_hits[rows] = hitv[w];
-            rows++;
-        }
-    }
-
-    out[MIN_OUT_HITS] = hits;
-    out[MIN_OUT_REPLACEMENTS] = replacements;
-    out[MIN_OUT_BYPASSES] = bypasses;
-    out[MIN_OUT_RESIDENCIES] = rows;
+    out[OUT_BYPASSES] = bypasses;
     free_tables(&t);
     return 0;
 }

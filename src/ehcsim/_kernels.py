@@ -1,11 +1,10 @@
-"""The native kernels: the fast paths behind :func:`ehcsim.runner.run_policy`
+"""The native kernel: the fast path behind :func:`ehcsim.runner.run_policy`
 and :func:`ehcsim.minoracle.simulate_min`.
 
-``_kernel.c`` exports two functions. ``ehcsim_simulate`` runs one flat loop
-per trace that covers all built-in policies (dispatched on a policy id) and
-reproduces the reference engine bit for bit; ``ehcsim_min`` runs Belady's
-MIN over a next-use column and reproduces the Python MIN loop bit for bit.
-The test suite enforces both. On first use this module
+``_kernel.c`` exports one function, ``ehcsim_simulate``: one flat loop per
+trace that covers the built-in policies and Belady's MIN (dispatched on a
+policy id; MIN reads a next-use column) and reproduces the reference
+engine bit for bit, which the test suite enforces. On first use this module
 prepends a ``#define`` block generated from :mod:`ehcsim.params`,
 compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
 and loads it with ctypes. The library goes to ``__pycache__`` next to this
@@ -14,12 +13,12 @@ under the system temporary directory; nothing is loaded from a directory
 another user owns or may write to. Its name carries a digest of the header, the
 source and the flags, so an edit to either builds a new one.
 
-With ``record_events`` either kernel also writes each replacement into one
-preallocated int64 buffer as one row of trace positions, whose columns
-:func:`run` and :func:`run_min` hand to an :class:`~ehcsim.engine.EventLog`
-as they are. When no compiler is found or the build
-fails, :func:`supports` is False, ``backend="auto"`` runs the reference
-engine and the Python MIN, and one line on stderr per process says why.
+With ``record_events`` the kernel also writes each miss in a full set into
+one preallocated int64 buffer as one row of trace positions, whose columns
+:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. When
+no compiler is found or the build fails, :func:`supports` is False,
+``backend="auto"`` runs the reference engine, and one line on stderr per
+process says why.
 """
 
 from __future__ import annotations
@@ -42,13 +41,14 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-_POLICY_IDS = {name: k for k, name in enumerate(params.POLICY_NAMES)}
+#: Kernel policy ids: the built-in policies, then Belady's MIN.
+_POLICY_IDS = {name: k for k, name in enumerate((*params.POLICY_NAMES, "min"))}
 
 #: The kernel's counter slots, in ``out`` order.
 _COUNTERS = (
     "accesses", "hits", "misses", "replacements_total",
     "replacements_no_averse", "long_inserts", "psel", "optgen_cold",
-    "optgen_hit", "optgen_miss",
+    "optgen_hit", "optgen_miss", "bypasses",
 )
 _STATS_FIELDS = _COUNTERS[:5]
 _PER_POLICY = {
@@ -56,10 +56,8 @@ _PER_POLICY = {
     "drrip": ("psel",),
     "hawkeye": ("optgen_cold", "optgen_hit", "optgen_miss"),
     "ehc": ("optgen_cold", "optgen_hit", "optgen_miss"),
+    "min": ("bypasses",),
 }
-
-#: The MIN kernel's counter slots, in ``out`` order.
-_MIN_COUNTERS = ("hits", "replacements", "bypasses", "residencies")
 
 #: Leading fields of an event row. The trace position of the latest access
 #: to every way's resident follows, as it was before the fill.
@@ -93,7 +91,6 @@ def _header() -> str:
     )
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
-    defines.update((f"MIN_OUT_{name.upper()}", k) for k, name in enumerate(_MIN_COUNTERS))
     defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
     return "".join(f"#define {name} {value}\n" for name, value in defines.items())
 
@@ -152,9 +149,9 @@ def _compile(text: str, target: Path) -> None:
 
 
 def _bind(path: Path):
-    """The library at ``path``, with the argument types of both kernel
-    functions declared; arrays are checked for dtype and contiguity per
-    call. Raises AttributeError when either function is missing."""
+    """The library at ``path``, with the kernel's argument types declared;
+    arrays are checked for dtype and contiguity per call. Raises
+    AttributeError when the kernel function is missing."""
     import ctypes
 
     lib = ctypes.CDLL(str(path))
@@ -167,16 +164,10 @@ def _bind(path: Path):
         i64, array(np.uint64), array(np.uint64),
         i64, i64, i64, i64,
         i64, ctypes.c_uint64, i64, i64,
+        array(np.int64), i64,
         i64, array(np.int64), array(np.uint8), array(np.int64),
     ]
-    lib.ehcsim_min.argtypes = [
-        i64, array(np.uint64), array(np.int64),
-        i64, i64, i64, i64,
-        i64, array(np.int64), array(np.uint8),
-        array(np.uint64), array(np.int64), array(np.int64), array(np.int64),
-        array(np.int64),
-    ]
-    lib.ehcsim_simulate.restype = lib.ehcsim_min.restype = ctypes.c_int
+    lib.ehcsim_simulate.restype = ctypes.c_int
     return lib
 
 
@@ -228,7 +219,8 @@ def unavailable() -> str | None:
 
 
 def supports(name: str) -> bool:
-    """Whether the kernel path can reproduce a run of this policy exactly."""
+    """Whether the kernel path can reproduce a run of this policy (or of
+    ``"min"``) exactly."""
     return name in _POLICY_IDS and _native()[0] is not None
 
 
@@ -248,9 +240,9 @@ def _library():
 
 
 def check_geometry(geom: CacheGeometry):
-    """``(num_sets, associativity, block_offset_bits)`` as the C kernels
-    take them. ctypes wraps an integer beyond int64_t silently and the
-    kernels refuse a table of 2^63 entries or more, so a geometry that
+    """``(num_sets, associativity, block_offset_bits)`` as the C kernel
+    takes them. ctypes wraps an integer beyond int64_t silently and the
+    kernel refuses a table of 2^63 entries or more, so a geometry that
     large raises :class:`GeometryTooLarge`; both backends check this first.
     An offset of 64 bits or more puts every address in block 0, in C as in
     Python, so it passes as 64."""
@@ -281,11 +273,19 @@ def run(
     record_events: bool = False,
     ehc_fixed_init: int | None = None,
     aging: bool = True,
+    next_use: np.ndarray | None = None,
+    bypass: bool = False,
 ):
-    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`."""
+    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`. ``name``
+    ``"min"`` runs Belady's MIN over ``next_use`` (one int64 position per
+    access), with ``bypass`` as :class:`ehcsim.minoracle.MinPolicy` takes it."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
+    if next_use is None:
+        next_use = np.empty(0, dtype=np.int64)  # read by MIN only
+    elif len(next_use) != n:
+        raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
     hit_flags = np.zeros(n, dtype=np.uint8)
     out = np.zeros(len(_COUNTERS), dtype=np.int64)
     # Room for an event row at every access.
@@ -297,6 +297,7 @@ def run(
         num_sets, assoc, block_bits, geom.set_bits,
         _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
+        next_use, 1 if bypass else 0,
         1 if record_events else 0, events, hit_flags, out,
     )
     if status != 0:
@@ -305,58 +306,10 @@ def run(
     counts = dict(zip(_COUNTERS, out.tolist()))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
-    log = _event_log(events, stats.replacements_total, ev_width) if record_events else None
-    return stats, log, hit_flags
-
-
-def run_min(
-    trace: Trace,
-    geom: CacheGeometry,
-    next_use: np.ndarray,
-    bypass: bool,
-    record_events: bool = False,
-):
-    """Kernel-path MIN over ``trace``, given its next-use column.
-
-    Returns ``(hit_flags, counts, residencies, events)``: ``counts`` maps
-    each of :data:`_MIN_COUNTERS` to its value, ``residencies`` holds the
-    columns (block-aligned address, fill, end, hits) in the order
-    ``_kernel.c`` documents, and ``events`` is an :class:`EventLog` when
-    ``record_events`` is set and None otherwise.
-    """
-    lib = _library()
-    n = len(trace)
-    if len(next_use) != n:
-        raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
-    num_sets, assoc, block_bits = check_geometry(geom)
-    hit_flags = np.zeros(n, dtype=np.uint8)
-    out = np.zeros(len(_MIN_COUNTERS), dtype=np.int64)
-    # Room for an event row at every access.
-    ev_width = len(_EVENT_FIELDS) + assoc
-    events = _event_buffer(geom, n * ev_width if record_events else 1)
-    # At most one fill per access; unwritten pages take no memory.
-    res_block = np.empty(n, dtype=np.uint64)
-    res_fill, res_end, res_hits = (np.empty(n, dtype=np.int64) for _ in range(3))
-
-    status = lib.ehcsim_min(
-        n, trace.addr, np.ascontiguousarray(next_use, dtype=np.int64),
-        num_sets, assoc, block_bits, 1 if bypass else 0,
-        1 if record_events else 0, events, hit_flags,
-        res_block, res_fill, res_end, res_hits, out,
-    )
-    if status != 0:
-        raise _too_large(geom)
-
-    counts = dict(zip(_MIN_COUNTERS, out.tolist()))
-    rows = counts["residencies"]
-    residencies = (
-        res_block[:rows] << np.uint64(geom.block_offset_bits),
-        res_fill[:rows], res_end[:rows], res_hits[:rows],
-    )
     log = None
     if record_events:
-        log = _event_log(events, counts["replacements"] + counts["bypasses"], ev_width)
-    return hit_flags, counts, residencies, log
+        log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)
+    return stats, log, hit_flags
 
 
 def _event_log(events: np.ndarray, count: int, width: int) -> EventLog:

@@ -1,7 +1,7 @@
 """Command-line interface: gen / run / compare / analyze / interleave.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or corrupt
-trace, file I/O), 3 internal invariant violation.
+Exit codes: 0 success, 1 usage error or not enough memory, 2 data error
+(unreadable or corrupt trace, file I/O), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -178,6 +178,10 @@ def main(argv=None) -> int:
     except InternalInvariantError as e:
         print(f"ehcsim: internal invariant violated: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # GeometryTooLarge, a UsageError, is reported above
+        detail = f" ({e})" if str(e) else ""
+        print(f"ehcsim: cannot allocate memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 This is the reference execution path: a plain Python loop over the trace that
 calls back into a policy object for every decision. It favors clarity and
-extensibility (any PolicyInterface subclass plugs in, and it can record full
-replacement events for victim-quality analysis). The native kernel in
-:mod:`ehcsim._kernels` reproduces the built-in policies bit-for-bit for bulk
-runs; equivalence between the two paths is enforced by tests.
+extensibility: any :class:`ReplacementPolicy` subclass plugs in, Belady's MIN
+(:class:`ehcsim.minoracle.MinPolicy`) included, and it can record every
+replacement decision as an :class:`EventLog`. The native kernel in
+:mod:`ehcsim._kernels` reproduces the built-in policies and MIN bit for bit
+for bulk runs; equivalence between the two paths is enforced by tests.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ class ReplacementPolicy:
 
 
 class EventLog:
-    """Replacement decisions as columns, one row per full-set miss, in
-    trace positions of the trace they were recorded on.
+    """Replacement decisions as columns, one row per full-set miss, bypasses
+    included, in trace positions of the trace they were recorded on.
 
     ``index`` (int64) is the position of the missing access, ``victim_way``
     (int64) the way it replaced or :data:`BYPASS`, ``no_averse`` (bool) as
@@ -212,17 +213,17 @@ def simulate(
                     break
             if way < 0:
                 way, no_averse = policy.choose_victim(si, ways)
-                if way == BYPASS:
-                    if check:
-                        stats.check()
-                    continue
-                if not 0 <= way < assoc:
+                if way != BYPASS and not 0 <= way < assoc:
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
                 if record_events:
                     ev_index.append(i)
                     ev_way.append(way)
                     ev_no_averse.append(no_averse)
                     ev_resident.extend(blk.recency_stamp for blk in ways)
+                if way == BYPASS:
+                    if check:
+                        stats.check()
+                    continue
                 stats.replacements_total += 1
                 if no_averse:
                     stats.replacements_no_averse += 1

@@ -6,11 +6,12 @@ per-residency hit counts, hit-count prediction-error histograms, and
 reuse-distance ranking of a policy's evicted victims (gathers from the
 next-use column at the positions an event log records).
 
-MIN runs on the native kernel (``ehcsim_min`` in ``_kernel.c``) when it
-could be built, and on a Python loop over memoryviews otherwise; both take
-the next-use column computed here with numpy and give the same results,
-which the test suite enforces. The prediction-error histograms are array
-code over a columnar :class:`ResidencyLog`.
+MIN is one more policy of the shared cache loop: :class:`MinPolicy` on the
+reference engine, and its policy id in ``_kernel.c`` on the native kernel
+when that could be built. Both take the next-use column computed here with
+numpy and give the same hit flags and event logs, which the test suite
+enforces. :func:`simulate_min` derives the :class:`ResidencyLog` from those
+with array code, and the prediction-error histograms are array code over it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
+from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, ReplacementPolicy, simulate
 from .errors import MissingEventLog
 from .params import REGION_RING_SLOTS, REGION_SHIFT
 from .sampler import MinDecision
@@ -54,9 +55,9 @@ class ResidencyLog:
         return len(self.addr)
 
 
-def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
-    """For each access, the position of the next access to the same block
-    (:data:`NO_NEXT_USE` when there is none)."""
+def _block_order(trace: Trace, geom: CacheGeometry):
+    """``(blocks, order, next_use)``: the block of every access, the
+    accesses stably sorted by block, and every access's next use."""
     blocks = trace.addr >> np.uint64(geom.block_offset_bits)
     # A stable sort keeps each block's accesses in trace order, so every
     # access is followed by its next use unless the block changes there.
@@ -64,7 +65,44 @@ def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np
     same = blocks[order[1:]] == blocks[order[:-1]]
     next_use = np.full(len(blocks), NO_NEXT_USE, dtype=np.int64)
     next_use[order[:-1][same]] = order[1:][same]
-    return next_use
+    return blocks, order, next_use
+
+
+def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
+    """For each access, the position of the next access to the same block
+    (:data:`NO_NEXT_USE` when there is none)."""
+    return _block_order(trace, geom)[2]
+
+
+class MinPolicy(ReplacementPolicy):
+    """Belady's MIN on the reference engine: evict the first way whose block
+    is next used farthest in the future, read from ``next_use`` at the way's
+    latest access. With ``bypass`` the incoming block is not inserted when
+    its own next use is strictly farther. The engine passes no trace
+    position, so ``on_observe`` counts them."""
+
+    name = "min"
+
+    def __init__(self, next_use: np.ndarray, bypass: bool = True):
+        self.next_use = next_use.tolist()  # Python ints index and compare fastest
+        self.bypass = bypass
+        self.position = -1
+        self.bypasses = 0
+
+    def on_observe(self, set_index, tag, addr, pc) -> None:
+        self.position += 1
+
+    def choose_victim(self, set_index, ways):
+        next_use = self.next_use
+        uses = [next_use[blk.recency_stamp] for blk in ways]
+        farthest = max(uses)
+        if self.bypass and next_use[self.position] > farthest:
+            self.bypasses += 1
+            return BYPASS, False
+        return uses.index(farthest), False  # the first way on ties
+
+    def extra_stats(self) -> dict:
+        return {"bypasses": self.bypasses}
 
 
 def simulate_min(
@@ -88,126 +126,67 @@ def simulate_min(
     in :func:`ehcsim.runner.run_policy`: ``"auto"`` runs the native kernel
     unless it could not be built, ``"kernel"`` raises
     :class:`~ehcsim.errors.UsageError` when it could not, and
-    ``"reference"`` always runs the Python loop. A geometry beyond the
-    kernel's bound raises :class:`~ehcsim.errors.GeometryTooLarge` on
-    either backend.
+    ``"reference"`` always runs :class:`MinPolicy` on the reference engine.
+    A geometry beyond the kernel's bound raises
+    :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     _kernels.check_backend(backend)
     _kernels.check_geometry(geom)
-    next_use = compute_next_use(trace, geom)
-    n = len(trace)
+    blocks, order, next_use = _block_order(trace, geom)
+    # The residencies are derived from the event log, so it is always kept.
     if backend == "kernel" or (backend == "auto" and _kernels.unavailable() is None):
-        hit, counts, columns, events = _kernels.run_min(
-            trace, geom, next_use, bypass, record_events)
+        stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=True,
+                                          next_use=next_use, bypass=bypass)
     else:
-        hit, counts, columns, events = _reference_min(
-            trace, geom, next_use, bypass, record_events)
+        stats, events, hit = simulate(trace, MinPolicy(next_use, bypass), geom,
+                                      record_events=True)
 
     # A block's first access is the next use of no earlier access.
-    first = np.ones(n, dtype=bool)
+    first = np.ones(len(trace), dtype=bool)
     first[next_use[next_use != NO_NEXT_USE]] = False
     decisions = np.where(
         hit == 1, MinDecision.HIT,
         np.where(first, MinDecision.COLD_MISS, MinDecision.MISS),
     ).astype(np.uint8)
-
-    stats = SimStats(
-        accesses=n, hits=counts["hits"], misses=n - counts["hits"],
-        replacements_total=counts["replacements"],
-    )
-    stats.per_policy["bypasses"] = counts["bypasses"]
-    return stats, decisions, ResidencyLog(*columns), events
+    residencies = _residencies(geom, blocks, order, first, hit, events)
+    return stats, decisions, residencies, events if record_events else None
 
 
-def _reference_min(trace, geom, next_use, bypass, record_events):
-    """The Python MIN loop, for hosts without a C compiler. Returns
-    ``(hit_flags, counts, residency columns, events)`` as
-    :func:`ehcsim._kernels.run_min` does; ``counts`` holds the hits,
-    replacements and bypasses."""
-    n = len(trace)
-    assoc = geom.associativity
-    shift = geom.block_offset_bits
-    blocks = trace.addr >> np.uint64(shift)
-    set_ids = blocks & np.uint64(geom.num_sets - 1)
-    hit = np.zeros(n, dtype=np.uint8)
+def _residencies(geom, blocks, order, first, hit, events) -> ResidencyLog:
+    """Every fill of a MIN run as one row, from its hit flags and full event
+    log. In block order, a stay is a fill followed by its block's hits up
+    to the block's next miss, and it ends at the event that evicts its
+    latest access. The rows are the evictions in event order, then the
+    blocks still resident, set by set in the order the sets were first
+    touched and by fill position within a set."""
+    n = len(order)
+    evicted = events.victim_way != BYPASS
+    # Misses in block order, fills and bypasses alike; a stay runs to the next.
+    misses = np.append(np.flatnonzero(hit[order] == 0), n)
+    start, last = misses[:-1], misses[1:] - 1
+    filled = np.ones(n, dtype=bool)
+    filled[events.index[~evicted]] = False
+    fill_row = filled[order[start]]
+    fill = order[start[fill_row]]
+    hits = (last - start)[fill_row]
+    row_at = np.empty(n, dtype=np.int64)  # a stay's row, at its latest access
+    row_at[order[last[fill_row]]] = np.arange(len(fill))
+    gone = row_at[events.resident_pos[evicted, events.victim_way[evicted]]]
 
-    # Memoryviews index as Python ints without copying the columns.
-    block_at, set_at, next_at, hit_at = (
-        memoryview(blocks), memoryview(set_ids), memoryview(next_use), memoryview(hit)
-    )
-    way_of: dict[int, int] = {}  # resident block -> its way
-    # set -> per-way lists [next use, block, fill position, latest access,
-    # hits]; the dict keeps the sets in the order they were first touched.
-    state: dict[int, tuple] = {}
-    res_addr, res_fill, res_end, res_hits = [], [], [], []  # residency columns
-    ev_index, ev_way, ev_resident = [], [], []  # event log columns
-    hits = replacements = bypasses = 0
+    resident = np.ones(len(fill), dtype=bool)
+    resident[gone] = False
+    resident = np.flatnonzero(resident)
+    set_mask = np.uint64(geom.num_sets - 1)
+    # A set is first touched by the first access of one of its blocks.
+    first_at = np.flatnonzero(first)
+    sets, touch = np.unique(blocks[first_at] & set_mask, return_index=True)
+    resident_touch = first_at[touch][np.searchsorted(sets, blocks[fill[resident]] & set_mask)]
+    resident = resident[np.lexsort((fill[resident], resident_touch))]
 
-    for i in range(n):
-        b = block_at[i]
-        way = way_of.get(b)
-        if way is not None:
-            nexts, _, _, lasts, way_hits = state[set_at[i]]
-            nexts[way] = next_at[i]
-            lasts[way] = i
-            way_hits[way] += 1
-            hit_at[i] = 1
-            hits += 1
-            continue
-
-        si = set_at[i]
-        ways = state.get(si)
-        if ways is None:
-            ways = state[si] = ([], [], [], [], [])
-        nexts, way_block, fills, lasts, way_hits = ways
-        nu = next_at[i]
-        if len(nexts) < assoc:
-            way_of[b] = len(nexts)
-            nexts.append(nu)
-            way_block.append(b)
-            fills.append(i)
-            lasts.append(i)
-            way_hits.append(0)
-            continue
-
-        farthest = max(nexts)
-        victim = nexts.index(farthest)  # the first way on ties
-        skip = bypass and nu > farthest
-        if record_events:
-            ev_index.append(i)
-            ev_way.append(BYPASS if skip else victim)
-            ev_resident.extend(lasts)
-        if skip:
-            bypasses += 1
-            continue
-        old = way_block[victim]
-        res_addr.append(old << shift)
-        res_fill.append(fills[victim])
-        res_end.append(i)
-        res_hits.append(way_hits[victim])
-        del way_of[old]
-        way_of[b] = victim
-        nexts[victim] = nu
-        way_block[victim] = b
-        fills[victim] = lasts[victim] = i
-        way_hits[victim] = 0
-        replacements += 1
-
-    for _, way_block, fills, _, way_hits in state.values():
-        # Within a set, the residents in the order they were filled.
-        for w in sorted(range(len(fills)), key=fills.__getitem__):
-            res_addr.append(way_block[w] << shift)
-            res_fill.append(fills[w])
-            res_end.append(n)
-            res_hits.append(way_hits[w])
-
-    events = None
-    if record_events:
-        events = EventLog(ev_index, ev_way, np.zeros(len(ev_index), dtype=bool),
-                          np.array(ev_resident, dtype=np.int64).reshape(-1, assoc))
-    counts = {"hits": hits, "replacements": replacements, "bypasses": bypasses}
-    columns = (np.array(res_addr, dtype=np.uint64), res_fill, res_end, res_hits)
-    return hit, counts, columns, events
+    rows = np.concatenate((gone, resident))
+    end = np.concatenate((events.index[evicted], np.full(len(resident), n)))
+    return ResidencyLog(blocks[fill[rows]] << np.uint64(geom.block_offset_bits),
+                        fill[rows], end, hits[rows])
 
 
 def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:

@@ -378,14 +378,21 @@ def interleave(traces) -> Trace:
     """Merge per-program traces into one shared-LLC trace.
 
     Records merge in global ``seq`` order (stable: ties keep input order);
-    ``core`` is overwritten with the input index and addresses move into
-    disjoint 4 GB windows so programs never alias.
+    ``core`` is overwritten with the input index, and input ``i``'s
+    addresses move up by ``i`` windows of :data:`CORE_WINDOW_BYTES` (4 GB).
+    Every input address must lie below that, so programs never alias and
+    no address wraps; any other raises :class:`InvalidTrace`.
     """
     traces = list(traces)
     if not traces:
         raise InvalidSpec("interleave needs at least one input trace")
     if len(traces) > 255:
         raise TooManyCores(f"{len(traces)} inputs exceed the 8-bit core id")
+    for i, t in enumerate(traces):
+        outside = t.addr[t.addr >= np.uint64(CORE_WINDOW_BYTES)]
+        if len(outside):
+            raise InvalidTrace(f"interleave input {i}: address 0x{int(outside[0]):x} "
+                               f"is outside the 4 GB window of one core")
 
     seq = np.concatenate([t.seq for t in traces])
     pc = np.concatenate([t.pc for t in traces])

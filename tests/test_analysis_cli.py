@@ -250,6 +250,18 @@ def test_cli_interleave(tmp_path):
     assert merged.stat().st_size > 0
 
 
+def test_cli_interleave_rejects_an_address_outside_the_core_window(tmp_path, capsys):
+    parts = [tmp_path / "low.trace", tmp_path / "high.trace"]
+    save_trace(make_trace([0x40]), parts[0])
+    save_trace(make_trace([(1 << 64) - 64]), parts[1])
+    merged = tmp_path / "merged.trace"
+    assert main(["interleave", "-o", str(merged), *map(str, parts)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ehcsim: interleave input 1: address 0xffffffffffffffc0 "
+                   "is outside the 4 GB window of one core"]
+    assert not merged.exists()
+
+
 def test_cli_usage_errors(trace_file, tmp_path):
     out = str(tmp_path / "x.csv")
     # argparse rejections and explicit usage errors both exit 1
@@ -291,7 +303,7 @@ def test_cli_reports_a_geometry_it_cannot_allocate(trace_file, tmp_path, command
 
 
 # Without the kernel, these must fail the same way and before any table is
-# built: the Python MIN cannot convert 2^70 sets to uint64, and the reference
+# built: the reference MIN cannot convert 2^70 sets to uint64, and the reference
 # engine would build all 16 x (2^60 + 1) blocks.
 NO_KERNEL = """
 import resource, sys
@@ -321,6 +333,33 @@ def test_cli_reports_a_geometry_too_large_without_the_kernel(trace_file, tmp_pat
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
+
+
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, 1 << 30))
+from ehcsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind, blocks, length", [
+    ("zipf", 10**11, 10),
+    ("region", 10**11, 10),
+    ("stream", 10, 10**11),
+    ("loop", 10, 10**11),
+])
+def test_cli_reports_running_out_of_memory(tmp_path, kind, blocks, length):
+    out = tmp_path / "x.trace"
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED, "gen", "--kind", kind, "--blocks", str(blocks),
+         "--length", str(length), "-o", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ehcsim: cannot allocate"), proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
 
 
 # Without the kernel, the reference engine allocates what a set needs when

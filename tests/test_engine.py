@@ -170,10 +170,14 @@ class _AlwaysBypass(ReplacementPolicy):
 def test_bypass_skips_insertion():
     g = CacheGeometry(1, 2)
     t = make_trace([0x000, 0x040, 0x080, 0x000, 0x040])
-    stats, _, _ = simulate(t, _AlwaysBypass(), g)
+    stats, events, _ = simulate(t, _AlwaysBypass(), g, record_events=True)
     # 0x080 was never inserted, so the original pair still hits.
     assert stats.hits == 2
     assert stats.replacements_total == 0
+    # The bypass is still logged, with the residents it left in place.
+    assert events.index.tolist() == [2]
+    assert events.victim_way.tolist() == [BYPASS]
+    assert events.resident_pos.tolist() == [[0, 1]]
 
 
 def test_sim_stats_check():

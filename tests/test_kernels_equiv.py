@@ -180,7 +180,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "f05cac56639e029da7d49212"
+    assert digest == "5cdbb665e26e3a247c873ff7"
 
 
 def test_supports_rejects_unknown_policies():

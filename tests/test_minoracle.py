@@ -242,7 +242,7 @@ def test_min_events_rank_zero(rng):
     assert hist[0] == hist.sum()  # MIN's choices are always rank 0
 
 
-# --- the native MIN against the Python MIN on edge cases -------------------
+# --- the native MIN against the reference engine's MIN on edge cases ------
 
 TOP = (1 << 64) - 1
 

@@ -275,6 +275,18 @@ def test_interleave_disjoint_windows():
     assert sorted(out.addr.tolist()) == [0x40, 0x1_0000_0040]
 
 
+@pytest.mark.parametrize("inputs, culprit", [
+    ([[1 << 32], [0]], "input 0: address 0x100000000"),  # would alias core 1's block 0
+    ([[0], [(1 << 64) - 64]], "input 1: address 0xffffffffffffffc0"),  # would wrap to 0xffffffc0
+])
+def test_interleave_rejects_an_address_outside_the_core_window(inputs, culprit):
+    with pytest.raises(InvalidTrace, match=culprit):
+        interleave([make_trace(addrs) for addrs in inputs])
+    # The last byte of the window is still inside it.
+    out = interleave([make_trace([0]), make_trace([(1 << 32) - 1])])
+    assert out.addr.tolist() == [0, (2 << 32) - 1]
+
+
 def test_interleave_preserves_per_core_order_and_count():
     rng = np.random.default_rng(8)
     parts = [
