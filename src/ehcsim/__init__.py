@@ -43,9 +43,10 @@ _MODULES = {
         "SampledSetHistory", "is_sampled_set",
     ),
     "trace": (
-        "GENERATOR_KINDS", "GeneratorSpec", "Trace", "gen_synthetic", "interleave",
-        "load_trace", "read_trace", "save_trace", "write_trace",
+        "GeneratorSpec", "Trace", "gen_synthetic", "interleave", "load_trace", "read_trace",
+        "save_trace", "write_trace",
     ),
+    "traceformat": ("GENERATOR_KINDS",),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = sorted(_EXPORTS)

@@ -1,5 +1,6 @@
 /* The native kernel behind ehcsim._kernels: one cache loop (ehcsim_simulate)
- * for every built-in policy and for the offline Belady MIN oracle.
+ * for every built-in policy and for the offline Belady MIN oracle, and a
+ * trace record reader (ehcsim_read_records) that lets a run skip numpy.
  *
  * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
  * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
@@ -7,7 +8,9 @@
  * ehcsim._kernels prepends a generated #define block before compiling: the
  * policy constants from ehcsim.params (64-bit ones with a ULL suffix), the
  * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row
- * and BYPASS. So this file holds no policy literal of its own.
+ * and BYPASS, and from ehcsim.traceformat the record size RECORD_BYTES, the
+ * RECORD_* field offsets, KIND_WRITE and the CHECK_* record check numbers.
+ * So this file holds no policy or format literal of its own.
  *
  * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
  * (the trace position of the replacing miss, the victim way, no_averse),
@@ -433,5 +436,54 @@ int ehcsim_simulate(
     out[OUT_OPTGEN_MISS] = optgen_miss;
     out[OUT_BYPASSES] = bypasses;
     free_tables(&t);
+    return 0;
+}
+
+/* The little-endian uint64_t at p, which need not be aligned. Spelt out
+ * byte by byte, which compilers turn into one load on a little-endian host
+ * (a loop over the bytes took ten times as long at -O2). */
+static inline uint64_t le64(const uint8_t *p)
+{
+    return (uint64_t)p[0] | (uint64_t)p[1] << 8 | (uint64_t)p[2] << 16
+        | (uint64_t)p[3] << 24 | (uint64_t)p[4] << 32 | (uint64_t)p[5] << 40
+        | (uint64_t)p[6] << 48 | (uint64_t)p[7] << 56;
+}
+
+/* Copy the pc and addr fields of n packed trace records into pc[] and
+ * addr[], and check the records as ehcsim.trace.Trace.validate does, in its
+ * order. Returns 0 when every record passes; else CHECK_SEQ_COUNT when a
+ * seq exceeds instruction_count, CHECK_KIND when a kind exceeds KIND_WRITE,
+ * or CHECK_SEQ_ORDER when the seqs of one core decrease, with the lowest
+ * such core in *bad_core. */
+int ehcsim_read_records(
+    int64_t n, const uint8_t *records, uint64_t instruction_count,
+    uint64_t *pc, uint64_t *addr, int64_t *bad_core)
+{
+    uint64_t max_seq = 0, last_seq[UINT8_MAX + 1] = {0};
+    uint8_t max_kind = 0, decreased[UINT8_MAX + 1] = {0};
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *r = records + i * RECORD_BYTES;
+        const uint64_t seq = le64(r + RECORD_SEQ);
+        const uint8_t core = r[RECORD_CORE], kind = r[RECORD_KIND];
+        pc[i] = le64(r + RECORD_PC);
+        addr[i] = le64(r + RECORD_ADDR);
+        if (seq > max_seq)
+            max_seq = seq;
+        if (kind > max_kind)
+            max_kind = kind;
+        if (seq < last_seq[core])
+            decreased[core] = 1;
+        last_seq[core] = seq;
+    }
+    if (max_seq > instruction_count)
+        return CHECK_SEQ_COUNT;
+    if (max_kind > KIND_WRITE)
+        return CHECK_KIND;
+    for (int64_t c = 0; c <= UINT8_MAX; c++) {
+        if (decreased[c]) {
+            *bad_core = c;
+            return CHECK_SEQ_ORDER;
+        }
+    }
     return 0;
 }

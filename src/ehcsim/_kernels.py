@@ -1,17 +1,21 @@
 """The native kernel: the fast path behind :func:`ehcsim.runner.run_policy`
-and :func:`ehcsim.minoracle.simulate_min`.
+and :func:`ehcsim.minoracle.simulate_min`, and a trace loader for it.
 
-``_kernel.c`` exports one function, ``ehcsim_simulate``: one flat loop per
-trace that covers the built-in policies and Belady's MIN (dispatched on a
-policy id; MIN reads a next-use column) and reproduces the reference
-engine bit for bit, which the test suite enforces. On first use this module
-prepends a ``#define`` block generated from :mod:`ehcsim.params`,
-compiles the result with the system C compiler (``cc -O2 -shared -fPIC``)
-and loads it with ctypes. The library goes to ``__pycache__`` next to this
-file, or, when that is not private to this user, to a per-user directory
-under the system temporary directory; nothing is loaded from a directory
-another user owns or may write to. Its name carries a digest of the header, the
-source and the flags, so an edit to either builds a new one.
+``_kernel.c`` exports two functions. ``ehcsim_simulate`` is one flat loop
+per trace that covers the built-in policies and Belady's MIN (dispatched on
+a policy id; MIN reads a next-use column) and reproduces the reference
+engine bit for bit, which the test suite enforces. ``ehcsim_read_records``
+copies the ``pc`` and ``addr`` fields out of a trace file's records and
+applies the record checks of :meth:`ehcsim.trace.Trace.validate`, so
+:func:`load_trace` and a run over the :class:`Columns` it returns need no
+numpy. On first use this module prepends a ``#define`` block generated from
+:mod:`ehcsim.params` and :mod:`ehcsim.traceformat`, compiles the result with
+the system C compiler (``cc -O2 -shared -fPIC``) and loads it with ctypes.
+The library goes to ``__pycache__`` next to this file, or, when that is not
+private to this user, to a per-user directory under the system temporary
+directory; nothing is loaded from a directory another user owns or may
+write to. Its name carries a digest of the header, the source and the
+flags, so an edit to either builds a new one.
 
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
@@ -23,18 +27,21 @@ process says why.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import params
+from . import params, traceformat
 from .engine import CacheGeometry, EventLog, SimStats
-from .errors import GeometryTooLarge, UsageError
-from .trace import Trace
+from .errors import GeometryTooLarge, InvalidTrace, UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .trace import Trace
 
 try:
     from _blake2 import blake2b  # what hashlib.blake2b is, without hashlib's import
@@ -92,6 +99,14 @@ def _header() -> str:
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
     defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
+    defines["RECORD_BYTES"] = traceformat.RECORD_BYTES
+    defines.update(
+        (f"RECORD_{name.upper()}", offset) for name, _, offset in traceformat.RECORD_FIELDS
+    )
+    defines["KIND_WRITE"] = traceformat.KIND_WRITE
+    defines.update(
+        (f"CHECK_{name.upper()}", k) for k, name in enumerate(traceformat.RECORD_CHECKS, 1)
+    )
     return "".join(f"#define {name} {value}\n" for name, value in defines.items())
 
 
@@ -99,6 +114,8 @@ def _cache_dirs():
     """Where the compiled library may live, in order of preference. Lazy:
     finding the temporary directory may probe the file system."""
     yield Path(__file__).with_name("__pycache__")
+    import tempfile  # only a build, or a shared __pycache__, needs it
+
     yield Path(tempfile.gettempdir()) / f"ehcsim-{os.getuid()}"
 
 
@@ -121,8 +138,9 @@ class _BuildError(Exception):
 
 def _compile(text: str, target: Path) -> None:
     """Compile ``text`` into the shared library ``target``, atomically."""
-    import shutil  # only a build needs these two
+    import shutil  # only a build needs these three
     import subprocess
+    import tempfile
 
     cc = shutil.which(_COMPILER)
     if cc is None:
@@ -148,26 +166,44 @@ def _compile(text: str, target: Path) -> None:
             leftover.unlink(missing_ok=True)
 
 
+class _Array:
+    """A ctypes argument type for a pointer to C-contiguous elements of one
+    type: a ctypes array of ``ctype``, None for NULL, or a numpy array of
+    ``dtype``, checked per call as ``numpy.ctypeslib.ndpointer`` checks it.
+    Unlike ``ndpointer``, declaring it needs no numpy."""
+
+    def __init__(self, ctype, dtype: str):
+        self.ctype, self.dtype = ctype, dtype
+
+    def from_param(self, obj):
+        if obj is None or isinstance(obj, ctypes.Array) and obj._type_ is self.ctype:
+            return obj
+        if getattr(obj, "dtype", None) != self.dtype:
+            raise TypeError(f"array must have data type {self.dtype}")
+        if not obj.flags.c_contiguous:
+            raise TypeError("array must have flags ['C_CONTIGUOUS']")
+        return obj.ctypes
+
+
 def _bind(path: Path):
     """The library at ``path``, with the kernel's argument types declared;
-    arrays are checked for dtype and contiguity per call. Raises
-    AttributeError when the kernel function is missing."""
-    import ctypes
-
+    arrays are checked for type and contiguity per call. Raises
+    AttributeError when a kernel function is missing."""
     lib = ctypes.CDLL(str(path))
     i64 = ctypes.c_int64
-
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
-
+    u64s, i64s = _Array(ctypes.c_uint64, "uint64"), _Array(i64, "int64")
     lib.ehcsim_simulate.argtypes = [
-        i64, array(np.uint64), array(np.uint64),
+        i64, u64s, u64s,
         i64, i64, i64, i64,
         i64, ctypes.c_uint64, i64, i64,
-        array(np.int64), i64,
-        i64, array(np.int64), array(np.uint8), array(np.int64),
+        i64s, i64,
+        i64, i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
     ]
     lib.ehcsim_simulate.restype = ctypes.c_int
+    lib.ehcsim_read_records.argtypes = [
+        i64, ctypes.c_char_p, ctypes.c_uint64, u64s, u64s, ctypes.POINTER(i64),
+    ]
+    lib.ehcsim_read_records.restype = ctypes.c_int
     return lib
 
 
@@ -207,10 +243,11 @@ def _native():
     try:
         return _load(), None
     except (_BuildError, OSError) as e:
-        reason = str(e)
-        print(f"ehcsim: native kernel unavailable ({reason}); "
-              "using the reference engine", file=sys.stderr)
-        return None, reason
+        return None, str(e)
+
+
+#: The unavailable ``_native()`` result whose reason stderr has shown.
+_announced = None
 
 
 def unavailable() -> str | None:
@@ -220,8 +257,19 @@ def unavailable() -> str | None:
 
 def supports(name: str) -> bool:
     """Whether the kernel path can reproduce a run of this policy (or of
-    ``"min"``) exactly."""
-    return name in _POLICY_IDS and _native()[0] is not None
+    ``"min"``) exactly. When the kernel is unavailable, ``backend="auto"``
+    runs the reference engine instead, so the first call after the failed
+    load says why in one line on stderr; :func:`unavailable` does not, so
+    that a command that fails before it simulates prints only its error."""
+    global _announced
+    native = _native()
+    if native[0] is not None:
+        return name in _POLICY_IDS
+    if native is not _announced:
+        _announced = native
+        print(f"ehcsim: native kernel unavailable ({native[1]}); "
+              "using the reference engine", file=sys.stderr)
+    return False
 
 
 def check_backend(backend: str) -> None:
@@ -254,6 +302,8 @@ def check_geometry(geom: CacheGeometry):
 def _event_buffer(geom: CacheGeometry, size: int) -> np.ndarray:
     """An uninitialised int64 buffer of ``size`` elements. Pages never
     written are never touched, so only the event rows used take memory."""
+    import numpy as np
+
     try:
         return np.empty(size, dtype=np.int64)
     except (ValueError, MemoryError):  # more elements than an array or memory holds
@@ -265,8 +315,40 @@ def _too_large(geom: CacheGeometry) -> GeometryTooLarge:
                             f"{geom.num_sets} sets x {geom.associativity} ways")
 
 
+class Columns:
+    """What the kernel reads of a trace: the ``pc`` and ``addr`` columns as
+    ctypes uint64 arrays, and the instruction count. :func:`run` takes it
+    where it takes a :class:`~ehcsim.trace.Trace`."""
+
+    __slots__ = ("pc", "addr", "instruction_count")
+
+    def __init__(self, pc, addr, instruction_count: int):
+        self.pc, self.addr, self.instruction_count = pc, addr, instruction_count
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+
+def load_trace(path) -> Columns:
+    """The :class:`Columns` of the trace file at ``path``. Its header and
+    size are checked as :func:`ehcsim.trace.load_trace` checks them and its
+    records in C, in the order of :meth:`ehcsim.trace.Trace.validate`, so a
+    defect raises the same :class:`~ehcsim.errors.DataError` with the same
+    message."""
+    lib = _library()
+    records, count, instruction_count = traceformat.read_records(path)
+    pc, addr = (ctypes.c_uint64 * count)(), (ctypes.c_uint64 * count)()
+    core = ctypes.c_int64()
+    check = lib.ehcsim_read_records(count, records, instruction_count, pc, addr,
+                                    ctypes.byref(core))
+    if check:
+        message = list(traceformat.RECORD_CHECKS.values())[check - 1]
+        raise InvalidTrace(message.format(core=core.value))
+    return Columns(pc, addr, instruction_count)
+
+
 def run(
-    trace: Trace,
+    trace: Trace | Columns,
     name: str,
     geom: CacheGeometry,
     seed: int,
@@ -278,19 +360,20 @@ def run(
 ):
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`. ``name``
     ``"min"`` runs Belady's MIN over ``next_use`` (one int64 position per
-    access), with ``bypass`` as :class:`ehcsim.minoracle.MinPolicy` takes it."""
+    access), with ``bypass`` as :class:`ehcsim.minoracle.MinPolicy` takes it.
+    The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
+    the reference engine returns them, and a bytearray for
+    :class:`Columns`, so that a run over those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    if next_use is None:
-        next_use = np.empty(0, dtype=np.int64)  # read by MIN only
-    elif len(next_use) != n:
+    if next_use is not None and len(next_use) != n:  # read by MIN only
         raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
-    hit_flags = np.zeros(n, dtype=np.uint8)
-    out = np.zeros(len(_COUNTERS), dtype=np.int64)
+    hit_flags = bytearray(n)
+    out = (ctypes.c_int64 * len(_COUNTERS))()
     # Room for an event row at every access.
     ev_width = len(_EVENT_FIELDS) + assoc
-    events = _event_buffer(geom, n * ev_width if record_events else 1)
+    events = _event_buffer(geom, n * ev_width) if record_events else None
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
@@ -298,17 +381,21 @@ def run(
         _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
         -1 if ehc_fixed_init is None else int(ehc_fixed_init),
         next_use, 1 if bypass else 0,
-        1 if record_events else 0, events, hit_flags, out,
+        1 if record_events else 0, events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
     )
     if status != 0:
         raise _too_large(geom)
 
-    counts = dict(zip(_COUNTERS, out.tolist()))
+    counts = dict(zip(_COUNTERS, out))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     log = None
     if record_events:
         log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)
+    if not isinstance(trace, Columns):
+        import numpy as np
+
+        hit_flags = np.frombuffer(hit_flags, dtype=np.uint8)
     return stats, log, hit_flags
 
 

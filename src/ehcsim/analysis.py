@@ -1,19 +1,21 @@
 """Metrics, CSV reports, and the experiment drivers behind the CLI.
 
 The MIN oracle (:mod:`ehcsim.minoracle`) is imported where a report needs
-it, so ``run`` and a plain ``compare`` never load it.
+it, so ``run`` and a plain ``compare`` never load it, nor numpy when the
+native kernel runs them.
 """
 
 from __future__ import annotations
 
 import io
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import DataError, UsageError, ZeroInstructions
 from .runner import DEFAULT_SEED, POLICY_NAMES, run_policy
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 
 def mpki(stats: SimStats, instruction_count: int) -> float:
@@ -198,7 +200,7 @@ REPORT_KINDS = ("no-averse", "hitcount-block", "hitcount-region", "victim-qualit
 
 
 def _histogram_table(report: Report, name: str, labels, hist) -> None:
-    total = int(np.sum(hist))
+    total = int(hist.sum())
     rows = [
         (label, int(count), (int(count) / total if total else 0.0))
         for label, count in zip(labels, hist)

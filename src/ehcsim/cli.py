@@ -2,21 +2,42 @@
 
 Exit codes: 0 success, 1 usage error or not enough memory, 2 data error
 (unreadable or corrupt trace, file I/O), 3 internal invariant violation.
+
+When the native kernel is available, ``run`` and ``compare`` without
+``--events`` load the trace with :func:`ehcsim._kernels.load_trace` and
+never import numpy; every other command loads a numpy
+:class:`~ehcsim.trace.Trace`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-import numpy as np
-
+from . import _kernels
 from .analysis import REPORT_KINDS, analyze, compare, run_report
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY
 from .errors import DataError, InternalInvariantError, UsageError
 from .runner import DEFAULT_SEED, POLICY_NAMES
-from .trace import GENERATOR_KINDS, GeneratorSpec, gen_synthetic, interleave, load_trace, save_trace
+from .traceformat import GENERATOR_KINDS
+
+
+def load_trace(path, kernel: bool = False):
+    """The validated trace file at ``path``: with ``kernel``, the
+    :class:`~ehcsim._kernels.Columns` the native kernel runs on, read
+    without numpy; otherwise a :class:`~ehcsim.trace.Trace`. Both raise the
+    same error for a defective file."""
+    if kernel:
+        return _kernels.load_trace(path)
+    from . import trace
+
+    return trace.load_trace(path)
+
+
+def _kernel_runs(args) -> bool:
+    """Whether the native kernel can do all of a ``run`` or ``compare``:
+    it is available and no replacement events are asked for."""
+    return not args.events and _kernels.unavailable() is None
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -79,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    from .trace import GeneratorSpec, gen_synthetic, save_trace
+
     spec = GeneratorSpec(args.kind, args.blocks, args.length, args.alpha, args.seed)
     save_trace(gen_synthetic(spec), args.output)
     return 0
@@ -88,6 +111,10 @@ def _write_events(path, events, trace, geom: CacheGeometry) -> None:
     """One CSV row per event: its position and set, the victim way, the
     no-averse flag, and the block-aligned addresses of the incoming block
     and of every resident, gathered from ``trace`` at the logged positions."""
+    import csv
+
+    import numpy as np
+
     shift = np.uint64(geom.block_offset_bits)
     blocks = trace.addr >> shift
     aligned = blocks << shift
@@ -113,7 +140,7 @@ def _write_events(path, events, trace, geom: CacheGeometry) -> None:
 
 def _cmd_run(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace)
+    trace = load_trace(args.trace, kernel=_kernel_runs(args))
     report, _, events = run_report(
         trace,
         args.policy,
@@ -131,7 +158,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace)
+    trace = load_trace(args.trace, kernel=_kernel_runs(args))
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError("--policies must name at least one policy")
@@ -147,6 +174,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_interleave(args) -> int:
+    from .trace import interleave, save_trace
+
     traces = [load_trace(path) for path in args.inputs]
     save_trace(interleave(traces), args.output)
     return 0

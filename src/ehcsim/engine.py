@@ -11,11 +11,51 @@ for bulk runs; equivalence between the two paths is enforced by tests.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, VictimOutOfRange
 from .params import BYPASS, EFH_MAX, RRPV_MAX
-from .trace import Record, Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
+
+
+class Record:
+    """Base of the simulator's value types (the geometry and the stats here,
+    :class:`~ehcsim.trace.GeneratorSpec`): the fields are the
+    ``__slots__``, set by ``_init`` and read-only after it unless a
+    subclass allows assignment, and two instances of one class are equal,
+    and hash alike, when every field is."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class CacheGeometry(Record):
@@ -142,6 +182,8 @@ class EventLog:
     __slots__ = ("index", "victim_way", "no_averse", "resident_pos")
 
     def __init__(self, index, victim_way, no_averse, resident_pos):
+        import numpy as np
+
         self.index = np.ascontiguousarray(index, dtype=np.int64)
         self.victim_way = np.ascontiguousarray(victim_way, dtype=np.int64)
         self.no_averse = np.ascontiguousarray(no_averse, dtype=bool)
@@ -171,6 +213,8 @@ def simulate(
     ``check=True`` validates stats and counter-range invariants after every
     access (slow; meant for tests).
     """
+    import numpy as np
+
     assoc = geom.associativity
     sets: dict[int, list] = {}  # the ways of each set touched so far
     stats = SimStats()

@@ -134,7 +134,7 @@ def simulate_min(
     _kernels.check_geometry(geom)
     blocks, order, next_use = _block_order(trace, geom)
     # The residencies are derived from the event log, so it is always kept.
-    if backend == "kernel" or (backend == "auto" and _kernels.unavailable() is None):
+    if backend == "kernel" or (backend == "auto" and _kernels.supports("min")):
         stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=True,
                                           next_use=next_use, bypass=bypass)
     else:

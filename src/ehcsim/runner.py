@@ -10,12 +10,16 @@ invariant checks and arbitrary policy objects run on
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import _kernels
 from ._kernels import BACKENDS  # noqa: F401 (the backends run_policy takes)
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
 from .errors import UnknownPolicy
 from .params import POLICY_NAMES, check_fixed_init
-from .trace import Trace
+
+if TYPE_CHECKING:
+    from .trace import Trace
 
 DEFAULT_SEED = 42
 
@@ -60,6 +64,10 @@ def run_policy(
     aging: bool = True,
 ):
     """Simulate ``trace`` under the named policy; returns (stats, events, hit_flags).
+
+    ``trace`` is a :class:`~ehcsim.trace.Trace`, or on the kernel backend
+    also the :class:`~ehcsim._kernels.Columns` of
+    :func:`ehcsim._kernels.load_trace`.
 
     ``ehc_fixed_init``, when given, is the EFH every EHC insertion starts
     from instead of the region table's prediction. A geometry beyond the

@@ -6,41 +6,39 @@ load/store, the byte address, and a read/write kind. ``seq`` doubles as the
 instruction counter: MPKI is computed against ``instruction_count``, which is
 the maximum ``seq`` in the trace.
 
-File format (little-endian): magic ``EHCT``, version byte ``0x01``, u64 record
-count, u64 instruction count, then packed 26-byte records
-(seq u64, pc u64, addr u64, core u8, kind u8). No padding, no footer.
+The file format, its header check and the record checks' messages are in
+:mod:`ehcsim.traceformat`, which the native kernel's loader shares.
 """
 
 from __future__ import annotations
 
-import os
-import stat
-import struct
+import math
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    InvalidSpec,
-    InvalidTrace,
-    TooManyCores,
-    TrailingBytes,
-    Truncated,
-    UnsupportedVersion,
-)
+from .engine import Record
+from .errors import InvalidSpec, InvalidTrace, TooManyCores
 from .params import REGION_SHIFT  # 128 KB regions
-
-MAGIC = b"EHCT"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sBQQ")
-
-RECORD_DTYPE = np.dtype(
-    [("seq", "<u8"), ("pc", "<u8"), ("addr", "<u8"), ("core", "u1"), ("kind", "u1")]
+from .traceformat import (
+    FORMAT_VERSION,
+    GENERATOR_KINDS,
+    HEADER,
+    KIND_READ,
+    KIND_WRITE,
+    MAGIC,
+    RECORD_BYTES,
+    RECORD_CHECKS,
+    RECORD_FIELDS,
+    parse_header,
+    read_records,
 )
-assert RECORD_DTYPE.itemsize == 26
 
-KIND_READ = 0
-KIND_WRITE = 1
+RECORD_DTYPE = np.dtype({
+    "names": [name for name, _, _ in RECORD_FIELDS],
+    "formats": [code for _, code, _ in RECORD_FIELDS],
+    "offsets": [offset for _, _, offset in RECORD_FIELDS],
+    "itemsize": RECORD_BYTES,
+})
 
 BLOCK_BYTES = 64
 
@@ -48,44 +46,6 @@ BLOCK_BYTES = 64
 # predictors get trainable signal without modeling real code.
 PC_POOL_SIZE = 8
 _PC_BASE = 0x400000
-
-
-class Record:
-    """Base of the simulator's value types (:class:`GeneratorSpec` here,
-    the geometry and the stats in :mod:`ehcsim.engine`): the
-    fields are the ``__slots__``, set by ``_init`` and read-only after it
-    unless a subclass allows assignment, and two instances of one class
-    are equal, and hash alike, when every field is."""
-
-    __slots__ = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 class Trace:
@@ -129,17 +89,18 @@ class Trace:
 
     def validate(self) -> None:
         """Check trace invariants; raises :class:`InvalidTrace` (a
-        ValueError) on the first violation."""
+        ValueError) on the first violation. The native kernel's loader
+        applies the same checks in the same order."""
         if len(self) == 0:
             return
         if int(self.seq.max()) > self.instruction_count:
-            raise InvalidTrace("instruction_count below the largest seq")
-        # Every CLI command runs this on load, so it allocates little: kinds
+            raise InvalidTrace(RECORD_CHECKS["seq_count"])
+        # load_trace runs this on every file, so it allocates little: kinds
         # are uint8 with KIND_READ = 0 and KIND_WRITE = 1, a one-core trace
         # needs no per-core copy, and bincount stands in for np.unique,
         # which imports numpy.ma (about 15 ms per process).
         if int(self.kind.max()) > KIND_WRITE:
-            raise InvalidTrace("kind must be Read or Write")
+            raise InvalidTrace(RECORD_CHECKS["kind"])
         if self.core.min() == self.core.max():
             per_core = [(int(self.core[0]), self.seq)]
         else:
@@ -149,12 +110,12 @@ class Trace:
             )
         for core, seqs in per_core:
             if np.any(seqs[1:] < seqs[:-1]):
-                raise InvalidTrace(f"seq not non-decreasing for core {core}")
+                raise InvalidTrace(RECORD_CHECKS["seq_order"].format(core=core))
 
 
 def write_trace(trace: Trace) -> bytes:
     """Serialize a trace to the bit-exact binary format."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(trace), trace.instruction_count)
+    header = HEADER.pack(MAGIC, FORMAT_VERSION, len(trace), trace.instruction_count)
     cols = np.empty(len(trace), dtype=RECORD_DTYPE)
     cols["seq"] = trace.seq
     cols["pc"] = trace.pc
@@ -164,25 +125,8 @@ def write_trace(trace: Trace) -> bytes:
     return header + cols.tobytes()
 
 
-def _parse_header(head: bytes, size: int) -> tuple[int, int]:
-    """``(record count, instruction count)`` from the first bytes of a
-    trace of ``size`` bytes; raises unless exactly those records follow."""
-    if len(head) < 5 or head[:4] != MAGIC:
-        raise BadMagic("not a trace file (bad magic)")
-    if head[4] != FORMAT_VERSION:
-        raise UnsupportedVersion(f"trace format version {head[4]} not supported")
-    if len(head) < _HEADER.size:
-        raise Truncated("trace header incomplete")
-    _, _, count, instruction_count = _HEADER.unpack_from(head)
-    payload, need = size - _HEADER.size, count * RECORD_DTYPE.itemsize
-    if payload < need:
-        raise Truncated(f"header declares {count} records, payload holds fewer")
-    if payload > need:
-        raise TrailingBytes(f"{payload - need} bytes follow the {count} declared records")
-    return count, instruction_count
-
-
-def _from_records(cols: np.ndarray, instruction_count: int) -> Trace:
+def _from_records(records, count: int, instruction_count: int) -> Trace:
+    cols = np.frombuffer(records, dtype=RECORD_DTYPE, count=count)
     return Trace(
         cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
         instruction_count=instruction_count,
@@ -191,26 +135,14 @@ def _from_records(cols: np.ndarray, instruction_count: int) -> Trace:
 
 def read_trace(data: bytes) -> Trace:
     """Parse trace bytes; the exact inverse of :func:`write_trace`."""
-    _, instruction_count = _parse_header(data, len(data))
-    payload = memoryview(data)[_HEADER.size:]  # no copy of the records
-    return _from_records(np.frombuffer(payload, dtype=RECORD_DTYPE), instruction_count)
+    count, instruction_count = parse_header(data, len(data))
+    payload = memoryview(data)[HEADER.size:]  # no copy of the records
+    return _from_records(payload, count, instruction_count)
 
 
 def load_trace(path) -> Trace:
-    """Read and validate a trace file; any defect raises a DataError.
-
-    A regular file's size is checked against its header before numpy
-    reads the records straight into their array; anything else (a pipe)
-    is read whole and parsed by :func:`read_trace`.
-    """
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            trace = read_trace(fh.read())
-        else:
-            count, instruction_count = _parse_header(fh.read(_HEADER.size), st.st_size)
-            cols = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
-            trace = _from_records(cols, instruction_count)
+    """Read and validate a trace file; any defect raises a DataError."""
+    trace = _from_records(*read_records(path))
     trace.validate()
     return trace
 
@@ -223,9 +155,6 @@ def save_trace(trace: Trace, path) -> None:
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------
-
-GENERATOR_KINDS = ("stream", "loop", "zipf", "region", "mixed")
-
 
 class GeneratorSpec(Record):
     """Parameters of a synthetic trace.
@@ -243,8 +172,10 @@ class GeneratorSpec(Record):
             raise InvalidSpec("block_count must be >= 1")
         if length < 1:
             raise InvalidSpec("length must be >= 1")
-        if alpha < 0:
-            raise InvalidSpec("alpha must be >= 0")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise InvalidSpec(f"alpha must be a finite number >= 0, not {alpha}")
+        if seed < 0:  # numpy's generators take no negative seed
+            raise InvalidSpec(f"seed must be >= 0, not {seed}")
         self._init(kind, block_count, length, alpha, seed)
 
 

@@ -1,0 +1,89 @@
+"""The trace file format and its checks, without numpy.
+
+Both trace loaders read files through :func:`read_records`: the numpy one,
+:func:`ehcsim.trace.load_trace`, and the native kernel's,
+:func:`ehcsim._kernels.load_trace`. So one implementation checks the header
+and the size, and both reject a bad record with the messages of
+:data:`RECORD_CHECKS`. ``_kernels`` generates the record layout and the
+check numbers into the kernel's ``#define`` block.
+
+File format (little-endian): magic ``EHCT``, version byte ``0x01``, u64 record
+count, u64 instruction count, then packed 26-byte records
+(seq u64, pc u64, addr u64, core u8, kind u8). No padding, no footer.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+import struct
+
+from .errors import BadMagic, Truncated, TrailingBytes, UnsupportedVersion
+
+MAGIC = b"EHCT"
+FORMAT_VERSION = 1
+HEADER = struct.Struct("<4sBQQ")
+
+#: A record's fields in file order: name, numpy type code, byte offset.
+RECORD_FIELDS = (
+    ("seq", "<u8", 0), ("pc", "<u8", 8), ("addr", "<u8", 16), ("core", "u1", 24),
+    ("kind", "u1", 25),
+)
+RECORD_BYTES = 26
+
+KIND_READ = 0
+KIND_WRITE = 1
+
+#: The record checks, in the order both loaders apply them; a trace fails
+#: on the first. The kernel reports the 1-based number of the failed check.
+RECORD_CHECKS = {
+    "seq_count": "instruction_count below the largest seq",
+    "kind": "kind must be Read or Write",
+    "seq_order": "seq not non-decreasing for core {core}",
+}
+
+#: The synthetic generators of :func:`ehcsim.trace.gen_synthetic`, here so
+#: that the CLI's parser needs no numpy.
+GENERATOR_KINDS = ("stream", "loop", "zipf", "region", "mixed")
+
+
+def parse_header(head: bytes, size: int) -> tuple[int, int]:
+    """``(record count, instruction count)`` from the first bytes of a
+    trace of ``size`` bytes; raises unless exactly those records follow."""
+    if len(head) < 5 or head[:4] != MAGIC:
+        raise BadMagic("not a trace file (bad magic)")
+    if head[4] != FORMAT_VERSION:
+        raise UnsupportedVersion(f"trace format version {head[4]} not supported")
+    if len(head) < HEADER.size:
+        raise Truncated("trace header incomplete")
+    _, _, count, instruction_count = HEADER.unpack_from(head)
+    payload, need = size - HEADER.size, count * RECORD_BYTES
+    if payload < need:
+        raise Truncated(f"header declares {count} records, payload holds fewer")
+    if payload > need:
+        raise TrailingBytes(f"{payload - need} bytes follow the {count} declared records")
+    return count, instruction_count
+
+
+def read_records(path) -> tuple[bytes, int, int]:
+    """``(records, record count, instruction count)`` of the trace file at
+    ``path``, where ``records`` holds the packed records; raises a
+    :class:`~ehcsim.errors.DataError` on a bad header or size.
+
+    A regular file's size is checked against its header before its records
+    are read; anything else (a pipe) is read to its end first.
+    """
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        head = fh.read(HEADER.size)
+        if stat.S_ISREG(st.st_mode):
+            count, instruction_count = parse_header(head, st.st_size)
+            records = fh.read(count * RECORD_BYTES)
+            # Fewer only if the file shrank since fstat; the kernel's reader
+            # trusts the count.
+            if len(records) < count * RECORD_BYTES:
+                raise Truncated(f"header declares {count} records, payload holds fewer")
+        else:
+            records = fh.read()
+            count, instruction_count = parse_header(head, len(head) + len(records))
+    return records, count, instruction_count

@@ -274,6 +274,16 @@ def test_cli_usage_errors(trace_file, tmp_path):
                      "--ehc-fixed-init", value, "--csv", out]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--alpha", "nan")])
+def test_cli_gen_rejects_an_invalid_spec(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.trace"
+    assert main(["gen", "--kind", "zipf", "--blocks", "10", "--length", "10",
+                 flag, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ehcsim: {flag[2:]} must be"), err
+    assert not out.exists()
+
+
 WRAPPING_WAYS = str((1 << 60) + 1)  # 16 sets x these ways wrap around int64
 
 
@@ -396,6 +406,23 @@ def test_reference_engine_runs_a_geometry_larger_than_memory(trace_file, tmp_pat
     assert accesses == len(trace)
     if policy == "lru":
         assert hits == int(lru_oracle_hits(trace, CacheGeometry(sets, ways)).sum())
+
+
+@pytest.mark.parametrize("command", [["run", "--policy", "lru"], ["compare", "--policies", "ehc"]])
+def test_cli_without_a_compiler_reports_a_bad_trace_in_one_line(tmp_path, command):
+    # The fallback notice comes when the reference engine first runs in the
+    # kernel's place, so a trace rejected before that gets only its error.
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"EHCT\x01")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_COMPILER, str(cache), *command, "--trace", str(bad),
+         "--csv", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["ehcsim: trace header incomplete"]
 
 
 def test_cli_data_errors(tmp_path):

@@ -1,0 +1,92 @@
+"""Property test: ``run`` and ``compare`` give the same exit status, error
+line and CSV on the native kernel's path (the C trace loader, no numpy) as
+on the numpy loader and the reference engine, for valid trace files and for
+files with a mutated header count, instruction count, seq, core or kind
+byte, cut short or followed by extra bytes."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from ehcsim import Trace, _kernels, write_trace
+from ehcsim.cli import main
+from ehcsim.runner import POLICY_NAMES
+from ehcsim.traceformat import HEADER, RECORD_BYTES, RECORD_FIELDS
+
+# Byte ranges of the mutated header fields: after the magic and the version
+# come the record count and the instruction count, 8 bytes each.
+HEADER_FIELDS = {"count": (5, 8), "instructions": (13, 8)}
+RECORD_SPANS = {name: (offset, int(code[-1])) for name, code, offset in RECORD_FIELDS}
+
+
+@st.composite
+def trace_files(draw):
+    """A valid trace of up to 12 records over 4 cores, with 1 to 3 bytes of
+    its header counts or records changed, then often cut short or extended."""
+    n = draw(st.integers(0, 12))
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    seq = sorted(column(st.integers(0, 40)))
+    core = column(st.integers(0, 3))
+    kind = column(st.integers(0, 1))
+    pc = column(st.integers(0, 7).map(lambda k: 0x400000 + 4 * k))
+    addr = column(st.one_of(st.integers(0, 31).map(lambda b: 64 * b),
+                            st.integers(0, (1 << 64) - 1)))
+    data = bytearray(write_trace(Trace(seq, pc, addr, core, kind)))
+    fields = st.sampled_from(("count", "instructions", "seq", "core", "kind"))
+    for field in draw(st.lists(fields, min_size=1, max_size=3)):
+        if field in HEADER_FIELDS:
+            start, width = HEADER_FIELDS[field]
+        elif n:
+            offset, width = RECORD_SPANS[field]
+            start = HEADER.size + draw(st.integers(0, n - 1)) * RECORD_BYTES + offset
+        else:
+            continue
+        # The low byte most often: small changes to counts, cores and kinds.
+        at = start + draw(st.one_of(st.just(0), st.integers(0, width - 1)))
+        data[at] = draw(st.one_of(st.integers(0, 3), st.integers(0, 255)))
+    size = draw(st.sampled_from(["keep", "keep", "keep", "truncate", "extend"]))
+    if size == "truncate":
+        del data[draw(st.integers(0, len(data))):]
+    elif size == "extend":
+        data += draw(st.binary(min_size=1, max_size=2 * RECORD_BYTES))
+    return bytes(data)
+
+
+def _cli(argv, csv_path: Path):
+    """``(exit status, stderr lines, CSV text or None)`` of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--csv", str(csv_path)])
+    text = csv_path.read_text() if csv_path.exists() else None
+    csv_path.unlink(missing_ok=True)
+    return code, err.getvalue().splitlines(), text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(trace_files(), st.sampled_from(POLICY_NAMES),
+       st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=3),
+       st.sampled_from([(1, 1), (4, 2), (16, 4)]))
+def test_kernel_path_runs_like_the_numpy_loader_and_the_reference_engine(
+        data, policy, policies, geometry):
+    assert _kernels.supports("lru"), _kernels.unavailable()
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, csv_path = Path(tmp) / "t.trace", Path(tmp) / "out.csv"
+        trace.write_bytes(data)
+        shape = ["--trace", str(trace), "--sets", str(geometry[0]), "--ways", str(geometry[1])]
+        for argv in (["run", "--policy", policy, *shape],
+                     ["compare", "--policies", ",".join(policies), *shape]):
+            kernel = _cli(argv, csv_path)
+            with mock.patch.object(_kernels, "_native", lambda: (None, "disabled")):
+                code, err, text = _cli(argv, csv_path)
+            # Once per process the reference run also says why it runs.
+            err = [line for line in err if "native kernel unavailable" not in line]
+            assert kernel == (code, err, text), argv
+            code, err, text = kernel
+            if code == 0:
+                assert err == [] and text is not None
+            else:
+                assert len(err) == 1 and err[0].startswith("ehcsim: ") and text is None, err

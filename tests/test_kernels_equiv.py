@@ -1,6 +1,7 @@
 """The native kernel must reproduce the reference engine bit for bit, and
 fall back to it when the kernel cannot be built."""
 
+import ctypes
 import hashlib
 import os
 
@@ -175,12 +176,30 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
             if hasattr(module, name):
                 assert value.removesuffix("ULL") == str(getattr(module, name)), name
                 checked.add(name)
-    assert len(checked) == 24, sorted(checked)
+    assert len(checked) == 26, sorted(checked)
+    # The kernel reads each record field at the offset numpy reads it at.
+    for name, (_, offset) in trace_module.RECORD_DTYPE.fields.items():
+        assert defines[f"RECORD_{name.upper()}"] == str(offset), name
     assert _kernels._source()[0] == _kernels._header() + _kernels._SOURCE.read_text()
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "5cdbb665e26e3a247c873ff7"
+    assert digest == "a4e45a70df5272a4e090dc7e"
+
+
+def test_kernel_binding_checks_numpy_arrays_per_call():
+    # As numpy.ctypeslib.ndpointer did: the element type and C order of
+    # every array, before the kernel runs.
+    lib = _kernels._library()
+    core = ctypes.byref(ctypes.c_int64())
+    good = np.zeros(4, dtype=np.uint64)
+    for bad, why in ((np.zeros(4, dtype=np.int64), "data type uint64"),
+                     (np.zeros(8, dtype=np.uint64)[::2], "C_CONTIGUOUS"),
+                     ((ctypes.c_int64 * 4)(), "data type uint64"),
+                     ([0, 0, 0, 0], "data type uint64")):
+        with pytest.raises(ctypes.ArgumentError, match=why):
+            lib.ehcsim_read_records(0, b"", 0, good, bad, core)
+    assert lib.ehcsim_read_records(0, b"", 0, good, (ctypes.c_uint64 * 4)(), core) == 0
 
 
 def test_supports_rejects_unknown_policies():

@@ -25,11 +25,12 @@ def test_unknown_attribute_raises():
         ehcsim.no_such_name
 
 
-# Modules the kernel path of ``run`` needs none of: the reference policies,
-# the MIN oracle, and two standard modules numpy does not import itself.
+# Modules the kernel path of ``run`` and ``compare`` needs none of: numpy and
+# the numpy trace model, the reference policies, the MIN oracle, and two
+# standard modules numpy does not import itself.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
-    "ehcsim.sampler",
+    "ehcsim.sampler", "numpy", "ehcsim.trace",
 )
 
 

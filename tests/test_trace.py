@@ -24,6 +24,7 @@ from ehcsim import (
     save_trace,
     write_trace,
 )
+from ehcsim import _kernels
 from ehcsim.trace import FORMAT_VERSION, MAGIC, RECORD_DTYPE
 
 from conftest import make_trace
@@ -120,6 +121,15 @@ def test_load_trace_validates(tmp_path):
         load_trace(path)
 
 
+def _records(seq, core, kind=None, instruction_count=None):
+    """Trace file bytes with these seqs and cores, reads unless ``kind`` says."""
+    n = len(seq)
+    return write_trace(Trace(
+        seq, [0x400000 + 4 * i for i in range(n)], [0x40 * i for i in range(n)], core,
+        [0] * n if kind is None else kind, instruction_count=instruction_count,
+    ))
+
+
 def _trace_files():
     ten = write_trace(make_trace([0x40 * i for i in range(10)]))
     old_version = bytearray(ten)
@@ -134,22 +144,40 @@ def _trace_files():
         "short-header": ten[:12],
         "truncated": ten[:-1],
         "trailing": ten + bytes(8),
+        "two-cores": _records([5, 1, 6, 2], [3, 1, 3, 1], kind=[0, 1, 1, 0]),
+        "kind-2": _records([1, 2, 3], [0, 0, 0], kind=[0, 2, 1]),
+        "seq-above-count": _records([1, 2, 9], [0, 0, 0], instruction_count=8),
+        # Both cores' seqs decrease; the check names the lower core.
+        "seq-decreases-on-cores-3-and-1": _records([5, 6, 2, 3], [3, 1, 3, 1]),
+        # The checks apply in order: the count, then the kind, then the order.
+        "every-check-fails": _records([5, 9, 2], [0, 0, 0], kind=[0, 7, 0],
+                                      instruction_count=8),
+        "kind-and-order-fail": _records([5, 6, 2], [0, 0, 0], kind=[0, 3, 0]),
     }
 
 
 @pytest.mark.parametrize("name", _trace_files())
 def test_load_trace_reads_files_as_read_trace_reads_bytes(tmp_path, name):
+    # Both loaders: numpy's, and the native kernel's, which reads only the
+    # columns the kernel runs on and checks the records in C.
     data = _trace_files()[name]
     path = tmp_path / "t.trace"
     path.write_bytes(data)
     try:
         expected = read_trace(data)
+        expected.validate()
     except DataError as e:
-        with pytest.raises(type(e)):
-            load_trace(path)
+        for load in (load_trace, _kernels.load_trace):
+            with pytest.raises(DataError) as raised:
+                load(path)
+            assert type(raised.value) is type(e) and str(raised.value) == str(e), load
     else:
         got = load_trace(path)
         assert got == expected and got.addr.flags.aligned
+        columns = _kernels.load_trace(path)
+        assert list(columns.pc) == expected.pc.tolist()
+        assert list(columns.addr) == expected.addr.tolist()
+        assert columns.instruction_count == expected.instruction_count
 
 
 def test_load_trace_reads_a_pipe():
@@ -190,6 +218,11 @@ def test_invalid_spec():
         GeneratorSpec("loop", 10, 0)
     with pytest.raises(InvalidSpec):
         GeneratorSpec("nosuch", 10, 10)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="alpha"):
+            GeneratorSpec("zipf", 10, 10, alpha=alpha)
+    with pytest.raises(InvalidSpec, match="seed"):
+        GeneratorSpec("zipf", 10, 10, seed=-5)
 
 
 def test_loop_generator_cycles():
