@@ -16,6 +16,8 @@
  * (the trace position of the replacing miss, the victim way, no_averse),
  * then, for every way, the trace position of its resident's latest access.
  * Sets, addresses and next uses are gathers from the trace by position.
+ * MIN also writes evicted_at, one position per access, from which
+ * ehcsim.minoracle derives its residencies without an event log.
  *
  * Addresses, PCs and block tags are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -126,20 +128,21 @@ static void free_tables(Tables *t)
  * receives the counters. With record_events, the k-th miss in a full set
  * fills event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds
  * the latest access of every line, for LRU's and MIN's victims and for
- * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
- * fixed_init < 0 seeds EHC's EFH from the region table. MIN evicts the
- * first way whose next use, next_use[stamp], is farthest; next_use[i] is
- * the position of the next access to the block of access i. With bypass,
- * MIN leaves the incoming block out when its own next use is strictly
- * farther, and logs the miss with BYPASS as its victim way. Only MIN reads
- * next_use and bypass. Returns 0, or -1 when the tables cannot be allocated,
- * which includes a geometry whose table sizes overflow int64_t: a wrapped
- * size would allocate too little and the loop would index past it. */
+ * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP). MIN
+ * evicts the first way whose next use, next_use[stamp], is farthest;
+ * next_use[i] is the position of the next access to the block of access
+ * i. With bypass, MIN leaves the incoming block out when its own next use
+ * is strictly farther, and logs the miss with BYPASS as its victim way.
+ * Miss i sets evicted_at[stamp] = i for its victim, or evicted_at[i] = i
+ * when it bypasses. Only MIN reads next_use, bypass and evicted_at.
+ * Returns 0, or -1 when the tables cannot be allocated, which includes a
+ * geometry whose table sizes overflow int64_t: a wrapped size would
+ * allocate too little and the loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
-    int64_t policy_id, uint64_t seed, int64_t aging, int64_t fixed_init,
-    const int64_t *next_use, int64_t bypass,
+    int64_t policy_id, uint64_t seed,
+    const int64_t *next_use, int64_t bypass, int64_t *evicted_at,
     int64_t record_events, int64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
@@ -337,6 +340,7 @@ int ehcsim_simulate(
                         way = w;
                 if (bypass && next_use[i] > next_use[srow[way]])
                     way = BYPASS;
+                evicted_at[way == BYPASS ? i : srow[way]] = i;
             } else {
                 int64_t best = 0;
                 for (int64_t w = 0; w < assoc; w++) {
@@ -411,16 +415,15 @@ int ehcsim_simulate(
         } else if (policy_id <= POLICY_EHC) {
             lastpc[row + way] = p;
             if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
-                if (aging)
-                    for (int64_t w = 0; w < assoc; w++)
-                        if (w != way && vrow[w] && rrow[w] < RRPV_MAX - 1)
-                            rrow[w]++;
+                for (int64_t w = 0; w < assoc; w++)
+                    if (w != way && vrow[w] && rrow[w] < RRPV_MAX - 1)
+                        rrow[w]++;
                 rrow[way] = 0;
             } else {
                 rrow[way] = RRPV_MAX;
             }
             if (policy_id == POLICY_EHC)
-                erow[way] = fixed_init >= 0 ? fixed_init : region_expected(rt, a);
+                erow[way] = region_expected(rt, a);
         }
     }
 

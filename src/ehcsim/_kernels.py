@@ -3,9 +3,9 @@ and :func:`ehcsim.minoracle.simulate_min`, and a trace loader for it.
 
 ``_kernel.c`` exports two functions. ``ehcsim_simulate`` is one flat loop
 per trace that covers the built-in policies and Belady's MIN (dispatched on
-a policy id; MIN reads a next-use column) and reproduces the reference
-engine bit for bit, which the test suite enforces. ``ehcsim_read_records``
-copies the ``pc`` and ``addr`` fields out of a trace file's records and
+a policy id; MIN reads a next-use column and writes an eviction column) and
+reproduces the reference engine bit for bit, which the test suite enforces.
+``ehcsim_read_records`` copies the ``pc`` and ``addr`` fields out of a trace file's records and
 applies the record checks of :meth:`ehcsim.trace.Trace.validate`, so
 :func:`load_trace` and a run over the :class:`Columns` it returns need no
 numpy. On first use this module prepends a ``#define`` block generated from
@@ -195,8 +195,8 @@ def _bind(path: Path):
     lib.ehcsim_simulate.argtypes = [
         i64, u64s, u64s,
         i64, i64, i64, i64,
-        i64, ctypes.c_uint64, i64, i64,
-        i64s, i64,
+        i64, ctypes.c_uint64,
+        i64s, i64, i64s,
         i64, i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
     ]
     lib.ehcsim_simulate.restype = ctypes.c_int
@@ -353,22 +353,24 @@ def run(
     geom: CacheGeometry,
     seed: int,
     record_events: bool = False,
-    ehc_fixed_init: int | None = None,
-    aging: bool = True,
     next_use: np.ndarray | None = None,
+    evicted_at: np.ndarray | None = None,
     bypass: bool = False,
 ):
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`. ``name``
-    ``"min"`` runs Belady's MIN over ``next_use`` (one int64 position per
-    access), with ``bypass`` as :class:`ehcsim.minoracle.MinPolicy` takes it.
-    The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
-    the reference engine returns them, and a bytearray for
-    :class:`Columns`, so that a run over those needs no numpy."""
+    ``"min"`` runs Belady's MIN over ``next_use`` and writes ``evicted_at``
+    (int64 columns of one position per access), with ``bypass``, as
+    :class:`ehcsim.minoracle.MinPolicy` does; MIN without both columns, or
+    another policy with either, raises ValueError. The hit flags are a
+    uint8 array for a :class:`~ehcsim.trace.Trace`, as the reference engine
+    returns them, and a bytearray for :class:`Columns`, so that a run over
+    those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    if next_use is not None and len(next_use) != n:  # read by MIN only
-        raise ValueError(f"next_use has {len(next_use)} entries for {n} accesses")
+    given = [len(c) for c in (next_use, evicted_at) if c is not None]
+    if given != ([n, n] if name == "min" else []):
+        raise ValueError(f"MIN takes next_use and evicted_at of {n} entries, {name} neither")
     hit_flags = bytearray(n)
     out = (ctypes.c_int64 * len(_COUNTERS))()
     # Room for an event row at every access.
@@ -378,9 +380,8 @@ def run(
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
         num_sets, assoc, block_bits, geom.set_bits,
-        _POLICY_IDS[name], seed & (2**64 - 1), 1 if aging else 0,
-        -1 if ehc_fixed_init is None else int(ehc_fixed_init),
-        next_use, 1 if bypass else 0,
+        _POLICY_IDS[name], seed & (2**64 - 1),
+        next_use, 1 if bypass else 0, evicted_at,
         1 if record_events else 0, events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
     )
     if status != 0:

@@ -120,10 +120,10 @@ def run_report(
     policy: str,
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
-    **kwargs,
+    record_events: bool = False,
 ) -> tuple[Report, SimStats, EventLog | None]:
     """Single-policy run: stats table plus any per-policy counters."""
-    stats, events, _ = run_policy(trace, policy, geom, seed=seed, **kwargs)
+    stats, events, _ = run_policy(trace, policy, geom, seed=seed, record_events=record_events)
     report = Report(_base_meta(geom, seed) | {"policy": policy})
     report.add_table(
         "run",

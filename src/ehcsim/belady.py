@@ -10,7 +10,7 @@ least predicted remaining value instead of merely the oldest one.
 from __future__ import annotations
 
 from .engine import CacheGeometry, ReplacementPolicy
-from .params import RRPV_MAX, check_fixed_init
+from .params import RRPV_MAX
 from .sampler import MinSampler
 
 
@@ -26,8 +26,7 @@ class HawkeyePolicy(ReplacementPolicy):
 
     name = "hawkeye"
 
-    def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True):
-        self.aging = aging
+    def __init__(self, geom: CacheGeometry, seed: int = 0):
         self.sampler = MinSampler(geom)
         self.pc_table = self.sampler.pc_table
 
@@ -36,7 +35,7 @@ class HawkeyePolicy(ReplacementPolicy):
 
     def _classify(self, ways, way, pc, inserted: bool) -> None:
         if self.pc_table.is_friendly(pc):
-            if inserted and self.aging:
+            if inserted:
                 for w, blk in enumerate(ways):
                     if w != way and blk.valid and blk.rrpv < RRPV_MAX - 1:
                         blk.rrpv += 1
@@ -75,22 +74,17 @@ class EhcPolicy(HawkeyePolicy):
     """Hawkeye plus a per-block expected-further-hits (EFH) countdown.
 
     On insertion a block's EFH is seeded from its region's recent residency
-    hit counts (or a fixed constant when ``fixed_init`` is given); each hit
-    decrements it toward zero. When a set holds an averse block the victim
-    choice is exactly Hawkeye's; otherwise the block minimizing
-    ``efh - rrpv`` (first index on ties) is evicted — low expected value and
-    old age both push a block toward eviction. A ``fixed_init`` outside
-    ``0..EFH_MAX`` raises :class:`~ehcsim.errors.UsageError`.
+    hit counts; each hit decrements it toward zero. When a set holds an
+    averse block the victim choice is exactly Hawkeye's; otherwise the block
+    minimizing ``efh - rrpv`` (first index on ties) is evicted — low
+    expected value and old age both push a block toward eviction.
     """
 
     name = "ehc"
 
-    def __init__(self, geom: CacheGeometry, seed: int = 0, aging: bool = True,
-                 fixed_init: int | None = None):
-        check_fixed_init(fixed_init)
-        super().__init__(geom, seed=seed, aging=aging)
+    def __init__(self, geom: CacheGeometry, seed: int = 0):
+        super().__init__(geom, seed=seed)
         self.region_table = self.sampler.region_table
-        self.fixed_init = fixed_init
 
     def on_hit(self, set_index, ways, way, addr, pc):
         blk = ways[way]
@@ -100,10 +94,7 @@ class EhcPolicy(HawkeyePolicy):
 
     def on_insert(self, set_index, ways, way, addr, pc):
         super().on_insert(set_index, ways, way, addr, pc)
-        if self.fixed_init is not None:
-            ways[way].efh = self.fixed_init
-        else:
-            ways[way].efh = self.region_table.expected_hits(addr)
+        ways[way].efh = self.region_table.expected_hits(addr)
 
     def choose_victim(self, set_index, ways):
         best = 0

@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--events", help="also dump the replacement event log (CSV)")
-    p.add_argument("--ehc-fixed-init", type=int, default=None)
-    p.add_argument("--no-aging", action="store_true")
     p.add_argument("--csv", required=True)
 
     p = sub.add_parser("compare", help="run several policies side by side")
@@ -141,15 +139,8 @@ def _write_events(path, events, trace, geom: CacheGeometry) -> None:
 def _cmd_run(args) -> int:
     geom = _geometry(args)
     trace = load_trace(args.trace, kernel=_kernel_runs(args))
-    report, _, events = run_report(
-        trace,
-        args.policy,
-        geom,
-        seed=args.seed,
-        record_events=bool(args.events),
-        ehc_fixed_init=args.ehc_fixed_init,
-        aging=not args.no_aging,
-    )
+    report, _, events = run_report(trace, args.policy, geom, seed=args.seed,
+                                   record_events=bool(args.events))
     report.write(args.csv)
     if args.events:
         _write_events(args.events, events, trace, geom)

@@ -9,9 +9,10 @@ next-use column at the positions an event log records).
 MIN is one more policy of the shared cache loop: :class:`MinPolicy` on the
 reference engine, and its policy id in ``_kernel.c`` on the native kernel
 when that could be built. Both take the next-use column computed here with
-numpy and give the same hit flags and event logs, which the test suite
-enforces. :func:`simulate_min` derives the :class:`ResidencyLog` from those
-with array code, and the prediction-error histograms are array code over it.
+numpy, write one eviction column and give the same hit flags and event
+logs, which the test suite enforces. :func:`simulate_min` derives the
+:class:`ResidencyLog` from the hit flags and that column with array code,
+and the prediction-error histograms are array code over it.
 """
 
 from __future__ import annotations
@@ -56,35 +57,41 @@ class ResidencyLog:
 
 
 def _block_order(trace: Trace, geom: CacheGeometry):
-    """``(blocks, order, next_use)``: the block of every access, the
-    accesses stably sorted by block, and every access's next use."""
+    """``(order, next_use)``: the accesses stably sorted by block, and
+    every access's next use."""
     blocks = trace.addr >> np.uint64(geom.block_offset_bits)
     # A stable sort keeps each block's accesses in trace order, so every
     # access is followed by its next use unless the block changes there.
     order = np.argsort(blocks, kind="stable")
-    same = blocks[order[1:]] == blocks[order[:-1]]
-    next_use = np.full(len(blocks), NO_NEXT_USE, dtype=np.int64)
-    next_use[order[:-1][same]] = order[1:][same]
-    return blocks, order, next_use
+    blocks = blocks[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = blocks[1:] != blocks[:-1]
+    next_use = np.empty(len(order), dtype=np.int64)
+    next_use[order[:-1]] = order[1:]
+    next_use[order[last]] = NO_NEXT_USE
+    return order, next_use
 
 
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    return _block_order(trace, geom)[2]
+    return _block_order(trace, geom)[1]
 
 
 class MinPolicy(ReplacementPolicy):
     """Belady's MIN on the reference engine: evict the first way whose block
     is next used farthest in the future, read from ``next_use`` at the way's
     latest access. With ``bypass`` the incoming block is not inserted when
-    its own next use is strictly farther. The engine passes no trace
-    position, so ``on_observe`` counts them."""
+    its own next use is strictly farther. Miss ``i`` sets ``evicted_at`` at
+    its victim's latest access to ``i``, or at ``i`` itself when it
+    bypasses; the caller fills the column with the trace length first. The
+    engine passes no trace position, so ``on_observe`` counts them."""
 
     name = "min"
 
-    def __init__(self, next_use: np.ndarray, bypass: bool = True):
+    def __init__(self, next_use: np.ndarray, evicted_at: np.ndarray, bypass: bool = True):
         self.next_use = next_use.tolist()  # Python ints index and compare fastest
+        self.evicted_at = evicted_at
         self.bypass = bypass
         self.position = -1
         self.bypasses = 0
@@ -93,13 +100,16 @@ class MinPolicy(ReplacementPolicy):
         self.position += 1
 
     def choose_victim(self, set_index, ways):
-        next_use = self.next_use
+        next_use, i = self.next_use, self.position
         uses = [next_use[blk.recency_stamp] for blk in ways]
         farthest = max(uses)
-        if self.bypass and next_use[self.position] > farthest:
+        if self.bypass and next_use[i] > farthest:
             self.bypasses += 1
+            self.evicted_at[i] = i
             return BYPASS, False
-        return uses.index(farthest), False  # the first way on ties
+        way = uses.index(farthest)  # the first way on ties
+        self.evicted_at[ways[way].recency_stamp] = i
+        return way, False
 
     def extra_stats(self) -> dict:
         return {"bypasses": self.bypasses}
@@ -132,61 +142,55 @@ def simulate_min(
     """
     _kernels.check_backend(backend)
     _kernels.check_geometry(geom)
-    blocks, order, next_use = _block_order(trace, geom)
-    # The residencies are derived from the event log, so it is always kept.
+    order, next_use = _block_order(trace, geom)
+    n = len(trace)
+    evicted_at = np.full(n, n, dtype=np.int64)
     if backend == "kernel" or (backend == "auto" and _kernels.supports("min")):
-        stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=True,
-                                          next_use=next_use, bypass=bypass)
+        stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=record_events,
+                                          next_use=next_use, evicted_at=evicted_at,
+                                          bypass=bypass)
     else:
-        stats, events, hit = simulate(trace, MinPolicy(next_use, bypass), geom,
-                                      record_events=True)
+        stats, events, hit = simulate(trace, MinPolicy(next_use, evicted_at, bypass), geom,
+                                      record_events=record_events)
 
     # A block's first access is the next use of no earlier access.
-    first = np.ones(len(trace), dtype=bool)
-    first[next_use[next_use != NO_NEXT_USE]] = False
-    decisions = np.where(
-        hit == 1, MinDecision.HIT,
-        np.where(first, MinDecision.COLD_MISS, MinDecision.MISS),
-    ).astype(np.uint8)
-    residencies = _residencies(geom, blocks, order, first, hit, events)
-    return stats, decisions, residencies, events if record_events else None
+    decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)
+    decisions[next_use[next_use != NO_NEXT_USE]] = MinDecision.MISS
+    decisions[hit == 1] = MinDecision.HIT
+    residencies = _residencies(trace, geom, order, decisions, hit, evicted_at)
+    return stats, decisions, residencies, events
 
 
-def _residencies(geom, blocks, order, first, hit, events) -> ResidencyLog:
-    """Every fill of a MIN run as one row, from its hit flags and full event
-    log. In block order, a stay is a fill followed by its block's hits up
-    to the block's next miss, and it ends at the event that evicts its
-    latest access. The rows are the evictions in event order, then the
-    blocks still resident, set by set in the order the sets were first
-    touched and by fill position within a set."""
+def _residencies(trace, geom, order, decisions, hit, evicted_at) -> ResidencyLog:
+    """Every fill of a MIN run as one row, from its hit flags and eviction
+    column. In block order, a stay is a miss followed by its block's hits
+    up to the block's next miss, and it ends at ``evicted_at`` of its
+    latest access; a bypassed miss ends where it starts and is no row. The
+    rows are the evictions in end order, then the blocks still resident,
+    set by set in the order the sets were first touched and by fill
+    position within a set."""
     n = len(order)
-    evicted = events.victim_way != BYPASS
     # Misses in block order, fills and bypasses alike; a stay runs to the next.
     misses = np.append(np.flatnonzero(hit[order] == 0), n)
     start, last = misses[:-1], misses[1:] - 1
-    filled = np.ones(n, dtype=bool)
-    filled[events.index[~evicted]] = False
-    fill_row = filled[order[start]]
-    fill = order[start[fill_row]]
-    hits = (last - start)[fill_row]
-    row_at = np.empty(n, dtype=np.int64)  # a stay's row, at its latest access
-    row_at[order[last[fill_row]]] = np.arange(len(fill))
-    gone = row_at[events.resident_pos[evicted, events.victim_way[evicted]]]
+    fill, end = order[start], evicted_at[order[last]]
+    filled = end != fill
+    fill, end, hits = fill[filled], end[filled], (last - start)[filled]
+    gone = np.flatnonzero(end < n)
+    gone = gone[np.argsort(end[gone])]
 
-    resident = np.ones(len(fill), dtype=bool)
-    resident[gone] = False
-    resident = np.flatnonzero(resident)
-    set_mask = np.uint64(geom.num_sets - 1)
+    resident = np.flatnonzero(end == n)
+    shift, set_mask = np.uint64(geom.block_offset_bits), np.uint64(geom.num_sets - 1)
     # A set is first touched by the first access of one of its blocks.
-    first_at = np.flatnonzero(first)
-    sets, touch = np.unique(blocks[first_at] & set_mask, return_index=True)
-    resident_touch = first_at[touch][np.searchsorted(sets, blocks[fill[resident]] & set_mask)]
+    first_at = np.flatnonzero(decisions == MinDecision.COLD_MISS)
+    sets, touch = np.unique((trace.addr[first_at] >> shift) & set_mask, return_index=True)
+    resident_sets = (trace.addr[fill[resident]] >> shift) & set_mask
+    resident_touch = first_at[touch][np.searchsorted(sets, resident_sets)]
     resident = resident[np.lexsort((fill[resident], resident_touch))]
 
     rows = np.concatenate((gone, resident))
-    end = np.concatenate((events.index[evicted], np.full(len(resident), n)))
-    return ResidencyLog(blocks[fill[rows]] << np.uint64(geom.block_offset_bits),
-                        fill[rows], end, hits[rows])
+    return ResidencyLog((trace.addr[fill[rows]] >> shift) << shift,
+                        fill[rows], end[rows], hits[rows])
 
 
 def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:

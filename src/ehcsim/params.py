@@ -4,13 +4,10 @@ Every policy constant that ``_kernels._header()`` turns into a ``#define``
 for ``_kernel.c`` is defined here, so the Python policies and the kernel
 read one value each; the header's buffer layouts stay in ``_kernels``. The
 modules that use these (``engine``, ``trace``, ``policies``, ``sampler``,
-``belady``, ``minoracle``) import them from here, and both backends check
-``ehc_fixed_init`` with :func:`check_fixed_init`.
+``belady``, ``minoracle``) import them from here.
 """
 
 from __future__ import annotations
-
-from .errors import UsageError
 
 #: The built-in policies, in the order of the kernel's policy ids: the kernel
 #: compares ids by order, so the RRIP family sits between LRU and SHiP and
@@ -58,13 +55,3 @@ REGION_TABLE_BITS = 10
 REGION_TABLE_SIZE = 1 << REGION_TABLE_BITS
 REGION_RING_SLOTS = 4
 DEFAULT_EXPECTED_HITS = 1
-
-
-def check_fixed_init(value: int | None) -> None:
-    """Raise :class:`UsageError` unless ``value`` is None or a valid EFH.
-
-    The kernel reads a negative value as "use the region table" and the
-    engine would store any value, so both backends check it first.
-    """
-    if value is not None and not 0 <= value <= EFH_MAX:
-        raise UsageError(f"ehc_fixed_init must be in 0..{EFH_MAX}, not {value}")

@@ -16,7 +16,7 @@ from . import _kernels
 from ._kernels import BACKENDS  # noqa: F401 (the backends run_policy takes)
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
 from .errors import UnknownPolicy
-from .params import POLICY_NAMES, check_fixed_init
+from .params import POLICY_NAMES
 
 if TYPE_CHECKING:
     from .trace import Trace
@@ -35,8 +35,6 @@ def make_policy(
     name: str,
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
-    ehc_fixed_init: int | None = None,
-    aging: bool = True,
 ):
     """A reference-engine policy object for the named built-in policy."""
     # Only the reference path needs the policy classes, so only it imports them.
@@ -44,12 +42,8 @@ def make_policy(
     from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 
     _check_name(name)
-    if name == "ehc":
-        return EhcPolicy(geom, seed=seed, aging=aging, fixed_init=ehc_fixed_init)
-    if name == "hawkeye":
-        return HawkeyePolicy(geom, seed=seed, aging=aging)
-    cls = {"lru": LruPolicy, "srrip": SrripPolicy, "brrip": BrripPolicy,
-           "drrip": DrripPolicy, "ship": ShipPolicy}[name]
+    cls = {"lru": LruPolicy, "srrip": SrripPolicy, "brrip": BrripPolicy, "drrip": DrripPolicy,
+           "ship": ShipPolicy, "hawkeye": HawkeyePolicy, "ehc": EhcPolicy}[name]
     return cls(geom, seed=seed)
 
 
@@ -60,30 +54,18 @@ def run_policy(
     seed: int = DEFAULT_SEED,
     record_events: bool = False,
     backend: str = "auto",
-    ehc_fixed_init: int | None = None,
-    aging: bool = True,
 ):
     """Simulate ``trace`` under the named policy; returns (stats, events, hit_flags).
 
     ``trace`` is a :class:`~ehcsim.trace.Trace`, or on the kernel backend
     also the :class:`~ehcsim._kernels.Columns` of
-    :func:`ehcsim._kernels.load_trace`.
-
-    ``ehc_fixed_init``, when given, is the EFH every EHC insertion starts
-    from instead of the region table's prediction. A geometry beyond the
-    kernel's bound raises :class:`~ehcsim.errors.GeometryTooLarge` on
-    either backend.
+    :func:`ehcsim._kernels.load_trace`. A geometry beyond the kernel's
+    bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     _check_name(name)
     _kernels.check_backend(backend)
-    check_fixed_init(ehc_fixed_init)
     _kernels.check_geometry(geom)
     if backend == "kernel" or (backend == "auto" and _kernels.supports(name)):
-        return _kernels.run(
-            trace, name, geom, seed,
-            record_events=record_events,
-            ehc_fixed_init=ehc_fixed_init,
-            aging=aging,
-        )
-    policy = make_policy(name, geom, seed=seed, ehc_fixed_init=ehc_fixed_init, aging=aging)
-    return simulate(trace, policy, geom, record_events=record_events)
+        return _kernels.run(trace, name, geom, seed, record_events=record_events)
+    return simulate(trace, make_policy(name, geom, seed=seed), geom,
+                    record_events=record_events)

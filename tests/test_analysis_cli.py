@@ -269,9 +269,6 @@ def test_cli_usage_errors(trace_file, tmp_path):
                  "--csv", out]) == 1
     assert main(["run", "--trace", str(trace_file), "--policy", "ehc",
                  "--sets", "3", "--ways", "4", "--csv", out]) == 1
-    for value in ("-1", "8", "9"):
-        assert main(["run", "--trace", str(trace_file), "--policy", "ehc",
-                     "--ehc-fixed-init", value, "--csv", out]) == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--alpha", "nan")])

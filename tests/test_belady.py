@@ -81,13 +81,6 @@ def test_hit_reclassifies_without_aging():
     assert [b.rrpv for b in ways] == [0, 7, 2]
 
 
-def test_aging_can_be_disabled():
-    policy = _policy(aging=False)
-    ways = _ways(rrpv=[0, 3, 5])
-    policy.on_insert(0, ways, 0, *_access(FRIENDLY_PC))
-    assert [b.rrpv for b in ways] == [0, 3, 5]
-
-
 def test_ehc_minimizes_efh_minus_rrpv():
     policy = _policy(EhcPolicy)
     ways = _ways(efh=[1, 0, 3], rrpv=[0, 2, 6])
@@ -117,7 +110,9 @@ def test_ehc_matches_hawkeye_when_averse_present():
 
 
 def test_efh_decrements_on_hits_and_saturates():
-    policy = _policy(EhcPolicy, fixed_init=3)
+    policy = _policy(EhcPolicy)
+    for h in (3, 3, 3, 3):
+        policy.region_table.record_eviction(0, h)
     ways = _ways(efh=[0], rrpv=[0])
     policy.on_insert(0, ways, 0, *_access())
     assert ways[0].efh == 3
@@ -147,15 +142,6 @@ def test_efh_zero_history_region():
     ways = _ways(efh=[5], rrpv=[0])
     policy.on_insert(0, ways, 0, *_access(addr=addr))
     assert ways[0].efh == 0
-
-
-def test_fixed_init_overrides_region_table():
-    policy = _policy(EhcPolicy, fixed_init=5)
-    addr = 6 << 17
-    policy.region_table.record_eviction(addr, 1)
-    ways = _ways(efh=[0], rrpv=[0])
-    policy.on_insert(0, ways, 0, *_access(addr=addr))
-    assert ways[0].efh == 5
 
 
 def test_policies_share_one_sampler():

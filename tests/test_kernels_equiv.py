@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from ehcsim import (
-    CacheGeometry, EhcPolicy, EventLog, GeneratorSpec, gen_synthetic, simulate, simulate_min,
+    CacheGeometry, EventLog, GeneratorSpec, gen_synthetic, simulate, simulate_min,
 )
 from ehcsim import _kernels, engine, policies, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.errors import UsageError
-from ehcsim.runner import BACKENDS, POLICY_NAMES, make_policy, run_policy
+from ehcsim.minoracle import NO_NEXT_USE
+from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
 from conftest import assert_same_array, assert_same_log, assert_same_min, make_trace, random_trace
 
@@ -41,9 +42,7 @@ def _assert_same_run(trace, name, geom, **kw):
     for before, after in zip(columns, (trace.seq, trace.pc, trace.addr,
                                        trace.core, trace.kind)):
         assert np.array_equal(before, after)
-    policy = make_policy(name, geom, seed=kw.get("seed", 42),
-                         ehc_fixed_init=kw.get("ehc_fixed_init"),
-                         aging=kw.get("aging", True))
+    policy = make_policy(name, geom, seed=kw.get("seed", 42))
     r_stats, r_log, r_flags = simulate(trace, policy, geom, record_events=True, check=True)
     assert k_stats == e_stats == r_stats
     assert r_flags.dtype == np.uint8
@@ -119,38 +118,6 @@ def test_kernel_matches_reference_full_64bit_range(geom, rng):
         _assert_same_run(trace, policy, geom)
 
 
-def test_kernel_honors_ehc_options():
-    trace = gen_synthetic(TRACES["region"])
-    geom = CacheGeometry(64, 4)
-    for value in (0, 3, 7):
-        _assert_same_run(trace, "ehc", geom, ehc_fixed_init=value)
-    _assert_same_run(trace, "ehc", geom, aging=False)
-    _assert_same_run(trace, "hawkeye", geom, aging=False)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("value", [-2, -1, 8, 9])
-def test_ehc_fixed_init_out_of_range_raises(backend, value):
-    # The kernel reads a negative value as "use the region table" and the
-    # engine would store any value, so the range is checked before either.
-    trace = gen_synthetic(TRACES["region"])
-    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
-        run_policy(trace, "ehc", CacheGeometry(64, 4), backend=backend,
-                   ehc_fixed_init=value)
-
-
-@pytest.mark.parametrize("value", [-2, -1, 8, 9])
-def test_ehc_policy_rejects_fixed_init_out_of_range(value):
-    # A policy built for engine.simulate gets the check run_policy makes.
-    geom = CacheGeometry(64, 4)
-    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
-        EhcPolicy(geom, fixed_init=value)
-    with pytest.raises(UsageError, match=r"ehc_fixed_init must be in 0\.\.7"):
-        make_policy("ehc", geom, ehc_fixed_init=value)
-    for valid in (None, 0, 7):
-        assert EhcPolicy(geom, fixed_init=valid).fixed_init == valid
-
-
 def test_kernel_seed_changes_brrip():
     trace = gen_synthetic(TRACES["zipf"])
     geom = CacheGeometry(64, 4)
@@ -220,6 +187,31 @@ def test_empty_trace():
     _, log, _ = run_policy(trace, "ehc", CacheGeometry(2, 2), backend="kernel",
                            record_events=True)
     assert len(log) == 0 and log.resident_pos.shape == (0, 2)
+
+
+def test_kernel_run_checks_the_min_columns():
+    # MIN reads next_use and writes evicted_at by trace position, so a
+    # missing or short column would take the kernel outside it; the other
+    # policies take neither.
+    trace = make_trace([0x40, 0x80, 0x40])
+    geom = CacheGeometry(1, 1)
+    column, short = np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    for kw in ({}, {"next_use": column}, {"evicted_at": column},
+               {"next_use": column, "evicted_at": short},
+               {"next_use": short, "evicted_at": column}):
+        with pytest.raises(ValueError, match="MIN takes next_use and evicted_at of 3 entries"):
+            _kernels.run(trace, "min", geom, 0, **kw)
+    for kw in ({"next_use": column}, {"evicted_at": column}):
+        with pytest.raises(ValueError, match="of 3 entries, lru neither"):
+            _kernels.run(trace, "lru", geom, 0, **kw)
+    # A stay ends at the miss that evicts its latest access, a bypass where
+    # it starts, and a line still resident at the trace length.
+    next_use = np.array([2, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
+    for bypass, ends in ((False, [1, 2, 3]), (True, [3, 1, 3])):
+        evicted_at = np.full(3, 3, dtype=np.int64)
+        _kernels.run(trace, "min", geom, 0, next_use=next_use, evicted_at=evicted_at,
+                     bypass=bypass)
+        assert evicted_at.tolist() == ends
 
 
 def test_auto_records_events_on_the_kernel(monkeypatch):

@@ -18,6 +18,7 @@ from ehcsim import (
     simulate_min,
     victim_quality,
 )
+from ehcsim import _kernels, minoracle
 
 from conftest import (
     assert_same_min,
@@ -291,6 +292,28 @@ def test_kernel_min_matches_python_min_on_edge_cases(case, bypass, rng):
         # As in Python, every address falls in block 0.
         assert stats.misses == min(len(trace), 1)
         assert residencies.addr.tolist() == [0] * len(residencies)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "reference"])
+def test_simulate_min_records_no_events_unless_asked(backend, monkeypatch, rng):
+    # The residencies come from the eviction column, so neither backend is
+    # asked for an event log unless the caller wants one.
+    asked = []
+    for module, name in ((_kernels, "run"), (minoracle, "simulate")):
+        def spy(*args, real=getattr(module, name), **kwargs):
+            asked.append(kwargs.get("record_events", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    trace = random_trace(rng, length=400, num_blocks=24)
+    geom = CacheGeometry(2, 2)
+    for bypass in (False, True):
+        quiet = simulate_min(trace, geom, bypass=bypass, backend=backend)
+        loud = simulate_min(trace, geom, bypass=bypass, record_events=True, backend=backend)
+        assert asked == [False, True]
+        assert quiet[3] is None and len(loud[3]) > 0
+        assert_same_min(quiet, (*loud[:3], None))
+        asked.clear()
 
 
 def test_min_kernel_handles_the_last_block():
