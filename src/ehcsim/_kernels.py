@@ -15,7 +15,8 @@ The library goes to ``__pycache__`` next to this file, or, when that is not
 private to this user, to a per-user directory under the system temporary
 directory; nothing is loaded from a directory another user owns or may
 write to. Its name carries a digest of the header, the source and the
-flags, so an edit to either builds a new one.
+flags, so an edit to either builds a new one, and a build deletes the
+libraries of other digests in its directory.
 
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
@@ -230,6 +231,10 @@ def _load():
             except (OSError, AttributeError):
                 pass  # truncated or foreign: rebuild it below
         _compile(text, target)
+        # Other digests are superseded; a build in progress has a longer name.
+        for stale in directory.glob("_kernel-*.so"):
+            if stale != target and len(stale.name) == len(name):
+                stale.unlink(missing_ok=True)
         try:
             return _bind(target)
         except (OSError, AttributeError) as e:
@@ -292,11 +297,10 @@ def check_geometry(geom: CacheGeometry):
     takes them. ctypes wraps an integer beyond int64_t silently and the
     kernel refuses a table of 2^63 entries or more, so a geometry that
     large raises :class:`GeometryTooLarge`; both backends check this first.
-    An offset of 64 bits or more puts every address in block 0, in C as in
-    Python, so it passes as 64."""
+    The offset passes as :attr:`~ehcsim.engine.CacheGeometry.block_shift`."""
     if geom.num_sets * geom.associativity >= 1 << 63:
         raise _too_large(geom)
-    return geom.num_sets, geom.associativity, min(geom.block_offset_bits, 64)
+    return geom.num_sets, geom.associativity, geom.block_shift
 
 
 def _event_buffer(geom: CacheGeometry, size: int) -> np.ndarray:

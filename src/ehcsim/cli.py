@@ -113,7 +113,7 @@ def _write_events(path, events, trace, geom: CacheGeometry) -> None:
 
     import numpy as np
 
-    shift = np.uint64(geom.block_offset_bits)
+    shift = np.uint64(geom.block_shift)
     blocks = trace.addr >> shift
     aligned = blocks << shift
     columns = (

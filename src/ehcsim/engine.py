@@ -80,6 +80,12 @@ class CacheGeometry(Record):
     def set_bits(self) -> int:
         return self.num_sets.bit_length() - 1
 
+    @property
+    def block_shift(self) -> int:
+        """The shift from an address to its block: an offset of 64 bits or
+        more puts every address in block 0, as a shift by 64 does."""
+        return min(self.block_offset_bits, 64)
+
     def set_index(self, addr: int) -> int:
         return (addr >> self.block_offset_bits) & (self.num_sets - 1)
 
@@ -224,7 +230,7 @@ def simulate(
 
     # Set index and tag of every access, shifted as compute_next_use does;
     # plain lists iterate as Python ints without per-element numpy scalars.
-    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    blocks = trace.addr >> np.uint64(geom.block_shift)
     set_col = (blocks & np.uint64(geom.num_sets - 1)).tolist()
     tag_col = (blocks >> np.uint64(geom.set_bits)).tolist()
     columns = zip(set_col, tag_col, trace.addr.tolist(), trace.pc.tolist())

@@ -59,7 +59,7 @@ class ResidencyLog:
 def _block_order(trace: Trace, geom: CacheGeometry):
     """``(order, next_use)``: the accesses stably sorted by block, and
     every access's next use."""
-    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    blocks = trace.addr >> np.uint64(geom.block_shift)
     # A stable sort keeps each block's accesses in trace order, so every
     # access is followed by its next use unless the block changes there.
     order = np.argsort(blocks, kind="stable")
@@ -128,10 +128,10 @@ def simulate_min(
     inserted when its own next use is strictly farthest (ties go to keeping
     the residents). Returns ``(stats, decisions, residencies, events)``:
     ``decisions`` holds one :class:`MinDecision` code per access,
-    ``residencies`` is a :class:`ResidencyLog` of every fill, evictions
-    first in eviction order, then the blocks still resident at the end of
-    the trace (set by set in the order the sets were first touched, and by
-    fill position within a set), ``events`` is an :class:`EventLog` when
+    ``residencies`` is a :class:`ResidencyLog` of every fill in completion
+    order, the order the prediction-error histograms read: evictions by
+    end position, then the blocks still resident at the end of the trace
+    by fill position; ``events`` is an :class:`EventLog` when
     requested and None otherwise. ``backend`` chooses the execution path as
     in :func:`ehcsim.runner.run_policy`: ``"auto"`` runs the native kernel
     unless it could not be built, ``"kernel"`` raises
@@ -157,18 +157,19 @@ def simulate_min(
     decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)
     decisions[next_use[next_use != NO_NEXT_USE]] = MinDecision.MISS
     decisions[hit == 1] = MinDecision.HIT
-    residencies = _residencies(trace, geom, order, decisions, hit, evicted_at)
+    del next_use  # the rows need none of it, and it is as long as the trace
+    residencies = _residencies(trace, geom, order, hit, evicted_at)
     return stats, decisions, residencies, events
 
 
-def _residencies(trace, geom, order, decisions, hit, evicted_at) -> ResidencyLog:
+def _residencies(trace, geom, order, hit, evicted_at) -> ResidencyLog:
     """Every fill of a MIN run as one row, from its hit flags and eviction
     column. In block order, a stay is a miss followed by its block's hits
     up to the block's next miss, and it ends at ``evicted_at`` of its
     latest access; a bypassed miss ends where it starts and is no row. The
-    rows are the evictions in end order, then the blocks still resident,
-    set by set in the order the sets were first touched and by fill
-    position within a set."""
+    rows are in completion order: the evictions by end, then the blocks
+    still resident by fill. No two evictions share an end, and no two
+    stays a fill, so this is the order by end, then fill."""
     n = len(order)
     # Misses in block order, fills and bypasses alike; a stay runs to the next.
     misses = np.append(np.flatnonzero(hit[order] == 0), n)
@@ -176,19 +177,9 @@ def _residencies(trace, geom, order, decisions, hit, evicted_at) -> ResidencyLog
     fill, end = order[start], evicted_at[order[last]]
     filled = end != fill
     fill, end, hits = fill[filled], end[filled], (last - start)[filled]
-    gone = np.flatnonzero(end < n)
-    gone = gone[np.argsort(end[gone])]
-
-    resident = np.flatnonzero(end == n)
-    shift, set_mask = np.uint64(geom.block_offset_bits), np.uint64(geom.num_sets - 1)
-    # A set is first touched by the first access of one of its blocks.
-    first_at = np.flatnonzero(decisions == MinDecision.COLD_MISS)
-    sets, touch = np.unique((trace.addr[first_at] >> shift) & set_mask, return_index=True)
-    resident_sets = (trace.addr[fill[resident]] >> shift) & set_mask
-    resident_touch = first_at[touch][np.searchsorted(sets, resident_sets)]
-    resident = resident[np.lexsort((fill[resident], resident_touch))]
-
-    rows = np.concatenate((gone, resident))
+    gone, resident = np.flatnonzero(end < n), np.flatnonzero(end == n)
+    rows = np.concatenate((gone[np.argsort(end[gone])], resident[np.argsort(fill[resident])]))
+    shift = np.uint64(geom.block_shift)
     return ResidencyLog((trace.addr[fill[rows]] >> shift) << shift,
                         fill[rows], end[rows], hits[rows])
 
@@ -199,9 +190,8 @@ def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
     four) counts, and bucket |actual - predicted|. A key's first residency
     has nothing to predict from and is not counted. This is the online
     predictor's rule (``RegionHitTable.expected_hits``), window included."""
-    done = np.lexsort((residencies.fill, residencies.end))
-    # Stable, so each key's residencies stay in completion order.
-    order = done[np.argsort(keys[done], kind="stable")]
+    # By key, each key's residencies in completion order; lexsort is stable.
+    order = np.lexsort((residencies.fill, residencies.end, keys))
     key, hits = keys[order], residencies.hits[order]
     pos = np.arange(len(hits))
     starts = np.ones(len(hits), dtype=bool)

@@ -116,18 +116,15 @@ class SampledSetHistory:
     """Occupancy vector plus address cache for one sampled set.
 
     Positions are absolute access counters for this set; the window keeps the
-    most recent ``capacity`` of them. ``capacity=None`` picks the hardware
-    budget of eight slots per way; zero or negative means unbounded (used to
-    validate against the offline oracle). Slot ``k`` counts the blocks
-    optimal replacement must keep cached between recorded accesses ``k`` and
-    ``k+1``.
+    most recent ``capacity`` of them, or all of them when ``capacity`` is
+    None (used to validate against the offline oracle). Slot ``k`` counts
+    the blocks optimal replacement must keep cached between recorded
+    accesses ``k`` and ``k+1``. Reuse trains ``pc_table``, and every
+    completed residency banks its hit count in ``region_table``.
     """
 
-    def __init__(self, associativity, capacity=None, pc_table=None, region_table=None):
-        if capacity is None:
-            capacity = WINDOW_SLOTS_PER_WAY * associativity
-        elif capacity <= 0:
-            capacity = None  # unbounded
+    def __init__(self, associativity, pc_table: PcCounterTable,
+                 region_table: RegionHitTable, capacity=None):
         self.assoc = associativity
         self.capacity = capacity
         self.pc_table = pc_table
@@ -142,8 +139,7 @@ class SampledSetHistory:
 
     def _flush(self, entry: _AddrEntry) -> None:
         # A residency completed under the emulation; bank its hit count.
-        if self.region_table is not None:
-            self.region_table.record_eviction(entry.addr, entry.hits)
+        self.region_table.record_eviction(entry.addr, entry.hits)
 
     def _retire_oldest(self) -> None:
         retired = self.base_pos
@@ -170,12 +166,10 @@ class SampledSetHistory:
                 for k in range(start, len(self.occ)):
                     self.occ[k] += 1
                 entry.hits += 1
-                if self.pc_table is not None:
-                    self.pc_table.train(entry.pc, +1)
+                self.pc_table.train(entry.pc, +1)
             else:
                 decision = MinDecision.MISS
-                if self.pc_table is not None:
-                    self.pc_table.train(entry.pc, -1)
+                self.pc_table.train(entry.pc, -1)
                 self._flush(entry)
                 entry.hits = 0
             del self.pos_to_tag[entry.pos]
@@ -217,11 +211,9 @@ class MinSampler:
             return None
         hist = self.histories.get(set_index)
         if hist is None:
-            hist = SampledSetHistory(
-                self.geom.associativity,
-                pc_table=self.pc_table,
-                region_table=self.region_table,
-            )
+            assoc = self.geom.associativity
+            hist = SampledSetHistory(assoc, self.pc_table, self.region_table,
+                                     capacity=WINDOW_SLOTS_PER_WAY * assoc)
             self.histories[set_index] = hist
         decision = hist.access(tag, pc, addr)
         if decision == MinDecision.COLD_MISS:

@@ -114,6 +114,7 @@ def loop_simulate_min(trace, geom, bypass=True):
             ))
 
     stats.per_policy["bypasses"] = bypasses
+    residencies.sort(key=lambda r: (r.end, r.fill))
     return stats, decisions, residencies, events
 
 

@@ -31,7 +31,7 @@ from ehcsim import (
 from ehcsim.cli import main
 from ehcsim.engine import BlockState, EFH_MAX, RRPV_MAX
 from ehcsim.policies import PSEL_MAX, SHCT_MAX
-from ehcsim.sampler import PC_COUNTER_MAX
+from ehcsim.sampler import PC_COUNTER_MAX, PcCounterTable, RegionHitTable
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
 from conftest import make_trace, max_hits_exhaustive, single_set_trace
@@ -54,7 +54,7 @@ def corpus():
 def test_c01_optgen_matches_offline_min(corpus):
     t0 = time.monotonic()
     for trace, geom in corpus:
-        hist = SampledSetHistory(geom.associativity, capacity=0)
+        hist = SampledSetHistory(geom.associativity, PcCounterTable(), RegionHitTable())
         got = [
             int(hist.access(geom.tag(int(a)), int(p), int(a)))
             for a, p in zip(trace.addr, trace.pc)

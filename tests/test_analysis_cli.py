@@ -24,6 +24,7 @@ from ehcsim import (
     save_trace,
 )
 from ehcsim import _kernels
+from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.errors import DataError
 
@@ -219,6 +220,35 @@ def test_cli_run_writes_events(trace_file, tmp_path, monkeypatch):
                  "--sets", "64", "--ways", "4",
                  "--events", str(reference), "--csv", str(out)]) == 0
     assert reference.read_text() == events.read_text()
+
+
+HUGE_OFFSET_COMMANDS = {
+    "run": ["run", "--policy", "ehc"],
+    "run-events": ["run", "--policy", "hawkeye", "--events", "{events}"],
+    "compare": ["compare", "--policies", "srrip,ehc"],
+    "compare-events": ["compare", "--policies", "srrip,ehc", "--events"],
+    **{kind: ["analyze", "--report", kind] for kind in REPORT_KINDS},
+}
+
+
+@pytest.mark.parametrize("backend", ["kernel", "reference"])
+@pytest.mark.parametrize("command", HUGE_OFFSET_COMMANDS)
+def test_cli_block_offset_of_64_bits_or_more_is_64(trace_file, tmp_path, monkeypatch,
+                                                   backend, command):
+    # Every address is in block 0 either way; only the provenance line differs.
+    if backend == "reference":
+        monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
+    outputs = []
+    for bits in (64, 1 << 64):
+        out, events = tmp_path / f"{bits}.csv", tmp_path / f"{bits}-events.csv"
+        argv = [arg.format(events=events) for arg in HUGE_OFFSET_COMMANDS[command]]
+        assert main([*argv, "--trace", str(trace_file), "--sets", "4", "--ways", "2",
+                     "--block-bits", str(bits), "--csv", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert f"# block_bits={bits}" in lines
+        outputs.append(([line for line in lines if not line.startswith("# block_bits=")],
+                        events.read_text() if events.exists() else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_compare(trace_file, tmp_path):

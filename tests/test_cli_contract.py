@@ -1,0 +1,117 @@
+"""Property test of the CLI's contract over every subcommand: whatever the
+geometry flags (zero, negative, not a power of two, 2^63, 2^64, block bits
+up to 70) or the ``gen`` and ``interleave`` arguments, a command exits 0, 1,
+2 or 3, a non-zero exit writes exactly one ``ehcsim:`` line and no
+traceback, and the native kernel and the reference engine give the same
+exit status, error line and output files."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ehcsim import GeneratorSpec, Trace, _kernels, gen_synthetic, save_trace
+from ehcsim.analysis import REPORT_KINDS
+from ehcsim.cli import main
+from ehcsim.runner import POLICY_NAMES
+from ehcsim.traceformat import GENERATOR_KINDS
+
+TOP = (1 << 64) - 1
+
+
+def _top_trace():
+    """Addresses near 2^64, which no interleaved core window holds."""
+    n = 40
+    addr = np.uint64(TOP) - np.uint64(64) * (np.arange(n, dtype=np.uint64) % np.uint64(5))
+    return Trace(seq=np.arange(n, dtype=np.uint64), pc=np.full(n, TOP, dtype=np.uint64),
+                 addr=addr, core=np.zeros(n, dtype=np.uint8), kind=np.zeros(n, dtype=np.uint8))
+
+
+TRACES = {
+    "mixed": gen_synthetic(GeneratorSpec("mixed", block_count=48, length=160, seed=3)),
+    "one": gen_synthetic(GeneratorSpec("loop", block_count=1, length=1)),
+    "top": _top_trace(),
+}
+
+# Powers of two the caches fit, drawn most often; the invalid; the too large.
+FITTING = [1, 2, 4, 16]
+SIZES = st.one_of(st.sampled_from(FITTING),
+                  st.sampled_from([*FITTING, 0, -1, -4, 3, 12, 1 << 63, 1 << 64]))
+BLOCK_BITS = st.one_of(st.integers(0, 70), st.sampled_from([-1, 1 << 63, 1 << 64]))
+
+
+@st.composite
+def commands(draw):
+    """An argv with placeholders for the files: ``{out}`` and ``{events}``
+    for the outputs, a name of :data:`TRACES` or ``{missing}`` for inputs."""
+    policy = st.sampled_from(POLICY_NAMES)
+    kind = draw(st.sampled_from(["run", "run-events", "compare", "compare-events", "analyze",
+                                 "gen", "interleave"]))
+    if kind == "gen":
+        return ["gen", "--kind", draw(st.sampled_from(GENERATOR_KINDS)),
+                "--blocks", str(draw(st.integers(-2, 64))),
+                "--length", str(draw(st.integers(-2, 200))),
+                "--alpha", draw(st.sampled_from(["0", "0.8", "1.5", "-1", "nan", "inf"])),
+                "--seed", str(draw(st.integers(-1, 3))), "-o", "{out}"]
+    if kind == "interleave":
+        inputs = draw(st.lists(st.sampled_from([*TRACES, "missing"]), min_size=1, max_size=3))
+        return ["interleave", "-o", "{out}", *(f"{{{name}}}" for name in inputs)]
+    if kind.startswith("run"):
+        argv = ["run", "--policy", draw(policy)]
+    elif kind.startswith("compare"):
+        names = draw(st.lists(policy, min_size=1, max_size=3))
+        argv = ["compare", "--policies", ",".join(names)]
+    else:
+        argv = ["analyze", "--report", draw(st.sampled_from(REPORT_KINDS)),
+                "--policy", draw(policy)]
+    if kind == "run-events":
+        argv += ["--events", "{events}"]
+    elif kind == "compare-events":
+        argv.append("--events")
+    return argv + ["--trace", f"{{{draw(st.sampled_from(list(TRACES)))}}}",
+                   "--sets", str(draw(SIZES)), "--ways", str(draw(SIZES)),
+                   "--block-bits", str(draw(BLOCK_BITS)), "--csv", "{out}"]
+
+
+def _cli(argv, files):
+    """``(exit status, stderr lines, output files' bytes)`` of one command;
+    the output files are removed afterwards."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([arg.format(**files) for arg in argv])
+    written = {}
+    for name in ("out", "events"):
+        path = Path(files[name])
+        if path.exists():
+            written[name] = path.read_bytes()
+            path.unlink()
+    text = err.getvalue()
+    assert "Traceback" not in text, text
+    # Once per call the reference engine also says why it runs.
+    lines = [line for line in text.splitlines() if "native kernel unavailable" not in line]
+    return code, lines, written
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(commands())
+def test_every_command_keeps_the_exit_contract_on_both_backends(argv):
+    assert _kernels.supports("lru"), _kernels.unavailable()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"out": f"{tmp}/out", "events": f"{tmp}/events", "missing": f"{tmp}/missing"}
+        for name, trace in TRACES.items():
+            files[name] = f"{tmp}/{name}.trace"
+            save_trace(trace, files[name])
+        kernel = _cli(argv, files)
+        with mock.patch.object(_kernels, "_native", lambda: (None, "disabled")):
+            reference = _cli(argv, files)
+    assert kernel == reference, argv
+    code, err, written = kernel
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        assert err == [] and "out" in written, argv
+    else:
+        assert len(err) == 1 and err[0].startswith("ehcsim: "), (argv, err)

@@ -297,6 +297,23 @@ def test_cold_build_then_warm_load(kernel_cache, monkeypatch):
     assert warm == cold == _runs("reference")
 
 
+def test_build_removes_superseded_libraries(kernel_cache, monkeypatch, tmp_path):
+    _, name = _kernels._source()
+    stale = {kernel_cache / f"_kernel-{digit * 24}.so" for digit in "0f"}
+    # Another build's temporary library, and a file that is no library.
+    kept = {kernel_cache / f"_kernel-{'1' * 24}a1b2c3d4.so", kernel_cache / "notes.txt"}
+    for path in stale | kept:
+        path.write_bytes(TRUNCATED_ELF)
+    source = _kernels._SOURCE
+    _failing_build(monkeypatch, tmp_path)
+    assert not _kernels.supports("lru")
+    assert set(kernel_cache.iterdir()) == stale | kept  # a failed build deletes nothing
+    monkeypatch.setattr(_kernels, "_SOURCE", source)
+    _kernels._native.cache_clear()
+    assert _kernels.supports("lru")
+    assert set(kernel_cache.iterdir()) == kept | {kernel_cache / name}
+
+
 @pytest.mark.parametrize("breakage, reason", [
     (_no_compiler, "no C compiler"),
     (_failing_build, "exited with status"),

@@ -33,6 +33,7 @@ from ehcsim import (
 )
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
+from ehcsim.sampler import PcCounterTable, RegionHitTable
 from ehcsim.trace import REGION_SHIFT
 
 from conftest import (
@@ -295,7 +296,7 @@ def single_set_traces(draw):
 @given(single_set_traces())
 def test_unbounded_optgen_matches_min(case):
     geom, trace = case
-    hist = SampledSetHistory(geom.associativity, capacity=0)
+    hist = SampledSetHistory(geom.associativity, PcCounterTable(), RegionHitTable())
     got = [int(hist.access(geom.tag(a), p, a))
            for a, p in zip(trace.addr.tolist(), trace.pc.tolist())]
     _, decisions, _, _ = simulate_min(trace, geom, bypass=True)

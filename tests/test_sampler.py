@@ -18,22 +18,22 @@ COLD, HIT, MISS = MinDecision.COLD_MISS, MinDecision.HIT, MinDecision.MISS
 
 
 def _decisions(hist, tags):
-    return [hist.access(t, pc=0x400000, addr=t * 64) for t in tags]
+    return [hist.access(t, pc=0x400000, addr=ord(t) * 64) for t in tags]
 
 
 def test_occupancy_walkthrough():
-    hist = SampledSetHistory(associativity=2, capacity=0)
+    hist = SampledSetHistory(2, PcCounterTable(), RegionHitTable())
     assert _decisions(hist, ["A", "B", "C", "A", "B"]) == [COLD, COLD, COLD, HIT, HIT]
     assert hist.occ == [1, 2, 2, 1, 0]
 
 
 def test_occupancy_full_interval_misses():
-    hist = SampledSetHistory(associativity=1, capacity=0)
+    hist = SampledSetHistory(1, PcCounterTable(), RegionHitTable())
     assert _decisions(hist, ["A", "B", "B", "A"]) == [COLD, COLD, HIT, MISS]
 
 
 def test_miss_does_not_increment():
-    hist = SampledSetHistory(associativity=1, capacity=0)
+    hist = SampledSetHistory(1, PcCounterTable(), RegionHitTable())
     _decisions(hist, ["A", "B", "B"])
     occ_before = list(hist.occ)
     assert hist.access("A", 0, 0) == MISS
@@ -41,7 +41,7 @@ def test_miss_does_not_increment():
 
 
 def test_window_retirement_forgets_blocks():
-    hist = SampledSetHistory(associativity=2, capacity=3)
+    hist = SampledSetHistory(2, PcCounterTable(), RegionHitTable(), capacity=3)
     assert _decisions(hist, ["A", "B", "C", "D"]) == [COLD, COLD, COLD, COLD]
     # A's slot has been retired, so its return looks cold again.
     assert hist.access("A", 0, 0) == COLD
@@ -49,13 +49,14 @@ def test_window_retirement_forgets_blocks():
 
 
 def test_default_capacity_is_8x_assoc():
-    hist = SampledSetHistory(associativity=4)
-    assert hist.capacity == 32
+    sampler = MinSampler(CacheGeometry(64, 4))
+    sampler.observe(0, tag=1, addr=1 << 12, pc=0)
+    assert sampler.histories[0].capacity == 32
 
 
 def test_retirement_flushes_residency_to_region_table():
     regions = RegionHitTable()
-    hist = SampledSetHistory(associativity=2, capacity=2, region_table=regions)
+    hist = SampledSetHistory(2, PcCounterTable(), regions, capacity=2)
     addr = 0x12345040
     hist.access("A", 0, addr)
     hist.access("A", 0, addr)          # hit: A carries one emulated hit
@@ -66,7 +67,7 @@ def test_retirement_flushes_residency_to_region_table():
 def test_occupancy_never_exceeds_associativity(rng):
     geom = CacheGeometry(1, 2)
     t = single_set_trace(rng, length=400, num_tags=8, geom=geom)
-    hist = SampledSetHistory(associativity=2, capacity=0)
+    hist = SampledSetHistory(2, PcCounterTable(), RegionHitTable())
     for i in range(len(t)):
         hist.access(int(t.addr[i]) >> 6, int(t.pc[i]), int(t.addr[i]))
         assert all(0 <= c <= 2 for c in hist.occ)
@@ -74,7 +75,7 @@ def test_occupancy_never_exceeds_associativity(rng):
 
 def test_pc_training_on_reuse():
     pcs = PcCounterTable()
-    hist = SampledSetHistory(associativity=1, capacity=0, pc_table=pcs)
+    hist = SampledSetHistory(1, pcs, RegionHitTable())
     hist.access("A", 0x400000, 0)
     hist.access("B", 0x400004, 0x40)
     hist.access("B", 0x400004, 0x40)   # proved friendly: trains +1
