@@ -21,9 +21,9 @@ libraries of other digests in its directory.
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
 :func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. When
-no compiler is found or the build fails, :func:`supports` is False,
-``backend="auto"`` runs the reference engine, and one line on stderr per
-process says why.
+no compiler is found or the build fails, :func:`use_kernel` is False
+for ``backend="auto"``, which runs the reference engine, and one line on
+stderr per process says why.
 """
 
 from __future__ import annotations
@@ -260,29 +260,29 @@ def unavailable() -> str | None:
     return _native()[1]
 
 
-def supports(name: str) -> bool:
-    """Whether the kernel path can reproduce a run of this policy (or of
-    ``"min"``) exactly. When the kernel is unavailable, ``backend="auto"``
-    runs the reference engine instead, so the first call after the failed
-    load says why in one line on stderr; :func:`unavailable` does not, so
-    that a command that fails before it simulates prints only its error."""
+def use_kernel(backend: str, geom: CacheGeometry) -> bool:
+    """Whether a run on ``backend`` goes to the native kernel. Raises
+    :class:`UsageError` for an unknown backend, or for ``"kernel"`` when the
+    kernel is unavailable, and :func:`check_geometry`'s error on any backend.
+    ``"auto"`` without the kernel says why in one line on stderr, once per
+    failed load; :func:`unavailable` does not, so that a command that fails
+    before it simulates prints only its error."""
     global _announced
+    if backend not in BACKENDS:
+        raise UsageError(f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})")
+    check_geometry(geom)
+    if backend == "reference":
+        return False
     native = _native()
     if native[0] is not None:
-        return name in _POLICY_IDS
+        return True
+    if backend == "kernel":
+        _library()  # raises with the reason
     if native is not _announced:
         _announced = native
         print(f"ehcsim: native kernel unavailable ({native[1]}); "
               "using the reference engine", file=sys.stderr)
     return False
-
-
-def check_backend(backend: str) -> None:
-    """Raise :class:`UsageError` unless ``backend`` is one of :data:`BACKENDS`."""
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
-        )
 
 
 def _library():

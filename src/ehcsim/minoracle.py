@@ -140,12 +140,11 @@ def simulate_min(
     A geometry beyond the kernel's bound raises
     :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
-    _kernels.check_backend(backend)
-    _kernels.check_geometry(geom)
+    kernel = _kernels.use_kernel(backend, geom)
     order, next_use = _block_order(trace, geom)
     n = len(trace)
     evicted_at = np.full(n, n, dtype=np.int64)
-    if backend == "kernel" or (backend == "auto" and _kernels.supports("min")):
+    if kernel:
         stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=record_events,
                                           next_use=next_use, evicted_at=evicted_at,
                                           bypass=bypass)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import _kernels
-from ._kernels import BACKENDS  # noqa: F401 (the backends run_policy takes)
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
 from .errors import UnknownPolicy
 from .params import POLICY_NAMES
@@ -63,9 +62,7 @@ def run_policy(
     bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     _check_name(name)
-    _kernels.check_backend(backend)
-    _kernels.check_geometry(geom)
-    if backend == "kernel" or (backend == "auto" and _kernels.supports(name)):
+    if _kernels.use_kernel(backend, geom):
         return _kernels.run(trace, name, geom, seed, record_events=record_events)
     return simulate(trace, make_policy(name, geom, seed=seed), geom,
                     record_events=record_events)

@@ -41,6 +41,7 @@ RECORD_DTYPE = np.dtype({
 })
 
 BLOCK_BYTES = 64
+MAX_GEN_SIZE = 1 << 58  # the most blocks whose byte addresses fit in 64 bits
 
 # Synthetic PCs: each generator phase cycles through a small pool so PC-indexed
 # predictors get trainable signal without modeling real code.
@@ -160,6 +161,8 @@ class GeneratorSpec(Record):
     """Parameters of a synthetic trace.
 
     ``alpha`` is the Zipf skew and only matters for the zipf/mixed kinds.
+    ``block_count`` and ``length`` go up to :data:`MAX_GEN_SIZE`, and region
+    ids must stay below 2^47, so that every address fits in 64 bits.
     """
 
     __slots__ = ("kind", "block_count", "length", "alpha", "seed")
@@ -168,10 +171,17 @@ class GeneratorSpec(Record):
                  seed: int = 42):
         if kind not in GENERATOR_KINDS:
             raise InvalidSpec(f"unknown generator kind {kind!r}")
-        if block_count < 1:
-            raise InvalidSpec("block_count must be >= 1")
-        if length < 1:
-            raise InvalidSpec("length must be >= 1")
+        for name, value in (("block_count", block_count), ("length", length)):
+            if not 1 <= value <= MAX_GEN_SIZE:
+                raise InvalidSpec(f"{name} must be between 1 and 2^58, not {value}")
+        if kind in ("region", "mixed"):
+            # _gen_region's spill region ids stay below n_regions times the
+            # factor below; a mixed trace's region phase is its last part.
+            phase = length - 3 * (length // 4) if kind == "mixed" else length
+            n_regions = max(4, block_count // BLOCKS_PER_REGION)
+            if n_regions * ((phase - 1) // BLOCKS_PER_REGION + 2) > 1 << (64 - REGION_SHIFT):
+                raise InvalidSpec(f"{block_count} blocks x {length} accesses could give "
+                                  "region ids of 2^47 or more, beyond 64-bit addresses")
         if not (math.isfinite(alpha) and alpha >= 0):
             raise InvalidSpec(f"alpha must be a finite number >= 0, not {alpha}")
         if seed < 0:  # numpy's generators take no negative seed
@@ -222,38 +232,28 @@ _CLASS_TRAFFIC = {_CLASS_SHORT: 6.0, _CLASS_MEDIUM: 2.0, _CLASS_NEVER: 1.5}
 
 def _gen_region(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     n_regions = max(4, spec.block_count // BLOCKS_PER_REGION)
-    classes = np.array(
-        [_REGION_CLASS_CYCLE[r % len(_REGION_CLASS_CYCLE)] for r in range(n_regions)]
-    )
-    weights = np.array([_CLASS_TRAFFIC[c] for c in classes])
+    cycle = np.array(_REGION_CLASS_CYCLE)
+    weights = np.array([_CLASS_TRAFFIC[c] for c in _REGION_CLASS_CYCLE])
+    weights = weights[np.arange(n_regions) % len(cycle)]
     cdf = np.cumsum(weights / weights.sum())
     chosen = np.searchsorted(cdf, rng.random(spec.length), side="right")
-    chosen = np.minimum(chosen, n_regions - 1)
+    chosen = np.minimum(chosen, n_regions - 1).astype(np.uint64)
 
-    addr = np.zeros(spec.length, dtype=np.uint64)
-    for r in range(n_regions):
-        pos = np.nonzero(chosen == r)[0]
-        if len(pos) == 0:
-            continue
-        k = np.arange(len(pos), dtype=np.uint64)
-        cls = classes[r]
-        if cls == _CLASS_SHORT:
-            slot = k % SHORT_HOT_BLOCKS
-            region_id = np.full(len(pos), r, dtype=np.uint64)
-        elif cls == _CLASS_MEDIUM:
-            slot = k % BLOCKS_PER_REGION
-            region_id = np.full(len(pos), r, dtype=np.uint64)
-        else:
-            # Streaming: every visit touches a fresh block; once a region's 64
-            # slots are consumed, spill into a new region id (disjoint from the
-            # base regions and from other spills).
-            slot = k % BLOCKS_PER_REGION
-            region_id = np.uint64(n_regions) * (k // BLOCKS_PER_REGION + np.uint64(1))
-            region_id += np.uint64(r)
-        addr[pos] = (region_id << np.uint64(REGION_SHIFT)) | (
-            slot * np.uint64(REGION_SLOT_STRIDE * BLOCK_BYTES)
-        )
-    return addr
+    # k: how many earlier accesses chose the same region. numpy radix-sorts
+    # 8- and 16-bit keys, so the narrowest type sorts fastest.
+    order = np.argsort(chosen.astype(np.min_scalar_type(n_regions - 1)), kind="stable")
+    ranked = chosen[order]
+    k = np.empty_like(chosen)
+    k[order] = np.arange(spec.length) - np.searchsorted(ranked, ranked)
+
+    cls = cycle[chosen % len(cycle)]
+    slot = np.where(cls == _CLASS_SHORT, k % SHORT_HOT_BLOCKS, k % BLOCKS_PER_REGION)
+    # Streaming: every visit touches a fresh block; once a region's 64
+    # slots are consumed, spill into a new region id (disjoint from the
+    # base regions and from other spills).
+    spill = n_regions * (k // BLOCKS_PER_REGION + 1) + chosen
+    region_id = np.where(cls == _CLASS_NEVER, spill, chosen)
+    return region_id << REGION_SHIFT | slot * (REGION_SLOT_STRIDE * BLOCK_BYTES)
 
 
 def gen_synthetic(spec: GeneratorSpec) -> Trace:

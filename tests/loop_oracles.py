@@ -1,8 +1,9 @@
-"""Per-access loop implementations of the MIN oracle, the hit-count
-prediction-error histograms and victim scoring.
+"""Loop implementations of the MIN oracle, the hit-count prediction-error
+histograms, victim scoring and the region trace generator.
 
-These are the straightforward versions that :mod:`ehcsim.minoracle` replaced
-with array code; the property tests check that both agree.
+These are the straightforward versions that :mod:`ehcsim.minoracle` and
+:mod:`ehcsim.trace` replaced with array code; the property tests check that
+both agree.
 """
 
 import collections
@@ -11,6 +12,11 @@ from bisect import bisect_right
 import numpy as np
 
 from ehcsim import BYPASS, NO_NEXT_USE, MinDecision, SimStats
+from ehcsim.params import REGION_SHIFT
+from ehcsim.trace import (
+    _CLASS_MEDIUM, _CLASS_SHORT, _CLASS_TRAFFIC, _REGION_CLASS_CYCLE, BLOCK_BYTES,
+    BLOCKS_PER_REGION, REGION_SLOT_STRIDE, SHORT_HOT_BLOCKS,
+)
 
 #: One stay of a block in the cache under MIN, as a row.
 Residency = collections.namedtuple("Residency", "addr fill end hits")
@@ -157,3 +163,40 @@ def loop_victim_quality(events, trace, geom):
         victim_use = uses[-1] if ev.victim_way == BYPASS else uses[ev.victim_way]
         hist[sum(1 for u in uses if u > victim_use)] += 1
     return hist
+
+
+def loop_gen_region(spec, rng):
+    """The region generator's addresses, one region per pass over the
+    region each access chose."""
+    n_regions = max(4, spec.block_count // BLOCKS_PER_REGION)
+    classes = np.array(
+        [_REGION_CLASS_CYCLE[r % len(_REGION_CLASS_CYCLE)] for r in range(n_regions)]
+    )
+    weights = np.array([_CLASS_TRAFFIC[c] for c in classes])
+    cdf = np.cumsum(weights / weights.sum())
+    chosen = np.searchsorted(cdf, rng.random(spec.length), side="right")
+    chosen = np.minimum(chosen, n_regions - 1)
+
+    addr = np.zeros(spec.length, dtype=np.uint64)
+    for r in range(n_regions):
+        pos = np.nonzero(chosen == r)[0]
+        if len(pos) == 0:
+            continue
+        k = np.arange(len(pos), dtype=np.uint64)
+        cls = classes[r]
+        if cls == _CLASS_SHORT:
+            slot = k % SHORT_HOT_BLOCKS
+            region_id = np.full(len(pos), r, dtype=np.uint64)
+        elif cls == _CLASS_MEDIUM:
+            slot = k % BLOCKS_PER_REGION
+            region_id = np.full(len(pos), r, dtype=np.uint64)
+        else:
+            # Streaming: every visit touches a fresh block, spilling into a
+            # new region id once the region's 64 slots are consumed.
+            slot = k % BLOCKS_PER_REGION
+            region_id = np.uint64(n_regions) * (k // BLOCKS_PER_REGION + np.uint64(1))
+            region_id += np.uint64(r)
+        addr[pos] = (region_id << np.uint64(REGION_SHIFT)) | (
+            slot * np.uint64(REGION_SLOT_STRIDE * BLOCK_BYTES)
+        )
+    return addr

@@ -311,6 +311,19 @@ def test_cli_gen_rejects_an_invalid_spec(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--blocks", "block_count"), ("--length", "length")])
+@pytest.mark.parametrize("kind", ["stream", "loop", "zipf", "region", "mixed"])
+def test_cli_gen_rejects_more_than_2_to_the_58(tmp_path, capsys, kind, flag, field):
+    out = tmp_path / "x.trace"
+    for big in ((1 << 58) + 1, 1 << 63, 1 << 64, 1 << 70):
+        blocks, length = (big, 10) if flag == "--blocks" else (10, big)
+        assert main(["gen", "--kind", kind, "--blocks", str(blocks), "--length", str(length),
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ehcsim: {field} must be between 1 and 2^58, not {big}"]
+        assert not out.exists()
+
+
 WRAPPING_WAYS = str((1 << 60) + 1)  # 16 sets x these ways wrap around int64
 
 
@@ -326,7 +339,7 @@ def test_cli_reports_a_geometry_it_cannot_allocate(trace_file, tmp_path, command
     # In a child process, so that a crash in the kernel fails this test
     # instead of ending the test run. Without the kernel the reference
     # engine would try to build these tables in Python.
-    assert _kernels.supports("lru"), _kernels.unavailable()
+    assert _kernels.unavailable() is None, _kernels.unavailable()
     if command[-1] == "--events":
         command = [*command, str(tmp_path / "events.csv")]
     proc = subprocess.run(

@@ -14,7 +14,7 @@ from ehcsim import (
 from ehcsim import _kernels, engine, policies, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
-from ehcsim.errors import UsageError
+from ehcsim.errors import UnknownPolicy, UsageError
 from ehcsim.minoracle import NO_NEXT_USE
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
@@ -169,9 +169,11 @@ def test_kernel_binding_checks_numpy_arrays_per_call():
     assert lib.ehcsim_read_records(0, b"", 0, good, (ctypes.c_uint64 * 4)(), core) == 0
 
 
-def test_supports_rejects_unknown_policies():
-    assert _kernels.supports("lru")
-    assert not _kernels.supports("belady")
+def test_run_policy_rejects_unknown_policies_on_every_backend():
+    trace = make_trace([0x40, 0x80])
+    for backend in _kernels.BACKENDS:
+        with pytest.raises(UnknownPolicy, match="unknown policy 'belady'"):
+            run_policy(trace, "belady", CacheGeometry(2, 2), backend=backend)
 
 
 def test_run_policy_rejects_unknown_backend():
@@ -306,11 +308,11 @@ def test_build_removes_superseded_libraries(kernel_cache, monkeypatch, tmp_path)
         path.write_bytes(TRUNCATED_ELF)
     source = _kernels._SOURCE
     _failing_build(monkeypatch, tmp_path)
-    assert not _kernels.supports("lru")
+    assert _kernels.unavailable() is not None
     assert set(kernel_cache.iterdir()) == stale | kept  # a failed build deletes nothing
     monkeypatch.setattr(_kernels, "_SOURCE", source)
     _kernels._native.cache_clear()
-    assert _kernels.supports("lru")
+    assert _kernels.unavailable() is None
     assert set(kernel_cache.iterdir()) == kept | {kernel_cache / name}
 
 
@@ -323,7 +325,7 @@ def test_unbuildable_kernel_falls_back(kernel_cache, monkeypatch, tmp_path, caps
     expected = _runs("reference")
     expected_min = _min_runs("reference")
     breakage(monkeypatch, tmp_path)
-    assert not _kernels.supports("lru")
+    assert _kernels.unavailable() is not None
     assert reason in _kernels.unavailable()
     assert _runs("auto") == expected
     for got, want in zip(_min_runs("auto"), expected_min, strict=True):
@@ -346,7 +348,7 @@ def test_unusable_first_cache_directory_is_skipped(kernel_cache, monkeypatch, tm
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "cache", kernel_cache])
-    assert _kernels.supports("lru")
+    assert _kernels.unavailable() is None
     _, name = _kernels._source()
     assert [p.name for p in kernel_cache.iterdir()] == [name]
 
@@ -354,7 +356,7 @@ def test_unusable_first_cache_directory_is_skipped(kernel_cache, monkeypatch, tm
 def _planted_library(tmp_path, kernel_cache):
     """A directory holding a loadable library under the kernel's cache name,
     as another user could plant it; plus a spy on what gets loaded."""
-    assert _kernels.supports("lru")  # builds the real library into kernel_cache
+    assert _kernels.unavailable() is None  # builds the real library into kernel_cache
     _, name = _kernels._source()
     planted = tmp_path / "planted"
     planted.mkdir(mode=0o700)
@@ -381,7 +383,7 @@ def test_library_in_a_writable_by_others_directory_is_not_loaded(kernel_cache, m
     planted.chmod(0o777)
     loaded = _spy_on_loads(monkeypatch)
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [planted, kernel_cache])
-    assert _kernels.supports("ehc")
+    assert _kernels.unavailable() is None
     # The fresh build goes to the private directory, and only it is loaded.
     assert loaded == [kernel_cache / name]
     assert _runs("auto") == _runs("reference")
@@ -395,7 +397,7 @@ def test_library_in_another_users_directory_is_not_loaded(kernel_cache, monkeypa
     # The directory is private, but to a different user than this one.
     uid = os.getuid()
     monkeypatch.setattr(os, "getuid", lambda: uid + 1)
-    assert not _kernels.supports("ehc")
+    assert not _kernels.use_kernel("auto", DEFAULT_GEOMETRY)
     assert loaded == []
     assert "no private writable cache directory" in _kernels.unavailable()
     assert [p.name for p in planted.iterdir()] == [name]  # not overwritten either
@@ -405,7 +407,7 @@ def test_library_in_another_users_directory_is_not_loaded(kernel_cache, monkeypa
 def test_truncated_cached_library_is_rebuilt(kernel_cache):
     _, name = _kernels._source()
     (kernel_cache / name).write_bytes(TRUNCATED_ELF)
-    assert _kernels.supports("ehc")
+    assert _kernels.unavailable() is None
     assert (kernel_cache / name).stat().st_size > len(TRUNCATED_ELF)
     assert _runs("auto") == _runs("reference")
 
@@ -415,7 +417,7 @@ def test_truncated_cached_library_without_compiler_falls_back(kernel_cache, monk
     _, name = _kernels._source()
     (kernel_cache / name).write_bytes(TRUNCATED_ELF)
     _no_compiler(monkeypatch, tmp_path)
-    assert not _kernels.supports("ehc")
+    assert _kernels.unavailable() is not None
     assert _runs("auto") == _runs("reference")
     assert "no C compiler" in capsys.readouterr().err
 

@@ -46,7 +46,7 @@ absent = {NOT_ON_THE_RUN_PATH!r}
 loaded = [m for m in absent if m in sys.modules]
 assert not loaded, ("import", loaded)
 from ehcsim import _kernels
-assert _kernels.supports("ehc"), _kernels.unavailable()
+assert _kernels.unavailable() is None, _kernels.unavailable()
 args = ["--trace", {str(trace)!r}, "--sets", "64", "--ways", "4"]
 for policy in ("lru", "ship", "ehc"):
     assert ehcsim.cli.main(["run", "--policy", policy, *args,

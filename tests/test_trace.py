@@ -1,10 +1,12 @@
 """Trace data model: binary format, generators, interleaving."""
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcsim import (
     BadMagic,
@@ -25,9 +27,10 @@ from ehcsim import (
     write_trace,
 )
 from ehcsim import _kernels
-from ehcsim.trace import FORMAT_VERSION, MAGIC, RECORD_DTYPE
+from ehcsim.trace import FORMAT_VERSION, MAGIC, MAX_GEN_SIZE, RECORD_DTYPE, _gen_region
 
 from conftest import make_trace
+from loop_oracles import loop_gen_region
 
 
 def test_record_layout_is_26_bytes():
@@ -223,6 +226,52 @@ def test_invalid_spec():
             GeneratorSpec("zipf", 10, 10, alpha=alpha)
     with pytest.raises(InvalidSpec, match="seed"):
         GeneratorSpec("zipf", 10, 10, seed=-5)
+    for big in (MAX_GEN_SIZE + 1, 1 << 63, 1 << 64, 1 << 70):
+        with pytest.raises(InvalidSpec, match="block_count must be between 1 and 2"):
+            GeneratorSpec("zipf", big, 10)
+        with pytest.raises(InvalidSpec, match="length must be between 1 and 2"):
+            GeneratorSpec("stream", 10, big)
+    GeneratorSpec("loop", MAX_GEN_SIZE, MAX_GEN_SIZE)
+
+
+def test_spec_rejects_region_ids_whose_addresses_wrap():
+    # A region id of 2^47 or more shifted by REGION_SHIFT (17) wraps.
+    for kind, blocks, length in (("region", 1 << 32, 1 << 27), ("region", MAX_GEN_SIZE, 1),
+                                 ("mixed", 1 << 32, 1 << 29), ("region", 64, MAX_GEN_SIZE)):
+        with pytest.raises(InvalidSpec, match="region ids of 2"):
+            GeneratorSpec(kind, blocks, length)
+    # Just below the bound: 2^26 regions spilling at most 2^21 - 1 times.
+    GeneratorSpec("region", 1 << 32, (1 << 27) - 64)
+    GeneratorSpec("mixed", 1 << 32, 1 << 27)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blocks=st.integers(1, 1 << 20), length=st.integers(1, 5000),
+       seed=st.integers(0, 1 << 32))
+def test_region_generator_matches_the_per_region_loop(blocks, length, seed):
+    spec = GeneratorSpec("region", blocks, length, seed=seed)
+    got = _gen_region(spec, np.random.default_rng(seed))
+    want = loop_gen_region(spec, np.random.default_rng(seed))
+    assert got.dtype == want.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+# The bytes each generator writes for one small spec; any change to what a
+# generator writes shows here.
+PINNED_DIGESTS = [
+    (GeneratorSpec("stream", 8, 50, seed=1), "4a73031f5049b4f6257b3036aec4d53d"),
+    (GeneratorSpec("loop", 24, 300, seed=2), "db0d5b2f549881a57e416f0e194f7e4d"),
+    (GeneratorSpec("zipf", 200, 1000, alpha=0.8, seed=3), "7d9db94ea46c0646f8e121a29e7a69f8"),
+    (GeneratorSpec("region", 1024, 2000, seed=4), "b7274b5a326d3bfa6a7a0e504dfffdc5"),
+    (GeneratorSpec("mixed", 512, 2000, seed=5), "df3b2fc9877fe650f84d9fa9036ae0e0"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_DIGESTS,
+                         ids=[spec.kind for spec, _ in PINNED_DIGESTS])
+def test_generated_bytes_are_pinned(spec, digest):
+    data = write_trace(gen_synthetic(spec))
+    assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
 
 
 def test_loop_generator_cycles():
