@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 #: The public names, by the module that defines them.
 _MODULES = {
     "analysis": (
-        "Report", "analyze", "compare", "mpki", "mpki_reduction", "no_averse_fraction",
-        "run_report",
+        "Report", "analyze", "compare", "mean_rank", "mpki", "mpki_reduction",
+        "no_averse_fraction", "run_report",
     ),
     "belady": ("EhcPolicy", "HawkeyePolicy"),
     "engine": (
@@ -32,9 +32,8 @@ _MODULES = {
         "UnknownPolicy", "UnsupportedVersion", "UsageError", "ZeroInstructions",
     ),
     "minoracle": (
-        "NO_NEXT_USE", "ResidencyLog", "compute_next_use", "mean_rank",
-        "per_block_prediction_error", "per_region_prediction_error", "simulate_min",
-        "victim_quality",
+        "NO_NEXT_USE", "ResidencyLog", "compute_next_use", "per_block_prediction_error",
+        "per_region_prediction_error", "simulate_min", "victim_quality",
     ),
     "policies": ("BrripPolicy", "DrripPolicy", "LruPolicy", "ShipPolicy", "SrripPolicy"),
     "runner": ("POLICY_NAMES", "make_policy", "run_policy"),

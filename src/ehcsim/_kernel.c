@@ -1,23 +1,28 @@
 /* The native kernel behind ehcsim._kernels: one cache loop (ehcsim_simulate)
- * for every built-in policy and for the offline Belady MIN oracle, and a
- * trace record reader (ehcsim_read_records) that lets a run skip numpy.
+ * for every built-in policy and for the offline Belady MIN oracle, the
+ * next-use scan MIN and victim ranking read (ehcsim_next_use), the
+ * hit-count prediction-error histogram over MIN's residencies
+ * (ehcsim_prediction_error), and a trace record reader
+ * (ehcsim_read_records), so that a run, a compare or an analyze skips numpy.
  *
  * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
  * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
  * the seven built-in policies as for MIN (ehcsim.minoracle.MinPolicy).
  * ehcsim._kernels prepends a generated #define block before compiling: the
  * policy constants from ehcsim.params (64-bit ones with a ULL suffix), the
- * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row
- * and BYPASS, and from ehcsim.traceformat the record size RECORD_BYTES, the
- * RECORD_* field offsets, KIND_WRITE and the CHECK_* record check numbers.
- * So this file holds no policy or format literal of its own.
+ * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row,
+ * BYPASS, NO_NEXT_USE and ERROR_BUCKETS, and from ehcsim.traceformat the
+ * record size RECORD_BYTES, the RECORD_* field offsets, KIND_WRITE and the
+ * CHECK_* record check numbers. So this file holds no policy or format
+ * literal of its own.
  *
  * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
  * (the trace position of the replacing miss, the victim way, no_averse),
  * then, for every way, the trace position of its resident's latest access.
  * Sets, addresses and next uses are gathers from the trace by position.
- * MIN also writes evicted_at, one position per access, from which
- * ehcsim.minoracle derives its residencies without an event log.
+ * A residency row is MIN's record of one fill: its position, the position
+ * of the miss that evicted it (n when it stayed to the end) and its hits,
+ * in three columns of n entries each.
  *
  * Addresses, PCs and block tags are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -45,6 +50,19 @@ static inline int mul_overflows(int64_t a, int64_t b)
 static inline uint64_t shr(uint64_t x, int64_t n)
 {
     return n < 64 ? x >> n : 0;
+}
+
+/* x << n as Python computes it, modulo 2^64. */
+static inline uint64_t shl(uint64_t x, int64_t n)
+{
+    return n < 64 ? x << n : 0;
+}
+
+/* The home slot of key in an open-addressed table of 2^bits slots, for
+ * 1 <= bits <= 63: Fibonacci hashing, the top bits of key * 2^64 / phi. */
+static inline uint64_t home_slot(uint64_t key, int bits)
+{
+    return (key * SM_GAMMA) >> (64 - bits);
 }
 
 /* ehcsim.hashing.xor_fold */
@@ -124,25 +142,50 @@ static void free_tables(Tables *t)
         free(t->ptr[k]);
 }
 
+/* A line still resident at the end of a MIN run. */
+typedef struct {
+    int64_t fill, hits;
+} Stay;
+
+/* Residency row k, in three columns of n entries each. */
+static inline void write_row(int64_t *rows, int64_t n, int64_t k,
+                             int64_t fill, int64_t end, int64_t hits)
+{
+    rows[k] = fill;
+    rows[n + k] = end;
+    rows[2 * n + k] = hits;
+}
+
+static int by_fill(const void *a, const void *b)
+{
+    const int64_t x = ((const Stay *)a)->fill, y = ((const Stay *)b)->fill;
+    return (x > y) - (x < y);
+}
+
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
  * receives the counters. With record_events, the k-th miss in a full set
  * fills event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds
  * the latest access of every line, for LRU's and MIN's victims and for
- * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP). MIN
- * evicts the first way whose next use, next_use[stamp], is farthest;
- * next_use[i] is the position of the next access to the block of access
- * i. With bypass, MIN leaves the incoming block out when its own next use
- * is strictly farther, and logs the miss with BYPASS as its victim way.
- * Miss i sets evicted_at[stamp] = i for its victim, or evicted_at[i] = i
- * when it bypasses. Only MIN reads next_use, bypass and evicted_at.
- * Returns 0, or -1 when the tables cannot be allocated, which includes a
- * geometry whose table sizes overflow int64_t: a wrapped size would
- * allocate too little and the loop would index past it. */
+ * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
+ * next_use[i] is the position of the next access to the block of access i
+ * (ehcsim_next_use). MIN evicts the first way whose next use,
+ * next_use[stamp], is farthest. With bypass, MIN leaves the incoming block
+ * out when its own next use is strictly farther, and logs the miss with
+ * BYPASS as its victim way. With rows, MIN writes one residency row per
+ * fill: each eviction as it happens, then the lines still resident, by
+ * fill, so the rows are in completion order; a bypass writes none. With
+ * ranks, of assoc + 1 entries, every miss in a full set adds one at the
+ * rank of its victim: how many of the residents and the incoming block are
+ * next used strictly later (ehcsim.minoracle.victim_quality). Only MIN
+ * reads bypass and writes rows, and every policy reads next_use only for
+ * ranks. Returns 0, or -1 when the tables cannot be allocated, which
+ * includes a geometry whose table sizes overflow int64_t: a wrapped size
+ * would allocate too little and the loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
     int64_t policy_id, uint64_t seed,
-    const int64_t *next_use, int64_t bypass, int64_t *evicted_at,
+    const int64_t *next_use, int64_t bypass, int64_t *rows, int64_t *ranks,
     int64_t record_events, int64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
@@ -154,6 +197,7 @@ int ehcsim_simulate(
     const int64_t ev_width = EVENT_FIELDS + assoc;
     const uint64_t set_mask = (uint64_t)num_sets - 1;
     const int sampled = policy_id == POLICY_HAWKEYE || policy_id == POLICY_EHC;
+    const int64_t min_lines = policy_id == POLICY_MIN ? lines : 0;
     Tables t = {{0}, 0, 0};
 
     uint8_t *valid = table(&t, lines, sizeof *valid);
@@ -176,6 +220,9 @@ int ehcsim_simulate(
     uint64_t *slot_addr = table(&t, nsamp * cap, sizeof *slot_addr);
     int64_t *slot_pos = table(&t, nsamp * cap, sizeof *slot_pos);
     int64_t *slot_hits = table(&t, nsamp * cap, sizeof *slot_hits);
+    int64_t *fill_pos = table(&t, min_lines, sizeof *fill_pos);
+    int64_t *line_hits = table(&t, min_lines, sizeof *line_hits);
+    Stay *tail = table(&t, rows ? min_lines : 0, sizeof *tail);
     if (t.failed) {
         free_tables(&t);
         return -1;
@@ -187,8 +234,11 @@ int ehcsim_simulate(
 
     int64_t hits = 0, replacements = 0, bypasses = 0, no_averse_count = 0, long_inserts = 0;
     int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
-    int64_t psel = PSEL_INIT;
+    int64_t psel = PSEL_INIT, written = 0;
     uint64_t ins = 0;
+    if (ranks)
+        for (int64_t r = 0; r <= assoc; r++)
+            ranks[r] = 0;
 
     for (int64_t i = 0; i < n; i++) {
         const uint64_t a = addr[i], p = pc[i];
@@ -293,6 +343,8 @@ int ehcsim_simulate(
                     erow[way]--;
                 rrow[way] = pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD
                     ? 0 : RRPV_MAX;
+            } else {
+                line_hits[row + way]++; /* MIN */
             }
             continue;
         }
@@ -338,9 +390,11 @@ int ehcsim_simulate(
                 for (int64_t w = 1; w < assoc; w++)
                     if (next_use[srow[w]] > next_use[srow[way]])
                         way = w;
-                if (bypass && next_use[i] > next_use[srow[way]])
+                if (bypass && next_use[i] > next_use[srow[way]]) {
                     way = BYPASS;
-                evicted_at[way == BYPASS ? i : srow[way]] = i;
+                } else if (rows) {
+                    write_row(rows, n, written++, fill_pos[row + way], i, line_hits[row + way]);
+                }
             } else {
                 int64_t best = 0;
                 for (int64_t w = 0; w < assoc; w++) {
@@ -371,6 +425,14 @@ int ehcsim_simulate(
                 ev[EVENT_NO_AVERSE] = no_averse;
                 for (int64_t w = 0; w < assoc; w++)
                     ev[EVENT_FIELDS + w] = stamp[row + w];
+            }
+            if (ranks) {
+                const int64_t *srow = stamp + row, incoming = next_use[i];
+                const int64_t victim = way == BYPASS ? incoming : next_use[srow[way]];
+                int64_t rank = incoming > victim;
+                for (int64_t w = 0; w < assoc; w++)
+                    rank += next_use[srow[w]] > victim;
+                ranks[rank]++;
             }
             if (way == BYPASS) {
                 bypasses++;
@@ -424,7 +486,23 @@ int ehcsim_simulate(
             }
             if (policy_id == POLICY_EHC)
                 erow[way] = region_expected(rt, a);
+        } else {
+            fill_pos[row + way] = i; /* MIN */
+            line_hits[row + way] = 0;
         }
+    }
+
+    if (rows) {
+        int64_t stays = 0;
+        for (int64_t k = 0; k < min_lines; k++) {
+            if (valid[k]) {
+                tail[stays].fill = fill_pos[k];
+                tail[stays++].hits = line_hits[k];
+            }
+        }
+        qsort(tail, (size_t)stays, sizeof *tail, by_fill);
+        for (int64_t k = 0; k < stays; k++)
+            write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);
     }
 
     out[OUT_ACCESSES] = n;
@@ -439,6 +517,123 @@ int ehcsim_simulate(
     out[OUT_OPTGEN_MISS] = optgen_miss;
     out[OUT_BYPASSES] = bypasses;
     free_tables(&t);
+    return 0;
+}
+
+/* Set next_use[i] to the position of the next access to the block of
+ * access i, addr[i] >> block_bits, or NO_NEXT_USE when there is none, as
+ * ehcsim.minoracle.compute_next_use does. One forward scan over an
+ * open-addressed table that holds, per block, one plus the position of its
+ * latest access (0 marks a free slot); the table doubles whenever it would
+ * become more than half full. Returns 0, or -1 when the table cannot be
+ * allocated. */
+int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t *next_use)
+{
+    int bits = 10;
+    uint64_t mask = ((uint64_t)1 << bits) - 1, used = 0;
+    int64_t *latest = calloc(mask + 1, sizeof *latest);
+    if (!latest)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t block = shr(addr[i], block_bits);
+        uint64_t h = home_slot(block, bits);
+        next_use[i] = NO_NEXT_USE;
+        while (latest[h] && shr(addr[latest[h] - 1], block_bits) != block)
+            h = (h + 1) & mask;
+        if (latest[h]) {
+            next_use[latest[h] - 1] = i;
+        } else if (2 * ++used > mask + 1) {
+            int64_t *old = latest;
+            const uint64_t old_size = mask + 1;
+            bits++;
+            mask = mask << 1 | 1;
+            latest = calloc(mask + 1, sizeof *latest);
+            if (!latest) {
+                free(old);
+                return -1;
+            }
+            for (uint64_t k = 0; k < old_size; k++) {
+                if (old[k]) {
+                    uint64_t g = home_slot(shr(addr[old[k] - 1], block_bits), bits);
+                    while (latest[g])
+                        g = (g + 1) & mask;
+                    latest[g] = old[k];
+                }
+            }
+            free(old);
+            h = home_slot(block, bits);
+            while (latest[h])
+                h = (h + 1) & mask;
+        }
+        latest[h] = i + 1;
+    }
+    free(latest);
+    return 0;
+}
+
+/* The hit-count history of one prediction key. */
+typedef struct {
+    uint64_t key;
+    int64_t ring[REGION_RING_SLOTS];
+    int64_t count, head;
+} History;
+
+/* Bucket the hit-count prediction error of count residency rows in
+ * completion order (ehcsim_simulate's MIN rows: fills in rows[0..count),
+ * hits in rows[2 * n ...]) into hist[ERROR_BUCKETS], as
+ * ehcsim.minoracle's per_block_prediction_error does, or with by_region
+ * per_region_prediction_error: key each row by the block-aligned address
+ * of its fill, or that >> REGION_SHIFT; predict its hits as the
+ * round-half-up mean of its key's last REGION_RING_SLOTS counts, and count
+ * |hits - prediction| in bucket min(that, ERROR_BUCKETS - 1). A key's first
+ * row has nothing to predict from and is not counted. Returns 0, or -1
+ * when the key table cannot be allocated. */
+int ehcsim_prediction_error(
+    int64_t count, int64_t n, const int64_t *rows, const uint64_t *addr,
+    int64_t block_bits, int64_t by_region, int64_t *hist)
+{
+    int bits = 1;
+    while (bits < 56 && ((int64_t)1 << bits) < 2 * count)
+        bits++;
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    int64_t *slot = calloc(mask + 1, sizeof *slot); /* 1 + a history's index; 0: free */
+    History *past = malloc((count > 0 ? (size_t)count : 1) * sizeof *past);
+    int64_t keys = 0;
+    if (!slot || !past) {
+        free(slot);
+        free(past);
+        return -1;
+    }
+    for (int64_t b = 0; b < ERROR_BUCKETS; b++)
+        hist[b] = 0;
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t hits = rows[2 * n + k];
+        uint64_t key = shl(shr(addr[rows[k]], block_bits), block_bits);
+        if (by_region)
+            key >>= REGION_SHIFT;
+        uint64_t h = home_slot(key, bits);
+        while (slot[h] && past[slot[h] - 1].key != key)
+            h = (h + 1) & mask;
+        if (!slot[h]) {
+            slot[h] = ++keys;
+            past[keys - 1] = (History){.key = key};
+        }
+        History *p = past + slot[h] - 1;
+        if (p->count > 0) {
+            int64_t total = 0;
+            for (int64_t s = 0; s < p->count; s++)
+                total += p->ring[s];
+            const int64_t predicted = (2 * total + p->count) / (2 * p->count);
+            const int64_t diff = hits > predicted ? hits - predicted : predicted - hits;
+            hist[diff < ERROR_BUCKETS - 1 ? diff : ERROR_BUCKETS - 1]++;
+        }
+        p->ring[p->head] = hits;
+        p->head = (p->head + 1) % REGION_RING_SLOTS;
+        if (p->count < REGION_RING_SLOTS)
+            p->count++;
+    }
+    free(slot);
+    free(past);
     return 0;
 }
 

@@ -1,27 +1,42 @@
-"""The native kernel: the fast path behind :func:`ehcsim.runner.run_policy`
-and :func:`ehcsim.minoracle.simulate_min`, and a trace loader for it.
+"""The native kernel: the fast path behind :func:`ehcsim.runner.run_policy`,
+:func:`ehcsim.minoracle.simulate_min` and the reports of
+:mod:`ehcsim.analysis`, and a trace loader for it.
 
-``_kernel.c`` exports two functions. ``ehcsim_simulate`` is one flat loop
-per trace that covers the built-in policies and Belady's MIN (dispatched on
-a policy id; MIN reads a next-use column and writes an eviction column) and
-reproduces the reference engine bit for bit, which the test suite enforces.
-``ehcsim_read_records`` copies the ``pc`` and ``addr`` fields out of a trace file's records and
-applies the record checks of :meth:`ehcsim.trace.Trace.validate`, so
-:func:`load_trace` and a run over the :class:`Columns` it returns need no
-numpy. On first use this module prepends a ``#define`` block generated from
-:mod:`ehcsim.params` and :mod:`ehcsim.traceformat`, compiles the result with
-the system C compiler (``cc -O2 -shared -fPIC``) and loads it with ctypes.
-The library goes to ``__pycache__`` next to this file, or, when that is not
-private to this user, to a per-user directory under the system temporary
-directory; nothing is loaded from a directory another user owns or may
-write to. Its name carries a digest of the header, the source and the
-flags, so an edit to either builds a new one, and a build deletes the
-libraries of other digests in its directory.
+``_kernel.c`` exports four functions, each reproducing its reference bit
+for bit, which the test suite enforces:
+
+- ``ehcsim_simulate`` (:func:`run`) is one flat loop per trace that covers
+  the built-in policies and Belady's MIN, dispatched on a policy id, as the
+  reference engine runs them. MIN reads a next-use column and writes its
+  residency rows (fill, end, hits); any policy given a next-use column
+  ranks its victims as :func:`ehcsim.minoracle.victim_quality` does.
+- ``ehcsim_next_use`` (:func:`next_use`) is
+  :func:`ehcsim.minoracle.compute_next_use` as one hashed forward scan.
+- ``ehcsim_prediction_error`` (:func:`prediction_error`) buckets MIN's
+  rows as :func:`ehcsim.minoracle.per_block_prediction_error` and
+  :func:`~ehcsim.minoracle.per_region_prediction_error` do.
+- ``ehcsim_read_records`` (:func:`load_trace`) copies the ``pc`` and
+  ``addr`` fields out of a trace file's records and applies the record
+  checks of :meth:`ehcsim.trace.Trace.validate`.
+
+So a run, a compare or an analyze over the :class:`Columns` that
+:func:`load_trace` returns needs no numpy. On first use this module
+prepends a ``#define`` block generated from :mod:`ehcsim.params` and
+:mod:`ehcsim.traceformat`, compiles the result with the system C compiler
+(``cc -O2 -shared -fPIC``) and loads it with ctypes. The library goes to
+``__pycache__`` next to this file, or, when that is not private to this
+user, to a per-user directory under the system temporary directory;
+nothing is loaded from a directory another user owns or may write to. Its
+name carries a digest of the header, the source and the flags, so an edit
+to either builds a new one, and a build deletes the libraries of other
+digests in its directory.
 
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
-:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. When
-no compiler is found or the build fails, :func:`use_kernel` is False
+:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. Every
+other column goes to a :func:`buffer` the caller allocates: a numpy array
+for a :class:`~ehcsim.trace.Trace`, a ctypes array for :class:`Columns`.
+When no compiler is found or the build fails, :func:`use_kernel` is False
 for ``backend="auto"``, which runs the reference engine, and one line on
 stderr per process says why.
 """
@@ -91,7 +106,8 @@ def _header() -> str:
         )
     }
     defines["EVENT_FIELDS"] = len(_EVENT_FIELDS)
-    defines["BYPASS"] = params.BYPASS
+    defines.update((name, getattr(params, name))
+                   for name in ("BYPASS", "NO_NEXT_USE", "ERROR_BUCKETS"))
     # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
     defines.update(
         (name, f"{getattr(params, name)}ULL")
@@ -197,10 +213,13 @@ def _bind(path: Path):
         i64, u64s, u64s,
         i64, i64, i64, i64,
         i64, ctypes.c_uint64,
-        i64s, i64, i64s,
+        i64s, i64, i64s, i64s,
         i64, i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
     ]
-    lib.ehcsim_simulate.restype = ctypes.c_int
+    lib.ehcsim_next_use.argtypes = [i64, u64s, i64, i64s]
+    lib.ehcsim_prediction_error.argtypes = [i64, i64, i64s, u64s, i64, i64, i64s]
+    for function in (lib.ehcsim_simulate, lib.ehcsim_next_use, lib.ehcsim_prediction_error):
+        function.restype = ctypes.c_int
     lib.ehcsim_read_records.argtypes = [
         i64, ctypes.c_char_p, ctypes.c_uint64, u64s, u64s, ctypes.POINTER(i64),
     ]
@@ -303,14 +322,21 @@ def check_geometry(geom: CacheGeometry):
     return geom.num_sets, geom.associativity, geom.block_shift
 
 
-def _event_buffer(geom: CacheGeometry, size: int) -> np.ndarray:
-    """An uninitialised int64 buffer of ``size`` elements. Pages never
-    written are never touched, so only the event rows used take memory."""
-    import numpy as np
-
+def buffer(trace: Trace | Columns | None, geom: CacheGeometry, size: int):
+    """An int64 buffer of ``size`` elements for the kernel to fill: for
+    :class:`Columns` a ctypes array over anonymous memory, which needs no
+    numpy, else (a Trace, or None) an uninitialised numpy array. Either way
+    a page takes memory only once the kernel writes to it, where a plain
+    ctypes array would zero every page first."""
     try:
+        if isinstance(trace, Columns):
+            import mmap
+
+            return (ctypes.c_int64 * size).from_buffer(mmap.mmap(-1, max(8 * size, 1)))
+        import numpy as np
+
         return np.empty(size, dtype=np.int64)
-    except (ValueError, MemoryError):  # more elements than an array or memory holds
+    except (ValueError, OverflowError, OSError, MemoryError):  # more than memory holds
         raise _too_large(geom) from None
 
 
@@ -351,41 +377,83 @@ def load_trace(path) -> Columns:
     return Columns(pc, addr, instruction_count)
 
 
+def next_use(trace: Trace | Columns, geom: CacheGeometry):
+    """:func:`ehcsim.minoracle.compute_next_use` on the kernel, in a
+    :func:`buffer`."""
+    n = len(trace)
+    out = buffer(trace, geom, n)
+    if _library().ehcsim_next_use(n, trace.addr, geom.block_shift, out) != 0:
+        raise MemoryError("cannot allocate the next-use table")
+    return out
+
+
+def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows, count: int,
+                     by_region: bool) -> list[int]:
+    """The prediction-error histogram of the first ``count`` residency rows
+    that :func:`run` wrote to ``rows`` for MIN on ``trace``:
+    :func:`ehcsim.minoracle.per_region_prediction_error` with
+    ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
+    n = len(trace)
+    if len(rows) != 3 * n or not 0 <= count <= n:
+        raise ValueError(f"rows must hold 3 x {n} entries and count at most {n}")
+    hist = (ctypes.c_int64 * params.ERROR_BUCKETS)()
+    if _library().ehcsim_prediction_error(count, n, rows, trace.addr, geom.block_shift,
+                                          1 if by_region else 0, hist) != 0:
+        raise MemoryError("cannot allocate the prediction key table")
+    return list(hist)
+
+
 def run(
     trace: Trace | Columns,
     name: str,
     geom: CacheGeometry,
     seed: int,
     record_events: bool = False,
-    next_use: np.ndarray | None = None,
-    evicted_at: np.ndarray | None = None,
+    next_use=None,
     bypass: bool = False,
+    rows=None,
+    ranks=None,
 ):
-    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`. ``name``
-    ``"min"`` runs Belady's MIN over ``next_use`` and writes ``evicted_at``
-    (int64 columns of one position per access), with ``bypass``, as
-    :class:`ehcsim.minoracle.MinPolicy` does; MIN without both columns, or
-    another policy with either, raises ValueError. The hit flags are a
-    uint8 array for a :class:`~ehcsim.trace.Trace`, as the reference engine
-    returns them, and a bytearray for :class:`Columns`, so that a run over
-    those needs no numpy."""
+    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`.
+
+    ``name`` ``"min"`` runs Belady's MIN over ``next_use``, the column of
+    :func:`next_use`, with ``bypass``, as :class:`ehcsim.minoracle.MinPolicy`
+    does. Given ``rows``, a :func:`buffer` of 3 x ``len(trace)`` entries, it
+    writes one residency row per fill there, ``misses - bypasses`` rows in
+    completion order: fill positions from entry 0, end positions from entry
+    ``len(trace)`` and hits from entry ``2 * len(trace)``. Any policy given
+    ``next_use`` and ``ranks``, a buffer of associativity + 1 entries,
+    counts there the rank of every victim, the histogram
+    :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
+    MIN without ``next_use``, ``rows`` for another policy, ``ranks``
+    without ``next_use`` or a buffer of another size raises ValueError.
+    The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
+    the reference engine returns them, and a bytearray for
+    :class:`Columns`, so that a run over those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    given = [len(c) for c in (next_use, evicted_at) if c is not None]
-    if given != ([n, n] if name == "min" else []):
-        raise ValueError(f"MIN takes next_use and evicted_at of {n} entries, {name} neither")
+    if name == "min" and next_use is None:
+        raise ValueError("MIN takes a next_use column")
+    if rows is not None and name != "min":
+        raise ValueError(f"only MIN writes residency rows, not {name}")
+    if ranks is not None and next_use is None:
+        raise ValueError("ranking victims takes a next_use column")
+    for what, column, size in (("next_use", next_use, n), ("rows", rows, 3 * n),
+                               ("ranks", ranks, assoc + 1)):
+        if column is not None and len(column) != size:
+            raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
     hit_flags = bytearray(n)
     out = (ctypes.c_int64 * len(_COUNTERS))()
-    # Room for an event row at every access.
+    # Room for an event row at every access, in numpy for the EventLog.
     ev_width = len(_EVENT_FIELDS) + assoc
-    events = _event_buffer(geom, n * ev_width) if record_events else None
+    events = buffer(None, geom, n * ev_width) if record_events else None
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
         num_sets, assoc, block_bits, geom.set_bits,
         _POLICY_IDS[name], seed & (2**64 - 1),
-        next_use, 1 if bypass else 0, evicted_at,
+        next_use, 1 if bypass else 0, rows, ranks,
         1 if record_events else 0, events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
     )
     if status != 0:

@@ -1,8 +1,12 @@
 """Metrics, CSV reports, and the experiment drivers behind the CLI.
 
-The MIN oracle (:mod:`ehcsim.minoracle`) is imported where a report needs
-it, so ``run`` and a plain ``compare`` never load it, nor numpy when the
-native kernel runs them.
+When the native kernel is loaded, every report takes MIN, next use, the
+hit-count prediction errors and the victim ranks from :mod:`ehcsim._kernels`
+and imports neither numpy nor the MIN oracle, so it runs as well on the
+:class:`~ehcsim._kernels.Columns` of the kernel's trace loader as on a
+:class:`~ehcsim.trace.Trace`. Without the kernel, the reports run the
+reference engine and the numpy oracle (:mod:`ehcsim.minoracle`), which give
+the same numbers.
 """
 
 from __future__ import annotations
@@ -10,11 +14,14 @@ from __future__ import annotations
 import io
 from typing import TYPE_CHECKING
 
+from . import _kernels
 from .engine import CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import DataError, UsageError, ZeroInstructions
-from .runner import DEFAULT_SEED, POLICY_NAMES, run_policy
+from .params import ERROR_BUCKETS
+from .runner import DEFAULT_SEED, POLICY_NAMES, _check_name, run_policy
 
 if TYPE_CHECKING:
+    from ._kernels import Columns
     from .trace import Trace
 
 
@@ -37,6 +44,15 @@ def no_averse_fraction(stats: SimStats) -> float:
     if stats.replacements_total == 0:
         return 0.0
     return stats.replacements_no_averse / stats.replacements_total
+
+
+def mean_rank(hist) -> float:
+    """Mean rank of a victim-rank histogram (0 when it is empty)."""
+    counts = [int(c) for c in hist]
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    return sum(rank * count for rank, count in enumerate(counts)) / total
 
 
 def _fmt(x) -> str:
@@ -116,7 +132,7 @@ def _base_meta(geom: CacheGeometry, seed: int) -> dict:
 
 
 def run_report(
-    trace: Trace,
+    trace: Trace | Columns,
     policy: str,
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
@@ -146,8 +162,31 @@ def run_report(
     return report, stats, events
 
 
+def _victim_ranks(trace, name: str, geom: CacheGeometry, seed: int, next_use):
+    """``(stats, victim-rank histogram)`` of one run of policy ``name``:
+    ranked in the kernel's loop against ``next_use``, the kernel's column
+    of it, or when that is None by :func:`ehcsim.minoracle.victim_quality`
+    over the reference engine's event log."""
+    _check_name(name)
+    if next_use is not None:
+        ranks = _kernels.buffer(trace, geom, geom.associativity + 1)
+        stats, _, _ = _kernels.run(trace, name, geom, seed, next_use=next_use, ranks=ranks)
+        return stats, list(ranks)
+    from . import minoracle
+
+    stats, events, _ = run_policy(trace, name, geom, seed=seed, record_events=True,
+                                  backend="reference")
+    return stats, minoracle.victim_quality(events, trace, geom)
+
+
+def _kernel_next_use(trace, geom: CacheGeometry):
+    """The kernel's next-use column of ``trace``, or None when the kernel
+    does not run (``backend="auto"``)."""
+    return _kernels.next_use(trace, geom) if _kernels.use_kernel("auto", geom) else None
+
+
 def compare(
-    trace: Trace,
+    trace: Trace | Columns,
     policies,
     geom: CacheGeometry = DEFAULT_GEOMETRY,
     seed: int = DEFAULT_SEED,
@@ -156,30 +195,29 @@ def compare(
     """Side-by-side policy table with MPKI reduction against LRU.
 
     LRU is simulated (and reported) even when absent from ``policies`` so
-    the reduction column always has its baseline. With ``events`` each run
-    records its replacement events and the victim-quality mean rank column
-    is populated.
+    the reduction column always has its baseline. With ``events`` the
+    victim-quality mean rank column is populated too.
     """
     names = list(policies)
     if "lru" not in names:
         names.insert(0, "lru")
 
     columns = ["hits", "misses", "mpki", "mpki_reduction_vs_lru", "no_averse_fraction"]
-    if events:
-        from . import minoracle
-
-        columns.append("mean_victim_rank")
-
     results = {}
-    for name in names:
-        stats, evs, _ = run_policy(trace, name, geom, seed=seed, record_events=events)
-        results[name] = (stats, evs)
+    if events:
+        columns.append("mean_victim_rank")
+        next_use = _kernel_next_use(trace, geom)
+        for name in names:
+            results[name] = _victim_ranks(trace, name, geom, seed, next_use)
+    else:
+        for name in names:
+            results[name] = (run_policy(trace, name, geom, seed=seed)[0], None)
 
     lru_mpki = mpki(results["lru"][0], trace.instruction_count)
     report = Report(_base_meta(geom, seed) | {"policies": " ".join(names)})
     rows = []
     for name in names:
-        stats, evs = results[name]
+        stats, ranks = results[name]
         m = mpki(stats, trace.instruction_count)
         row = [
             name,
@@ -190,7 +228,7 @@ def compare(
             no_averse_fraction(stats),
         ]
         if events:
-            row.append(minoracle.mean_rank(minoracle.victim_quality(evs, trace, geom)))
+            row.append(mean_rank(ranks))
         rows.append(tuple(row))
     report.add_table("compare", columns, rows)
     return report
@@ -200,16 +238,46 @@ REPORT_KINDS = ("no-averse", "hitcount-block", "hitcount-region", "victim-qualit
 
 
 def _histogram_table(report: Report, name: str, labels, hist) -> None:
-    total = int(hist.sum())
+    counts = [int(count) for count in hist]
+    total = sum(counts)
     rows = [
-        (label, int(count), (int(count) / total if total else 0.0))
-        for label, count in zip(labels, hist)
+        (label, count, (count / total if total else 0.0))
+        for label, count in zip(labels, counts)
     ]
     report.add_table(name, ["count", "fraction"], rows)
 
 
+def _prediction_error(trace, geom: CacheGeometry, by_region: bool):
+    """The prediction-error histogram of MIN's (with bypass) residencies."""
+    next_use = _kernel_next_use(trace, geom)
+    if next_use is not None:
+        rows = _kernels.buffer(trace, geom, 3 * len(trace))
+        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=True,
+                                   rows=rows)
+        count = stats.misses - stats.per_policy["bypasses"]
+        return _kernels.prediction_error(trace, geom, rows, count, by_region)
+    from . import minoracle
+
+    residencies = minoracle.simulate_min(trace, geom, bypass=True, backend="reference")[2]
+    if by_region:
+        return minoracle.per_region_prediction_error(residencies)
+    return minoracle.per_block_prediction_error(residencies)
+
+
+def _min_stats(trace, geom: CacheGeometry) -> list[SimStats]:
+    """The stats of MIN without bypass, then with it."""
+    next_use = _kernel_next_use(trace, geom)
+    if next_use is not None:
+        return [_kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass)[0]
+                for bypass in (False, True)]
+    from . import minoracle
+
+    return [minoracle.simulate_min(trace, geom, bypass=bypass, backend="reference")[0]
+            for bypass in (False, True)]
+
+
 def analyze(
-    trace: Trace,
+    trace: Trace | Columns,
     kind: str,
     policy: str = "ehc",
     geom: CacheGeometry = DEFAULT_GEOMETRY,
@@ -223,8 +291,6 @@ def analyze(
     the policy's victims by next use. ``min-gap``: the policy's miss counts
     next to both MIN variants.
     """
-    from . import minoracle
-
     report = Report(_base_meta(geom, seed) | {"report": kind, "policy": policy})
     if kind == "no-averse":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
@@ -239,26 +305,18 @@ def analyze(
             )],
         )
     elif kind in ("hitcount-block", "hitcount-region"):
-        _, _, residencies, _ = minoracle.simulate_min(trace, geom, bypass=True)
-        if kind == "hitcount-block":
-            hist = minoracle.per_block_prediction_error(residencies)
-        else:
-            hist = minoracle.per_region_prediction_error(residencies)
+        hist = _prediction_error(trace, geom, by_region=kind == "hitcount-region")
         # "0", "1", "2", "3", "4+": the last bucket holds every larger error.
-        last = minoracle.ERROR_BUCKETS - 1
+        last = ERROR_BUCKETS - 1
         labels = (*map(str, range(last)), f"{last}+")
         _histogram_table(report, "prediction_error", labels, hist)
     elif kind == "victim-quality":
-        _, events, _ = run_policy(trace, policy, geom, seed=seed, record_events=True)
-        hist = minoracle.victim_quality(events, trace, geom)
+        _, hist = _victim_ranks(trace, policy, geom, seed, _kernel_next_use(trace, geom))
         _histogram_table(report, "victim_rank", [str(r) for r in range(len(hist))], hist)
-        report.add_table(
-            "summary", ["mean_rank"], [(policy, minoracle.mean_rank(hist))]
-        )
+        report.add_table("summary", ["mean_rank"], [(policy, mean_rank(hist))])
     elif kind == "min-gap":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
-        nobyp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=False)
-        byp, _, _, _ = minoracle.simulate_min(trace, geom, bypass=True)
+        nobyp, byp = _min_stats(trace, geom)
         rows = [
             (label, s.hits, s.misses, mpki(s, trace.instruction_count))
             for label, s in ((policy, stats), ("min-nobypass", nobyp), ("min-bypass", byp))

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 usage error or not enough memory, 2 data error
 (unreadable or corrupt trace, file I/O), 3 internal invariant violation.
 
-When the native kernel is available, ``run`` and ``compare`` without
-``--events`` load the trace with :func:`ehcsim._kernels.load_trace` and
-never import numpy; every other command loads a numpy
-:class:`~ehcsim.trace.Trace`.
+When the native kernel is available, ``run`` without ``--events``,
+``compare`` and ``analyze`` load the trace with
+:func:`ehcsim._kernels.load_trace` and never import numpy; ``run
+--events``, ``gen``, ``interleave`` and every command without the kernel
+load a numpy :class:`~ehcsim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ def load_trace(path, kernel: bool = False):
 
 
 def _kernel_runs(args) -> bool:
-    """Whether the native kernel can do all of a ``run`` or ``compare``:
-    it is available and no replacement events are asked for."""
-    return not args.events and _kernels.unavailable() is None
+    """Whether the native kernel can do all of a ``run``, ``compare`` or
+    ``analyze``: it is available and no event log is to be dumped."""
+    return not (args.command == "run" and args.events) and _kernels.unavailable() is None
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -159,7 +160,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_analyze(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace)
+    trace = load_trace(args.trace, kernel=_kernel_runs(args))
     analyze(trace, args.report, policy=args.policy, geom=geom, seed=args.seed).write(args.csv)
     return 0
 

@@ -1,4 +1,4 @@
-"""Offline Belady MIN oracles and ground-truth analyses.
+"""Offline Belady MIN oracles and ground-truth analyses, in numpy.
 
 Everything here may look at the whole trace at once: next-use indices from a
 stable sort of the block column, MIN simulation with and without bypass,
@@ -8,28 +8,30 @@ next-use column at the positions an event log records).
 
 MIN is one more policy of the shared cache loop: :class:`MinPolicy` on the
 reference engine, and its policy id in ``_kernel.c`` on the native kernel
-when that could be built. Both take the next-use column computed here with
-numpy, write one eviction column and give the same hit flags and event
-logs, which the test suite enforces. :func:`simulate_min` derives the
-:class:`ResidencyLog` from the hit flags and that column with array code,
-and the prediction-error histograms are array code over it.
+when that could be built. Both write one residency row per fill from the
+loop, evictions as they happen and then the lines still resident, and give
+the same hit flags, rows and event logs, which the test suite enforces.
+The reference engine takes its next-use column from
+:func:`compute_next_use`, the kernel from its own scan
+(:func:`ehcsim._kernels.next_use`). The functions here are the numpy
+references of the kernel's next use, prediction-error histograms and
+victim ranks, which :mod:`ehcsim.analysis` runs without numpy when the
+kernel is loaded.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from . import _kernels
+from .analysis import mean_rank  # noqa: F401  (a public name here too)
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, ReplacementPolicy, simulate
 from .errors import MissingEventLog
-from .params import REGION_RING_SLOTS, REGION_SHIFT
+from .params import ERROR_BUCKETS, NO_NEXT_USE, REGION_RING_SLOTS, REGION_SHIFT
 from .sampler import MinDecision
 from .trace import Trace
-
-#: Sentinel next-use position for blocks never referenced again ("infinity").
-NO_NEXT_USE = 1 << 62
-
-ERROR_BUCKETS = 5  # |actual - predicted| of 0, 1, 2, 3, >=4
 
 
 class ResidencyLog:
@@ -56,48 +58,52 @@ class ResidencyLog:
         return len(self.addr)
 
 
-def _block_order(trace: Trace, geom: CacheGeometry):
-    """``(order, next_use)``: the accesses stably sorted by block, and
-    every access's next use."""
-    blocks = trace.addr >> np.uint64(geom.block_shift)
-    # A stable sort keeps each block's accesses in trace order, so every
-    # access is followed by its next use unless the block changes there.
-    order = np.argsort(blocks, kind="stable")
-    blocks = blocks[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = blocks[1:] != blocks[:-1]
-    next_use = np.empty(len(order), dtype=np.int64)
-    next_use[order[:-1]] = order[1:]
-    next_use[order[last]] = NO_NEXT_USE
-    return order, next_use
-
-
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    return _block_order(trace, geom)[1]
+    # A stable sort keeps each block's accesses in trace order, so every
+    # access is followed by its next use unless the block changes there.
+    blocks = trace.addr >> np.uint64(geom.block_shift)
+    order = np.argsort(blocks, kind="stable")
+    blocks.sort()  # in place: the sorted blocks, without a second column
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = blocks[1:] != blocks[:-1]
+    del blocks
+    next_use = np.empty(len(order), dtype=np.int64)
+    next_use[order[:-1]] = order[1:]
+    next_use[order[last]] = NO_NEXT_USE
+    return next_use
 
 
 class MinPolicy(ReplacementPolicy):
     """Belady's MIN on the reference engine: evict the first way whose block
     is next used farthest in the future, read from ``next_use`` at the way's
     latest access. With ``bypass`` the incoming block is not inserted when
-    its own next use is strictly farther. Miss ``i`` sets ``evicted_at`` at
-    its victim's latest access to ``i``, or at ``i`` itself when it
-    bypasses; the caller fills the column with the trace length first. The
-    engine passes no trace position, so ``on_observe`` counts them."""
+    its own next use is strictly farther. Each eviction appends the
+    ``(fill, end, hits)`` row of its victim's stay to ``rows``, as the
+    kernel writes it; :meth:`residency_rows` adds the lines still resident.
+    The engine passes no trace position, so ``on_observe`` counts them.
+    ``rows`` is a flat int64 array: 24 bytes a row, where a tuple of three
+    positions takes over a hundred."""
 
     name = "min"
 
-    def __init__(self, next_use: np.ndarray, evicted_at: np.ndarray, bypass: bool = True):
+    def __init__(self, next_use: np.ndarray, bypass: bool = True):
         self.next_use = next_use.tolist()  # Python ints index and compare fastest
-        self.evicted_at = evicted_at
         self.bypass = bypass
         self.position = -1
         self.bypasses = 0
+        self.stays = {}  # way's BlockState -> [fill, hits] of every resident line
+        self.rows = array("q")
 
     def on_observe(self, set_index, tag, addr, pc) -> None:
         self.position += 1
+
+    def on_hit(self, set_index, ways, way, addr, pc) -> None:
+        self.stays[ways[way]][1] += 1
+
+    def on_insert(self, set_index, ways, way, addr, pc) -> None:
+        self.stays[ways[way]] = [self.position, 0]
 
     def choose_victim(self, set_index, ways):
         next_use, i = self.next_use, self.position
@@ -105,11 +111,18 @@ class MinPolicy(ReplacementPolicy):
         farthest = max(uses)
         if self.bypass and next_use[i] > farthest:
             self.bypasses += 1
-            self.evicted_at[i] = i
             return BYPASS, False
         way = uses.index(farthest)  # the first way on ties
-        self.evicted_at[ways[way].recency_stamp] = i
+        fill, hits = self.stays[ways[way]]
+        self.rows.extend((fill, i, hits))
         return way, False
+
+    def residency_rows(self, n: int) -> np.ndarray:
+        """The fill, end and hits columns of every row of a run over ``n``
+        accesses, in completion order: the evictions as they happened,
+        then the resident lines by fill."""
+        tail = array("q", [v for fill, hits in sorted(self.stays.values()) for v in (fill, n, hits)])
+        return np.frombuffer(self.rows + tail, dtype=np.int64).reshape(-1, 3).T
 
     def extra_stats(self) -> dict:
         return {"bypasses": self.bypasses}
@@ -141,46 +154,27 @@ def simulate_min(
     :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     kernel = _kernels.use_kernel(backend, geom)
-    order, next_use = _block_order(trace, geom)
     n = len(trace)
-    evicted_at = np.full(n, n, dtype=np.int64)
     if kernel:
+        next_use = _kernels.next_use(trace, geom)
+        rows = np.empty((3, n), dtype=np.int64)
         stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=record_events,
-                                          next_use=next_use, evicted_at=evicted_at,
-                                          bypass=bypass)
+                                          next_use=next_use, bypass=bypass, rows=rows.ravel())
+        fill, end, hits = rows[:, :stats.misses - stats.per_policy["bypasses"]]
     else:
-        stats, events, hit = simulate(trace, MinPolicy(next_use, evicted_at, bypass), geom,
-                                      record_events=record_events)
+        next_use = compute_next_use(trace, geom)
+        policy = MinPolicy(next_use, bypass)
+        stats, events, hit = simulate(trace, policy, geom, record_events=record_events)
+        fill, end, hits = policy.residency_rows(n)
 
     # A block's first access is the next use of no earlier access.
     decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)
     decisions[next_use[next_use != NO_NEXT_USE]] = MinDecision.MISS
     decisions[hit == 1] = MinDecision.HIT
-    del next_use  # the rows need none of it, and it is as long as the trace
-    residencies = _residencies(trace, geom, order, hit, evicted_at)
-    return stats, decisions, residencies, events
-
-
-def _residencies(trace, geom, order, hit, evicted_at) -> ResidencyLog:
-    """Every fill of a MIN run as one row, from its hit flags and eviction
-    column. In block order, a stay is a miss followed by its block's hits
-    up to the block's next miss, and it ends at ``evicted_at`` of its
-    latest access; a bypassed miss ends where it starts and is no row. The
-    rows are in completion order: the evictions by end, then the blocks
-    still resident by fill. No two evictions share an end, and no two
-    stays a fill, so this is the order by end, then fill."""
-    n = len(order)
-    # Misses in block order, fills and bypasses alike; a stay runs to the next.
-    misses = np.append(np.flatnonzero(hit[order] == 0), n)
-    start, last = misses[:-1], misses[1:] - 1
-    fill, end = order[start], evicted_at[order[last]]
-    filled = end != fill
-    fill, end, hits = fill[filled], end[filled], (last - start)[filled]
-    gone, resident = np.flatnonzero(end < n), np.flatnonzero(end == n)
-    rows = np.concatenate((gone[np.argsort(end[gone])], resident[np.argsort(fill[resident])]))
+    del next_use  # as long as the trace, and the residency log needs none of it
     shift = np.uint64(geom.block_shift)
-    return ResidencyLog((trace.addr[fill[rows]] >> shift) << shift,
-                        fill[rows], end[rows], hits[rows])
+    residencies = ResidencyLog((trace.addr[fill] >> shift) << shift, fill, end, hits)
+    return stats, decisions, residencies, events
 
 
 def _error_histogram(keys: np.ndarray, residencies: ResidencyLog) -> np.ndarray:
@@ -259,10 +253,3 @@ def victim_quality(events: EventLog, trace: Trace,
     )
     rank = (incoming_use > victim_use) + np.sum(resident_use > victim_use[:, None], axis=1)
     return np.bincount(rank, minlength=ways + 1).astype(np.int64)
-
-
-def mean_rank(hist: np.ndarray) -> float:
-    total = int(hist.sum())
-    if total == 0:
-        return 0.0
-    return float((hist * np.arange(len(hist))).sum() / total)

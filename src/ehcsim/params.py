@@ -1,9 +1,10 @@
-"""Fixed parameters of the simulated policies, shared with the native kernel.
+"""Fixed parameters of the simulated policies and of the MIN oracle's
+analyses, shared with the native kernel.
 
-Every policy constant that ``_kernels._header()`` turns into a ``#define``
-for ``_kernel.c`` is defined here, so the Python policies and the kernel
-read one value each; the header's buffer layouts stay in ``_kernels``. The
-modules that use these (``engine``, ``trace``, ``policies``, ``sampler``,
+Every constant that ``_kernels._header()`` turns into a ``#define`` for
+``_kernel.c`` is defined here, so the Python code and the kernel read one
+value each; the header's buffer layouts stay in ``_kernels``. The modules
+that use these (``engine``, ``trace``, ``policies``, ``sampler``,
 ``belady``, ``minoracle``) import them from here.
 """
 
@@ -55,3 +56,8 @@ REGION_TABLE_BITS = 10
 REGION_TABLE_SIZE = 1 << REGION_TABLE_BITS
 REGION_RING_SLOTS = 4
 DEFAULT_EXPECTED_HITS = 1
+
+# --- the offline MIN oracle and its analyses ---
+#: Sentinel next-use position for blocks never referenced again ("infinity").
+NO_NEXT_USE = 1 << 62
+ERROR_BUCKETS = 5  # |actual - predicted| hits of 0, 1, 2, 3, >=4

@@ -1,11 +1,12 @@
 """Shared trace builders and the independent oracles the tests check against."""
 
+import ctypes
 import functools
 
 import numpy as np
 import pytest
 
-from ehcsim import CacheGeometry, EventLog, ResidencyLog, Trace
+from ehcsim import CacheGeometry, EventLog, ResidencyLog, Trace, _kernels
 
 
 def make_trace(accesses, pc=0x400000):
@@ -26,6 +27,15 @@ def make_trace(accesses, pc=0x400000):
         core=np.zeros(n, dtype=np.uint8),
         kind=np.zeros(n, dtype=np.uint8),
     )
+
+
+def columns_of(trace):
+    """The ``Columns`` the kernel's trace loader would give for ``trace``:
+    ctypes arrays, no numpy."""
+    n = len(trace)
+    return _kernels.Columns((ctypes.c_uint64 * n)(*trace.pc.tolist()),
+                            (ctypes.c_uint64 * n)(*trace.addr.tolist()),
+                            trace.instruction_count)
 
 
 def random_trace(rng, length, num_blocks, num_pcs=4):

@@ -27,13 +27,15 @@ Event = collections.namedtuple("Event", "index victim_way no_averse resident_pos
 
 
 def loop_next_use(trace, geom):
-    """Backward scan with a dict of each block's latest position."""
+    """Backward scan with a dict of each block's latest position; blocks are
+    Python ints, so an offset of 64 bits or more puts every address in
+    block 0."""
     n = len(trace)
-    blocks = trace.addr >> np.uint64(geom.block_offset_bits)
+    blocks = [a >> geom.block_offset_bits for a in trace.addr.tolist()]
     next_use = np.full(n, NO_NEXT_USE, dtype=np.int64)
     last = {}
     for i in range(n - 1, -1, -1):
-        b = int(blocks[i])
+        b = blocks[i]
         p = last.get(b)
         if p is not None:
             next_use[i] = p

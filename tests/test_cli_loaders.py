@@ -1,8 +1,9 @@
-"""Property test: ``run`` and ``compare`` give the same exit status, error
-line and CSV on the native kernel's path (the C trace loader, no numpy) as
-on the numpy loader and the reference engine, for valid trace files and for
-files with a mutated header count, instruction count, seq, core or kind
-byte, cut short or followed by extra bytes."""
+"""Property test: ``run``, ``compare`` (with and without ``--events``) and
+the five ``analyze`` reports give the same exit status, error line and CSV
+on the native kernel's path (the C trace loader, no numpy) as on the numpy
+loader with the reference engine and the numpy MIN oracle, for valid trace
+files and for files with a mutated header count, instruction count, seq,
+core or kind byte, cut short or followed by extra bytes."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from ehcsim import Trace, _kernels, write_trace
+from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.runner import POLICY_NAMES
 from ehcsim.traceformat import HEADER, RECORD_BYTES, RECORD_FIELDS
@@ -69,16 +71,17 @@ def _cli(argv, csv_path: Path):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(trace_files(), st.sampled_from(POLICY_NAMES),
        st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=3),
-       st.sampled_from([(1, 1), (4, 2), (16, 4)]))
+       st.sampled_from([(1, 1), (4, 2), (16, 4)]), st.booleans(), st.sampled_from(REPORT_KINDS))
 def test_kernel_path_runs_like_the_numpy_loader_and_the_reference_engine(
-        data, policy, policies, geometry):
+        data, policy, policies, geometry, events, report):
     assert _kernels.unavailable() is None, _kernels.unavailable()
     with tempfile.TemporaryDirectory() as tmp:
         trace, csv_path = Path(tmp) / "t.trace", Path(tmp) / "out.csv"
         trace.write_bytes(data)
         shape = ["--trace", str(trace), "--sets", str(geometry[0]), "--ways", str(geometry[1])]
-        for argv in (["run", "--policy", policy, *shape],
-                     ["compare", "--policies", ",".join(policies), *shape]):
+        compare = ["compare", "--policies", ",".join(policies), *shape]
+        for argv in (["run", "--policy", policy, *shape], compare + ["--events"] * events,
+                     ["analyze", "--report", report, "--policy", policy, *shape]):
             kernel = _cli(argv, csv_path)
             with mock.patch.object(_kernels, "_native", lambda: (None, "disabled")):
                 code, err, text = _cli(argv, csv_path)

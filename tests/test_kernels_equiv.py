@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from ehcsim import (
-    CacheGeometry, EventLog, GeneratorSpec, gen_synthetic, simulate, simulate_min,
+    CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use, gen_synthetic,
+    simulate, simulate_min,
 )
-from ehcsim import _kernels, engine, policies, sampler
+from ehcsim import _kernels, engine, minoracle, policies, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
+from ehcsim.analysis import REPORT_KINDS
 from ehcsim.errors import UnknownPolicy, UsageError
 from ehcsim.minoracle import NO_NEXT_USE
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
@@ -144,6 +146,9 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
                 assert value.removesuffix("ULL") == str(getattr(module, name)), name
                 checked.add(name)
     assert len(checked) == 26, sorted(checked)
+    # The oracle's sentinel and bucket count, which the kernel writes.
+    for name in ("NO_NEXT_USE", "ERROR_BUCKETS"):
+        assert defines[name] == str(getattr(minoracle, name)), name
     # The kernel reads each record field at the offset numpy reads it at.
     for name, (_, offset) in trace_module.RECORD_DTYPE.fields.items():
         assert defines[f"RECORD_{name.upper()}"] == str(offset), name
@@ -151,7 +156,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "a4e45a70df5272a4e090dc7e"
+    assert digest == "8d858b085eeb3b88706d6419"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():
@@ -192,28 +197,72 @@ def test_empty_trace():
 
 
 def test_kernel_run_checks_the_min_columns():
-    # MIN reads next_use and writes evicted_at by trace position, so a
-    # missing or short column would take the kernel outside it; the other
-    # policies take neither.
+    # MIN reads next_use and writes its rows by trace position, and ranks
+    # are counted by rank, so a missing or short column would take the
+    # kernel outside it; only MIN writes rows.
     trace = make_trace([0x40, 0x80, 0x40])
     geom = CacheGeometry(1, 1)
-    column, short = np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
-    for kw in ({}, {"next_use": column}, {"evicted_at": column},
-               {"next_use": column, "evicted_at": short},
-               {"next_use": short, "evicted_at": column}):
-        with pytest.raises(ValueError, match="MIN takes next_use and evicted_at of 3 entries"):
+    column, short, rows = (np.zeros(size, dtype=np.int64) for size in (3, 2, 9))
+    for kw in ({}, {"rows": rows}, {"ranks": short}):
+        with pytest.raises(ValueError, match="MIN takes a next_use column"):
             _kernels.run(trace, "min", geom, 0, **kw)
-    for kw in ({"next_use": column}, {"evicted_at": column}):
-        with pytest.raises(ValueError, match="of 3 entries, lru neither"):
-            _kernels.run(trace, "lru", geom, 0, **kw)
-    # A stay ends at the miss that evicts its latest access, a bypass where
-    # it starts, and a line still resident at the trace length.
+    for kw, message in (({"next_use": short}, "next_use must hold 3 entries, not 2"),
+                        ({"rows": column}, "rows must hold 9 entries, not 3"),
+                        ({"ranks": column}, "ranks must hold 2 entries, not 3")):
+        with pytest.raises(ValueError, match=message):
+            _kernels.run(trace, "min", geom, 0, **{"next_use": column, **kw})
+    with pytest.raises(ValueError, match="only MIN writes residency rows, not lru"):
+        _kernels.run(trace, "lru", geom, 0, next_use=column, rows=rows)
+    with pytest.raises(ValueError, match="ranking victims takes a next_use column"):
+        _kernels.run(trace, "lru", geom, 0, ranks=short)
+    for buffer, count in ((column, 0), (rows, 4), (rows, -1)):
+        with pytest.raises(ValueError, match="rows must hold 3 x 3 entries and count at most 3"):
+            _kernels.prediction_error(trace, geom, buffer, count, by_region=False)
+    # A stay ends at the miss that evicts it, or at the trace length when
+    # the line is still resident; a bypass writes no row. Without bypass
+    # the incoming block B is next used after the victim A (rank 1); with
+    # it B is the victim and A is not next used later (rank 0).
     next_use = np.array([2, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
-    for bypass, ends in ((False, [1, 2, 3]), (True, [3, 1, 3])):
-        evicted_at = np.full(3, 3, dtype=np.int64)
-        _kernels.run(trace, "min", geom, 0, next_use=next_use, evicted_at=evicted_at,
-                     bypass=bypass)
-        assert evicted_at.tolist() == ends
+    for bypass, want, want_ranks in ((False, [[0, 1, 2], [1, 2, 3], [0, 0, 0]], [1, 1]),
+                                     (True, [[0], [3], [1]], [1, 0])):
+        rows, ranks = np.full(9, -1, dtype=np.int64), np.full(2, -1, dtype=np.int64)
+        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass,
+                                   rows=rows, ranks=ranks)
+        count = stats.misses - stats.per_policy["bypasses"]
+        assert rows.reshape(3, 3)[:, :count].tolist() == want
+        assert ranks.tolist() == want_ranks
+
+
+@pytest.mark.parametrize("kind", ["zipf", "region", "mixed", "stream"])
+def test_kernel_next_use_matches_numpy_beyond_its_first_table(kind):
+    # Thousands of distinct blocks, so the scan's table (1024 slots at
+    # first) doubles several times; then blocks that differ only in their
+    # top bits.
+    trace = gen_synthetic(GeneratorSpec(kind, block_count=1 << 16, length=60_000, seed=5))
+    top = make_trace([(k % 4099) << 50 for k in range(20_000)])
+    for t in (trace, top):
+        for geom in (CacheGeometry(64, 4), CacheGeometry(64, 4, 1), CacheGeometry(64, 4, 20)):
+            assert_same_array(_kernels.next_use(t, geom), compute_next_use(t, geom),
+                              f"next use, {geom}")
+
+
+@pytest.mark.parametrize("workload", sorted(TRACES))
+def test_reports_on_the_kernel_match_the_reference_engine_and_numpy(workload, monkeypatch):
+    # Every analyze report, and compare with victim ranks, from the kernel's
+    # next use, rows, histograms and in-loop ranks, against the reference
+    # engine and the numpy oracle.
+    trace = gen_synthetic(TRACES[workload])
+    geom = CacheGeometry(64, 4)
+
+    def reports():
+        out = {(kind, policy): analyze(trace, kind, policy, geom).to_csv()
+               for kind in REPORT_KINDS for policy in ("lru", "hawkeye", "ehc")}
+        out["compare"] = compare(trace, POLICY_NAMES, geom, events=True).to_csv()
+        return out
+
+    kernel = reports()
+    monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
+    assert kernel == reports()
 
 
 def test_auto_records_events_on_the_kernel(monkeypatch):

@@ -1,8 +1,9 @@
 """Property tests: both MIN backends, the prediction-error histograms and
 victim scoring equal the loops, the native kernel equals the reference
-engine, every event log holds the residents of its set, no policy beats
-MIN, unbounded OPTgen equals offline MIN, and traces survive their file
-format.
+engine, and its next use, prediction-error histograms and in-loop victim
+ranks equal the numpy oracle's, every event log holds the residents of its
+set, no policy beats MIN, unbounded OPTgen equals offline MIN, and traces
+survive their file format.
 
 Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
 anywhere in the 64-bit address space (two of three trace shapes crowd a
@@ -17,6 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import (
+    _kernels,
     BYPASS,
     CacheGeometry,
     EventLog,
@@ -40,6 +42,7 @@ from conftest import (
     assert_same_array,
     assert_same_log,
     assert_same_min,
+    columns_of,
     event_log,
     make_trace,
     residency_log,
@@ -107,6 +110,51 @@ def traced_geometries(draw, max_len):
 def test_next_use_matches_loop(case):
     geom, trace = case
     assert compute_next_use(trace, geom).tolist() == loop_next_use(trace, geom).tolist()
+
+
+@st.composite
+def offset_traces(draw, max_len=60):
+    """A geometry of 1-64 sets and 1-8 ways whose block offset is 1-70 bits
+    (64 or more puts every address in block 0), and a trace over at most 12
+    addresses anywhere in the 64-bit space, so that blocks repeat."""
+    geom = CacheGeometry(1 << draw(st.integers(0, 6)), draw(st.integers(1, 8)),
+                         draw(st.sampled_from([1, 6, 17, 63, 64, 70])))
+    pool = draw(st.lists(top_heavy(64), min_size=1, max_size=12, unique=True))
+    return geom, make_trace(draw(st.lists(st.sampled_from(pool), max_size=max_len)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(traced_geometries(max_len=60), offset_traces()))
+def test_kernel_next_use_matches_numpy_and_loop(case):
+    geom, trace = case
+    want = loop_next_use(trace, geom)
+    assert_same_array(compute_next_use(trace, geom), want, "numpy next use")
+    got = _kernels.next_use(trace, geom)
+    assert got.dtype == np.int64
+    assert_same_array(got, want, "kernel next use")
+    assert_same_array(list(_kernels.next_use(columns_of(trace), geom)), want,
+                      "kernel next use over ctypes columns")
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(traced_geometries(max_len=120), offset_traces(max_len=120)))
+def test_kernel_prediction_error_matches_numpy(case):
+    # The kernel's histograms over its own MIN rows against the numpy
+    # histograms over the reference engine's residencies.
+    geom, trace = case
+    n = len(trace)
+    for bypass in (False, True):
+        residencies = simulate_min(trace, geom, bypass=bypass, backend="reference")[2]
+        rows = np.full(3 * n, -1, dtype=np.int64)
+        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=_kernels.next_use(trace, geom),
+                                   bypass=bypass, rows=rows)
+        count = stats.misses - stats.per_policy["bypasses"]
+        assert_same_array(rows.reshape(3, n)[:, :count],
+                          [residencies.fill, residencies.end, residencies.hits], "rows")
+        for by_region, histogram in ((False, per_block_prediction_error),
+                                     (True, per_region_prediction_error)):
+            want = histogram(residencies).tolist()
+            assert _kernels.prediction_error(trace, geom, rows, count, by_region) == want
 
 
 @PROPERTY_SETTINGS
@@ -228,6 +276,23 @@ def test_kernel_events_match_reference(case, name):
     assert k_stats == r_stats
     assert_same_array(k_flags, r_flags, "hit flags")
     assert_same_log(k_log, r_log, "events")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces(), st.sampled_from([*POLICY_NAMES, "min"]), st.booleans())
+def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name, bypass):
+    # Ranking in the loop changes nothing of the run, and gives the
+    # histogram victim_quality makes of the same run's event log.
+    geom, trace = case
+    next_use = _kernels.next_use(trace, geom)
+    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
+    min_args = {"next_use": next_use, "bypass": bypass} if name == "min" else {}
+    stats, log, flags = _kernels.run(trace, name, geom, 42, record_events=True,
+                                     ranks=ranks, **{"next_use": next_use, **min_args})
+    assert_same_array(ranks, victim_quality(log, trace, geom), "in-loop ranks")
+    plain_stats, _, plain_flags = _kernels.run(trace, name, geom, 42, **min_args)
+    assert stats == plain_stats
+    assert_same_array(flags, plain_flags, "hit flags")
 
 
 def _assert_residents_of_the_event_set(log, trace, geom):

@@ -7,6 +7,7 @@ import pytest
 
 import ehcsim
 from ehcsim import GeneratorSpec, gen_synthetic, save_trace
+from ehcsim.analysis import REPORT_KINDS
 from ehcsim.engine import CacheGeometry
 
 
@@ -25,9 +26,9 @@ def test_unknown_attribute_raises():
         ehcsim.no_such_name
 
 
-# Modules the kernel path of ``run`` and ``compare`` needs none of: numpy and
-# the numpy trace model, the reference policies, the MIN oracle, and two
-# standard modules numpy does not import itself.
+# Modules the kernel path of ``run``, ``compare`` and ``analyze`` needs none
+# of: numpy and the numpy trace model, the reference policies, the MIN
+# oracle, and two standard modules numpy does not import itself.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
     "ehcsim.sampler", "numpy", "ehcsim.trace",
@@ -51,8 +52,12 @@ args = ["--trace", {str(trace)!r}, "--sets", "64", "--ways", "4"]
 for policy in ("lru", "ship", "ehc"):
     assert ehcsim.cli.main(["run", "--policy", policy, *args,
                             "--csv", {str(tmp_path / "run.csv")!r}]) == 0
-assert ehcsim.cli.main(["compare", "--policies", "drrip,hawkeye", *args,
-                        "--csv", {str(tmp_path / "compare.csv")!r}]) == 0
+for events in ([], ["--events"]):
+    assert ehcsim.cli.main(["compare", "--policies", "drrip,hawkeye", *events, *args,
+                            "--csv", {str(tmp_path / "compare.csv")!r}]) == 0
+for report in {REPORT_KINDS!r}:
+    assert ehcsim.cli.main(["analyze", "--report", report, *args,
+                            "--csv", {str(tmp_path / "analyze.csv")!r}]) == 0
 loaded = [m for m in absent if m in sys.modules]
 assert not loaded, ("run", loaded)
 """
