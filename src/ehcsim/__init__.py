@@ -22,10 +22,7 @@ _MODULES = {
         "no_averse_fraction", "run_report",
     ),
     "belady": ("EhcPolicy", "HawkeyePolicy"),
-    "engine": (
-        "BYPASS", "CacheGeometry", "DEFAULT_GEOMETRY", "EFH_MAX", "EventLog", "RRPV_MAX",
-        "ReplacementPolicy", "SimStats", "simulate",
-    ),
+    "engine": ("BYPASS", "EFH_MAX", "EventLog", "RRPV_MAX", "ReplacementPolicy", "simulate"),
     "errors": (
         "BadMagic", "DataError", "EhcSimError", "InternalInvariantError", "InvalidSpec",
         "InvalidTrace", "MissingEventLog", "TooManyCores", "TrailingBytes", "Truncated",
@@ -46,6 +43,7 @@ _MODULES = {
         "save_trace", "write_trace",
     ),
     "traceformat": ("GENERATOR_KINDS",),
+    "values": ("CacheGeometry", "DEFAULT_GEOMETRY", "SimStats"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = sorted(_EXPORTS)

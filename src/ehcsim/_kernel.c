@@ -11,10 +11,10 @@
  * ehcsim._kernels prepends a generated #define block before compiling: the
  * policy constants from ehcsim.params (64-bit ones with a ULL suffix), the
  * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row,
- * BYPASS, NO_NEXT_USE and ERROR_BUCKETS, and from ehcsim.traceformat the
- * record size RECORD_BYTES, the RECORD_* field offsets, KIND_WRITE and the
- * CHECK_* record check numbers. So this file holds no policy or format
- * literal of its own.
+ * READ_STATE_WORDS, BYPASS, NO_NEXT_USE and ERROR_BUCKETS, and from
+ * ehcsim.traceformat the record size RECORD_BYTES, the RECORD_* field
+ * offsets, KIND_WRITE and the CHECK_* record check numbers. So this file
+ * holds no policy or format literal of its own.
  *
  * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
  * (the trace position of the replacing miss, the victim way, no_averse),
@@ -647,18 +647,34 @@ static inline uint64_t le64(const uint8_t *p)
         | (uint64_t)p[6] << 48 | (uint64_t)p[7] << 56;
 }
 
-/* Copy the pc and addr fields of n packed trace records into pc[] and
- * addr[], and check the records as ehcsim.trace.Trace.validate does, in its
+/* What ehcsim_read_records carries from one chunk of a trace's records to
+ * the next, in a buffer of READ_STATE_WORDS uint64_t values that the
+ * caller zeroes before the first chunk. */
+typedef struct {
+    uint64_t done;                      /* records read so far */
+    uint64_t max_seq, max_kind;
+    uint64_t last_seq[UINT8_MAX + 1];   /* per core */
+    uint64_t decreased[UINT8_MAX + 1];  /* per core: 1 once its seq fell */
+} ReadState;
+
+_Static_assert(sizeof(ReadState) == READ_STATE_WORDS * sizeof(uint64_t),
+               "READ_STATE_WORDS must match ReadState");
+
+/* Copy the pc and addr fields of the next n packed trace records into pc[]
+ * and addr[] after the records of earlier calls on the same state, and
+ * check all records so far as ehcsim.trace.Trace.validate does, in its
  * order. Returns 0 when every record passes; else CHECK_SEQ_COUNT when a
  * seq exceeds instruction_count, CHECK_KIND when a kind exceeds KIND_WRITE,
  * or CHECK_SEQ_ORDER when the seqs of one core decrease, with the lowest
- * such core in *bad_core. */
+ * such core in *bad_core. Only the last call's result covers the trace. */
 int ehcsim_read_records(
     int64_t n, const uint8_t *records, uint64_t instruction_count,
-    uint64_t *pc, uint64_t *addr, int64_t *bad_core)
+    uint64_t *pc, uint64_t *addr, uint64_t *state, int64_t *bad_core)
 {
-    uint64_t max_seq = 0, last_seq[UINT8_MAX + 1] = {0};
-    uint8_t max_kind = 0, decreased[UINT8_MAX + 1] = {0};
+    ReadState *st = (ReadState *)state;
+    uint64_t max_seq = st->max_seq, max_kind = st->max_kind;
+    pc += st->done;
+    addr += st->done;
     for (int64_t i = 0; i < n; i++) {
         const uint8_t *r = records + i * RECORD_BYTES;
         const uint64_t seq = le64(r + RECORD_SEQ);
@@ -669,16 +685,19 @@ int ehcsim_read_records(
             max_seq = seq;
         if (kind > max_kind)
             max_kind = kind;
-        if (seq < last_seq[core])
-            decreased[core] = 1;
-        last_seq[core] = seq;
+        if (seq < st->last_seq[core])
+            st->decreased[core] = 1;
+        st->last_seq[core] = seq;
     }
+    st->done += n;
+    st->max_seq = max_seq;
+    st->max_kind = max_kind;
     if (max_seq > instruction_count)
         return CHECK_SEQ_COUNT;
     if (max_kind > KIND_WRITE)
         return CHECK_KIND;
     for (int64_t c = 0; c <= UINT8_MAX; c++) {
-        if (decreased[c]) {
+        if (st->decreased[c]) {
             *bad_core = c;
             return CHECK_SEQ_ORDER;
         }

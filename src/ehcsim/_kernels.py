@@ -16,20 +16,23 @@ for bit, which the test suite enforces:
   rows as :func:`ehcsim.minoracle.per_block_prediction_error` and
   :func:`~ehcsim.minoracle.per_region_prediction_error` do.
 - ``ehcsim_read_records`` (:func:`load_trace`) copies the ``pc`` and
-  ``addr`` fields out of a trace file's records and applies the record
-  checks of :meth:`ehcsim.trace.Trace.validate`.
+  ``addr`` fields out of a trace file's records, one chunk per call, and
+  applies the record checks of :meth:`ehcsim.trace.Trace.validate`,
+  carrying their state from chunk to chunk.
 
 So a run, a compare or an analyze over the :class:`Columns` that
 :func:`load_trace` returns needs no numpy. On first use this module
 prepends a ``#define`` block generated from :mod:`ehcsim.params` and
-:mod:`ehcsim.traceformat`, compiles the result with the system C compiler
-(``cc -O2 -shared -fPIC``) and loads it with ctypes. The library goes to
-``__pycache__`` next to this file, or, when that is not private to this
-user, to a per-user directory under the system temporary directory;
-nothing is loaded from a directory another user owns or may write to. Its
-name carries a digest of the header, the source and the flags, so an edit
-to either builds a new one, and a build deletes the libraries of other
-digests in its directory.
+:mod:`ehcsim.traceformat` to the source and loads the library of that text
+with ctypes. The library lives in ``__pycache__`` next to this file, or,
+when that is not private to this user, in a per-user directory under the
+system temporary directory; nothing is loaded from a directory another
+user owns or may write to. Its name carries a digest of the header, the
+source and the flags, so an edit to either builds a new one. Finding and
+loading a cached library takes ``os`` and ``ctypes`` only; when it is
+missing or unreadable, :mod:`ehcsim._kernel_build` compiles it with the
+system C compiler (``cc -O2 -shared -fPIC``) and deletes the libraries of
+other digests in its directory.
 
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
@@ -46,17 +49,18 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import stat
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import params, traceformat
-from .engine import CacheGeometry, EventLog, SimStats
 from .errors import GeometryTooLarge, InvalidTrace, UsageError
+from .values import CacheGeometry, SimStats
 
+TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
 if TYPE_CHECKING:
     import numpy as np
 
+    from .engine import EventLog
     from .trace import Trace
 
 try:
@@ -86,7 +90,14 @@ _PER_POLICY = {
 #: to every way's resident follows, as it was before the fill.
 _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 
-_SOURCE = Path(__file__).with_name("_kernel.c")
+#: The words of the state ``ehcsim_read_records`` carries between chunks:
+#: records done, the largest seq and kind, and per core its last seq and
+#: whether its seq decreased.
+_READ_STATE_WORDS = 3 + 2 * 256
+#: Records per read when :func:`load_trace` streams a file: 104 KB.
+_CHUNK_RECORDS = 4096
+
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 _COMPILER = "cc"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -106,6 +117,7 @@ def _header() -> str:
         )
     }
     defines["EVENT_FIELDS"] = len(_EVENT_FIELDS)
+    defines["READ_STATE_WORDS"] = _READ_STATE_WORDS
     defines.update((name, getattr(params, name))
                    for name in ("BYPASS", "NO_NEXT_USE", "ERROR_BUCKETS"))
     # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
@@ -129,58 +141,33 @@ def _header() -> str:
 
 def _cache_dirs():
     """Where the compiled library may live, in order of preference. Lazy:
-    finding the temporary directory may probe the file system."""
-    yield Path(__file__).with_name("__pycache__")
-    import tempfile  # only a build, or a shared __pycache__, needs it
+    only a miss in ``__pycache__`` imports the build module, which finds
+    the temporary directory."""
+    yield os.path.join(os.path.dirname(__file__), "__pycache__")
+    from ._kernel_build import temp_cache_dir
 
-    yield Path(tempfile.gettempdir()) / f"ehcsim-{os.getuid()}"
+    yield temp_cache_dir()
 
 
-def _usable_dir(path: Path) -> bool:
-    """Create ``path`` if needed; True when this user owns it, nobody else
-    may write there and this user may. A library loaded from it runs as this
-    user's code, so nothing is loaded from a directory that fails this."""
+def _usable_dir(path) -> bool:
+    """Create directory ``path`` if needed; True when this user owns it,
+    nobody else may write there and this user may. A library loaded from it
+    runs as this user's code, so nothing is loaded from a directory that
+    fails this."""
     try:
-        path.mkdir(mode=0o700, exist_ok=True)
-        st = path.stat()
+        try:
+            os.mkdir(path, 0o700)
+        except FileExistsError:
+            pass
+        st = os.stat(path)
     except OSError:
         return False
-    return (st.st_uid == os.getuid() and not st.st_mode & 0o022
-            and os.access(path, os.W_OK))
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & 0o022 and os.access(path, os.W_OK))
 
 
 class _BuildError(Exception):
     """The native kernel could not be built or loaded; the message says why."""
-
-
-def _compile(text: str, target: Path) -> None:
-    """Compile ``text`` into the shared library ``target``, atomically."""
-    import shutil  # only a build needs these three
-    import subprocess
-    import tempfile
-
-    cc = shutil.which(_COMPILER)
-    if cc is None:
-        raise _BuildError(f"no C compiler ({_COMPILER}) on PATH")
-    fd, src = tempfile.mkstemp(suffix=".c", prefix=target.stem, dir=target.parent)
-    tmp = Path(src).with_suffix(".so")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        try:
-            proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", str(tmp), src],
-                capture_output=True, text=True, timeout=120,
-            )
-        except (OSError, subprocess.TimeoutExpired) as e:
-            raise _BuildError(f"{_COMPILER} failed: {e}") from None
-        if proc.returncode != 0:
-            detail = (proc.stderr.strip().splitlines() or ["no output"])[0]
-            raise _BuildError(f"{_COMPILER} exited with status {proc.returncode}: {detail}")
-        os.replace(tmp, target)
-    finally:
-        for leftover in (Path(src), tmp):
-            leftover.unlink(missing_ok=True)
 
 
 class _Array:
@@ -202,7 +189,7 @@ class _Array:
         return obj.ctypes
 
 
-def _bind(path: Path):
+def _bind(path):
     """The library at ``path``, with the kernel's argument types declared;
     arrays are checked for type and contiguity per call. Raises
     AttributeError when a kernel function is missing."""
@@ -221,7 +208,7 @@ def _bind(path: Path):
     for function in (lib.ehcsim_simulate, lib.ehcsim_next_use, lib.ehcsim_prediction_error):
         function.restype = ctypes.c_int
     lib.ehcsim_read_records.argtypes = [
-        i64, ctypes.c_char_p, ctypes.c_uint64, u64s, u64s, ctypes.POINTER(i64),
+        i64, ctypes.c_char_p, ctypes.c_uint64, u64s, u64s, u64s, ctypes.POINTER(i64),
     ]
     lib.ehcsim_read_records.restype = ctypes.c_int
     return lib
@@ -229,7 +216,8 @@ def _bind(path: Path):
 
 def _source() -> tuple[str, str]:
     """The C text to compile and the file name of its library."""
-    text = _header() + _SOURCE.read_text()
+    with open(_SOURCE) as fh:
+        text = _header() + fh.read()
     digest = blake2b(
         "\0".join((text, *_CFLAGS)).encode(), digest_size=12
     ).hexdigest()
@@ -243,17 +231,15 @@ def _load():
     for directory in _cache_dirs():
         if not _usable_dir(directory):
             continue
-        target = directory / name
-        if target.is_file():
+        target = os.path.join(directory, name)
+        if os.path.isfile(target):
             try:
                 return _bind(target)
             except (OSError, AttributeError):
                 pass  # truncated or foreign: rebuild it below
-        _compile(text, target)
-        # Other digests are superseded; a build in progress has a longer name.
-        for stale in directory.glob("_kernel-*.so"):
-            if stale != target and len(stale.name) == len(name):
-                stale.unlink(missing_ok=True)
+        from ._kernel_build import build
+
+        build(text, target, _COMPILER, _CFLAGS)
         try:
             return _bind(target)
         except (OSError, AttributeError) as e:
@@ -364,13 +350,33 @@ def load_trace(path) -> Columns:
     size are checked as :func:`ehcsim.trace.load_trace` checks them and its
     records in C, in the order of :meth:`ehcsim.trace.Trace.validate`, so a
     defect raises the same :class:`~ehcsim.errors.DataError` with the same
-    message."""
+    message. A regular file's records stream through one buffer of
+    :data:`_CHUNK_RECORDS` records, with the check state carried from chunk
+    to chunk; a pipe's, read to its end, go to C in one piece."""
     lib = _library()
-    records, count, instruction_count = traceformat.read_records(path)
-    pc, addr = (ctypes.c_uint64 * count)(), (ctypes.c_uint64 * count)()
-    core = ctypes.c_int64()
-    check = lib.ehcsim_read_records(count, records, instruction_count, pc, addr,
-                                    ctypes.byref(core))
+    with open(path, "rb") as fh:
+        count, instruction_count, records = traceformat.read_header(fh)
+        pc, addr = (ctypes.c_uint64 * count)(), (ctypes.c_uint64 * count)()
+        state = (ctypes.c_uint64 * _READ_STATE_WORDS)()
+        core = ctypes.c_int64()
+
+        def read(n, records):
+            return lib.ehcsim_read_records(n, records, instruction_count, pc, addr, state,
+                                           ctypes.byref(core))
+
+        if records is not None:
+            check = read(count, records)
+        else:
+            check = 0  # what the checks give no records
+            chunk = bytearray(min(count, _CHUNK_RECORDS) * traceformat.RECORD_BYTES)
+            buffer, view = (ctypes.c_char * len(chunk)).from_buffer(chunk), memoryview(chunk)
+            for start in range(0, count, _CHUNK_RECORDS):
+                n = min(_CHUNK_RECORDS, count - start)
+                size = n * traceformat.RECORD_BYTES
+                # Fewer only if the file shrank since its size was checked.
+                if fh.readinto(view[:size]) < size:
+                    raise traceformat.fewer_records(count)
+                check = read(n, buffer)
     if check:
         message = list(traceformat.RECORD_CHECKS.values())[check - 1]
         raise InvalidTrace(message.format(core=core.value))
@@ -474,6 +480,8 @@ def run(
 
 def _event_log(events: np.ndarray, count: int, width: int) -> EventLog:
     """The :class:`EventLog` of the first ``count`` event rows in ``events``."""
+    from .engine import EventLog
+
     rows = events[:count * width].reshape(count, width)
     fields = len(_EVENT_FIELDS)
     return EventLog(*rows[:, :fields].T, rows[:, fields:])

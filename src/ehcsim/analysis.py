@@ -12,16 +12,17 @@ the same numbers.
 from __future__ import annotations
 
 import io
-from typing import TYPE_CHECKING
 
 from . import _kernels
-from .engine import CacheGeometry, DEFAULT_GEOMETRY, EventLog, SimStats
 from .errors import DataError, UsageError, ZeroInstructions
 from .params import ERROR_BUCKETS
 from .runner import DEFAULT_SEED, POLICY_NAMES, _check_name, run_policy
+from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
+TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
 if TYPE_CHECKING:
     from ._kernels import Columns
+    from .engine import EventLog
     from .trace import Trace
 
 

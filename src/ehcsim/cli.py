@@ -17,10 +17,10 @@ import sys
 
 from . import _kernels
 from .analysis import REPORT_KINDS, analyze, compare, run_report
-from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY
 from .errors import DataError, InternalInvariantError, UsageError
 from .runner import DEFAULT_SEED, POLICY_NAMES
 from .traceformat import GENERATOR_KINDS
+from .values import CacheGeometry, DEFAULT_GEOMETRY
 
 
 def load_trace(path, kernel: bool = False):
@@ -54,11 +54,7 @@ def _geometry(args) -> CacheGeometry:
         raise UsageError(str(e)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic trace")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     p.add_argument("--blocks", type=int, required=True, help="working-set size in blocks")
     p.add_argument("--length", type=int, required=True, help="number of accesses")
@@ -66,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("run", help="simulate one policy over a trace")
+
+def _run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--policy", required=True, choices=POLICY_NAMES)
     _add_geometry_flags(p)
@@ -74,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", help="also dump the replacement event log (CSV)")
     p.add_argument("--csv", required=True)
 
-    p = sub.add_parser("compare", help="run several policies side by side")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     _add_geometry_flags(p)
@@ -83,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score victim quality too (records every replacement)")
     p.add_argument("--csv", required=True)
 
-    p = sub.add_parser("analyze", help="replacement-quality instruments")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", required=True)
     p.add_argument("--report", required=True, choices=REPORT_KINDS)
     p.add_argument("--policy", default="ehc", choices=POLICY_NAMES)
@@ -91,10 +90,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--csv", required=True)
 
-    p = sub.add_parser("interleave", help="merge per-program traces into one")
+
+def _interleave_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("inputs", nargs="+")
 
+
+#: Each subcommand's help line and the function that adds its arguments.
+_PARSERS = {
+    "gen": ("generate a synthetic trace", _gen_arguments),
+    "run": ("simulate one policy over a trace", _run_arguments),
+    "compare": ("run several policies side by side", _compare_arguments),
+    "analyze": ("replacement-quality instruments", _analyze_arguments),
+    "interleave": ("merge per-program traces into one", _interleave_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``. When ``argv`` starts with a subcommand, only
+    that subcommand's parser is built, and the subparsers' metavar names
+    all five, so that usage and error text are the full parser's; without
+    one (no command, an unknown one, ``-h`` first) all five are built."""
+    parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
+    if argv and argv[0] in _PARSERS:
+        names = [argv[0]]
+        # Only the full parser reports a missing or unknown command, whose
+        # message names the metavar when there is one.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_PARSERS) + "}")
+    else:
+        names = list(_PARSERS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments = _PARSERS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -106,37 +135,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _write_events(path, events, trace, geom: CacheGeometry) -> None:
-    """One CSV row per event: its position and set, the victim way, the
-    no-averse flag, and the block-aligned addresses of the incoming block
-    and of every resident, gathered from ``trace`` at the logged positions."""
-    import csv
-
-    import numpy as np
-
-    shift = np.uint64(geom.block_shift)
-    blocks = trace.addr >> shift
-    aligned = blocks << shift
-    columns = (
-        events.index, (blocks & np.uint64(geom.num_sets - 1))[events.index],
-        events.victim_way, events.no_averse, aligned[events.index],
-        aligned[events.resident_pos],
-    )
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["index", "set", "victim_way", "no_averse", "incoming"]
-            + [f"resident_{w}" for w in range(geom.associativity)]
-        )
-        rows = zip(*(column.tolist() for column in columns))
-        for index, si, way, no_averse, incoming, residents in rows:
-            writer.writerow(
-                [index, si, "bypass" if way == BYPASS else way, int(no_averse),
-                 f"0x{incoming:x}"]
-                + [f"0x{a:x}" for a in residents]
-            )
-
-
 def _cmd_run(args) -> int:
     geom = _geometry(args)
     trace = load_trace(args.trace, kernel=_kernel_runs(args))
@@ -144,7 +142,7 @@ def _cmd_run(args) -> int:
                                    record_events=bool(args.events))
     report.write(args.csv)
     if args.events:
-        _write_events(args.events, events, trace, geom)
+        events.write_csv(args.events, trace, geom)
     return 0
 
 
@@ -183,7 +181,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -7,6 +7,9 @@ extensibility: any :class:`ReplacementPolicy` subclass plugs in, Belady's MIN
 replacement decision as an :class:`EventLog`. The native kernel in
 :mod:`ehcsim._kernels` reproduces the built-in policies and MIN bit for bit
 for bulk runs; equivalence between the two paths is enforced by tests.
+The value types it shares with the kernel path (:class:`CacheGeometry`,
+:class:`SimStats`) live in :mod:`ehcsim.values`, which a kernel run
+imports instead of this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,91 +18,10 @@ from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, VictimOutOfRange
 from .params import BYPASS, EFH_MAX, RRPV_MAX
+from .values import DEFAULT_GEOMETRY, CacheGeometry, Record, SimStats  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     from .trace import Trace
-
-
-class Record:
-    """Base of the simulator's value types (the geometry and the stats here,
-    :class:`~ehcsim.trace.GeneratorSpec`): the fields are the
-    ``__slots__``, set by ``_init`` and read-only after it unless a
-    subclass allows assignment, and two instances of one class are equal,
-    and hash alike, when every field is."""
-
-    __slots__ = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class CacheGeometry(Record):
-    """Cache shape: number of sets, ways per set, and block size.
-
-    Defaults give the 2 MB, 16-way, 64 B-block configuration.
-    """
-
-    __slots__ = ("num_sets", "associativity", "block_offset_bits")
-
-    def __init__(self, num_sets: int = 2048, associativity: int = 16,
-                 block_offset_bits: int = 6):
-        if num_sets < 1 or num_sets & (num_sets - 1):
-            raise ValueError("num_sets must be a positive power of two")
-        if associativity < 1:
-            raise ValueError("associativity must be positive")
-        if block_offset_bits < 1:
-            raise ValueError("block_offset_bits must be positive")
-        self._init(num_sets, associativity, block_offset_bits)
-
-    @property
-    def set_bits(self) -> int:
-        return self.num_sets.bit_length() - 1
-
-    @property
-    def block_shift(self) -> int:
-        """The shift from an address to its block: an offset of 64 bits or
-        more puts every address in block 0, as a shift by 64 does."""
-        return min(self.block_offset_bits, 64)
-
-    def set_index(self, addr: int) -> int:
-        return (addr >> self.block_offset_bits) & (self.num_sets - 1)
-
-    def tag(self, addr: int) -> int:
-        return addr >> (self.block_offset_bits + self.set_bits)
-
-    def block_addr(self, set_index: int, tag: int) -> int:
-        """Reconstruct the byte address of a block's first byte."""
-        return (tag << (self.block_offset_bits + self.set_bits)) | (
-            set_index << self.block_offset_bits
-        )
-
-
-DEFAULT_GEOMETRY = CacheGeometry()
 
 
 class BlockState:
@@ -115,29 +37,6 @@ class BlockState:
         self.efh = 0
         self.recency_stamp = 0
         self.last_pc = 0
-
-
-class SimStats(Record):
-    """Counters produced by one simulation run. Mutable, so unhashable."""
-
-    __slots__ = ("accesses", "hits", "misses", "replacements_total",
-                 "replacements_no_averse", "per_policy")
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, accesses: int = 0, hits: int = 0, misses: int = 0,
-                 replacements_total: int = 0, replacements_no_averse: int = 0,
-                 per_policy: dict | None = None):
-        self._init(accesses, hits, misses, replacements_total, replacements_no_averse,
-                   {} if per_policy is None else per_policy)
-
-    def check(self) -> None:
-        if self.accesses != self.hits + self.misses:
-            raise InternalInvariantError("accesses != hits + misses")
-        if not (self.replacements_no_averse <= self.replacements_total <= self.misses):
-            raise InternalInvariantError("replacement counters out of order")
 
 
 class ReplacementPolicy:
@@ -203,6 +102,36 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.index)
 
+    def write_csv(self, path, trace: Trace, geom: CacheGeometry) -> None:
+        """One CSV row per event: its position and set, the victim way, the
+        no-averse flag, and the block-aligned addresses of the incoming
+        block and of every resident, gathered from ``trace`` at the logged
+        positions."""
+        import csv
+
+        import numpy as np
+
+        shift = np.uint64(geom.block_shift)
+        blocks = trace.addr >> shift
+        aligned = blocks << shift
+        columns = (
+            self.index, (blocks & np.uint64(geom.num_sets - 1))[self.index],
+            self.victim_way, self.no_averse, aligned[self.index], aligned[self.resident_pos],
+        )
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(
+                ["index", "set", "victim_way", "no_averse", "incoming"]
+                + [f"resident_{w}" for w in range(geom.associativity)]
+            )
+            rows = zip(*(column.tolist() for column in columns))
+            for index, si, way, no_averse, incoming, residents in rows:
+                writer.writerow(
+                    [index, si, "bypass" if way == BYPASS else way, int(no_averse),
+                     f"0x{incoming:x}"]
+                    + [f"0x{a:x}" for a in residents]
+                )
+
 
 def simulate(
     trace: Trace,
@@ -234,6 +163,10 @@ def simulate(
     set_col = (blocks & np.uint64(geom.num_sets - 1)).tolist()
     tag_col = (blocks >> np.uint64(geom.set_bits)).tolist()
     columns = zip(set_col, tag_col, trace.addr.tolist(), trace.pc.tolist())
+    # A policy that keeps no state on a hit (LRU, MIN) is not called there.
+    on_hit = policy.on_hit
+    if getattr(on_hit, "__func__", None) is ReplacementPolicy.on_hit:
+        on_hit = None
     for i, (si, tag, addr, pc) in enumerate(columns):
         policy.on_observe(si, tag, addr, pc)
         ways = sets.get(si)
@@ -252,7 +185,8 @@ def simulate(
             blk = ways[way]
             blk.recency_stamp = i
             blk.last_pc = pc
-            policy.on_hit(si, ways, way, addr, pc)
+            if on_hit is not None:
+                on_hit(si, ways, way, addr, pc)
             hit_flags[i] = 1
         else:
             stats.misses += 1

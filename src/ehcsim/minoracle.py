@@ -11,9 +11,10 @@ reference engine, and its policy id in ``_kernel.c`` on the native kernel
 when that could be built. Both write one residency row per fill from the
 loop, evictions as they happen and then the lines still resident, and give
 the same hit flags, rows and event logs, which the test suite enforces.
-The reference engine takes its next-use column from
-:func:`compute_next_use`, the kernel from its own scan
-(:func:`ehcsim._kernels.next_use`). The functions here are the numpy
+The reference engine takes its next-use column from the block sort of
+:func:`compute_next_use`, and from the same sort the hit counts of its
+rows; the kernel takes next use from its own scan
+(:func:`ehcsim._kernels.next_use`) and counts hits in its loop. The functions here are the numpy
 references of the kernel's next use, prediction-error histograms and
 victim ranks, which :mod:`ehcsim.analysis` runs without numpy when the
 kernel is loaded.
@@ -61,18 +62,37 @@ class ResidencyLog:
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    # A stable sort keeps each block's accesses in trace order, so every
-    # access is followed by its next use unless the block changes there.
+    return _next_use(*_block_order(trace, geom))
+
+
+def _block_order(trace: Trace, geom: CacheGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the accesses sorted by block, and a mask of each
+    block's last access in that order. The sort is stable, so each block's
+    accesses stay in trace order."""
     blocks = trace.addr >> np.uint64(geom.block_shift)
     order = np.argsort(blocks, kind="stable")
     blocks.sort()  # in place: the sorted blocks, without a second column
     last = np.ones(len(order), dtype=bool)
     last[:-1] = blocks[1:] != blocks[:-1]
-    del blocks
+    return order, last
+
+
+def _next_use(order: np.ndarray, last: np.ndarray) -> np.ndarray:
+    # In block order every access is followed by its next use, unless the
+    # block changes there.
     next_use = np.empty(len(order), dtype=np.int64)
     next_use[order[:-1]] = order[1:]
     next_use[order[last]] = NO_NEXT_USE
     return next_use
+
+
+def _block_rank(order: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """For each access, the number of earlier accesses to its block."""
+    pos = np.arange(len(order))
+    first = np.roll(last, 1)  # a block's first access follows the last of the one before
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    return rank
 
 
 class MinPolicy(ReplacementPolicy):
@@ -80,11 +100,13 @@ class MinPolicy(ReplacementPolicy):
     is next used farthest in the future, read from ``next_use`` at the way's
     latest access. With ``bypass`` the incoming block is not inserted when
     its own next use is strictly farther. Each eviction appends the
-    ``(fill, end, hits)`` row of its victim's stay to ``rows``, as the
-    kernel writes it; :meth:`residency_rows` adds the lines still resident.
-    The engine passes no trace position, so ``on_observe`` counts them.
-    ``rows`` is a flat int64 array: 24 bytes a row, where a tuple of three
-    positions takes over a hundred."""
+    ``(fill, end, latest access)`` of its victim's stay to ``rows``;
+    :meth:`residency_rows` adds the lines still resident. A hit costs the
+    policy nothing: every access to the block after its fill, up to its
+    latest access, is one of the stay's hits, so :func:`simulate_min`
+    counts them from the block order once the run is over. The engine
+    passes no trace position, so ``on_observe`` counts them. ``rows`` is a flat int64 array: 24 bytes
+    a row, where a tuple of three positions takes over a hundred."""
 
     name = "min"
 
@@ -93,17 +115,14 @@ class MinPolicy(ReplacementPolicy):
         self.bypass = bypass
         self.position = -1
         self.bypasses = 0
-        self.stays = {}  # way's BlockState -> [fill, hits] of every resident line
+        self.fills = {}  # way's BlockState -> fill position of its resident line
         self.rows = array("q")
 
     def on_observe(self, set_index, tag, addr, pc) -> None:
         self.position += 1
 
-    def on_hit(self, set_index, ways, way, addr, pc) -> None:
-        self.stays[ways[way]][1] += 1
-
     def on_insert(self, set_index, ways, way, addr, pc) -> None:
-        self.stays[ways[way]] = [self.position, 0]
+        self.fills[ways[way]] = self.position
 
     def choose_victim(self, set_index, ways):
         next_use, i = self.next_use, self.position
@@ -113,15 +132,17 @@ class MinPolicy(ReplacementPolicy):
             self.bypasses += 1
             return BYPASS, False
         way = uses.index(farthest)  # the first way on ties
-        fill, hits = self.stays[ways[way]]
-        self.rows.extend((fill, i, hits))
+        blk = ways[way]
+        self.rows.extend((self.fills[blk], i, blk.recency_stamp))
         return way, False
 
     def residency_rows(self, n: int) -> np.ndarray:
-        """The fill, end and hits columns of every row of a run over ``n``
-        accesses, in completion order: the evictions as they happened,
-        then the resident lines by fill."""
-        tail = array("q", [v for fill, hits in sorted(self.stays.values()) for v in (fill, n, hits)])
+        """The fill, end and latest-access columns of every row of a run
+        over ``n`` accesses, in completion order: the evictions as they
+        happened, then the resident lines by fill."""
+        fills = self.fills
+        tail = array("q", [v for blk in sorted(fills, key=fills.__getitem__)
+                           for v in (fills[blk], n, blk.recency_stamp)])
         return np.frombuffer(self.rows + tail, dtype=np.int64).reshape(-1, 3).T
 
     def extra_stats(self) -> dict:
@@ -162,10 +183,13 @@ def simulate_min(
                                           next_use=next_use, bypass=bypass, rows=rows.ravel())
         fill, end, hits = rows[:, :stats.misses - stats.per_policy["bypasses"]]
     else:
-        next_use = compute_next_use(trace, geom)
+        order, last = _block_order(trace, geom)
+        next_use = _next_use(order, last)
         policy = MinPolicy(next_use, bypass)
         stats, events, hit = simulate(trace, policy, geom, record_events=record_events)
-        fill, end, hits = policy.residency_rows(n)
+        fill, end, latest = policy.residency_rows(n)
+        rank = _block_rank(order, last)
+        hits = rank[latest] - rank[fill]
 
     # A block's first access is the next use of no earlier access.
     decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)

@@ -10,13 +10,12 @@ invariant checks and arbitrary policy objects run on
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import _kernels
-from .engine import CacheGeometry, DEFAULT_GEOMETRY, simulate
 from .errors import UnknownPolicy
 from .params import POLICY_NAMES
+from .values import CacheGeometry, DEFAULT_GEOMETRY
 
+TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
 if TYPE_CHECKING:
     from .trace import Trace
 
@@ -28,6 +27,14 @@ def _check_name(name: str) -> None:
         raise UnknownPolicy(
             f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
         )
+
+
+def simulate(*args, **kwargs):
+    """:func:`ehcsim.engine.simulate`, imported on the first call: a run on
+    the kernel never loads the reference engine."""
+    from .engine import simulate
+
+    return simulate(*args, **kwargs)
 
 
 def make_policy(

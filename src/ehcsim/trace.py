@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from .engine import Record
 from .errors import InvalidSpec, InvalidTrace, TooManyCores
 from .params import REGION_SHIFT  # 128 KB regions
 from .traceformat import (
@@ -32,6 +31,7 @@ from .traceformat import (
     parse_header,
     read_records,
 )
+from .values import Record
 
 RECORD_DTYPE = np.dtype({
     "names": [name for name, _, _ in RECORD_FIELDS],

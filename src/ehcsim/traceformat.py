@@ -1,9 +1,11 @@
 """The trace file format and its checks, without numpy.
 
-Both trace loaders read files through :func:`read_records`: the numpy one,
-:func:`ehcsim.trace.load_trace`, and the native kernel's,
-:func:`ehcsim._kernels.load_trace`. So one implementation checks the header
-and the size, and both reject a bad record with the messages of
+Both trace loaders open files through :func:`read_header`: the numpy one,
+:func:`ehcsim.trace.load_trace`, by way of :func:`read_records`, which
+reads every record into one ``bytes``, and the native kernel's,
+:func:`ehcsim._kernels.load_trace`, which streams a regular file's records
+through one small buffer. So one implementation checks the header and the
+size, and both reject a bad record with the messages of
 :data:`RECORD_CHECKS`. ``_kernels`` generates the record layout and the
 check numbers into the kernel's ``#define`` block.
 
@@ -47,6 +49,12 @@ RECORD_CHECKS = {
 GENERATOR_KINDS = ("stream", "loop", "zipf", "region", "mixed")
 
 
+def fewer_records(count: int) -> Truncated:
+    """The error for a payload shorter than the ``count`` records its header
+    declares."""
+    return Truncated(f"header declares {count} records, payload holds fewer")
+
+
 def parse_header(head: bytes, size: int) -> tuple[int, int]:
     """``(record count, instruction count)`` from the first bytes of a
     trace of ``size`` bytes; raises unless exactly those records follow."""
@@ -59,31 +67,39 @@ def parse_header(head: bytes, size: int) -> tuple[int, int]:
     _, _, count, instruction_count = HEADER.unpack_from(head)
     payload, need = size - HEADER.size, count * RECORD_BYTES
     if payload < need:
-        raise Truncated(f"header declares {count} records, payload holds fewer")
+        raise fewer_records(count)
     if payload > need:
         raise TrailingBytes(f"{payload - need} bytes follow the {count} declared records")
     return count, instruction_count
 
 
-def read_records(path) -> tuple[bytes, int, int]:
-    """``(records, record count, instruction count)`` of the trace file at
-    ``path``, where ``records`` holds the packed records; raises a
+def read_header(fh) -> tuple[int, int, bytes | None]:
+    """``(record count, instruction count, records)`` of the trace file open
+    as ``fh``, read from its start; raises a
     :class:`~ehcsim.errors.DataError` on a bad header or size.
 
-    A regular file's size is checked against its header before its records
-    are read; anything else (a pipe) is read to its end first.
+    A regular file's size is checked against its header before any record
+    is read: ``records`` is None, and the records follow at ``fh``'s
+    position. Anything else (a pipe) is read to its end first, and
+    ``records`` holds its packed records.
     """
+    st = os.fstat(fh.fileno())
+    head = fh.read(HEADER.size)
+    if stat.S_ISREG(st.st_mode):
+        return (*parse_header(head, st.st_size), None)
+    records = fh.read()
+    return (*parse_header(head, len(head) + len(records)), records)
+
+
+def read_records(path) -> tuple[bytes, int, int]:
+    """``(records, record count, instruction count)`` of the trace file at
+    ``path``, where ``records`` holds the packed records; raises as
+    :func:`read_header` does."""
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        head = fh.read(HEADER.size)
-        if stat.S_ISREG(st.st_mode):
-            count, instruction_count = parse_header(head, st.st_size)
+        count, instruction_count, records = read_header(fh)
+        if records is None:
             records = fh.read(count * RECORD_BYTES)
-            # Fewer only if the file shrank since fstat; the kernel's reader
-            # trusts the count.
+            # Fewer only if the file shrank since its size was checked.
             if len(records) < count * RECORD_BYTES:
-                raise Truncated(f"header declares {count} records, payload holds fewer")
-        else:
-            records = fh.read()
-            count, instruction_count = parse_header(head, len(head) + len(records))
+                raise fewer_records(count)
     return records, count, instruction_count

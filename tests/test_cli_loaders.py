@@ -3,7 +3,9 @@ the five ``analyze`` reports give the same exit status, error line and CSV
 on the native kernel's path (the C trace loader, no numpy) as on the numpy
 loader with the reference engine and the numpy MIN oracle, for valid trace
 files and for files with a mutated header count, instruction count, seq,
-core or kind byte, cut short or followed by extra bytes."""
+core or kind byte, cut short or followed by extra bytes. ``interleave`` of
+such files exits with the status and the one error line of their load, or
+writes the interleaved trace."""
 
 import contextlib
 import io
@@ -13,7 +15,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from ehcsim import Trace, _kernels, write_trace
+from ehcsim import DataError, Trace, _kernels, interleave, load_trace, write_trace
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.runner import POLICY_NAMES
@@ -93,3 +95,24 @@ def test_kernel_path_runs_like_the_numpy_loader_and_the_reference_engine(
                 assert err == [] and text is not None
             else:
                 assert len(err) == 1 and err[0].startswith("ehcsim: ") and text is None, err
+        _assert_interleave_loads_like_the_loader(trace, Path(tmp) / "merged.trace")
+
+
+def _assert_interleave_loads_like_the_loader(trace: Path, merged: Path):
+    """``interleave`` of the file at ``trace`` with itself fails with exit 2
+    and the one error line of the numpy loader's, or of ``interleave``'s,
+    error, or writes what :func:`ehcsim.interleave` makes of it."""
+    try:
+        expected = write_trace(interleave([load_trace(trace)] * 2))
+        error = None
+    except DataError as e:
+        expected, error = None, f"ehcsim: {e}"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["interleave", "-o", str(merged), str(trace), str(trace)])
+    written = merged.read_bytes() if merged.exists() else None
+    merged.unlink(missing_ok=True)
+    if error is None:
+        assert (code, err.getvalue(), written) == (0, "", expected)
+    else:
+        assert (code, err.getvalue().splitlines(), written) == (2, [error], None)

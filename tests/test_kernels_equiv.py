@@ -4,6 +4,7 @@ fall back to it when the kernel cannot be built."""
 import ctypes
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ehcsim import (
     CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use, gen_synthetic,
     simulate, simulate_min,
 )
-from ehcsim import _kernels, engine, minoracle, policies, sampler
+from ehcsim import _kernel_build, _kernels, engine, minoracle, policies, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.analysis import REPORT_KINDS
@@ -152,11 +153,11 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The kernel reads each record field at the offset numpy reads it at.
     for name, (_, offset) in trace_module.RECORD_DTYPE.fields.items():
         assert defines[f"RECORD_{name.upper()}"] == str(offset), name
-    assert _kernels._source()[0] == _kernels._header() + _kernels._SOURCE.read_text()
+    assert _kernels._source()[0] == _kernels._header() + Path(_kernels._SOURCE).read_text()
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "8d858b085eeb3b88706d6419"
+    assert digest == "ec7b754bc9802fbf61bf1c8f"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():
@@ -165,13 +166,16 @@ def test_kernel_binding_checks_numpy_arrays_per_call():
     lib = _kernels._library()
     core = ctypes.byref(ctypes.c_int64())
     good = np.zeros(4, dtype=np.uint64)
+    state = np.zeros(_kernels._READ_STATE_WORDS, dtype=np.uint64)
     for bad, why in ((np.zeros(4, dtype=np.int64), "data type uint64"),
                      (np.zeros(8, dtype=np.uint64)[::2], "C_CONTIGUOUS"),
                      ((ctypes.c_int64 * 4)(), "data type uint64"),
                      ([0, 0, 0, 0], "data type uint64")):
         with pytest.raises(ctypes.ArgumentError, match=why):
-            lib.ehcsim_read_records(0, b"", 0, good, bad, core)
-    assert lib.ehcsim_read_records(0, b"", 0, good, (ctypes.c_uint64 * 4)(), core) == 0
+            lib.ehcsim_read_records(0, b"", 0, good, bad, state, core)
+        with pytest.raises(ctypes.ArgumentError, match=why):
+            lib.ehcsim_read_records(0, b"", 0, good, good, bad, core)
+    assert lib.ehcsim_read_records(0, b"", 0, good, (ctypes.c_uint64 * 4)(), state, core) == 0
 
 
 def test_run_policy_rejects_unknown_policies_on_every_backend():
@@ -343,7 +347,7 @@ def test_cold_build_then_warm_load(kernel_cache, monkeypatch):
         raise AssertionError("a warm load must not compile")
 
     _kernels._native.cache_clear()
-    monkeypatch.setattr(_kernels, "_compile", no_compile)
+    monkeypatch.setattr(_kernel_build, "build", no_compile)
     warm = _runs("kernel")
     assert warm == cold == _runs("reference")
 
@@ -434,7 +438,7 @@ def test_library_in_a_writable_by_others_directory_is_not_loaded(kernel_cache, m
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [planted, kernel_cache])
     assert _kernels.unavailable() is None
     # The fresh build goes to the private directory, and only it is loaded.
-    assert loaded == [kernel_cache / name]
+    assert [Path(path) for path in loaded] == [kernel_cache / name]
     assert _runs("auto") == _runs("reference")
 
 

@@ -1,5 +1,6 @@
 """The package's public names and what each command imports."""
 
+import os
 import subprocess
 import sys
 
@@ -27,23 +28,28 @@ def test_unknown_attribute_raises():
 
 
 # Modules the kernel path of ``run``, ``compare`` and ``analyze`` needs none
-# of: numpy and the numpy trace model, the reference policies, the MIN
-# oracle, and two standard modules numpy does not import itself.
+# of: numpy and the numpy trace model, the reference engine, policies and
+# MIN oracle, the kernel's build module (the library is cached), and two
+# standard modules numpy does not import itself.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
-    "ehcsim.sampler", "numpy", "ehcsim.trace",
+    "ehcsim.sampler", "numpy", "ehcsim.trace", "ehcsim.engine", "ehcsim._kernel_build",
 )
+# What only a kernel build needs; the host's site may import these itself,
+# so they are checked without it.
+BUILD_ONLY = ("pathlib", "subprocess", "tempfile")
 
 
-def test_run_loads_no_reference_policy_or_oracle(tmp_path):
+def _assert_kernel_commands_load_none_of(tmp_path, absent, flags=()):
     trace = tmp_path / "t.trace"
     # ``gen`` needs numpy.random, which imports hashlib.
     save_trace(gen_synthetic(GeneratorSpec("mixed", 256, 2000)), trace)
     # In a child process: this one has imported everything already.
     code = f"""
 import sys
+sys.path.insert(0, {os.path.dirname(ehcsim.__path__[0])!r})
 import ehcsim.cli
-absent = {NOT_ON_THE_RUN_PATH!r}
+absent = {absent!r}
 loaded = [m for m in absent if m in sys.modules]
 assert not loaded, ("import", loaded)
 from ehcsim import _kernels
@@ -61,6 +67,14 @@ for report in {REPORT_KINDS!r}:
 loaded = [m for m in absent if m in sys.modules]
 assert not loaded, ("run", loaded)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_loads_no_reference_policy_or_oracle(tmp_path):
+    _assert_kernel_commands_load_none_of(tmp_path, NOT_ON_THE_RUN_PATH)
+
+
+def test_kernel_commands_without_site_load_no_build_machinery(tmp_path):
+    _assert_kernel_commands_load_none_of(tmp_path, NOT_ON_THE_RUN_PATH + BUILD_ONLY, ["-S"])

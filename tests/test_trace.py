@@ -161,9 +161,13 @@ def _trace_files():
 
 @pytest.mark.parametrize("name", _trace_files())
 def test_load_trace_reads_files_as_read_trace_reads_bytes(tmp_path, name):
-    # Both loaders: numpy's, and the native kernel's, which reads only the
-    # columns the kernel runs on and checks the records in C.
-    data = _trace_files()[name]
+    _assert_loaders_read_as_read_trace(tmp_path, _trace_files()[name])
+
+
+def _assert_loaders_read_as_read_trace(tmp_path, data):
+    """Both loaders, numpy's and the native kernel's (which reads only the
+    columns the kernel runs on and checks the records in C), read the file
+    of ``data`` as :func:`read_trace` reads it, or raise its error."""
     path = tmp_path / "t.trace"
     path.write_bytes(data)
     try:
@@ -192,6 +196,61 @@ def test_load_trace_reads_a_pipe():
         input=data, capture_output=True, timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == b"10", proc.stderr
+
+
+CHUNK = _kernels._CHUNK_RECORDS
+
+
+def _chunked(n, defects=(), instruction_count=None):
+    """Trace file bytes of ``n`` records over 4 cores, seq rising with the
+    position, with ``defects`` of ``(position, field, value)`` applied."""
+    seq, core, kind = list(range(n)), [i % 4 for i in range(n)], [i % 2 for i in range(n)]
+    columns = {"seq": seq, "core": core, "kind": kind}
+    for position, field, value in defects:
+        columns[field][position] = value
+    return _records(seq, core, kind,
+                    instruction_count=n if instruction_count is None else instruction_count)
+
+
+@pytest.mark.parametrize("data", [
+    # Core 0's seq falls from its last record in the first chunk to its
+    # first in the second: the state carries each core's last seq.
+    _chunked(2 * CHUNK + 3, [(CHUNK, "seq", CHUNK - 8)]),
+    # A bad kind in the last, partial chunk, after two clean ones.
+    _chunked(2 * CHUNK + 3, [(2 * CHUNK + 2, "kind", 2)]),
+    # A seq above the instruction count at the end of the first chunk; it
+    # also makes the next seq of its core decrease, which is checked later.
+    _chunked(2 * CHUNK + 3, [(CHUNK - 1, "seq", 3 * CHUNK)]),
+    # Whole chunks only: clean, and with a bad kind in the very last record.
+    _chunked(2 * CHUNK),
+    _chunked(2 * CHUNK, [(2 * CHUNK - 1, "kind", 5)]),
+    # One record either side of a chunk boundary.
+    _chunked(CHUNK - 1, [(CHUNK - 2, "kind", 3)]),
+    _chunked(CHUNK + 1, [(CHUNK, "seq", 2 * CHUNK)]),
+    _chunked(0),
+    _chunked(0, instruction_count=0),
+], ids=["seq-decreases-across-chunks", "bad-kind-in-last-chunk", "seq-count-in-first-chunk",
+        "whole-chunks", "whole-chunks-bad-last-kind", "chunk-less-one", "chunk-plus-one",
+        "no-records", "no-records-no-instructions"])
+def test_kernel_loader_checks_records_across_chunk_boundaries(tmp_path, data):
+    _assert_loaders_read_as_read_trace(tmp_path, data)
+
+
+def test_kernel_loader_reads_a_pipe_in_one_piece():
+    # A pipe's size says nothing about its records, so they are read to the
+    # end and checked in one call, whatever the chunk size.
+    data = _chunked(2 * CHUNK + 3, [(2 * CHUNK + 2, "kind", 2)])
+    code = ("from ehcsim import _kernels\n"
+            "try:\n    _kernels.load_trace('/dev/stdin')\n"
+            "except Exception as e:\n    print(type(e).__name__, e)")
+    proc = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
+                          timeout=60)
+    assert proc.stdout.decode().strip() == "InvalidTrace kind must be Read or Write", proc.stderr
+    good = _chunked(CHUNK + 5)
+    code = "from ehcsim import _kernels; print(len(_kernels.load_trace('/dev/stdin')))"
+    proc = subprocess.run([sys.executable, "-c", code], input=good, capture_output=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == str(CHUNK + 5).encode(), proc.stderr
 
 
 def test_validate_rejects_bad_kind():
