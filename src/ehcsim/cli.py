@@ -181,8 +181,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
