@@ -24,24 +24,10 @@ def temp_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"ehcsim-{os.getuid()}")
 
 
-def build(text: str, target, compiler: str, cflags) -> None:
-    """Compile ``text`` into the shared library ``target``, then delete the
-    libraries of other digests next to it; raises
+def build(text: str, target: str, compiler: str, cflags) -> None:
+    """Compile ``text`` into the shared library ``target``, atomically, then
+    delete the libraries of other digests next to it; raises
     :class:`~ehcsim._kernels._BuildError`."""
-    _compile(text, os.fspath(target), compiler, cflags)
-    directory, name = os.path.split(os.fspath(target))
-    # Other digests are superseded; a build in progress has a longer name.
-    for entry in os.listdir(directory):
-        if (entry != name and len(entry) == len(name) and entry.startswith("_kernel-")
-                and entry.endswith(".so")):
-            try:
-                os.unlink(os.path.join(directory, entry))
-            except FileNotFoundError:
-                pass
-
-
-def _compile(text: str, target: str, compiler: str, cflags) -> None:
-    """Compile ``text`` into the shared library ``target``, atomically."""
     cc = shutil.which(compiler)
     if cc is None:
         raise _BuildError(f"no C compiler ({compiler}) on PATH")
@@ -63,8 +49,17 @@ def _compile(text: str, target: str, compiler: str, cflags) -> None:
             raise _BuildError(f"{compiler} exited with status {proc.returncode}: {detail}")
         os.replace(tmp, target)
     finally:
-        for leftover in (src, tmp):
-            try:
-                os.unlink(leftover)
-            except FileNotFoundError:
-                pass
+        _unlink(src)
+        _unlink(tmp)
+    # Other digests are superseded; a build in progress has a longer name.
+    for entry in os.listdir(directory):
+        if (entry != name and len(entry) == len(name) and entry.startswith("_kernel-")
+                and entry.endswith(".so")):
+            _unlink(os.path.join(directory, entry))
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
