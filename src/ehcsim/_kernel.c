@@ -8,13 +8,13 @@
  * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
  * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
  * the seven built-in policies as for MIN (ehcsim.minoracle.MinPolicy).
- * ehcsim._kernels prepends a generated #define block before compiling: the
- * policy constants from ehcsim.params (64-bit ones with a ULL suffix), the
- * POLICY_* ids, the OUT_* counter slots, the EVENT_* fields of an event row,
- * READ_STATE_WORDS, BYPASS, NO_NEXT_USE and ERROR_BUCKETS, and from
+ * ehcsim._kernels prepends a generated #define block before compiling: every
+ * integer constant of ehcsim.params (those of 2^63 or more with a ULL
+ * suffix), EVENT_FIELDS, READ_STATE_WORDS, the POLICY_* ids, the OUT_*
+ * counter slots, the EVENT_* fields of an event row, and from
  * ehcsim.traceformat the record size RECORD_BYTES, the RECORD_* field
  * offsets, KIND_WRITE and the CHECK_* record check numbers. So this file
- * holds no policy or format literal of its own.
+ * defines no policy or format constant of its own.
  *
  * An event row is EVENT_FIELDS + assoc int64_t values: the EVENT_* fields
  * (the trace position of the replacing miss, the victim way, no_averse),
@@ -30,7 +30,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define REGION_TABLE_SIZE ((int64_t)1 << REGION_TABLE_BITS)
 #define REGION_NONE UINT64_MAX /* no region id reaches it: ids are addr >> REGION_SHIFT */
 
 typedef struct {
@@ -208,8 +207,8 @@ int ehcsim_simulate(
     uint64_t *lastpc = table(&t, lines, sizeof *lastpc);
     int64_t *sig = table(&t, lines, sizeof *sig);
     uint8_t *outcome = table(&t, lines, sizeof *outcome);
-    uint8_t *shct = table(&t, (int64_t)1 << SHCT_BITS, sizeof *shct);
-    uint8_t *pc_tbl = table(&t, (int64_t)1 << PC_TABLE_BITS, sizeof *pc_tbl);
+    uint8_t *shct = table(&t, SHCT_SIZE, sizeof *shct);
+    uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
     RegionTable *rt = table(&t, 1, sizeof *rt);
     int64_t *occ = table(&t, nsamp * cap, sizeof *occ);
     int64_t *occ_base = table(&t, nsamp, sizeof *occ_base);
@@ -227,7 +226,7 @@ int ehcsim_simulate(
         free_tables(&t);
         return -1;
     }
-    for (int64_t k = 0; k < ((int64_t)1 << PC_TABLE_BITS); k++)
+    for (int64_t k = 0; k < PC_TABLE_SIZE; k++)
         pc_tbl[k] = PC_COUNTER_INIT;
     for (int64_t k = 0; k < REGION_TABLE_SIZE; k++)
         rt->tag[k] = REGION_NONE;

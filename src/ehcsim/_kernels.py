@@ -21,9 +21,9 @@ for bit, which the test suite enforces:
   carrying their state from chunk to chunk.
 
 So a run, a compare or an analyze over the :class:`Columns` that
-:func:`load_trace` returns needs no numpy. On first use this module
-prepends a ``#define`` block generated from :mod:`ehcsim.params` and
-:mod:`ehcsim.traceformat` to the source and loads the library of that text
+:func:`load_trace` returns needs no numpy; only an event log is a numpy
+one. On first use this module prepends a ``#define`` block generated from
+:mod:`ehcsim.params` and :mod:`ehcsim.traceformat` to the source and loads the library of that text
 with ctypes. The library lives in ``__pycache__`` next to this file, or,
 when that is not private to this user, in a per-user directory under the
 system temporary directory; nothing is loaded from a directory another
@@ -94,7 +94,7 @@ _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 #: records done, the largest seq and kind, and per core its last seq and
 #: whether its seq decreased.
 _READ_STATE_WORDS = 3 + 2 * 256
-#: Records per read when :func:`load_trace` streams a file: 104 KB.
+#: Records per read when :func:`load_trace` streams a trace: 104 KB.
 _CHUNK_RECORDS = 4096
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
@@ -105,26 +105,16 @@ BACKENDS = ("auto", "kernel", "reference")
 
 
 def _header() -> str:
-    """The ``#define`` block prepended to ``_kernel.c``."""
+    """The ``#define`` block prepended to ``_kernel.c``: every upper-case
+    integer of :mod:`ehcsim.params`, then the layouts of this module and of
+    :mod:`ehcsim.traceformat`."""
+    # The BRRIP hash works modulo 2^64; the suffix keeps its constants unsigned.
     defines = {
-        name: getattr(params, name)
-        for name in (
-            "RRPV_MAX", "EFH_MAX", "PSEL_MAX", "PSEL_INIT", "LEADER_PERIOD",
-            "SRRIP_LEADER_OFFSET", "BRRIP_LEADER_OFFSET", "SHCT_BITS", "SHCT_MAX",
-            "PC_TABLE_BITS", "PC_COUNTER_INIT", "PC_COUNTER_MAX", "PC_FRIENDLY_THRESHOLD",
-            "REGION_SHIFT", "REGION_TABLE_BITS", "REGION_RING_SLOTS",
-            "DEFAULT_EXPECTED_HITS", "SAMPLE_PERIOD", "WINDOW_SLOTS_PER_WAY",
-        )
+        name: f"{value}ULL" if value >= 1 << 63 else value
+        for name, value in vars(params).items() if name.isupper() and type(value) is int
     }
     defines["EVENT_FIELDS"] = len(_EVENT_FIELDS)
     defines["READ_STATE_WORDS"] = _READ_STATE_WORDS
-    defines.update((name, getattr(params, name))
-                   for name in ("BYPASS", "NO_NEXT_USE", "ERROR_BUCKETS"))
-    # The BRRIP hash works modulo 2^64; the suffix keeps these unsigned.
-    defines.update(
-        (name, f"{getattr(params, name)}ULL")
-        for name in ("SM_GAMMA", "SM_MIX1", "SM_MIX2", "BRRIP_LONG_ODDS")
-    )
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
     defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
@@ -350,33 +340,26 @@ def load_trace(path) -> Columns:
     size are checked as :func:`ehcsim.trace.load_trace` checks them and its
     records in C, in the order of :meth:`ehcsim.trace.Trace.validate`, so a
     defect raises the same :class:`~ehcsim.errors.DataError` with the same
-    message. A regular file's records stream through one buffer of
-    :data:`_CHUNK_RECORDS` records, with the check state carried from chunk
-    to chunk; a pipe's, read to its end, go to C in one piece."""
+    message. The records, of a regular file or of a pipe, stream through
+    one buffer of :data:`_CHUNK_RECORDS` records, with the check state
+    carried from chunk to chunk."""
     lib = _library()
     with open(path, "rb") as fh:
-        count, instruction_count, records = traceformat.read_header(fh)
+        count, instruction_count, stream = traceformat.read_header(fh)
         pc, addr = (ctypes.c_uint64 * count)(), (ctypes.c_uint64 * count)()
         state = (ctypes.c_uint64 * _READ_STATE_WORDS)()
         core = ctypes.c_int64()
-
-        def read(n, records):
-            return lib.ehcsim_read_records(n, records, instruction_count, pc, addr, state,
-                                           ctypes.byref(core))
-
-        if records is not None:
-            check = read(count, records)
-        else:
-            check = 0  # what the checks give no records
-            chunk = bytearray(min(count, _CHUNK_RECORDS) * traceformat.RECORD_BYTES)
-            buffer, view = (ctypes.c_char * len(chunk)).from_buffer(chunk), memoryview(chunk)
-            for start in range(0, count, _CHUNK_RECORDS):
-                n = min(_CHUNK_RECORDS, count - start)
-                size = n * traceformat.RECORD_BYTES
-                # Fewer only if the file shrank since its size was checked.
-                if fh.readinto(view[:size]) < size:
-                    raise traceformat.fewer_records(count)
-                check = read(n, buffer)
+        check = 0  # what the checks give no records
+        chunk = bytearray(min(count, _CHUNK_RECORDS) * traceformat.RECORD_BYTES)
+        buffer, view = (ctypes.c_char * len(chunk)).from_buffer(chunk), memoryview(chunk)
+        for start in range(0, count, _CHUNK_RECORDS):
+            n = min(_CHUNK_RECORDS, count - start)
+            size = n * traceformat.RECORD_BYTES
+            # Fewer only if the file shrank since its size was checked.
+            if stream.readinto(view[:size]) < size:
+                raise traceformat.fewer_records(count)
+            check = lib.ehcsim_read_records(n, buffer, instruction_count, pc, addr, state,
+                                            ctypes.byref(core))
     if check:
         message = list(traceformat.RECORD_CHECKS.values())[check - 1]
         raise InvalidTrace(message.format(core=core.value))

@@ -2,12 +2,6 @@
 
 Exit codes: 0 success, 1 usage error or not enough memory, 2 data error
 (unreadable or corrupt trace, file I/O), 3 internal invariant violation.
-
-When the native kernel is available, ``run`` without ``--events``,
-``compare`` and ``analyze`` load the trace with
-:func:`ehcsim._kernels.load_trace` and never import numpy; ``run
---events``, ``gen``, ``interleave`` and every command without the kernel
-load a numpy :class:`~ehcsim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -23,22 +17,17 @@ from .traceformat import GENERATOR_KINDS
 from .values import CacheGeometry, DEFAULT_GEOMETRY
 
 
-def load_trace(path, kernel: bool = False):
-    """The validated trace file at ``path``: with ``kernel``, the
-    :class:`~ehcsim._kernels.Columns` the native kernel runs on, read
-    without numpy; otherwise a :class:`~ehcsim.trace.Trace`. Both raise the
-    same error for a defective file."""
-    if kernel:
+def load_trace(path):
+    """The validated trace file at ``path`` that ``run``, ``compare`` and
+    ``analyze`` take: when the native kernel is available, the
+    :class:`~ehcsim._kernels.Columns` it runs on, read without numpy;
+    otherwise a :class:`~ehcsim.trace.Trace`. Both raise the same error for
+    a defective file."""
+    if _kernels.unavailable() is None:
         return _kernels.load_trace(path)
     from . import trace
 
     return trace.load_trace(path)
-
-
-def _kernel_runs(args) -> bool:
-    """Whether the native kernel can do all of a ``run``, ``compare`` or
-    ``analyze``: it is available and no event log is to be dumped."""
-    return not (args.command == "run" and args.events) and _kernels.unavailable() is None
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -137,7 +126,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace, kernel=_kernel_runs(args))
+    trace = load_trace(args.trace)
     report, _, events = run_report(trace, args.policy, geom, seed=args.seed,
                                    record_events=bool(args.events))
     report.write(args.csv)
@@ -148,7 +137,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace, kernel=_kernel_runs(args))
+    trace = load_trace(args.trace)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError("--policies must name at least one policy")
@@ -158,13 +147,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_analyze(args) -> int:
     geom = _geometry(args)
-    trace = load_trace(args.trace, kernel=_kernel_runs(args))
+    trace = load_trace(args.trace)
     analyze(trace, args.report, policy=args.policy, geom=geom, seed=args.seed).write(args.csv)
     return 0
 
 
 def _cmd_interleave(args) -> int:
-    from .trace import interleave, save_trace
+    from .trace import interleave, load_trace, save_trace
 
     traces = [load_trace(path) for path in args.inputs]
     save_trace(interleave(traces), args.output)

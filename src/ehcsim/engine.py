@@ -21,6 +21,7 @@ from .params import BYPASS, EFH_MAX, RRPV_MAX
 from .values import DEFAULT_GEOMETRY, CacheGeometry, Record, SimStats  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
+    from ._kernels import Columns
     from .trace import Trace
 
 
@@ -102,17 +103,18 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.index)
 
-    def write_csv(self, path, trace: Trace, geom: CacheGeometry) -> None:
+    def write_csv(self, path, trace: Trace | Columns, geom: CacheGeometry) -> None:
         """One CSV row per event: its position and set, the victim way, the
         no-averse flag, and the block-aligned addresses of the incoming
-        block and of every resident, gathered from ``trace`` at the logged
-        positions."""
+        block and of every resident, gathered from the address column of
+        ``trace``, a :class:`~ehcsim.trace.Trace` or the kernel's
+        :class:`~ehcsim._kernels.Columns`, at the logged positions."""
         import csv
 
         import numpy as np
 
         shift = np.uint64(geom.block_shift)
-        blocks = trace.addr >> shift
+        blocks = np.frombuffer(trace.addr, dtype=np.uint64) >> shift
         aligned = blocks << shift
         columns = (
             self.index, (blocks & np.uint64(geom.num_sets - 1))[self.index],

@@ -1,11 +1,12 @@
 """Fixed parameters of the simulated policies and of the MIN oracle's
 analyses, shared with the native kernel.
 
-Every constant that ``_kernels._header()`` turns into a ``#define`` for
-``_kernel.c`` is defined here, so the Python code and the kernel read one
-value each; the header's buffer layouts stay in ``_kernels``. The modules
-that use these (``engine``, ``trace``, ``policies``, ``sampler``,
-``belady``, ``minoracle``) import them from here.
+``_kernels._header()`` turns every upper-case integer defined here into a
+``#define`` for ``_kernel.c`` (one of 2^63 or more with a ``ULL`` suffix),
+so the Python code and the kernel read one value each; the header's buffer
+layouts stay in ``_kernels``. The modules that use these (``engine``,
+``trace``, ``policies``, ``sampler``, ``belady``, ``minoracle``) import
+them from here.
 """
 
 from __future__ import annotations

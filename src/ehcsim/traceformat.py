@@ -1,11 +1,11 @@
 """The trace file format and its checks, without numpy.
 
-Both trace loaders open files through :func:`read_header`: the numpy one,
-:func:`ehcsim.trace.load_trace`, by way of :func:`read_records`, which
-reads every record into one ``bytes``, and the native kernel's,
-:func:`ehcsim._kernels.load_trace`, which streams a regular file's records
-through one small buffer. So one implementation checks the header and the
-size, and both reject a bad record with the messages of
+Both trace loaders open files through :func:`read_header`, which checks the
+header and the size and hands back one record stream for a file or a pipe:
+the numpy loader, :func:`ehcsim.trace.load_trace`, by way of
+:func:`read_records`, reads every record into one ``bytes``, and the native
+kernel's, :func:`ehcsim._kernels.load_trace`, streams them through one
+small buffer. Both reject a bad record with the messages of
 :data:`RECORD_CHECKS`. ``_kernels`` generates the record layout and the
 check numbers into the kernel's ``#define`` block.
 
@@ -16,6 +16,7 @@ count, u64 instruction count, then packed 26-byte records
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
@@ -73,22 +74,23 @@ def parse_header(head: bytes, size: int) -> tuple[int, int]:
     return count, instruction_count
 
 
-def read_header(fh) -> tuple[int, int, bytes | None]:
+def read_header(fh) -> tuple[int, int, io.BufferedIOBase]:
     """``(record count, instruction count, records)`` of the trace file open
     as ``fh``, read from its start; raises a
-    :class:`~ehcsim.errors.DataError` on a bad header or size.
+    :class:`~ehcsim.errors.DataError` on a bad header or size, before any
+    record is checked.
 
-    A regular file's size is checked against its header before any record
-    is read: ``records`` is None, and the records follow at ``fh``'s
-    position. Anything else (a pipe) is read to its end first, and
-    ``records`` holds its packed records.
+    ``records`` is the stream the records follow in: ``fh`` itself for a
+    regular file, whose size is checked against its header before any
+    record is read, and for anything else (a pipe), which is read to its
+    end for the size check, an :class:`io.BytesIO` over what was read.
     """
     st = os.fstat(fh.fileno())
     head = fh.read(HEADER.size)
     if stat.S_ISREG(st.st_mode):
-        return (*parse_header(head, st.st_size), None)
+        return (*parse_header(head, st.st_size), fh)
     records = fh.read()
-    return (*parse_header(head, len(head) + len(records)), records)
+    return (*parse_header(head, len(head) + len(records)), io.BytesIO(records))
 
 
 def read_records(path) -> tuple[bytes, int, int]:
@@ -96,10 +98,9 @@ def read_records(path) -> tuple[bytes, int, int]:
     ``path``, where ``records`` holds the packed records; raises as
     :func:`read_header` does."""
     with open(path, "rb") as fh:
-        count, instruction_count, records = read_header(fh)
-        if records is None:
-            records = fh.read(count * RECORD_BYTES)
-            # Fewer only if the file shrank since its size was checked.
-            if len(records) < count * RECORD_BYTES:
-                raise fewer_records(count)
+        count, instruction_count, stream = read_header(fh)
+        records = stream.read(count * RECORD_BYTES)
+    # Fewer only if the file shrank since its size was checked.
+    if len(records) < count * RECORD_BYTES:
+        raise fewer_records(count)
     return records, count, instruction_count

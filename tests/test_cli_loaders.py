@@ -1,11 +1,11 @@
-"""Property test: ``run``, ``compare`` (with and without ``--events``) and
-the five ``analyze`` reports give the same exit status, error line and CSV
-on the native kernel's path (the C trace loader, no numpy) as on the numpy
-loader with the reference engine and the numpy MIN oracle, for valid trace
-files and for files with a mutated header count, instruction count, seq,
-core or kind byte, cut short or followed by extra bytes. ``interleave`` of
-such files exits with the status and the one error line of their load, or
-writes the interleaved trace."""
+"""Property test: ``run`` and ``compare`` (each with and without
+``--events``) and the five ``analyze`` reports give the same exit status,
+error line, CSV and event dump on the native kernel's path (the C trace
+loader) as on the numpy loader with the reference engine and the numpy MIN
+oracle, for valid trace files and for files with a mutated header count,
+instruction count, seq, core or kind byte, cut short or followed by extra
+bytes. ``interleave`` of such files exits with the status and the one
+error line of their load, or writes the interleaved trace."""
 
 import contextlib
 import io
@@ -60,14 +60,17 @@ def trace_files(draw):
     return bytes(data)
 
 
-def _cli(argv, csv_path: Path):
-    """``(exit status, stderr lines, CSV text or None)`` of one command."""
+def _cli(argv, csv_path: Path, dump_path: Path):
+    """``(exit status, stderr lines, CSV text or None, event dump text or
+    None)`` of one command."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main([*argv, "--csv", str(csv_path)])
-    text = csv_path.read_text() if csv_path.exists() else None
-    csv_path.unlink(missing_ok=True)
-    return code, err.getvalue().splitlines(), text
+    texts = []
+    for path in (csv_path, dump_path):
+        texts.append(path.read_text() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return code, err.getvalue().splitlines(), *texts
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -79,18 +82,21 @@ def test_kernel_path_runs_like_the_numpy_loader_and_the_reference_engine(
     assert _kernels.unavailable() is None, _kernels.unavailable()
     with tempfile.TemporaryDirectory() as tmp:
         trace, csv_path = Path(tmp) / "t.trace", Path(tmp) / "out.csv"
+        dump_path = Path(tmp) / "events.csv"
         trace.write_bytes(data)
         shape = ["--trace", str(trace), "--sets", str(geometry[0]), "--ways", str(geometry[1])]
-        compare = ["compare", "--policies", ",".join(policies), *shape]
-        for argv in (["run", "--policy", policy, *shape], compare + ["--events"] * events,
-                     ["analyze", "--report", report, "--policy", policy, *shape]):
-            kernel = _cli(argv, csv_path)
+        run = ["run", "--policy", policy, *shape] + ["--events", str(dump_path)] * events
+        compare = ["compare", "--policies", ",".join(policies), *shape] + ["--events"] * events
+        for argv in (run, compare, ["analyze", "--report", report, "--policy", policy, *shape]):
+            kernel = _cli(argv, csv_path, dump_path)
             with mock.patch.object(_kernels, "_native", lambda: (None, "disabled")):
-                code, err, text = _cli(argv, csv_path)
+                code, err, text, dump = _cli(argv, csv_path, dump_path)
             # Once per process the reference run also says why it runs.
             err = [line for line in err if "native kernel unavailable" not in line]
-            assert kernel == (code, err, text), argv
-            code, err, text = kernel
+            assert kernel == (code, err, text, dump), argv
+            code, err, text, dump = kernel
+            dumped = code == 0 and argv is run and events
+            assert (dump is not None) == dumped, argv
             if code == 0:
                 assert err == [] and text is not None
             else:

@@ -13,7 +13,7 @@ from ehcsim import (
     CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use, gen_synthetic,
     simulate, simulate_min,
 )
-from ehcsim import _kernel_build, _kernels, engine, minoracle, policies, sampler
+from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.analysis import REPORT_KINDS
@@ -146,7 +146,12 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
             if hasattr(module, name):
                 assert value.removesuffix("ULL") == str(getattr(module, name)), name
                 checked.add(name)
-    assert len(checked) == 26, sorted(checked)
+    assert len(checked) == 29, sorted(checked)
+    # Every integer of params, with its value; 2^63 and more unsigned.
+    for name, value in vars(params).items():
+        if name.isupper() and type(value) is int:
+            want = f"{value}ULL" if value >= 1 << 63 else str(value)
+            assert defines[name] == want, name
     # The oracle's sentinel and bucket count, which the kernel writes.
     for name in ("NO_NEXT_USE", "ERROR_BUCKETS"):
         assert defines[name] == str(getattr(minoracle, name)), name
@@ -157,7 +162,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "ec7b754bc9802fbf61bf1c8f"
+    assert digest == "b1f87dab6be37beb53a9b9ba"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():

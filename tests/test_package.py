@@ -40,7 +40,10 @@ NOT_ON_THE_RUN_PATH = (
 BUILD_ONLY = ("pathlib", "subprocess", "tempfile")
 
 
-def _assert_kernel_commands_load_none_of(tmp_path, absent, flags=()):
+def _child(tmp_path, absent, commands, flags=()):
+    """Run ``commands`` in a child process, where ``args`` names a trace
+    file and a geometry, and check before and after them that none of
+    ``absent`` is loaded."""
     trace = tmp_path / "t.trace"
     # ``gen`` needs numpy.random, which imports hashlib.
     save_trace(gen_synthetic(GeneratorSpec("mixed", 256, 2000)), trace)
@@ -55,6 +58,17 @@ assert not loaded, ("import", loaded)
 from ehcsim import _kernels
 assert _kernels.unavailable() is None, _kernels.unavailable()
 args = ["--trace", {str(trace)!r}, "--sets", "64", "--ways", "4"]
+{commands}
+loaded = [m for m in absent if m in sys.modules]
+assert not loaded, ("run", loaded)
+"""
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _assert_kernel_commands_load_none_of(tmp_path, absent, flags=()):
+    commands = f"""
 for policy in ("lru", "ship", "ehc"):
     assert ehcsim.cli.main(["run", "--policy", policy, *args,
                             "--csv", {str(tmp_path / "run.csv")!r}]) == 0
@@ -64,12 +78,8 @@ for events in ([], ["--events"]):
 for report in {REPORT_KINDS!r}:
     assert ehcsim.cli.main(["analyze", "--report", report, *args,
                             "--csv", {str(tmp_path / "analyze.csv")!r}]) == 0
-loaded = [m for m in absent if m in sys.modules]
-assert not loaded, ("run", loaded)
 """
-    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _child(tmp_path, absent, commands, flags)
 
 
 def test_run_loads_no_reference_policy_or_oracle(tmp_path):
@@ -78,3 +88,16 @@ def test_run_loads_no_reference_policy_or_oracle(tmp_path):
 
 def test_kernel_commands_without_site_load_no_build_machinery(tmp_path):
     _assert_kernel_commands_load_none_of(tmp_path, NOT_ON_THE_RUN_PATH + BUILD_ONLY, ["-S"])
+
+
+def test_kernel_run_with_events_loads_no_numpy_trace_or_build_module(tmp_path):
+    # The dump needs numpy and the engine's EventLog, but the trace is the
+    # kernel's columns. Without site numpy does not import on every host.
+    commands = f"""
+for policy in ("lru", "hawkeye", "ehc"):
+    assert ehcsim.cli.main(["run", "--policy", policy, *args,
+                            "--events", {str(tmp_path / "events.csv")!r},
+                            "--csv", {str(tmp_path / "run.csv")!r}]) == 0
+assert "numpy" in sys.modules and "ehcsim.engine" in sys.modules
+"""
+    _child(tmp_path, ("ehcsim.trace", "ehcsim._kernel_build"), commands)

@@ -1,8 +1,11 @@
 """Trace data model: binary format, generators, interleaving."""
 
+import contextlib
 import hashlib
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -164,24 +167,28 @@ def test_load_trace_reads_files_as_read_trace_reads_bytes(tmp_path, name):
     _assert_loaders_read_as_read_trace(tmp_path, _trace_files()[name])
 
 
-def _assert_loaders_read_as_read_trace(tmp_path, data):
+def _assert_loaders_read_as_read_trace(tmp_path, data, pipe=False):
     """Both loaders, numpy's and the native kernel's (which reads only the
     columns the kernel runs on and checks the records in C), read the file
-    of ``data`` as :func:`read_trace` reads it, or raise its error."""
+    of ``data``, or with ``pipe`` a pipe that carries it, as
+    :func:`read_trace` reads it, or raise its error."""
     path = tmp_path / "t.trace"
     path.write_bytes(data)
+    source = (lambda: _pipe(data)) if pipe else (lambda: contextlib.nullcontext(path))
     try:
         expected = read_trace(data)
         expected.validate()
     except DataError as e:
         for load in (load_trace, _kernels.load_trace):
-            with pytest.raises(DataError) as raised:
-                load(path)
+            with source() as src, pytest.raises(DataError) as raised:
+                load(src)
             assert type(raised.value) is type(e) and str(raised.value) == str(e), load
     else:
-        got = load_trace(path)
+        with source() as src:
+            got = load_trace(src)
         assert got == expected and got.addr.flags.aligned
-        columns = _kernels.load_trace(path)
+        with source() as src:
+            columns = _kernels.load_trace(src)
         assert list(columns.pc) == expected.pc.tolist()
         assert list(columns.addr) == expected.addr.tolist()
         assert columns.instruction_count == expected.instruction_count
@@ -233,12 +240,48 @@ def _chunked(n, defects=(), instruction_count=None):
         "whole-chunks", "whole-chunks-bad-last-kind", "chunk-less-one", "chunk-plus-one",
         "no-records", "no-records-no-instructions"])
 def test_kernel_loader_checks_records_across_chunk_boundaries(tmp_path, data):
-    _assert_loaders_read_as_read_trace(tmp_path, data)
+    # A pipe's records go through the same chunks as a file's.
+    for pipe in (False, True):
+        _assert_loaders_read_as_read_trace(tmp_path, data, pipe)
+
+
+@contextlib.contextmanager
+def _pipe(data):
+    """The path of the read end of a pipe that a thread fills with ``data``."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with open(write_fd, "wb") as fh:
+            with contextlib.suppress(BrokenPipeError):  # the reader closed early
+                fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join()
+
+
+@pytest.mark.parametrize("cut", [-1, -RECORD_DTYPE.itemsize, 1, 2 * RECORD_DTYPE.itemsize])
+def test_a_cut_or_extended_pipe_fails_its_size_check_before_any_record_check(cut):
+    # Every record check fails in the first chunk, but the size comes first.
+    count = 2 * CHUNK + 3
+    data = _chunked(count, [(0, "kind", 2), (1, "seq", 3 * count)])
+    data = data[:cut] if cut < 0 else data + bytes(cut)
+    error, message = (
+        (Truncated, f"header declares {count} records, payload holds fewer") if cut < 0
+        else (TrailingBytes, f"{cut} bytes follow the {count} declared records"))
+    for load in (load_trace, _kernels.load_trace):
+        with _pipe(data) as path, pytest.raises(error) as raised:
+            load(path)
+        assert str(raised.value) == message, load
 
 
 def test_kernel_loader_reads_a_pipe_in_one_piece():
-    # A pipe's size says nothing about its records, so they are read to the
-    # end and checked in one call, whatever the chunk size.
+    # A pipe's size says nothing about its records, so it is read to its end
+    # for the size check; then its records go through the chunks a file's do.
     data = _chunked(2 * CHUNK + 3, [(2 * CHUNK + 2, "kind", 2)])
     code = ("from ehcsim import _kernels\n"
             "try:\n    _kernels.load_trace('/dev/stdin')\n"
