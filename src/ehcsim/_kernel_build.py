@@ -1,16 +1,19 @@
-"""Building the native kernel: what :mod:`ehcsim._kernels` imports only when
-the library it looks for is not cached.
+"""Building the native kernel and the package's bytecode: what
+:mod:`ehcsim._kernels` imports only when the library it looks for is not
+cached, or the package's bytecode is missing or older than its source.
 
 :func:`build` compiles the kernel's C text into a shared library with the
 system C compiler, atomically, and deletes the libraries of other digests
-in that directory. :func:`temp_cache_dir` is the per-user cache directory
-under the system temporary directory, for hosts where ``__pycache__`` is
-not private to this user.
+in that directory. :func:`write_bytecode` compiles every module of the
+package into its ``__pycache__``. :func:`temp_cache_dir` is the per-user
+cache directory under the system temporary directory, for hosts where
+``__pycache__`` is not private to this user.
 """
 
 from __future__ import annotations
 
 import os
+import py_compile
 import shutil
 import subprocess
 import tempfile
@@ -56,6 +59,28 @@ def build(text: str, target: str, compiler: str, cflags) -> None:
         if (entry != name and len(entry) == len(name) and entry.startswith("_kernel-")
                 and entry.endswith(".so")):
             _unlink(os.path.join(directory, entry))
+
+
+def write_bytecode(package_dir: str) -> None:
+    """Write the bytecode of every ``.py`` file in ``package_dir`` where the
+    interpreter reads it, atomically. Checked-hash bytecode: the import
+    system compares it with a hash of the source, so an edited module never
+    runs old bytecode, whatever its size and mtime. A module whose bytecode
+    cannot be written, or that does not compile, is skipped silently; its
+    import compiles it from source, as without this cache."""
+    try:
+        entries = os.listdir(package_dir)
+    except OSError:
+        return
+    for entry in entries:
+        if entry.endswith(".py"):
+            try:
+                py_compile.compile(
+                    os.path.join(package_dir, entry), doraise=True,
+                    invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH,
+                )
+            except (OSError, py_compile.PyCompileError):
+                pass
 
 
 def _unlink(path: str) -> None:

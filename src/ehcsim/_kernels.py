@@ -34,6 +34,15 @@ missing or unreadable, :mod:`ehcsim._kernel_build` compiles it with the
 system C compiler (``cc -O2 -shared -fPIC``) and deletes the libraries of
 other digests in its directory.
 
+The package's bytecode is the cache's second artifact. When the library
+sits in the ``__pycache__`` the interpreter reads the package's bytecode
+from, and an imported ``ehcsim`` module has no bytecode there or bytecode
+older than its source (``os.stat`` tells), :mod:`ehcsim._kernel_build`
+writes checked-hash bytecode for every module of the package, so later
+processes compile none of them, even under ``PYTHONDONTWRITEBYTECODE``.
+Elsewhere (the temporary directory, a set ``sys.pycache_prefix``) nothing
+is written, and a write that fails is skipped silently.
+
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
 :func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. Every
@@ -214,26 +223,52 @@ def _source() -> tuple[str, str]:
     return text, f"_kernel-{digest}.so"
 
 
+def _stale_bytecode(directory) -> bool:
+    """Whether ``directory`` is where the interpreter reads this package's
+    bytecode, and an imported module of the package has none there, or one
+    older than its source. Takes ``os.stat`` only."""
+    cached = getattr(sys.modules.get(__package__), "__cached__", None)
+    if cached is None or os.path.dirname(cached) != directory:
+        return False  # a temporary directory, or a set sys.pycache_prefix
+    for name, module in list(sys.modules.items()):
+        cached = getattr(module, "__cached__", None)
+        if name.partition(".")[0] == __package__ and cached is not None:
+            try:
+                if os.stat(cached).st_mtime_ns < os.stat(module.__file__).st_mtime_ns:
+                    return True
+            except OSError:
+                return True
+    return False
+
+
 def _load():
     """Load the cached library, building it first when it is missing or
-    unreadable; raises :class:`_BuildError`."""
+    unreadable, and write the package's bytecode next to it when that is
+    missing or stale; raises :class:`_BuildError`."""
     text, name = _source()
     for directory in _cache_dirs():
         if not _usable_dir(directory):
             continue
         target = os.path.join(directory, name)
+        lib = None
         if os.path.isfile(target):
             try:
-                return _bind(target)
+                lib = _bind(target)
             except (OSError, AttributeError):
                 pass  # truncated or foreign: rebuild it below
-        from ._kernel_build import build
+        if lib is None:
+            from ._kernel_build import build
 
-        build(text, target, _COMPILER, _CFLAGS)
-        try:
-            return _bind(target)
-        except (OSError, AttributeError) as e:
-            raise _BuildError(f"cannot load {target}: {e}") from None
+            build(text, target, _COMPILER, _CFLAGS)
+            try:
+                lib = _bind(target)
+            except (OSError, AttributeError) as e:
+                raise _BuildError(f"cannot load {target}: {e}") from None
+        if _stale_bytecode(directory):
+            from ._kernel_build import write_bytecode
+
+            write_bytecode(os.path.dirname(__file__))
+        return lib
     raise _BuildError("no private writable cache directory for the compiled kernel")
 
 

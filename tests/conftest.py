@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ehcsim import CacheGeometry, EventLog, ResidencyLog, Trace, _kernels
 
@@ -72,6 +73,57 @@ def event_log(events, associativity):
         [ev.no_averse for ev in events],
         np.array([ev.resident_pos for ev in events], dtype=np.int64).reshape(-1, associativity),
     )
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies for geometries and the traces that fill them.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def geometries(draw, max_set_bits=4, max_ways=8):
+    return CacheGeometry(
+        num_sets=1 << draw(st.integers(0, max_set_bits)),
+        associativity=draw(st.integers(1, max_ways)),
+        block_offset_bits=draw(st.sampled_from([1, 6])),
+    )
+
+
+def top_heavy(bits):
+    """Integers below 2**bits, half of them from the top quarter of the
+    range, where the leading bits are set."""
+    return st.one_of(st.integers(0, (1 << bits) - 1),
+                     st.integers(3 << (bits - 2), (1 << bits) - 1))
+
+
+@st.composite
+def traced_geometries(draw, max_len):
+    """A geometry of 1-64 sets and 1-16 ways and a trace of three shapes.
+    "anywhere": at most 12 addresses anywhere in the 64-bit space, with
+    the empty trace included. "crowded" and "loop": 1-3 sets (often the
+    sampled set 0) with ways + 1 to ways + 3 tags each, over the whole tag
+    range and at one byte offset, touched about twice each at random or
+    in a loop, so that even 16-way sets fill, evict and bypass."""
+    geom = draw(geometries(max_set_bits=6, max_ways=16))
+    shape = draw(st.sampled_from(["anywhere", "crowded", "loop"]))
+    if shape == "anywhere":
+        pool = draw(st.lists(top_heavy(64), min_size=1, max_size=12, unique=True))
+        return geom, make_trace(draw(st.lists(st.sampled_from(pool), max_size=max_len)))
+    sets = draw(st.lists(st.one_of(st.just(0), st.integers(0, geom.num_sets - 1)),
+                         min_size=1, max_size=3))
+    tag_bits = 64 - geom.block_offset_bits - geom.set_bits
+    # Distinct tags without a unique-list draw, which is slow: an odd
+    # stride is invertible modulo 2**tag_bits.
+    base, stride = draw(top_heavy(tag_bits)), 2 * draw(top_heavy(tag_bits - 1)) + 1
+    count = draw(st.integers(geom.associativity + 1, geom.associativity + 3))
+    tags = [(base + k * stride) % (1 << tag_bits) for k in range(count)]
+    offset = draw(st.integers(0, (1 << geom.block_offset_bits) - 1))
+    pool = [geom.block_addr(s, t) | offset for s in sets for t in tags]
+    if shape == "loop":
+        loop = draw(st.permutations(pool))
+        return geom, make_trace((loop * (max_len // len(loop) + 1))[:max_len])
+    return geom, make_trace(draw(st.lists(
+        st.sampled_from(pool), min_size=min(2 * len(pool), max_len), max_size=max_len)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ error line of their load, or writes the interleaved trace."""
 
 import contextlib
 import io
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from ehcsim import DataError, Trace, _kernels, interleave, load_trace, write_tra
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.runner import POLICY_NAMES
-from ehcsim.traceformat import HEADER, RECORD_BYTES, RECORD_FIELDS
+from ehcsim.traceformat import FORMAT_VERSION, HEADER, MAGIC, RECORD_BYTES, RECORD_FIELDS
 
 # Byte ranges of the mutated header fields: after the magic and the version
 # come the record count and the instruction count, 8 bytes each.
@@ -122,3 +123,54 @@ def _assert_interleave_loads_like_the_loader(trace: Path, merged: Path):
         assert (code, err.getvalue(), written) == (0, "", expected)
     else:
         assert (code, err.getvalue().splitlines(), written) == (2, [error], None)
+
+
+U64 = st.integers(0, (1 << 64) - 1)
+
+
+def records(n):
+    """``n`` records of arbitrary bytes, or of seqs 0-3, cores 0, 1 and 255
+    and mostly valid kinds around arbitrary PCs and addresses, so that
+    every record check has the last word on some of them."""
+    near = st.builds(lambda seq, pc, addr, core, kind: struct.pack("<QQQBB", seq, pc, addr,
+                                                                   core, kind),
+                     st.integers(0, 3), U64, U64, st.sampled_from((0, 1, 1, 255)),
+                     st.sampled_from((0, 1, 0, 1, 0, 1, 2, 255)))
+    return st.one_of(st.binary(min_size=n * RECORD_BYTES, max_size=n * RECORD_BYTES),
+                     st.lists(near, min_size=n, max_size=n).map(b"".join))
+
+
+@st.composite
+def arbitrary_files(draw):
+    """Arbitrary bytes: as a whole file, or as 0-8 records after a valid
+    header whose record count is theirs (or one off) and whose instruction
+    count is any u64."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=4 * RECORD_BYTES))
+    n = draw(st.integers(0, 8))
+    count = max(n + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    instructions = draw(st.one_of(U64, st.integers(0, 4), st.just((1 << 64) - 1)))
+    return HEADER.pack(MAGIC, FORMAT_VERSION, count, instructions) + draw(records(n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arbitrary_files())
+def test_c_record_reader_takes_arbitrary_bytes_like_the_numpy_loader(data):
+    assert _kernels.unavailable() is None, _kernels.unavailable()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.trace"
+        path.write_bytes(data)
+        try:
+            want = load_trace(path)
+        except DataError as e:
+            want = e
+        try:
+            got = _kernels.load_trace(path)
+        except DataError as e:
+            got = e
+    if isinstance(want, DataError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert not isinstance(got, DataError), got
+        assert (list(got.pc), list(got.addr), got.instruction_count) == (
+            want.pc.tolist(), want.addr.tolist(), want.instruction_count)

@@ -29,11 +29,13 @@ def test_unknown_attribute_raises():
 
 # Modules the kernel path of ``run``, ``compare`` and ``analyze`` needs none
 # of: numpy and the numpy trace model, the reference engine, policies and
-# MIN oracle, the kernel's build module (the library is cached), and two
-# standard modules numpy does not import itself.
+# MIN oracle, the kernel's build module and ``py_compile`` (the library and
+# the package's bytecode are cached), and two standard modules numpy does
+# not import itself.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
     "ehcsim.sampler", "numpy", "ehcsim.trace", "ehcsim.engine", "ehcsim._kernel_build",
+    "py_compile",
 )
 # What only a kernel build needs; the host's site may import these itself,
 # so they are checked without it.
@@ -48,9 +50,17 @@ def _child(tmp_path, absent, commands, flags=()):
     # ``gen`` needs numpy.random, which imports hashlib.
     save_trace(gen_synthetic(GeneratorSpec("mixed", 256, 2000)), trace)
     # In a child process: this one has imported everything already.
-    code = f"""
+    path = f"""
 import sys
 sys.path.insert(0, {os.path.dirname(ehcsim.__path__[0])!r})
+"""
+    # A first kernel load, to build the library and write the package's
+    # bytecode if either is missing or stale.
+    warm_up = path + "import ehcsim.cli; assert ehcsim._kernels.unavailable() is None"
+    proc = subprocess.run([sys.executable, *flags, "-c", warm_up], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code = path + f"""
 import ehcsim.cli
 absent = {absent!r}
 loaded = [m for m in absent if m in sys.modules]
