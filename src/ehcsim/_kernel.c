@@ -22,9 +22,14 @@
  * Sets, addresses and next uses are gathers from the trace by position.
  * A residency row is MIN's record of one fill: its position, the position
  * of the miss that evicted it (n when it stayed to the end) and its hits,
- * in three columns of n entries each.
+ * in three columns of n entries each. Each output a caller does not want
+ * is passed as NULL, and the kernel then leaves it off.
  *
- * Addresses, PCs and block tags are uint64_t; counters and positions are
+ * The lines of the cache and the slots of the sampled sets hold block
+ * numbers, addr >> block_bits, not tags: within one set a block and its
+ * tag determine each other.
+ *
+ * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
  */
 #include <stdint.h>
@@ -32,12 +37,30 @@
 
 #define REGION_NONE UINT64_MAX /* no region id reaches it: ids are addr >> REGION_SHIFT */
 
+/* The last REGION_RING_SLOTS hit counts of one key: a region of EHC's
+ * table (RegionHitTable), or a key of the prediction-error histograms. */
 typedef struct {
-    uint64_t tag[REGION_TABLE_SIZE];
-    int64_t ring[REGION_TABLE_SIZE][REGION_RING_SLOTS];
-    int64_t count[REGION_TABLE_SIZE];
-    int64_t head[REGION_TABLE_SIZE];
-} RegionTable;
+    uint64_t key;
+    int64_t ring[REGION_RING_SLOTS];
+    int64_t count, head;
+} Ring;
+
+static inline void ring_push(Ring *r, int64_t hits)
+{
+    r->ring[r->head] = hits;
+    r->head = (r->head + 1) % REGION_RING_SLOTS;
+    if (r->count < REGION_RING_SLOTS)
+        r->count++;
+}
+
+/* The round-half-up mean of the ring's counts, for count > 0. */
+static inline int64_t ring_mean(const Ring *r)
+{
+    int64_t total = 0;
+    for (int64_t k = 0; k < r->count; k++)
+        total += r->ring[k];
+    return (2 * total + r->count) / (2 * r->count);
+}
 
 /* Whether a * b overflows int64_t, for a, b >= 0. */
 static inline int mul_overflows(int64_t a, int64_t b)
@@ -88,33 +111,24 @@ static inline int brrip_long_insert(uint64_t seed, uint64_t n)
     return (z & (BRRIP_LONG_ODDS - 1)) == 0;
 }
 
-/* RegionHitTable.record_eviction */
-static void region_push(RegionTable *rt, uint64_t addr, int64_t hits)
+/* RegionHitTable.record_eviction, on a table of REGION_TABLE_SIZE rings */
+static void region_push(Ring *regions, uint64_t addr, int64_t hits)
 {
-    uint64_t rid = addr >> REGION_SHIFT;
-    uint64_t idx = xor_fold(rid, REGION_TABLE_BITS);
-    if (rt->tag[idx] != rid) {
-        rt->tag[idx] = rid;
-        rt->count[idx] = 0;
-        rt->head[idx] = 0;
-    }
-    rt->ring[idx][rt->head[idx]] = hits;
-    rt->head[idx] = (rt->head[idx] + 1) % REGION_RING_SLOTS;
-    if (rt->count[idx] < REGION_RING_SLOTS)
-        rt->count[idx]++;
+    const uint64_t rid = addr >> REGION_SHIFT;
+    Ring *r = regions + xor_fold(rid, REGION_TABLE_BITS);
+    if (r->key != rid)
+        *r = (Ring){.key = rid};
+    ring_push(r, hits);
 }
 
 /* RegionHitTable.expected_hits */
-static int64_t region_expected(const RegionTable *rt, uint64_t addr)
+static int64_t region_expected(const Ring *regions, uint64_t addr)
 {
-    uint64_t rid = addr >> REGION_SHIFT;
-    uint64_t idx = xor_fold(rid, REGION_TABLE_BITS);
-    int64_t cnt = rt->count[idx], total = 0, avg;
-    if (rt->tag[idx] != rid || cnt == 0)
+    const uint64_t rid = addr >> REGION_SHIFT;
+    const Ring *r = regions + xor_fold(rid, REGION_TABLE_BITS);
+    if (r->key != rid || r->count == 0)
         return DEFAULT_EXPECTED_HITS;
-    for (int64_t k = 0; k < cnt; k++)
-        total += rt->ring[idx][k];
-    avg = (2 * total + cnt) / (2 * cnt);
+    const int64_t avg = ring_mean(r);
     return avg > EFH_MAX ? EFH_MAX : avg;
 }
 
@@ -141,7 +155,16 @@ static void free_tables(Tables *t)
         free(t->ptr[k]);
 }
 
-/* A line still resident at the end of a MIN run. */
+/* One entry of a sampled set's OPTgen window: a block, the PC and the
+ * address of its latest access, its window position and its hits so far,
+ * and whether it is still live. */
+typedef struct {
+    uint64_t block, pc, addr;
+    int64_t pos, hits;
+    uint8_t live;
+} Slot;
+
+/* The stay of a block in one MIN line: its fill position and its hits. */
 typedef struct {
     int64_t fill, hits;
 } Stay;
@@ -162,10 +185,11 @@ static int by_fill(const void *a, const void *b)
 }
 
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
- * receives the counters. With record_events, the k-th miss in a full set
- * fills event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds
- * the latest access of every line, for LRU's and MIN's victims and for
- * that row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
+ * receives the counters; events, rows and ranks may each be NULL, which
+ * leaves that output off. With events, the k-th miss in a full set fills
+ * event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds the
+ * latest access of every line, for LRU's and MIN's victims and for that
+ * row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
  * next_use[i] is the position of the next access to the block of access i
  * (ehcsim_next_use). MIN evicts the first way whose next use,
  * next_use[stamp], is farthest. With bypass, MIN leaves the incoming block
@@ -176,16 +200,17 @@ static int by_fill(const void *a, const void *b)
  * ranks, of assoc + 1 entries, every miss in a full set adds one at the
  * rank of its victim: how many of the residents and the incoming block are
  * next used strictly later (ehcsim.minoracle.victim_quality). Only MIN
- * reads bypass and writes rows, and every policy reads next_use only for
- * ranks. Returns 0, or -1 when the tables cannot be allocated, which
- * includes a geometry whose table sizes overflow int64_t: a wrapped size
- * would allocate too little and the loop would index past it. */
+ * reads bypass and writes rows; the other policies read next_use only for
+ * ranks, so without ranks it may be NULL for them. Returns 0, or -1 when
+ * the tables cannot be allocated, which includes a geometry whose table
+ * sizes overflow int64_t: a wrapped size would allocate too little and the
+ * loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
-    int64_t num_sets, int64_t assoc, int64_t block_bits, int64_t set_bits,
+    int64_t num_sets, int64_t assoc, int64_t block_bits,
     int64_t policy_id, uint64_t seed,
     const int64_t *next_use, int64_t bypass, int64_t *rows, int64_t *ranks,
-    int64_t record_events, int64_t *events, uint8_t *hit_flags, int64_t *out)
+    int64_t *events, uint8_t *hit_flags, int64_t *out)
 {
     if (mul_overflows(num_sets, assoc) || mul_overflows(WINDOW_SLOTS_PER_WAY, assoc)
         || mul_overflows(num_sets / SAMPLE_PERIOD + 1, WINDOW_SLOTS_PER_WAY * assoc))
@@ -209,18 +234,12 @@ int ehcsim_simulate(
     uint8_t *outcome = table(&t, lines, sizeof *outcome);
     uint8_t *shct = table(&t, SHCT_SIZE, sizeof *shct);
     uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
-    RegionTable *rt = table(&t, 1, sizeof *rt);
+    Ring *regions = table(&t, REGION_TABLE_SIZE, sizeof *regions);
     int64_t *occ = table(&t, nsamp * cap, sizeof *occ);
     int64_t *occ_base = table(&t, nsamp, sizeof *occ_base);
     int64_t *occ_len = table(&t, nsamp, sizeof *occ_len);
-    uint8_t *slot_live = table(&t, nsamp * cap, sizeof *slot_live);
-    uint64_t *slot_tag = table(&t, nsamp * cap, sizeof *slot_tag);
-    uint64_t *slot_pc = table(&t, nsamp * cap, sizeof *slot_pc);
-    uint64_t *slot_addr = table(&t, nsamp * cap, sizeof *slot_addr);
-    int64_t *slot_pos = table(&t, nsamp * cap, sizeof *slot_pos);
-    int64_t *slot_hits = table(&t, nsamp * cap, sizeof *slot_hits);
-    int64_t *fill_pos = table(&t, min_lines, sizeof *fill_pos);
-    int64_t *line_hits = table(&t, min_lines, sizeof *line_hits);
+    Slot *slots = table(&t, nsamp * cap, sizeof *slots);
+    Stay *stay = table(&t, min_lines, sizeof *stay);
     Stay *tail = table(&t, rows ? min_lines : 0, sizeof *tail);
     if (t.failed) {
         free_tables(&t);
@@ -229,7 +248,7 @@ int ehcsim_simulate(
     for (int64_t k = 0; k < PC_TABLE_SIZE; k++)
         pc_tbl[k] = PC_COUNTER_INIT;
     for (int64_t k = 0; k < REGION_TABLE_SIZE; k++)
-        rt->tag[k] = REGION_NONE;
+        regions[k].key = REGION_NONE;
 
     int64_t hits = 0, replacements = 0, bypasses = 0, no_averse_count = 0, long_inserts = 0;
     int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
@@ -247,30 +266,23 @@ int ehcsim_simulate(
         /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
         if (sampled && si % SAMPLE_PERIOD == 0) {
             const int64_t s = si / SAMPLE_PERIOD;
-            const uint64_t tg = shr(block, set_bits);
             int64_t *orow = occ + s * cap;
-            uint8_t *live = slot_live + s * cap;
-            uint64_t *stag = slot_tag + s * cap;
-            uint64_t *spc = slot_pc + s * cap;
-            uint64_t *saddr = slot_addr + s * cap;
-            int64_t *spos = slot_pos + s * cap;
-            int64_t *shits = slot_hits + s * cap;
-            int64_t hit_slot = -1, carried_hits = 0;
+            Slot *srow = slots + s * cap, *hit = NULL;
+            int64_t carried_hits = 0;
             uint64_t ent_addr = a;
             for (int64_t k = 0; k < cap; k++) {
-                if (stag[k] == tg && live[k]) {
-                    hit_slot = k;
+                if (srow[k].block == block && srow[k].live) {
+                    hit = srow + k;
                     break;
                 }
             }
-            if (hit_slot < 0) {
+            if (!hit) {
                 optgen_cold++;
             } else {
-                const int64_t pos0 = spos[hit_slot];
                 const int64_t end = occ_base[s] + occ_len[s];
-                const uint64_t fi = xor_fold(spc[hit_slot], PC_TABLE_BITS);
+                const uint64_t fi = xor_fold(hit->pc, PC_TABLE_BITS);
                 int ok = 1;
-                for (int64_t j = pos0; j < end; j++) {
+                for (int64_t j = hit->pos; j < end; j++) {
                     if (orow[j % cap] >= assoc) {
                         ok = 0;
                         break;
@@ -278,38 +290,32 @@ int ehcsim_simulate(
                 }
                 if (ok) {
                     optgen_hit++;
-                    for (int64_t j = pos0; j < end; j++)
+                    for (int64_t j = hit->pos; j < end; j++)
                         orow[j % cap]++;
-                    carried_hits = shits[hit_slot] + 1;
+                    carried_hits = hit->hits + 1;
                     if (pc_tbl[fi] < PC_COUNTER_MAX)
                         pc_tbl[fi]++;
                 } else {
                     optgen_miss++;
                     if (pc_tbl[fi] > 0)
                         pc_tbl[fi]--;
-                    region_push(rt, saddr[hit_slot], shits[hit_slot]);
+                    region_push(regions, hit->addr, hit->hits);
                 }
-                ent_addr = saddr[hit_slot];
-                live[hit_slot] = 0;
+                ent_addr = hit->addr;
+                hit->live = 0;
             }
             const int64_t new_pos = occ_base[s] + occ_len[s];
-            const int64_t k2 = new_pos % cap;
+            Slot *entry = srow + new_pos % cap;
             if (occ_len[s] == cap) {
-                if (live[k2]) {
-                    region_push(rt, saddr[k2], shits[k2]);
-                    live[k2] = 0;
-                }
+                if (entry->live)
+                    region_push(regions, entry->addr, entry->hits);
                 occ_base[s]++;
             } else {
                 occ_len[s]++;
             }
-            orow[k2] = 0;
-            live[k2] = 1;
-            stag[k2] = tg;
-            spc[k2] = p;
-            saddr[k2] = ent_addr;
-            spos[k2] = new_pos;
-            shits[k2] = carried_hits;
+            orow[new_pos % cap] = 0;
+            *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .pos = new_pos,
+                            .hits = carried_hits, .live = 1};
         }
 
         const int64_t row = si * assoc;
@@ -343,7 +349,7 @@ int ehcsim_simulate(
                 rrow[way] = pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD
                     ? 0 : RRPV_MAX;
             } else {
-                line_hits[row + way]++; /* MIN */
+                stay[row + way].hits++; /* MIN */
             }
             continue;
         }
@@ -392,7 +398,7 @@ int ehcsim_simulate(
                 if (bypass && next_use[i] > next_use[srow[way]]) {
                     way = BYPASS;
                 } else if (rows) {
-                    write_row(rows, n, written++, fill_pos[row + way], i, line_hits[row + way]);
+                    write_row(rows, n, written++, stay[row + way].fill, i, stay[row + way].hits);
                 }
             } else {
                 int64_t best = 0;
@@ -417,7 +423,7 @@ int ehcsim_simulate(
                         pc_tbl[fi]--;
                 }
             }
-            if (record_events) {
+            if (events) {
                 int64_t *ev = events + (replacements + bypasses) * ev_width;
                 ev[EVENT_INDEX] = i;
                 ev[EVENT_VICTIM_WAY] = way;
@@ -484,21 +490,17 @@ int ehcsim_simulate(
                 rrow[way] = RRPV_MAX;
             }
             if (policy_id == POLICY_EHC)
-                erow[way] = region_expected(rt, a);
+                erow[way] = region_expected(regions, a);
         } else {
-            fill_pos[row + way] = i; /* MIN */
-            line_hits[row + way] = 0;
+            stay[row + way] = (Stay){.fill = i}; /* MIN */
         }
     }
 
     if (rows) {
         int64_t stays = 0;
-        for (int64_t k = 0; k < min_lines; k++) {
-            if (valid[k]) {
-                tail[stays].fill = fill_pos[k];
-                tail[stays++].hits = line_hits[k];
-            }
-        }
+        for (int64_t k = 0; k < min_lines; k++)
+            if (valid[k])
+                tail[stays++] = stay[k];
         qsort(tail, (size_t)stays, sizeof *tail, by_fill);
         for (int64_t k = 0; k < stays; k++)
             write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);
@@ -570,13 +572,6 @@ int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t
     return 0;
 }
 
-/* The hit-count history of one prediction key. */
-typedef struct {
-    uint64_t key;
-    int64_t ring[REGION_RING_SLOTS];
-    int64_t count, head;
-} History;
-
 /* Bucket the hit-count prediction error of count residency rows in
  * completion order (ehcsim_simulate's MIN rows: fills in rows[0..count),
  * hits in rows[2 * n ...]) into hist[ERROR_BUCKETS], as
@@ -595,8 +590,8 @@ int ehcsim_prediction_error(
     while (bits < 56 && ((int64_t)1 << bits) < 2 * count)
         bits++;
     const uint64_t mask = ((uint64_t)1 << bits) - 1;
-    int64_t *slot = calloc(mask + 1, sizeof *slot); /* 1 + a history's index; 0: free */
-    History *past = malloc((count > 0 ? (size_t)count : 1) * sizeof *past);
+    int64_t *slot = calloc(mask + 1, sizeof *slot); /* 1 + a ring's index; 0: free */
+    Ring *past = malloc((count > 0 ? (size_t)count : 1) * sizeof *past);
     int64_t keys = 0;
     if (!slot || !past) {
         free(slot);
@@ -615,21 +610,15 @@ int ehcsim_prediction_error(
             h = (h + 1) & mask;
         if (!slot[h]) {
             slot[h] = ++keys;
-            past[keys - 1] = (History){.key = key};
+            past[keys - 1] = (Ring){.key = key};
         }
-        History *p = past + slot[h] - 1;
+        Ring *p = past + slot[h] - 1;
         if (p->count > 0) {
-            int64_t total = 0;
-            for (int64_t s = 0; s < p->count; s++)
-                total += p->ring[s];
-            const int64_t predicted = (2 * total + p->count) / (2 * p->count);
+            const int64_t predicted = ring_mean(p);
             const int64_t diff = hits > predicted ? hits - predicted : predicted - hits;
             hist[diff < ERROR_BUCKETS - 1 ? diff : ERROR_BUCKETS - 1]++;
         }
-        p->ring[p->head] = hits;
-        p->head = (p->head + 1) % REGION_RING_SLOTS;
-        if (p->count < REGION_RING_SLOTS)
-            p->count++;
+        ring_push(p, hits);
     }
     free(slot);
     free(past);

@@ -9,7 +9,9 @@ for bit, which the test suite enforces:
   the built-in policies and Belady's MIN, dispatched on a policy id, as the
   reference engine runs them. MIN reads a next-use column and writes its
   residency rows (fill, end, hits); any policy given a next-use column
-  ranks its victims as :func:`ehcsim.minoracle.victim_quality` does.
+  ranks its victims as :func:`ehcsim.minoracle.victim_quality` does. It
+  takes the geometry as the number of sets, ways and the block offset,
+  and keys lines and sampled-set slots by block number, not by tag.
 - ``ehcsim_next_use`` (:func:`next_use`) is
   :func:`ehcsim.minoracle.compute_next_use` as one hashed forward scan.
 - ``ehcsim_prediction_error`` (:func:`prediction_error`) buckets MIN's
@@ -36,18 +38,21 @@ other digests in its directory.
 
 The package's bytecode is the cache's second artifact. When the library
 sits in the ``__pycache__`` the interpreter reads the package's bytecode
-from, and an imported ``ehcsim`` module has no bytecode there or bytecode
-older than its source (``os.stat`` tells), :mod:`ehcsim._kernel_build`
-writes checked-hash bytecode for every module of the package, so later
-processes compile none of them, even under ``PYTHONDONTWRITEBYTECODE``.
+from, and a ``.py`` file of the package, imported yet or not, has no
+bytecode there or bytecode older than its source (``os.listdir`` and
+``os.stat`` tell), :mod:`ehcsim._kernel_build` writes checked-hash
+bytecode for every module of the package, so later processes compile none
+of them, even under ``PYTHONDONTWRITEBYTECODE``.
 Elsewhere (the temporary directory, a set ``sys.pycache_prefix``) nothing
 is written, and a write that fails is skipped silently.
 
 With ``record_events`` the kernel also writes each miss in a full set into
 one preallocated int64 buffer as one row of trace positions, whose columns
-:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are. Every
-other column goes to a :func:`buffer` the caller allocates: a numpy array
-for a :class:`~ehcsim.trace.Trace`, a ctypes array for :class:`Columns`.
+:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are;
+without it the buffer is NULL, as are rows and ranks nobody asked for,
+and the kernel records nothing there. Every other column goes to a
+:func:`buffer` the caller allocates: a numpy array for a
+:class:`~ehcsim.trace.Trace`, a ctypes array for :class:`Columns`.
 When no compiler is found or the build fails, :func:`use_kernel` is False
 for ``backend="auto"``, which runs the reference engine, and one line on
 stderr per process says why.
@@ -197,10 +202,10 @@ def _bind(path):
     u64s, i64s = _Array(ctypes.c_uint64, "uint64"), _Array(i64, "int64")
     lib.ehcsim_simulate.argtypes = [
         i64, u64s, u64s,
-        i64, i64, i64, i64,
+        i64, i64, i64,
         i64, ctypes.c_uint64,
         i64s, i64, i64s, i64s,
-        i64, i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
+        i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
     ]
     lib.ehcsim_next_use.argtypes = [i64, u64s, i64, i64s]
     lib.ehcsim_prediction_error.argtypes = [i64, i64, i64s, u64s, i64, i64, i64s]
@@ -225,19 +230,24 @@ def _source() -> tuple[str, str]:
 
 def _stale_bytecode(directory) -> bool:
     """Whether ``directory`` is where the interpreter reads this package's
-    bytecode, and an imported module of the package has none there, or one
-    older than its source. Takes ``os.stat`` only."""
+    bytecode, and a ``.py`` file of the package has no bytecode there, or
+    bytecode older than its source: whether a file that
+    :func:`~ehcsim._kernel_build.write_bytecode` writes is missing or stale,
+    also for a module no command has imported yet. Takes ``os.listdir``
+    and ``os.stat`` only."""
     cached = getattr(sys.modules.get(__package__), "__cached__", None)
-    if cached is None or os.path.dirname(cached) != directory:
+    tag = sys.implementation.cache_tag
+    if cached is None or tag is None or os.path.dirname(cached) != directory:
         return False  # a temporary directory, or a set sys.pycache_prefix
-    for name, module in list(sys.modules.items()):
-        cached = getattr(module, "__cached__", None)
-        if name.partition(".")[0] == __package__ and cached is not None:
-            try:
-                if os.stat(cached).st_mtime_ns < os.stat(module.__file__).st_mtime_ns:
+    package = os.path.dirname(__file__)
+    try:
+        for entry in os.listdir(package):
+            if entry.endswith(".py"):
+                pyc = os.path.join(directory, f"{entry[:-3]}.{tag}.pyc")
+                if os.stat(pyc).st_mtime_ns < os.stat(os.path.join(package, entry)).st_mtime_ns:
                     return True
-            except OSError:
-                return True
+    except OSError:  # a module without bytecode, or an unreadable package
+        return True
     return False
 
 
@@ -475,10 +485,10 @@ def run(
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
-        num_sets, assoc, block_bits, geom.set_bits,
+        num_sets, assoc, block_bits,
         _POLICY_IDS[name], seed & (2**64 - 1),
         next_use, 1 if bypass else 0, rows, ranks,
-        1 if record_events else 0, events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
+        events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
     )
     if status != 0:
         raise _too_large(geom)

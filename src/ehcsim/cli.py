@@ -85,37 +85,6 @@ def _interleave_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("inputs", nargs="+")
 
 
-#: Each subcommand's help line and the function that adds its arguments.
-_PARSERS = {
-    "gen": ("generate a synthetic trace", _gen_arguments),
-    "run": ("simulate one policy over a trace", _run_arguments),
-    "compare": ("run several policies side by side", _compare_arguments),
-    "analyze": ("replacement-quality instruments", _analyze_arguments),
-    "interleave": ("merge per-program traces into one", _interleave_arguments),
-}
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of ``argv``. When ``argv`` starts with a subcommand, only
-    that subcommand's parser is built, and the subparsers' metavar names
-    all five, so that usage and error text are the full parser's; without
-    one (no command, an unknown one, ``-h`` first) all five are built."""
-    parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
-    if argv and argv[0] in _PARSERS:
-        names = [argv[0]]
-        # Only the full parser reports a missing or unknown command, whose
-        # message names the metavar when there is one.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_PARSERS) + "}")
-    else:
-        names = list(_PARSERS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments = _PARSERS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
-    return parser
-
-
 def _cmd_gen(args) -> int:
     from .trace import GeneratorSpec, gen_synthetic, save_trace
 
@@ -160,13 +129,37 @@ def _cmd_interleave(args) -> int:
     return 0
 
 
+#: Each subcommand's help line, the function that adds its arguments and
+#: its handler, in the order that help lists them.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "analyze": _cmd_analyze,
-    "interleave": _cmd_interleave,
+    "gen": ("generate a synthetic trace", _gen_arguments, _cmd_gen),
+    "run": ("simulate one policy over a trace", _run_arguments, _cmd_run),
+    "compare": ("run several policies side by side", _compare_arguments, _cmd_compare),
+    "analyze": ("replacement-quality instruments", _analyze_arguments, _cmd_analyze),
+    "interleave": ("merge per-program traces into one", _interleave_arguments,
+                   _cmd_interleave),
 }
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``. When ``argv`` starts with a subcommand, only
+    that subcommand's parser is built, and the subparsers' metavar names
+    all five, so that usage and error text are the full parser's; without
+    one (no command, an unknown one, ``-h`` first) all five are built."""
+    parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        # Only the full parser reports a missing or unknown command, whose
+        # message names the metavar when there is one.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
 
 def main(argv=None) -> int:
@@ -176,8 +169,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if not e.code else 1
+    *_, handler = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except UsageError as e:
         print(f"ehcsim: {e}", file=sys.stderr)
         return 1

@@ -27,7 +27,6 @@ from array import array
 import numpy as np
 
 from . import _kernels
-from .analysis import mean_rank  # noqa: F401  (a public name here too)
 from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, ReplacementPolicy, simulate
 from .errors import MissingEventLog
 from .params import ERROR_BUCKETS, NO_NEXT_USE, REGION_RING_SLOTS, REGION_SHIFT

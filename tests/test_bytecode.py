@@ -62,15 +62,15 @@ def _copy_package(root, library=True):
     return package
 
 
-def _ehcsim(root, trace, *flags, env=None):
-    """``(exit status, stderr, CSV)`` of ``ehcsim run`` in a child process
-    that imports the package from ``root``, without ``.pyc`` writes by the
-    import system."""
+def _ehcsim(root, trace, *flags, env=None, args=()):
+    """``(exit status, stderr, CSV)`` of ``ehcsim run`` with ``args`` added
+    in a child process that imports the package from ``root``, without
+    ``.pyc`` writes by the import system."""
     csv = root / "run.csv"
     csv.unlink(missing_ok=True)
     environ = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     environ.update(PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1", **(env or {}))
-    proc = subprocess.run([sys.executable, *flags, "-m", "ehcsim", *_run_args(trace, csv)],
+    proc = subprocess.run([sys.executable, *flags, "-m", "ehcsim", *_run_args(trace, csv), *args],
                           capture_output=True, text=True, env=environ, timeout=120)
     return proc.returncode, proc.stderr, csv.read_text() if csv.exists() else None
 
@@ -89,6 +89,26 @@ def test_first_command_writes_every_modules_bytecode_and_the_next_compiles_none(
     code, err, csv = _ehcsim(tmp_path, path, "-v")
     assert (code, csv) == (0, expected)
     assert f"/ehcsim/__pycache__/cli.{tag}.pyc" in err
+    assert COMPILED_FROM_SOURCE.findall(err) == []
+
+
+def test_module_edited_after_the_bytecode_was_written_compiles_once(tmp_path, trace):
+    """``run --events`` imports ``engine`` only after the kernel loads; its
+    edit is still seen then, so the next process compiles no module."""
+    path, expected = trace
+    package = _copy_package(tmp_path)
+    events = ("--events", str(tmp_path / "events.csv"))
+    assert _ehcsim(tmp_path, path, args=events) == (0, "", expected)
+    tag = sys.implementation.cache_tag
+    pyc = os.stat(package / "__pycache__" / f"engine.{tag}.pyc")
+    module = package / "engine.py"
+    module.write_text(module.read_text() + "# edited\n")
+    # Newer than its bytecode, also on a file system with coarse mtimes.
+    os.utime(module, ns=(pyc.st_atime_ns, pyc.st_mtime_ns + 10**9))
+    assert _ehcsim(tmp_path, path, args=events) == (0, "", expected)
+    code, err, csv = _ehcsim(tmp_path, path, "-v", args=events)
+    assert (code, csv) == (0, expected)
+    assert f"/ehcsim/__pycache__/engine.{tag}.pyc" in err
     assert COMPILED_FROM_SOURCE.findall(err) == []
 
 

@@ -7,15 +7,26 @@ engine share.
   trace's prefix are the prefix of the trace's hit flags.
 - PC invariance: LRU, the RRIP family and Belady's MIN never read the PC,
   so replacing every PC leaves their results unchanged.
+- Residency sum: every MIN hit falls within one residency, so the hits
+  of MIN's residency rows sum to MIN's hits, with and without bypass.
+- Inclusion: LRU and MIN without bypass are stack algorithms, so their
+  hits never fall as ways grow at a fixed number of sets.
+- Ranks without effect: ranking victims reads the next-use column but
+  steers no policy, so passing it with ``ranks`` to the kernel leaves
+  every built-in policy's stats and hit flags unchanged, and counts one
+  rank per replacement.
 
-Both hold on the native kernel and on the reference engine, over the
-geometries and traces of ``conftest.traced_geometries`` with PCs drawn
-from a small pool anywhere in the 64-bit range.
+All but the last hold on the native kernel and on the reference engine,
+which has no ranks; the last holds on the kernel. They are checked over
+the geometries and traces of ``conftest.traced_geometries``, with PCs
+drawn from a small pool anywhere in the 64-bit range where the PC
+matters.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ehcsim import Trace, simulate_min
+from ehcsim import CacheGeometry, Trace, _kernels, simulate_min
 from ehcsim.runner import POLICY_NAMES, run_policy
 
 from conftest import assert_same_array, assert_same_min, top_heavy, traced_geometries
@@ -78,3 +89,44 @@ def test_pc_blind_policies_and_min_ignore_the_pc(case):
         for bypass in (False, True):
             assert_same_min(simulate_min(repainted, geom, bypass=bypass, backend=backend),
                             simulate_min(trace, geom, bypass=bypass, backend=backend))
+
+
+@SETTINGS
+@given(traced_geometries(max_len=60))
+def test_min_residency_hits_sum_to_min_hits(case):
+    geom, trace = case
+    for backend in BACKENDS:
+        for bypass in (False, True):
+            stats, _, residencies, _ = simulate_min(trace, geom, bypass=bypass,
+                                                    backend=backend)
+            assert int(residencies.hits.sum()) == stats.hits, (backend, bypass)
+
+
+@SETTINGS
+@given(traced_geometries(max_len=60))
+def test_lru_and_min_hits_never_fall_as_ways_grow(case):
+    geom, trace = case
+    for backend in BACKENDS:
+        for sets in (1, 16):
+            lru, opt = [], []
+            for ways in range(1, 17):
+                grown = CacheGeometry(sets, ways, geom.block_offset_bits)
+                lru.append(run_policy(trace, "lru", grown, backend=backend)[0].hits)
+                opt.append(simulate_min(trace, grown, bypass=False, backend=backend)[0].hits)
+            assert lru == sorted(lru), (backend, sets, lru)
+            assert opt == sorted(opt), (backend, sets, opt)
+
+
+@SETTINGS
+@given(traced_geometries(max_len=60), st.integers(0, (1 << 64) - 1))
+def test_ranking_victims_changes_no_policy(case, seed):
+    geom, trace = case
+    next_use = _kernels.next_use(trace, geom)
+    for name in POLICY_NAMES:
+        stats, _, flags = _kernels.run(trace, name, geom, seed)
+        ranks = np.zeros(geom.associativity + 1, dtype=np.int64)
+        ranked, _, ranked_flags = _kernels.run(trace, name, geom, seed, next_use=next_use,
+                                               ranks=ranks)
+        assert ranked == stats, name
+        assert_same_array(ranked_flags, flags, name)
+        assert int(ranks.sum()) == stats.replacements_total, name
