@@ -27,7 +27,9 @@
  *
  * The lines of the cache and the slots of the sampled sets hold block
  * numbers, addr >> block_bits, not tags: within one set a block and its
- * tag determine each other.
+ * tag determine each other. A set's valid lines are its first filled[set]
+ * ways: a fill takes the first free way, a bypass fills none and nothing
+ * invalidates a line, so one count per set stands for a valid bit per line.
  *
  * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -224,7 +226,7 @@ int ehcsim_simulate(
     const int64_t min_lines = policy_id == POLICY_MIN ? lines : 0;
     Tables t = {{0}, 0, 0};
 
-    uint8_t *valid = table(&t, lines, sizeof *valid);
+    int64_t *filled = table(&t, num_sets, sizeof *filled);
     uint64_t *tagv = table(&t, lines, sizeof *tagv);
     uint8_t *rrpv = table(&t, lines, sizeof *rrpv);
     int64_t *efh = table(&t, lines, sizeof *efh);
@@ -319,13 +321,12 @@ int ehcsim_simulate(
         }
 
         const int64_t row = si * assoc;
-        uint8_t *vrow = valid + row;
         uint64_t *trow = tagv + row;
         uint8_t *rrow = rrpv + row;
         int64_t *erow = efh + row;
         int64_t way = -1;
-        for (int64_t w = 0; w < assoc; w++) {
-            if (trow[w] == block && vrow[w]) {
+        for (int64_t w = 0; w < filled[si]; w++) {
+            if (trow[w] == block) {
                 way = w;
                 break;
             }
@@ -354,13 +355,9 @@ int ehcsim_simulate(
             continue;
         }
 
-        for (int64_t w = 0; w < assoc; w++) {
-            if (!vrow[w]) {
-                way = w;
-                break;
-            }
-        }
-        if (way < 0) {
+        if (filled[si] < assoc) {
+            way = filled[si]++;
+        } else {
             int64_t no_averse = 0;
             if (policy_id == POLICY_LRU) {
                 const int64_t *srow = stamp + row;
@@ -446,7 +443,6 @@ int ehcsim_simulate(
             replacements++;
         }
 
-        vrow[way] = 1;
         trow[way] = block;
         stamp[row + way] = i;
         if (policy_id == POLICY_LRU) {
@@ -483,7 +479,7 @@ int ehcsim_simulate(
             lastpc[row + way] = p;
             if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
                 for (int64_t w = 0; w < assoc; w++)
-                    if (w != way && vrow[w] && rrow[w] < RRPV_MAX - 1)
+                    if (w != way && w < filled[si] && rrow[w] < RRPV_MAX - 1)
                         rrow[w]++;
                 rrow[way] = 0;
             } else {
@@ -496,11 +492,11 @@ int ehcsim_simulate(
         }
     }
 
-    if (rows) {
+    if (rows && policy_id == POLICY_MIN) {
         int64_t stays = 0;
-        for (int64_t k = 0; k < min_lines; k++)
-            if (valid[k])
-                tail[stays++] = stay[k];
+        for (int64_t s = 0; s < num_sets; s++)
+            for (int64_t w = 0; w < filled[s]; w++)
+                tail[stays++] = stay[s * assoc + w];
         qsort(tail, (size_t)stays, sizeof *tail, by_fill);
         for (int64_t k = 0; k < stays; k++)
             write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);

@@ -1,6 +1,6 @@
-"""The native kernel: the fast path behind :func:`ehcsim.runner.run_policy`,
-:func:`ehcsim.minoracle.simulate_min` and the reports of
-:mod:`ehcsim.analysis`, and a trace loader for it.
+"""The native kernel: the fast backend that :func:`ehcsim.runner.pick_backend`
+returns, whose calls :mod:`ehcsim.minoracle` answers on the reference engine,
+and a trace loader for it.
 
 ``_kernel.c`` exports four functions, each reproducing its reference bit
 for bit, which the test suite enforces:
@@ -54,7 +54,7 @@ and the kernel records nothing there. Every other column goes to a
 :func:`buffer` the caller allocates: a numpy array for a
 :class:`~ehcsim.trace.Trace`, a ctypes array for :class:`Columns`.
 When no compiler is found or the build fails, :func:`use_kernel` is False
-for ``backend="auto"``, which runs the reference engine, and one line on
+for ``backend="auto"``, which picks the reference backend, and one line on
 stderr per process says why.
 """
 
@@ -437,6 +437,23 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows, count: i
     return list(hist)
 
 
+def check_outputs(trace, name: str, geom: CacheGeometry, next_use, rows, ranks) -> None:
+    """The argument checks of :func:`run` on either backend: MIN without
+    ``next_use``, ``rows`` for another policy, ``ranks`` without
+    ``next_use`` or a column of another size raises ValueError."""
+    n = len(trace)
+    if name == "min" and next_use is None:
+        raise ValueError("MIN takes a next_use column")
+    if rows is not None and name != "min":
+        raise ValueError(f"only MIN writes residency rows, not {name}")
+    if ranks is not None and next_use is None:
+        raise ValueError("ranking victims takes a next_use column")
+    for what, column, size in (("next_use", next_use, n), ("rows", rows, 3 * n),
+                               ("ranks", ranks, geom.associativity + 1)):
+        if column is not None and len(column) != size:
+            raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
+
+
 def run(
     trace: Trace | Columns,
     name: str,
@@ -459,24 +476,15 @@ def run(
     ``next_use`` and ``ranks``, a buffer of associativity + 1 entries,
     counts there the rank of every victim, the histogram
     :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
-    MIN without ``next_use``, ``rows`` for another policy, ``ranks``
-    without ``next_use`` or a buffer of another size raises ValueError.
+    :func:`check_outputs` checks the arguments, and counters that fail
+    :meth:`~ehcsim.values.SimStats.check` raise InternalInvariantError.
     The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
     the reference engine returns them, and a bytearray for
     :class:`Columns`, so that a run over those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    if name == "min" and next_use is None:
-        raise ValueError("MIN takes a next_use column")
-    if rows is not None and name != "min":
-        raise ValueError(f"only MIN writes residency rows, not {name}")
-    if ranks is not None and next_use is None:
-        raise ValueError("ranking victims takes a next_use column")
-    for what, column, size in (("next_use", next_use, n), ("rows", rows, 3 * n),
-                               ("ranks", ranks, assoc + 1)):
-        if column is not None and len(column) != size:
-            raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
+    check_outputs(trace, name, geom, next_use, rows, ranks)
     hit_flags = bytearray(n)
     out = (ctypes.c_int64 * len(_COUNTERS))()
     # Room for an event row at every access, in numpy for the EventLog.
@@ -496,6 +504,7 @@ def run(
     counts = dict(zip(_COUNTERS, out))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
+    stats.check(n)
     log = None
     if record_events:
         log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)

@@ -1,22 +1,20 @@
 """Metrics, CSV reports, and the experiment drivers behind the CLI.
 
-When the native kernel is loaded, every report takes MIN, next use, the
-hit-count prediction errors and the victim ranks from :mod:`ehcsim._kernels`
-and imports neither numpy nor the MIN oracle, so it runs as well on the
-:class:`~ehcsim._kernels.Columns` of the kernel's trace loader as on a
-:class:`~ehcsim.trace.Trace`. Without the kernel, the reports run the
-reference engine and the numpy oracle (:mod:`ehcsim.minoracle`), which give
-the same numbers.
+Every report makes its runs, MIN, next use, prediction errors and victim
+ranks through the calls of the backend that :func:`ehcsim.runner.pick_backend`
+returns. On the native kernel none imports numpy or the MIN oracle, so a
+report runs as well on the :class:`~ehcsim._kernels.Columns` of the kernel's
+trace loader as on a :class:`~ehcsim.trace.Trace`; the reference engine and
+the numpy oracle (:mod:`ehcsim.minoracle`) give the same numbers.
 """
 
 from __future__ import annotations
 
 import io
 
-from . import _kernels
-from .errors import DataError, UsageError, ZeroInstructions
+from .errors import DataError, InternalInvariantError, UsageError, ZeroInstructions
 from .params import ERROR_BUCKETS
-from .runner import DEFAULT_SEED, POLICY_NAMES, _check_name, run_policy
+from .runner import DEFAULT_SEED, POLICY_NAMES, _check_name, pick_backend, run_policy
 from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -163,27 +161,23 @@ def run_report(
     return report, stats, events
 
 
-def _victim_ranks(trace, name: str, geom: CacheGeometry, seed: int, next_use):
-    """``(stats, victim-rank histogram)`` of one run of policy ``name``:
-    ranked in the kernel's loop against ``next_use``, the kernel's column
-    of it, or when that is None by :func:`ehcsim.minoracle.victim_quality`
-    over the reference engine's event log."""
-    _check_name(name)
-    if next_use is not None:
-        ranks = _kernels.buffer(trace, geom, geom.associativity + 1)
-        stats, _, _ = _kernels.run(trace, name, geom, seed, next_use=next_use, ranks=ranks)
-        return stats, list(ranks)
-    from . import minoracle
-
-    stats, events, _ = run_policy(trace, name, geom, seed=seed, record_events=True,
-                                  backend="reference")
-    return stats, minoracle.victim_quality(events, trace, geom)
-
-
-def _kernel_next_use(trace, geom: CacheGeometry):
-    """The kernel's next-use column of ``trace``, or None when the kernel
-    does not run (``backend="auto"``)."""
-    return _kernels.next_use(trace, geom) if _kernels.use_kernel("auto", geom) else None
+def _victim_ranks(trace, names, geom: CacheGeometry, seed: int) -> list[tuple]:
+    """``(stats, victim-rank histogram)`` of one run of each policy in
+    ``names``, ranked in the run against one next-use column of ``trace``.
+    A histogram whose total is not the replacements and bypasses of its run
+    raises :class:`~ehcsim.errors.InternalInvariantError`."""
+    lib = pick_backend("auto", geom)
+    next_use = lib.next_use(trace, geom)
+    results = []
+    for name in names:
+        _check_name(name)
+        ranks = lib.buffer(trace, geom, geom.associativity + 1)
+        stats, _, _ = lib.run(trace, name, geom, seed, next_use=next_use, ranks=ranks)
+        ranks = list(ranks)
+        if sum(ranks) != stats.replacements_total + stats.per_policy.get("bypasses", 0):
+            raise InternalInvariantError(f"{name}'s victim ranks do not sum to its replacements")
+        results.append((stats, ranks))
+    return results
 
 
 def compare(
@@ -204,15 +198,11 @@ def compare(
         names.insert(0, "lru")
 
     columns = ["hits", "misses", "mpki", "mpki_reduction_vs_lru", "no_averse_fraction"]
-    results = {}
     if events:
         columns.append("mean_victim_rank")
-        next_use = _kernel_next_use(trace, geom)
-        for name in names:
-            results[name] = _victim_ranks(trace, name, geom, seed, next_use)
+        results = dict(zip(names, _victim_ranks(trace, names, geom, seed)))
     else:
-        for name in names:
-            results[name] = (run_policy(trace, name, geom, seed=seed)[0], None)
+        results = {name: (run_policy(trace, name, geom, seed=seed)[0], None) for name in names}
 
     lru_mpki = mpki(results["lru"][0], trace.instruction_count)
     report = Report(_base_meta(geom, seed) | {"policies": " ".join(names)})
@@ -250,30 +240,19 @@ def _histogram_table(report: Report, name: str, labels, hist) -> None:
 
 def _prediction_error(trace, geom: CacheGeometry, by_region: bool):
     """The prediction-error histogram of MIN's (with bypass) residencies."""
-    next_use = _kernel_next_use(trace, geom)
-    if next_use is not None:
-        rows = _kernels.buffer(trace, geom, 3 * len(trace))
-        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=True,
-                                   rows=rows)
-        count = stats.misses - stats.per_policy["bypasses"]
-        return _kernels.prediction_error(trace, geom, rows, count, by_region)
-    from . import minoracle
-
-    residencies = minoracle.simulate_min(trace, geom, bypass=True, backend="reference")[2]
-    if by_region:
-        return minoracle.per_region_prediction_error(residencies)
-    return minoracle.per_block_prediction_error(residencies)
+    lib = pick_backend("auto", geom)
+    next_use = lib.next_use(trace, geom)
+    rows = lib.buffer(trace, geom, 3 * len(trace))
+    stats, _, _ = lib.run(trace, "min", geom, 0, next_use=next_use, bypass=True, rows=rows)
+    count = stats.misses - stats.per_policy["bypasses"]
+    return lib.prediction_error(trace, geom, rows, count, by_region)
 
 
 def _min_stats(trace, geom: CacheGeometry) -> list[SimStats]:
     """The stats of MIN without bypass, then with it."""
-    next_use = _kernel_next_use(trace, geom)
-    if next_use is not None:
-        return [_kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass)[0]
-                for bypass in (False, True)]
-    from . import minoracle
-
-    return [minoracle.simulate_min(trace, geom, bypass=bypass, backend="reference")[0]
+    lib = pick_backend("auto", geom)
+    next_use = lib.next_use(trace, geom)
+    return [lib.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass)[0]
             for bypass in (False, True)]
 
 
@@ -312,7 +291,7 @@ def analyze(
         labels = (*map(str, range(last)), f"{last}+")
         _histogram_table(report, "prediction_error", labels, hist)
     elif kind == "victim-quality":
-        _, hist = _victim_ranks(trace, policy, geom, seed, _kernel_next_use(trace, geom))
+        [(_, hist)] = _victim_ranks(trace, [policy], geom, seed)
         _histogram_table(report, "victim_rank", [str(r) for r in range(len(hist))], hist)
         report.add_table("summary", ["mean_rank"], [(policy, mean_rank(hist))])
     elif kind == "min-gap":

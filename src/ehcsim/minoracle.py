@@ -1,4 +1,5 @@
-"""Offline Belady MIN oracles and ground-truth analyses, in numpy.
+"""Offline Belady MIN oracles, ground-truth analyses in numpy, and the
+reference backend.
 
 Everything here may look at the whole trace at once: next-use indices from a
 stable sort of the block column, MIN simulation with and without bypass,
@@ -6,28 +7,20 @@ per-residency hit counts, hit-count prediction-error histograms, and
 reuse-distance ranking of a policy's evicted victims (gathers from the
 next-use column at the positions an event log records).
 
-MIN is one more policy of the shared cache loop: :class:`MinPolicy` on the
-reference engine, and its policy id in ``_kernel.c`` on the native kernel
-when that could be built. Both write one residency row per fill from the
-loop, evictions as they happen and then the lines still resident, and give
-the same hit flags, rows and event logs, which the test suite enforces.
-The reference engine takes its next-use column from the block sort of
-:func:`compute_next_use`, and from the same sort the hit counts of its
-rows; the kernel takes next use from its own scan
-(:func:`ehcsim._kernels.next_use`) and counts hits in its loop. The functions here are the numpy
-references of the kernel's next use, prediction-error histograms and
-victim ranks, which :mod:`ehcsim.analysis` runs without numpy when the
-kernel is loaded.
+As the reference backend that :func:`ehcsim.runner.pick_backend` returns
+without the native kernel, :func:`next_use`, :func:`buffer`, :func:`run` and
+:func:`prediction_error` answer the calls of :mod:`ehcsim._kernels` on the
+reference engine with the same results, which the test suite enforces. MIN
+is one more policy of that loop, :class:`MinPolicy`, as it is one more
+policy id of ``_kernel.c``.
 """
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
-from . import _kernels
-from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, ReplacementPolicy, simulate
+from . import _kernels, runner
+from .engine import BYPASS, CacheGeometry, DEFAULT_GEOMETRY, EventLog, ReplacementPolicy
 from .errors import MissingEventLog
 from .params import ERROR_BUCKETS, NO_NEXT_USE, REGION_RING_SLOTS, REGION_SHIFT
 from .sampler import MinDecision
@@ -61,67 +54,47 @@ class ResidencyLog:
 def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """For each access, the position of the next access to the same block
     (:data:`NO_NEXT_USE` when there is none)."""
-    return _next_use(*_block_order(trace, geom))
-
-
-def _block_order(trace: Trace, geom: CacheGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the accesses sorted by block, and a mask of each
-    block's last access in that order. The sort is stable, so each block's
-    accesses stay in trace order."""
     blocks = trace.addr >> np.uint64(geom.block_shift)
+    # The sort is stable, so each block's accesses stay in trace order, and
+    # every access is followed by its next use unless the block changes.
     order = np.argsort(blocks, kind="stable")
     blocks.sort()  # in place: the sorted blocks, without a second column
     last = np.ones(len(order), dtype=bool)
     last[:-1] = blocks[1:] != blocks[:-1]
-    return order, last
-
-
-def _next_use(order: np.ndarray, last: np.ndarray) -> np.ndarray:
-    # In block order every access is followed by its next use, unless the
-    # block changes there.
+    del blocks  # before the next-use column takes as much memory
     next_use = np.empty(len(order), dtype=np.int64)
     next_use[order[:-1]] = order[1:]
     next_use[order[last]] = NO_NEXT_USE
     return next_use
 
 
-def _block_rank(order: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """For each access, the number of earlier accesses to its block."""
-    pos = np.arange(len(order))
-    first = np.roll(last, 1)  # a block's first access follows the last of the one before
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    return rank
+#: The reference backend's next use, and its buffers: the kernel's, which
+#: are numpy arrays for a :class:`~ehcsim.trace.Trace`.
+next_use, buffer = compute_next_use, _kernels.buffer
 
 
 class MinPolicy(ReplacementPolicy):
     """Belady's MIN on the reference engine: evict the first way whose block
     is next used farthest in the future, read from ``next_use`` at the way's
     latest access. With ``bypass`` the incoming block is not inserted when
-    its own next use is strictly farther. Each eviction appends the
-    ``(fill, end, latest access)`` of its victim's stay to ``rows``;
-    :meth:`residency_rows` adds the lines still resident. A hit costs the
-    policy nothing: every access to the block after its fill, up to its
-    latest access, is one of the stay's hits, so :func:`simulate_min`
-    counts them from the block order once the run is over. The engine
-    passes no trace position, so ``on_observe`` counts them. ``rows`` is a flat int64 array: 24 bytes
-    a row, where a tuple of three positions takes over a hundred."""
+    its own next use is strictly farther. Miss ``i`` sets ``evicted_at`` at
+    its victim's latest access to ``i``, or at ``i`` itself when it
+    bypasses; every other entry holds the trace length. A hit costs the
+    policy nothing. The engine passes no trace position, so ``on_observe``
+    counts them."""
 
     name = "min"
 
     def __init__(self, next_use: np.ndarray, bypass: bool = True):
+        n = len(next_use)
         self.next_use = next_use.tolist()  # Python ints index and compare fastest
+        self.evicted_at = np.full(n, n, dtype=np.int64)
         self.bypass = bypass
         self.position = -1
         self.bypasses = 0
-        self.fills = {}  # way's BlockState -> fill position of its resident line
-        self.rows = array("q")
 
     def on_observe(self, set_index, tag, addr, pc) -> None:
         self.position += 1
-
-    def on_insert(self, set_index, ways, way, addr, pc) -> None:
-        self.fills[ways[way]] = self.position
 
     def choose_victim(self, set_index, ways):
         next_use, i = self.next_use, self.position
@@ -129,23 +102,57 @@ class MinPolicy(ReplacementPolicy):
         farthest = max(uses)
         if self.bypass and next_use[i] > farthest:
             self.bypasses += 1
+            self.evicted_at[i] = i
             return BYPASS, False
         way = uses.index(farthest)  # the first way on ties
-        blk = ways[way]
-        self.rows.extend((self.fills[blk], i, blk.recency_stamp))
+        self.evicted_at[ways[way].recency_stamp] = i
         return way, False
-
-    def residency_rows(self, n: int) -> np.ndarray:
-        """The fill, end and latest-access columns of every row of a run
-        over ``n`` accesses, in completion order: the evictions as they
-        happened, then the resident lines by fill."""
-        fills = self.fills
-        tail = array("q", [v for blk in sorted(fills, key=fills.__getitem__)
-                           for v in (fills[blk], n, blk.recency_stamp)])
-        return np.frombuffer(self.rows + tail, dtype=np.int64).reshape(-1, 3).T
 
     def extra_stats(self) -> dict:
         return {"bypasses": self.bypasses}
+
+
+def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> None:
+    """Write a MIN run's residency rows to ``rows`` as the kernel does,
+    from its hit flags and eviction column. In block order a stay is a miss
+    and its block's hits up to the next miss, and it ends at ``evicted_at``
+    of its latest access; a bypass ends where it starts and is no row."""
+    n = len(trace)
+    order = np.argsort(trace.addr >> np.uint64(geom.block_shift), kind="stable")
+    # Misses in block order, fills and bypasses alike; a stay runs to the next.
+    misses = np.append(np.flatnonzero(hit[order] == 0), n)
+    start, last = misses[:-1], misses[1:] - 1
+    fill, end = order[start], evicted_at[order[last]]
+    filled = end != fill
+    fill, end, hits = fill[filled], end[filled], (last - start)[filled]
+    gone, resident = np.flatnonzero(end < n), np.flatnonzero(end == n)
+    done = np.concatenate((gone[np.argsort(end[gone])], resident[np.argsort(fill[resident])]))
+    rows.reshape(3, n)[:, :len(done)] = fill[done], end[done], hits[done]
+
+
+def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: bool = False,
+        next_use=None, bypass: bool = False, rows=None, ranks=None):
+    """:func:`ehcsim._kernels.run` on the reference engine, with the same
+    arguments, checks and results. MIN is :class:`MinPolicy`; a run given
+    ``ranks`` ranks its event log against ``next_use`` as
+    :func:`victim_quality` does."""
+    _kernels.check_outputs(trace, name, geom, next_use, rows, ranks)
+    policy = MinPolicy(next_use, bypass) if name == "min" else runner.make_policy(name, geom, seed)
+    stats, events, hit = runner.simulate(trace, policy, geom,
+                                         record_events=record_events or ranks is not None)
+    stats.check(len(trace))
+    if rows is not None:
+        _write_rows(trace, geom, hit, policy.evicted_at, rows)
+    if ranks is not None:
+        ranks[:] = _rank_histogram(events, next_use, geom.associativity)
+    return stats, events if record_events else None, hit
+
+
+def _residency_log(trace: Trace, geom: CacheGeometry, rows, count: int) -> ResidencyLog:
+    """The first ``count`` MIN residency rows that ``run`` wrote to ``rows``."""
+    fill, end, hits = np.asarray(rows).reshape(3, len(trace))[:, :count]
+    shift = np.uint64(geom.block_shift)
+    return ResidencyLog((trace.addr[fill] >> shift) << shift, fill, end, hits)
 
 
 def simulate_min(
@@ -165,38 +172,23 @@ def simulate_min(
     order, the order the prediction-error histograms read: evictions by
     end position, then the blocks still resident at the end of the trace
     by fill position; ``events`` is an :class:`EventLog` when
-    requested and None otherwise. ``backend`` chooses the execution path as
-    in :func:`ehcsim.runner.run_policy`: ``"auto"`` runs the native kernel
-    unless it could not be built, ``"kernel"`` raises
-    :class:`~ehcsim.errors.UsageError` when it could not, and
-    ``"reference"`` always runs :class:`MinPolicy` on the reference engine.
-    A geometry beyond the kernel's bound raises
-    :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
+    requested and None otherwise. ``backend`` is
+    :func:`ehcsim.runner.pick_backend`'s: ``"auto"``, ``"kernel"`` or
+    ``"reference"``, with its errors.
     """
-    kernel = _kernels.use_kernel(backend, geom)
+    lib = runner.pick_backend(backend, geom)
     n = len(trace)
-    if kernel:
-        next_use = _kernels.next_use(trace, geom)
-        rows = np.empty((3, n), dtype=np.int64)
-        stats, events, hit = _kernels.run(trace, "min", geom, 0, record_events=record_events,
-                                          next_use=next_use, bypass=bypass, rows=rows.ravel())
-        fill, end, hits = rows[:, :stats.misses - stats.per_policy["bypasses"]]
-    else:
-        order, last = _block_order(trace, geom)
-        next_use = _next_use(order, last)
-        policy = MinPolicy(next_use, bypass)
-        stats, events, hit = simulate(trace, policy, geom, record_events=record_events)
-        fill, end, latest = policy.residency_rows(n)
-        rank = _block_rank(order, last)
-        hits = rank[latest] - rank[fill]
+    next_use = lib.next_use(trace, geom)
+    rows = lib.buffer(trace, geom, 3 * n)
+    stats, events, hit = lib.run(trace, "min", geom, 0, record_events=record_events,
+                                 next_use=next_use, bypass=bypass, rows=rows)
 
     # A block's first access is the next use of no earlier access.
     decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)
     decisions[next_use[next_use != NO_NEXT_USE]] = MinDecision.MISS
     decisions[hit == 1] = MinDecision.HIT
     del next_use  # as long as the trace, and the residency log needs none of it
-    shift = np.uint64(geom.block_shift)
-    residencies = ResidencyLog((trace.addr[fill] >> shift) << shift, fill, end, hits)
+    residencies = _residency_log(trace, geom, rows, stats.misses - stats.per_policy["bypasses"])
     return stats, decisions, residencies, events
 
 
@@ -236,6 +228,13 @@ def per_region_prediction_error(residencies: ResidencyLog) -> np.ndarray:
     return _error_histogram(residencies.addr >> np.uint64(REGION_SHIFT), residencies)
 
 
+def prediction_error(trace: Trace, geom: CacheGeometry, rows, count: int, by_region: bool):
+    """:func:`ehcsim._kernels.prediction_error` on the residency log of the
+    first ``count`` rows."""
+    histogram = per_region_prediction_error if by_region else per_block_prediction_error
+    return histogram(_residency_log(trace, geom, rows, count)).tolist()
+
+
 def victim_quality(events: EventLog, trace: Trace,
                    geom: CacheGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Rank each evicted victim among the replacement's candidates by next use.
@@ -256,14 +255,18 @@ def victim_quality(events: EventLog, trace: Trace,
     """
     if events is None:
         raise MissingEventLog("victim quality requires a recorded event log")
-    ways = geom.associativity
+    return _rank_histogram(events, compute_next_use(trace, geom), geom.associativity)
+
+
+def _rank_histogram(events: EventLog, next_use: np.ndarray, ways: int) -> np.ndarray:
+    """:func:`victim_quality` of ``events`` against the next-use column
+    ``next_use`` of a ``ways``-way cache."""
     way = events.victim_way
     if events.resident_pos.shape[1] != ways or ((way >= ways) | (way < BYPASS)).any():
         raise ValueError(f"event log does not hold the ways of a {ways}-way cache")
-    next_use = compute_next_use(trace, geom)
     at, resident = events.index, events.resident_pos
-    if len(at) and (at.min() < 0 or at.max() >= len(trace) or resident.min() < 0):
-        raise ValueError(f"event positions outside the trace of {len(trace)} accesses")
+    if len(at) and (at.min() < 0 or at.max() >= len(next_use) or resident.min() < 0):
+        raise ValueError(f"event positions outside the trace of {len(next_use)} accesses")
     if (resident >= at[:, None]).any():
         raise ValueError("a resident position is not before its event's index")
     incoming_use = next_use[at]

@@ -1,11 +1,13 @@
-"""Policy registry and the single entry point for running a simulation.
+"""Policy registry, the backend selector and the entry point for running
+a simulation.
 
-``run_policy`` picks between the two execution paths, which return the same
-stats, hit flags and replacement events: the native kernel (fast) and the
-reference engine (slower, but runs without a C compiler).
-``backend="auto"`` uses the kernel unless it could not be built. Per-access
-invariant checks and arbitrary policy objects run on
-:func:`ehcsim.engine.simulate` directly.
+:func:`pick_backend` is the one place that picks one of the two execution
+paths, which answer the same calls with the same stats, hit flags and
+replacement events: the native kernel (:mod:`ehcsim._kernels`, fast) and
+the reference engine behind :mod:`ehcsim.minoracle` (slower, but runs
+without a C compiler). ``backend="auto"`` uses the kernel unless it could
+not be built. Per-access invariant checks and arbitrary policy objects run
+on :func:`ehcsim.engine.simulate` directly.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def make_policy(
     return cls(geom, seed=seed)
 
 
+def pick_backend(backend: str, geom: CacheGeometry):
+    """:mod:`ehcsim._kernels`, or :mod:`ehcsim.minoracle`, whose ``next_use``,
+    ``buffer``, ``run`` and ``prediction_error`` answer the kernel's calls on
+    the reference engine; raises as :func:`ehcsim._kernels.use_kernel` does."""
+    if _kernels.use_kernel(backend, geom):
+        return _kernels
+    from . import minoracle
+
+    return minoracle
+
+
 def run_policy(
     trace: Trace,
     name: str,
@@ -69,7 +82,4 @@ def run_policy(
     bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     _check_name(name)
-    if _kernels.use_kernel(backend, geom):
-        return _kernels.run(trace, name, geom, seed, record_events=record_events)
-    return simulate(trace, make_policy(name, geom, seed=seed), geom,
-                    record_events=record_events)
+    return pick_backend(backend, geom).run(trace, name, geom, seed, record_events=record_events)

@@ -108,7 +108,11 @@ class SimStats(Record):
         self._init(accesses, hits, misses, replacements_total, replacements_no_averse,
                    {} if per_policy is None else per_policy)
 
-    def check(self) -> None:
+    def check(self, accesses: int | None = None) -> None:
+        """Raise :class:`InternalInvariantError` unless the counters agree,
+        and, given ``accesses``, unless the run counted that many."""
+        if accesses is not None and self.accesses != accesses:
+            raise InternalInvariantError(f"{self.accesses} accesses counted of {accesses}")
         if self.accesses != self.hits + self.misses:
             raise InternalInvariantError("accesses != hits + misses")
         if not (self.replacements_no_averse <= self.replacements_total <= self.misses):

@@ -4,7 +4,8 @@ up to 70) or the ``gen`` (block counts and lengths up to 2^70) and
 ``interleave`` arguments, a command exits 0, 1, 2 or 3, a non-zero exit
 writes exactly one ``ehcsim:`` line and no traceback, and the native kernel
 and the reference engine give the same exit status, error line and output
-files."""
+files. A fault planted beneath either backend's result checks ends every
+command that meets it in exit 3."""
 
 import contextlib
 import io
@@ -13,9 +14,10 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehcsim import GeneratorSpec, Trace, _kernels, gen_synthetic, save_trace
+from ehcsim import GeneratorSpec, Trace, _kernels, gen_synthetic, minoracle, runner, save_trace
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.runner import POLICY_NAMES
@@ -118,3 +120,70 @@ def test_every_command_keeps_the_exit_contract_on_both_backends(argv):
         assert err == [] and "out" in written, argv
     else:
         assert len(err) == 1 and err[0].startswith("ehcsim: "), (argv, err)
+
+
+#: Counters that a planted fault raises by one, breaking a check of every
+#: run: one hit too many breaks ``accesses == hits + misses``; one access
+#: and one miss too many break ``accesses == len(trace)`` alone.
+COUNTER_FAULTS = {"hits": ("hits",), "accesses": ("accesses", "misses")}
+RUNS = [["run", "--policy", "ehc"], ["run", "--policy", "lru", "--events", "{events}"],
+        ["compare", "--policies", "srrip,hawkeye"]]
+RANKED = [["compare", "--policies", "srrip,hawkeye", "--events"],
+          ["analyze", "--report", "victim-quality", "--policy", "hawkeye"]]
+REPORTS = [["analyze", "--report", kind] for kind in REPORT_KINDS]
+
+
+def _plant(monkeypatch, backend, fault):
+    """Plant ``fault`` beneath the checks of ``backend``: a key of
+    :data:`COUNTER_FAULTS` in the counters of every run, or ``"ranks"``,
+    one victim rank too many in every ranked run."""
+    if backend == "reference":
+        monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
+        if fault == "ranks":
+            def faulty(*args, real=minoracle._rank_histogram):
+                hist = real(*args)
+                hist[0] += 1
+                return hist
+
+            monkeypatch.setattr(minoracle, "_rank_histogram", faulty)
+            return
+
+        def faulty(*args, real=runner.simulate, **kwargs):
+            stats, events, hit = real(*args, **kwargs)
+            for counter in COUNTER_FAULTS[fault]:
+                setattr(stats, counter, getattr(stats, counter) + 1)
+            return stats, events, hit
+
+        monkeypatch.setattr(runner, "simulate", faulty)
+        return
+    lib = _kernels._native()[0]
+
+    def faulty(*args, real=lib.ehcsim_simulate):
+        status = real(*args)
+        ranks, out = args[11], args[-1]  # (..., rows, ranks, events, hit_flags, out)
+        if fault == "ranks" and ranks is not None:
+            ranks[0] += 1
+        for counter in COUNTER_FAULTS.get(fault, ()):
+            out[_kernels._COUNTERS.index(counter)] += 1
+        return status
+
+    monkeypatch.setattr(lib, "ehcsim_simulate", faulty)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "reference"])
+@pytest.mark.parametrize("fault", [*COUNTER_FAULTS, "ranks"])
+def test_a_fault_beneath_the_result_checks_exits_3_and_writes_nothing(
+        backend, fault, monkeypatch, tmp_path):
+    assert _kernels.unavailable() is None, _kernels.unavailable()
+    commands = RANKED if fault == "ranks" else RUNS + RANKED + REPORTS
+    files = {"out": f"{tmp_path}/out", "events": f"{tmp_path}/events",
+             "mixed": f"{tmp_path}/mixed.trace"}
+    save_trace(TRACES["mixed"], files["mixed"])
+    shape = ["--trace", "{mixed}", "--sets", "4", "--ways", "2", "--csv", "{out}"]
+    assert all(_cli(argv + shape, files)[0] == 0 for argv in commands)
+    _plant(monkeypatch, backend, fault)
+    for argv in commands:
+        code, err, written = _cli(argv + shape, files)
+        assert code == 3, (argv, err)
+        assert len(err) == 1 and err[0].startswith("ehcsim: internal invariant violated: "), err
+        assert written == {}, argv

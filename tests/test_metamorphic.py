@@ -12,24 +12,28 @@ engine share.
 - Inclusion: LRU and MIN without bypass are stack algorithms, so their
   hits never fall as ways grow at a fixed number of sets.
 - Ranks without effect: ranking victims reads the next-use column but
-  steers no policy, so passing it with ``ranks`` to the kernel leaves
-  every built-in policy's stats and hit flags unchanged, and counts one
-  rank per replacement.
+  steers no policy, so passing it with ``ranks`` to a backend's ``run``
+  leaves every built-in policy's stats and hit flags unchanged, and counts
+  one rank per replacement.
+- Tag bijection: LRU, the RRIP family and MIN compare tags only for
+  equality within a set, so mapping each block to another block of the
+  same set, one to one, leaves their results unchanged.
 
-All but the last hold on the native kernel and on the reference engine,
-which has no ranks; the last holds on the kernel. They are checked over
-the geometries and traces of ``conftest.traced_geometries``, with PCs
-drawn from a small pool anywhere in the 64-bit range where the PC
+All hold on the native kernel and on the reference engine, and are
+checked over the geometries and traces of ``conftest.traced_geometries``,
+with PCs drawn from a small pool anywhere in the 64-bit range where the PC
 matters.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ehcsim import CacheGeometry, Trace, _kernels, simulate_min
-from ehcsim.runner import POLICY_NAMES, run_policy
+from ehcsim import CacheGeometry, Trace, simulate_min
+from ehcsim.runner import POLICY_NAMES, pick_backend, run_policy
 
-from conftest import assert_same_array, assert_same_min, top_heavy, traced_geometries
+from conftest import (
+    assert_same_array, assert_same_log, assert_same_min, top_heavy, traced_geometries,
+)
 
 BACKENDS = ("kernel", "reference")
 PC_BLIND = ("lru", "srrip", "brrip", "drrip")
@@ -55,6 +59,22 @@ def cut_traces(draw):
     geom, trace = draw(traced_geometries(max_len=60))
     trace = with_pcs(trace, draw(pc_columns(len(trace))))
     return geom, trace, draw(st.integers(0, len(trace)))
+
+
+@st.composite
+def retagged_traces(draw):
+    """A geometry, a trace, and the trace with each of its tags replaced by
+    a drawn one, distinct tags by distinct ones: each block maps to another
+    block of its set, one to one. Sets and byte offsets stay."""
+    geom, trace = draw(traced_geometries(max_len=60))
+    low = geom.block_shift + geom.set_bits
+    tags = sorted({a >> low for a in trace.addr.tolist()})
+    images = draw(st.lists(top_heavy(64 - low), min_size=len(tags), max_size=len(tags),
+                           unique=True))
+    mapped = dict(zip(tags, images))
+    addr = [mapped[a >> low] << low | a & ((1 << low) - 1) for a in trace.addr.tolist()]
+    return geom, trace, Trace(trace.seq, trace.pc, np.array(addr, dtype=np.uint64),
+                              trace.core, trace.kind)
 
 
 @st.composite
@@ -92,6 +112,29 @@ def test_pc_blind_policies_and_min_ignore_the_pc(case):
 
 
 @SETTINGS
+@given(retagged_traces())
+def test_pc_blind_policies_and_min_ignore_a_bijection_of_tags_within_a_set(case):
+    geom, trace, retagged = case
+    for backend in BACKENDS:
+        for name in PC_BLIND:
+            stats, _, flags = run_policy(trace, name, geom, backend=backend)
+            other_stats, _, other_flags = run_policy(retagged, name, geom, backend=backend)
+            assert other_stats == stats, (name, backend)
+            assert_same_array(other_flags, flags, f"{name} on {backend}")
+        for bypass in (False, True):
+            got = simulate_min(retagged, geom, bypass=bypass, record_events=True,
+                               backend=backend)
+            want = simulate_min(trace, geom, bypass=bypass, record_events=True,
+                                backend=backend)
+            assert got[0] == want[0], (backend, bypass)
+            assert_same_array(got[1], want[1], f"decisions on {backend}")
+            # The same stays, of the mapped blocks: only the addresses differ.
+            for column in ("fill", "end", "hits"):
+                assert_same_array(getattr(got[2], column), getattr(want[2], column), column)
+            assert_same_log(got[3], want[3], f"events on {backend}")
+
+
+@SETTINGS
 @given(traced_geometries(max_len=60))
 def test_min_residency_hits_sum_to_min_hits(case):
     geom, trace = case
@@ -121,12 +164,14 @@ def test_lru_and_min_hits_never_fall_as_ways_grow(case):
 @given(traced_geometries(max_len=60), st.integers(0, (1 << 64) - 1))
 def test_ranking_victims_changes_no_policy(case, seed):
     geom, trace = case
-    next_use = _kernels.next_use(trace, geom)
-    for name in POLICY_NAMES:
-        stats, _, flags = _kernels.run(trace, name, geom, seed)
-        ranks = np.zeros(geom.associativity + 1, dtype=np.int64)
-        ranked, _, ranked_flags = _kernels.run(trace, name, geom, seed, next_use=next_use,
-                                               ranks=ranks)
-        assert ranked == stats, name
-        assert_same_array(ranked_flags, flags, name)
-        assert int(ranks.sum()) == stats.replacements_total, name
+    for backend in BACKENDS:
+        lib = pick_backend(backend, geom)
+        next_use = lib.next_use(trace, geom)
+        for name in POLICY_NAMES:
+            stats, _, flags = lib.run(trace, name, geom, seed)
+            ranks = np.zeros(geom.associativity + 1, dtype=np.int64)
+            ranked, _, ranked_flags = lib.run(trace, name, geom, seed, next_use=next_use,
+                                              ranks=ranks)
+            assert ranked == stats, (name, backend)
+            assert_same_array(ranked_flags, flags, f"{name} on {backend}")
+            assert int(ranks.sum()) == stats.replacements_total, (name, backend)

@@ -18,7 +18,7 @@ from ehcsim import (
     simulate_min,
     victim_quality,
 )
-from ehcsim import _kernels, minoracle
+from ehcsim import _kernels, runner
 
 from conftest import (
     assert_same_min,
@@ -299,7 +299,7 @@ def test_simulate_min_records_no_events_unless_asked(backend, monkeypatch, rng):
     # The residencies come from the eviction column, so neither backend is
     # asked for an event log unless the caller wants one.
     asked = []
-    for module, name in ((_kernels, "run"), (minoracle, "simulate")):
+    for module, name in ((_kernels, "run"), (runner, "simulate")):
         def spy(*args, real=getattr(module, name), **kwargs):
             asked.append(kwargs.get("record_events", False))
             return real(*args, **kwargs)
