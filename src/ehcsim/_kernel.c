@@ -30,6 +30,9 @@
  * tag determine each other. A set's valid lines are its first filled[set]
  * ways: a fill takes the first free way, a bypass fills none and nothing
  * invalidates a line, so one count per set stands for a valid bit per line.
+ * Sampled set s keeps its OPTgen window in cap Slots, position j in slot
+ * j % cap; seen[s], the accesses s recorded, puts the window at positions
+ * seen[s] - cap to seen[s] - 1, and a slot never used is not live.
  *
  * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -157,12 +160,13 @@ static void free_tables(Tables *t)
         free(t->ptr[k]);
 }
 
-/* One entry of a sampled set's OPTgen window: a block, the PC and the
- * address of its latest access, its window position and its hits so far,
+/* One position of a sampled set's OPTgen window: its occupancy
+ * (SampledSetHistory.occ) and the access recorded there, a block, the PC
+ * and the address of its latest access, its position and its hits so far,
  * and whether it is still live. */
 typedef struct {
     uint64_t block, pc, addr;
-    int64_t pos, hits;
+    int64_t pos, hits, occ;
     uint8_t live;
 } Slot;
 
@@ -198,7 +202,9 @@ static int by_fill(const void *a, const void *b)
  * out when its own next use is strictly farther, and logs the miss with
  * BYPASS as its victim way. With rows, MIN writes one residency row per
  * fill: each eviction as it happens, then the lines still resident, by
- * fill, so the rows are in completion order; a bypass writes none. With
+ * fill, so the rows are in completion order; a bypass writes none.
+ * out[OUT_ROWS] and out[OUT_ROW_HITS] receive how many rows it wrote and
+ * the sum of their hits, which ehcsim._kernels.run checks. With
  * ranks, of assoc + 1 entries, every miss in a full set adds one at the
  * rank of its victim: how many of the residents and the incoming block are
  * next used strictly later (ehcsim.minoracle.victim_quality). Only MIN
@@ -229,7 +235,7 @@ int ehcsim_simulate(
     int64_t *filled = table(&t, num_sets, sizeof *filled);
     uint64_t *tagv = table(&t, lines, sizeof *tagv);
     uint8_t *rrpv = table(&t, lines, sizeof *rrpv);
-    int64_t *efh = table(&t, lines, sizeof *efh);
+    uint8_t *efh = table(&t, lines, sizeof *efh);
     int64_t *stamp = table(&t, lines, sizeof *stamp);
     uint64_t *lastpc = table(&t, lines, sizeof *lastpc);
     int64_t *sig = table(&t, lines, sizeof *sig);
@@ -237,9 +243,7 @@ int ehcsim_simulate(
     uint8_t *shct = table(&t, SHCT_SIZE, sizeof *shct);
     uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
     Ring *regions = table(&t, REGION_TABLE_SIZE, sizeof *regions);
-    int64_t *occ = table(&t, nsamp * cap, sizeof *occ);
-    int64_t *occ_base = table(&t, nsamp, sizeof *occ_base);
-    int64_t *occ_len = table(&t, nsamp, sizeof *occ_len);
+    int64_t *seen = table(&t, nsamp, sizeof *seen);
     Slot *slots = table(&t, nsamp * cap, sizeof *slots);
     Stay *stay = table(&t, min_lines, sizeof *stay);
     Stay *tail = table(&t, rows ? min_lines : 0, sizeof *tail);
@@ -268,7 +272,6 @@ int ehcsim_simulate(
         /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
         if (sampled && si % SAMPLE_PERIOD == 0) {
             const int64_t s = si / SAMPLE_PERIOD;
-            int64_t *orow = occ + s * cap;
             Slot *srow = slots + s * cap, *hit = NULL;
             int64_t carried_hits = 0;
             uint64_t ent_addr = a;
@@ -281,19 +284,18 @@ int ehcsim_simulate(
             if (!hit) {
                 optgen_cold++;
             } else {
-                const int64_t end = occ_base[s] + occ_len[s];
                 const uint64_t fi = xor_fold(hit->pc, PC_TABLE_BITS);
                 int ok = 1;
-                for (int64_t j = hit->pos; j < end; j++) {
-                    if (orow[j % cap] >= assoc) {
+                for (int64_t j = hit->pos; j < seen[s]; j++) {
+                    if (srow[j % cap].occ >= assoc) {
                         ok = 0;
                         break;
                     }
                 }
                 if (ok) {
                     optgen_hit++;
-                    for (int64_t j = hit->pos; j < end; j++)
-                        orow[j % cap]++;
+                    for (int64_t j = hit->pos; j < seen[s]; j++)
+                        srow[j % cap].occ++;
                     carried_hits = hit->hits + 1;
                     if (pc_tbl[fi] < PC_COUNTER_MAX)
                         pc_tbl[fi]++;
@@ -306,16 +308,11 @@ int ehcsim_simulate(
                 ent_addr = hit->addr;
                 hit->live = 0;
             }
-            const int64_t new_pos = occ_base[s] + occ_len[s];
+            /* Position new_pos - cap leaves the window, completing a live stay. */
+            const int64_t new_pos = seen[s]++;
             Slot *entry = srow + new_pos % cap;
-            if (occ_len[s] == cap) {
-                if (entry->live)
-                    region_push(regions, entry->addr, entry->hits);
-                occ_base[s]++;
-            } else {
-                occ_len[s]++;
-            }
-            orow[new_pos % cap] = 0;
+            if (entry->live)
+                region_push(regions, entry->addr, entry->hits);
             *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .pos = new_pos,
                             .hits = carried_hits, .live = 1};
         }
@@ -323,7 +320,7 @@ int ehcsim_simulate(
         const int64_t row = si * assoc;
         uint64_t *trow = tagv + row;
         uint8_t *rrow = rrpv + row;
-        int64_t *erow = efh + row;
+        uint8_t *erow = efh + row;
         int64_t way = -1;
         for (int64_t w = 0; w < filled[si]; w++) {
             if (trow[w] == block) {
@@ -501,6 +498,9 @@ int ehcsim_simulate(
         for (int64_t k = 0; k < stays; k++)
             write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);
     }
+    int64_t row_hits = 0;
+    for (int64_t k = 0; k < written; k++)
+        row_hits += rows[2 * n + k];
 
     out[OUT_ACCESSES] = n;
     out[OUT_HITS] = hits;
@@ -513,6 +513,8 @@ int ehcsim_simulate(
     out[OUT_OPTGEN_HIT] = optgen_hit;
     out[OUT_OPTGEN_MISS] = optgen_miss;
     out[OUT_BYPASSES] = bypasses;
+    out[OUT_ROWS] = written;
+    out[OUT_ROW_HITS] = row_hits;
     free_tables(&t);
     return 0;
 }

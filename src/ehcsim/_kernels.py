@@ -67,7 +67,8 @@ import stat
 import sys
 
 from . import params, traceformat
-from .errors import GeometryTooLarge, InvalidTrace, UsageError
+from .errors import (GeometryTooLarge, InternalInvariantError, InvalidTrace, UnknownPolicy,
+                     UsageError)
 from .values import CacheGeometry, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -89,7 +90,7 @@ _POLICY_IDS = {name: k for k, name in enumerate((*params.POLICY_NAMES, "min"))}
 _COUNTERS = (
     "accesses", "hits", "misses", "replacements_total",
     "replacements_no_averse", "long_inserts", "psel", "optgen_cold",
-    "optgen_hit", "optgen_miss", "bypasses",
+    "optgen_hit", "optgen_miss", "bypasses", "rows", "row_hits",
 )
 _STATS_FIELDS = _COUNTERS[:5]
 _PER_POLICY = {
@@ -437,12 +438,23 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows, count: i
     return list(hist)
 
 
+def check_policy(name: str) -> None:
+    """Raise :class:`UnknownPolicy` unless ``name`` is a built-in policy."""
+    if name not in params.POLICY_NAMES:
+        raise UnknownPolicy(
+            f"unknown policy {name!r} (choose from {', '.join(params.POLICY_NAMES)})"
+        )
+
+
 def check_outputs(trace, name: str, geom: CacheGeometry, next_use, rows, ranks) -> None:
-    """The argument checks of :func:`run` on either backend: MIN without
-    ``next_use``, ``rows`` for another policy, ``ranks`` without
-    ``next_use`` or a column of another size raises ValueError."""
+    """The argument checks of :func:`run` on either backend: a ``name``
+    neither a built-in policy's nor ``"min"`` raises :class:`UnknownPolicy`;
+    MIN without ``next_use``, ``rows`` for another policy, ``ranks``
+    without ``next_use`` or a column of another size raises ValueError."""
     n = len(trace)
-    if name == "min" and next_use is None:
+    if name != "min":
+        check_policy(name)
+    elif next_use is None:
         raise ValueError("MIN takes a next_use column")
     if rows is not None and name != "min":
         raise ValueError(f"only MIN writes residency rows, not {name}")
@@ -452,6 +464,16 @@ def check_outputs(trace, name: str, geom: CacheGeometry, next_use, rows, ranks) 
                                ("ranks", ranks, geom.associativity + 1)):
         if column is not None and len(column) != size:
             raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
+
+
+def check_rows(stats: SimStats, count: int, hits: int) -> None:
+    """Raise InternalInvariantError unless MIN's residency rows, ``count``
+    of them holding ``hits`` hits in all, are one per fill, ``misses -
+    bypasses``, and hold every hit of its run, ``stats``."""
+    fills = stats.misses - stats.per_policy["bypasses"]
+    if count != fills or hits != stats.hits:
+        raise InternalInvariantError(f"MIN wrote {count} residency rows with {hits} hits "
+                                     f"for {fills} fills and {stats.hits} hits")
 
 
 def run(
@@ -476,8 +498,9 @@ def run(
     ``next_use`` and ``ranks``, a buffer of associativity + 1 entries,
     counts there the rank of every victim, the histogram
     :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
-    :func:`check_outputs` checks the arguments, and counters that fail
-    :meth:`~ehcsim.values.SimStats.check` raise InternalInvariantError.
+    :func:`check_outputs` checks the arguments. Counters that fail
+    :meth:`~ehcsim.values.SimStats.check`, and rows that fail
+    :func:`check_rows`, raise InternalInvariantError.
     The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
     the reference engine returns them, and a bytearray for
     :class:`Columns`, so that a run over those needs no numpy."""
@@ -505,6 +528,8 @@ def run(
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     stats.check(n)
+    if rows is not None:
+        check_rows(stats, counts["rows"], counts["row_hits"])
     log = None
     if record_events:
         log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)

@@ -14,7 +14,7 @@ import io
 
 from .errors import DataError, InternalInvariantError, UsageError, ZeroInstructions
 from .params import ERROR_BUCKETS
-from .runner import DEFAULT_SEED, POLICY_NAMES, _check_name, pick_backend, run_policy
+from .runner import DEFAULT_SEED, POLICY_NAMES, pick_backend, run_policy
 from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -170,7 +170,6 @@ def _victim_ranks(trace, names, geom: CacheGeometry, seed: int) -> list[tuple]:
     next_use = lib.next_use(trace, geom)
     results = []
     for name in names:
-        _check_name(name)
         ranks = lib.buffer(trace, geom, geom.associativity + 1)
         stats, _, _ = lib.run(trace, name, geom, seed, next_use=next_use, ranks=ranks)
         ranks = list(ranks)
@@ -297,6 +296,10 @@ def analyze(
     elif kind == "min-gap":
         stats, _, _ = run_policy(trace, policy, geom, seed=seed)
         nobyp, byp = _min_stats(trace, geom)
+        if not byp.misses <= nobyp.misses <= stats.misses:
+            raise InternalInvariantError(
+                f"MIN misses out of order: {byp.misses} with bypass, {nobyp.misses} "
+                f"without, {stats.misses} for {policy}")
         rows = [
             (label, s.hits, s.misses, mpki(s, trace.instruction_count))
             for label, s in ((policy, stats), ("min-nobypass", nobyp), ("min-bypass", byp))

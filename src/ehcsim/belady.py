@@ -34,14 +34,16 @@ class HawkeyePolicy(ReplacementPolicy):
         self.sampler.observe(set_index, tag, addr, pc)
 
     def _classify(self, ways, way, pc, inserted: bool) -> None:
+        blk = ways[way]
+        blk.last_pc = pc
         if self.pc_table.is_friendly(pc):
             if inserted:
-                for w, blk in enumerate(ways):
-                    if w != way and blk.valid and blk.rrpv < RRPV_MAX - 1:
-                        blk.rrpv += 1
-            ways[way].rrpv = 0
+                for other in ways:
+                    if other is not blk and other.rrpv < RRPV_MAX - 1:
+                        other.rrpv += 1
+            blk.rrpv = 0
         else:
-            ways[way].rrpv = RRPV_MAX
+            blk.rrpv = RRPV_MAX
 
     def on_hit(self, set_index, ways, way, addr, pc):
         self._classify(ways, way, pc, inserted=False)

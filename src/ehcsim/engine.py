@@ -4,9 +4,10 @@ This is the reference execution path: a plain Python loop over the trace that
 calls back into a policy object for every decision. It favors clarity and
 extensibility: any :class:`ReplacementPolicy` subclass plugs in, Belady's MIN
 (:class:`ehcsim.minoracle.MinPolicy`) included, and it can record every
-replacement decision as an :class:`EventLog`. The native kernel in
-:mod:`ehcsim._kernels` reproduces the built-in policies and MIN bit for bit
-for bulk runs; equivalence between the two paths is enforced by tests.
+replacement decision as an :class:`EventLog`. A set is the list of its
+filled lines, each a :class:`BlockState` built when it is filled. The
+native kernel in :mod:`ehcsim._kernels` reproduces the built-in policies
+and MIN bit for bit for bulk runs; equivalence is enforced by tests.
 The value types it shares with the kernel path (:class:`CacheGeometry`,
 :class:`SimStats`) live in :mod:`ehcsim.values`, which a kernel run
 imports instead of this module; they are re-exported here.
@@ -14,6 +15,7 @@ imports instead of this module; they are re-exported here.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, VictimOutOfRange
@@ -26,13 +28,13 @@ if TYPE_CHECKING:
 
 
 class BlockState:
-    """Per-way metadata. ``rrpv`` and ``efh`` are 3-bit fields;
-    ``recency_stamp`` is the trace position of the block's latest access."""
+    """One filled line. The engine writes ``tag`` and ``recency_stamp``, the
+    trace position of the block's latest access; the policies own the 3-bit
+    ``rrpv`` and ``efh`` and Hawkeye's and EHC's ``last_pc``."""
 
-    __slots__ = ("valid", "tag", "rrpv", "efh", "recency_stamp", "last_pc")
+    __slots__ = ("tag", "rrpv", "efh", "recency_stamp", "last_pc")
 
     def __init__(self):
-        self.valid = False
         self.tag = 0
         self.rrpv = 0
         self.efh = 0
@@ -46,9 +48,11 @@ class ReplacementPolicy:
     The engine computes every access's set index and tag once, from the
     trace's columns, and hands each hook only what the built-in policies
     read: ``on_observe`` gets the set index, tag, byte address and PC of
-    every access; ``on_hit`` and ``on_insert`` get the set's ways, the way
-    touched and the access's address and PC; ``choose_victim`` gets the
-    set alone. It returns ``(way, no_averse)`` where ``way`` may be
+    every access; ``on_hit`` and ``on_insert`` get the set's filled lines,
+    one :class:`BlockState` per block filled in the set so far and never
+    more than the associativity, the way touched and the access's address
+    and PC; ``choose_victim`` gets the set alone, and only when it is full.
+    It returns ``(way, no_averse)`` where ``way`` may be
     :data:`BYPASS`; ``no_averse`` reports that no cache-averse candidate
     existed at decision time (meaningful for the Belady-inspired policies,
     always False elsewhere).
@@ -153,7 +157,7 @@ def simulate(
     import numpy as np
 
     assoc = geom.associativity
-    sets: dict[int, list] = {}  # the ways of each set touched so far
+    sets = defaultdict(list)  # the filled lines of each set
     stats = SimStats()
     # Event log columns; ``ev_resident`` holds ``assoc`` positions per event.
     ev_index, ev_way, ev_no_averse, ev_resident = [], [], [], []
@@ -171,33 +175,22 @@ def simulate(
         on_hit = None
     for i, (si, tag, addr, pc) in enumerate(columns):
         policy.on_observe(si, tag, addr, pc)
-        ways = sets.get(si)
-        if ways is None:
-            ways = sets[si] = [BlockState() for _ in range(assoc)]
-
-        way = -1
-        for w in range(assoc):
-            if ways[w].valid and ways[w].tag == tag:
-                way = w
-                break
-
+        ways = sets[si]
         stats.accesses += 1
-        if way >= 0:
-            stats.hits += 1
-            blk = ways[way]
-            blk.recency_stamp = i
-            blk.last_pc = pc
-            if on_hit is not None:
-                on_hit(si, ways, way, addr, pc)
-            hit_flags[i] = 1
+        for way, blk in enumerate(ways):
+            if blk.tag == tag:
+                stats.hits += 1
+                blk.recency_stamp = i
+                if on_hit is not None:
+                    on_hit(si, ways, way, addr, pc)
+                hit_flags[i] = 1
+                break
         else:
             stats.misses += 1
-            way = -1
-            for w in range(assoc):
-                if not ways[w].valid:
-                    way = w
-                    break
-            if way < 0:
+            if len(ways) < assoc:
+                way = len(ways)
+                ways.append(BlockState())
+            else:
                 way, no_averse = policy.choose_victim(si, ways)
                 if way != BYPASS and not 0 <= way < assoc:
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
@@ -214,16 +207,13 @@ def simulate(
                 if no_averse:
                     stats.replacements_no_averse += 1
             blk = ways[way]
-            blk.valid = True
             blk.tag = tag
             blk.recency_stamp = i
-            blk.last_pc = pc
             policy.on_insert(si, ways, way, addr, pc)
 
         if check:
             stats.check()
-            for w in range(assoc):
-                b = ways[w]
+            for w, b in enumerate(ways):
                 if not (0 <= b.rrpv <= RRPV_MAX and 0 <= b.efh <= EFH_MAX):
                     raise InternalInvariantError(
                         f"counter out of range in set {si} way {w}"

@@ -112,11 +112,12 @@ class MinPolicy(ReplacementPolicy):
         return {"bypasses": self.bypasses}
 
 
-def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> None:
+def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> tuple[int, int]:
     """Write a MIN run's residency rows to ``rows`` as the kernel does,
-    from its hit flags and eviction column. In block order a stay is a miss
-    and its block's hits up to the next miss, and it ends at ``evicted_at``
-    of its latest access; a bypass ends where it starts and is no row."""
+    from its hit flags and eviction column, and return how many it wrote
+    and the sum of their hits. In block order a stay is a miss and its
+    block's hits up to the next miss, and it ends at ``evicted_at`` of its
+    latest access; a bypass ends where it starts and is no row."""
     n = len(trace)
     order = np.argsort(trace.addr >> np.uint64(geom.block_shift), kind="stable")
     # Misses in block order, fills and bypasses alike; a stay runs to the next.
@@ -128,6 +129,7 @@ def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> Non
     gone, resident = np.flatnonzero(end < n), np.flatnonzero(end == n)
     done = np.concatenate((gone[np.argsort(end[gone])], resident[np.argsort(fill[resident])]))
     rows.reshape(3, n)[:, :len(done)] = fill[done], end[done], hits[done]
+    return len(done), int(hits[done].sum())
 
 
 def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: bool = False,
@@ -142,7 +144,7 @@ def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: 
                                          record_events=record_events or ranks is not None)
     stats.check(len(trace))
     if rows is not None:
-        _write_rows(trace, geom, hit, policy.evicted_at, rows)
+        _kernels.check_rows(stats, *_write_rows(trace, geom, hit, policy.evicted_at, rows))
     if ranks is not None:
         ranks[:] = _rank_histogram(events, next_use, geom.associativity)
     return stats, events if record_events else None, hit

@@ -2,12 +2,13 @@
 
 The RRIP family shares one victim-selection procedure (evict the first block
 at the maximum RRPV, incrementing every block until one gets there) and
-differs only in insertion behavior.
+differs only in insertion behavior. Each hook walks the lines it is given,
+the set's filled lines, by ``len(ways)``; the engine asks for a victim only
+in a full set. The state is plain Python: SHiP's counter table is a list,
+and its signature and outcome per line are dicts keyed by (set, way).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .engine import CacheGeometry, ReplacementPolicy
 from .hashing import xor_fold
@@ -169,7 +170,7 @@ class ShipPolicy(RripPolicy):
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
         super().__init__(geom, seed)
-        self.shct = np.zeros(SHCT_SIZE, dtype=np.uint8)
+        self.shct = [0] * SHCT_SIZE
         self.signature: dict[tuple[int, int], int] = {}
         self.outcome: dict[tuple[int, int], int] = {}
 

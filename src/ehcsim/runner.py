@@ -13,8 +13,7 @@ on :func:`ehcsim.engine.simulate` directly.
 from __future__ import annotations
 
 from . import _kernels
-from .errors import UnknownPolicy
-from .params import POLICY_NAMES
+from .params import POLICY_NAMES  # noqa: F401  (re-exported)
 from .values import CacheGeometry, DEFAULT_GEOMETRY
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -22,13 +21,6 @@ if TYPE_CHECKING:
     from .trace import Trace
 
 DEFAULT_SEED = 42
-
-
-def _check_name(name: str) -> None:
-    if name not in POLICY_NAMES:
-        raise UnknownPolicy(
-            f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})"
-        )
 
 
 def simulate(*args, **kwargs):
@@ -49,7 +41,7 @@ def make_policy(
     from .belady import EhcPolicy, HawkeyePolicy
     from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 
-    _check_name(name)
+    _kernels.check_policy(name)
     cls = {"lru": LruPolicy, "srrip": SrripPolicy, "brrip": BrripPolicy, "drrip": DrripPolicy,
            "ship": ShipPolicy, "hawkeye": HawkeyePolicy, "ehc": EhcPolicy}[name]
     return cls(geom, seed=seed)
@@ -81,5 +73,5 @@ def run_policy(
     :func:`ehcsim._kernels.load_trace`. A geometry beyond the kernel's
     bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
-    _check_name(name)
+    _kernels.check_policy(name)
     return pick_backend(backend, geom).run(trace, name, geom, seed, record_events=record_events)

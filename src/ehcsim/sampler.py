@@ -6,12 +6,14 @@ mapping block tags to their last recorded position. Replaying the occupancy
 rule decides, from past accesses only, whether each access would have hit
 under optimal replacement; those decisions train a PC friendliness table and,
 when a block's emulated residency completes, feed its hit count into a
-per-region history used for expected-hit-count insertion.
+per-region history, one record per table slot, used for expected-hit-count
+insertion.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 
 from .engine import CacheGeometry
 from .hashing import xor_fold
@@ -66,13 +68,11 @@ class PcCounterTable:
 
 
 class RegionHitTable:
-    """Direct-mapped table of the last four residency hit counts per region."""
+    """Direct-mapped table of the last four residency hit counts per region:
+    a slot is None or ``(region id, deque of its counts)``."""
 
     def __init__(self):
-        self.region = [-1] * REGION_TABLE_SIZE
-        self.ring = [[0] * REGION_RING_SLOTS for _ in range(REGION_TABLE_SIZE)]
-        self.count = [0] * REGION_TABLE_SIZE
-        self.head = [0] * REGION_TABLE_SIZE
+        self.slots = [None] * REGION_TABLE_SIZE
 
     @staticmethod
     def index(rid: int) -> int:
@@ -81,25 +81,20 @@ class RegionHitTable:
     def record_eviction(self, addr: int, hits: int) -> None:
         rid = region_id(addr)
         i = self.index(rid)
-        if self.region[i] != rid:
-            self.region[i] = rid
-            self.count[i] = 0
-            self.head[i] = 0
-        self.ring[i][self.head[i]] = hits
-        self.head[i] = (self.head[i] + 1) % REGION_RING_SLOTS
-        self.count[i] = min(self.count[i] + 1, REGION_RING_SLOTS)
+        slot = self.slots[i]
+        if slot is None or slot[0] != rid:
+            slot = self.slots[i] = (rid, deque(maxlen=REGION_RING_SLOTS))
+        slot[1].append(hits)
 
     def expected_hits(self, addr: int) -> int:
         """Round-half-up average of the region's recent residency hit counts,
         clamped to the 3-bit counter range; 1 when no history exists."""
         rid = region_id(addr)
-        i = self.index(rid)
-        n = self.count[i]
-        if self.region[i] != rid or n == 0:
+        slot = self.slots[self.index(rid)]
+        if slot is None or slot[0] != rid:
             return DEFAULT_EXPECTED_HITS
-        total = sum(self.ring[i][k] for k in range(n))
-        avg = (2 * total + n) // (2 * n)
-        return min(max(avg, 0), EFH_MAX)
+        n = len(slot[1])
+        return min((2 * sum(slot[1]) + n) // (2 * n), EFH_MAX)
 
 
 class _AddrEntry:

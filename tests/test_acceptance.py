@@ -106,7 +106,6 @@ def _ways(pairs):
     ways = []
     for efh, rrpv in pairs:
         blk = BlockState()
-        blk.valid = True
         blk.efh = efh
         blk.rrpv = rrpv
         ways.append(blk)
@@ -222,7 +221,6 @@ def test_c10_counters_stay_in_range():
         policy = make_policy(name, geom, seed=9)
         ways = [BlockState() for _ in range(4)]
         for w in range(4):
-            ways[w].valid = True
             ways[w].tag = w
             policy.on_insert(0, ways, w, addrs[w], pcs[w])
 
@@ -254,7 +252,7 @@ def test_c10_counters_stay_in_range():
                 assert 0 <= policy.psel <= PSEL_MAX
             if k % 10_000 == 0:
                 if name == "ship":
-                    assert int(policy.shct.max()) <= SHCT_MAX
+                    assert max(policy.shct) <= SHCT_MAX
                 if name in ("hawkeye", "ehc"):
                     counters = policy.pc_table.counters
                     assert 0 <= min(counters) and max(counters) <= PC_COUNTER_MAX

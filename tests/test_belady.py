@@ -14,8 +14,6 @@ AVERSE_PC = 0x500000
 def _ways(**field_lists):
     n = len(next(iter(field_lists.values())))
     ways = [BlockState() for _ in range(n)]
-    for blk in ways:
-        blk.valid = True
     for name, values in field_lists.items():
         for blk, v in zip(ways, values):
             setattr(blk, name, v)

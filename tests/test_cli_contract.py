@@ -131,12 +131,20 @@ RUNS = [["run", "--policy", "ehc"], ["run", "--policy", "lru", "--events", "{eve
 RANKED = [["compare", "--policies", "srrip,hawkeye", "--events"],
           ["analyze", "--report", "victim-quality", "--policy", "hawkeye"]]
 REPORTS = [["analyze", "--report", kind] for kind in REPORT_KINDS]
+#: The commands that meet each fault planted beneath only some runs.
+FAULT_COMMANDS = {
+    "ranks": RANKED,
+    "rows": [["analyze", "--report", kind] for kind in ("hitcount-block", "hitcount-region")],
+    "min-misses": [["analyze", "--report", "min-gap"]],
+}
 
 
 def _plant(monkeypatch, backend, fault):
     """Plant ``fault`` beneath the checks of ``backend``: a key of
-    :data:`COUNTER_FAULTS` in the counters of every run, or ``"ranks"``,
-    one victim rank too many in every ranked run."""
+    :data:`COUNTER_FAULTS` in the counters of every run; ``"ranks"``, one
+    victim rank too many in every ranked run; ``"rows"``, one hit too many
+    in MIN's residency rows; or ``"min-misses"``, every access of a MIN
+    run counted a miss, so MIN misses more than the policy."""
     if backend == "reference":
         monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
         if fault == "ranks":
@@ -147,9 +155,20 @@ def _plant(monkeypatch, backend, fault):
 
             monkeypatch.setattr(minoracle, "_rank_histogram", faulty)
             return
+        if fault == "rows":
+            def faulty(*args, real=minoracle._write_rows):
+                count, hits = real(*args)
+                return count, hits + 1
+
+            monkeypatch.setattr(minoracle, "_write_rows", faulty)
+            return
 
         def faulty(*args, real=runner.simulate, **kwargs):
             stats, events, hit = real(*args, **kwargs)
+            if fault == "min-misses":
+                if args[1].name == "min":
+                    stats.misses, stats.hits = stats.accesses, 0
+                return stats, events, hit
             for counter in COUNTER_FAULTS[fault]:
                 setattr(stats, counter, getattr(stats, counter) + 1)
             return stats, events, hit
@@ -160,9 +179,15 @@ def _plant(monkeypatch, backend, fault):
 
     def faulty(*args, real=lib.ehcsim_simulate):
         status = real(*args)
-        ranks, out = args[11], args[-1]  # (..., rows, ranks, events, hit_flags, out)
+        # (..., policy_id, seed, next_use, bypass, rows, ranks, events, hit_flags, out)
+        policy_id, ranks, out = args[6], args[11], args[-1]
         if fault == "ranks" and ranks is not None:
             ranks[0] += 1
+        if fault == "rows":
+            out[_kernels._COUNTERS.index("row_hits")] += 1
+        if fault == "min-misses" and policy_id == _kernels._POLICY_IDS["min"]:
+            out[_kernels._COUNTERS.index("misses")] = out[_kernels._COUNTERS.index("accesses")]
+            out[_kernels._COUNTERS.index("hits")] = 0
         for counter in COUNTER_FAULTS.get(fault, ()):
             out[_kernels._COUNTERS.index(counter)] += 1
         return status
@@ -171,11 +196,11 @@ def _plant(monkeypatch, backend, fault):
 
 
 @pytest.mark.parametrize("backend", ["kernel", "reference"])
-@pytest.mark.parametrize("fault", [*COUNTER_FAULTS, "ranks"])
+@pytest.mark.parametrize("fault", [*COUNTER_FAULTS, *FAULT_COMMANDS])
 def test_a_fault_beneath_the_result_checks_exits_3_and_writes_nothing(
         backend, fault, monkeypatch, tmp_path):
     assert _kernels.unavailable() is None, _kernels.unavailable()
-    commands = RANKED if fault == "ranks" else RUNS + RANKED + REPORTS
+    commands = FAULT_COMMANDS.get(fault, RUNS + RANKED + REPORTS)
     files = {"out": f"{tmp_path}/out", "events": f"{tmp_path}/events",
              "mixed": f"{tmp_path}/mixed.trace"}
     save_trace(TRACES["mixed"], files["mixed"])

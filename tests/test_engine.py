@@ -198,23 +198,28 @@ def test_one_valid_way_per_tag():
 
 
 class _RecordingPolicy(LruPolicy):
-    """LRU that records the arguments of every hook call."""
+    """LRU that records the arguments of every hook call, and how many
+    lines each hook was given."""
 
     def __init__(self, geom):
         super().__init__(geom)
         self.observed, self.touched, self.victim_sets = [], [], []
+        self.lines, self.victim_lines = [], []
 
     def on_observe(self, set_index, tag, addr, pc):
         self.observed.append((set_index, tag, addr, pc))
 
     def on_hit(self, set_index, ways, way, addr, pc):
         self.touched.append((set_index, addr, pc))
+        self.lines.append(len(ways))
 
     def on_insert(self, set_index, ways, way, addr, pc):
         self.touched.append((set_index, addr, pc))
+        self.lines.append(len(ways))
 
     def choose_victim(self, set_index, ways):
         self.victim_sets.append(set_index)
+        self.victim_lines.append(len(ways))
         return super().choose_victim(set_index, ways)
 
 
@@ -241,13 +246,19 @@ def test_hooks_receive_each_access_set_tag_addr_and_pc(block_bits):
     # choice at each miss in a full set: LRU inserts on every miss, so a
     # set is full from its ways-th miss on.
     assert policy.touched == [(geom.set_index(a), a, p) for a, p in zip(addrs, pcs)]
+    # A hook gets the set's filled lines: one per miss in the set so far,
+    # this one included, up to the associativity; a victim choice a full set.
     misses_in = {}
     full_set_misses = []
+    filled = []
     for a, hit in zip(addrs, flags.tolist()):
+        s = geom.set_index(a)
         if not hit:
-            s = geom.set_index(a)
             if misses_in.get(s, 0) >= geom.associativity:
                 full_set_misses.append(s)
             misses_in[s] = misses_in.get(s, 0) + 1
+        filled.append(min(misses_in[s], geom.associativity))
     assert policy.victim_sets == full_set_misses
+    assert policy.lines == filled
+    assert policy.victim_lines == [geom.associativity] * len(full_set_misses)
     assert all(type(v) is int for row in policy.observed for v in row)

@@ -162,7 +162,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "b1f87dab6be37beb53a9b9ba"
+    assert digest == "b837329b9a0b3271cd4e4bf5"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():
@@ -188,6 +188,10 @@ def test_run_policy_rejects_unknown_policies_on_every_backend():
     for backend in _kernels.BACKENDS:
         with pytest.raises(UnknownPolicy, match="unknown policy 'belady'"):
             run_policy(trace, "belady", CacheGeometry(2, 2), backend=backend)
+    # Each backend's own run, which analysis calls directly, says the same.
+    for lib in (_kernels, minoracle):
+        with pytest.raises(UnknownPolicy, match=r"^unknown policy 'nope' \(choose from lru, "):
+            lib.run(trace, "nope", CacheGeometry(2, 2), 0)
 
 
 def test_run_policy_rejects_unknown_backend():

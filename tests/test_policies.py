@@ -28,8 +28,6 @@ def _ways(**field_lists):
     """Build a list of BlockState from parallel per-field value lists."""
     n = len(next(iter(field_lists.values())))
     ways = [BlockState() for _ in range(n)]
-    for blk in ways:
-        blk.valid = True
     for name, values in field_lists.items():
         for blk, v in zip(ways, values):
             setattr(blk, name, v)

@@ -102,11 +102,10 @@ def test_region_ring_is_circular():
     addr = 5 << 17
     for h in (2, 1, 1, 0):
         regions.record_eviction(addr, h)
-    i = regions.index(5)
-    assert regions.ring[i] == [2, 1, 1, 0]
-    regions.record_eviction(addr, 3)   # overwrites the oldest slot
-    assert regions.ring[i] == [3, 1, 1, 0]
-    assert regions.count[i] == 4
+    rid, counts = regions.slots[regions.index(5)]
+    assert rid == 5 and list(counts) == [2, 1, 1, 0]
+    regions.record_eviction(addr, 3)   # drops the oldest count
+    assert list(counts) == [1, 1, 0, 3]
 
 
 def test_region_expected_hits_rounds_half_up():
