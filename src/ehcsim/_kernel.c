@@ -8,6 +8,9 @@
  * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
  * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
  * the seven built-in policies as for MIN (ehcsim.minoracle.MinPolicy).
+ * The six RRPV policies share one victim scan: the first line at RRPV_MAX,
+ * else the first with the largest rrpv - efh (efh is 0 but for EHC), which
+ * is a no-averse replacement for Hawkeye and EHC.
  * ehcsim._kernels prepends a generated #define block before compiling: every
  * integer constant of ehcsim.params (those of 2^63 or more with a ULL
  * suffix), EVENT_FIELDS, READ_STATE_WORDS, the POLICY_* ids, the OUT_*
@@ -228,6 +231,8 @@ int ehcsim_simulate(
     const int64_t cap = WINDOW_SLOTS_PER_WAY * assoc;
     const int64_t ev_width = EVENT_FIELDS + assoc;
     const uint64_t set_mask = (uint64_t)num_sets - 1;
+    const int rrip = policy_id == POLICY_SRRIP || policy_id == POLICY_BRRIP
+        || policy_id == POLICY_DRRIP || policy_id == POLICY_SHIP;
     const int sampled = policy_id == POLICY_HAWKEYE || policy_id == POLICY_EHC;
     const int64_t min_lines = policy_id == POLICY_MIN ? lines : 0;
     Tables t = {{0}, 0, 0};
@@ -333,21 +338,18 @@ int ehcsim_simulate(
             hits++;
             hit_flags[i] = 1;
             stamp[row + way] = i;
-            if (policy_id == POLICY_LRU) {
-                /* LRU keeps only the stamp, as MIN does, which takes no branch */
-            } else if (policy_id <= POLICY_DRRIP) {
+            if (rrip) {
                 rrow[way] = 0;
-            } else if (policy_id == POLICY_SHIP) {
-                rrow[way] = 0;
-                outcome[row + way] = 1;
-            } else if (policy_id <= POLICY_EHC) {
+                if (policy_id == POLICY_SHIP)
+                    outcome[row + way] = 1;
+            } else if (sampled) {
                 lastpc[row + way] = p;
                 if (policy_id == POLICY_EHC && erow[way] > 0)
                     erow[way]--;
                 rrow[way] = pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD
                     ? 0 : RRPV_MAX;
-            } else {
-                stay[row + way].hits++; /* MIN */
+            } else if (policy_id == POLICY_MIN) {
+                stay[row + way].hits++;
             }
             continue;
         }
@@ -362,27 +364,6 @@ int ehcsim_simulate(
                 for (int64_t w = 1; w < assoc; w++)
                     if (srow[w] < srow[way])
                         way = w;
-            } else if (policy_id <= POLICY_SHIP) {
-                while (way < 0) {
-                    for (int64_t w = 0; w < assoc; w++) {
-                        if (rrow[w] == RRPV_MAX) {
-                            way = w;
-                            break;
-                        }
-                    }
-                    if (way < 0)
-                        for (int64_t w = 0; w < assoc; w++)
-                            rrow[w]++;
-                }
-                if (policy_id == POLICY_SHIP) {
-                    const int64_t sg = sig[row + way];
-                    if (outcome[row + way]) {
-                        if (shct[sg] < SHCT_MAX)
-                            shct[sg]++;
-                    } else if (shct[sg] > 0) {
-                        shct[sg]--;
-                    }
-                }
             } else if (policy_id == POLICY_MIN) {
                 const int64_t *srow = stamp + row;
                 way = 0;
@@ -395,26 +376,41 @@ int ehcsim_simulate(
                     write_row(rows, n, written++, stay[row + way].fill, i, stay[row + way].hits);
                 }
             } else {
-                int64_t best = 0;
-                for (int64_t w = 0; w < assoc; w++) {
-                    if (rrow[w] == RRPV_MAX) {
-                        way = w;
-                        break;
+                /* The first line at RRPV_MAX (for Hawkeye and EHC, an averse
+                 * one), else the first with the largest rrpv - efh; efh stays
+                 * 0 but for EHC. Selects, not branches, carry that lead,
+                 * which moves erratically. */
+                way = 0;
+                while (way < assoc && rrow[way] < RRPV_MAX)
+                    way++;
+                if (way == assoc) {
+                    int lead = rrow[0] - erow[0];
+                    way = 0;
+                    for (int64_t w = 1; w < assoc; w++) {
+                        const int key = rrow[w] - erow[w], up = key > lead;
+                        lead = up ? key : lead;
+                        way = up ? w : way;
                     }
-                    if (policy_id == POLICY_HAWKEYE) {
-                        if (rrow[w] > rrow[best])
-                            best = w;
-                    } else if (erow[w] - rrow[w] < erow[best] - rrow[best]) {
-                        best = w;
+                    if (rrip) {
+                        /* where the hardware's increment-and-rescan loop stops */
+                        for (int64_t w = 0; w < assoc; w++)
+                            rrow[w] += RRPV_MAX - lead;
+                    } else {
+                        const uint64_t fi = xor_fold(lastpc[row + way], PC_TABLE_BITS);
+                        no_averse = 1;
+                        no_averse_count++;
+                        if (pc_tbl[fi] > 0)
+                            pc_tbl[fi]--;
                     }
                 }
-                if (way < 0) {
-                    const uint64_t fi = xor_fold(lastpc[row + best], PC_TABLE_BITS);
-                    way = best;
-                    no_averse = 1;
-                    no_averse_count++;
-                    if (pc_tbl[fi] > 0)
-                        pc_tbl[fi]--;
+                if (policy_id == POLICY_SHIP) {
+                    const int64_t sg = sig[row + way];
+                    if (outcome[row + way]) {
+                        if (shct[sg] < SHCT_MAX)
+                            shct[sg]++;
+                    } else if (shct[sg] > 0) {
+                        shct[sg]--;
+                    }
                 }
             }
             if (events) {
@@ -442,9 +438,7 @@ int ehcsim_simulate(
 
         trow[way] = block;
         stamp[row + way] = i;
-        if (policy_id == POLICY_LRU) {
-            /* as on a hit */
-        } else if (policy_id == POLICY_SRRIP) {
+        if (policy_id == POLICY_SRRIP) {
             rrow[way] = RRPV_MAX - 1;
         } else if (policy_id == POLICY_BRRIP) {
             if (brrip_long_insert(seed, ins++)) {
@@ -472,7 +466,7 @@ int ehcsim_simulate(
             sig[row + way] = sg;
             outcome[row + way] = 0;
             rrow[way] = shct[sg] == 0 ? RRPV_MAX : RRPV_MAX - 1;
-        } else if (policy_id <= POLICY_EHC) {
+        } else if (sampled) {
             lastpc[row + way] = p;
             if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
                 for (int64_t w = 0; w < assoc; w++)
@@ -484,8 +478,8 @@ int ehcsim_simulate(
             }
             if (policy_id == POLICY_EHC)
                 erow[way] = region_expected(regions, a);
-        } else {
-            stay[row + way] = (Stay){.fill = i}; /* MIN */
+        } else if (policy_id == POLICY_MIN) {
+            stay[row + way] = (Stay){.fill = i};
         }
     }
 

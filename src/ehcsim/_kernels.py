@@ -429,8 +429,7 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows, count: i
     :func:`ehcsim.minoracle.per_region_prediction_error` with
     ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
     n = len(trace)
-    if len(rows) != 3 * n or not 0 <= count <= n:
-        raise ValueError(f"rows must hold 3 x {n} entries and count at most {n}")
+    check_residency_rows(trace, rows, count)
     hist = (ctypes.c_int64 * params.ERROR_BUCKETS)()
     if _library().ehcsim_prediction_error(count, n, rows, trace.addr, geom.block_shift,
                                           1 if by_region else 0, hist) != 0:
@@ -464,6 +463,15 @@ def check_outputs(trace, name: str, geom: CacheGeometry, next_use, rows, ranks) 
                                ("ranks", ranks, geom.associativity + 1)):
         if column is not None and len(column) != size:
             raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
+
+
+def check_residency_rows(trace, rows, count: int) -> None:
+    """The argument checks of :func:`prediction_error` on either backend:
+    ``rows`` of other than 3 x n entries, n the trace's length, or a
+    ``count`` outside 0 to n raises ValueError."""
+    n = len(trace)
+    if len(rows) != 3 * n or not 0 <= count <= n:
+        raise ValueError(f"rows must hold 3 x {n} entries and count at most {n}")
 
 
 def check_rows(stats: SimStats, count: int, hits: int) -> None:

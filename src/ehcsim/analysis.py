@@ -14,7 +14,7 @@ import io
 
 from .errors import DataError, InternalInvariantError, UsageError, ZeroInstructions
 from .params import ERROR_BUCKETS
-from .runner import DEFAULT_SEED, POLICY_NAMES, pick_backend, run_policy
+from .runner import DEFAULT_SEED, POLICY_NAMES, check_policy, pick_backend, run_policy
 from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -190,9 +190,15 @@ def compare(
 
     LRU is simulated (and reported) even when absent from ``policies`` so
     the reduction column always has its baseline. With ``events`` the
-    victim-quality mean rank column is populated too.
+    victim-quality mean rank column is populated too. Before any run, an
+    unknown name raises :class:`~ehcsim.errors.UnknownPolicy` and a repeated
+    one :class:`~ehcsim.errors.UsageError`.
     """
     names = list(policies)
+    for k, name in enumerate(names):
+        check_policy(name)
+        if name in names[:k]:
+            raise UsageError(f"policy {name!r} is named twice")
     if "lru" not in names:
         names.insert(0, "lru")
 

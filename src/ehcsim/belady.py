@@ -20,8 +20,9 @@ class HawkeyePolicy(ReplacementPolicy):
     Blocks touched by averse PCs sit at the maximum RRPV and are evicted
     first; friendly blocks enter at RRPV 0 and age by one (capped below the
     averse value) whenever another friendly block is inserted, so "oldest"
-    is well-defined when every block is friendly. Evicting in that fallback
-    case detrains the PC that last touched the victim.
+    is well-defined when every block is friendly. With no averse block the
+    victim is :meth:`_no_averse_victim`'s, the first oldest one here, and
+    evicting it detrains the PC that last touched it.
     """
 
     name = "hawkeye"
@@ -55,14 +56,19 @@ class HawkeyePolicy(ReplacementPolicy):
         self.pc_table.train(ways[way].last_pc, -1)
 
     def choose_victim(self, set_index, ways):
-        best = 0
+        oldest = 0
         for w, blk in enumerate(ways):
             if blk.rrpv == RRPV_MAX:
                 return w, False
-            if blk.rrpv > ways[best].rrpv:
-                best = w
-        self._detrain(ways, best)
-        return best, True
+            if blk.rrpv > ways[oldest].rrpv:
+                oldest = w
+        victim = self._no_averse_victim(ways, oldest)
+        self._detrain(ways, victim)
+        return victim, True
+
+    def _no_averse_victim(self, ways, oldest: int) -> int:
+        """The victim when no line is averse, given the first oldest one."""
+        return oldest
 
     def extra_stats(self):
         return {
@@ -76,10 +82,10 @@ class EhcPolicy(HawkeyePolicy):
     """Hawkeye plus a per-block expected-further-hits (EFH) countdown.
 
     On insertion a block's EFH is seeded from its region's recent residency
-    hit counts; each hit decrements it toward zero. When a set holds an
-    averse block the victim choice is exactly Hawkeye's; otherwise the block
-    minimizing ``efh - rrpv`` (first index on ties) is evicted — low
-    expected value and old age both push a block toward eviction.
+    hit counts; each hit decrements it toward zero. Only the victim of a set
+    with no averse block differs from Hawkeye's: the block minimizing
+    ``efh - rrpv`` (first index on ties) is evicted — low expected value and
+    old age both push a block toward eviction.
     """
 
     name = "ehc"
@@ -98,15 +104,9 @@ class EhcPolicy(HawkeyePolicy):
         super().on_insert(set_index, ways, way, addr, pc)
         ways[way].efh = self.region_table.expected_hits(addr)
 
-    def choose_victim(self, set_index, ways):
+    def _no_averse_victim(self, ways, oldest):
         best = 0
-        best_score = ways[0].efh - ways[0].rrpv
-        for w, blk in enumerate(ways):
-            if blk.rrpv == RRPV_MAX:
-                return w, False
-            score = blk.efh - blk.rrpv
-            if score < best_score:
+        for w in range(1, len(ways)):
+            if ways[w].efh - ways[w].rrpv < ways[best].efh - ways[best].rrpv:
                 best = w
-                best_score = score
-        self._detrain(ways, best)
-        return best, True
+        return best

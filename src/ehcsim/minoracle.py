@@ -233,6 +233,7 @@ def per_region_prediction_error(residencies: ResidencyLog) -> np.ndarray:
 def prediction_error(trace: Trace, geom: CacheGeometry, rows, count: int, by_region: bool):
     """:func:`ehcsim._kernels.prediction_error` on the residency log of the
     first ``count`` rows."""
+    _kernels.check_residency_rows(trace, rows, count)
     histogram = per_region_prediction_error if by_region else per_block_prediction_error
     return histogram(_residency_log(trace, geom, rows, count)).tolist()
 

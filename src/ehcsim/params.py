@@ -11,9 +11,7 @@ them from here.
 
 from __future__ import annotations
 
-#: The built-in policies, in the order of the kernel's policy ids: the kernel
-#: compares ids by order, so the RRIP family sits between LRU and SHiP and
-#: the sampled-set predictors serve every id from Hawkeye on.
+#: The built-in policies, in the order the CLI lists them.
 POLICY_NAMES = ("lru", "srrip", "brrip", "drrip", "ship", "hawkeye", "ehc")
 
 # --- per-block state ---

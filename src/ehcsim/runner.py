@@ -13,6 +13,7 @@ on :func:`ehcsim.engine.simulate` directly.
 from __future__ import annotations
 
 from . import _kernels
+from ._kernels import check_policy
 from .params import POLICY_NAMES  # noqa: F401  (re-exported)
 from .values import CacheGeometry, DEFAULT_GEOMETRY
 
@@ -41,7 +42,7 @@ def make_policy(
     from .belady import EhcPolicy, HawkeyePolicy
     from .policies import BrripPolicy, DrripPolicy, LruPolicy, ShipPolicy, SrripPolicy
 
-    _kernels.check_policy(name)
+    check_policy(name)
     cls = {"lru": LruPolicy, "srrip": SrripPolicy, "brrip": BrripPolicy, "drrip": DrripPolicy,
            "ship": ShipPolicy, "hawkeye": HawkeyePolicy, "ehc": EhcPolicy}[name]
     return cls(geom, seed=seed)
@@ -73,5 +74,5 @@ def run_policy(
     :func:`ehcsim._kernels.load_trace`. A geometry beyond the kernel's
     bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
-    _kernels.check_policy(name)
+    check_policy(name)
     return pick_backend(backend, geom).run(trace, name, geom, seed, record_events=record_events)

@@ -312,12 +312,13 @@ def interleave(traces) -> Trace:
     ``core`` is overwritten with the input index, and input ``i``'s
     addresses move up by ``i`` windows of :data:`CORE_WINDOW_BYTES` (4 GB).
     Every input address must lie below that, so programs never alias and
-    no address wraps; any other raises :class:`InvalidTrace`.
+    no address wraps; any other raises :class:`InvalidTrace`. The 8-bit core
+    id numbers at most 256 inputs; more raise :class:`TooManyCores`.
     """
     traces = list(traces)
     if not traces:
         raise InvalidSpec("interleave needs at least one input trace")
-    if len(traces) > 255:
+    if len(traces) > 256:
         raise TooManyCores(f"{len(traces)} inputs exceed the 8-bit core id")
     for i, t in enumerate(traces):
         outside = t.addr[t.addr >= np.uint64(CORE_WINDOW_BYTES)]

@@ -261,6 +261,26 @@ def test_cli_compare(trace_file, tmp_path):
     assert [r[0] for r in rows] == ["lru", "srrip", "ehc"]
 
 
+@pytest.mark.parametrize("events", [[], ["--events"]])
+@pytest.mark.parametrize("policies, message", [
+    ("ehc,nope", "unknown policy 'nope' (choose from lru, srrip,"),
+    ("ehc,ehc", "policy 'ehc' is named twice"),
+])
+def test_cli_compare_checks_every_policy_before_it_runs(trace_file, tmp_path, monkeypatch,
+                                                        capsys, policies, message, events):
+    assert _kernels.unavailable() is None, _kernels.unavailable()
+    runs = []
+    kernel_run = _kernels.run
+    monkeypatch.setattr(_kernels, "run",
+                        lambda *args, **kw: runs.append(args[1]) or kernel_run(*args, **kw))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--trace", str(trace_file), "--policies", policies, *events,
+                 "--sets", "64", "--ways", "4", "--csv", str(out)]) == 1
+    assert runs == [] and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ehcsim: {message}"), err
+
+
 def test_cli_analyze(trace_file, tmp_path):
     out = tmp_path / "hist.csv"
     assert main(["analyze", "--trace", str(trace_file), "--report",

@@ -228,9 +228,6 @@ def test_kernel_run_checks_the_min_columns():
         _kernels.run(trace, "lru", geom, 0, next_use=column, rows=rows)
     with pytest.raises(ValueError, match="ranking victims takes a next_use column"):
         _kernels.run(trace, "lru", geom, 0, ranks=short)
-    for buffer, count in ((column, 0), (rows, 4), (rows, -1)):
-        with pytest.raises(ValueError, match="rows must hold 3 x 3 entries and count at most 3"):
-            _kernels.prediction_error(trace, geom, buffer, count, by_region=False)
     # A stay ends at the miss that evicts it, or at the trace length when
     # the line is still resident; a bypass writes no row. Without bypass
     # the incoming block B is next used after the victim A (rank 1); with
@@ -244,6 +241,19 @@ def test_kernel_run_checks_the_min_columns():
         count = stats.misses - stats.per_policy["bypasses"]
         assert rows.reshape(3, 3)[:, :count].tolist() == want
         assert ranks.tolist() == want_ranks
+
+
+@pytest.mark.parametrize("backend", [_kernels, minoracle], ids=["kernel", "reference"])
+def test_prediction_error_checks_its_rows_on_both_backends(backend):
+    # Rows of another size or a count outside the trace would take the
+    # kernel outside its columns; the reference rejects them alike.
+    trace = make_trace([0x40, 0x80, 0x40])
+    column, rows = np.zeros(3, dtype=np.int64), np.zeros(9, dtype=np.int64)
+    for buffer, count in ((column, 0), (rows, 4), (rows, -1)):
+        for by_region in (False, True):
+            with pytest.raises(ValueError,
+                               match="rows must hold 3 x 3 entries and count at most 3"):
+                backend.prediction_error(trace, CacheGeometry(1, 1), buffer, count, by_region)
 
 
 @pytest.mark.parametrize("kind", ["zipf", "region", "mixed", "stream"])

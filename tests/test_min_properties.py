@@ -207,7 +207,8 @@ def test_victim_quality_matches_loop(case):
 def crowded_traces(draw):
     """A geometry of 1-64 sets and 1-16 ways and a trace whose blocks crowd
     at most three sets (often the sampled set 0), so even 16-way sets fill
-    and evict. Tags and PCs span the whole 64-bit range."""
+    and evict. Tags and PCs span the whole 64-bit range; an access is any
+    (PC, block) pair."""
     geom = draw(geometries(max_set_bits=6, max_ways=16))
     sets = draw(st.lists(st.one_of(st.just(0), st.integers(0, geom.num_sets - 1)),
                          min_size=1, max_size=3))
@@ -217,39 +218,9 @@ def crowded_traces(draw):
                          max_size=2 * geom.associativity + 2, unique=True))
     blocks = [geom.block_addr(s, t) for s in sets for t in tags]
     pcs = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4))
-    accesses = draw(st.lists(st.tuples(st.sampled_from(pcs), st.sampled_from(blocks)),
+    accesses = draw(st.lists(st.sampled_from([(p, b) for p in pcs for b in blocks]),
                              min_size=min(3 * len(blocks), 300), max_size=300))
     return geom, make_trace(accesses)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
-def test_kernel_events_match_reference(case, name):
-    geom, trace = case
-    k_stats, k_log, k_flags = run_policy(trace, name, geom, backend="kernel",
-                                         record_events=True)
-    r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
-                                       record_events=True, check=True)
-    assert k_stats == r_stats
-    assert_same_array(k_flags, r_flags, "hit flags")
-    assert_same_log(k_log, r_log, "events")
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces(), st.sampled_from([*POLICY_NAMES, "min"]), st.booleans())
-def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name, bypass):
-    # Ranking in the loop changes nothing of the run, and gives the
-    # histogram victim_quality makes of the same run's event log.
-    geom, trace = case
-    next_use = _kernels.next_use(trace, geom)
-    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
-    min_args = {"next_use": next_use, "bypass": bypass} if name == "min" else {}
-    stats, log, flags = _kernels.run(trace, name, geom, 42, record_events=True,
-                                     ranks=ranks, **{"next_use": next_use, **min_args})
-    assert_same_array(ranks, victim_quality(log, trace, geom), "in-loop ranks")
-    plain_stats, _, plain_flags = _kernels.run(trace, name, geom, 42, **min_args)
-    assert stats == plain_stats
-    assert_same_array(flags, plain_flags, "hit flags")
 
 
 def _assert_residents_of_the_event_set(log, trace, geom):
@@ -266,50 +237,74 @@ def _assert_residents_of_the_event_set(log, trace, geom):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
-def test_every_event_log_holds_the_residents_of_its_set(case, name):
-    # All four producers: the kernel, the engine, and MIN on either backend.
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES), st.booleans())
+def test_every_run_logs_its_set_ranks_its_victims_and_never_beats_min(case, name, bypass):
     geom, trace = case
+    next_use = _kernels.next_use(trace, geom)
+
+    # The policy on the kernel, with and without events and in-loop ranks,
+    # on the engine with its per-access checks, on the reference backend
+    # and on auto: one run, and every event log holds the residents of its
+    # set. Ranking in the loop gives the histogram victim_quality makes of
+    # the same run's event log.
+    k_stats, k_log, k_flags = run_policy(trace, name, geom, backend="kernel",
+                                         record_events=True)
+    r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
+                                       record_events=True, check=True)
+    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
+    ranked = _kernels.run(trace, name, geom, 42, record_events=True, next_use=next_use,
+                          ranks=ranks)
+    assert_same_array(ranks, victim_quality(ranked[1], trace, geom), "in-loop ranks")
+    runs = [ranked, run_policy(trace, name, geom, backend="reference", record_events=True),
+            run_policy(trace, name, geom)]
+    for stats, log, flags in [(k_stats, k_log, k_flags), *runs]:
+        assert stats == r_stats
+        assert_same_array(flags, r_flags, "hit flags")
+        if log is not None:
+            assert_same_log(log, r_log, "events")
+            _assert_residents_of_the_event_set(log, trace, geom)
+            assert victim_quality(log, trace, geom).sum() == len(log)
+
+    # MIN on either backend and on auto, with and without bypass. MIN
+    # evicts the farthest resident; only an incoming block it does not
+    # bypass can be farther still. Every policy inserts on every miss, so
+    # MIN without bypass bounds it; MIN with bypass may also skip an
+    # insertion, so it bounds both.
     for backend in ("kernel", "reference"):
-        _, log, _ = run_policy(trace, name, geom, backend=backend, record_events=True)
-        _assert_residents_of_the_event_set(log, trace, geom)
-        assert victim_quality(log, trace, geom).sum() == len(log)
-        for bypass in (False, True):
-            log = simulate_min(trace, geom, bypass=bypass, record_events=True,
+        for min_bypass in (False, True):
+            log = simulate_min(trace, geom, bypass=min_bypass, record_events=True,
                                backend=backend)[3]
             _assert_residents_of_the_event_set(log, trace, geom)
-            ranks = victim_quality(log, trace, geom)
-            # MIN evicts the farthest resident; only an incoming block it
-            # does not bypass can be farther still.
-            worst = 0 if bypass else 1
-            assert ranks.sum() == len(log) and not ranks[worst + 1:].any()
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces())
-def test_policies_never_beat_min(case):
-    # Every policy inserts on every miss, so MIN without bypass bounds it;
-    # MIN with bypass may also skip an insertion, so it bounds both.
-    geom, trace = case
+            min_ranks = victim_quality(log, trace, geom)
+            worst = 0 if min_bypass else 1
+            assert min_ranks.sum() == len(log) and not min_ranks[worst + 1:].any()
     nobypass, _, _, _ = simulate_min(trace, geom, bypass=False)
-    bypass, _, _, _ = simulate_min(trace, geom, bypass=True)
-    assert nobypass.hits <= bypass.hits
-    for name in POLICY_NAMES:
-        stats, _, _ = run_policy(trace, name, geom)
-        assert stats.hits <= nobypass.hits, name
+    withbypass, _, _, _ = simulate_min(trace, geom, bypass=True)
+    assert r_stats.hits <= nobypass.hits <= withbypass.hits
+
+    # MIN's in-loop ranks, under the drawn bypass.
+    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
+    ranked = _kernels.run(trace, "min", geom, 42, record_events=True, next_use=next_use,
+                          bypass=bypass, ranks=ranks)
+    assert_same_array(ranks, victim_quality(ranked[1], trace, geom), "MIN's in-loop ranks")
+    plain_stats, _, plain_flags = _kernels.run(trace, "min", geom, 42, next_use=next_use,
+                                               bypass=bypass)
+    assert ranked[0] == plain_stats
+    assert_same_array(ranked[2], plain_flags, "MIN's hit flags")
 
 
 @st.composite
 def single_set_traces(draw):
     """A geometry of 1-64 sets and 1-16 ways and a trace confined to set 0
-    over at most 3 x ways + 2 tags spanning the 64-bit range."""
+    over at most 3 x ways + 2 tags spanning the 64-bit range; an access is
+    any (PC, block) pair."""
     geom = draw(geometries(max_set_bits=6, max_ways=16))
     tag_bits = 64 - geom.block_offset_bits - geom.set_bits
     tags = draw(st.lists(st.integers(0, (1 << tag_bits) - 1), min_size=1,
                          max_size=3 * geom.associativity + 2, unique=True))
     pcs = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4))
     blocks = [geom.block_addr(0, t) for t in tags]
-    accesses = draw(st.lists(st.tuples(st.sampled_from(pcs), st.sampled_from(blocks)),
+    accesses = draw(st.lists(st.sampled_from([(p, b) for p in pcs for b in blocks]),
                              max_size=200))
     return geom, make_trace(accesses)
 

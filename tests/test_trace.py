@@ -493,6 +493,20 @@ def test_interleave_preserves_per_core_order_and_count():
 
 
 def test_interleave_too_many_cores():
-    tiny = [make_trace([0x40]) for _ in range(256)]
-    with pytest.raises(TooManyCores):
+    tiny = [make_trace([0x40]) for _ in range(257)]
+    with pytest.raises(TooManyCores, match="257 inputs exceed the 8-bit core id"):
         interleave(tiny)
+
+
+def test_interleave_gives_256_inputs_every_core_id(tmp_path):
+    # Input 255's window, the last, ends below 2^40; both loaders read it.
+    top = (1 << 32) - 64
+    merged = interleave([make_trace([top]) for _ in range(256)])
+    assert merged.core.tolist() == list(range(256))
+    path = tmp_path / "cores.trace"
+    save_trace(merged, path)
+    loaded = load_trace(path)
+    assert loaded == merged and int(loaded.core[255]) == 255
+    columns = _kernels.load_trace(path)
+    assert list(columns.addr) == merged.addr.tolist()
+    assert columns.addr[255] == 255 * (1 << 32) + top < 1 << 40
