@@ -237,60 +237,73 @@ def _assert_residents_of_the_event_set(log, trace, geom):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces(), st.sampled_from(POLICY_NAMES), st.booleans())
-def test_every_run_logs_its_set_ranks_its_victims_and_never_beats_min(case, name, bypass):
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
+def test_kernel_events_match_reference(case, name):
+    # The kernel, the reference backend and auto give the engine's run.
     geom, trace = case
-    next_use = _kernels.next_use(trace, geom)
-
-    # The policy on the kernel, with and without events and in-loop ranks,
-    # on the engine with its per-access checks, on the reference backend
-    # and on auto: one run, and every event log holds the residents of its
-    # set. Ranking in the loop gives the histogram victim_quality makes of
-    # the same run's event log.
-    k_stats, k_log, k_flags = run_policy(trace, name, geom, backend="kernel",
-                                         record_events=True)
     r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
                                        record_events=True, check=True)
-    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
-    ranked = _kernels.run(trace, name, geom, 42, record_events=True, next_use=next_use,
-                          ranks=ranks)
-    assert_same_array(ranks, victim_quality(ranked[1], trace, geom), "in-loop ranks")
-    runs = [ranked, run_policy(trace, name, geom, backend="reference", record_events=True),
-            run_policy(trace, name, geom)]
-    for stats, log, flags in [(k_stats, k_log, k_flags), *runs]:
+    for stats, log, flags in [
+            run_policy(trace, name, geom, backend="kernel", record_events=True),
+            run_policy(trace, name, geom, backend="reference", record_events=True),
+            run_policy(trace, name, geom)]:
         assert stats == r_stats
         assert_same_array(flags, r_flags, "hit flags")
         if log is not None:
             assert_same_log(log, r_log, "events")
-            _assert_residents_of_the_event_set(log, trace, geom)
-            assert victim_quality(log, trace, geom).sum() == len(log)
 
-    # MIN on either backend and on auto, with and without bypass. MIN
-    # evicts the farthest resident; only an incoming block it does not
-    # bypass can be farther still. Every policy inserts on every miss, so
-    # MIN without bypass bounds it; MIN with bypass may also skip an
-    # insertion, so it bounds both.
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces(), st.sampled_from([*POLICY_NAMES, "min"]), st.booleans())
+def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name, bypass):
+    # Ranking in the loop changes nothing of the run, and gives the
+    # histogram victim_quality makes of the same run's event log.
+    geom, trace = case
+    next_use = _kernels.next_use(trace, geom)
+    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
+    min_args = {"bypass": bypass} if name == "min" else {}
+    stats, log, flags = _kernels.run(trace, name, geom, 42, record_events=True,
+                                     next_use=next_use, ranks=ranks, **min_args)
+    assert_same_array(ranks, victim_quality(log, trace, geom), "in-loop ranks")
+    _assert_residents_of_the_event_set(log, trace, geom)
+    plain_stats, _, plain_flags = _kernels.run(trace, name, geom, 42, next_use=next_use,
+                                               **min_args)
+    assert stats == plain_stats
+    assert_same_array(flags, plain_flags, "hit flags")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
+def test_every_event_log_holds_the_residents_of_its_set(case, name):
+    # All four producers: the kernel, the engine, and MIN on either backend.
+    geom, trace = case
     for backend in ("kernel", "reference"):
-        for min_bypass in (False, True):
-            log = simulate_min(trace, geom, bypass=min_bypass, record_events=True,
+        _, log, _ = run_policy(trace, name, geom, backend=backend, record_events=True)
+        _assert_residents_of_the_event_set(log, trace, geom)
+        assert victim_quality(log, trace, geom).sum() == len(log)
+        for bypass in (False, True):
+            log = simulate_min(trace, geom, bypass=bypass, record_events=True,
                                backend=backend)[3]
             _assert_residents_of_the_event_set(log, trace, geom)
-            min_ranks = victim_quality(log, trace, geom)
-            worst = 0 if min_bypass else 1
-            assert min_ranks.sum() == len(log) and not min_ranks[worst + 1:].any()
-    nobypass, _, _, _ = simulate_min(trace, geom, bypass=False)
-    withbypass, _, _, _ = simulate_min(trace, geom, bypass=True)
-    assert r_stats.hits <= nobypass.hits <= withbypass.hits
+            ranks = victim_quality(log, trace, geom)
+            # MIN evicts the farthest resident; only an incoming block it
+            # does not bypass can be farther still.
+            worst = 0 if bypass else 1
+            assert ranks.sum() == len(log) and not ranks[worst + 1:].any()
 
-    # MIN's in-loop ranks, under the drawn bypass.
-    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
-    ranked = _kernels.run(trace, "min", geom, 42, record_events=True, next_use=next_use,
-                          bypass=bypass, ranks=ranks)
-    assert_same_array(ranks, victim_quality(ranked[1], trace, geom), "MIN's in-loop ranks")
-    plain_stats, _, plain_flags = _kernels.run(trace, "min", geom, 42, next_use=next_use,
-                                               bypass=bypass)
-    assert ranked[0] == plain_stats
-    assert_same_array(ranked[2], plain_flags, "MIN's hit flags")
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crowded_traces())
+def test_policies_never_beat_min(case):
+    # Every policy inserts on every miss, so MIN without bypass bounds it;
+    # MIN with bypass may also skip an insertion, so it bounds both.
+    geom, trace = case
+    nobypass, _, _, _ = simulate_min(trace, geom, bypass=False)
+    bypass, _, _, _ = simulate_min(trace, geom, bypass=True)
+    assert nobypass.hits <= bypass.hits
+    for name in POLICY_NAMES:
+        stats, _, _ = run_policy(trace, name, geom)
+        assert stats.hits <= nobypass.hits, name
 
 
 @st.composite
