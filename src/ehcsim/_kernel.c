@@ -34,8 +34,12 @@
  * ways: a fill takes the first free way, a bypass fills none and nothing
  * invalidates a line, so one count per set stands for a valid bit per line.
  * Sampled set s keeps its OPTgen window in cap Slots, position j in slot
- * j % cap; seen[s], the accesses s recorded, puts the window at positions
- * seen[s] - cap to seen[s] - 1, and a slot never used is not live.
+ * j % cap, as ehcsim.sampler.SampledSetHistory keeps it in two lists;
+ * seen[s], the accesses s recorded, puts the window at positions
+ * seen[s] - cap to seen[s] - 1. A slot is live while its block's latest
+ * access is recorded there; a slot never used is not live. A reuse walks
+ * the slots from the block's live slot to seen[s] - 1, and a live slot
+ * about to be overwritten completes its block's stay.
  *
  * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -164,9 +168,10 @@ static void free_tables(Tables *t)
 }
 
 /* One position of a sampled set's OPTgen window: its occupancy
- * (SampledSetHistory.occ) and the access recorded there, a block, the PC
- * and the address of its latest access, its position and its hits so far,
- * and whether it is still live. */
+ * (SampledSetHistory.occ) and the access recorded there
+ * (SampledSetHistory.records), a block, the PC of that access and the fill
+ * address and hits so far of the block's stay, its position, and whether
+ * it is still the block's latest (SampledSetHistory.live). */
 typedef struct {
     uint64_t block, pc, addr;
     int64_t pos, hits, occ;
@@ -207,7 +212,8 @@ static int by_fill(const void *a, const void *b)
  * fill: each eviction as it happens, then the lines still resident, by
  * fill, so the rows are in completion order; a bypass writes none.
  * out[OUT_ROWS] and out[OUT_ROW_HITS] receive how many rows it wrote and
- * the sum of their hits, which ehcsim._kernels.run checks. With
+ * the sum of their hits, and out[OUT_SAMPLED] the accesses the sampled
+ * sets recorded, the sum of seen; ehcsim._kernels.run checks both. With
  * ranks, of assoc + 1 entries, every miss in a full set adds one at the
  * rank of its victim: how many of the residents and the incoming block are
  * next used strictly later (ehcsim.minoracle.victim_quality). Only MIN
@@ -492,9 +498,11 @@ int ehcsim_simulate(
         for (int64_t k = 0; k < stays; k++)
             write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);
     }
-    int64_t row_hits = 0;
+    int64_t row_hits = 0, recorded = 0;
     for (int64_t k = 0; k < written; k++)
         row_hits += rows[2 * n + k];
+    for (int64_t s = 0; s < nsamp; s++)
+        recorded += seen[s];
 
     out[OUT_ACCESSES] = n;
     out[OUT_HITS] = hits;
@@ -509,6 +517,7 @@ int ehcsim_simulate(
     out[OUT_BYPASSES] = bypasses;
     out[OUT_ROWS] = written;
     out[OUT_ROW_HITS] = row_hits;
+    out[OUT_SAMPLED] = recorded;
     free_tables(&t);
     return 0;
 }

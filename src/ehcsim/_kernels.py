@@ -90,14 +90,15 @@ _POLICY_IDS = {name: k for k, name in enumerate((*params.POLICY_NAMES, "min"))}
 _COUNTERS = (
     "accesses", "hits", "misses", "replacements_total",
     "replacements_no_averse", "long_inserts", "psel", "optgen_cold",
-    "optgen_hit", "optgen_miss", "bypasses", "rows", "row_hits",
+    "optgen_hit", "optgen_miss", "bypasses", "rows", "row_hits", "sampled",
 )
 _STATS_FIELDS = _COUNTERS[:5]
+_OPTGEN = ("optgen_cold", "optgen_hit", "optgen_miss")
 _PER_POLICY = {
     "brrip": ("long_inserts",),
     "drrip": ("psel",),
-    "hawkeye": ("optgen_cold", "optgen_hit", "optgen_miss"),
-    "ehc": ("optgen_cold", "optgen_hit", "optgen_miss"),
+    "hawkeye": _OPTGEN,
+    "ehc": _OPTGEN,
     "min": ("bypasses",),
 }
 
@@ -484,6 +485,17 @@ def check_rows(stats: SimStats, count: int, hits: int) -> None:
                                      f"for {fills} fills and {stats.hits} hits")
 
 
+def check_optgen(stats: SimStats, sampled: int) -> None:
+    """Raise InternalInvariantError unless OPTgen decided each of the
+    ``sampled`` accesses to sampled sets of its run, ``stats``, once: cold,
+    hit or miss. A policy without OPTgen has no such counters and records
+    no access."""
+    decided = sum(stats.per_policy.get(k, 0) for k in _OPTGEN)
+    if decided != sampled:
+        raise InternalInvariantError(f"OPTgen decided {decided} accesses "
+                                     f"of {sampled} to sampled sets")
+
+
 def run(
     trace: Trace | Columns,
     name: str,
@@ -507,8 +519,8 @@ def run(
     counts there the rank of every victim, the histogram
     :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
     :func:`check_outputs` checks the arguments. Counters that fail
-    :meth:`~ehcsim.values.SimStats.check`, and rows that fail
-    :func:`check_rows`, raise InternalInvariantError.
+    :meth:`~ehcsim.values.SimStats.check` or :func:`check_optgen`, and rows
+    that fail :func:`check_rows`, raise InternalInvariantError.
     The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
     the reference engine returns them, and a bytearray for
     :class:`Columns`, so that a run over those needs no numpy."""
@@ -536,6 +548,7 @@ def run(
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     stats.check(n)
+    check_optgen(stats, counts["sampled"])
     if rows is not None:
         check_rows(stats, counts["rows"], counts["row_hits"])
     log = None

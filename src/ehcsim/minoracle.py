@@ -143,6 +143,9 @@ def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: 
     stats, events, hit = runner.simulate(trace, policy, geom,
                                          record_events=record_events or ranks is not None)
     stats.check(len(trace))
+    sampler = getattr(policy, "sampler", None)  # Hawkeye's and EHC's OPTgen
+    _kernels.check_optgen(stats, 0 if sampler is None else
+                          sum(h.seen for h in sampler.histories.values()))
     if rows is not None:
         _kernels.check_rows(stats, *_write_rows(trace, geom, hit, policy.evicted_at, rows))
     if ranks is not None:

@@ -1,13 +1,14 @@
 """Online emulation of optimal replacement on sampled sets.
 
-For one set in every sixty-four, the past access stream is recorded as an
-occupancy vector (one counter per recorded access) plus an address cache
-mapping block tags to their last recorded position. Replaying the occupancy
-rule decides, from past accesses only, whether each access would have hit
-under optimal replacement; those decisions train a PC friendliness table and,
-when a block's emulated residency completes, feed its hit count into a
-per-region history, one record per table slot, used for expected-hit-count
-insertion.
+For one set in every sixty-four, the recent access stream is recorded in an
+OPTgen window laid out as the native kernel lays it out: a ring of window
+positions, each holding the occupancy there and the access recorded there,
+a count of the accesses recorded, and a map from each block to its latest
+position while that is in the window. Replaying the occupancy rule decides,
+from past accesses only, whether each access would have hit under optimal
+replacement; those decisions train a PC friendliness table and, when a
+block's emulated stay completes, feed its hit count into a per-region
+history, one record per table slot, used for expected-hit-count insertion.
 """
 
 from __future__ import annotations
@@ -97,25 +98,21 @@ class RegionHitTable:
         return min((2 * sum(slot[1]) + n) // (2 * n), EFH_MAX)
 
 
-class _AddrEntry:
-    __slots__ = ("pos", "pc", "addr", "hits")
-
-    def __init__(self, pos, pc, addr):
-        self.pos = pos
-        self.pc = pc
-        self.addr = addr
-        self.hits = 0
-
-
 class SampledSetHistory:
-    """Occupancy vector plus address cache for one sampled set.
+    """The OPTgen window of one sampled set, laid out as ``_kernel.c`` lays
+    out a sampled set's slots.
 
-    Positions are absolute access counters for this set; the window keeps the
-    most recent ``capacity`` of them, or all of them when ``capacity`` is
-    None (used to validate against the offline oracle). Slot ``k`` counts
-    the blocks optimal replacement must keep cached between recorded
-    accesses ``k`` and ``k+1``. Reuse trains ``pc_table``, and every
-    completed residency banks its hit count in ``region_table``.
+    Positions count this set's recorded accesses; ``seen`` of them so far.
+    Window position ``j`` is entry ``j % capacity`` of ``occ`` and of
+    ``records``, or entry ``j`` when ``capacity`` is None (used to validate
+    against the offline oracle), so the window holds positions ``seen -
+    capacity`` to ``seen - 1``. ``occ`` counts the blocks optimal
+    replacement must keep cached from that position to the next, and the
+    record holds the access recorded there: its tag and PC, and the fill
+    address and hits so far of the block's emulated stay. ``live`` maps a
+    tag to its latest position while that position is in the window. Reuse
+    trains ``pc_table``, and every completed stay banks its hit count in
+    ``region_table``.
     """
 
     def __init__(self, associativity, pc_table: PcCounterTable,
@@ -124,63 +121,54 @@ class SampledSetHistory:
         self.capacity = capacity
         self.pc_table = pc_table
         self.region_table = region_table
-        self.occ = []          # occupancy per recorded access, oldest first
-        self.base_pos = 0      # absolute position of occ[0]
-        self.entries = {}      # tag -> _AddrEntry at its last recorded position
-        self.pos_to_tag = {}
-
-    def __len__(self):
-        return len(self.occ)
-
-    def _flush(self, entry: _AddrEntry) -> None:
-        # A residency completed under the emulation; bank its hit count.
-        self.region_table.record_eviction(entry.addr, entry.hits)
-
-    def _retire_oldest(self) -> None:
-        retired = self.base_pos
-        self.occ.pop(0)
-        self.base_pos += 1
-        tag = self.pos_to_tag.pop(retired, None)
-        if tag is not None:
-            self._flush(self.entries.pop(tag))
+        self.occ = []
+        self.records = []  # (tag, pc, fill address, hits) per window position
+        self.seen = 0
+        self.live = {}
 
     def access(self, tag: int, pc: int, addr: int = 0) -> MinDecision:
         """Record one access and decide Hit/Miss/ColdMiss under emulated MIN.
 
         Side effects: trains the PC table on the previous toucher of this tag
         (reuse proved it friendly or averse), completes the block's emulated
-        residency on a Miss, and retires aged-out window slots.
+        stay on a Miss, and completes the stay of a block whose latest
+        position leaves the window.
         """
-        entry = self.entries.get(tag)
-        if entry is None:
+        occ, records, cap, seen = self.occ, self.records, self.capacity, self.seen
+        pos = self.live.pop(tag, None)
+        hits = 0
+        if pos is None:
             decision = MinDecision.COLD_MISS
         else:
-            start = entry.pos - self.base_pos
-            if all(c < self.assoc for c in self.occ[start:]):
+            span = range(pos, seen) if cap is None else [j % cap for j in range(pos, seen)]
+            _, last_pc, addr, hits = records[span[0]]
+            if all(occ[k] < self.assoc for k in span):
                 decision = MinDecision.HIT
-                for k in range(start, len(self.occ)):
-                    self.occ[k] += 1
-                entry.hits += 1
-                self.pc_table.train(entry.pc, +1)
+                for k in span:
+                    occ[k] += 1
+                hits += 1
+                self.pc_table.train(last_pc, +1)
             else:
                 decision = MinDecision.MISS
-                self.pc_table.train(entry.pc, -1)
-                self._flush(entry)
-                entry.hits = 0
-            del self.pos_to_tag[entry.pos]
+                self.pc_table.train(last_pc, -1)
+                self.region_table.record_eviction(addr, hits)
+                hits = 0
 
-        new_pos = self.base_pos + len(self.occ)
-        self.occ.append(0)
-        if self.capacity is not None and len(self.occ) > self.capacity:
-            self._retire_oldest()
-
-        if entry is None:
-            entry = _AddrEntry(new_pos, pc, addr)
-            self.entries[tag] = entry
+        record = (tag, pc, addr, hits)
+        if cap is None or seen < cap:
+            occ.append(0)
+            records.append(record)
         else:
-            entry.pos = new_pos
-            entry.pc = pc
-        self.pos_to_tag[new_pos] = tag
+            # Position seen - cap leaves the window, completing a live stay.
+            k = seen % cap
+            old_tag, _, old_addr, old_hits = records[k]
+            if self.live.get(old_tag) == seen - cap:
+                del self.live[old_tag]
+                self.region_table.record_eviction(old_addr, old_hits)
+            occ[k] = 0
+            records[k] = record
+        self.live[tag] = seen
+        self.seen = seen + 1
         return decision
 
 

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import GeneratorSpec, Trace, _kernels, gen_synthetic, minoracle, runner, save_trace
 from ehcsim.analysis import REPORT_KINDS
@@ -68,7 +68,7 @@ def commands(draw):
     if kind.startswith("run"):
         argv = ["run", "--policy", draw(policy)]
     elif kind.startswith("compare"):
-        names = draw(st.lists(policy, min_size=1, max_size=3))
+        names = draw(st.lists(policy, min_size=1, max_size=3, unique=True))
         argv = ["compare", "--policies", ",".join(names)]
     else:
         argv = ["analyze", "--report", draw(st.sampled_from(REPORT_KINDS)),
@@ -103,6 +103,9 @@ def _cli(argv, files):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(commands())
+# ``commands`` draws distinct names; a repeated one exits 1 before any run.
+@example(["compare", "--policies", "lru,srrip,lru", "--trace", "{mixed}", "--sets", "4",
+          "--ways", "2", "--block-bits", "6", "--csv", "{out}"])
 def test_every_command_keeps_the_exit_contract_on_both_backends(argv):
     assert _kernels.unavailable() is None, _kernels.unavailable()
     with tempfile.TemporaryDirectory() as tmp:
@@ -136,6 +139,8 @@ FAULT_COMMANDS = {
     "ranks": RANKED,
     "rows": [["analyze", "--report", kind] for kind in ("hitcount-block", "hitcount-region")],
     "min-misses": [["analyze", "--report", "min-gap"]],
+    "optgen": [["run", "--policy", "ehc"], ["compare", "--policies", "srrip,hawkeye"],
+               ["analyze", "--report", "no-averse"]],
 }
 
 
@@ -143,8 +148,9 @@ def _plant(monkeypatch, backend, fault):
     """Plant ``fault`` beneath the checks of ``backend``: a key of
     :data:`COUNTER_FAULTS` in the counters of every run; ``"ranks"``, one
     victim rank too many in every ranked run; ``"rows"``, one hit too many
-    in MIN's residency rows; or ``"min-misses"``, every access of a MIN
-    run counted a miss, so MIN misses more than the policy."""
+    in MIN's residency rows; ``"min-misses"``, every access of a MIN
+    run counted a miss, so MIN misses more than the policy; or
+    ``"optgen"``, one OPTgen hit too many in every Hawkeye and EHC run."""
     if backend == "reference":
         monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
         if fault == "ranks":
@@ -169,6 +175,10 @@ def _plant(monkeypatch, backend, fault):
                 if args[1].name == "min":
                     stats.misses, stats.hits = stats.accesses, 0
                 return stats, events, hit
+            if fault == "optgen":
+                if "optgen_hit" in stats.per_policy:
+                    stats.per_policy["optgen_hit"] += 1
+                return stats, events, hit
             for counter in COUNTER_FAULTS[fault]:
                 setattr(stats, counter, getattr(stats, counter) + 1)
             return stats, events, hit
@@ -188,6 +198,8 @@ def _plant(monkeypatch, backend, fault):
         if fault == "min-misses" and policy_id == _kernels._POLICY_IDS["min"]:
             out[_kernels._COUNTERS.index("misses")] = out[_kernels._COUNTERS.index("accesses")]
             out[_kernels._COUNTERS.index("hits")] = 0
+        if fault == "optgen":
+            out[_kernels._COUNTERS.index("optgen_hit")] += 1
         for counter in COUNTER_FAULTS.get(fault, ()):
             out[_kernels._COUNTERS.index(counter)] += 1
         return status

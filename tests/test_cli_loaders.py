@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ehcsim import DataError, Trace, _kernels, interleave, load_trace, write_trace
 from ehcsim.analysis import REPORT_KINDS
@@ -76,8 +76,11 @@ def _cli(argv, csv_path: Path, dump_path: Path):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(trace_files(), st.sampled_from(POLICY_NAMES),
-       st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=3),
+       st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=3, unique=True),
        st.sampled_from([(1, 1), (4, 2), (16, 4)]), st.booleans(), st.sampled_from(REPORT_KINDS))
+# The policies are drawn distinct; a repeated name exits 1 before any run.
+@example(write_trace(Trace([0, 1], [0x400000] * 2, [0, 64], [0, 0], [0, 0])), "ehc",
+         ["lru", "lru"], (4, 2), False, "no-averse")
 def test_kernel_path_runs_like_the_numpy_loader_and_the_reference_engine(
         data, policy, policies, geometry, events, report):
     assert _kernels.unavailable() is None, _kernels.unavailable()

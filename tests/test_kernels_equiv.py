@@ -162,7 +162,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "b837329b9a0b3271cd4e4bf5"
+    assert digest == "e541ddb679f471e906477e53"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():

@@ -1,6 +1,7 @@
 """Occupancy-vector MIN emulation and its predictor tables."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from ehcsim import CacheGeometry, MinDecision, MinSampler, SampledSetHistory
 from ehcsim.hashing import xor_fold
@@ -46,6 +47,36 @@ def test_window_retirement_forgets_blocks():
     # A's slot has been retired, so its return looks cold again.
     assert hist.access("A", 0, 0) == COLD
     assert len(hist.occ) == 3
+
+
+def _replay(stream, assoc, capacity):
+    """A history of ``capacity`` fed ``stream``: its decisions, the length
+    of its window after each access, its PC counters and region table."""
+    pcs, regions = PcCounterTable(), RegionHitTable()
+    hist = SampledSetHistory(assoc, pcs, regions, capacity=capacity)
+    decisions, lengths = [], []
+    for tag, pc in stream:
+        decisions.append(hist.access(tag, pc, (tag % 3) << 17 | tag << 6))
+        lengths.append(len(hist.occ))
+    table = [slot and (slot[0], list(slot[1])) for slot in regions.slots]
+    return decisions, lengths, pcs.counters, table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 70), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=60))
+def test_window_ring_holds_the_latest_capacity_positions(capacity, assoc, stream):
+    decisions, lengths, counters, table = _replay(stream, assoc, capacity)
+    assert lengths == [min(seen, capacity) for seen in range(1, len(stream) + 1)]
+    if capacity >= len(stream):  # no position leaves the window
+        unbounded, _, unbounded_counters, unbounded_table = _replay(stream, assoc, None)
+        assert (decisions, counters, table) == (unbounded, unbounded_counters, unbounded_table)
+    # Cold exactly when the tag is new or its latest access lies more than
+    # capacity positions back, out of the window.
+    latest = {}
+    for seen, ((tag, _), decision) in enumerate(zip(stream, decisions)):
+        assert (decision == COLD) == (seen - latest.get(tag, -capacity - 1) > capacity)
+        latest[tag] = seen
 
 
 def test_default_capacity_is_8x_assoc():
