@@ -1,5 +1,3 @@
-import sys
+from .cli import exit_with_main
 
-from .cli import main
-
-sys.exit(main())
+exit_with_main()

@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage error or not enough memory, 2 data error
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
+from types import SimpleNamespace
 
 from . import _kernels
 from .analysis import REPORT_KINDS, analyze, compare, run_report
@@ -30,59 +31,11 @@ def load_trace(path):
     return trace.load_trace(path)
 
 
-def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sets", type=int, default=DEFAULT_GEOMETRY.num_sets)
-    p.add_argument("--ways", type=int, default=DEFAULT_GEOMETRY.associativity)
-    p.add_argument("--block-bits", type=int, default=DEFAULT_GEOMETRY.block_offset_bits)
-
-
 def _geometry(args) -> CacheGeometry:
     try:
         return CacheGeometry(args.sets, args.ways, args.block_bits)
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def _gen_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
-    p.add_argument("--blocks", type=int, required=True, help="working-set size in blocks")
-    p.add_argument("--length", type=int, required=True, help="number of accesses")
-    p.add_argument("--alpha", type=float, default=1.0, help="Zipf skew")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("-o", "--output", required=True)
-
-
-def _run_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", required=True)
-    p.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    _add_geometry_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--events", help="also dump the replacement event log (CSV)")
-    p.add_argument("--csv", required=True)
-
-
-def _compare_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", required=True)
-    p.add_argument("--policies", required=True, help="comma-separated policy names")
-    _add_geometry_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--events", action="store_true",
-                   help="score victim quality too (records every replacement)")
-    p.add_argument("--csv", required=True)
-
-
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", required=True)
-    p.add_argument("--report", required=True, choices=REPORT_KINDS)
-    p.add_argument("--policy", default="ehc", choices=POLICY_NAMES)
-    _add_geometry_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--csv", required=True)
-
-
-def _interleave_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("inputs", nargs="+")
 
 
 def _cmd_gen(args) -> int:
@@ -129,46 +82,138 @@ def _cmd_interleave(args) -> int:
     return 0
 
 
-#: Each subcommand's help line, the function that adds its arguments and
-#: its handler, in the order that help lists them.
+def _option(*flags, **settings):
+    """One option: its flags and the keywords ``add_argument`` takes for it."""
+    return flags, settings
+
+
+_GEOMETRY = (
+    _option("--sets", type=int, default=DEFAULT_GEOMETRY.num_sets),
+    _option("--ways", type=int, default=DEFAULT_GEOMETRY.associativity),
+    _option("--block-bits", type=int, default=DEFAULT_GEOMETRY.block_offset_bits),
+)
+_SEED = _option("--seed", type=int, default=DEFAULT_SEED)
+
+#: Each subcommand, in help's order: its help line, its options (flags and
+#: ``add_argument`` keywords, in its help's order) and its handler.
 _COMMANDS = {
-    "gen": ("generate a synthetic trace", _gen_arguments, _cmd_gen),
-    "run": ("simulate one policy over a trace", _run_arguments, _cmd_run),
-    "compare": ("run several policies side by side", _compare_arguments, _cmd_compare),
-    "analyze": ("replacement-quality instruments", _analyze_arguments, _cmd_analyze),
-    "interleave": ("merge per-program traces into one", _interleave_arguments,
-                   _cmd_interleave),
+    "gen": ("generate a synthetic trace", (
+        _option("--kind", required=True, choices=GENERATOR_KINDS),
+        _option("--blocks", type=int, required=True, help="working-set size in blocks"),
+        _option("--length", type=int, required=True, help="number of accesses"),
+        _option("--alpha", type=float, default=1.0, help="Zipf skew"),
+        _SEED,
+        _option("-o", "--output", required=True),
+    ), _cmd_gen),
+    "run": ("simulate one policy over a trace", (
+        _option("--trace", required=True),
+        _option("--policy", required=True, choices=POLICY_NAMES),
+        *_GEOMETRY,
+        _SEED,
+        _option("--events", help="also dump the replacement event log (CSV)"),
+        _option("--csv", required=True),
+    ), _cmd_run),
+    "compare": ("run several policies side by side", (
+        _option("--trace", required=True),
+        _option("--policies", required=True, help="comma-separated policy names"),
+        *_GEOMETRY,
+        _SEED,
+        _option("--events", action="store_true", default=False,
+                help="score victim quality too (records every replacement)"),
+        _option("--csv", required=True),
+    ), _cmd_compare),
+    "analyze": ("replacement-quality instruments", (
+        _option("--trace", required=True),
+        _option("--report", required=True, choices=REPORT_KINDS),
+        _option("--policy", default="ehc", choices=POLICY_NAMES),
+        *_GEOMETRY,
+        _SEED,
+        _option("--csv", required=True),
+    ), _cmd_analyze),
+    "interleave": ("merge per-program traces into one", (
+        _option("-o", "--output", required=True),
+        _option("inputs", nargs="+"),
+    ), _cmd_interleave),
 }
 
+#: The subcommands whose well-formed argv :func:`_parse` reads; ``gen``
+#: and ``interleave`` import numpy, which costs far more than argparse.
+_PARSED_WITHOUT_ARGPARSE = ("run", "compare", "analyze")
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of ``argv``. When ``argv`` starts with a subcommand, only
-    that subcommand's parser is built, and the subparsers' metavar names
-    all five, so that usage and error text are the full parser's; without
-    one (no command, an unknown one, ``-h`` first) all five are built."""
+
+def build_parser():
+    """The argparse parser of all five subcommands, built from
+    :data:`_COMMANDS`: the only source of help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="ehcsim", description=__doc__)
-    if argv and argv[0] in _COMMANDS:
-        names = [argv[0]]
-        # Only the full parser reports a missing or unknown command, whose
-        # message names the metavar when there is one.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-    else:
-        names = list(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, settings in options:
+            p.add_argument(*flags, **settings)
     return parser
+
+
+def _negative_number(value: str) -> bool:
+    r"""Whether argparse takes ``value``, which starts with ``-``, for a
+    negative number rather than a flag: whether it matches
+    ``^-\d+$|^-\d*\.\d+$``. A final newline, which that ``$`` also lets
+    through, is left to argparse."""
+    whole, dot, fraction = value[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _parse(argv):
+    """argparse's namespace of a well-formed ``run``, ``compare`` or
+    ``analyze`` argv, read without building the parser; None for any other
+    argv, which argparse then reads. Well-formed: every token after the
+    command is a flag of that command by its full name, each flag comes
+    once, every value is one token that argparse takes for a value (it does
+    not start with ``-``, or it is a negative number), its type converts it
+    and its choices hold it, and every required flag is given."""
+    if not argv or argv[0] not in _PARSED_WITHOUT_ARGPARSE:
+        return None
+    command, *tokens = argv
+    options = {flags[0]: settings for flags, settings in _COMMANDS[command][1]}
+    given = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        settings = options.get(flag)
+        if settings is None or flag in given:
+            return None
+        if settings.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and not _negative_number(value):
+            return None
+        if "type" in settings:
+            try:
+                value = settings["type"](value)
+            except ValueError:
+                return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        given[flag] = value
+    if any(settings.get("required") and flag not in given
+           for flag, settings in options.items()):
+        return None
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): given.get(flag, settings.get("default"))
+        for flag, settings in options.items()})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if not e.code else 1
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 0 if not e.code else 1
     *_, handler = _COMMANDS[args.command]
     try:
         return handler(args)
@@ -187,5 +232,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def exit_with_main() -> None:
+    """End the process with :func:`main`'s exit code, without finalizing
+    the interpreter. The entry point of ``python -m ehcsim`` and of the
+    ``ehcsim`` script.
+
+    Once stdout and stderr are flushed, ``os._exit`` ends the process: no
+    module teardown, garbage collection or ``atexit`` handler runs. That
+    loses nothing only because every file a command writes is closed before
+    :func:`main` returns; each write is a ``with`` block
+    (``Report.write``, ``EventLog.write_csv``, ``save_trace``,
+    ``_kernel_build.build``, ``_kernel_build.write_bytecode``), and a write
+    added later must be one too. A flush that fails (a stream closed at
+    start-up or since, a broken pipe) leaves the exit to the interpreter,
+    which reports it as it would without this function. An exception that
+    escapes :func:`main` propagates."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_with_main()

@@ -1,8 +1,12 @@
 """Metrics, report CSV round trips, experiment drivers, and the CLI."""
 
 import csv
+import io
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ from ehcsim import (
     run_report,
     save_trace,
 )
-from ehcsim import _kernels
+from ehcsim import _kernels, cli
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.errors import DataError
@@ -523,6 +527,98 @@ def test_cli_rejects_invalid_trace_files(tmp_path, write_bad):
 
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# ``python -m ehcsim`` ends with ``os._exit`` once it has flushed stdout and
+# stderr, so these children check that the flushes keep what was printed.
+CLI_TEXT = json.loads(Path(__file__).with_name("cli_text.json").read_text())
+
+
+def _ehcsim(*args, unbuffered=False, **kwargs):
+    # Buffered output unless asked otherwise, so that what is not flushed
+    # before the exit is lost.
+    env = {**os.environ, "COLUMNS": str(CLI_TEXT["columns"])}
+    for name in ("LINES", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "ehcsim", *map(str, args)], env=env,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
+                    reason=f"the text was captured under Python {CLI_TEXT['python']}")
+def test_cli_process_prints_all_of_its_help():
+    proc = _ehcsim("-h", capture_output=True, text=True)
+    want = CLI_TEXT["cases"]["help"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want["stdout"], want["stderr"])
+
+
+@pytest.mark.parametrize("kind", ["usage", "data"])
+def test_cli_process_prints_its_error_line(trace_file, tmp_path, kind):
+    if kind == "usage":  # a geometry the handler rejects, exit 1
+        args, code = ["run", "--trace", trace_file, "--policy", "lru", "--sets", "3"], 1
+    else:  # a truncated trace, exit 2
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(b"EHCT\x01")
+        args, code = ["compare", "--trace", bad, "--policies", "lru,ehc"], 2
+    proc = _ehcsim(*args, "--csv", tmp_path / "x.csv", capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ehcsim: "), proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_help_into_a_closed_pipe_ends_as_without_the_early_exit(unbuffered):
+    # Unbuffered, argparse drops the help it cannot write and the process
+    # exits 0 silently. Buffered, the flush before the exit fails, and the
+    # interpreter reports that at its own exit with status 120.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _ehcsim("-h", unbuffered=unbuffered, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    if unbuffered:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    else:
+        assert proc.returncode == 120, proc.stderr
+        assert proc.stderr.splitlines()[-1] == b"BrokenPipeError: [Errno 32] Broken pipe"
+
+
+class _Exited(Exception):
+    pass
+
+
+def test_exit_with_main_flushes_then_exits_without_finalizing(monkeypatch):
+    out = io.StringIO()
+    flushed = []
+    monkeypatch.setattr(out, "flush", lambda: flushed.append(out.getvalue()))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "argv", ["ehcsim", "--help"])
+
+    def _exit(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(_Exited) as exited:
+        cli.exit_with_main()
+    assert exited.value.args == (0,)
+    assert flushed and flushed[0].startswith("usage: ehcsim")
+
+
+def test_exit_with_main_leaves_a_failed_flush_to_the_interpreter(monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    monkeypatch.setattr(sys, "argv", ["ehcsim", "run"])
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit after a failed flush"))
+    with pytest.raises(SystemExit) as exited:
+        cli.exit_with_main()
+    assert exited.value.code == 1
 
 
 def test_cli_reruns_are_byte_identical(trace_file, tmp_path):

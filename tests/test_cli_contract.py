@@ -106,6 +106,8 @@ def _cli(argv, files):
 # ``commands`` draws distinct names; a repeated one exits 1 before any run.
 @example(["compare", "--policies", "lru,srrip,lru", "--trace", "{mixed}", "--sets", "4",
           "--ways", "2", "--block-bits", "6", "--csv", "{out}"])
+# A list of no names exits 1 in the handler, after the argv is read.
+@example(["compare", "--policies", ",", "--trace", "{mixed}", "--csv", "{out}"])
 def test_every_command_keeps_the_exit_contract_on_both_backends(argv):
     assert _kernels.unavailable() is None, _kernels.unavailable()
     with tempfile.TemporaryDirectory() as tmp:

@@ -35,6 +35,7 @@ from ehcsim import (
 )
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 from ehcsim.engine import simulate
+from ehcsim.minoracle import MinPolicy
 from ehcsim.sampler import PcCounterTable, RegionHitTable
 from ehcsim.trace import REGION_SHIFT
 
@@ -301,6 +302,10 @@ def test_policies_never_beat_min(case):
     nobypass, _, _, _ = simulate_min(trace, geom, bypass=False)
     bypass, _, _, _ = simulate_min(trace, geom, bypass=True)
     assert nobypass.hits <= bypass.hits
+    # The engine's per-access checks hold after a bypass too.
+    checked, _, _ = simulate(trace, MinPolicy(compute_next_use(trace, geom), bypass=True), geom,
+                             check=True)
+    assert checked == bypass
     for name in POLICY_NAMES:
         stats, _, _ = run_policy(trace, name, geom)
         assert stats.hits <= nobypass.hits, name

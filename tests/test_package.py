@@ -30,12 +30,12 @@ def test_unknown_attribute_raises():
 # Modules the kernel path of ``run``, ``compare`` and ``analyze`` needs none
 # of: numpy and the numpy trace model, the reference engine, policies and
 # MIN oracle, the kernel's build module and ``py_compile`` (the library and
-# the package's bytecode are cached), and two standard modules numpy does
-# not import itself.
+# the package's bytecode are cached), two standard modules numpy does not
+# import itself, and argparse, which a well-formed argv does not need.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
     "ehcsim.sampler", "numpy", "ehcsim.trace", "ehcsim.engine", "ehcsim._kernel_build",
-    "py_compile",
+    "py_compile", "argparse",
 )
 # What only a kernel build needs; the host's site may import these itself,
 # so they are checked without it.
