@@ -105,14 +105,35 @@ def _read_as_argparse(argv):
     return fast
 
 
+def _namespace(captured):
+    """``captured`` with a parsed namespace turned into its ``vars``, so
+    that :func:`cli._parse`'s SimpleNamespace and argparse's Namespace
+    compare alike."""
+    result, out, err = captured
+    return (result if isinstance(result, tuple) else vars(result)), out, err
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in CASES.values()] + list(VALID.values()),
+                         ids=[*CASES, *(f"valid-{name}" for name in VALID)])
+def test_parser_of_one_subcommand_prints_and_parses_as_the_full_parser(argv):
+    # cli._parse reads from the table of the one subcommand it is given,
+    # and main leaves to the full parser every argv it does not read: the
+    # two together print and parse as the full parser alone. Of these
+    # argvs it reads just the valid run, compare and analyze commands.
+    assert sorted(cli._COMMANDS) == sorted(VALID)
+    full = _namespace(_captured(lambda: cli.build_parser().parse_args(argv)))
+    chosen = _namespace(_captured(
+        lambda: cli._parse(argv) or cli.build_parser().parse_args(argv)))
+    assert chosen == full
+    read = argv in [VALID[name] for name in cli._PARSED_WITHOUT_ARGPARSE]
+    assert (_read_as_argparse(argv) is not None) == read
+
+
 @pytest.mark.parametrize("argv, read", [
-    *((case["argv"], False) for case in CASES.values()),
-    *((argv, name in cli._PARSED_WITHOUT_ARGPARSE) for name, argv in VALID.items()),
     *((argv, False) for argv in LEFT_TO_ARGPARSE.values()),
     *((argv, True) for argv in READ.values()),
-], ids=[*CASES, *(f"valid-{name}" for name in VALID), *LEFT_TO_ARGPARSE, *READ])
+], ids=[*LEFT_TO_ARGPARSE, *READ])
 def test_parse_is_argparse_or_none(argv, read):
-    assert sorted(cli._COMMANDS) == sorted(VALID)
     assert (_read_as_argparse(argv) is not None) == read
 
 
