@@ -46,13 +46,12 @@ of them, even under ``PYTHONDONTWRITEBYTECODE``.
 Elsewhere (the temporary directory, a set ``sys.pycache_prefix``) nothing
 is written, and a write that fails is skipped silently.
 
-With ``record_events`` the kernel also writes each miss in a full set into
-one preallocated int64 buffer as one row of trace positions, whose columns
-:func:`run` hands to an :class:`~ehcsim.engine.EventLog` as they are;
-without it the buffer is NULL, as are rows and ranks nobody asked for,
-and the kernel records nothing there. Every other column goes to a
-:func:`buffer` the caller allocates: a numpy array for a
-:class:`~ehcsim.trace.Trace`, a ctypes array for :class:`Columns`.
+The backend's three calls allocate what the kernel writes. With
+``record_events`` it writes each miss in a full set into one int64 buffer
+as one row of trace positions, whose columns :func:`run` hands to an
+:class:`~ehcsim.engine.EventLog` as they are; next use, MIN's rows and the
+victim ranks each go to a :func:`buffer`. Outputs nobody asked for are
+NULL, and the kernel records nothing there.
 When no compiler is found or the build fails, :func:`use_kernel` is False
 for ``backend="auto"``, which picks the reference backend, and one line on
 stderr per process says why.
@@ -423,16 +422,15 @@ def next_use(trace: Trace | Columns, geom: CacheGeometry):
     return out
 
 
-def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows, count: int,
+def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows,
                      by_region: bool) -> list[int]:
-    """The prediction-error histogram of the first ``count`` residency rows
-    that :func:`run` wrote to ``rows`` for MIN on ``trace``:
+    """The prediction-error histogram of the residency rows that :func:`run`
+    returned for MIN on ``trace``:
     :func:`ehcsim.minoracle.per_region_prediction_error` with
     ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
-    n = len(trace)
-    check_residency_rows(trace, rows, count)
+    rows, count = rows
     hist = (ctypes.c_int64 * params.ERROR_BUCKETS)()
-    if _library().ehcsim_prediction_error(count, n, rows, trace.addr, geom.block_shift,
+    if _library().ehcsim_prediction_error(count, len(trace), rows, trace.addr, geom.block_shift,
                                           1 if by_region else 0, hist) != 0:
         raise MemoryError("cannot allocate the prediction key table")
     return list(hist)
@@ -446,54 +444,43 @@ def check_policy(name: str) -> None:
         )
 
 
-def check_outputs(trace, name: str, geom: CacheGeometry, next_use, rows, ranks) -> None:
+def check_outputs(trace, name: str, next_use, rows: bool, ranks: bool) -> None:
     """The argument checks of :func:`run` on either backend: a ``name``
     neither a built-in policy's nor ``"min"`` raises :class:`UnknownPolicy`;
     MIN without ``next_use``, ``rows`` for another policy, ``ranks``
-    without ``next_use`` or a column of another size raises ValueError."""
-    n = len(trace)
+    without ``next_use`` or a ``next_use`` of another length than the trace
+    raises ValueError."""
     if name != "min":
         check_policy(name)
     elif next_use is None:
         raise ValueError("MIN takes a next_use column")
-    if rows is not None and name != "min":
+    if rows and name != "min":
         raise ValueError(f"only MIN writes residency rows, not {name}")
-    if ranks is not None and next_use is None:
+    if ranks and next_use is None:
         raise ValueError("ranking victims takes a next_use column")
-    for what, column, size in (("next_use", next_use, n), ("rows", rows, 3 * n),
-                               ("ranks", ranks, geom.associativity + 1)):
-        if column is not None and len(column) != size:
-            raise ValueError(f"{what} must hold {size} entries, not {len(column)}")
+    if next_use is not None and len(next_use) != len(trace):
+        raise ValueError(f"next_use must hold {len(trace)} entries, not {len(next_use)}")
 
 
-def check_residency_rows(trace, rows, count: int) -> None:
-    """The argument checks of :func:`prediction_error` on either backend:
-    ``rows`` of other than 3 x n entries, n the trace's length, or a
-    ``count`` outside 0 to n raises ValueError."""
-    n = len(trace)
-    if len(rows) != 3 * n or not 0 <= count <= n:
-        raise ValueError(f"rows must hold 3 x {n} entries and count at most {n}")
-
-
-def check_rows(stats: SimStats, count: int, hits: int) -> None:
-    """Raise InternalInvariantError unless MIN's residency rows, ``count``
-    of them holding ``hits`` hits in all, are one per fill, ``misses -
-    bypasses``, and hold every hit of its run, ``stats``."""
-    fills = stats.misses - stats.per_policy["bypasses"]
-    if count != fills or hits != stats.hits:
-        raise InternalInvariantError(f"MIN wrote {count} residency rows with {hits} hits "
-                                     f"for {fills} fills and {stats.hits} hits")
-
-
-def check_optgen(stats: SimStats, sampled: int) -> None:
-    """Raise InternalInvariantError unless OPTgen decided each of the
-    ``sampled`` accesses to sampled sets of its run, ``stats``, once: cold,
-    hit or miss. A policy without OPTgen has no such counters and records
-    no access."""
+def check_result(stats: SimStats, n: int, sampled: int, rows, row_hits: int, ranks) -> None:
+    """The result checks of :func:`run` on either backend: raise
+    InternalInvariantError unless ``stats`` of ``n`` accesses pass
+    :meth:`~ehcsim.values.SimStats.check`, OPTgen decided each of the
+    ``sampled`` accesses to sampled sets once (cold, hit or miss), MIN's
+    ``rows`` are one per fill and hold ``row_hits``, every hit, and the
+    ``ranks`` count every replacement and bypass once."""
+    stats.check(n)
     decided = sum(stats.per_policy.get(k, 0) for k in _OPTGEN)
     if decided != sampled:
         raise InternalInvariantError(f"OPTgen decided {decided} accesses "
                                      f"of {sampled} to sampled sets")
+    bypasses = stats.per_policy.get("bypasses", 0)
+    if rows is not None and (rows[1], row_hits) != (stats.misses - bypasses, stats.hits):
+        raise InternalInvariantError(f"MIN wrote {rows[1]} residency rows with {row_hits} hits "
+                                     f"for {stats.misses - bypasses} fills and {stats.hits} hits")
+    if ranks is not None and sum(ranks) != stats.replacements_total + bypasses:
+        raise InternalInvariantError(f"victim ranks count {sum(ranks)} victims of "
+                                     f"{stats.replacements_total + bypasses}")
 
 
 def run(
@@ -504,35 +491,39 @@ def run(
     record_events: bool = False,
     next_use=None,
     bypass: bool = False,
-    rows=None,
-    ranks=None,
+    rows: bool = False,
+    ranks: bool = False,
 ):
-    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`.
+    """Kernel-path counterpart of :func:`ehcsim.engine.simulate`; returns
+    ``(stats, events, hit_flags, rows, ranks)``.
 
     ``name`` ``"min"`` runs Belady's MIN over ``next_use``, the column of
     :func:`next_use`, with ``bypass``, as :class:`ehcsim.minoracle.MinPolicy`
-    does. Given ``rows``, a :func:`buffer` of 3 x ``len(trace)`` entries, it
-    writes one residency row per fill there, ``misses - bypasses`` rows in
-    completion order: fill positions from entry 0, end positions from entry
-    ``len(trace)`` and hits from entry ``2 * len(trace)``. Any policy given
-    ``next_use`` and ``ranks``, a buffer of associativity + 1 entries,
-    counts there the rank of every victim, the histogram
+    does. With ``rows`` it returns its residency rows, one per fill in
+    completion order, as a :func:`buffer` of 3 x ``len(trace)`` entries and
+    the number of rows, ``misses - bypasses``: fill positions from entry 0,
+    end positions from entry ``len(trace)`` and hits from entry
+    ``2 * len(trace)``. :func:`prediction_error` takes them as they are.
+    Any policy given ``next_use`` and ``ranks`` returns the rank of every
+    victim as a list of associativity + 1 counts, the histogram
     :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
-    :func:`check_outputs` checks the arguments. Counters that fail
-    :meth:`~ehcsim.values.SimStats.check` or :func:`check_optgen`, and rows
-    that fail :func:`check_rows`, raise InternalInvariantError.
+    Rows and ranks not asked for are None. :func:`check_outputs` checks the
+    arguments, and results that fail :func:`check_result` raise
+    InternalInvariantError.
     The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
     the reference engine returns them, and a bytearray for
     :class:`Columns`, so that a run over those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    check_outputs(trace, name, geom, next_use, rows, ranks)
+    check_outputs(trace, name, next_use, rows, ranks)
     hit_flags = bytearray(n)
     out = (ctypes.c_int64 * len(_COUNTERS))()
     # Room for an event row at every access, in numpy for the EventLog.
     ev_width = len(_EVENT_FIELDS) + assoc
     events = buffer(None, geom, n * ev_width) if record_events else None
+    rows = buffer(trace, geom, 3 * n) if rows else None
+    ranks = buffer(trace, geom, assoc + 1) if ranks else None
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
@@ -547,10 +538,11 @@ def run(
     counts = dict(zip(_COUNTERS, out))
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
-    stats.check(n)
-    check_optgen(stats, counts["sampled"])
     if rows is not None:
-        check_rows(stats, counts["rows"], counts["row_hits"])
+        rows = rows, counts["rows"]
+    if ranks is not None:
+        ranks = [int(r) for r in ranks]
+    check_result(stats, n, counts["sampled"], rows, counts["row_hits"], ranks)
     log = None
     if record_events:
         log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)
@@ -558,7 +550,7 @@ def run(
         import numpy as np
 
         hit_flags = np.frombuffer(hit_flags, dtype=np.uint8)
-    return stats, log, hit_flags
+    return stats, log, hit_flags, rows, ranks
 
 
 def _event_log(events: np.ndarray, count: int, width: int) -> EventLog:

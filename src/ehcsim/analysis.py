@@ -94,11 +94,15 @@ class Report:
 
     @classmethod
     def parse(cls, text: str) -> "Report":
+        """The report whose :meth:`to_csv` is ``text``. Data outside a table, a
+        table without a header, a ragged row or a non-number raises DataError."""
         report = cls()
         name, columns, rows = None, None, None
 
         def close():
             if name is not None:
+                if columns is None:
+                    raise DataError(f"report CSV: table {name!r} has no header row")
                 report.add_table(name, columns, rows)
 
         for line in text.splitlines():
@@ -114,7 +118,12 @@ class Report:
                 columns = line.split(",")[1:]
             elif name is not None:
                 fields = line.split(",")
-                rows.append(tuple([fields[0]] + [float(x) for x in fields[1:]]))
+                try:
+                    if len(fields) != len(columns) + 1:
+                        raise ValueError(f"{len(fields)} fields under {len(columns) + 1} columns")
+                    rows.append(tuple([fields[0]] + [float(x) for x in fields[1:]]))
+                except ValueError as e:
+                    raise DataError(f"report CSV: table {name!r}: {e}") from None
             else:
                 raise DataError("report CSV: data before any table header")
         close()
@@ -163,20 +172,11 @@ def run_report(
 
 def _victim_ranks(trace, names, geom: CacheGeometry, seed: int) -> list[tuple]:
     """``(stats, victim-rank histogram)`` of one run of each policy in
-    ``names``, ranked in the run against one next-use column of ``trace``.
-    A histogram whose total is not the replacements and bypasses of its run
-    raises :class:`~ehcsim.errors.InternalInvariantError`."""
+    ``names``, ranked in the run against one next-use column of ``trace``."""
     lib = pick_backend("auto", geom)
     next_use = lib.next_use(trace, geom)
-    results = []
-    for name in names:
-        ranks = lib.buffer(trace, geom, geom.associativity + 1)
-        stats, _, _ = lib.run(trace, name, geom, seed, next_use=next_use, ranks=ranks)
-        ranks = list(ranks)
-        if sum(ranks) != stats.replacements_total + stats.per_policy.get("bypasses", 0):
-            raise InternalInvariantError(f"{name}'s victim ranks do not sum to its replacements")
-        results.append((stats, ranks))
-    return results
+    runs = (lib.run(trace, name, geom, seed, next_use=next_use, ranks=True) for name in names)
+    return [(stats, ranks) for stats, _, _, _, ranks in runs]
 
 
 def compare(
@@ -247,10 +247,8 @@ def _prediction_error(trace, geom: CacheGeometry, by_region: bool):
     """The prediction-error histogram of MIN's (with bypass) residencies."""
     lib = pick_backend("auto", geom)
     next_use = lib.next_use(trace, geom)
-    rows = lib.buffer(trace, geom, 3 * len(trace))
-    stats, _, _ = lib.run(trace, "min", geom, 0, next_use=next_use, bypass=True, rows=rows)
-    count = stats.misses - stats.per_policy["bypasses"]
-    return lib.prediction_error(trace, geom, rows, count, by_region)
+    rows = lib.run(trace, "min", geom, 0, next_use=next_use, bypass=True, rows=True)[3]
+    return lib.prediction_error(trace, geom, rows, by_region)
 
 
 def _min_stats(trace, geom: CacheGeometry) -> list[SimStats]:

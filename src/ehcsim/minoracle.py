@@ -8,11 +8,11 @@ reuse-distance ranking of a policy's evicted victims (gathers from the
 next-use column at the positions an event log records).
 
 As the reference backend that :func:`ehcsim.runner.pick_backend` returns
-without the native kernel, :func:`next_use`, :func:`buffer`, :func:`run` and
+without the native kernel, :func:`next_use`, :func:`run` and
 :func:`prediction_error` answer the calls of :mod:`ehcsim._kernels` on the
-reference engine with the same results, which the test suite enforces. MIN
-is one more policy of that loop, :class:`MinPolicy`, as it is one more
-policy id of ``_kernel.c``.
+reference engine with the same results and checks, which the test suite
+enforces. MIN is one more policy of that loop, :class:`MinPolicy`, as it is
+one more policy id of ``_kernel.c``.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def compute_next_use(trace: Trace, geom: CacheGeometry = DEFAULT_GEOMETRY) -> np
     return next_use
 
 
-#: The reference backend's next use, and its buffers: the kernel's, which
-#: are numpy arrays for a :class:`~ehcsim.trace.Trace`.
-next_use, buffer = compute_next_use, _kernels.buffer
+#: The reference backend's next use.
+next_use = compute_next_use
 
 
 class MinPolicy(ReplacementPolicy):
@@ -133,28 +132,35 @@ def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> tup
 
 
 def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: bool = False,
-        next_use=None, bypass: bool = False, rows=None, ranks=None):
+        next_use=None, bypass: bool = False, rows: bool = False, ranks: bool = False):
     """:func:`ehcsim._kernels.run` on the reference engine, with the same
-    arguments, checks and results. MIN is :class:`MinPolicy`; a run given
-    ``ranks`` ranks its event log against ``next_use`` as
+    arguments, checks and results. MIN is :class:`MinPolicy`; a run asked
+    for ``ranks`` ranks its event log against ``next_use`` as
     :func:`victim_quality` does."""
-    _kernels.check_outputs(trace, name, geom, next_use, rows, ranks)
+    n = len(trace)
+    _kernels.check_outputs(trace, name, next_use, rows, ranks)
+    # Allocated before the run, as the kernel allocates them, with its errors.
+    rows = _kernels.buffer(trace, geom, 3 * n) if rows else None
+    ranks = _kernels.buffer(trace, geom, geom.associativity + 1) if ranks else None
     policy = MinPolicy(next_use, bypass) if name == "min" else runner.make_policy(name, geom, seed)
     stats, events, hit = runner.simulate(trace, policy, geom,
                                          record_events=record_events or ranks is not None)
-    stats.check(len(trace))
     sampler = getattr(policy, "sampler", None)  # Hawkeye's and EHC's OPTgen
-    _kernels.check_optgen(stats, 0 if sampler is None else
-                          sum(h.seen for h in sampler.histories.values()))
+    row_hits = 0
     if rows is not None:
-        _kernels.check_rows(stats, *_write_rows(trace, geom, hit, policy.evicted_at, rows))
+        count, row_hits = _write_rows(trace, geom, hit, policy.evicted_at, rows)
+        rows = rows, count
     if ranks is not None:
         ranks[:] = _rank_histogram(events, next_use, geom.associativity)
-    return stats, events if record_events else None, hit
+        ranks = ranks.tolist()
+    _kernels.check_result(stats, n, 0 if sampler is None else
+                          sum(h.seen for h in sampler.histories.values()), rows, row_hits, ranks)
+    return stats, events if record_events else None, hit, rows, ranks
 
 
-def _residency_log(trace: Trace, geom: CacheGeometry, rows, count: int) -> ResidencyLog:
-    """The first ``count`` MIN residency rows that ``run`` wrote to ``rows``."""
+def _residency_log(trace: Trace, geom: CacheGeometry, rows) -> ResidencyLog:
+    """The MIN residency rows that a backend's ``run`` returned."""
+    rows, count = rows
     fill, end, hits = np.asarray(rows).reshape(3, len(trace))[:, :count]
     shift = np.uint64(geom.block_shift)
     return ResidencyLog((trace.addr[fill] >> shift) << shift, fill, end, hits)
@@ -184,16 +190,15 @@ def simulate_min(
     lib = runner.pick_backend(backend, geom)
     n = len(trace)
     next_use = lib.next_use(trace, geom)
-    rows = lib.buffer(trace, geom, 3 * n)
-    stats, events, hit = lib.run(trace, "min", geom, 0, record_events=record_events,
-                                 next_use=next_use, bypass=bypass, rows=rows)
+    stats, events, hit, rows, _ = lib.run(trace, "min", geom, 0, record_events=record_events,
+                                          next_use=next_use, bypass=bypass, rows=True)
 
     # A block's first access is the next use of no earlier access.
     decisions = np.full(n, MinDecision.COLD_MISS, dtype=np.uint8)
     decisions[next_use[next_use != NO_NEXT_USE]] = MinDecision.MISS
     decisions[hit == 1] = MinDecision.HIT
     del next_use  # as long as the trace, and the residency log needs none of it
-    residencies = _residency_log(trace, geom, rows, stats.misses - stats.per_policy["bypasses"])
+    residencies = _residency_log(trace, geom, rows)
     return stats, decisions, residencies, events
 
 
@@ -233,12 +238,11 @@ def per_region_prediction_error(residencies: ResidencyLog) -> np.ndarray:
     return _error_histogram(residencies.addr >> np.uint64(REGION_SHIFT), residencies)
 
 
-def prediction_error(trace: Trace, geom: CacheGeometry, rows, count: int, by_region: bool):
+def prediction_error(trace: Trace, geom: CacheGeometry, rows, by_region: bool):
     """:func:`ehcsim._kernels.prediction_error` on the residency log of the
-    first ``count`` rows."""
-    _kernels.check_residency_rows(trace, rows, count)
+    rows that :func:`run` returned."""
     histogram = per_region_prediction_error if by_region else per_block_prediction_error
-    return histogram(_residency_log(trace, geom, rows, count)).tolist()
+    return histogram(_residency_log(trace, geom, rows)).tolist()
 
 
 def victim_quality(events: EventLog, trace: Trace,

@@ -50,8 +50,9 @@ def make_policy(
 
 def pick_backend(backend: str, geom: CacheGeometry):
     """:mod:`ehcsim._kernels`, or :mod:`ehcsim.minoracle`, whose ``next_use``,
-    ``buffer``, ``run`` and ``prediction_error`` answer the kernel's calls on
-    the reference engine; raises as :func:`ehcsim._kernels.use_kernel` does."""
+    ``run`` (which returns the rows and ranks asked for) and ``prediction_error``
+    answer the kernel's calls on the reference engine; raises as
+    :func:`ehcsim._kernels.use_kernel` does."""
     if _kernels.use_kernel(backend, geom):
         return _kernels
     from . import minoracle
@@ -75,4 +76,5 @@ def run_policy(
     bound raises :class:`~ehcsim.errors.GeometryTooLarge` on either backend.
     """
     check_policy(name)
-    return pick_backend(backend, geom).run(trace, name, geom, seed, record_events=record_events)
+    return pick_backend(backend, geom).run(trace, name, geom, seed,
+                                           record_events=record_events)[:3]

@@ -14,6 +14,7 @@ history, one record per table slot, used for expected-hit-count insertion.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 
 from .engine import CacheGeometry
@@ -104,19 +105,19 @@ class SampledSetHistory:
 
     Positions count this set's recorded accesses; ``seen`` of them so far.
     Window position ``j`` is entry ``j % capacity`` of ``occ`` and of
-    ``records``, or entry ``j`` when ``capacity`` is None (used to validate
-    against the offline oracle), so the window holds positions ``seen -
-    capacity`` to ``seen - 1``. ``occ`` counts the blocks optimal
-    replacement must keep cached from that position to the next, and the
-    record holds the access recorded there: its tag and PC, and the fill
-    address and hits so far of the block's emulated stay. ``live`` maps a
-    tag to its latest position while that position is in the window. Reuse
-    trains ``pc_table``, and every completed stay banks its hit count in
-    ``region_table``.
+    ``records``, so the window holds positions ``seen - capacity`` to
+    ``seen - 1``; the default, which no trace fills, keeps every position
+    (the unbounded window, to validate against the offline oracle). ``occ``
+    counts the blocks optimal replacement must keep cached from that
+    position to the next, and the record holds the access recorded there:
+    its tag and PC, and the fill address and hits so far of the block's
+    emulated stay. ``live`` maps a tag to its latest position while that
+    position is in the window. Reuse trains ``pc_table``, and every
+    completed stay banks its hit count in ``region_table``.
     """
 
     def __init__(self, associativity, pc_table: PcCounterTable,
-                 region_table: RegionHitTable, capacity=None):
+                 region_table: RegionHitTable, capacity: int = sys.maxsize):
         self.assoc = associativity
         self.capacity = capacity
         self.pc_table = pc_table
@@ -140,7 +141,7 @@ class SampledSetHistory:
         if pos is None:
             decision = MinDecision.COLD_MISS
         else:
-            span = range(pos, seen) if cap is None else [j % cap for j in range(pos, seen)]
+            span = [j % cap for j in range(pos, seen)]
             _, last_pc, addr, hits = records[span[0]]
             if all(occ[k] < self.assoc for k in span):
                 decision = MinDecision.HIT
@@ -155,7 +156,7 @@ class SampledSetHistory:
                 hits = 0
 
         record = (tag, pc, addr, hits)
-        if cap is None or seen < cap:
+        if seen < cap:
             occ.append(0)
             records.append(record)
         else:

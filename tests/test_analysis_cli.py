@@ -80,8 +80,12 @@ def test_report_rejects_ragged_rows():
 
 
 def test_report_parse_rejects_stray_data():
-    with pytest.raises(DataError):
-        Report.parse("a,1,2\n")
+    # Data before any table, a table cut right after its marker, a cell
+    # that is not a number and a row wider than its header.
+    for text in ("a,1,2\n", "# seed=42\n# table=run\n", "# table=run\nlabel,hits\nlru,many\n",
+                 "# table=run\nlabel,hits\nlru,1,2\n"):
+        with pytest.raises(DataError):
+            Report.parse(text)
 
 
 def test_run_report_includes_policy_counters():
@@ -358,6 +362,7 @@ WRAPPING_WAYS = str((1 << 60) + 1)  # 16 sets x these ways wrap around int64
     (["analyze", "--report", "hitcount-block"], "16", WRAPPING_WAYS),
     (["run", "--policy", "lru"], str(1 << 40), "16"),  # more memory than any host
     (["run", "--policy", "ehc"], str(1 << 70), "2"),   # beyond int64
+    (["analyze", "--report", "victim-quality"], "1", str(1 << 62)),  # ranks beyond memory
 ])
 def test_cli_reports_a_geometry_it_cannot_allocate(trace_file, tmp_path, command, sets, ways):
     # In a child process, so that a crash in the kernel fails this test

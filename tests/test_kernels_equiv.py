@@ -13,11 +13,11 @@ from ehcsim import (
     CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use, gen_synthetic,
     simulate, simulate_min,
 )
-from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, sampler
+from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, runner, sampler
 from ehcsim import trace as trace_module
 from ehcsim.engine import DEFAULT_GEOMETRY
 from ehcsim.analysis import REPORT_KINDS
-from ehcsim.errors import UnknownPolicy, UsageError
+from ehcsim.errors import GeometryTooLarge, UnknownPolicy, UsageError
 from ehcsim.minoracle import NO_NEXT_USE
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
@@ -209,25 +209,23 @@ def test_empty_trace():
     assert len(log) == 0 and log.resident_pos.shape == (0, 2)
 
 
-def test_kernel_run_checks_the_min_columns():
-    # MIN reads next_use and writes its rows by trace position, and ranks
-    # are counted by rank, so a missing or short column would take the
-    # kernel outside it; only MIN writes rows.
+@pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
+def test_kernel_run_checks_the_min_columns(lib):
+    # MIN reads next_use by trace position, so a missing or short column
+    # would take the kernel outside it; only MIN writes rows. The reference
+    # backend checks its arguments alike and returns the same rows and ranks.
     trace = make_trace([0x40, 0x80, 0x40])
     geom = CacheGeometry(1, 1)
-    column, short, rows = (np.zeros(size, dtype=np.int64) for size in (3, 2, 9))
-    for kw in ({}, {"rows": rows}, {"ranks": short}):
+    column, short = np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    for kw in ({}, {"rows": True}, {"ranks": True}):
         with pytest.raises(ValueError, match="MIN takes a next_use column"):
-            _kernels.run(trace, "min", geom, 0, **kw)
-    for kw, message in (({"next_use": short}, "next_use must hold 3 entries, not 2"),
-                        ({"rows": column}, "rows must hold 9 entries, not 3"),
-                        ({"ranks": column}, "ranks must hold 2 entries, not 3")):
-        with pytest.raises(ValueError, match=message):
-            _kernels.run(trace, "min", geom, 0, **{"next_use": column, **kw})
+            lib.run(trace, "min", geom, 0, **kw)
+    with pytest.raises(ValueError, match="next_use must hold 3 entries, not 2"):
+        lib.run(trace, "min", geom, 0, next_use=short)
     with pytest.raises(ValueError, match="only MIN writes residency rows, not lru"):
-        _kernels.run(trace, "lru", geom, 0, next_use=column, rows=rows)
+        lib.run(trace, "lru", geom, 0, next_use=column, rows=True)
     with pytest.raises(ValueError, match="ranking victims takes a next_use column"):
-        _kernels.run(trace, "lru", geom, 0, ranks=short)
+        lib.run(trace, "lru", geom, 0, ranks=True)
     # A stay ends at the miss that evicts it, or at the trace length when
     # the line is still resident; a bypass writes no row. Without bypass
     # the incoming block B is next used after the victim A (rank 1); with
@@ -235,25 +233,25 @@ def test_kernel_run_checks_the_min_columns():
     next_use = np.array([2, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
     for bypass, want, want_ranks in ((False, [[0, 1, 2], [1, 2, 3], [0, 0, 0]], [1, 1]),
                                      (True, [[0], [3], [1]], [1, 0])):
-        rows, ranks = np.full(9, -1, dtype=np.int64), np.full(2, -1, dtype=np.int64)
-        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass,
-                                   rows=rows, ranks=ranks)
-        count = stats.misses - stats.per_policy["bypasses"]
-        assert rows.reshape(3, 3)[:, :count].tolist() == want
-        assert ranks.tolist() == want_ranks
+        stats, _, _, (rows, count), ranks = lib.run(trace, "min", geom, 0, next_use=next_use,
+                                                    bypass=bypass, rows=True, ranks=True)
+        assert count == stats.misses - stats.per_policy["bypasses"]
+        assert np.asarray(rows).reshape(3, 3)[:, :count].tolist() == want
+        assert ranks == want_ranks
+    # Neither is there when not asked for.
+    assert lib.run(trace, "min", geom, 0, next_use=next_use)[3:] == (None, None)
 
 
-@pytest.mark.parametrize("backend", [_kernels, minoracle], ids=["kernel", "reference"])
-def test_prediction_error_checks_its_rows_on_both_backends(backend):
-    # Rows of another size or a count outside the trace would take the
-    # kernel outside its columns; the reference rejects them alike.
+@pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
+def test_run_allocates_its_ranks_before_it_simulates(lib, monkeypatch):
+    # The victim ranks of a 2^62-way set take more memory than any host
+    # has, though the geometry passes check_geometry; each backend
+    # allocates them first and raises GeometryTooLarge without simulating.
+    monkeypatch.setattr(runner, "simulate", lambda *args, **kwargs: pytest.fail("simulated"))
     trace = make_trace([0x40, 0x80, 0x40])
-    column, rows = np.zeros(3, dtype=np.int64), np.zeros(9, dtype=np.int64)
-    for buffer, count in ((column, 0), (rows, 4), (rows, -1)):
-        for by_region in (False, True):
-            with pytest.raises(ValueError,
-                               match="rows must hold 3 x 3 entries and count at most 3"):
-                backend.prediction_error(trace, CacheGeometry(1, 1), buffer, count, by_region)
+    geom = CacheGeometry(1, 1 << 62)
+    with pytest.raises(GeometryTooLarge, match="cannot allocate the tables of a cache of 1 sets"):
+        lib.run(trace, "lru", geom, 0, next_use=lib.next_use(trace, geom), ranks=True)
 
 
 @pytest.mark.parametrize("kind", ["zipf", "region", "mixed", "stream"])

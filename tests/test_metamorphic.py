@@ -168,10 +168,10 @@ def test_ranking_victims_changes_no_policy(case, seed):
         lib = pick_backend(backend, geom)
         next_use = lib.next_use(trace, geom)
         for name in POLICY_NAMES:
-            stats, _, flags = lib.run(trace, name, geom, seed)
-            ranks = np.zeros(geom.associativity + 1, dtype=np.int64)
-            ranked, _, ranked_flags = lib.run(trace, name, geom, seed, next_use=next_use,
-                                              ranks=ranks)
+            stats, _, flags, _, _ = lib.run(trace, name, geom, seed)
+            ranked, _, ranked_flags, _, ranks = lib.run(trace, name, geom, seed,
+                                                        next_use=next_use, ranks=True)
             assert ranked == stats, (name, backend)
             assert_same_array(ranked_flags, flags, f"{name} on {backend}")
-            assert int(ranks.sum()) == stats.replacements_total, (name, backend)
+            assert len(ranks) == geom.associativity + 1, (name, backend)
+            assert sum(ranks) == stats.replacements_total, (name, backend)

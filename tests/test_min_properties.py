@@ -103,16 +103,17 @@ def test_kernel_prediction_error_matches_numpy(case):
     n = len(trace)
     for bypass in (False, True):
         residencies = simulate_min(trace, geom, bypass=bypass, backend="reference")[2]
-        rows = np.full(3 * n, -1, dtype=np.int64)
-        stats, _, _ = _kernels.run(trace, "min", geom, 0, next_use=_kernels.next_use(trace, geom),
-                                   bypass=bypass, rows=rows)
-        count = stats.misses - stats.per_policy["bypasses"]
-        assert_same_array(rows.reshape(3, n)[:, :count],
+        stats, _, _, rows, _ = _kernels.run(trace, "min", geom, 0,
+                                            next_use=_kernels.next_use(trace, geom),
+                                            bypass=bypass, rows=True)
+        buffer, count = rows
+        assert count == stats.misses - stats.per_policy["bypasses"]
+        assert_same_array(buffer.reshape(3, n)[:, :count],
                           [residencies.fill, residencies.end, residencies.hits], "rows")
         for by_region, histogram in ((False, per_block_prediction_error),
                                      (True, per_region_prediction_error)):
             want = histogram(residencies).tolist()
-            assert _kernels.prediction_error(trace, geom, rows, count, by_region) == want
+            assert _kernels.prediction_error(trace, geom, rows, by_region) == want
 
 
 @PROPERTY_SETTINGS
@@ -261,14 +262,13 @@ def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name, bypass):
     # histogram victim_quality makes of the same run's event log.
     geom, trace = case
     next_use = _kernels.next_use(trace, geom)
-    ranks = np.full(geom.associativity + 1, -1, dtype=np.int64)
     min_args = {"bypass": bypass} if name == "min" else {}
-    stats, log, flags = _kernels.run(trace, name, geom, 42, record_events=True,
-                                     next_use=next_use, ranks=ranks, **min_args)
+    stats, log, flags, _, ranks = _kernels.run(trace, name, geom, 42, record_events=True,
+                                               next_use=next_use, ranks=True, **min_args)
     assert_same_array(ranks, victim_quality(log, trace, geom), "in-loop ranks")
     _assert_residents_of_the_event_set(log, trace, geom)
-    plain_stats, _, plain_flags = _kernels.run(trace, name, geom, 42, next_use=next_use,
-                                               **min_args)
+    plain_stats, _, plain_flags, _, _ = _kernels.run(trace, name, geom, 42, next_use=next_use,
+                                                     **min_args)
     assert stats == plain_stats
     assert_same_array(flags, plain_flags, "hit flags")
 

@@ -1,5 +1,7 @@
 """Occupancy-vector MIN emulation and its predictor tables."""
 
+import sys
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -69,7 +71,7 @@ def test_window_ring_holds_the_latest_capacity_positions(capacity, assoc, stream
     decisions, lengths, counters, table = _replay(stream, assoc, capacity)
     assert lengths == [min(seen, capacity) for seen in range(1, len(stream) + 1)]
     if capacity >= len(stream):  # no position leaves the window
-        unbounded, _, unbounded_counters, unbounded_table = _replay(stream, assoc, None)
+        unbounded, _, unbounded_counters, unbounded_table = _replay(stream, assoc, sys.maxsize)
         assert (decisions, counters, table) == (unbounded, unbounded_counters, unbounded_table)
     # Cold exactly when the tag is new or its latest access lies more than
     # capacity positions back, out of the window.
