@@ -214,14 +214,14 @@ static int by_fill(const void *a, const void *b)
  * out[OUT_ROWS] and out[OUT_ROW_HITS] receive how many rows it wrote and
  * the sum of their hits, and out[OUT_SAMPLED] the accesses the sampled
  * sets recorded, the sum of seen; ehcsim._kernels.run checks both. With
- * ranks, of assoc + 1 entries, every miss in a full set adds one at the
- * rank of its victim: how many of the residents and the incoming block are
- * next used strictly later (ehcsim.minoracle.victim_quality). Only MIN
- * reads bypass and writes rows; the other policies read next_use only for
- * ranks, so without ranks it may be NULL for them. Returns 0, or -1 when
- * the tables cannot be allocated, which includes a geometry whose table
- * sizes overflow int64_t: a wrapped size would allocate too little and the
- * loop would index past it. */
+ * ranks, assoc + 1 zeroed entries, every replacement adds one at the rank
+ * of its victim: how many of the residents and the incoming block are next
+ * used strictly later (ehcsim.minoracle.victim_quality). Only MIN, which
+ * is never ranked, reads bypass and writes rows; the other policies read
+ * next_use only for ranks, so without ranks it may be NULL for them.
+ * Returns 0, or -1 when the tables cannot be allocated, which includes a
+ * geometry whose table sizes overflow int64_t: a wrapped size would
+ * allocate too little and the loop would index past it. */
 int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits,
@@ -271,9 +271,6 @@ int ehcsim_simulate(
     int64_t optgen_cold = 0, optgen_hit = 0, optgen_miss = 0;
     int64_t psel = PSEL_INIT, written = 0;
     uint64_t ins = 0;
-    if (ranks)
-        for (int64_t r = 0; r <= assoc; r++)
-            ranks[r] = 0;
 
     for (int64_t i = 0; i < n; i++) {
         const uint64_t a = addr[i], p = pc[i];
@@ -428,9 +425,8 @@ int ehcsim_simulate(
                     ev[EVENT_FIELDS + w] = stamp[row + w];
             }
             if (ranks) {
-                const int64_t *srow = stamp + row, incoming = next_use[i];
-                const int64_t victim = way == BYPASS ? incoming : next_use[srow[way]];
-                int64_t rank = incoming > victim;
+                const int64_t *srow = stamp + row, victim = next_use[srow[way]];
+                int64_t rank = next_use[i] > victim;
                 for (int64_t w = 0; w < assoc; w++)
                     rank += next_use[srow[w]] > victim;
                 ranks[rank]++;
@@ -575,7 +571,7 @@ int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t
 
 /* Bucket the hit-count prediction error of count residency rows in
  * completion order (ehcsim_simulate's MIN rows: fills in rows[0..count),
- * hits in rows[2 * n ...]) into hist[ERROR_BUCKETS], as
+ * hits in rows[2 * n ...]) into hist[ERROR_BUCKETS], zeroed, as
  * ehcsim.minoracle's per_block_prediction_error does, or with by_region
  * per_region_prediction_error: key each row by the block-aligned address
  * of its fill, or that >> REGION_SHIFT; predict its hits as the
@@ -599,8 +595,6 @@ int ehcsim_prediction_error(
         free(past);
         return -1;
     }
-    for (int64_t b = 0; b < ERROR_BUCKETS; b++)
-        hist[b] = 0;
     for (int64_t k = 0; k < count; k++) {
         const int64_t hits = rows[2 * n + k];
         uint64_t key = shl(shr(addr[rows[k]], block_bits), block_bits);

@@ -8,7 +8,7 @@ for bit, which the test suite enforces:
 - ``ehcsim_simulate`` (:func:`run`) is one flat loop per trace that covers
   the built-in policies and Belady's MIN, dispatched on a policy id, as the
   reference engine runs them. MIN reads a next-use column and writes its
-  residency rows (fill, end, hits); any policy given a next-use column
+  residency rows (fill, end, hits); a built-in policy given that column
   ranks its victims as :func:`ehcsim.minoracle.victim_quality` does. It
   takes the geometry as the number of sets, ways and the block offset,
   and keys lines and sampled-set slots by block number, not by tag.
@@ -47,11 +47,11 @@ Elsewhere (the temporary directory, a set ``sys.pycache_prefix``) nothing
 is written, and a write that fails is skipped silently.
 
 The backend's three calls allocate what the kernel writes. With
-``record_events`` it writes each miss in a full set into one int64 buffer
-as one row of trace positions, whose columns :func:`run` hands to an
-:class:`~ehcsim.engine.EventLog` as they are; next use, MIN's rows and the
-victim ranks each go to a :func:`buffer`. Outputs nobody asked for are
-NULL, and the kernel records nothing there.
+``record_events`` it writes each miss in a full set into an
+:func:`event_rows` buffer as one row of trace positions, as the engine
+does, and :func:`event_log` makes the rows an :class:`~ehcsim.engine.EventLog`
+on both; next use, MIN's rows and the victim ranks each go to a
+:func:`buffer`. Outputs a run does not make are NULL.
 When no compiler is found or the build fails, :func:`use_kernel` is False
 for ``backend="auto"``, which picks the reference backend, and one line on
 stderr per process says why.
@@ -345,11 +345,11 @@ def check_geometry(geom: CacheGeometry):
 
 
 def buffer(trace: Trace | Columns | None, geom: CacheGeometry, size: int):
-    """An int64 buffer of ``size`` elements for the kernel to fill: for
-    :class:`Columns` a ctypes array over anonymous memory, which needs no
-    numpy, else (a Trace, or None) an uninitialised numpy array. Either way
-    a page takes memory only once the kernel writes to it, where a plain
-    ctypes array would zero every page first."""
+    """A zeroed int64 buffer of ``size`` elements for the kernel to fill:
+    for :class:`Columns` a ctypes array over anonymous memory, which needs
+    no numpy, else (a Trace, or None) a numpy array. Either way a page
+    takes memory only once the kernel writes to it, where a plain ctypes
+    array would zero every page first."""
     try:
         if isinstance(trace, Columns):
             import mmap
@@ -357,7 +357,7 @@ def buffer(trace: Trace | Columns | None, geom: CacheGeometry, size: int):
             return (ctypes.c_int64 * size).from_buffer(mmap.mmap(-1, max(8 * size, 1)))
         import numpy as np
 
-        return np.empty(size, dtype=np.int64)
+        return np.zeros(size, dtype=np.int64)
     except (ValueError, OverflowError, OSError, MemoryError):  # more than memory holds
         raise _too_large(geom) from None
 
@@ -444,22 +444,27 @@ def check_policy(name: str) -> None:
         )
 
 
-def check_outputs(trace, name: str, next_use, rows: bool, ranks: bool) -> None:
+def check_outputs(trace, name: str, geom: CacheGeometry, next_use, bypass: bool, rows: bool):
     """The argument checks of :func:`run` on either backend: a ``name``
     neither a built-in policy's nor ``"min"`` raises :class:`UnknownPolicy`;
-    MIN without ``next_use``, ``rows`` for another policy, ``ranks``
-    without ``next_use`` or a ``next_use`` of another length than the trace
-    raises ValueError."""
+    MIN without ``next_use``, ``bypass`` or ``rows`` for another policy, or
+    a ``next_use`` of another length than the trace raises ValueError.
+    Then the :func:`buffer` of each output the run makes, or None: MIN's
+    rows when asked for, and the victim ranks of a built-in policy given
+    ``next_use``. Allocated before the run, they raise its error first."""
     if name != "min":
         check_policy(name)
     elif next_use is None:
         raise ValueError("MIN takes a next_use column")
+    if bypass and name != "min":
+        raise ValueError(f"only MIN bypasses, not {name}")
     if rows and name != "min":
         raise ValueError(f"only MIN writes residency rows, not {name}")
-    if ranks and next_use is None:
-        raise ValueError("ranking victims takes a next_use column")
     if next_use is not None and len(next_use) != len(trace):
         raise ValueError(f"next_use must hold {len(trace)} entries, not {len(next_use)}")
+    ranked = next_use is not None and name != "min"
+    return (buffer(trace, geom, 3 * len(trace)) if rows else None,
+            buffer(trace, geom, geom.associativity + 1) if ranked else None)
 
 
 def check_result(stats: SimStats, n: int, sampled: int, rows, row_hits: int, ranks) -> None:
@@ -468,7 +473,7 @@ def check_result(stats: SimStats, n: int, sampled: int, rows, row_hits: int, ran
     :meth:`~ehcsim.values.SimStats.check`, OPTgen decided each of the
     ``sampled`` accesses to sampled sets once (cold, hit or miss), MIN's
     ``rows`` are one per fill and hold ``row_hits``, every hit, and the
-    ``ranks`` count every replacement and bypass once."""
+    ``ranks`` count every replacement once."""
     stats.check(n)
     decided = sum(stats.per_policy.get(k, 0) for k in _OPTGEN)
     if decided != sampled:
@@ -478,9 +483,9 @@ def check_result(stats: SimStats, n: int, sampled: int, rows, row_hits: int, ran
     if rows is not None and (rows[1], row_hits) != (stats.misses - bypasses, stats.hits):
         raise InternalInvariantError(f"MIN wrote {rows[1]} residency rows with {row_hits} hits "
                                      f"for {stats.misses - bypasses} fills and {stats.hits} hits")
-    if ranks is not None and sum(ranks) != stats.replacements_total + bypasses:
+    if ranks is not None and sum(ranks) != stats.replacements_total:
         raise InternalInvariantError(f"victim ranks count {sum(ranks)} victims of "
-                                     f"{stats.replacements_total + bypasses}")
+                                     f"{stats.replacements_total}")
 
 
 def run(
@@ -492,7 +497,6 @@ def run(
     next_use=None,
     bypass: bool = False,
     rows: bool = False,
-    ranks: bool = False,
 ):
     """Kernel-path counterpart of :func:`ehcsim.engine.simulate`; returns
     ``(stats, events, hit_flags, rows, ranks)``.
@@ -504,26 +508,22 @@ def run(
     the number of rows, ``misses - bypasses``: fill positions from entry 0,
     end positions from entry ``len(trace)`` and hits from entry
     ``2 * len(trace)``. :func:`prediction_error` takes them as they are.
-    Any policy given ``next_use`` and ``ranks`` returns the rank of every
-    victim as a list of associativity + 1 counts, the histogram
-    :func:`ehcsim.minoracle.victim_quality` makes of the run's event log.
-    Rows and ranks not asked for are None. :func:`check_outputs` checks the
-    arguments, and results that fail :func:`check_result` raise
-    InternalInvariantError.
+    A built-in policy given ``next_use`` returns the rank of every victim
+    as a list of associativity + 1 counts, the histogram
+    :func:`ehcsim.minoracle.victim_quality` makes of the run's event log;
+    MIN reads that column as its oracle and ranks nothing. Rows and ranks
+    not made are None. :func:`check_outputs` checks the arguments, and
+    results that fail :func:`check_result` raise InternalInvariantError.
     The hit flags are a uint8 array for a :class:`~ehcsim.trace.Trace`, as
     the reference engine returns them, and a bytearray for
     :class:`Columns`, so that a run over those needs no numpy."""
     lib = _library()
     n = len(trace)
     num_sets, assoc, block_bits = check_geometry(geom)
-    check_outputs(trace, name, next_use, rows, ranks)
+    rows, ranks = check_outputs(trace, name, geom, next_use, bypass, rows)
     hit_flags = bytearray(n)
     out = (ctypes.c_int64 * len(_COUNTERS))()
-    # Room for an event row at every access, in numpy for the EventLog.
-    ev_width = len(_EVENT_FIELDS) + assoc
-    events = buffer(None, geom, n * ev_width) if record_events else None
-    rows = buffer(trace, geom, 3 * n) if rows else None
-    ranks = buffer(trace, geom, assoc + 1) if ranks else None
+    events = event_rows(trace, geom) if record_events else None
 
     status = lib.ehcsim_simulate(
         n, trace.addr, trace.pc,
@@ -543,20 +543,26 @@ def run(
     if ranks is not None:
         ranks = [int(r) for r in ranks]
     check_result(stats, n, counts["sampled"], rows, counts["row_hits"], ranks)
-    log = None
     if record_events:
-        log = _event_log(events, counts["replacements_total"] + counts["bypasses"], ev_width)
+        events = event_log(events, counts["replacements_total"] + counts["bypasses"], geom)
     if not isinstance(trace, Columns):
         import numpy as np
 
         hit_flags = np.frombuffer(hit_flags, dtype=np.uint8)
-    return stats, log, hit_flags, rows, ranks
+    return stats, events, hit_flags, rows, ranks
 
 
-def _event_log(events: np.ndarray, count: int, width: int) -> EventLog:
-    """The :class:`EventLog` of the first ``count`` event rows in ``events``."""
+def event_rows(trace: Trace | Columns, geom: CacheGeometry) -> np.ndarray:
+    """A numpy :func:`buffer` with room for an event row per access of
+    ``trace``, and for one at least, so that an empty trace checks the width."""
+    return buffer(None, geom, max(len(trace), 1) * (len(_EVENT_FIELDS) + geom.associativity))
+
+
+def event_log(events: np.ndarray, count: int, geom: CacheGeometry) -> EventLog:
+    """The :class:`~ehcsim.engine.EventLog` of the first ``count`` rows of
+    an :func:`event_rows` buffer, which both loops write."""
     from .engine import EventLog
 
+    width = len(_EVENT_FIELDS) + geom.associativity
     rows = events[:count * width].reshape(count, width)
-    fields = len(_EVENT_FIELDS)
-    return EventLog(*rows[:, :fields].T, rows[:, fields:])
+    return EventLog(*rows[:, :len(_EVENT_FIELDS)].T, rows[:, len(_EVENT_FIELDS):])

@@ -175,7 +175,7 @@ def _victim_ranks(trace, names, geom: CacheGeometry, seed: int) -> list[tuple]:
     ``names``, ranked in the run against one next-use column of ``trace``."""
     lib = pick_backend("auto", geom)
     next_use = lib.next_use(trace, geom)
-    runs = (lib.run(trace, name, geom, seed, next_use=next_use, ranks=True) for name in names)
+    runs = (lib.run(trace, name, geom, seed, next_use=next_use) for name in names)
     return [(stats, ranks) for stats, _, _, _, ranks in runs]
 
 

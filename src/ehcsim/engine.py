@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
+from . import _kernels
 from .errors import InternalInvariantError, VictimOutOfRange
 from .params import BYPASS, EFH_MAX, RRPV_MAX
 from .values import DEFAULT_GEOMETRY, CacheGeometry, Record, SimStats  # noqa: F401  (re-exported)
@@ -29,10 +30,10 @@ if TYPE_CHECKING:
 
 class BlockState:
     """One filled line. The engine writes ``tag`` and ``recency_stamp``, the
-    trace position of the block's latest access; the policies own the 3-bit
-    ``rrpv`` and ``efh`` and Hawkeye's and EHC's ``last_pc``."""
+    trace position of the block's latest access; the policies own the rest:
+    the 3-bit ``rrpv`` and ``efh``, ``last_pc``, ``signature`` and ``outcome``."""
 
-    __slots__ = ("tag", "rrpv", "efh", "recency_stamp", "last_pc")
+    __slots__ = ("tag", "rrpv", "efh", "recency_stamp", "last_pc", "signature", "outcome")
 
     def __init__(self):
         self.tag = 0
@@ -40,6 +41,8 @@ class BlockState:
         self.efh = 0
         self.recency_stamp = 0
         self.last_pc = 0
+        self.signature = 0
+        self.outcome = 0
 
 
 class ReplacementPolicy:
@@ -86,7 +89,8 @@ class EventLog:
     ``choose_victim`` reported it, and ``resident_pos`` (int64, shape
     ``(len, associativity)``) the position of the latest access to every
     way's resident before the fill. A set, an address or a next use is a
-    gather from the trace at these positions.
+    gather from the trace at these positions. Both loops write one row
+    per event, which :func:`ehcsim._kernels.event_log` makes these columns.
     """
 
     __slots__ = ("index", "victim_way", "no_averse", "resident_pos")
@@ -150,7 +154,8 @@ def simulate(
 
     Returns ``(stats, events, hit_flags)``; ``events`` is an
     :class:`EventLog` when ``record_events`` and None otherwise, and
-    ``hit_flags`` is a uint8 array holding 1 at every hit.
+    ``hit_flags`` is a uint8 array holding 1 at every hit. Events that no
+    memory holds raise :func:`ehcsim._kernels.event_rows`' error at once.
     ``check=True`` validates stats and counter-range invariants after every
     access (slow; meant for tests).
     """
@@ -159,8 +164,9 @@ def simulate(
     assoc = geom.associativity
     sets = defaultdict(list)  # the filled lines of each set
     stats = SimStats()
-    # Event log columns; ``ev_resident`` holds ``assoc`` positions per event.
-    ev_index, ev_way, ev_no_averse, ev_resident = [], [], [], []
+    # Event rows in the kernel's layout, written at ``at`` through a view.
+    rows = _kernels.event_rows(trace, geom).data if record_events else None
+    at = 0
     hit_flags = bytearray(len(trace))
 
     # Set index and tag of every access, shifted as compute_next_use does;
@@ -194,11 +200,11 @@ def simulate(
                 way, no_averse = policy.choose_victim(si, ways)
                 if way != BYPASS and not 0 <= way < assoc:
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
-                if record_events:
-                    ev_index.append(i)
-                    ev_way.append(way)
-                    ev_no_averse.append(no_averse)
-                    ev_resident.extend(blk.recency_stamp for blk in ways)
+                if rows is not None:
+                    rows[at], rows[at + 1], rows[at + 2] = i, way, no_averse
+                    for w, blk in enumerate(ways, at + 3):
+                        rows[w] = blk.recency_stamp
+                    at += 3 + assoc
                 if way == BYPASS:
                     if check:
                         stats.check()
@@ -220,8 +226,5 @@ def simulate(
                     )
 
     stats.per_policy.update(policy.extra_stats())
-    events = None
-    if record_events:
-        events = EventLog(ev_index, ev_way, ev_no_averse,
-                          np.array(ev_resident, dtype=np.int64).reshape(-1, assoc))
+    events = None if rows is None else _kernels.event_log(rows.obj, at // (3 + assoc), geom)
     return stats, events, np.frombuffer(hit_flags, dtype=np.uint8)

@@ -132,16 +132,13 @@ def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> tup
 
 
 def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: bool = False,
-        next_use=None, bypass: bool = False, rows: bool = False, ranks: bool = False):
+        next_use=None, bypass: bool = False, rows: bool = False):
     """:func:`ehcsim._kernels.run` on the reference engine, with the same
-    arguments, checks and results. MIN is :class:`MinPolicy`; a run asked
-    for ``ranks`` ranks its event log against ``next_use`` as
+    arguments, checks and results. MIN is :class:`MinPolicy`; a built-in
+    policy given ``next_use`` ranks its event log against that column as
     :func:`victim_quality` does."""
     n = len(trace)
-    _kernels.check_outputs(trace, name, next_use, rows, ranks)
-    # Allocated before the run, as the kernel allocates them, with its errors.
-    rows = _kernels.buffer(trace, geom, 3 * n) if rows else None
-    ranks = _kernels.buffer(trace, geom, geom.associativity + 1) if ranks else None
+    rows, ranks = _kernels.check_outputs(trace, name, geom, next_use, bypass, rows)
     policy = MinPolicy(next_use, bypass) if name == "min" else runner.make_policy(name, geom, seed)
     stats, events, hit = runner.simulate(trace, policy, geom,
                                          record_events=record_events or ranks is not None)

@@ -5,7 +5,7 @@ at the maximum RRPV, incrementing every block until one gets there) and
 differs only in insertion behavior. Each hook walks the lines it is given,
 the set's filled lines, by ``len(ways)``; the engine asks for a victim only
 in a full set. The state is plain Python: SHiP's counter table is a list,
-and its signature and outcome per line are dicts keyed by (set, way).
+and each line keeps its own signature and outcome, as in the kernel.
 """
 
 from __future__ import annotations
@@ -163,25 +163,24 @@ class DrripPolicy(BrripPolicy):
 
 class ShipPolicy(RripPolicy):
     """Signature-based hit prediction: PCs whose blocks die unused insert at
-    the maximum RRPV, everything else at max-1. ``signature`` and
-    ``outcome`` are keyed by (set, way) and hold only lines filled so far."""
+    the maximum RRPV, everything else at max-1. A line keeps the signature
+    of the PC that filled it and whether it was hit since, its outcome;
+    evicting it trains the signature's counter in ``shct``."""
 
     name = "ship"
 
     def __init__(self, geom: CacheGeometry, seed: int = 0):
         super().__init__(geom, seed)
         self.shct = [0] * SHCT_SIZE
-        self.signature: dict[tuple[int, int], int] = {}
-        self.outcome: dict[tuple[int, int], int] = {}
 
     def on_hit(self, set_index, ways, way, addr, pc):
         super().on_hit(set_index, ways, way, addr, pc)
-        self.outcome[set_index, way] = 1
+        ways[way].outcome = 1
 
     def choose_victim(self, set_index, ways):
         way, no_averse = super().choose_victim(set_index, ways)
-        sig = self.signature[set_index, way]
-        if self.outcome[set_index, way]:
+        sig = ways[way].signature
+        if ways[way].outcome:
             if self.shct[sig] < SHCT_MAX:
                 self.shct[sig] += 1
         elif self.shct[sig] > 0:
@@ -190,6 +189,6 @@ class ShipPolicy(RripPolicy):
 
     def on_insert(self, set_index, ways, way, addr, pc):
         sig = xor_fold(pc, SHCT_BITS)
-        self.signature[set_index, way] = sig
-        self.outcome[set_index, way] = 0
+        ways[way].signature = sig
+        ways[way].outcome = 0
         ways[way].rrpv = RRPV_MAX if self.shct[sig] == 0 else RRPV_MAX - 1

@@ -50,9 +50,9 @@ def make_policy(
 
 def pick_backend(backend: str, geom: CacheGeometry):
     """:mod:`ehcsim._kernels`, or :mod:`ehcsim.minoracle`, whose ``next_use``,
-    ``run`` (which returns the rows and ranks asked for) and ``prediction_error``
-    answer the kernel's calls on the reference engine; raises as
-    :func:`ehcsim._kernels.use_kernel` does."""
+    ``run`` (which returns MIN's rows and a ranked run's victim ranks) and
+    ``prediction_error`` answer the kernel's calls on the reference engine;
+    raises as :func:`ehcsim._kernels.use_kernel` does."""
     if _kernels.use_kernel(backend, geom):
         return _kernels
     from . import minoracle

@@ -213,33 +213,44 @@ def test_empty_trace():
 def test_kernel_run_checks_the_min_columns(lib):
     # MIN reads next_use by trace position, so a missing or short column
     # would take the kernel outside it; only MIN writes rows. The reference
-    # backend checks its arguments alike and returns the same rows and ranks.
+    # backend checks its arguments alike and returns the same rows.
     trace = make_trace([0x40, 0x80, 0x40])
     geom = CacheGeometry(1, 1)
     column, short = np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)
-    for kw in ({}, {"rows": True}, {"ranks": True}):
+    for kw in ({}, {"rows": True}):
         with pytest.raises(ValueError, match="MIN takes a next_use column"):
             lib.run(trace, "min", geom, 0, **kw)
     with pytest.raises(ValueError, match="next_use must hold 3 entries, not 2"):
         lib.run(trace, "min", geom, 0, next_use=short)
     with pytest.raises(ValueError, match="only MIN writes residency rows, not lru"):
         lib.run(trace, "lru", geom, 0, next_use=column, rows=True)
-    with pytest.raises(ValueError, match="ranking victims takes a next_use column"):
-        lib.run(trace, "lru", geom, 0, ranks=True)
     # A stay ends at the miss that evicts it, or at the trace length when
-    # the line is still resident; a bypass writes no row. Without bypass
-    # the incoming block B is next used after the victim A (rank 1); with
-    # it B is the victim and A is not next used later (rank 0).
+    # the line is still resident; a bypass writes no row.
     next_use = np.array([2, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
-    for bypass, want, want_ranks in ((False, [[0, 1, 2], [1, 2, 3], [0, 0, 0]], [1, 1]),
-                                     (True, [[0], [3], [1]], [1, 0])):
-        stats, _, _, (rows, count), ranks = lib.run(trace, "min", geom, 0, next_use=next_use,
-                                                    bypass=bypass, rows=True, ranks=True)
+    for bypass, want in ((False, [[0, 1, 2], [1, 2, 3], [0, 0, 0]]), (True, [[0], [3], [1]])):
+        stats, _, _, (rows, count), _ = lib.run(trace, "min", geom, 0, next_use=next_use,
+                                                bypass=bypass, rows=True)
         assert count == stats.misses - stats.per_policy["bypasses"]
         assert np.asarray(rows).reshape(3, 3)[:, :count].tolist() == want
-        assert ranks == want_ranks
-    # Neither is there when not asked for.
-    assert lib.run(trace, "min", geom, 0, next_use=next_use)[3:] == (None, None)
+    # The rows are not there when not asked for.
+    assert lib.run(trace, "min", geom, 0, next_use=next_use)[3] is None
+
+
+@pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
+def test_run_ranks_the_victims_of_the_built_in_policies_only(lib):
+    # Only MIN bypasses. MIN reads next_use as its oracle and ranks nothing;
+    # a built-in policy given it ranks every victim. LRU evicts A for B,
+    # which is never used again (rank 1), then B for A (rank 0).
+    trace = make_trace([0x40, 0x80, 0x40])
+    geom = CacheGeometry(1, 1)
+    next_use = lib.next_use(trace, geom)
+    for kw in ({}, {"next_use": next_use}):
+        with pytest.raises(ValueError, match="only MIN bypasses, not lru"):
+            lib.run(trace, "lru", geom, 0, bypass=True, **kw)
+    for bypass in (False, True):
+        assert lib.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass)[4] is None
+    assert lib.run(trace, "lru", geom, 0, next_use=next_use)[4] == [1, 1]
+    assert lib.run(trace, "lru", geom, 0)[4] is None
 
 
 @pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
@@ -251,7 +262,7 @@ def test_run_allocates_its_ranks_before_it_simulates(lib, monkeypatch):
     trace = make_trace([0x40, 0x80, 0x40])
     geom = CacheGeometry(1, 1 << 62)
     with pytest.raises(GeometryTooLarge, match="cannot allocate the tables of a cache of 1 sets"):
-        lib.run(trace, "lru", geom, 0, next_use=lib.next_use(trace, geom), ranks=True)
+        lib.run(trace, "lru", geom, 0, next_use=lib.next_use(trace, geom))
 
 
 @pytest.mark.parametrize("kind", ["zipf", "region", "mixed", "stream"])

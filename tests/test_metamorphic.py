@@ -12,9 +12,9 @@ engine share.
 - Inclusion: LRU and MIN without bypass are stack algorithms, so their
   hits never fall as ways grow at a fixed number of sets.
 - Ranks without effect: ranking victims reads the next-use column but
-  steers no policy, so passing it with ``ranks`` to a backend's ``run``
-  leaves every built-in policy's stats and hit flags unchanged, and counts
-  one rank per replacement.
+  steers no policy, so passing that column to a backend's ``run`` leaves
+  every built-in policy's stats and hit flags unchanged, and counts one
+  rank per replacement.
 - Tag bijection: LRU, the RRIP family and MIN compare tags only for
   equality within a set, so mapping each block to another block of the
   same set, one to one, leaves their results unchanged.
@@ -170,7 +170,7 @@ def test_ranking_victims_changes_no_policy(case, seed):
         for name in POLICY_NAMES:
             stats, _, flags, _, _ = lib.run(trace, name, geom, seed)
             ranked, _, ranked_flags, _, ranks = lib.run(trace, name, geom, seed,
-                                                        next_use=next_use, ranks=True)
+                                                        next_use=next_use)
             assert ranked == stats, (name, backend)
             assert_same_array(ranked_flags, flags, f"{name} on {backend}")
             assert len(ranks) == geom.associativity + 1, (name, backend)

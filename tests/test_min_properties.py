@@ -256,19 +256,16 @@ def test_kernel_events_match_reference(case, name):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(crowded_traces(), st.sampled_from([*POLICY_NAMES, "min"]), st.booleans())
-def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name, bypass):
+@given(crowded_traces(), st.sampled_from(POLICY_NAMES))
+def test_kernel_ranks_match_victim_quality_of_the_event_log(case, name):
     # Ranking in the loop changes nothing of the run, and gives the
     # histogram victim_quality makes of the same run's event log.
     geom, trace = case
-    next_use = _kernels.next_use(trace, geom)
-    min_args = {"bypass": bypass} if name == "min" else {}
     stats, log, flags, _, ranks = _kernels.run(trace, name, geom, 42, record_events=True,
-                                               next_use=next_use, ranks=True, **min_args)
+                                               next_use=_kernels.next_use(trace, geom))
     assert_same_array(ranks, victim_quality(log, trace, geom), "in-loop ranks")
     _assert_residents_of_the_event_set(log, trace, geom)
-    plain_stats, _, plain_flags, _, _ = _kernels.run(trace, name, geom, 42, next_use=next_use,
-                                                     **min_args)
+    plain_stats, _, plain_flags, _, _ = _kernels.run(trace, name, geom, 42)
     assert stats == plain_stats
     assert_same_array(flags, plain_flags, "hit flags")
 

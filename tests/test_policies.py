@@ -13,6 +13,8 @@ from ehcsim import (
     simulate,
 )
 from ehcsim.engine import RRPV_MAX, BlockState
+from ehcsim.hashing import xor_fold
+from ehcsim.params import SHCT_BITS
 from ehcsim.policies import (
     PSEL_INIT,
     PSEL_MAX,
@@ -161,11 +163,11 @@ def test_ship_insertion_follows_counter():
     sig_ways = _ways(rrpv=[0, 0])
     policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX        # counter at zero: distant
-    sig = policy.signature[0, 0]
+    sig = sig_ways[0].signature
     policy.shct[sig] = 5
     policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX - 1
-    assert policy.outcome[0, 0] == 0           # insert clears the outcome bit
+    assert sig_ways[0].outcome == 0            # insert clears the outcome bit
 
 
 def test_ship_trains_on_eviction():
@@ -173,11 +175,11 @@ def test_ship_trains_on_eviction():
     policy = ShipPolicy(geom)
     ways = _ways(rrpv=[7])
     policy.on_insert(0, ways, 0, 0, 0x500)
-    sig = policy.signature[0, 0]
+    sig = ways[0].signature
     policy.on_hit(0, ways, 0, 0, 0x500)        # block got reused
     policy.choose_victim(0, ways)
     assert policy.shct[sig] == 1
-    policy.outcome[0, 0] = 0                   # dead block this time
+    ways[0].outcome = 0                        # dead block this time
     ways[0].rrpv = 7
     policy.choose_victim(0, ways)
     assert policy.shct[sig] == 0
@@ -193,8 +195,7 @@ def test_ship_counter_saturates_on_reused_pc():
     t = make_trace(addrs)
     policy = ShipPolicy(geom)
     simulate(t, policy, geom)
-    sig = policy.signature[0, 0]
-    assert policy.shct[sig] == 7
+    assert policy.shct[xor_fold(0x700, SHCT_BITS)] == 7
 
 
 def test_policies_accept_seed_kwarg():
