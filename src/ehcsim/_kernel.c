@@ -1,9 +1,14 @@
-/* The native kernel behind ehcsim._kernels: one cache loop (ehcsim_simulate)
+/* The native kernel behind ehcsim._kernels, a CPython extension module with
+ * multi-phase initialization (PEP 489): one cache loop (ehcsim_simulate)
  * for every built-in policy and for the offline Belady MIN oracle, the
  * next-use scan MIN and victim ranking read (ehcsim_next_use), the
  * hit-count prediction-error histogram over MIN's residencies
  * (ehcsim_prediction_error), and a trace record reader
  * (ehcsim_read_records), so that a run, a compare or an analyze skips numpy.
+ * Each takes its arrays as objects with the buffer protocol (a bytearray,
+ * a memoryview over anonymous mmap, a numpy array) and checks per call the
+ * item size and signedness, C order, room and, for an output, writability
+ * of each one, raising TypeError or ValueError before anything runs.
  *
  * ehcsim_simulate runs one loop over the trace, dispatched on policy_id, and
  * reproduces the reference engine (ehcsim.engine.simulate) bit for bit, for
@@ -36,16 +41,20 @@
  * Sampled set s keeps its OPTgen window in cap Slots, position j in slot
  * j % cap, as ehcsim.sampler.SampledSetHistory keeps it in two lists;
  * seen[s], the accesses s recorded, puts the window at positions
- * seen[s] - cap to seen[s] - 1. A slot is live while its block's latest
- * access is recorded there; a slot never used is not live. A reuse walks
- * the slots from the block's live slot to seen[s] - 1, and a live slot
- * about to be overwritten completes its block's stay.
+ * seen[s] - cap to seen[s] - 1, and head[s] is seen[s] % cap, the slot the
+ * next position takes. A slot is live while its block's latest access is
+ * recorded there; a slot never used is not live. A reuse walks the slots
+ * from the block's live slot to seen[s] - 1, wrapping at cap, and a live
+ * slot about to be overwritten completes its block's stay.
  *
  * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define REGION_NONE UINT64_MAX /* no region id reaches it: ids are addr >> REGION_SHIFT */
 
@@ -222,7 +231,7 @@ static int by_fill(const void *a, const void *b)
  * Returns 0, or -1 when the tables cannot be allocated, which includes a
  * geometry whose table sizes overflow int64_t: a wrapped size would
  * allocate too little and the loop would index past it. */
-int ehcsim_simulate(
+static int ehcsim_simulate(
     int64_t n, const uint64_t *addr, const uint64_t *pc,
     int64_t num_sets, int64_t assoc, int64_t block_bits,
     int64_t policy_id, uint64_t seed,
@@ -255,6 +264,7 @@ int ehcsim_simulate(
     uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
     Ring *regions = table(&t, REGION_TABLE_SIZE, sizeof *regions);
     int64_t *seen = table(&t, nsamp, sizeof *seen);
+    int64_t *head = table(&t, nsamp, sizeof *head);
     Slot *slots = table(&t, nsamp * cap, sizeof *slots);
     Stay *stay = table(&t, min_lines, sizeof *stay);
     Stay *tail = table(&t, rows ? min_lines : 0, sizeof *tail);
@@ -279,11 +289,14 @@ int ehcsim_simulate(
 
         /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
         if (sampled && si % SAMPLE_PERIOD == 0) {
-            const int64_t s = si / SAMPLE_PERIOD;
+            const int64_t s = si / SAMPLE_PERIOD, at = head[s];
             Slot *srow = slots + s * cap, *hit = NULL;
             int64_t carried_hits = 0;
             uint64_t ent_addr = a;
-            for (int64_t k = 0; k < cap; k++) {
+            /* A block has at most one live slot, and a reuse is most often
+             * recent: look from the newest position back, over used slots. */
+            for (int64_t k = at, left = seen[s] < cap ? seen[s] : cap; left > 0; left--) {
+                k = k == 0 ? cap - 1 : k - 1;
                 if (srow[k].block == block && srow[k].live) {
                     hit = srow + k;
                     break;
@@ -293,17 +306,22 @@ int ehcsim_simulate(
                 optgen_cold++;
             } else {
                 const uint64_t fi = xor_fold(hit->pc, PC_TABLE_BITS);
+                /* Positions hit->pos to seen[s] - 1, from the hit's slot on. */
+                const int64_t from = hit - srow, span = seen[s] - hit->pos;
                 int ok = 1;
-                for (int64_t j = hit->pos; j < seen[s]; j++) {
-                    if (srow[j % cap].occ >= assoc) {
+                for (int64_t k = from, left = span; left > 0; left--) {
+                    if (srow[k].occ >= assoc) {
                         ok = 0;
                         break;
                     }
+                    k = k + 1 == cap ? 0 : k + 1;
                 }
                 if (ok) {
                     optgen_hit++;
-                    for (int64_t j = hit->pos; j < seen[s]; j++)
-                        srow[j % cap].occ++;
+                    for (int64_t k = from, left = span; left > 0; left--) {
+                        srow[k].occ++;
+                        k = k + 1 == cap ? 0 : k + 1;
+                    }
                     carried_hits = hit->hits + 1;
                     if (pc_tbl[fi] < PC_COUNTER_MAX)
                         pc_tbl[fi]++;
@@ -316,13 +334,13 @@ int ehcsim_simulate(
                 ent_addr = hit->addr;
                 hit->live = 0;
             }
-            /* Position new_pos - cap leaves the window, completing a live stay. */
-            const int64_t new_pos = seen[s]++;
-            Slot *entry = srow + new_pos % cap;
+            /* Position seen[s] - cap leaves the window, completing a live stay. */
+            Slot *entry = srow + at;
             if (entry->live)
                 region_push(regions, entry->addr, entry->hits);
-            *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .pos = new_pos,
+            *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .pos = seen[s]++,
                             .hits = carried_hits, .live = 1};
+            head[s] = at + 1 == cap ? 0 : at + 1;
         }
 
         const int64_t row = si * assoc;
@@ -525,7 +543,7 @@ int ehcsim_simulate(
  * latest access (0 marks a free slot); the table doubles whenever it would
  * become more than half full. Returns 0, or -1 when the table cannot be
  * allocated. */
-int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t *next_use)
+static int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t *next_use)
 {
     int bits = 10;
     uint64_t mask = ((uint64_t)1 << bits) - 1, used = 0;
@@ -579,7 +597,7 @@ int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, int64_t
  * |hits - prediction| in bucket min(that, ERROR_BUCKETS - 1). A key's first
  * row has nothing to predict from and is not counted. Returns 0, or -1
  * when the key table cannot be allocated. */
-int ehcsim_prediction_error(
+static int ehcsim_prediction_error(
     int64_t count, int64_t n, const int64_t *rows, const uint64_t *addr,
     int64_t block_bits, int64_t by_region, int64_t *hist)
 {
@@ -650,7 +668,7 @@ _Static_assert(sizeof(ReadState) == READ_STATE_WORDS * sizeof(uint64_t),
  * seq exceeds instruction_count, CHECK_KIND when a kind exceeds KIND_WRITE,
  * or CHECK_SEQ_ORDER when the seqs of one core decrease, with the lowest
  * such core in *bad_core. Only the last call's result covers the trace. */
-int ehcsim_read_records(
+static int ehcsim_read_records(
     int64_t n, const uint8_t *records, uint64_t instruction_count,
     uint64_t *pc, uint64_t *addr, uint64_t *state, int64_t *bad_core)
 {
@@ -686,4 +704,209 @@ int ehcsim_read_records(
         }
     }
     return 0;
+}
+
+/* The Python interface. Each function of the module takes the arguments of
+ * the C function of its name, an array as an object with the buffer
+ * protocol, or None for an output left off, and returns what it returns:
+ * ehcsim_read_records its check and the core as a tuple. */
+
+/* What a call needs of one array argument: its element type ('Q' for
+ * uint64_t, 'q' for int64_t, 'B' for uint8_t), whether it may be None,
+ * whether the kernel writes it, and how many elements it must hold. */
+typedef struct {
+    PyObject *obj;
+    char type;
+    int optional, output;
+    Py_ssize_t need;
+} Arg;
+
+/* count * width + extra elements, or PY_SSIZE_T_MAX, which no buffer
+ * holds, when one of them is negative or the sum overflows. */
+static Py_ssize_t room(int64_t count, int64_t width, int64_t extra)
+{
+    if (count < 0 || width < 0 || extra < 0 || mul_overflows(count, width)
+        || count * width > PY_SSIZE_T_MAX - extra)
+        return PY_SSIZE_T_MAX;
+    return (Py_ssize_t)(count * width + extra);
+}
+
+/* The element type of a buffer as Arg.type spells it, or 0 for another:
+ * a native-order unsigned integer of 1 byte, or an integer of 8. */
+static char element_type(const Py_buffer *view)
+{
+    const char *f = view->format ? view->format : "B";
+    if (*f == '@' || *f == '=' || (*f == '<' && PY_LITTLE_ENDIAN))
+        f++;
+    if (f[0] == '\0' || f[1] != '\0')
+        return 0;
+    const int is_unsigned = strchr("BHILQN", f[0]) != NULL;
+    if (view->itemsize == 1)
+        return is_unsigned ? 'B' : 0;
+    if (view->itemsize == 8)
+        return is_unsigned ? 'Q' : strchr("bhilqn", f[0]) ? 'q' : 0;
+    return 0;
+}
+
+static void release_arrays(Py_buffer *views, int count)
+{
+    for (int k = 0; k < count; k++)
+        PyBuffer_Release(views + k);
+}
+
+/* The buffer of each argument in views, with buf NULL for a None that may
+ * be None. Returns 0, or -1 with TypeError (the element type, C order or
+ * writability) or ValueError (too few elements) set and no buffer held. */
+static int get_arrays(const Arg *args, Py_buffer *views, int count)
+{
+    for (int k = 0; k < count; k++) {
+        const Arg *a = args + k;
+        Py_buffer *v = views + k;
+        const char *name = a->type == 'Q' ? "uint64" : a->type == 'q' ? "int64" : "uint8";
+        v->buf = NULL;
+        v->obj = NULL;
+        if (a->obj == Py_None && a->optional)
+            continue;
+        if (PyObject_GetBuffer(a->obj, v, PyBUF_STRIDES | PyBUF_FORMAT) < 0) {
+            if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+                PyErr_Clear();
+                PyErr_Format(PyExc_TypeError, "array must have data type %s", name);
+            }
+        } else if (element_type(v) != a->type) {
+            PyErr_Format(PyExc_TypeError, "array must have data type %s", name);
+        } else if (!PyBuffer_IsContiguous(v, 'C')) {
+            PyErr_SetString(PyExc_TypeError, "array must have flags ['C_CONTIGUOUS']");
+        } else if (a->output && v->readonly) {
+            PyErr_SetString(PyExc_TypeError, "array must have flags ['WRITEABLE']");
+        } else if (v->len / v->itemsize < a->need) {
+            PyErr_Format(PyExc_ValueError, "array must hold %zd elements, not %zd",
+                         a->need, v->len / v->itemsize);
+        } else {
+            continue;
+        }
+        release_arrays(views, k + 1);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *py_simulate(PyObject *self, PyObject *args)
+{
+    long long n, num_sets, assoc, block_bits, policy_id, bypass;
+    unsigned long long seed;
+    /* addr, pc, next_use, rows, ranks, events, hit_flags, out */
+    Arg a[8] = {{.type = 'Q'}, {.type = 'Q'}, {.type = 'q', .optional = 1},
+                {.type = 'q', .optional = 1, .output = 1},
+                {.type = 'q', .optional = 1, .output = 1},
+                {.type = 'q', .optional = 1, .output = 1},
+                {.type = 'B', .output = 1}, {.type = 'q', .output = 1}};
+    Py_buffer v[8];
+    (void)self;
+    if (!PyArg_ParseTuple(args, "LOOLLLLKOLOOOOO:ehcsim_simulate", &n, &a[0].obj, &a[1].obj,
+                          &num_sets, &assoc, &block_bits, &policy_id, &seed, &a[2].obj,
+                          &bypass, &a[3].obj, &a[4].obj, &a[5].obj, &a[6].obj, &a[7].obj))
+        return NULL;
+    a[0].need = a[1].need = a[2].need = a[6].need = room(n, 1, 0);
+    a[3].need = room(n, 3, 0);
+    a[4].need = room(1, assoc, 1);
+    a[5].need = room(n, room(1, assoc, EVENT_FIELDS), 0);
+    a[7].need = OUT_SAMPLED + 1; /* the last counter slot */
+    if (get_arrays(a, v, 8) < 0)
+        return NULL;
+    const int status = ehcsim_simulate(n, v[0].buf, v[1].buf, num_sets, assoc, block_bits,
+                                       policy_id, seed, v[2].buf, bypass, v[3].buf, v[4].buf,
+                                       v[5].buf, v[6].buf, v[7].buf);
+    release_arrays(v, 8);
+    return PyLong_FromLong(status);
+}
+
+static PyObject *py_next_use(PyObject *self, PyObject *args)
+{
+    long long n, block_bits;
+    Arg a[2] = {{.type = 'Q'}, {.type = 'q', .output = 1}}; /* addr, next_use */
+    Py_buffer v[2];
+    (void)self;
+    if (!PyArg_ParseTuple(args, "LOLO:ehcsim_next_use", &n, &a[0].obj, &block_bits, &a[1].obj))
+        return NULL;
+    a[0].need = a[1].need = room(n, 1, 0);
+    if (get_arrays(a, v, 2) < 0)
+        return NULL;
+    const int status = ehcsim_next_use(n, v[0].buf, block_bits, v[1].buf);
+    release_arrays(v, 2);
+    return PyLong_FromLong(status);
+}
+
+static PyObject *py_prediction_error(PyObject *self, PyObject *args)
+{
+    long long count, n, block_bits, by_region;
+    Arg a[3] = {{.type = 'q'}, {.type = 'Q'}, {.type = 'q', .output = 1}}; /* rows, addr, hist */
+    Py_buffer v[3];
+    (void)self;
+    if (!PyArg_ParseTuple(args, "LLOOLLO:ehcsim_prediction_error", &count, &n, &a[0].obj,
+                          &a[1].obj, &block_bits, &by_region, &a[2].obj))
+        return NULL;
+    a[0].need = room(n, 2, count);
+    a[1].need = room(n, 1, 0);
+    a[2].need = ERROR_BUCKETS;
+    if (get_arrays(a, v, 3) < 0)
+        return NULL;
+    const int status = ehcsim_prediction_error(count, n, v[0].buf, v[1].buf, block_bits,
+                                               by_region, v[2].buf);
+    release_arrays(v, 3);
+    return PyLong_FromLong(status);
+}
+
+static PyObject *py_read_records(PyObject *self, PyObject *args)
+{
+    long long n;
+    unsigned long long instruction_count;
+    /* state, then records, pc, addr: pc and addr hold the records of earlier
+     * calls, which the state counts, and these. */
+    Arg a[4] = {{.type = 'Q', .output = 1, .need = READ_STATE_WORDS}, {.type = 'B'},
+                {.type = 'Q', .output = 1}, {.type = 'Q', .output = 1}};
+    Py_buffer v[4];
+    int64_t bad_core = 0;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "LOKOOO:ehcsim_read_records", &n, &a[1].obj, &instruction_count,
+                          &a[2].obj, &a[3].obj, &a[0].obj))
+        return NULL;
+    if (get_arrays(a, v, 1) < 0)
+        return NULL;
+    const uint64_t done = ((const ReadState *)v[0].buf)->done;
+    a[1].need = room(n, RECORD_BYTES, 0);
+    a[2].need = a[3].need = done > INT64_MAX ? PY_SSIZE_T_MAX : room(n, 1, (int64_t)done);
+    if (get_arrays(a + 1, v + 1, 3) < 0) {
+        release_arrays(v, 1);
+        return NULL;
+    }
+    const int check = ehcsim_read_records(n, v[1].buf, instruction_count, v[2].buf, v[3].buf,
+                                          v[0].buf, &bad_core);
+    release_arrays(v, 4);
+    return Py_BuildValue("(iL)", check, (long long)bad_core);
+}
+
+static PyMethodDef methods[] = {
+    {"ehcsim_simulate", py_simulate, METH_VARARGS, NULL},
+    {"ehcsim_next_use", py_next_use, METH_VARARGS, NULL},
+    {"ehcsim_prediction_error", py_prediction_error, METH_VARARGS, NULL},
+    {"ehcsim_read_records", py_read_records, METH_VARARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+/* Multi-phase initialization, with no slots and no state: each load makes
+ * a new module. CPython keeps the first single-phase module of a path for
+ * the rest of the process, so a library rebuilt there would not load. */
+static PyModuleDef_Slot slots[] = {{0, NULL}};
+
+static struct PyModuleDef kernel_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "ehcsim._kernel",
+    .m_size = 0,
+    .m_methods = methods,
+    .m_slots = slots,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    return PyModuleDef_Init(&kernel_module);
 }

@@ -2,12 +2,14 @@
 :mod:`ehcsim._kernels` imports only when the library it looks for is not
 cached, or the package's bytecode is missing or older than its source.
 
-:func:`build` compiles the kernel's C text into a shared library with the
-system C compiler, atomically, and deletes the libraries of other digests
-in that directory. :func:`write_bytecode` compiles every module of the
-package into its ``__pycache__``. :func:`temp_cache_dir` is the per-user
-cache directory under the system temporary directory, for hosts where
-``__pycache__`` is not private to this user.
+:func:`build` compiles the kernel's C text into a CPython extension module
+with the system C compiler and the running interpreter's C headers, which
+:mod:`sysconfig` locates, atomically, and deletes the libraries of other
+digests for this interpreter in that directory. :func:`write_bytecode`
+compiles every module of the package into its ``__pycache__``.
+:func:`temp_cache_dir` is the per-user cache directory under the system
+temporary directory, for hosts where ``__pycache__`` is not private to
+this user.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import py_compile
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 
 from ._kernels import _BuildError
@@ -28,21 +31,26 @@ def temp_cache_dir() -> str:
 
 
 def build(text: str, target: str, compiler: str, cflags) -> None:
-    """Compile ``text`` into the shared library ``target``, atomically, then
-    delete the libraries of other digests next to it; raises
-    :class:`~ehcsim._kernels._BuildError`."""
+    """Compile ``text`` into the extension module ``target``, atomically,
+    then delete the libraries of other digests next to it that carry the
+    same extension suffix, which follows the first dot of a library's name;
+    raises :class:`~ehcsim._kernels._BuildError`. A host without Python's
+    headers fails the build as one without a compiler does."""
     cc = shutil.which(compiler)
     if cc is None:
         raise _BuildError(f"no C compiler ({compiler}) on PATH")
+    paths = sysconfig.get_paths()
+    includes = dict.fromkeys(f"-I{paths[key]}" for key in ("include", "platinclude"))
     directory, name = os.path.split(target)
-    fd, src = tempfile.mkstemp(suffix=".c", prefix=name.removesuffix(".so"), dir=directory)
-    tmp = src.removesuffix(".c") + ".so"
+    stem, suffix = name[:name.index(".")], name[name.index("."):]
+    fd, src = tempfile.mkstemp(suffix=".c", prefix=stem, dir=directory)
+    tmp = src.removesuffix(".c") + suffix
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         try:
             proc = subprocess.run(
-                [cc, *cflags, "-o", tmp, src],
+                [cc, *cflags, *includes, "-o", tmp, src],
                 capture_output=True, text=True, timeout=120,
             )
         except (OSError, subprocess.TimeoutExpired) as e:
@@ -54,10 +62,11 @@ def build(text: str, target: str, compiler: str, cflags) -> None:
     finally:
         _unlink(src)
         _unlink(tmp)
-    # Other digests are superseded; a build in progress has a longer name.
+    # Other digests are superseded; a build in progress has a longer name,
+    # and another interpreter's library another suffix.
     for entry in os.listdir(directory):
         if (entry != name and len(entry) == len(name) and entry.startswith("_kernel-")
-                and entry.endswith(".so")):
+                and entry.endswith(suffix)):
             _unlink(os.path.join(directory, entry))
 
 

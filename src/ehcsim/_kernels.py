@@ -25,16 +25,24 @@ for bit, which the test suite enforces:
 So a run, a compare or an analyze over the :class:`Columns` that
 :func:`load_trace` returns needs no numpy; only an event log is a numpy
 one. On first use this module prepends a ``#define`` block generated from
-:mod:`ehcsim.params` and :mod:`ehcsim.traceformat` to the source and loads the library of that text
-with ctypes. The library lives in ``__pycache__`` next to this file, or,
-when that is not private to this user, in a per-user directory under the
-system temporary directory; nothing is loaded from a directory another
-user owns or may write to. Its name carries a digest of the header, the
-source and the flags, so an edit to either builds a new one. Finding and
-loading a cached library takes ``os`` and ``ctypes`` only; when it is
-missing or unreadable, :mod:`ehcsim._kernel_build` compiles it with the
-system C compiler (``cc -O2 -shared -fPIC``) and deletes the libraries of
-other digests in its directory.
+:mod:`ehcsim.params` and :mod:`ehcsim.traceformat` to the source and loads
+the library of that text, a CPython extension module, with
+:class:`importlib.machinery.ExtensionFileLoader`. Its functions take each
+array as an object with the buffer protocol (a memoryview over anonymous
+memory, a bytearray or a numpy array) and check its element type, C order,
+size and, for an output, writability per call, raising TypeError or
+ValueError before the kernel runs. The library lives in ``__pycache__``
+next to this file, or, when that is not private to this user, in a
+per-user directory under the system temporary directory; nothing is
+loaded from a directory another user owns or may write to. Its name is a
+digest of the header, the source and the flags, so an edit to either
+builds a new one, followed by the interpreter's extension suffix
+(``importlib.machinery.EXTENSION_SUFFIXES[0]``), so interpreters that share
+the directory neither load nor delete each other's. Finding and loading a
+cached library takes ``os`` and ``importlib.machinery`` only; when it is
+missing or does not load, :mod:`ehcsim._kernel_build` compiles it with the
+system C compiler (``cc -O2 -shared -fPIC`` and Python's include
+directory) and deletes the libraries of other digests in its directory.
 
 The package's bytecode is the cache's second artifact. When the library
 sits in the ``__pycache__`` the interpreter reads the package's bytecode
@@ -51,19 +59,20 @@ The backend's three calls allocate what the kernel writes. With
 :func:`event_rows` buffer as one row of trace positions, as the engine
 does, and :func:`event_log` makes the rows an :class:`~ehcsim.engine.EventLog`
 on both; next use, MIN's rows and the victim ranks each go to a
-:func:`buffer`. Outputs a run does not make are NULL.
-When no compiler is found or the build fails, :func:`use_kernel` is False
+:func:`buffer`. Outputs a run does not make are None.
+When no compiler is found or the build fails (a host without Python's C
+headers included), :func:`use_kernel` is False
 for ``backend="auto"``, which picks the reference backend, and one line on
 stderr per process says why.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import os
 import stat
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 
 from . import params, traceformat
 from .errors import (GeometryTooLarge, InternalInvariantError, InvalidTrace, UnknownPolicy,
@@ -113,6 +122,8 @@ _READ_STATE_WORDS = 3 + 2 * 256
 _CHUNK_RECORDS = 4096
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
+#: The module's name; ``_kernel.c`` defines ``PyInit__kernel`` for it.
+_MODULE = f"{__package__}._kernel"
 _COMPILER = "cc"
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -175,48 +186,14 @@ class _BuildError(Exception):
     """The native kernel could not be built or loaded; the message says why."""
 
 
-class _Array:
-    """A ctypes argument type for a pointer to C-contiguous elements of one
-    type: a ctypes array of ``ctype``, None for NULL, or a numpy array of
-    ``dtype``, checked per call as ``numpy.ctypeslib.ndpointer`` checks it.
-    Unlike ``ndpointer``, declaring it needs no numpy."""
-
-    def __init__(self, ctype, dtype: str):
-        self.ctype, self.dtype = ctype, dtype
-
-    def from_param(self, obj):
-        if obj is None or isinstance(obj, ctypes.Array) and obj._type_ is self.ctype:
-            return obj
-        if getattr(obj, "dtype", None) != self.dtype:
-            raise TypeError(f"array must have data type {self.dtype}")
-        if not obj.flags.c_contiguous:
-            raise TypeError("array must have flags ['C_CONTIGUOUS']")
-        return obj.ctypes
-
-
 def _bind(path):
-    """The library at ``path``, with the kernel's argument types declared;
-    arrays are checked for type and contiguity per call. Raises
-    AttributeError when a kernel function is missing."""
-    lib = ctypes.CDLL(str(path))
-    i64 = ctypes.c_int64
-    u64s, i64s = _Array(ctypes.c_uint64, "uint64"), _Array(i64, "int64")
-    lib.ehcsim_simulate.argtypes = [
-        i64, u64s, u64s,
-        i64, i64, i64,
-        i64, ctypes.c_uint64,
-        i64s, i64, i64s, i64s,
-        i64s, _Array(ctypes.c_uint8, "uint8"), i64s,
-    ]
-    lib.ehcsim_next_use.argtypes = [i64, u64s, i64, i64s]
-    lib.ehcsim_prediction_error.argtypes = [i64, i64, i64s, u64s, i64, i64, i64s]
-    for function in (lib.ehcsim_simulate, lib.ehcsim_next_use, lib.ehcsim_prediction_error):
-        function.restype = ctypes.c_int
-    lib.ehcsim_read_records.argtypes = [
-        i64, ctypes.c_char_p, ctypes.c_uint64, u64s, u64s, u64s, ctypes.POINTER(i64),
-    ]
-    lib.ehcsim_read_records.restype = ctypes.c_int
-    return lib
+    """The kernel module in the library at ``path``. Raises ImportError when
+    the file is no loadable extension module of this interpreter."""
+    loader = ExtensionFileLoader(_MODULE, path)
+    module = loader.create_module(ModuleSpec(_MODULE, loader, origin=path))
+    loader.exec_module(module)
+    module.__file__ = path
+    return module
 
 
 def _source() -> tuple[str, str]:
@@ -226,7 +203,7 @@ def _source() -> tuple[str, str]:
     digest = blake2b(
         "\0".join((text, *_CFLAGS)).encode(), digest_size=12
     ).hexdigest()
-    return text, f"_kernel-{digest}.so"
+    return text, f"_kernel-{digest}{EXTENSION_SUFFIXES[0]}"
 
 
 def _stale_bytecode(directory) -> bool:
@@ -265,7 +242,7 @@ def _load():
         if os.path.isfile(target):
             try:
                 lib = _bind(target)
-            except (OSError, AttributeError):
+            except ImportError:
                 pass  # truncated or foreign: rebuild it below
         if lib is None:
             from ._kernel_build import build
@@ -273,7 +250,7 @@ def _load():
             build(text, target, _COMPILER, _CFLAGS)
             try:
                 lib = _bind(target)
-            except (OSError, AttributeError) as e:
+            except ImportError as e:
                 raise _BuildError(f"cannot load {target}: {e}") from None
         if _stale_bytecode(directory):
             from ._kernel_build import write_bytecode
@@ -285,7 +262,7 @@ def _load():
 
 @functools.cache
 def _native():
-    """``(kernel library, None)``, or ``(None, reason)`` when it is unavailable."""
+    """``(kernel module, None)``, or ``(None, reason)`` when it is unavailable."""
     try:
         return _load(), None
     except (_BuildError, OSError) as e:
@@ -335,26 +312,33 @@ def _library():
 
 def check_geometry(geom: CacheGeometry):
     """``(num_sets, associativity, block_offset_bits)`` as the C kernel
-    takes them. ctypes wraps an integer beyond int64_t silently and the
-    kernel refuses a table of 2^63 entries or more, so a geometry that
-    large raises :class:`GeometryTooLarge`; both backends check this first.
+    takes them, as int64_t values. The kernel refuses a table of 2^63
+    entries or more, so a geometry that large raises
+    :class:`GeometryTooLarge`; both backends check this first.
     The offset passes as :attr:`~ehcsim.engine.CacheGeometry.block_shift`."""
     if geom.num_sets * geom.associativity >= 1 << 63:
         raise _too_large(geom)
     return geom.num_sets, geom.associativity, geom.block_shift
 
 
+def _words(size: int, fmt: str) -> memoryview:
+    """``size`` zeroed 8-byte elements of struct format ``fmt``, in a
+    bytearray."""
+    return memoryview(bytearray(8 * size)).cast(fmt)
+
+
 def buffer(trace: Trace | Columns | None, geom: CacheGeometry, size: int):
     """A zeroed int64 buffer of ``size`` elements for the kernel to fill:
-    for :class:`Columns` a ctypes array over anonymous memory, which needs
-    no numpy, else (a Trace, or None) a numpy array. Either way a page
-    takes memory only once the kernel writes to it, where a plain ctypes
-    array would zero every page first."""
+    for :class:`Columns` a memoryview over anonymous memory, which needs no
+    numpy, else (a Trace, or None) a numpy array. Either way a page takes
+    memory only once the kernel writes to it, where a bytearray would zero
+    every page first. A mapping cannot be empty, so it holds one element
+    at least."""
     try:
         if isinstance(trace, Columns):
             import mmap
 
-            return (ctypes.c_int64 * size).from_buffer(mmap.mmap(-1, max(8 * size, 1)))
+            return memoryview(mmap.mmap(-1, 8 * max(size, 1))).cast("q")[:size]
         import numpy as np
 
         return np.zeros(size, dtype=np.int64)
@@ -369,7 +353,7 @@ def _too_large(geom: CacheGeometry) -> GeometryTooLarge:
 
 class Columns:
     """What the kernel reads of a trace: the ``pc`` and ``addr`` columns as
-    ctypes uint64 arrays, and the instruction count. :func:`run` takes it
+    uint64 memoryviews, and the instruction count. :func:`run` takes it
     where it takes a :class:`~ehcsim.trace.Trace`."""
 
     __slots__ = ("pc", "addr", "instruction_count")
@@ -388,27 +372,26 @@ def load_trace(path) -> Columns:
     defect raises the same :class:`~ehcsim.errors.DataError` with the same
     message. The records, of a regular file or of a pipe, stream through
     one buffer of :data:`_CHUNK_RECORDS` records, with the check state
-    carried from chunk to chunk."""
+    carried from chunk to chunk. The reader writes every element of the
+    columns, so they are :func:`_words`: lazily zeroed memory would save no
+    page, and its ``mmap`` import would cost more than the zeroing."""
     lib = _library()
     with open(path, "rb") as fh:
         count, instruction_count, stream = traceformat.read_header(fh)
-        pc, addr = (ctypes.c_uint64 * count)(), (ctypes.c_uint64 * count)()
-        state = (ctypes.c_uint64 * _READ_STATE_WORDS)()
-        core = ctypes.c_int64()
-        check = 0  # what the checks give no records
+        pc, addr, state = _words(count, "Q"), _words(count, "Q"), _words(_READ_STATE_WORDS, "Q")
+        check = core = 0  # what the checks give no records
         chunk = bytearray(min(count, _CHUNK_RECORDS) * traceformat.RECORD_BYTES)
-        buffer, view = (ctypes.c_char * len(chunk)).from_buffer(chunk), memoryview(chunk)
+        view = memoryview(chunk)
         for start in range(0, count, _CHUNK_RECORDS):
             n = min(_CHUNK_RECORDS, count - start)
             size = n * traceformat.RECORD_BYTES
             # Fewer only if the file shrank since its size was checked.
             if stream.readinto(view[:size]) < size:
                 raise traceformat.fewer_records(count)
-            check = lib.ehcsim_read_records(n, buffer, instruction_count, pc, addr, state,
-                                            ctypes.byref(core))
+            check, core = lib.ehcsim_read_records(n, chunk, instruction_count, pc, addr, state)
     if check:
         message = list(traceformat.RECORD_CHECKS.values())[check - 1]
-        raise InvalidTrace(message.format(core=core.value))
+        raise InvalidTrace(message.format(core=core))
     return Columns(pc, addr, instruction_count)
 
 
@@ -429,11 +412,11 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows,
     :func:`ehcsim.minoracle.per_region_prediction_error` with
     ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
     rows, count = rows
-    hist = (ctypes.c_int64 * params.ERROR_BUCKETS)()
+    hist = _words(params.ERROR_BUCKETS, "q")
     if _library().ehcsim_prediction_error(count, len(trace), rows, trace.addr, geom.block_shift,
                                           1 if by_region else 0, hist) != 0:
         raise MemoryError("cannot allocate the prediction key table")
-    return list(hist)
+    return hist.tolist()
 
 
 def check_policy(name: str) -> None:
@@ -522,7 +505,7 @@ def run(
     num_sets, assoc, block_bits = check_geometry(geom)
     rows, ranks = check_outputs(trace, name, geom, next_use, bypass, rows)
     hit_flags = bytearray(n)
-    out = (ctypes.c_int64 * len(_COUNTERS))()
+    out = _words(len(_COUNTERS), "q")
     events = event_rows(trace, geom) if record_events else None
 
     status = lib.ehcsim_simulate(
@@ -530,7 +513,7 @@ def run(
         num_sets, assoc, block_bits,
         _POLICY_IDS[name], seed & (2**64 - 1),
         next_use, 1 if bypass else 0, rows, ranks,
-        events, (ctypes.c_uint8 * n).from_buffer(hit_flags), out,
+        events, hit_flags, out,
     )
     if status != 0:
         raise _too_large(geom)

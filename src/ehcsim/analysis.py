@@ -55,7 +55,16 @@ def mean_rank(hist) -> float:
 
 
 def _fmt(x) -> str:
+    """A cell: an integer, Python's or numpy's, exactly in decimal; any
+    other number to six significant digits."""
+    if hasattr(x, "__index__"):
+        return str(x.__index__())
     return "%.6g" % float(x)
+
+
+def _number(cell: str) -> int | float:
+    """The value of a cell that :func:`_fmt` wrote: an int for an integer."""
+    return int(cell) if cell.lstrip("-").isdecimal() else float(cell)
 
 
 class Report:
@@ -63,8 +72,9 @@ class Report:
 
     The CSV layout is line-oriented: ``# key=value`` provenance comments,
     then per table one ``# table=<name>`` marker, a header row, and data
-    rows whose first field is a label and the rest numbers formatted to six
-    significant digits. Emission is deterministic (insertion order).
+    rows whose first field is a label and the rest numbers: integers (a
+    count, or a bool as 0 or 1) exactly, and others to six significant
+    digits. Emission is deterministic (insertion order).
     """
 
     def __init__(self, meta: dict | None = None):
@@ -94,7 +104,8 @@ class Report:
 
     @classmethod
     def parse(cls, text: str) -> "Report":
-        """The report whose :meth:`to_csv` is ``text``. Data outside a table, a
+        """The report whose :meth:`to_csv` is ``text``, with an integer cell as
+        an int and any other number as a float. Data outside a table, a
         table without a header, a ragged row or a non-number raises DataError."""
         report = cls()
         name, columns, rows = None, None, None
@@ -121,7 +132,7 @@ class Report:
                 try:
                     if len(fields) != len(columns) + 1:
                         raise ValueError(f"{len(fields)} fields under {len(columns) + 1} columns")
-                    rows.append(tuple([fields[0]] + [float(x) for x in fields[1:]]))
+                    rows.append(tuple([fields[0]] + [_number(x) for x in fields[1:]]))
                 except ValueError as e:
                     raise DataError(f"report CSV: table {name!r}: {e}") from None
             else:

@@ -1,6 +1,5 @@
 """Shared trace builders and the independent oracles the tests check against."""
 
-import ctypes
 import functools
 
 import numpy as np
@@ -32,10 +31,9 @@ def make_trace(accesses, pc=0x400000):
 
 def columns_of(trace):
     """The ``Columns`` the kernel's trace loader would give for ``trace``:
-    ctypes arrays, no numpy."""
-    n = len(trace)
-    return _kernels.Columns((ctypes.c_uint64 * n)(*trace.pc.tolist()),
-                            (ctypes.c_uint64 * n)(*trace.addr.tolist()),
+    uint64 memoryviews, no numpy."""
+    return _kernels.Columns(memoryview(bytearray(trace.pc.tobytes())).cast("Q"),
+                            memoryview(bytearray(trace.addr.tobytes())).cast("Q"),
                             trace.instruction_count)
 
 

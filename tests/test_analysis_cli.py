@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehcsim import (
     CacheGeometry,
@@ -71,6 +73,24 @@ def test_report_round_trip():
     assert cols == ["x", "y"]
     assert rows[0] == ("a", 1.0, 2.5)
     assert rows[1][1] == pytest.approx(0.123456789, rel=1e-5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-(2**63 - 1), 2**63 - 1),
+                          st.integers(-(2**63 - 1), 2**63 - 1).map(np.int64),
+                          st.integers(0, 2**63 - 1).map(np.uint64),
+                          st.floats(allow_nan=False), st.booleans()),
+                min_size=1, max_size=6))
+def test_report_round_trip_gives_integers_exactly_and_floats_to_six_digits(cells):
+    report = Report()
+    report.add_table("t", [f"c{k}" for k in range(len(cells))], [("row", *cells)])
+    [(label, *got)] = Report.parse(report.to_csv()).tables["t"][1]
+    assert label == "row" and len(got) == len(cells)
+    for want, cell in zip(cells, got):
+        if isinstance(want, float):
+            assert cell == float("%.6g" % want), (want, cell)
+        else:
+            assert type(cell) is int and cell == int(want), (want, cell)
 
 
 def test_report_rejects_ragged_rows():

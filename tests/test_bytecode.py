@@ -58,7 +58,7 @@ def _copy_package(root, library=True):
         lib, reason = _kernels._native()
         assert lib is not None, reason
         (package / "__pycache__").mkdir(mode=0o700)
-        shutil.copy2(lib._name, package / "__pycache__")
+        shutil.copy2(lib.__file__, package / "__pycache__")
     return package
 
 

@@ -1,9 +1,9 @@
 """The native kernel must reproduce the reference engine bit for bit, and
 fall back to it when the kernel cannot be built."""
 
-import ctypes
 import hashlib
 import os
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -167,20 +167,33 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
 
 def test_kernel_binding_checks_numpy_arrays_per_call():
     # As numpy.ctypeslib.ndpointer did: the element type and C order of
-    # every array, before the kernel runs.
+    # every array, before the kernel runs; and that an output is writable
+    # and holds what the call writes.
     lib = _kernels._library()
-    core = ctypes.byref(ctypes.c_int64())
     good = np.zeros(4, dtype=np.uint64)
     state = np.zeros(_kernels._READ_STATE_WORDS, dtype=np.uint64)
+    read_only = np.zeros(4, dtype=np.uint64)
+    read_only.flags.writeable = False
     for bad, why in ((np.zeros(4, dtype=np.int64), "data type uint64"),
                      (np.zeros(8, dtype=np.uint64)[::2], "C_CONTIGUOUS"),
-                     ((ctypes.c_int64 * 4)(), "data type uint64"),
-                     ([0, 0, 0, 0], "data type uint64")):
-        with pytest.raises(ctypes.ArgumentError, match=why):
-            lib.ehcsim_read_records(0, b"", 0, good, bad, state, core)
-        with pytest.raises(ctypes.ArgumentError, match=why):
-            lib.ehcsim_read_records(0, b"", 0, good, good, bad, core)
-    assert lib.ehcsim_read_records(0, b"", 0, good, (ctypes.c_uint64 * 4)(), state, core) == 0
+                     (memoryview(bytearray(32)).cast("q"), "data type uint64"),
+                     (bytearray(32), "data type uint64"),
+                     ([0, 0, 0, 0], "data type uint64"),
+                     (read_only, "WRITEABLE"),
+                     (memoryview(bytes(32)).cast("Q"), "WRITEABLE")):
+        with pytest.raises(TypeError, match=why):
+            lib.ehcsim_read_records(0, b"", 0, good, bad, state)
+        with pytest.raises(TypeError, match=why):
+            lib.ehcsim_read_records(0, b"", 0, good, good, bad)
+    # Signedness either way: an unsigned next-use column.
+    with pytest.raises(TypeError, match="data type int64"):
+        lib.ehcsim_next_use(4, good, 0, np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError, match="must hold 4 elements, not 3"):
+        lib.ehcsim_next_use(4, good, 0, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"must hold {_kernels._READ_STATE_WORDS} elements"):
+        lib.ehcsim_read_records(0, b"", 0, good, good, good)
+    columns = memoryview(bytearray(32)).cast("Q")
+    assert lib.ehcsim_read_records(0, b"", 0, good, columns, state) == (0, 0)
 
 
 def test_run_policy_rejects_unknown_policies_on_every_backend():
@@ -360,6 +373,13 @@ def _no_compiler(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_COMPILER", "ehcsim-no-such-cc")
 
 
+def _no_python_headers(monkeypatch, tmp_path):
+    empty = tmp_path / "include"
+    empty.mkdir()
+    monkeypatch.setattr(sysconfig, "get_paths",
+                        lambda: {"include": str(empty), "platinclude": str(empty)})
+
+
 def _failing_build(monkeypatch, tmp_path):
     broken = tmp_path / "broken.c"
     broken.write_text("#error this kernel does not build\n")
@@ -382,9 +402,12 @@ def test_cold_build_then_warm_load(kernel_cache, monkeypatch):
 
 def test_build_removes_superseded_libraries(kernel_cache, monkeypatch, tmp_path):
     _, name = _kernels._source()
-    stale = {kernel_cache / f"_kernel-{digit * 24}.so" for digit in "0f"}
-    # Another build's temporary library, and a file that is no library.
-    kept = {kernel_cache / f"_kernel-{'1' * 24}a1b2c3d4.so", kernel_cache / "notes.txt"}
+    suffix = name[name.index("."):]
+    stale = {kernel_cache / f"_kernel-{digit * 24}{suffix}" for digit in "0f"}
+    # Another build's temporary library, another interpreter's library, and
+    # a file that is no library.
+    kept = {kernel_cache / f"_kernel-{'1' * 24}a1b2c3d4{suffix}",
+            kernel_cache / f"_kernel-{'2' * 24}.so", kernel_cache / "notes.txt"}
     for path in stale | kept:
         path.write_bytes(TRUNCATED_ELF)
     source = _kernels._SOURCE
@@ -501,6 +524,18 @@ def test_truncated_cached_library_without_compiler_falls_back(kernel_cache, monk
     assert _kernels.unavailable() is not None
     assert _runs("auto") == _runs("reference")
     assert "no C compiler" in capsys.readouterr().err
+    # A compiler without Python's C headers fails the build, and auto falls
+    # back alike, saying the compiler's reason in one line.
+    monkeypatch.setattr(_kernels, "_COMPILER", "cc")
+    _no_python_headers(monkeypatch, tmp_path)
+    _kernels._native.cache_clear()
+    assert "Python.h" in _kernels.unavailable()
+    assert _runs("auto") == _runs("reference")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Python.h" in err[0] and "using the reference engine" in err[0]
+    with pytest.raises(UsageError, match="kernel backend unavailable: .*Python.h"):
+        run_policy(gen_synthetic(LOADER_TRACE), "lru", CacheGeometry(64, 4), backend="kernel")
+    assert [p.name for p in kernel_cache.iterdir()] == [name]
 
 
 def _assert_cli_fallback_writes_the_same_csv(kernel_cache, monkeypatch, tmp_path, capsys,

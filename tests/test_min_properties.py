@@ -91,7 +91,7 @@ def test_kernel_next_use_matches_numpy_and_loop(case):
     assert got.dtype == np.int64
     assert_same_array(got, want, "kernel next use")
     assert_same_array(list(_kernels.next_use(columns_of(trace), geom)), want,
-                      "kernel next use over ctypes columns")
+                      "kernel next use over memoryview columns")
 
 
 @PROPERTY_SETTINGS

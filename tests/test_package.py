@@ -31,15 +31,16 @@ def test_unknown_attribute_raises():
 # of: numpy and the numpy trace model, the reference engine, policies and
 # MIN oracle, the kernel's build module and ``py_compile`` (the library and
 # the package's bytecode are cached), two standard modules numpy does not
-# import itself, and argparse, which a well-formed argv does not need.
+# import itself, argparse, which a well-formed argv does not need, and
+# ctypes: the kernel is an extension module.
 NOT_ON_THE_RUN_PATH = (
     "dataclasses", "hashlib", "ehcsim.minoracle", "ehcsim.policies", "ehcsim.belady",
     "ehcsim.sampler", "numpy", "ehcsim.trace", "ehcsim.engine", "ehcsim._kernel_build",
-    "py_compile", "argparse",
+    "py_compile", "argparse", "ctypes",
 )
 # What only a kernel build needs; the host's site may import these itself,
 # so they are checked without it.
-BUILD_ONLY = ("pathlib", "subprocess", "tempfile")
+BUILD_ONLY = ("pathlib", "subprocess", "tempfile", "sysconfig")
 
 
 def _child(tmp_path, absent, commands, flags=()):
