@@ -24,9 +24,10 @@ for bit, which the test suite enforces:
 
 So a run, a compare or an analyze over the :class:`Columns` that
 :func:`load_trace` returns needs no numpy; only an event log is a numpy
-one. On first use this module prepends a ``#define`` block generated from
-:mod:`ehcsim.params` and :mod:`ehcsim.traceformat` to the source and loads
-the library of that text, a CPython extension module, with
+one, and none needs the reference engine. On first use this module
+prepends a ``#define`` block generated from :mod:`ehcsim.params` and
+:mod:`ehcsim.traceformat` to the source and loads the library of that
+text, a CPython extension module, with
 :class:`importlib.machinery.ExtensionFileLoader`. Its functions take each
 array as an object with the buffer protocol (a memoryview over anonymous
 memory, a bytearray or a numpy array) and check its element type, C order,
@@ -56,10 +57,12 @@ is written, and a write that fails is skipped silently.
 
 The backend's three calls allocate what the kernel writes. With
 ``record_events`` it writes each miss in a full set into an
-:func:`event_rows` buffer as one row of trace positions, as the engine
-does, and :func:`event_log` makes the rows an :class:`~ehcsim.engine.EventLog`
-on both; next use, MIN's rows and the victim ranks each go to a
-:func:`buffer`. Outputs a run does not make are None.
+:func:`event_rows` table as one row of trace positions in the layout
+:data:`_EVENT_FIELDS` states, as the engine does, and on both the
+:class:`EventLog` is a view of the rows written, which its CSV dump
+formats :data:`_CHUNK_EVENTS` rows at a time; next use, MIN's rows and the
+victim ranks each go to a :func:`buffer`. Outputs a run does not make are
+None.
 When no compiler is found or the build fails (a host without Python's C
 headers included), :func:`use_kernel` is False
 for ``backend="auto"``, which picks the reference backend, and one line on
@@ -83,7 +86,6 @@ TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
 if TYPE_CHECKING:
     import numpy as np
 
-    from .engine import EventLog
     from .trace import Trace
 
 try:
@@ -110,8 +112,9 @@ _PER_POLICY = {
     "min": ("bypasses",),
 }
 
-#: Leading fields of an event row. The trace position of the latest access
-#: to every way's resident follows, as it was before the fill.
+#: Leading fields of an event row, the one statement of its layout. The
+#: trace position of the latest access to every way's resident follows, as
+#: it was before the fill.
 _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 
 #: The words of the state ``ehcsim_read_records`` carries between chunks:
@@ -120,6 +123,8 @@ _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 _READ_STATE_WORDS = 3 + 2 * 256
 #: Records per read when :func:`load_trace` streams a trace: 104 KB.
 _CHUNK_RECORDS = 4096
+#: Events per chunk that :meth:`EventLog.write_csv` gathers and formats.
+_CHUNK_EVENTS = 4096
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 #: The module's name; ``_kernel.c`` defines ``PyInit__kernel`` for it.
@@ -527,7 +532,7 @@ def run(
         ranks = [int(r) for r in ranks]
     check_result(stats, n, counts["sampled"], rows, counts["row_hits"], ranks)
     if record_events:
-        events = event_log(events, counts["replacements_total"] + counts["bypasses"], geom)
+        events = EventLog(events[:counts["replacements_total"] + counts["bypasses"]])
     if not isinstance(trace, Columns):
         import numpy as np
 
@@ -536,16 +541,69 @@ def run(
 
 
 def event_rows(trace: Trace | Columns, geom: CacheGeometry) -> np.ndarray:
-    """A numpy :func:`buffer` with room for an event row per access of
-    ``trace``, and for one at least, so that an empty trace checks the width."""
-    return buffer(None, geom, max(len(trace), 1) * (len(_EVENT_FIELDS) + geom.associativity))
-
-
-def event_log(events: np.ndarray, count: int, geom: CacheGeometry) -> EventLog:
-    """The :class:`~ehcsim.engine.EventLog` of the first ``count`` rows of
-    an :func:`event_rows` buffer, which both loops write."""
-    from .engine import EventLog
-
+    """A numpy :func:`buffer` of shape ``(rows, len(_EVENT_FIELDS) +
+    associativity)`` with room for an event row per access of ``trace``,
+    and for one at least, so that an empty trace checks the width."""
     width = len(_EVENT_FIELDS) + geom.associativity
-    rows = events[:count * width].reshape(count, width)
-    return EventLog(*rows[:, :len(_EVENT_FIELDS)].T, rows[:, len(_EVENT_FIELDS):])
+    return buffer(None, geom, max(len(trace), 1) * width).reshape(-1, width)
+
+
+class EventLog:
+    """Replacement decisions, one row per full-set miss, bypasses included,
+    in trace positions of the trace they were recorded on: a view of
+    ``table``, the first rows of an :func:`event_rows` table, which both
+    loops write, or any int64 array of that width.
+
+    Its columns are views of the table, but for ``no_averse``: ``index``
+    (int64) is the position of the missing access, ``victim_way`` (int64)
+    the way it replaced or :data:`~ehcsim.params.BYPASS`, ``no_averse``
+    (bool) as ``choose_victim`` reported it, and ``resident_pos`` (int64,
+    shape ``(len, associativity)``) the position of the latest access to
+    every way's resident before the fill. A set, an address or a next use
+    is a gather from the trace at these positions.
+    """
+
+    __slots__ = ("index", "victim_way", "no_averse", "resident_pos")
+
+    def __init__(self, table):
+        fields = dict(zip(_EVENT_FIELDS, table.T))
+        self.index = fields["index"]
+        self.victim_way = fields["victim_way"]
+        self.no_averse = fields["no_averse"] != 0
+        self.resident_pos = table[:, len(_EVENT_FIELDS):]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def write_csv(self, path, trace: Trace | Columns, geom: CacheGeometry) -> None:
+        """One CSV row per event: its position and set, the victim way, the
+        no-averse flag, and the block-aligned addresses of the incoming
+        block and of every resident, gathered from the address column of
+        ``trace``, a :class:`~ehcsim.trace.Trace` or :class:`Columns`, at
+        the logged positions. It gathers and formats :data:`_CHUNK_EVENTS`
+        rows at a time, so the dump needs one chunk's memory beyond the log
+        and the trace. Lines end in CRLF, as ``csv.writer`` ends them."""
+        import numpy as np
+
+        shift = np.uint64(geom.block_shift)
+        set_mask = np.uint64(geom.num_sets - 1)
+        addr = np.frombuffer(trace.addr, dtype=np.uint64)
+        row = "%d,%d,%s,%d" + ",0x%x" * (geom.associativity + 1) + "\r\n"
+        header = ["index", "set", "victim_way", "no_averse", "incoming",
+                  *(f"resident_{w}" for w in range(geom.associativity))]
+        with open(path, "w", newline="") as f:
+            f.write(",".join(header) + "\r\n")
+            for start in range(0, len(self), _CHUNK_EVENTS):
+                chunk = slice(start, start + _CHUNK_EVENTS)
+                index = self.index[chunk]
+                blocks = addr[index] >> shift
+                columns = (
+                    index, blocks & set_mask, self.victim_way[chunk], self.no_averse[chunk],
+                    blocks << shift, addr[self.resident_pos[chunk]] >> shift << shift,
+                )
+                f.write("".join([
+                    row % (i, si, "bypass" if way == params.BYPASS else way, no_averse,
+                           incoming, *residents)
+                    for i, si, way, no_averse, incoming, residents
+                    in zip(*(column.tolist() for column in columns))
+                ]))

@@ -19,8 +19,7 @@ from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
 if TYPE_CHECKING:
-    from ._kernels import Columns
-    from .engine import EventLog
+    from ._kernels import Columns, EventLog
     from .trace import Trace
 
 

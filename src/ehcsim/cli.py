@@ -241,7 +241,7 @@ def exit_with_main() -> None:
     module teardown, garbage collection or ``atexit`` handler runs. That
     loses nothing only because every file a command writes is closed before
     :func:`main` returns; each write is a ``with`` block
-    (``Report.write``, ``EventLog.write_csv``, ``save_trace``,
+    (``Report.write``, ``_kernels.EventLog.write_csv``, ``save_trace``,
     ``_kernel_build.build``, ``_kernel_build.write_bytecode``), and a write
     added later must be one too. A flush that fails (a stream closed at
     start-up or since, a broken pipe) leaves the exit to the interpreter,

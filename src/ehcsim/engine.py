@@ -4,13 +4,15 @@ This is the reference execution path: a plain Python loop over the trace that
 calls back into a policy object for every decision. It favors clarity and
 extensibility: any :class:`ReplacementPolicy` subclass plugs in, Belady's MIN
 (:class:`ehcsim.minoracle.MinPolicy`) included, and it can record every
-replacement decision as an :class:`EventLog`. A set is the list of its
-filled lines, each a :class:`BlockState` built when it is filled. The
-native kernel in :mod:`ehcsim._kernels` reproduces the built-in policies
-and MIN bit for bit for bulk runs; equivalence is enforced by tests.
-The value types it shares with the kernel path (:class:`CacheGeometry`,
-:class:`SimStats`) live in :mod:`ehcsim.values`, which a kernel run
-imports instead of this module; they are re-exported here.
+replacement decision as an :class:`EventLog`, a view of the rows it writes
+in the kernel's layout. A set is the list of its filled lines, each a
+:class:`BlockState` built when it is filled. The native kernel in
+:mod:`ehcsim._kernels` reproduces the built-in policies and MIN bit for
+bit for bulk runs; equivalence is enforced by tests. The types it shares
+with the kernel path (:class:`CacheGeometry` and :class:`SimStats` from
+:mod:`ehcsim.values`, :class:`EventLog` from :mod:`ehcsim._kernels`) live
+where a kernel run imports them instead of this module; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from . import _kernels
+from ._kernels import EventLog, event_rows
 from .errors import InternalInvariantError, VictimOutOfRange
 from .params import BYPASS, EFH_MAX, RRPV_MAX
 from .values import DEFAULT_GEOMETRY, CacheGeometry, Record, SimStats  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
-    from ._kernels import Columns
     from .trace import Trace
 
 
@@ -80,69 +81,6 @@ class ReplacementPolicy:
         return {}
 
 
-class EventLog:
-    """Replacement decisions as columns, one row per full-set miss, bypasses
-    included, in trace positions of the trace they were recorded on.
-
-    ``index`` (int64) is the position of the missing access, ``victim_way``
-    (int64) the way it replaced or :data:`BYPASS`, ``no_averse`` (bool) as
-    ``choose_victim`` reported it, and ``resident_pos`` (int64, shape
-    ``(len, associativity)``) the position of the latest access to every
-    way's resident before the fill. A set, an address or a next use is a
-    gather from the trace at these positions. Both loops write one row
-    per event, which :func:`ehcsim._kernels.event_log` makes these columns.
-    """
-
-    __slots__ = ("index", "victim_way", "no_averse", "resident_pos")
-
-    def __init__(self, index, victim_way, no_averse, resident_pos):
-        import numpy as np
-
-        self.index = np.ascontiguousarray(index, dtype=np.int64)
-        self.victim_way = np.ascontiguousarray(victim_way, dtype=np.int64)
-        self.no_averse = np.ascontiguousarray(no_averse, dtype=bool)
-        self.resident_pos = np.ascontiguousarray(resident_pos, dtype=np.int64)
-        n = len(self.index)
-        if not len(self.victim_way) == len(self.no_averse) == n:
-            raise ValueError("event log columns must have equal length")
-        if self.resident_pos.ndim != 2 or len(self.resident_pos) != n:
-            raise ValueError("resident_pos must have one row per event")
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def write_csv(self, path, trace: Trace | Columns, geom: CacheGeometry) -> None:
-        """One CSV row per event: its position and set, the victim way, the
-        no-averse flag, and the block-aligned addresses of the incoming
-        block and of every resident, gathered from the address column of
-        ``trace``, a :class:`~ehcsim.trace.Trace` or the kernel's
-        :class:`~ehcsim._kernels.Columns`, at the logged positions."""
-        import csv
-
-        import numpy as np
-
-        shift = np.uint64(geom.block_shift)
-        blocks = np.frombuffer(trace.addr, dtype=np.uint64) >> shift
-        aligned = blocks << shift
-        columns = (
-            self.index, (blocks & np.uint64(geom.num_sets - 1))[self.index],
-            self.victim_way, self.no_averse, aligned[self.index], aligned[self.resident_pos],
-        )
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["index", "set", "victim_way", "no_averse", "incoming"]
-                + [f"resident_{w}" for w in range(geom.associativity)]
-            )
-            rows = zip(*(column.tolist() for column in columns))
-            for index, si, way, no_averse, incoming, residents in rows:
-                writer.writerow(
-                    [index, si, "bypass" if way == BYPASS else way, int(no_averse),
-                     f"0x{incoming:x}"]
-                    + [f"0x{a:x}" for a in residents]
-                )
-
-
 def simulate(
     trace: Trace,
     policy: ReplacementPolicy,
@@ -164,9 +102,8 @@ def simulate(
     assoc = geom.associativity
     sets = defaultdict(list)  # the filled lines of each set
     stats = SimStats()
-    # Event rows in the kernel's layout, written at ``at`` through a view.
-    rows = _kernels.event_rows(trace, geom).data if record_events else None
-    at = 0
+    table = event_rows(trace, geom) if record_events else None
+    count = 0  # events recorded
     hit_flags = bytearray(len(trace))
 
     # Set index and tag of every access, shifted as compute_next_use does;
@@ -200,11 +137,9 @@ def simulate(
                 way, no_averse = policy.choose_victim(si, ways)
                 if way != BYPASS and not 0 <= way < assoc:
                     raise VictimOutOfRange(f"policy returned way {way} of {assoc}")
-                if rows is not None:
-                    rows[at], rows[at + 1], rows[at + 2] = i, way, no_averse
-                    for w, blk in enumerate(ways, at + 3):
-                        rows[w] = blk.recency_stamp
-                    at += 3 + assoc
+                if table is not None:  # a row in the order of _kernels._EVENT_FIELDS
+                    table[count] = (i, way, no_averse, *(blk.recency_stamp for blk in ways))
+                    count += 1
                 if way == BYPASS:
                     if check:
                         stats.check()
@@ -226,5 +161,5 @@ def simulate(
                     )
 
     stats.per_policy.update(policy.extra_stats())
-    events = None if rows is None else _kernels.event_log(rows.obj, at // (3 + assoc), geom)
+    events = None if table is None else EventLog(table[:count])
     return stats, events, np.frombuffer(hit_flags, dtype=np.uint8)

@@ -53,24 +53,29 @@ def single_set_trace(rng, length, num_tags, geom, num_pcs=4):
     )
 
 
+#: The columns of each log type, which the equality checks compare.
+LOG_COLUMNS = {
+    EventLog: ("index", "victim_way", "no_averse", "resident_pos"),
+    ResidencyLog: ("addr", "fill", "end", "hits"),
+}
+
+
 def residency_log(rows):
     """A ``ResidencyLog`` of rows with ``addr``, ``fill``, ``end`` and
     ``hits`` attributes, in order."""
     rows = list(rows)
     return ResidencyLog(*([getattr(r, column) for r in rows]
-                          for column in ResidencyLog.__slots__))
+                          for column in LOG_COLUMNS[ResidencyLog]))
 
 
 def event_log(events, associativity):
-    """An ``EventLog`` of rows with ``index``, ``victim_way``, ``no_averse``
-    and ``resident_pos`` attributes, in order."""
-    events = list(events)
-    return EventLog(
-        [ev.index for ev in events],
-        [ev.victim_way for ev in events],
-        [ev.no_averse for ev in events],
-        np.array([ev.resident_pos for ev in events], dtype=np.int64).reshape(-1, associativity),
-    )
+    """An ``EventLog`` over the int64 table, in the row layout both loops
+    write, of rows with ``index``, ``victim_way``, ``no_averse`` and
+    ``resident_pos`` attributes, in order."""
+    return EventLog(np.array(
+        [[*(getattr(ev, field) for field in _kernels._EVENT_FIELDS), *ev.resident_pos]
+         for ev in events], dtype=np.int64,
+    ).reshape(-1, len(_kernels._EVENT_FIELDS) + associativity))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,7 @@ def assert_same_log(got, want, what="log"):
     same rows in the same order."""
     if type(got) is not type(want):
         raise AssertionError(f"{what}: {type(got).__name__} != {type(want).__name__}")
-    for column in type(want).__slots__:
+    for column in LOG_COLUMNS[type(want)]:
         assert_same_array(getattr(got, column), getattr(want, column), f"{what}.{column}")
 
 

@@ -62,16 +62,21 @@ def _copy_package(root, library=True):
     return package
 
 
-def _ehcsim(root, trace, *flags, env=None, args=()):
-    """``(exit status, stderr, CSV)`` of ``ehcsim run`` with ``args`` added
-    in a child process that imports the package from ``root``, without
-    ``.pyc`` writes by the import system."""
-    csv = root / "run.csv"
-    csv.unlink(missing_ok=True)
+def _environ(root, env=None):
+    """The environment of a child process that imports the package from
+    ``root``, without ``.pyc`` writes by the import system."""
     environ = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     environ.update(PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1", **(env or {}))
+    return environ
+
+
+def _ehcsim(root, trace, *flags, env=None, args=()):
+    """``(exit status, stderr, CSV)`` of ``ehcsim run`` with ``args`` added
+    in a child process with :func:`_environ`."""
+    csv = root / "run.csv"
+    csv.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, *flags, "-m", "ehcsim", *_run_args(trace, csv), *args],
-                          capture_output=True, text=True, env=environ, timeout=120)
+                          capture_output=True, text=True, env=_environ(root, env), timeout=120)
     return proc.returncode, proc.stderr, csv.read_text() if csv.exists() else None
 
 
@@ -93,8 +98,9 @@ def test_first_command_writes_every_modules_bytecode_and_the_next_compiles_none(
 
 
 def test_module_edited_after_the_bytecode_was_written_compiles_once(tmp_path, trace):
-    """``run --events`` imports ``engine`` only after the kernel loads; its
-    edit is still seen then, so the next process compiles no module."""
+    """No kernel command, ``run --events`` included, imports ``engine``; its
+    edit is still seen by the next one, so a process that then imports it
+    compiles no module."""
     path, expected = trace
     package = _copy_package(tmp_path)
     events = ("--events", str(tmp_path / "events.csv"))
@@ -106,10 +112,11 @@ def test_module_edited_after_the_bytecode_was_written_compiles_once(tmp_path, tr
     # Newer than its bytecode, also on a file system with coarse mtimes.
     os.utime(module, ns=(pyc.st_atime_ns, pyc.st_mtime_ns + 10**9))
     assert _ehcsim(tmp_path, path, args=events) == (0, "", expected)
-    code, err, csv = _ehcsim(tmp_path, path, "-v", args=events)
-    assert (code, csv) == (0, expected)
-    assert f"/ehcsim/__pycache__/engine.{tag}.pyc" in err
-    assert COMPILED_FROM_SOURCE.findall(err) == []
+    proc = subprocess.run([sys.executable, "-v", "-c", "import ehcsim.engine"],
+                          capture_output=True, text=True, env=_environ(tmp_path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"/ehcsim/__pycache__/engine.{tag}.pyc" in proc.stderr
+    assert COMPILED_FROM_SOURCE.findall(proc.stderr) == []
 
 
 def test_edit_that_keeps_size_and_mtime_runs_the_edited_module(tmp_path, trace):

@@ -1,17 +1,23 @@
 """The native kernel must reproduce the reference engine bit for bit, and
 fall back to it when the kernel cannot be built."""
 
+import csv
 import hashlib
+import io
 import os
 import sysconfig
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ehcsim import (
-    CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use, gen_synthetic,
-    simulate, simulate_min,
+    BYPASS, CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use,
+    gen_synthetic, simulate, simulate_min,
 )
 from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, runner, sampler
 from ehcsim import trace as trace_module
@@ -21,7 +27,11 @@ from ehcsim.errors import GeometryTooLarge, UnknownPolicy, UsageError
 from ehcsim.minoracle import NO_NEXT_USE
 from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
-from conftest import assert_same_array, assert_same_log, assert_same_min, make_trace, random_trace
+from conftest import (
+    LOG_COLUMNS, assert_same_array, assert_same_log, assert_same_min, columns_of, make_trace,
+    random_trace, traced_geometries,
+)
+from loop_oracles import loop_simulate_min
 
 TRACES = {
     "zipf": GeneratorSpec("zipf", block_count=400, length=2500, seed=3),
@@ -333,6 +343,123 @@ def test_auto_records_events_on_the_kernel(monkeypatch):
     assert huge_log.index.tolist() == [1] and huge_log.resident_pos.tolist() == [[0]]
 
 
+# --- the event dump ----------------------------------------------------------
+
+
+def _dump(log, trace, geom):
+    """The bytes ``log.write_csv`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        log.write_csv(path, trace, geom)
+        return path.read_bytes()
+
+
+def _oracle_dump(events, trace, geom):
+    """The dump of ``events``, ``loop_oracles.Event`` rows, as ``csv.writer``
+    formats it from Python ints."""
+    addrs = trace.addr.tolist()
+
+    def aligned(position):
+        return hex(geom.block_addr(geom.set_index(addrs[position]), geom.tag(addrs[position])))
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["index", "set", "victim_way", "no_averse", "incoming",
+                     *(f"resident_{w}" for w in range(geom.associativity))])
+    for ev in events:
+        writer.writerow([ev.index, geom.set_index(addrs[ev.index]),
+                         "bypass" if ev.victim_way == BYPASS else ev.victim_way,
+                         int(ev.no_averse), aligned(ev.index), *map(aligned, ev.resident_pos)])
+    return out.getvalue().encode()
+
+
+def _assert_same_dump_in_any_chunks(log, trace, geom, want):
+    """``log`` dumps ``want``, with chunks of the default size, of 1 and of 3
+    events."""
+    assert _dump(log, trace, geom) == want
+    for chunk in (1, 3):
+        with mock.patch.object(_kernels, "_CHUNK_EVENTS", chunk):
+            assert _dump(log, trace, geom) == want, chunk
+
+
+#: Four blocks at the top of the 64-bit space through one 2-way set: MIN
+#: evicts and bypasses there.
+NEAR_2_64 = (CacheGeometry(1, 2), make_trace([(1 << 64) - 1 - 64 * k
+                                              for k in (0, 1, 2, 0, 3, 1, 2, 0, 3, 1)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(traced_geometries(max_len=60))
+@example(NEAR_2_64)
+def test_event_dump_is_the_same_in_chunks_of_any_size(case):
+    # MIN with bypass on both backends, the kernel's over its memoryview
+    # columns, against the rows of the loop oracle; then EHC, whose rows
+    # hold no-averse flags, on both backends.
+    geom, trace = case
+    want = _oracle_dump(loop_simulate_min(trace, geom, bypass=True)[3], trace, geom)
+    for backend, columns in (("kernel", columns_of(trace)), ("reference", trace)):
+        log = simulate_min(trace, geom, bypass=True, record_events=True, backend=backend)[3]
+        _assert_same_dump_in_any_chunks(log, columns, geom, want)
+    _, log, _ = run_policy(trace, "ehc", geom, backend="reference", record_events=True)
+    want = _dump(log, trace, geom)
+    _, log, _ = run_policy(trace, "ehc", geom, backend="kernel", record_events=True)
+    _assert_same_dump_in_any_chunks(log, columns_of(trace), geom, want)
+
+
+def test_near_2_64_example_dumps_bypasses_and_evictions():
+    geom, trace = NEAR_2_64
+    log = simulate_min(trace, geom, bypass=True, record_events=True, backend="kernel")[3]
+    assert (log.victim_way == BYPASS).any() and (log.victim_way != BYPASS).any()
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()`` above what was traced when it
+    began, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_event_dump_memory_does_not_grow_with_the_log(tmp_path, rng):
+    # Logs of 2 and 8 chunks over traces as long, addresses anywhere: the
+    # dump's peaks differ by less than one chunk's event rows.
+    geom = CacheGeometry(4, 4)
+    width = len(_kernels._EVENT_FIELDS) + geom.associativity
+
+    def peak(n):
+        log = EventLog(rng.integers(0, n, size=(n, width)))
+        log.victim_way[:] = rng.integers(BYPASS, geom.associativity, size=n)
+        addr = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+        return _traced_peak(lambda: log.write_csv(tmp_path / "events.csv",
+                                                  _kernels.Columns(addr, addr, n), geom))[0]
+
+    n = 2 * _kernels._CHUNK_EVENTS
+    assert abs(peak(4 * n) - peak(n)) < _kernels._CHUNK_EVENTS * width * 8
+
+
+def test_recording_events_takes_no_memory_beyond_the_rows(rng):
+    # A trace of nearly all misses in full sets, of N and of 4N accesses:
+    # beyond the event rows, the hit flags and the no-averse column, each
+    # as long as the trace or the log, the run's peak stays the same.
+    geom = CacheGeometry(4, 4)
+    width = len(_kernels._EVENT_FIELDS) + geom.associativity
+
+    def extra(n):
+        addr = rng.integers(0, 1 << 40, size=n, dtype=np.uint64)
+        trace = _kernels.Columns(addr, addr, n)
+        peak, (_, log, flags, _, _) = _traced_peak(
+            lambda: _kernels.run(trace, "ehc", geom, 42, record_events=True))
+        assert len(log) > n - 100
+        return peak - n * width * 8 - len(flags) - log.no_averse.nbytes
+
+    extra(100)  # loads the kernel
+    assert abs(extra(4 * 16384) - extra(16384)) < 4096
+
+
 # --- building and loading the native kernel -------------------------------
 
 LOADER_TRACE = GeneratorSpec("mixed", block_count=512, length=1500, seed=2)
@@ -358,7 +485,7 @@ def _runs(backend):
         stats, log, flags = run_policy(trace, name, CacheGeometry(64, 4), backend=backend,
                                        record_events=True)
         out[name] = (stats, flags.tolist(),
-                     [getattr(log, column).tolist() for column in EventLog.__slots__])
+                     [getattr(log, column).tolist() for column in LOG_COLUMNS[EventLog]])
     return out
 
 
