@@ -18,8 +18,8 @@
  * is a no-averse replacement for Hawkeye and EHC.
  * ehcsim._kernels prepends a generated #define block before compiling: every
  * integer constant of ehcsim.params (those of 2^63 or more with a ULL
- * suffix), EVENT_FIELDS, READ_STATE_WORDS, the POLICY_* ids, the OUT_*
- * counter slots, the EVENT_* fields of an event row, and from
+ * suffix), READ_STATE_WORDS, the POLICY_* ids, COUNTERS and the OUT_*
+ * counter slots, the widths and fields of the two row layouts below, and from
  * ehcsim.traceformat the record size RECORD_BYTES, the RECORD_* field
  * offsets, KIND_WRITE and the CHECK_* record check numbers. So this file
  * defines no policy or format constant of its own.
@@ -28,10 +28,10 @@
  * (the trace position of the replacing miss, the victim way, no_averse),
  * then, for every way, the trace position of its resident's latest access.
  * Sets, addresses and next uses are gathers from the trace by position.
- * A residency row is MIN's record of one fill: its position, the position
- * of the miss that evicted it (n when it stayed to the end) and its hits,
- * in three columns of n entries each. Each output a caller does not want
- * is passed as NULL, and the kernel then leaves it off.
+ * A residency row, MIN's record of one fill, is the ROW_FIELDS int64_t
+ * values ROW_* (the fill position, the position of the miss that evicted
+ * the block, or n when it stayed to the end, and its hits). Each output a
+ * caller does not want is passed as NULL, and the kernel then leaves it off.
  *
  * The lines of the cache and the slots of the sampled sets hold block
  * numbers, addr >> block_bits, not tags: within one set a block and its
@@ -192,13 +192,13 @@ typedef struct {
     int64_t fill, hits;
 } Stay;
 
-/* Residency row k, in three columns of n entries each. */
-static inline void write_row(int64_t *rows, int64_t n, int64_t k,
-                             int64_t fill, int64_t end, int64_t hits)
+/* Residency row k. */
+static inline void write_row(int64_t *rows, int64_t k, int64_t fill, int64_t end, int64_t hits)
 {
-    rows[k] = fill;
-    rows[n + k] = end;
-    rows[2 * n + k] = hits;
+    int64_t *row = rows + k * ROW_FIELDS;
+    row[ROW_FILL] = fill;
+    row[ROW_END] = end;
+    row[ROW_HITS] = hits;
 }
 
 static int by_fill(const void *a, const void *b)
@@ -394,7 +394,7 @@ static int ehcsim_simulate(
                 if (bypass && next_use[i] > next_use[srow[way]]) {
                     way = BYPASS;
                 } else if (rows) {
-                    write_row(rows, n, written++, stay[row + way].fill, i, stay[row + way].hits);
+                    write_row(rows, written++, stay[row + way].fill, i, stay[row + way].hits);
                 }
             } else {
                 /* The first line at RRPV_MAX (for Hawkeye and EHC, an averse
@@ -510,11 +510,11 @@ static int ehcsim_simulate(
                 tail[stays++] = stay[s * assoc + w];
         qsort(tail, (size_t)stays, sizeof *tail, by_fill);
         for (int64_t k = 0; k < stays; k++)
-            write_row(rows, n, written++, tail[k].fill, n, tail[k].hits);
+            write_row(rows, written++, tail[k].fill, n, tail[k].hits);
     }
     int64_t row_hits = 0, recorded = 0;
     for (int64_t k = 0; k < written; k++)
-        row_hits += rows[2 * n + k];
+        row_hits += rows[k * ROW_FIELDS + ROW_HITS];
     for (int64_t s = 0; s < nsamp; s++)
         recorded += seen[s];
 
@@ -588,18 +588,17 @@ static int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, 
 }
 
 /* Bucket the hit-count prediction error of count residency rows in
- * completion order (ehcsim_simulate's MIN rows: fills in rows[0..count),
- * hits in rows[2 * n ...]) into hist[ERROR_BUCKETS], zeroed, as
- * ehcsim.minoracle's per_block_prediction_error does, or with by_region
- * per_region_prediction_error: key each row by the block-aligned address
- * of its fill, or that >> REGION_SHIFT; predict its hits as the
+ * completion order, ehcsim_simulate's MIN rows, into hist[ERROR_BUCKETS],
+ * zeroed, as ehcsim.minoracle's per_block_prediction_error does, or with
+ * by_region per_region_prediction_error: key each row by the block-aligned
+ * address of its fill, or that >> REGION_SHIFT; predict its hits as the
  * round-half-up mean of its key's last REGION_RING_SLOTS counts, and count
  * |hits - prediction| in bucket min(that, ERROR_BUCKETS - 1). A key's first
  * row has nothing to predict from and is not counted. Returns 0, or -1
  * when the key table cannot be allocated. */
 static int ehcsim_prediction_error(
-    int64_t count, int64_t n, const int64_t *rows, const uint64_t *addr,
-    int64_t block_bits, int64_t by_region, int64_t *hist)
+    int64_t count, const int64_t *rows, const uint64_t *addr, int64_t block_bits,
+    int64_t by_region, int64_t *hist)
 {
     int bits = 1;
     while (bits < 56 && ((int64_t)1 << bits) < 2 * count)
@@ -614,8 +613,8 @@ static int ehcsim_prediction_error(
         return -1;
     }
     for (int64_t k = 0; k < count; k++) {
-        const int64_t hits = rows[2 * n + k];
-        uint64_t key = shl(shr(addr[rows[k]], block_bits), block_bits);
+        const int64_t hits = rows[k * ROW_FIELDS + ROW_HITS];
+        uint64_t key = shl(shr(addr[rows[k * ROW_FIELDS + ROW_FILL]], block_bits), block_bits);
         if (by_region)
             key >>= REGION_SHIFT;
         uint64_t h = home_slot(key, bits);
@@ -807,10 +806,10 @@ static PyObject *py_simulate(PyObject *self, PyObject *args)
                           &bypass, &a[3].obj, &a[4].obj, &a[5].obj, &a[6].obj, &a[7].obj))
         return NULL;
     a[0].need = a[1].need = a[2].need = a[6].need = room(n, 1, 0);
-    a[3].need = room(n, 3, 0);
+    a[3].need = room(n, ROW_FIELDS, 0);
     a[4].need = room(1, assoc, 1);
     a[5].need = room(n, room(1, assoc, EVENT_FIELDS), 0);
-    a[7].need = OUT_SAMPLED + 1; /* the last counter slot */
+    a[7].need = COUNTERS;
     if (get_arrays(a, v, 8) < 0)
         return NULL;
     const int status = ehcsim_simulate(n, v[0].buf, v[1].buf, num_sets, assoc, block_bits,
@@ -845,13 +844,13 @@ static PyObject *py_prediction_error(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "LLOOLLO:ehcsim_prediction_error", &count, &n, &a[0].obj,
                           &a[1].obj, &block_bits, &by_region, &a[2].obj))
         return NULL;
-    a[0].need = room(n, 2, count);
+    a[0].need = room(count, ROW_FIELDS, 0);
     a[1].need = room(n, 1, 0);
     a[2].need = ERROR_BUCKETS;
     if (get_arrays(a, v, 3) < 0)
         return NULL;
-    const int status = ehcsim_prediction_error(count, n, v[0].buf, v[1].buf, block_bits,
-                                               by_region, v[2].buf);
+    const int status = ehcsim_prediction_error(count, v[0].buf, v[1].buf, block_bits, by_region,
+                                               v[2].buf);
     release_arrays(v, 3);
     return PyLong_FromLong(status);
 }

@@ -7,11 +7,11 @@ for bit, which the test suite enforces:
 
 - ``ehcsim_simulate`` (:func:`run`) is one flat loop per trace that covers
   the built-in policies and Belady's MIN, dispatched on a policy id, as the
-  reference engine runs them. MIN reads a next-use column and writes its
-  residency rows (fill, end, hits); a built-in policy given that column
-  ranks its victims as :func:`ehcsim.minoracle.victim_quality` does. It
-  takes the geometry as the number of sets, ways and the block offset,
-  and keys lines and sampled-set slots by block number, not by tag.
+  reference engine runs them. MIN reads a next-use column and writes a
+  residency row per fill; a built-in policy given that column ranks its
+  victims as :func:`ehcsim.minoracle.victim_quality` does. It takes the
+  geometry as the number of sets, ways and the block offset, and keys
+  lines and sampled-set slots by block number, not by tag.
 - ``ehcsim_next_use`` (:func:`next_use`) is
   :func:`ehcsim.minoracle.compute_next_use` as one hashed forward scan.
 - ``ehcsim_prediction_error`` (:func:`prediction_error`) buckets MIN's
@@ -60,9 +60,9 @@ The backend's three calls allocate what the kernel writes. With
 :func:`event_rows` table as one row of trace positions in the layout
 :data:`_EVENT_FIELDS` states, as the engine does, and on both the
 :class:`EventLog` is a view of the rows written, which its CSV dump
-formats :data:`_CHUNK_EVENTS` rows at a time; next use, MIN's rows and the
-victim ranks each go to a :func:`buffer`. Outputs a run does not make are
-None.
+formats :data:`_CHUNK_EVENTS` rows at a time; next use, MIN's residency
+rows in the layout :data:`_ROW_FIELDS` states, and the victim ranks each go
+to a :func:`buffer`. Outputs a run does not make are None.
 When no compiler is found or the build fails (a host without Python's C
 headers included), :func:`use_kernel` is False
 for ``backend="auto"``, which picks the reference backend, and one line on
@@ -116,6 +116,10 @@ _PER_POLICY = {
 #: trace position of the latest access to every way's resident follows, as
 #: it was before the fill.
 _EVENT_FIELDS = ("index", "victim_way", "no_averse")
+#: The fields of a residency row, MIN's record of one fill, the one statement
+#: of its layout: the fill position, the position of the miss that evicted
+#: the block (the trace length if it stayed to the end) and the stay's hits.
+_ROW_FIELDS = ("fill", "end", "hits")
 
 #: The words of the state ``ehcsim_read_records`` carries between chunks:
 #: records done, the largest seq and kind, and per core its last seq and
@@ -144,11 +148,13 @@ def _header() -> str:
         name: f"{value}ULL" if value >= 1 << 63 else value
         for name, value in vars(params).items() if name.isupper() and type(value) is int
     }
-    defines["EVENT_FIELDS"] = len(_EVENT_FIELDS)
     defines["READ_STATE_WORDS"] = _READ_STATE_WORDS
     defines.update((f"POLICY_{name.upper()}", k) for name, k in _POLICY_IDS.items())
+    defines["COUNTERS"] = len(_COUNTERS)
     defines.update((f"OUT_{name.upper()}", k) for k, name in enumerate(_COUNTERS))
-    defines.update((f"EVENT_{name.upper()}", k) for k, name in enumerate(_EVENT_FIELDS))
+    for row, fields in (("EVENT", _EVENT_FIELDS), ("ROW", _ROW_FIELDS)):
+        defines[f"{row}_FIELDS"] = len(fields)
+        defines.update((f"{row}_{name.upper()}", k) for k, name in enumerate(fields))
     defines["RECORD_BYTES"] = traceformat.RECORD_BYTES
     defines.update(
         (f"RECORD_{name.upper()}", offset) for name, _, offset in traceformat.RECORD_FIELDS
@@ -416,10 +422,10 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows,
     returned for MIN on ``trace``:
     :func:`ehcsim.minoracle.per_region_prediction_error` with
     ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
-    rows, count = rows
     hist = _words(params.ERROR_BUCKETS, "q")
-    if _library().ehcsim_prediction_error(count, len(trace), rows, trace.addr, geom.block_shift,
-                                          1 if by_region else 0, hist) != 0:
+    if _library().ehcsim_prediction_error(len(rows) // len(_ROW_FIELDS), len(trace), rows,
+                                          trace.addr, geom.block_shift, 1 if by_region else 0,
+                                          hist) != 0:
         raise MemoryError("cannot allocate the prediction key table")
     return hist.tolist()
 
@@ -451,7 +457,7 @@ def check_outputs(trace, name: str, geom: CacheGeometry, next_use, bypass: bool,
     if next_use is not None and len(next_use) != len(trace):
         raise ValueError(f"next_use must hold {len(trace)} entries, not {len(next_use)}")
     ranked = next_use is not None and name != "min"
-    return (buffer(trace, geom, 3 * len(trace)) if rows else None,
+    return (buffer(trace, geom, len(_ROW_FIELDS) * len(trace)) if rows else None,
             buffer(trace, geom, geom.associativity + 1) if ranked else None)
 
 
@@ -467,10 +473,11 @@ def check_result(stats: SimStats, n: int, sampled: int, rows, row_hits: int, ran
     if decided != sampled:
         raise InternalInvariantError(f"OPTgen decided {decided} accesses "
                                      f"of {sampled} to sampled sets")
-    bypasses = stats.per_policy.get("bypasses", 0)
-    if rows is not None and (rows[1], row_hits) != (stats.misses - bypasses, stats.hits):
-        raise InternalInvariantError(f"MIN wrote {rows[1]} residency rows with {row_hits} hits "
-                                     f"for {stats.misses - bypasses} fills and {stats.hits} hits")
+    fills = stats.misses - stats.per_policy.get("bypasses", 0)
+    count = None if rows is None else len(rows) // len(_ROW_FIELDS)
+    if rows is not None and (count, row_hits) != (fills, stats.hits):
+        raise InternalInvariantError(f"MIN wrote {count} residency rows with {row_hits} hits "
+                                     f"for {fills} fills and {stats.hits} hits")
     if ranks is not None and sum(ranks) != stats.replacements_total:
         raise InternalInvariantError(f"victim ranks count {sum(ranks)} victims of "
                                      f"{stats.replacements_total}")
@@ -492,10 +499,9 @@ def run(
     ``name`` ``"min"`` runs Belady's MIN over ``next_use``, the column of
     :func:`next_use`, with ``bypass``, as :class:`ehcsim.minoracle.MinPolicy`
     does. With ``rows`` it returns its residency rows, one per fill in
-    completion order, as a :func:`buffer` of 3 x ``len(trace)`` entries and
-    the number of rows, ``misses - bypasses``: fill positions from entry 0,
-    end positions from entry ``len(trace)`` and hits from entry
-    ``2 * len(trace)``. :func:`prediction_error` takes them as they are.
+    completion order, each :data:`_ROW_FIELDS` in turn: the rows written,
+    a prefix of a :func:`buffer`, which :func:`prediction_error` takes as
+    it is.
     A built-in policy given ``next_use`` returns the rank of every victim
     as a list of associativity + 1 counts, the histogram
     :func:`ehcsim.minoracle.victim_quality` makes of the run's event log;
@@ -527,7 +533,7 @@ def run(
     stats = SimStats(**{k: counts[k] for k in _STATS_FIELDS})
     stats.per_policy.update((k, counts[k]) for k in _PER_POLICY.get(name, ()))
     if rows is not None:
-        rows = rows, counts["rows"]
+        rows = rows[:len(_ROW_FIELDS) * counts["rows"]]
     if ranks is not None:
         ranks = [int(r) for r in ranks]
     check_result(stats, n, counts["sampled"], rows, counts["row_hits"], ranks)

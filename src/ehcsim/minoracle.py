@@ -28,24 +28,17 @@ from .trace import Trace
 
 
 class ResidencyLog:
-    """Residencies as columns, one row per fill: the stays of blocks in the
-    cache under MIN.
-
-    ``addr`` (uint64) is the block-aligned byte address, ``fill`` (int64)
-    the trace position that inserted the block, ``end`` (int64) its
-    eviction position, or the trace length if it was still resident, and
-    ``hits`` (int64) the hits during the stay.
-    """
+    """The stays of blocks in the cache under MIN, one per fill: ``fill``,
+    ``end`` and ``hits`` are views of ``table``, int64 residency rows as a
+    backend's ``run`` writes them (:data:`ehcsim._kernels._ROW_FIELDS`),
+    and ``addr`` (uint64) is the block-aligned address of each fill."""
 
     __slots__ = ("addr", "fill", "end", "hits")
 
-    def __init__(self, addr, fill, end, hits):
-        self.addr = np.ascontiguousarray(addr, dtype=np.uint64)
-        self.fill = np.ascontiguousarray(fill, dtype=np.int64)
-        self.end = np.ascontiguousarray(end, dtype=np.int64)
-        self.hits = np.ascontiguousarray(hits, dtype=np.int64)
-        if not len(self.addr) == len(self.fill) == len(self.end) == len(self.hits):
-            raise ValueError("residency log columns must have equal length")
+    def __init__(self, table, addr):
+        fields = dict(zip(_kernels._ROW_FIELDS, table.T))
+        self.fill, self.end, self.hits = fields["fill"], fields["end"], fields["hits"]
+        self.addr = addr
 
     def __len__(self) -> int:
         return len(self.addr)
@@ -127,7 +120,8 @@ def _write_rows(trace: Trace, geom: CacheGeometry, hit, evicted_at, rows) -> tup
     fill, end, hits = fill[filled], end[filled], (last - start)[filled]
     gone, resident = np.flatnonzero(end < n), np.flatnonzero(end == n)
     done = np.concatenate((gone[np.argsort(end[gone])], resident[np.argsort(fill[resident])]))
-    rows.reshape(3, n)[:, :len(done)] = fill[done], end[done], hits[done]
+    table = rows.reshape(n, len(_kernels._ROW_FIELDS))
+    table[:len(done)] = np.column_stack((fill, end, hits))[done]  # in _ROW_FIELDS order
     return len(done), int(hits[done].sum())
 
 
@@ -146,7 +140,7 @@ def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: 
     row_hits = 0
     if rows is not None:
         count, row_hits = _write_rows(trace, geom, hit, policy.evicted_at, rows)
-        rows = rows, count
+        rows = rows[:len(_kernels._ROW_FIELDS) * count]
     if ranks is not None:
         ranks[:] = _rank_histogram(events, next_use, geom.associativity)
         ranks = ranks.tolist()
@@ -157,10 +151,10 @@ def run(trace: Trace, name: str, geom: CacheGeometry, seed: int, record_events: 
 
 def _residency_log(trace: Trace, geom: CacheGeometry, rows) -> ResidencyLog:
     """The MIN residency rows that a backend's ``run`` returned."""
-    rows, count = rows
-    fill, end, hits = np.asarray(rows).reshape(3, len(trace))[:, :count]
+    table = np.asarray(rows).reshape(-1, len(_kernels._ROW_FIELDS))
+    fill = table[:, _kernels._ROW_FIELDS.index("fill")]
     shift = np.uint64(geom.block_shift)
-    return ResidencyLog((trace.addr[fill] >> shift) << shift, fill, end, hits)
+    return ResidencyLog(table, (trace.addr[fill] >> shift) << shift)
 
 
 def simulate_min(

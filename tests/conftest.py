@@ -61,11 +61,15 @@ LOG_COLUMNS = {
 
 
 def residency_log(rows):
-    """A ``ResidencyLog`` of rows with ``addr``, ``fill``, ``end`` and
+    """A ``ResidencyLog`` over the int64 table, in the residency-row layout
+    both backends write, of rows with ``addr``, ``fill``, ``end`` and
     ``hits`` attributes, in order."""
     rows = list(rows)
-    return ResidencyLog(*([getattr(r, column) for r in rows]
-                          for column in LOG_COLUMNS[ResidencyLog]))
+    return ResidencyLog(
+        np.array([[getattr(r, field) for field in _kernels._ROW_FIELDS] for r in rows],
+                 dtype=np.int64).reshape(-1, len(_kernels._ROW_FIELDS)),
+        np.array([r.addr for r in rows], dtype=np.uint64),
+    )
 
 
 def event_log(events, associativity):

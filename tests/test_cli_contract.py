@@ -136,10 +136,12 @@ RUNS = [["run", "--policy", "ehc"], ["run", "--policy", "lru", "--events", "{eve
 RANKED = [["compare", "--policies", "srrip,hawkeye", "--events"],
           ["analyze", "--report", "victim-quality", "--policy", "hawkeye"]]
 REPORTS = [["analyze", "--report", kind] for kind in REPORT_KINDS]
+HITCOUNTS = [["analyze", "--report", kind] for kind in ("hitcount-block", "hitcount-region")]
 #: The commands that meet each fault planted beneath only some runs.
 FAULT_COMMANDS = {
     "ranks": RANKED,
-    "rows": [["analyze", "--report", kind] for kind in ("hitcount-block", "hitcount-region")],
+    "rows": HITCOUNTS,
+    "row-count": HITCOUNTS,
     "min-misses": [["analyze", "--report", "min-gap"]],
     "optgen": [["run", "--policy", "ehc"], ["compare", "--policies", "srrip,hawkeye"],
                ["analyze", "--report", "no-averse"]],
@@ -150,9 +152,10 @@ def _plant(monkeypatch, backend, fault):
     """Plant ``fault`` beneath the checks of ``backend``: a key of
     :data:`COUNTER_FAULTS` in the counters of every run; ``"ranks"``, one
     victim rank too many in every ranked run; ``"rows"``, one hit too many
-    in MIN's residency rows; ``"min-misses"``, every access of a MIN
-    run counted a miss, so MIN misses more than the policy; or
-    ``"optgen"``, one OPTgen hit too many in every Hawkeye and EHC run."""
+    in MIN's residency rows; ``"row-count"``, one residency row too few;
+    ``"min-misses"``, every access of a MIN run counted a miss, so MIN
+    misses more than the policy; or ``"optgen"``, one OPTgen hit too many
+    in every Hawkeye and EHC run."""
     if backend == "reference":
         monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
         if fault == "ranks":
@@ -163,10 +166,10 @@ def _plant(monkeypatch, backend, fault):
 
             monkeypatch.setattr(minoracle, "_rank_histogram", faulty)
             return
-        if fault == "rows":
+        if fault in ("rows", "row-count"):
             def faulty(*args, real=minoracle._write_rows):
                 count, hits = real(*args)
-                return count, hits + 1
+                return (count, hits + 1) if fault == "rows" else (count - 1, hits)
 
             monkeypatch.setattr(minoracle, "_write_rows", faulty)
             return
@@ -197,6 +200,8 @@ def _plant(monkeypatch, backend, fault):
             ranks[0] += 1
         if fault == "rows":
             out[_kernels._COUNTERS.index("row_hits")] += 1
+        if fault == "row-count":
+            out[_kernels._COUNTERS.index("rows")] -= 1
         if fault == "min-misses" and policy_id == _kernels._POLICY_IDS["min"]:
             out[_kernels._COUNTERS.index("misses")] = out[_kernels._COUNTERS.index("accesses")]
             out[_kernels._COUNTERS.index("hits")] = 0

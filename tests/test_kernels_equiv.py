@@ -172,7 +172,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "e541ddb679f471e906477e53"
+    assert digest == "b2fa8372784b78fa11bb3b84"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():
@@ -204,6 +204,27 @@ def test_kernel_binding_checks_numpy_arrays_per_call():
         lib.ehcsim_read_records(0, b"", 0, good, good, good)
     columns = memoryview(bytearray(32)).cast("Q")
     assert lib.ehcsim_read_records(0, b"", 0, good, columns, state) == (0, 0)
+    # The room of MIN's residency rows, of the rows a histogram reads and of
+    # the counters, each from a layout that _kernels states: one element
+    # short is refused, and the exact room runs.
+    width, counters = len(_kernels._ROW_FIELDS), len(_kernels._COUNTERS)
+    next_use = np.array([2, 3, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
+    hist = np.zeros(params.ERROR_BUCKETS, dtype=np.int64)
+
+    def ints(size):
+        return np.zeros(size, dtype=np.int64)
+
+    def simulate(rows, out):
+        return lib.ehcsim_simulate(4, good, good, 1, 1, 0, _kernels._POLICY_IDS["min"], 0,
+                                   next_use, 0, rows, None, None, bytearray(4), out)
+
+    for call, need in ((lambda size: simulate(ints(size), ints(counters)), 4 * width),
+                       (lambda size: simulate(None, ints(size)), counters),
+                       (lambda size: lib.ehcsim_prediction_error(2, 4, ints(size), good, 0, 0,
+                                                                 hist), 2 * width)):
+        with pytest.raises(ValueError, match=f"^array must hold {need} elements, not {need - 1}$"):
+            call(need - 1)
+        assert call(need) == 0
 
 
 def test_run_policy_rejects_unknown_policies_on_every_backend():
@@ -251,10 +272,11 @@ def test_kernel_run_checks_the_min_columns(lib):
     # the line is still resident; a bypass writes no row.
     next_use = np.array([2, NO_NEXT_USE, NO_NEXT_USE], dtype=np.int64)
     for bypass, want in ((False, [[0, 1, 2], [1, 2, 3], [0, 0, 0]]), (True, [[0], [3], [1]])):
-        stats, _, _, (rows, count), _ = lib.run(trace, "min", geom, 0, next_use=next_use,
-                                                bypass=bypass, rows=True)
+        stats, _, _, rows, _ = lib.run(trace, "min", geom, 0, next_use=next_use,
+                                       bypass=bypass, rows=True)
+        count = len(rows) // len(_kernels._ROW_FIELDS)
         assert count == stats.misses - stats.per_policy["bypasses"]
-        assert np.asarray(rows).reshape(3, 3)[:, :count].tolist() == want
+        assert np.asarray(rows).reshape(count, len(_kernels._ROW_FIELDS)).T.tolist() == want
     # The rows are not there when not asked for.
     assert lib.run(trace, "min", geom, 0, next_use=next_use)[3] is None
 

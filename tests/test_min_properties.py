@@ -100,15 +100,14 @@ def test_kernel_prediction_error_matches_numpy(case):
     # The kernel's histograms over its own MIN rows against the numpy
     # histograms over the reference engine's residencies.
     geom, trace = case
-    n = len(trace)
     for bypass in (False, True):
         residencies = simulate_min(trace, geom, bypass=bypass, backend="reference")[2]
         stats, _, _, rows, _ = _kernels.run(trace, "min", geom, 0,
                                             next_use=_kernels.next_use(trace, geom),
                                             bypass=bypass, rows=True)
-        buffer, count = rows
+        count = len(rows) // len(_kernels._ROW_FIELDS)
         assert count == stats.misses - stats.per_policy["bypasses"]
-        assert_same_array(buffer.reshape(3, n)[:, :count],
+        assert_same_array(rows.reshape(count, len(_kernels._ROW_FIELDS)).T,
                           [residencies.fill, residencies.end, residencies.hits], "rows")
         for by_region, histogram in ((False, per_block_prediction_error),
                                      (True, per_region_prediction_error)):
