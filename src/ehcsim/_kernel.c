@@ -594,10 +594,11 @@ static int ehcsim_next_use(int64_t n, const uint64_t *addr, int64_t block_bits, 
  * address of its fill, or that >> REGION_SHIFT; predict its hits as the
  * round-half-up mean of its key's last REGION_RING_SLOTS counts, and count
  * |hits - prediction| in bucket min(that, ERROR_BUCKETS - 1). A key's first
- * row has nothing to predict from and is not counted. Returns 0, or -1
- * when the key table cannot be allocated. */
-static int ehcsim_prediction_error(
-    int64_t count, const int64_t *rows, const uint64_t *addr, int64_t block_bits,
+ * row has nothing to predict from and is not counted. Returns 0; -1 when
+ * the key table cannot be allocated; or 1 + k when row k fills at a
+ * position outside the n accesses of addr, which it does not read. */
+static int64_t ehcsim_prediction_error(
+    int64_t count, const int64_t *rows, int64_t n, const uint64_t *addr, int64_t block_bits,
     int64_t by_region, int64_t *hist)
 {
     int bits = 1;
@@ -613,8 +614,14 @@ static int ehcsim_prediction_error(
         return -1;
     }
     for (int64_t k = 0; k < count; k++) {
+        const int64_t fill = rows[k * ROW_FIELDS + ROW_FILL];
         const int64_t hits = rows[k * ROW_FIELDS + ROW_HITS];
-        uint64_t key = shl(shr(addr[rows[k * ROW_FIELDS + ROW_FILL]], block_bits), block_bits);
+        if (fill < 0 || fill >= n) {
+            free(slot);
+            free(past);
+            return k + 1;
+        }
+        uint64_t key = shl(shr(addr[fill], block_bits), block_bits);
         if (by_region)
             key >>= REGION_SHIFT;
         uint64_t h = home_slot(key, bits);
@@ -849,10 +856,10 @@ static PyObject *py_prediction_error(PyObject *self, PyObject *args)
     a[2].need = ERROR_BUCKETS;
     if (get_arrays(a, v, 3) < 0)
         return NULL;
-    const int status = ehcsim_prediction_error(count, v[0].buf, v[1].buf, block_bits, by_region,
-                                               v[2].buf);
+    const int64_t status = ehcsim_prediction_error(count, v[0].buf, n, v[1].buf, block_bits,
+                                                   by_region, v[2].buf);
     release_arrays(v, 3);
-    return PyLong_FromLong(status);
+    return PyLong_FromLongLong(status);
 }
 
 static PyObject *py_read_records(PyObject *self, PyObject *args)

@@ -421,13 +421,25 @@ def prediction_error(trace: Trace | Columns, geom: CacheGeometry, rows,
     """The prediction-error histogram of the residency rows that :func:`run`
     returned for MIN on ``trace``:
     :func:`ehcsim.minoracle.per_region_prediction_error` with
-    ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`."""
+    ``by_region``, else :func:`~ehcsim.minoracle.per_block_prediction_error`.
+    A row that fills outside the trace raises :func:`row_outside`'s error."""
     hist = _words(params.ERROR_BUCKETS, "q")
-    if _library().ehcsim_prediction_error(len(rows) // len(_ROW_FIELDS), len(trace), rows,
-                                          trace.addr, geom.block_shift, 1 if by_region else 0,
-                                          hist) != 0:
+    status = _library().ehcsim_prediction_error(len(rows) // len(_ROW_FIELDS), len(trace), rows,
+                                                trace.addr, geom.block_shift,
+                                                1 if by_region else 0, hist)
+    if status < 0:
         raise MemoryError("cannot allocate the prediction key table")
+    if status:
+        raise row_outside(rows, status - 1, len(trace))
     return hist.tolist()
+
+
+def row_outside(rows, k: int, n: int) -> ValueError:
+    """The error of :func:`prediction_error` on either backend for row ``k``
+    of ``rows``, whose fill position lies outside a trace of ``n`` accesses."""
+    fill = rows[k * len(_ROW_FIELDS) + _ROW_FIELDS.index("fill")]
+    return ValueError(f"residency row {k} fills at position {fill}, "
+                      f"outside the trace of {n} accesses")
 
 
 def check_policy(name: str) -> None:

@@ -231,7 +231,13 @@ def per_region_prediction_error(residencies: ResidencyLog) -> np.ndarray:
 
 def prediction_error(trace: Trace, geom: CacheGeometry, rows, by_region: bool):
     """:func:`ehcsim._kernels.prediction_error` on the residency log of the
-    rows that :func:`run` returned."""
+    rows that :func:`run` returned, with its error for a row that fills
+    outside the trace."""
+    fields = _kernels._ROW_FIELDS
+    fill = np.asarray(rows)[fields.index("fill")::len(fields)]
+    outside = np.flatnonzero((fill < 0) | (fill >= len(trace)))
+    if len(outside):
+        raise _kernels.row_outside(rows, int(outside[0]), len(trace))
     histogram = per_region_prediction_error if by_region else per_block_prediction_error
     return histogram(_residency_log(trace, geom, rows)).tolist()
 

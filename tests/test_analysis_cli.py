@@ -585,9 +585,11 @@ def _ehcsim(*args, unbuffered=False, **kwargs):
 @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
                     reason=f"the text was captured under Python {CLI_TEXT['python']}")
 def test_cli_process_prints_all_of_its_help():
-    proc = _ehcsim("-h", capture_output=True, text=True)
-    want = CLI_TEXT["cases"]["help"]
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want["stdout"], want["stderr"])
+    for case in ("help", "run-help"):
+        want = CLI_TEXT["cases"][case]
+        proc = _ehcsim(*want["argv"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (want["exit"], want["stdout"],
+                                                               want["stderr"]), case
 
 
 @pytest.mark.parametrize("kind", ["usage", "data"])

@@ -95,6 +95,16 @@ def test_first_command_writes_every_modules_bytecode_and_the_next_compiles_none(
     assert (code, csv) == (0, expected)
     assert f"/ehcsim/__pycache__/cli.{tag}.pyc" in err
     assert COMPILED_FROM_SOURCE.findall(err) == []
+    # Nor does a compare or an analyze on the kernel.
+    for command in (["compare", "--policies", "hawkeye,ehc"], ["analyze", "--report", "min-gap"]):
+        proc = subprocess.run(
+            [sys.executable, "-v", "-m", "ehcsim", *command, "--trace", str(path), "--sets", "64",
+             "--ways", "4", "--csv", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=_environ(tmp_path), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"/ehcsim/__pycache__/cli.{tag}.pyc" in proc.stderr, command
+        assert COMPILED_FROM_SOURCE.findall(proc.stderr) == [], command
 
 
 def test_module_edited_after_the_bytecode_was_written_compiles_once(tmp_path, trace):

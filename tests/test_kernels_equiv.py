@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 
 from ehcsim import (
     BYPASS, CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use,
-    gen_synthetic, simulate, simulate_min,
+    gen_synthetic, save_trace, simulate, simulate_min,
 )
 from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, runner, sampler
 from ehcsim import trace as trace_module
@@ -282,6 +282,22 @@ def test_kernel_run_checks_the_min_columns(lib):
 
 
 @pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
+def test_prediction_error_rejects_a_row_that_fills_outside_the_trace(lib):
+    # The histogram reads each row's address at its fill position, so a
+    # position outside the trace is refused before any is returned.
+    def row(fill, end, hits):
+        return [{"fill": fill, "end": end, "hits": hits}[f] for f in _kernels._ROW_FIELDS]
+
+    trace = make_trace([0x40, 0x80, 0x40, 0x80])
+    for fill in (-1, len(trace), 10**12):
+        rows = np.array(row(0, 2, 1) + row(fill, 4, 1), dtype=np.int64)
+        for by_region in (False, True):
+            with pytest.raises(ValueError, match=rf"^residency row 1 fills at position {fill}, "
+                                                 r"outside the trace of 4 accesses$"):
+                lib.prediction_error(trace, CacheGeometry(1, 1), rows, by_region)
+
+
+@pytest.mark.parametrize("lib", [_kernels, minoracle], ids=["kernel", "reference"])
 def test_run_ranks_the_victims_of_the_built_in_policies_only(lib):
     # Only MIN bypasses. MIN reads next_use as its oracle and ranks nothing;
     # a built-in policy given it ranks every victim. LRU evicts A for B,
@@ -323,23 +339,38 @@ def test_kernel_next_use_matches_numpy_beyond_its_first_table(kind):
                               f"next use, {geom}")
 
 
-@pytest.mark.parametrize("workload", sorted(TRACES))
-def test_reports_on_the_kernel_match_the_reference_engine_and_numpy(workload, monkeypatch):
+@pytest.mark.parametrize("workload", [*sorted(TRACES), "near-top"])
+def test_reports_on_the_kernel_match_the_reference_engine_and_numpy(workload, monkeypatch,
+                                                                    tmp_path):
     # Every analyze report, and compare with victim ranks, from the kernel's
     # next use, rows, histograms and in-loop ranks, against the reference
-    # engine and the numpy oracle.
-    trace = gen_synthetic(TRACES[workload])
-    geom = CacheGeometry(64, 4)
+    # engine and the numpy oracle; on the kernel also over the columns of
+    # the saved trace, as the CLI reads it, where next use, rows and ranks
+    # live in anonymous memory rather than numpy arrays. "near-top" has
+    # all-ones PCs and addresses within 384 bytes of 2**64 - 1, at one way,
+    # at three, and with 64 and 70 offset bits.
+    if workload == "near-top":
+        trace = make_trace([((1 << 64) - 1, (1 << 64) - 1 - 64 * (k % 7)) for k in range(300)])
+        geoms = (CacheGeometry(1, 1), CacheGeometry(64, 3),
+                 CacheGeometry(2, 2, 64), CacheGeometry(2, 2, 70))
+    else:
+        trace, geoms = gen_synthetic(TRACES[workload]), (CacheGeometry(64, 4),)
+    save_trace(trace, tmp_path / "t.trace")
+    columns = _kernels.load_trace(tmp_path / "t.trace")
+    assert isinstance(columns, _kernels.Columns)
 
-    def reports():
-        out = {(kind, policy): analyze(trace, kind, policy, geom).to_csv()
-               for kind in REPORT_KINDS for policy in ("lru", "hawkeye", "ehc")}
-        out["compare"] = compare(trace, POLICY_NAMES, geom, events=True).to_csv()
+    def reports(trace):
+        out = {}
+        for geom in geoms:
+            out |= {(geom, kind, policy): analyze(trace, kind, policy, geom).to_csv()
+                    for kind in REPORT_KINDS for policy in ("lru", "hawkeye", "ehc")}
+            out[geom, "compare"] = compare(trace, POLICY_NAMES, geom, events=True).to_csv()
         return out
 
-    kernel = reports()
+    kernel = reports(trace)
+    assert kernel == reports(columns)
     monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
-    assert kernel == reports()
+    assert kernel == reports(trace)
 
 
 def test_auto_records_events_on_the_kernel(monkeypatch):

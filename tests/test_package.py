@@ -103,8 +103,8 @@ def test_kernel_commands_without_site_load_no_build_machinery(tmp_path):
 
 def test_kernel_run_with_events_loads_no_engine_trace_or_build_module(tmp_path):
     # The dump needs numpy, but the log is the kernel's EventLog and the
-    # trace is the kernel's columns. Without site numpy does not import on
-    # every host.
+    # trace is the kernel's columns; the MIN oracle and argparse are not
+    # needed either. Without site numpy does not import on every host.
     commands = f"""
 for policy in ("lru", "hawkeye", "ehc"):
     assert ehcsim.cli.main(["run", "--policy", policy, *args,
@@ -112,4 +112,5 @@ for policy in ("lru", "hawkeye", "ehc"):
                             "--csv", {str(tmp_path / "run.csv")!r}]) == 0
 assert "numpy" in sys.modules
 """
-    _child(tmp_path, ("ehcsim.engine", "ehcsim.trace", "ehcsim._kernel_build"), commands)
+    _child(tmp_path, ("ehcsim.engine", "ehcsim.trace", "ehcsim.minoracle", "ehcsim._kernel_build",
+                      "argparse"), commands)
