@@ -294,14 +294,14 @@ static int ehcsim_simulate(
             int64_t carried_hits = 0;
             uint64_t ent_addr = a;
             /* A block has at most one live slot, and a reuse is most often
-             * recent: look from the newest position back, over used slots. */
-            for (int64_t k = at, left = seen[s] < cap ? seen[s] : cap; left > 0; left--) {
-                k = k == 0 ? cap - 1 : k - 1;
-                if (srow[k].block == block && srow[k].live) {
+             * recent: look from the newest slot back, at - 1 down to 0 and
+             * then cap - 1 down to at. A slot never used is zeroed, not live. */
+            for (int64_t k = at - 1; k >= 0 && !hit; k--)
+                if (srow[k].block == block && srow[k].live)
                     hit = srow + k;
-                    break;
-                }
-            }
+            for (int64_t k = cap - 1; k >= at && !hit; k--)
+                if (srow[k].block == block && srow[k].live)
+                    hit = srow + k;
             if (!hit) {
                 optgen_cold++;
             } else {

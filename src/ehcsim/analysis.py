@@ -1,8 +1,8 @@
 """Metrics, CSV reports, and the experiment drivers behind the CLI.
 
-Every report makes its runs, MIN, next use, prediction errors and victim
-ranks through the calls of the backend that :func:`ehcsim.runner.pick_backend`
-returns. On the native kernel none imports numpy or the MIN oracle, so a
+Every report makes its runs, MIN's too, in one call of :func:`_simulate`,
+which picks the backend once and computes at most one next-use column for
+them. On the native kernel none imports numpy or the MIN oracle, so a
 report runs as well on the :class:`~ehcsim._kernels.Columns` of the kernel's
 trace loader as on a :class:`~ehcsim.trace.Trace`; the reference engine and
 the numpy oracle (:mod:`ehcsim.minoracle`) give the same numbers.
@@ -14,7 +14,9 @@ import io
 
 from .errors import DataError, InternalInvariantError, UsageError, ZeroInstructions
 from .params import ERROR_BUCKETS
-from .runner import DEFAULT_SEED, POLICY_NAMES, check_policy, pick_backend, run_policy
+from .runner import DEFAULT_SEED, POLICY_NAMES, check_policy, pick_backend
+# Re-exported: the benchmark's backend probe calls and times analysis.run_policy.
+from .runner import run_policy  # noqa: F401
 from .values import CacheGeometry, DEFAULT_GEOMETRY, SimStats
 
 TYPE_CHECKING = False  # typing's constant; a kernel run never imports typing
@@ -149,6 +151,19 @@ def _base_meta(geom: CacheGeometry, seed: int) -> dict:
     }
 
 
+def _simulate(trace: Trace | Columns, runs: list, geom: CacheGeometry, seed: int):
+    """The backend :func:`~ehcsim.runner.pick_backend` picks, and its ``run``
+    result for each ``(name, keywords)`` of ``runs`` in order; ``rank=True``
+    asks for victim ranks. MIN (``"min"``, so check other names first) and
+    every ranked run share one next-use column, made only when one needs it."""
+    lib = pick_backend("auto", geom)
+    uses = [name == "min" or keywords.get("rank", False) for name, keywords in runs]
+    next_use = lib.next_use(trace, geom) if any(uses) else None
+    return lib, [lib.run(trace, name, geom, seed, next_use=next_use if use else None,
+                         **{k: v for k, v in keywords.items() if k != "rank"})
+                 for (name, keywords), use in zip(runs, uses)]
+
+
 def run_report(
     trace: Trace | Columns,
     policy: str,
@@ -157,7 +172,9 @@ def run_report(
     record_events: bool = False,
 ) -> tuple[Report, SimStats, EventLog | None]:
     """Single-policy run: stats table plus any per-policy counters."""
-    stats, events, _ = run_policy(trace, policy, geom, seed=seed, record_events=record_events)
+    check_policy(policy)
+    _, [(stats, events, *_)] = _simulate(trace, [(policy, {"record_events": record_events})],
+                                         geom, seed)
     report = Report(_base_meta(geom, seed) | {"policy": policy})
     report.add_table(
         "run",
@@ -178,15 +195,6 @@ def run_report(
             [(k, v) for k, v in sorted(stats.per_policy.items())],
         )
     return report, stats, events
-
-
-def _victim_ranks(trace, names, geom: CacheGeometry, seed: int) -> list[tuple]:
-    """``(stats, victim-rank histogram)`` of one run of each policy in
-    ``names``, ranked in the run against one next-use column of ``trace``."""
-    lib = pick_backend("auto", geom)
-    next_use = lib.next_use(trace, geom)
-    runs = (lib.run(trace, name, geom, seed, next_use=next_use) for name in names)
-    return [(stats, ranks) for stats, _, _, _, ranks in runs]
 
 
 def compare(
@@ -215,15 +223,12 @@ def compare(
     columns = ["hits", "misses", "mpki", "mpki_reduction_vs_lru", "no_averse_fraction"]
     if events:
         columns.append("mean_victim_rank")
-        results = dict(zip(names, _victim_ranks(trace, names, geom, seed)))
-    else:
-        results = {name: (run_policy(trace, name, geom, seed=seed)[0], None) for name in names}
+    _, results = _simulate(trace, [(name, {"rank": events}) for name in names], geom, seed)
 
-    lru_mpki = mpki(results["lru"][0], trace.instruction_count)
+    lru_mpki = mpki(results[names.index("lru")][0], trace.instruction_count)
     report = Report(_base_meta(geom, seed) | {"policies": " ".join(names)})
     rows = []
-    for name in names:
-        stats, ranks = results[name]
+    for name, (stats, _, _, _, ranks) in zip(names, results):
         m = mpki(stats, trace.instruction_count)
         row = [
             name,
@@ -253,22 +258,6 @@ def _histogram_table(report: Report, name: str, labels, hist) -> None:
     report.add_table(name, ["count", "fraction"], rows)
 
 
-def _prediction_error(trace, geom: CacheGeometry, by_region: bool):
-    """The prediction-error histogram of MIN's (with bypass) residencies."""
-    lib = pick_backend("auto", geom)
-    next_use = lib.next_use(trace, geom)
-    rows = lib.run(trace, "min", geom, 0, next_use=next_use, bypass=True, rows=True)[3]
-    return lib.prediction_error(trace, geom, rows, by_region)
-
-
-def _min_stats(trace, geom: CacheGeometry) -> list[SimStats]:
-    """The stats of MIN without bypass, then with it."""
-    lib = pick_backend("auto", geom)
-    next_use = lib.next_use(trace, geom)
-    return [lib.run(trace, "min", geom, 0, next_use=next_use, bypass=bypass)[0]
-            for bypass in (False, True)]
-
-
 def analyze(
     trace: Trace | Columns,
     kind: str,
@@ -284,9 +273,19 @@ def analyze(
     the policy's victims by next use. ``min-gap``: the policy's miss counts
     next to both MIN variants.
     """
+    if kind not in REPORT_KINDS:
+        raise UsageError(f"unknown report kind {kind!r}")
+    check_policy(policy)
+    lib, results = _simulate(trace, {
+        "no-averse": [(policy, {})],
+        "hitcount-block": [("min", {"bypass": True, "rows": True})],
+        "hitcount-region": [("min", {"bypass": True, "rows": True})],
+        "victim-quality": [(policy, {"rank": True})],
+        "min-gap": [(policy, {}), ("min", {}), ("min", {"bypass": True})],
+    }[kind], geom, seed)
     report = Report(_base_meta(geom, seed) | {"report": kind, "policy": policy})
     if kind == "no-averse":
-        stats, _, _ = run_policy(trace, policy, geom, seed=seed)
+        [(stats, *_)] = results
         report.add_table(
             "no_averse",
             ["replacements", "no_averse", "fraction"],
@@ -298,18 +297,18 @@ def analyze(
             )],
         )
     elif kind in ("hitcount-block", "hitcount-region"):
-        hist = _prediction_error(trace, geom, by_region=kind == "hitcount-region")
+        [(_, _, _, rows, _)] = results
+        hist = lib.prediction_error(trace, geom, rows, by_region=kind == "hitcount-region")
         # "0", "1", "2", "3", "4+": the last bucket holds every larger error.
         last = ERROR_BUCKETS - 1
         labels = (*map(str, range(last)), f"{last}+")
         _histogram_table(report, "prediction_error", labels, hist)
     elif kind == "victim-quality":
-        [(_, hist)] = _victim_ranks(trace, [policy], geom, seed)
+        [(_, _, _, _, hist)] = results
         _histogram_table(report, "victim_rank", [str(r) for r in range(len(hist))], hist)
         report.add_table("summary", ["mean_rank"], [(policy, mean_rank(hist))])
     elif kind == "min-gap":
-        stats, _, _ = run_policy(trace, policy, geom, seed=seed)
-        nobyp, byp = _min_stats(trace, geom)
+        stats, nobyp, byp = (result[0] for result in results)
         if not byp.misses <= nobyp.misses <= stats.misses:
             raise InternalInvariantError(
                 f"MIN misses out of order: {byp.misses} with bypass, {nobyp.misses} "
@@ -319,6 +318,4 @@ def analyze(
             for label, s in ((policy, stats), ("min-nobypass", nobyp), ("min-bypass", byp))
         ]
         report.add_table("min_gap", ["hits", "misses", "mpki"], rows)
-    else:
-        raise UsageError(f"unknown report kind {kind!r}")
     return report

@@ -29,7 +29,7 @@ from ehcsim import (
     run_report,
     save_trace,
 )
-from ehcsim import _kernels, cli
+from ehcsim import _kernels, analysis, cli, minoracle, runner
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.cli import main
 from ehcsim.errors import DataError
@@ -184,8 +184,9 @@ def test_analyze_min_gap():
 
 
 def test_analyze_unknown_kind():
-    with pytest.raises(UsageError):
-        analyze(_loop_trace(), "nonsense")
+    for policy in ("ehc", "bogus"):  # the kind is checked before the policy
+        with pytest.raises(UsageError, match="^unknown report kind 'nonsense'$"):
+            analyze(_loop_trace(), "nonsense", policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,8 @@ def test_cli_run_writes_events(trace_file, tmp_path, monkeypatch):
     assert reference.read_text() == events.read_text()
 
 
-HUGE_OFFSET_COMMANDS = {
+#: Each command that simulates, by a short name.
+COMMANDS = {
     "run": ["run", "--policy", "ehc"],
     "run-events": ["run", "--policy", "hawkeye", "--events", "{events}"],
     "compare": ["compare", "--policies", "srrip,ehc"],
@@ -260,7 +262,7 @@ HUGE_OFFSET_COMMANDS = {
 
 
 @pytest.mark.parametrize("backend", ["kernel", "reference"])
-@pytest.mark.parametrize("command", HUGE_OFFSET_COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_cli_block_offset_of_64_bits_or_more_is_64(trace_file, tmp_path, monkeypatch,
                                                    backend, command):
     # Every address is in block 0 either way; only the provenance line differs.
@@ -269,7 +271,7 @@ def test_cli_block_offset_of_64_bits_or_more_is_64(trace_file, tmp_path, monkeyp
     outputs = []
     for bits in (64, 1 << 64):
         out, events = tmp_path / f"{bits}.csv", tmp_path / f"{bits}-events.csv"
-        argv = [arg.format(events=events) for arg in HUGE_OFFSET_COMMANDS[command]]
+        argv = [arg.format(events=events) for arg in COMMANDS[command]]
         assert main([*argv, "--trace", str(trace_file), "--sets", "4", "--ways", "2",
                      "--block-bits", str(bits), "--csv", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -277,6 +279,28 @@ def test_cli_block_offset_of_64_bits_or_more_is_64(trace_file, tmp_path, monkeyp
         outputs.append(([line for line in lines if not line.startswith("# block_bits=")],
                         events.read_text() if events.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("backend", ["kernel", "reference"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_command_picks_one_backend_and_at_most_one_next_use(trace_file, tmp_path,
+                                                                monkeypatch, backend, command):
+    # All of a command's runs go to one backend, and MIN and the ranked runs
+    # share one next-use column, made only when one of them reads it.
+    if backend == "reference":
+        monkeypatch.setattr(_kernels, "_native", lambda: (None, "disabled"))
+    calls = []
+    for owner, name in ((runner, "pick_backend"), (analysis, "pick_backend"),
+                        (_kernels, "next_use"), (minoracle, "next_use")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original, **kw:
+                            calls.append(name) or original(*args, **kw))
+    argv = [arg.format(events=tmp_path / "events.csv") for arg in COMMANDS[command]]
+    assert main([*argv, "--trace", str(trace_file), "--sets", "64", "--ways", "4",
+                 "--csv", str(tmp_path / "out.csv")]) == 0
+    unranked = ("run", "run-events", "compare", "no-averse")
+    assert calls.count("pick_backend") == 1
+    assert calls.count("next_use") == (command not in unranked)
 
 
 def test_cli_compare(trace_file, tmp_path):
@@ -292,6 +316,7 @@ def test_cli_compare(trace_file, tmp_path):
 @pytest.mark.parametrize("events", [[], ["--events"]])
 @pytest.mark.parametrize("policies, message", [
     ("ehc,nope", "unknown policy 'nope' (choose from lru, srrip,"),
+    ("ehc,min", "unknown policy 'min' (choose from lru, srrip,"),
     ("ehc,ehc", "policy 'ehc' is named twice"),
 ])
 def test_cli_compare_checks_every_policy_before_it_runs(trace_file, tmp_path, monkeypatch,

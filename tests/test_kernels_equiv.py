@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 
 from ehcsim import (
     BYPASS, CacheGeometry, EventLog, GeneratorSpec, analyze, compare, compute_next_use,
-    gen_synthetic, save_trace, simulate, simulate_min,
+    gen_synthetic, run_report, save_trace, simulate, simulate_min,
 )
 from ehcsim import _kernel_build, _kernels, engine, minoracle, params, policies, runner, sampler
 from ehcsim import trace as trace_module
@@ -236,6 +236,28 @@ def test_run_policy_rejects_unknown_policies_on_every_backend():
     for lib in (_kernels, minoracle):
         with pytest.raises(UnknownPolicy, match=r"^unknown policy 'nope' \(choose from lru, "):
             lib.run(trace, "nope", CacheGeometry(2, 2), 0)
+    # That run takes "min" for MIN, so each report checks the names it is
+    # given before it runs one, with the kernel and without it.
+    reports = {
+        "min": [lambda: run_report(trace, "min", CacheGeometry(2, 2)),
+                lambda: compare(trace, ["ehc", "min"], CacheGeometry(2, 2))],
+        "bogus": [lambda kind=kind: analyze(trace, kind, "bogus", CacheGeometry(2, 2))
+                  for kind in ("hitcount-block", "hitcount-region")],
+    }
+    runs = []
+
+    def record(trace, name, *args, **kw):
+        runs.append(name)
+
+    for native in (_kernels._native, lambda: (None, "disabled")):
+        with mock.patch.object(_kernels, "_native", native), \
+                mock.patch.object(_kernels, "run", record), \
+                mock.patch.object(minoracle, "run", record):
+            for name, calls in reports.items():
+                for call in calls:
+                    with pytest.raises(UnknownPolicy, match=f"^unknown policy '{name}' "):
+                        call()
+    assert runs == []
 
 
 def test_run_policy_rejects_unknown_backend():

@@ -1,13 +1,15 @@
 """The package's public names and what each command imports."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ehcsim
-from ehcsim import GeneratorSpec, gen_synthetic, save_trace
+from ehcsim import GeneratorSpec, _kernels, analysis, gen_synthetic, runner, save_trace
 from ehcsim.analysis import REPORT_KINDS
 from ehcsim.engine import CacheGeometry
 
@@ -114,3 +116,26 @@ assert "numpy" in sys.modules
 """
     _child(tmp_path, ("ehcsim.engine", "ehcsim.trace", "ehcsim.minoracle", "ehcsim._kernel_build",
                       "argparse"), commands)
+
+
+def test_benchmark_probe_sees_each_policy_run_on_the_kernel():
+    # The benchmark's probe wraps analysis.run_policy and the backends' runs,
+    # then reads which backend each run_policy call reached from its spans.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert _kernels.unavailable() is None, _kernels.unavailable()
+    trace = gen_synthetic(GeneratorSpec("mixed", 256, 2000))
+    originals = (analysis.run_policy, _kernels.run, runner.simulate)
+    recorder = spans.Recorder("probe", "probe")
+    restore = recorder.instrument_ehcsim()
+    try:
+        assert analysis.run_policy is not originals[0]
+        for policy in runner.POLICY_NAMES:
+            analysis.run_policy(trace, policy, CacheGeometry(64, 4))
+    finally:
+        restore()
+    assert (analysis.run_policy, _kernels.run, runner.simulate) == originals
+    assert spans.backends_by_policy(recorder.spans) == dict.fromkeys(runner.POLICY_NAMES,
+                                                                     "kernel")
