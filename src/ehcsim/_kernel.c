@@ -41,11 +41,12 @@
  * Sampled set s keeps its OPTgen window in cap Slots, position j in slot
  * j % cap, as ehcsim.sampler.SampledSetHistory keeps it in two lists;
  * seen[s], the accesses s recorded, puts the window at positions
- * seen[s] - cap to seen[s] - 1, and head[s] is seen[s] % cap, the slot the
- * next position takes. A slot is live while its block's latest access is
- * recorded there; a slot never used is not live. A reuse walks the slots
- * from the block's live slot to seen[s] - 1, wrapping at cap, and a live
- * slot about to be overwritten completes its block's stay.
+ * seen[s] - cap to seen[s] - 1, so slot seen[s] % cap takes the next one.
+ * A slot is live while its block's latest access is recorded there; a slot
+ * never used is not live. A reuse walks the slots from the block's live
+ * slot up to the one the new position takes, wrapping at cap (all cap of
+ * them when the two are one), and a live slot about to be overwritten
+ * completes its block's stay.
  *
  * Addresses, PCs and block numbers are uint64_t; counters and positions are
  * int64_t; flags and 3-bit fields are uint8_t.
@@ -179,11 +180,11 @@ static void free_tables(Tables *t)
 /* One position of a sampled set's OPTgen window: its occupancy
  * (SampledSetHistory.occ) and the access recorded there
  * (SampledSetHistory.records), a block, the PC of that access and the fill
- * address and hits so far of the block's stay, its position, and whether
- * it is still the block's latest (SampledSetHistory.live). */
+ * address and hits so far of the block's stay, and whether it is still the
+ * block's latest (SampledSetHistory.live). */
 typedef struct {
     uint64_t block, pc, addr;
-    int64_t pos, hits, occ;
+    int64_t hits, occ;
     uint8_t live;
 } Slot;
 
@@ -264,10 +265,8 @@ static int ehcsim_simulate(
     uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
     Ring *regions = table(&t, REGION_TABLE_SIZE, sizeof *regions);
     int64_t *seen = table(&t, nsamp, sizeof *seen);
-    int64_t *head = table(&t, nsamp, sizeof *head);
     Slot *slots = table(&t, nsamp * cap, sizeof *slots);
     Stay *stay = table(&t, min_lines, sizeof *stay);
-    Stay *tail = table(&t, rows ? min_lines : 0, sizeof *tail);
     if (t.failed) {
         free_tables(&t);
         return -1;
@@ -289,7 +288,7 @@ static int ehcsim_simulate(
 
         /* Sampled-set MIN emulation feeding the hawkeye/ehc predictors. */
         if (sampled && si % SAMPLE_PERIOD == 0) {
-            const int64_t s = si / SAMPLE_PERIOD, at = head[s];
+            const int64_t s = si / SAMPLE_PERIOD, at = seen[s] % cap;
             Slot *srow = slots + s * cap, *hit = NULL;
             int64_t carried_hits = 0;
             uint64_t ent_addr = a;
@@ -306,22 +305,21 @@ static int ehcsim_simulate(
                 optgen_cold++;
             } else {
                 const uint64_t fi = xor_fold(hit->pc, PC_TABLE_BITS);
-                /* Positions hit->pos to seen[s] - 1, from the hit's slot on. */
-                const int64_t from = hit - srow, span = seen[s] - hit->pos;
-                int ok = 1;
-                for (int64_t k = from, left = span; left > 0; left--) {
-                    if (srow[k].occ >= assoc) {
-                        ok = 0;
-                        break;
-                    }
+                /* The hit's position to seen[s] - 1: its slot up to at. */
+                const int64_t from = hit - srow;
+                int64_t k = from;
+                int ok;
+                do {
+                    ok = srow[k].occ < assoc;
                     k = k + 1 == cap ? 0 : k + 1;
-                }
+                } while (ok && k != at);
                 if (ok) {
                     optgen_hit++;
-                    for (int64_t k = from, left = span; left > 0; left--) {
+                    k = from;
+                    do {
                         srow[k].occ++;
                         k = k + 1 == cap ? 0 : k + 1;
-                    }
+                    } while (k != at);
                     carried_hits = hit->hits + 1;
                     if (pc_tbl[fi] < PC_COUNTER_MAX)
                         pc_tbl[fi]++;
@@ -338,9 +336,9 @@ static int ehcsim_simulate(
             Slot *entry = srow + at;
             if (entry->live)
                 region_push(regions, entry->addr, entry->hits);
-            *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .pos = seen[s]++,
-                            .hits = carried_hits, .live = 1};
-            head[s] = at + 1 == cap ? 0 : at + 1;
+            *entry = (Slot){.block = block, .pc = p, .addr = ent_addr, .hits = carried_hits,
+                            .live = 1};
+            seen[s]++;
         }
 
         const int64_t row = si * assoc;
@@ -504,13 +502,14 @@ static int ehcsim_simulate(
     }
 
     if (rows && policy_id == POLICY_MIN) {
+        /* The resident stays, moved to the front of stay, by fill. */
         int64_t stays = 0;
         for (int64_t s = 0; s < num_sets; s++)
             for (int64_t w = 0; w < filled[s]; w++)
-                tail[stays++] = stay[s * assoc + w];
-        qsort(tail, (size_t)stays, sizeof *tail, by_fill);
+                stay[stays++] = stay[s * assoc + w];
+        qsort(stay, (size_t)stays, sizeof *stay, by_fill);
         for (int64_t k = 0; k < stays; k++)
-            write_row(rows, written++, tail[k].fill, n, tail[k].hits);
+            write_row(rows, written++, stay[k].fill, n, stay[k].hits);
     }
     int64_t row_hits = 0, recorded = 0;
     for (int64_t k = 0; k < written; k++)
@@ -658,18 +657,17 @@ static inline uint64_t le64(const uint8_t *p)
  * the next, in a buffer of READ_STATE_WORDS uint64_t values that the
  * caller zeroes before the first chunk. */
 typedef struct {
-    uint64_t done;                      /* records read so far */
     uint64_t max_seq, max_kind;
+    uint64_t fell;                      /* 1 + the lowest core whose seq fell, or 0 */
     uint64_t last_seq[UINT8_MAX + 1];   /* per core */
-    uint64_t decreased[UINT8_MAX + 1];  /* per core: 1 once its seq fell */
 } ReadState;
 
 _Static_assert(sizeof(ReadState) == READ_STATE_WORDS * sizeof(uint64_t),
                "READ_STATE_WORDS must match ReadState");
 
 /* Copy the pc and addr fields of the next n packed trace records into pc[]
- * and addr[] after the records of earlier calls on the same state, and
- * check all records so far as ehcsim.trace.Trace.validate does, in its
+ * and addr[], and check all records so far, those of earlier calls on the
+ * same state included, as ehcsim.trace.Trace.validate does, in its
  * order. Returns 0 when every record passes; else CHECK_SEQ_COUNT when a
  * seq exceeds instruction_count, CHECK_KIND when a kind exceeds KIND_WRITE,
  * or CHECK_SEQ_ORDER when the seqs of one core decrease, with the lowest
@@ -680,8 +678,6 @@ static int ehcsim_read_records(
 {
     ReadState *st = (ReadState *)state;
     uint64_t max_seq = st->max_seq, max_kind = st->max_kind;
-    pc += st->done;
-    addr += st->done;
     for (int64_t i = 0; i < n; i++) {
         const uint8_t *r = records + i * RECORD_BYTES;
         const uint64_t seq = le64(r + RECORD_SEQ);
@@ -692,22 +688,19 @@ static int ehcsim_read_records(
             max_seq = seq;
         if (kind > max_kind)
             max_kind = kind;
-        if (seq < st->last_seq[core])
-            st->decreased[core] = 1;
+        if (seq < st->last_seq[core] && (st->fell == 0 || core < st->fell - 1))
+            st->fell = core + 1;
         st->last_seq[core] = seq;
     }
-    st->done += n;
     st->max_seq = max_seq;
     st->max_kind = max_kind;
     if (max_seq > instruction_count)
         return CHECK_SEQ_COUNT;
     if (max_kind > KIND_WRITE)
         return CHECK_KIND;
-    for (int64_t c = 0; c <= UINT8_MAX; c++) {
-        if (st->decreased[c]) {
-            *bad_core = c;
-            return CHECK_SEQ_ORDER;
-        }
+    if (st->fell) {
+        *bad_core = (int64_t)st->fell - 1;
+        return CHECK_SEQ_ORDER;
     }
     return 0;
 }
@@ -866,8 +859,7 @@ static PyObject *py_read_records(PyObject *self, PyObject *args)
 {
     long long n;
     unsigned long long instruction_count;
-    /* state, then records, pc, addr: pc and addr hold the records of earlier
-     * calls, which the state counts, and these. */
+    /* state, records, pc, addr */
     Arg a[4] = {{.type = 'Q', .output = 1, .need = READ_STATE_WORDS}, {.type = 'B'},
                 {.type = 'Q', .output = 1}, {.type = 'Q', .output = 1}};
     Py_buffer v[4];
@@ -876,15 +868,10 @@ static PyObject *py_read_records(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "LOKOOO:ehcsim_read_records", &n, &a[1].obj, &instruction_count,
                           &a[2].obj, &a[3].obj, &a[0].obj))
         return NULL;
-    if (get_arrays(a, v, 1) < 0)
-        return NULL;
-    const uint64_t done = ((const ReadState *)v[0].buf)->done;
     a[1].need = room(n, RECORD_BYTES, 0);
-    a[2].need = a[3].need = done > INT64_MAX ? PY_SSIZE_T_MAX : room(n, 1, (int64_t)done);
-    if (get_arrays(a + 1, v + 1, 3) < 0) {
-        release_arrays(v, 1);
+    a[2].need = a[3].need = room(n, 1, 0);
+    if (get_arrays(a, v, 4) < 0)
         return NULL;
-    }
     const int check = ehcsim_read_records(n, v[1].buf, instruction_count, v[2].buf, v[3].buf,
                                           v[0].buf, &bad_core);
     release_arrays(v, 4);

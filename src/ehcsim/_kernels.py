@@ -122,9 +122,9 @@ _EVENT_FIELDS = ("index", "victim_way", "no_averse")
 _ROW_FIELDS = ("fill", "end", "hits")
 
 #: The words of the state ``ehcsim_read_records`` carries between chunks:
-#: records done, the largest seq and kind, and per core its last seq and
-#: whether its seq decreased.
-_READ_STATE_WORDS = 3 + 2 * 256
+#: the largest seq and kind, the lowest core whose seq decreased, and per
+#: core its last seq.
+_READ_STATE_WORDS = 3 + 256
 #: Records per read when :func:`load_trace` streams a trace: 104 KB.
 _CHUNK_RECORDS = 4096
 #: Events per chunk that :meth:`EventLog.write_csv` gathers and formats.
@@ -382,10 +382,11 @@ def load_trace(path) -> Columns:
     records in C, in the order of :meth:`ehcsim.trace.Trace.validate`, so a
     defect raises the same :class:`~ehcsim.errors.DataError` with the same
     message. The records, of a regular file or of a pipe, stream through
-    one buffer of :data:`_CHUNK_RECORDS` records, with the check state
-    carried from chunk to chunk. The reader writes every element of the
-    columns, so they are :func:`_words`: lazily zeroed memory would save no
-    page, and its ``mmap`` import would cost more than the zeroing."""
+    one buffer of :data:`_CHUNK_RECORDS` records, each chunk into its slice
+    of the columns, with the check state carried from chunk to chunk. The
+    reader writes every element of the columns, so they are :func:`_words`:
+    lazily zeroed memory would save no page, and its ``mmap`` import would
+    cost more than the zeroing."""
     lib = _library()
     with open(path, "rb") as fh:
         count, instruction_count, stream = traceformat.read_header(fh)
@@ -399,7 +400,8 @@ def load_trace(path) -> Columns:
             # Fewer only if the file shrank since its size was checked.
             if stream.readinto(view[:size]) < size:
                 raise traceformat.fewer_records(count)
-            check, core = lib.ehcsim_read_records(n, chunk, instruction_count, pc, addr, state)
+            check, core = lib.ehcsim_read_records(n, chunk, instruction_count,
+                                                  pc[start:start + n], addr[start:start + n], state)
     if check:
         message = list(traceformat.RECORD_CHECKS.values())[check - 1]
         raise InvalidTrace(message.format(core=core))

@@ -119,7 +119,7 @@ _COMMANDS = {
         *_GEOMETRY,
         _SEED,
         _option("--events", action="store_true", default=False,
-                help="score victim quality too (records every replacement)"),
+                help="score victim quality too (victims ranked by next use)"),
         _option("--csv", required=True),
     ), _cmd_compare),
     "analyze": ("replacement-quality instruments", (

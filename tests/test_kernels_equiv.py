@@ -172,7 +172,7 @@ def test_kernel_header_holds_the_constants_the_python_policies_use():
     # The header is part of the library's name, so a change to it is a
     # change to the kernel that rebuilds every cached library.
     digest = hashlib.blake2b(_kernels._header().encode(), digest_size=12).hexdigest()
-    assert digest == "b2fa8372784b78fa11bb3b84"
+    assert digest == "63059333bcd4d6feab7ca2e0"
 
 
 def test_kernel_binding_checks_numpy_arrays_per_call():

@@ -2,8 +2,10 @@
 victim scoring equal the loops, the native kernel equals the reference
 engine, and its next use, prediction-error histograms and in-loop victim
 ranks equal the numpy oracle's, every event log holds the residents of its
-set, no policy beats MIN, unbounded OPTgen equals offline MIN, and traces
-survive their file format.
+set, no policy beats MIN, unbounded OPTgen equals offline MIN, Hawkeye and
+EHC share OPTgen's counters and every decision up to the first no-averse
+replacement where their victims differ, and traces survive their file
+format.
 
 Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
 anywhere in the 64-bit address space (two of three trace shapes crowd a
@@ -33,7 +35,7 @@ from ehcsim import (
     victim_quality,
     write_trace,
 )
-from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
+from ehcsim.runner import POLICY_NAMES, make_policy, pick_backend, run_policy
 from ehcsim.engine import simulate
 from ehcsim.minoracle import MinPolicy
 from ehcsim.sampler import PcCounterTable, RegionHitTable
@@ -332,6 +334,53 @@ def test_unbounded_optgen_matches_min(case):
            for a, p in zip(trace.addr.tolist(), trace.pc.tolist())]
     _, decisions, _, _ = simulate_min(trace, geom, bypass=True)
     assert got == decisions.tolist()
+
+
+def _hawkeye_and_ehc(case, backend, record_events=False):
+    """Hawkeye's and EHC's ``run`` results on the backend that
+    :func:`pick_backend` gives for ``backend``."""
+    geom, trace = case
+    lib = pick_backend(backend, geom)
+    return [lib.run(trace, name, geom, 42, record_events=record_events)
+            for name in ("hawkeye", "ehc")]
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(crowded_traces(), single_set_traces()))
+def test_hawkeye_and_ehc_report_equal_optgen_counters(case):
+    # OPTgen follows the sampled sets' accesses, not the cache's decisions.
+    for backend in ("kernel", "reference"):
+        hawkeye, ehc = ([stats.per_policy[k] for k in _kernels._OPTGEN]
+                        for stats, *_ in _hawkeye_and_ehc(case, backend))
+        assert ehc == hawkeye, backend
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(crowded_traces(), single_set_traces()))
+def test_ehc_runs_as_hawkeye_up_to_a_no_averse_replacement(case):
+    # Only a no-averse victim reads EHC's expected hits, so the two make the
+    # same decisions up to the first no-averse replacement where EHC evicts
+    # another way: that one has the same miss and residents. Every PC starts
+    # friendly, so the first replacement of a run is no-averse; checking to
+    # the first differing victim rather than to the first no-averse one
+    # reaches past it.
+    for backend in ("kernel", "reference"):
+        (_, hawkeye, h_flags, *_), (_, ehc, e_flags, *_) = _hawkeye_and_ehc(case, backend, True)
+        n = min(len(hawkeye), len(ehc))
+        same = ((ehc.index[:n] == hawkeye.index[:n])
+                & (ehc.victim_way[:n] == hawkeye.victim_way[:n])
+                & (ehc.no_averse[:n] == hawkeye.no_averse[:n])
+                & (ehc.resident_pos[:n] == hawkeye.resident_pos[:n]).all(axis=1))
+        k = int(np.argmin(same)) if not same.all() else n
+        if k == n:
+            assert len(ehc) == len(hawkeye), backend
+            end = len(h_flags)
+        else:
+            assert hawkeye.no_averse[k] and ehc.no_averse[k], (backend, k)
+            assert ehc.index[k] == hawkeye.index[k], (backend, k)
+            assert_same_array(ehc.resident_pos[k], hawkeye.resident_pos[k], f"{backend} residents")
+            end = int(hawkeye.index[k]) + 1
+        assert_same_array(e_flags[:end], h_flags[:end], f"{backend} hit flags")
 
 
 U64 = st.integers(0, (1 << 64) - 1)

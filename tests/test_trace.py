@@ -223,6 +223,9 @@ def _chunked(n, defects=(), instruction_count=None):
     # Core 0's seq falls from its last record in the first chunk to its
     # first in the second: the state carries each core's last seq.
     _chunked(2 * CHUNK + 3, [(CHUNK, "seq", CHUNK - 8)]),
+    # Core 3's seq falls in the first chunk and core 1's in the second: the
+    # error names the lowest such core, not the first.
+    _chunked(2 * CHUNK + 3, [(7, "seq", 0), (CHUNK + 1, "seq", 0)]),
     # A bad kind in the last, partial chunk, after two clean ones.
     _chunked(2 * CHUNK + 3, [(2 * CHUNK + 2, "kind", 2)]),
     # A seq above the instruction count at the end of the first chunk; it
@@ -236,9 +239,9 @@ def _chunked(n, defects=(), instruction_count=None):
     _chunked(CHUNK + 1, [(CHUNK, "seq", 2 * CHUNK)]),
     _chunked(0),
     _chunked(0, instruction_count=0),
-], ids=["seq-decreases-across-chunks", "bad-kind-in-last-chunk", "seq-count-in-first-chunk",
-        "whole-chunks", "whole-chunks-bad-last-kind", "chunk-less-one", "chunk-plus-one",
-        "no-records", "no-records-no-instructions"])
+], ids=["seq-decreases-across-chunks", "lowest-core-across-chunks", "bad-kind-in-last-chunk",
+        "seq-count-in-first-chunk", "whole-chunks", "whole-chunks-bad-last-kind",
+        "chunk-less-one", "chunk-plus-one", "no-records", "no-records-no-instructions"])
 def test_kernel_loader_checks_records_across_chunk_boundaries(tmp_path, data):
     # A pipe's records go through the same chunks as a file's.
     for pipe in (False, True):
