@@ -38,6 +38,12 @@
  * tag determine each other. A set's valid lines are its first filled[set]
  * ways: a fill takes the first free way, a bypass fills none and nothing
  * invalidates a line, so one count per set stands for a valid bit per line.
+ * A line, set * assoc + way, has an entry in five tables: tagv, its block;
+ * stamp, its block's latest access (LRU's and MIN's victims, the event rows,
+ * and Hawkeye's and EHC's PC, pc[stamp], that of the latest hit or fill);
+ * rrpv (the six RRPV policies); efh (EHC's victims; 0 for the others); and
+ * stay, its fill and hits (MIN's rows; SHiP's signature, the filling PC's
+ * xor_fold(pc[fill], SHCT_BITS), and outcome, a hit since: stamp != fill).
  * Sampled set s keeps its OPTgen window in cap Slots, position j in slot
  * j % cap, as ehcsim.sampler.SampledSetHistory keeps it in two lists;
  * seen[s], the accesses s recorded, puts the window at positions
@@ -64,24 +70,22 @@
 typedef struct {
     uint64_t key;
     int64_t ring[REGION_RING_SLOTS];
-    int64_t count, head;
+    int64_t pushes; /* push k wrote slot k % REGION_RING_SLOTS */
 } Ring;
 
 static inline void ring_push(Ring *r, int64_t hits)
 {
-    r->ring[r->head] = hits;
-    r->head = (r->head + 1) % REGION_RING_SLOTS;
-    if (r->count < REGION_RING_SLOTS)
-        r->count++;
+    r->ring[r->pushes++ % REGION_RING_SLOTS] = hits;
 }
 
-/* The round-half-up mean of the ring's counts, for count > 0. */
+/* The round-half-up mean of the ring's counts, for pushes > 0. */
 static inline int64_t ring_mean(const Ring *r)
 {
+    const int64_t count = r->pushes < REGION_RING_SLOTS ? r->pushes : REGION_RING_SLOTS;
     int64_t total = 0;
-    for (int64_t k = 0; k < r->count; k++)
+    for (int64_t k = 0; k < count; k++)
         total += r->ring[k];
-    return (2 * total + r->count) / (2 * r->count);
+    return (2 * total + count) / (2 * count);
 }
 
 /* Whether a * b overflows int64_t, for a, b >= 0. */
@@ -148,7 +152,7 @@ static int64_t region_expected(const Ring *regions, uint64_t addr)
 {
     const uint64_t rid = addr >> REGION_SHIFT;
     const Ring *r = regions + xor_fold(rid, REGION_TABLE_BITS);
-    if (r->key != rid || r->count == 0)
+    if (r->key != rid || r->pushes == 0)
         return DEFAULT_EXPECTED_HITS;
     const int64_t avg = ring_mean(r);
     return avg > EFH_MAX ? EFH_MAX : avg;
@@ -188,7 +192,7 @@ typedef struct {
     uint8_t live;
 } Slot;
 
-/* The stay of a block in one MIN line: its fill position and its hits. */
+/* The stay of a block in one line: its fill position and its hits. */
 typedef struct {
     int64_t fill, hits;
 } Stay;
@@ -211,9 +215,8 @@ static int by_fill(const void *a, const void *b)
 /* Simulate n accesses. hit_flags[i] is set for every hit and out[OUT_*]
  * receives the counters; events, rows and ranks may each be NULL, which
  * leaves that output off. With events, the k-th miss in a full set fills
- * event row k, events[k * (EVENT_FIELDS + assoc) ...]; stamp holds the
- * latest access of every line, for LRU's and MIN's victims and for that
- * row. seed keys the bimodal insertion draws (BRRIP, DRRIP).
+ * event row k, events[k * (EVENT_FIELDS + assoc) ...], from stamp.
+ * seed keys the bimodal insertion draws (BRRIP, DRRIP).
  * next_use[i] is the position of the next access to the block of access i
  * (ehcsim_next_use). MIN evicts the first way whose next use,
  * next_use[stamp], is farthest. With bypass, MIN leaves the incoming block
@@ -250,7 +253,6 @@ static int ehcsim_simulate(
     const int rrip = policy_id == POLICY_SRRIP || policy_id == POLICY_BRRIP
         || policy_id == POLICY_DRRIP || policy_id == POLICY_SHIP;
     const int sampled = policy_id == POLICY_HAWKEYE || policy_id == POLICY_EHC;
-    const int64_t min_lines = policy_id == POLICY_MIN ? lines : 0;
     Tables t = {{0}, 0, 0};
 
     int64_t *filled = table(&t, num_sets, sizeof *filled);
@@ -258,15 +260,12 @@ static int ehcsim_simulate(
     uint8_t *rrpv = table(&t, lines, sizeof *rrpv);
     uint8_t *efh = table(&t, lines, sizeof *efh);
     int64_t *stamp = table(&t, lines, sizeof *stamp);
-    uint64_t *lastpc = table(&t, lines, sizeof *lastpc);
-    int64_t *sig = table(&t, lines, sizeof *sig);
-    uint8_t *outcome = table(&t, lines, sizeof *outcome);
+    Stay *stay = table(&t, lines, sizeof *stay);
     uint8_t *shct = table(&t, SHCT_SIZE, sizeof *shct);
     uint8_t *pc_tbl = table(&t, PC_TABLE_SIZE, sizeof *pc_tbl);
     Ring *regions = table(&t, REGION_TABLE_SIZE, sizeof *regions);
     int64_t *seen = table(&t, nsamp, sizeof *seen);
     Slot *slots = table(&t, nsamp * cap, sizeof *slots);
-    Stay *stay = table(&t, min_lines, sizeof *stay);
     if (t.failed) {
         free_tables(&t);
         return -1;
@@ -359,10 +358,7 @@ static int ehcsim_simulate(
             stamp[row + way] = i;
             if (rrip) {
                 rrow[way] = 0;
-                if (policy_id == POLICY_SHIP)
-                    outcome[row + way] = 1;
             } else if (sampled) {
-                lastpc[row + way] = p;
                 if (policy_id == POLICY_EHC && erow[way] > 0)
                     erow[way]--;
                 rrow[way] = pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD
@@ -415,7 +411,7 @@ static int ehcsim_simulate(
                         for (int64_t w = 0; w < assoc; w++)
                             rrow[w] += RRPV_MAX - lead;
                     } else {
-                        const uint64_t fi = xor_fold(lastpc[row + way], PC_TABLE_BITS);
+                        const uint64_t fi = xor_fold(pc[stamp[row + way]], PC_TABLE_BITS);
                         no_averse = 1;
                         no_averse_count++;
                         if (pc_tbl[fi] > 0)
@@ -423,8 +419,9 @@ static int ehcsim_simulate(
                     }
                 }
                 if (policy_id == POLICY_SHIP) {
-                    const int64_t sg = sig[row + way];
-                    if (outcome[row + way]) {
+                    const int64_t fill = stay[row + way].fill;
+                    const uint64_t sg = xor_fold(pc[fill], SHCT_BITS);
+                    if (stamp[row + way] != fill) {
                         if (shct[sg] < SHCT_MAX)
                             shct[sg]++;
                     } else if (shct[sg] > 0) {
@@ -480,12 +477,9 @@ static int ehcsim_simulate(
             else
                 rrow[way] = RRPV_MAX - 1;
         } else if (policy_id == POLICY_SHIP) {
-            const int64_t sg = (int64_t)xor_fold(p, SHCT_BITS);
-            sig[row + way] = sg;
-            outcome[row + way] = 0;
-            rrow[way] = shct[sg] == 0 ? RRPV_MAX : RRPV_MAX - 1;
+            stay[row + way].fill = i;
+            rrow[way] = shct[xor_fold(p, SHCT_BITS)] == 0 ? RRPV_MAX : RRPV_MAX - 1;
         } else if (sampled) {
-            lastpc[row + way] = p;
             if (pc_tbl[xor_fold(p, PC_TABLE_BITS)] >= PC_FRIENDLY_THRESHOLD) {
                 for (int64_t w = 0; w < assoc; w++)
                     if (w != way && w < filled[si] && rrow[w] < RRPV_MAX - 1)
@@ -631,7 +625,7 @@ static int64_t ehcsim_prediction_error(
             past[keys - 1] = (Ring){.key = key};
         }
         Ring *p = past + slot[h] - 1;
-        if (p->count > 0) {
+        if (p->pushes > 0) {
             const int64_t predicted = ring_mean(p);
             const int64_t diff = hits > predicted ? hits - predicted : predicted - hits;
             hist[diff < ERROR_BUCKETS - 1 ? diff : ERROR_BUCKETS - 1]++;

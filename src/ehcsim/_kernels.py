@@ -124,7 +124,7 @@ _ROW_FIELDS = ("fill", "end", "hits")
 #: The words of the state ``ehcsim_read_records`` carries between chunks:
 #: the largest seq and kind, the lowest core whose seq decreased, and per
 #: core its last seq.
-_READ_STATE_WORDS = 3 + 256
+_READ_STATE_WORDS = 3 + traceformat.CORES
 #: Records per read when :func:`load_trace` streams a trace: 104 KB.
 _CHUNK_RECORDS = 4096
 #: Events per chunk that :meth:`EventLog.write_csv` gathers and formats.

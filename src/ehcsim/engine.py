@@ -32,9 +32,11 @@ if TYPE_CHECKING:
 class BlockState:
     """One filled line. The engine writes ``tag`` and ``recency_stamp``, the
     trace position of the block's latest access; the policies own the rest:
-    the 3-bit ``rrpv`` and ``efh``, ``last_pc``, ``signature`` and ``outcome``."""
+    the 3-bit ``rrpv`` and ``efh``, ``last_pc`` (Hawkeye's and EHC's latest
+    PC, SHiP's filling PC) and SHiP's ``outcome``. The kernel derives the
+    last two from trace positions; the hooks see no trace columns."""
 
-    __slots__ = ("tag", "rrpv", "efh", "recency_stamp", "last_pc", "signature", "outcome")
+    __slots__ = ("tag", "rrpv", "efh", "recency_stamp", "last_pc", "outcome")
 
     def __init__(self):
         self.tag = 0
@@ -42,7 +44,6 @@ class BlockState:
         self.efh = 0
         self.recency_stamp = 0
         self.last_pc = 0
-        self.signature = 0
         self.outcome = 0
 
 

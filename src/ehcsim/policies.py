@@ -5,7 +5,8 @@ at the maximum RRPV, incrementing every block until one gets there) and
 differs only in insertion behavior. Each hook walks the lines it is given,
 the set's filled lines, by ``len(ways)``; the engine asks for a victim only
 in a full set. The state is plain Python: SHiP's counter table is a list,
-and each line keeps its own signature and outcome, as in the kernel.
+and each line keeps its filling PC and its outcome, which the kernel reads
+from the trace at the line's fill and latest positions.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ class DrripPolicy(BrripPolicy):
 
 class ShipPolicy(RripPolicy):
     """Signature-based hit prediction: PCs whose blocks die unused insert at
-    the maximum RRPV, everything else at max-1. A line keeps the signature
-    of the PC that filled it and whether it was hit since, its outcome;
-    evicting it trains the signature's counter in ``shct``."""
+    the maximum RRPV, everything else at max-1. A line keeps the PC that
+    filled it, ``last_pc``, and whether it was hit since, its outcome;
+    evicting it trains the counter in ``shct`` of that PC's signature."""
 
     name = "ship"
 
@@ -179,7 +180,7 @@ class ShipPolicy(RripPolicy):
 
     def choose_victim(self, set_index, ways):
         way, no_averse = super().choose_victim(set_index, ways)
-        sig = ways[way].signature
+        sig = xor_fold(ways[way].last_pc, SHCT_BITS)
         if ways[way].outcome:
             if self.shct[sig] < SHCT_MAX:
                 self.shct[sig] += 1
@@ -188,7 +189,6 @@ class ShipPolicy(RripPolicy):
         return way, no_averse
 
     def on_insert(self, set_index, ways, way, addr, pc):
-        sig = xor_fold(pc, SHCT_BITS)
-        ways[way].signature = sig
+        ways[way].last_pc = pc
         ways[way].outcome = 0
-        ways[way].rrpv = RRPV_MAX if self.shct[sig] == 0 else RRPV_MAX - 1
+        ways[way].rrpv = RRPV_MAX if self.shct[xor_fold(pc, SHCT_BITS)] == 0 else RRPV_MAX - 1

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InvalidSpec, InvalidTrace, TooManyCores
 from .params import REGION_SHIFT  # 128 KB regions
 from .traceformat import (
+    CORES,
     FORMAT_VERSION,
     GENERATOR_KINDS,
     HEADER,
@@ -318,7 +319,7 @@ def interleave(traces) -> Trace:
     traces = list(traces)
     if not traces:
         raise InvalidSpec("interleave needs at least one input trace")
-    if len(traces) > 256:
+    if len(traces) > CORES:
         raise TooManyCores(f"{len(traces)} inputs exceed the 8-bit core id")
     for i, t in enumerate(traces):
         outside = t.addr[t.addr >= np.uint64(CORE_WINDOW_BYTES)]

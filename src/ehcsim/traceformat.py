@@ -33,6 +33,8 @@ RECORD_FIELDS = (
     ("kind", "u1", 25),
 )
 RECORD_BYTES = 26
+#: Core ids: a record's core field is one byte.
+CORES = 1 << 8
 
 KIND_READ = 0
 KIND_WRITE = 1

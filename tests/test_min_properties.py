@@ -4,8 +4,8 @@ engine, and its next use, prediction-error histograms and in-loop victim
 ranks equal the numpy oracle's, every event log holds the residents of its
 set, no policy beats MIN, unbounded OPTgen equals offline MIN, Hawkeye and
 EHC share OPTgen's counters and every decision up to the first no-averse
-replacement where their victims differ, and traces survive their file
-format.
+replacement where their victims differ, a bijection of the PCs leaves
+OPTgen's counters as they were, and traces survive their file format.
 
 Geometries of 1-64 sets and 1-16 ways, short traces over byte addresses
 anywhere in the 64-bit address space (two of three trace shapes crowd a
@@ -38,6 +38,7 @@ from ehcsim import (
 from ehcsim.runner import POLICY_NAMES, make_policy, pick_backend, run_policy
 from ehcsim.engine import simulate
 from ehcsim.minoracle import MinPolicy
+from ehcsim.params import PC_TABLE_BITS
 from ehcsim.sampler import PcCounterTable, RegionHitTable
 from ehcsim.trace import REGION_SHIFT
 
@@ -353,6 +354,32 @@ def test_hawkeye_and_ehc_report_equal_optgen_counters(case):
         hawkeye, ehc = ([stats.per_policy[k] for k in _kernels._OPTGEN]
                         for stats, *_ in _hawkeye_and_ehc(case, backend))
         assert ehc == hawkeye, backend
+
+
+def _renamed_pcs(trace, rename):
+    """``trace`` with its k-th distinct PC, in order of first access,
+    replaced by ``rename(k)``, a one-to-one renaming of its PCs."""
+    names = {}
+    for pc in trace.pc.tolist():
+        names.setdefault(pc, rename(len(names)))
+    return make_trace([(names[pc], a) for pc, a in zip(trace.pc.tolist(), trace.addr.tolist())])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(crowded_traces(), single_set_traces()))
+def test_a_bijection_of_the_pcs_leaves_the_optgen_counters(case):
+    # OPTgen decides on the sampled sets' blocks alone; the PCs only name
+    # the predictor entries its decisions train. Renamed so that every PC
+    # has an entry of its own (PC k folds to k), or so that all share entry
+    # 0 (k << PC_TABLE_BITS | k folds to 0), a trace gives the same counters.
+    geom, trace = case
+    traces = [trace, _renamed_pcs(trace, lambda k: k),
+              _renamed_pcs(trace, lambda k: k << PC_TABLE_BITS | k)]
+    for backend in ("kernel", "reference"):
+        first, *renamed = ([[stats.per_policy[k] for k in _kernels._OPTGEN]
+                            for stats, *_ in _hawkeye_and_ehc((geom, t), backend)]
+                           for t in traces)
+        assert renamed == [first, first], backend
 
 
 @PROPERTY_SETTINGS

@@ -163,7 +163,7 @@ def test_ship_insertion_follows_counter():
     sig_ways = _ways(rrpv=[0, 0])
     policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX        # counter at zero: distant
-    sig = sig_ways[0].signature
+    sig = xor_fold(0x500, SHCT_BITS)
     policy.shct[sig] = 5
     policy.on_insert(0, sig_ways, 0, 0, 0x500)
     assert sig_ways[0].rrpv == RRPV_MAX - 1
@@ -175,7 +175,7 @@ def test_ship_trains_on_eviction():
     policy = ShipPolicy(geom)
     ways = _ways(rrpv=[7])
     policy.on_insert(0, ways, 0, 0, 0x500)
-    sig = ways[0].signature
+    sig = xor_fold(0x500, SHCT_BITS)
     policy.on_hit(0, ways, 0, 0, 0x500)        # block got reused
     policy.choose_victim(0, ways)
     assert policy.shct[sig] == 1
