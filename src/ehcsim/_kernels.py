@@ -125,8 +125,6 @@ _ROW_FIELDS = ("fill", "end", "hits")
 #: the largest seq and kind, the lowest core whose seq decreased, and per
 #: core its last seq.
 _READ_STATE_WORDS = 3 + traceformat.CORES
-#: Records per read when :func:`load_trace` streams a trace: 104 KB.
-_CHUNK_RECORDS = 4096
 #: Events per chunk that :meth:`EventLog.write_csv` gathers and formats.
 _CHUNK_EVENTS = 4096
 
@@ -382,8 +380,8 @@ def load_trace(path) -> Columns:
     records in C, in the order of :meth:`ehcsim.trace.Trace.validate`, so a
     defect raises the same :class:`~ehcsim.errors.DataError` with the same
     message. The records, of a regular file or of a pipe, stream through
-    one buffer of :data:`_CHUNK_RECORDS` records, each chunk into its slice
-    of the columns, with the check state carried from chunk to chunk. The
+    :func:`ehcsim.traceformat.record_chunks`, each chunk into its slice of
+    the columns, with the check state carried from chunk to chunk. The
     reader writes every element of the columns, so they are :func:`_words`:
     lazily zeroed memory would save no page, and its ``mmap`` import would
     cost more than the zeroing."""
@@ -392,15 +390,9 @@ def load_trace(path) -> Columns:
         count, instruction_count, stream = traceformat.read_header(fh)
         pc, addr, state = _words(count, "Q"), _words(count, "Q"), _words(_READ_STATE_WORDS, "Q")
         check = core = 0  # what the checks give no records
-        chunk = bytearray(min(count, _CHUNK_RECORDS) * traceformat.RECORD_BYTES)
-        view = memoryview(chunk)
-        for start in range(0, count, _CHUNK_RECORDS):
-            n = min(_CHUNK_RECORDS, count - start)
-            size = n * traceformat.RECORD_BYTES
-            # Fewer only if the file shrank since its size was checked.
-            if stream.readinto(view[:size]) < size:
-                raise traceformat.fewer_records(count)
-            check, core = lib.ehcsim_read_records(n, chunk, instruction_count,
+        for start, records in traceformat.record_chunks(stream, count):
+            n = len(records) // traceformat.RECORD_BYTES
+            check, core = lib.ehcsim_read_records(n, records, instruction_count,
                                                   pc[start:start + n], addr[start:start + n], state)
     if check:
         message = list(traceformat.RECORD_CHECKS.values())[check - 1]

@@ -12,6 +12,7 @@ The file format, its header check and the record checks' messages are in
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import InvalidSpec, InvalidTrace, TooManyCores
 from .params import REGION_SHIFT  # 128 KB regions
 from .traceformat import (
+    CHUNK_RECORDS,
     CORES,
     FORMAT_VERSION,
     GENERATOR_KINDS,
@@ -30,7 +32,8 @@ from .traceformat import (
     RECORD_CHECKS,
     RECORD_FIELDS,
     parse_header,
-    read_records,
+    read_header,
+    record_chunks,
 )
 from .values import Record
 
@@ -115,43 +118,69 @@ class Trace:
                 raise InvalidTrace(RECORD_CHECKS["seq_order"].format(core=core))
 
 
+def _write_records(trace: Trace, fh) -> None:
+    """Write ``trace`` in the binary format to the binary stream ``fh``: the
+    header, then the records packed one chunk at a time into one reused
+    buffer of :data:`~ehcsim.traceformat.CHUNK_RECORDS` records."""
+    n = len(trace)
+    fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, n, trace.instruction_count))
+    chunk = np.empty(min(n, CHUNK_RECORDS), dtype=RECORD_DTYPE)
+    for start in range(0, n, CHUNK_RECORDS):
+        stop = min(start + CHUNK_RECORDS, n)
+        part = chunk[:stop - start]
+        for name in RECORD_DTYPE.names:
+            part[name] = getattr(trace, name)[start:stop]
+        fh.write(part)
+
+
 def write_trace(trace: Trace) -> bytes:
     """Serialize a trace to the bit-exact binary format."""
-    header = HEADER.pack(MAGIC, FORMAT_VERSION, len(trace), trace.instruction_count)
-    cols = np.empty(len(trace), dtype=RECORD_DTYPE)
-    cols["seq"] = trace.seq
-    cols["pc"] = trace.pc
-    cols["addr"] = trace.addr
-    cols["core"] = trace.core
-    cols["kind"] = trace.kind
-    return header + cols.tobytes()
-
-
-def _from_records(records, count: int, instruction_count: int) -> Trace:
-    cols = np.frombuffer(records, dtype=RECORD_DTYPE, count=count)
-    return Trace(
-        cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
-        instruction_count=instruction_count,
-    )
+    out = io.BytesIO()
+    _write_records(trace, out)
+    return out.getvalue()
 
 
 def read_trace(data: bytes) -> Trace:
     """Parse trace bytes; the exact inverse of :func:`write_trace`."""
     count, instruction_count = parse_header(data, len(data))
     payload = memoryview(data)[HEADER.size:]  # no copy of the records
-    return _from_records(payload, count, instruction_count)
+    cols = np.frombuffer(payload, dtype=RECORD_DTYPE, count=count)
+    return Trace(
+        cols["seq"], cols["pc"], cols["addr"], cols["core"], cols["kind"],
+        instruction_count=instruction_count,
+    )
 
 
 def load_trace(path) -> Trace:
     """Read and validate a trace file; any defect raises a DataError."""
-    trace = _from_records(*read_records(path))
+    trace = _stream_records(path)
     trace.validate()
     return trace
 
 
+def _stream_records(path) -> Trace:
+    """The trace file at ``path``, unvalidated. Its records, of a regular
+    file or of a pipe, stream through
+    :func:`~ehcsim.traceformat.record_chunks` into preallocated columns, as
+    :func:`ehcsim._kernels.load_trace` reads them, so a load holds the
+    columns and one chunk, never the whole payload, and the chunk is gone
+    before the trace is validated."""
+    with open(path, "rb") as fh:
+        count, instruction_count, stream = read_header(fh)
+        columns = {name: np.empty(count, dtype=RECORD_DTYPE[name].type)
+                   for name in RECORD_DTYPE.names}
+        for start, records in record_chunks(stream, count):
+            part = np.frombuffer(records, dtype=RECORD_DTYPE)
+            for name, column in columns.items():
+                column[start:start + len(part)] = part[name]
+    return Trace(**columns, instruction_count=instruction_count)
+
+
 def save_trace(trace: Trace, path) -> None:
+    """Write ``trace`` to the file at ``path``, as :func:`write_trace`
+    serializes it, one chunk of records at a time."""
     with open(path, "wb") as fh:
-        fh.write(write_trace(trace))
+        _write_records(trace, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +225,7 @@ def _pc_pool(phase: int) -> np.ndarray:
 
 
 def _cycled_pcs(length: int, phase: int) -> np.ndarray:
-    return _pc_pool(phase)[np.arange(length) % PC_POOL_SIZE]
+    return np.resize(_pc_pool(phase), length)
 
 
 def _gen_stream(spec: GeneratorSpec) -> np.ndarray:
@@ -213,9 +242,12 @@ def _gen_zipf(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     ranks = np.arange(1, spec.block_count + 1, dtype=np.float64)
     weights = ranks ** -spec.alpha
     cdf = np.cumsum(weights / weights.sum())
-    blocks = np.searchsorted(cdf, rng.random(spec.length), side="right")
-    blocks = np.minimum(blocks, spec.block_count - 1).astype(np.uint64)
-    return blocks * BLOCK_BYTES
+    # Rank indices are never negative, so the index column is the block
+    # column, clipped and scaled in place.
+    blocks = np.searchsorted(cdf, rng.random(spec.length), side="right").view(np.uint64)
+    np.minimum(blocks, np.uint64(spec.block_count - 1), out=blocks)
+    blocks *= np.uint64(BLOCK_BYTES)
+    return blocks
 
 
 # Region-correlated generator: blocks are placed in 128 KB regions and every
@@ -265,18 +297,18 @@ def gen_synthetic(spec: GeneratorSpec) -> Trace:
     """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "mixed":
+        # Four phases, each filling its slice of the columns in turn.
+        addr = np.empty(spec.length, dtype=np.uint64)
+        pcs = np.empty(spec.length, dtype=np.uint64)
         quarter = spec.length // 4
-        lengths = [quarter, quarter, quarter, spec.length - 3 * quarter]
-        sub_kinds = ["loop", "zipf", "stream", "region"]
-        addr_parts, pc_parts = [], []
-        for phase, (kind, length) in enumerate(zip(sub_kinds, lengths)):
-            if length == 0:
+        bounds = [0, quarter, 2 * quarter, 3 * quarter, spec.length]
+        for phase, kind in enumerate(["loop", "zipf", "stream", "region"]):
+            start, stop = bounds[phase], bounds[phase + 1]
+            if stop == start:
                 continue
-            sub = GeneratorSpec(kind, spec.block_count, length, spec.alpha, spec.seed)
-            addr_parts.append(_dispatch_addrs(sub, rng))
-            pc_parts.append(_cycled_pcs(length, phase))
-        addr = np.concatenate(addr_parts)
-        pcs = np.concatenate(pc_parts)
+            sub = GeneratorSpec(kind, spec.block_count, stop - start, spec.alpha, spec.seed)
+            addr[start:stop] = _dispatch_addrs(sub, rng)
+            pcs[start:stop] = _cycled_pcs(stop - start, phase)
     else:
         addr = _dispatch_addrs(spec, rng)
         pcs = _cycled_pcs(spec.length, phase=0)

@@ -1,13 +1,15 @@
 """The trace file format and its checks, without numpy.
 
 Both trace loaders open files through :func:`read_header`, which checks the
-header and the size and hands back one record stream for a file or a pipe:
-the numpy loader, :func:`ehcsim.trace.load_trace`, by way of
-:func:`read_records`, reads every record into one ``bytes``, and the native
-kernel's, :func:`ehcsim._kernels.load_trace`, streams them through one
-small buffer. Both reject a bad record with the messages of
-:data:`RECORD_CHECKS`. ``_kernels`` generates the record layout and the
-check numbers into the kernel's ``#define`` block.
+header and the size and hands back one record stream for a file or a pipe.
+Both loaders, the numpy one (:func:`ehcsim.trace.load_trace`) and the
+native kernel's (:func:`ehcsim._kernels.load_trace`), read that stream
+through :func:`record_chunks`, one reused buffer of :data:`CHUNK_RECORDS`
+records, into preallocated columns, and the writer, :func:`ehcsim.trace.save_trace`,
+packs its records through one such buffer too, so none of them holds a
+copy of the whole payload. Both loaders reject a bad record with the
+messages of :data:`RECORD_CHECKS`. ``_kernels`` generates the record layout
+and the check numbers into the kernel's ``#define`` block.
 
 File format (little-endian): magic ``EHCT``, version byte ``0x01``, u64 record
 count, u64 instruction count, then packed 26-byte records
@@ -33,6 +35,8 @@ RECORD_FIELDS = (
     ("kind", "u1", 25),
 )
 RECORD_BYTES = 26
+#: Records per chunk that both loaders read and the writer packs: 104 KB.
+CHUNK_RECORDS = 4096
 #: Core ids: a record's core field is one byte.
 CORES = 1 << 8
 
@@ -86,6 +90,8 @@ def read_header(fh) -> tuple[int, int, io.BufferedIOBase]:
     regular file, whose size is checked against its header before any
     record is read, and for anything else (a pipe), which is read to its
     end for the size check, an :class:`io.BytesIO` over what was read.
+    Both loaders read ``records`` through :func:`record_chunks` into their
+    columns; only a pipe's records are held whole.
     """
     st = os.fstat(fh.fileno())
     head = fh.read(HEADER.size)
@@ -95,14 +101,17 @@ def read_header(fh) -> tuple[int, int, io.BufferedIOBase]:
     return (*parse_header(head, len(head) + len(records)), io.BytesIO(records))
 
 
-def read_records(path) -> tuple[bytes, int, int]:
-    """``(records, record count, instruction count)`` of the trace file at
-    ``path``, where ``records`` holds the packed records; raises as
-    :func:`read_header` does."""
-    with open(path, "rb") as fh:
-        count, instruction_count, stream = read_header(fh)
-        records = stream.read(count * RECORD_BYTES)
-    # Fewer only if the file shrank since its size was checked.
-    if len(records) < count * RECORD_BYTES:
-        raise fewer_records(count)
-    return records, count, instruction_count
+def record_chunks(stream, count: int):
+    """Yield ``(start, records)`` for each chunk of the ``count`` records
+    that follow in ``stream``, as :func:`read_header` returns it: the
+    position of the chunk's first record and a memoryview of its packed
+    records, at most :data:`CHUNK_RECORDS` of them. Every chunk is read into
+    one reused buffer, so a view holds its records only until the next
+    chunk is read."""
+    view = memoryview(bytearray(min(count, CHUNK_RECORDS) * RECORD_BYTES))
+    for start in range(0, count, CHUNK_RECORDS):
+        size = min(CHUNK_RECORDS, count - start) * RECORD_BYTES
+        # Fewer only if the file shrank since its size was checked.
+        if stream.readinto(view[:size]) < size:
+            raise fewer_records(count)
+        yield start, view[:size]

@@ -1,6 +1,7 @@
 """Shared trace builders and the independent oracles the tests check against."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def single_set_trace(rng, length, num_tags, geom, num_pcs=4):
     return make_trace(
         [(int(p), geom.block_addr(0, int(t))) for p, t in zip(pcs, tags)]
     )
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()`` above what was traced when it
+    began, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
 
 
 #: The columns of each log type, which the equality checks compare.

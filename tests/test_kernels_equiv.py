@@ -7,7 +7,6 @@ import io
 import os
 import sysconfig
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +28,7 @@ from ehcsim.runner import POLICY_NAMES, make_policy, run_policy
 
 from conftest import (
     LOG_COLUMNS, assert_same_array, assert_same_log, assert_same_min, columns_of, make_trace,
-    random_trace, traced_geometries,
+    random_trace, traced_geometries, traced_peak,
 )
 from loop_oracles import loop_simulate_min
 
@@ -487,18 +486,6 @@ def test_near_2_64_example_dumps_bypasses_and_evictions():
     assert (log.victim_way == BYPASS).any() and (log.victim_way != BYPASS).any()
 
 
-def _traced_peak(call):
-    """The tracemalloc peak of ``call()`` above what was traced when it
-    began, and its result."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return tracemalloc.get_traced_memory()[1] - before, result
-    finally:
-        tracemalloc.stop()
-
-
 def test_event_dump_memory_does_not_grow_with_the_log(tmp_path, rng):
     # Logs of 2 and 8 chunks over traces as long, addresses anywhere: the
     # dump's peaks differ by less than one chunk's event rows.
@@ -509,8 +496,8 @@ def test_event_dump_memory_does_not_grow_with_the_log(tmp_path, rng):
         log = EventLog(rng.integers(0, n, size=(n, width)))
         log.victim_way[:] = rng.integers(BYPASS, geom.associativity, size=n)
         addr = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-        return _traced_peak(lambda: log.write_csv(tmp_path / "events.csv",
-                                                  _kernels.Columns(addr, addr, n), geom))[0]
+        return traced_peak(lambda: log.write_csv(tmp_path / "events.csv",
+                                                 _kernels.Columns(addr, addr, n), geom))[0]
 
     n = 2 * _kernels._CHUNK_EVENTS
     assert abs(peak(4 * n) - peak(n)) < _kernels._CHUNK_EVENTS * width * 8
@@ -526,7 +513,7 @@ def test_recording_events_takes_no_memory_beyond_the_rows(rng):
     def extra(n):
         addr = rng.integers(0, 1 << 40, size=n, dtype=np.uint64)
         trace = _kernels.Columns(addr, addr, n)
-        peak, (_, log, flags, _, _) = _traced_peak(
+        peak, (_, log, flags, _, _) = traced_peak(
             lambda: _kernels.run(trace, "ehc", geom, 42, record_events=True))
         assert len(log) > n - 100
         return peak - n * width * 8 - len(flags) - log.no_averse.nbytes

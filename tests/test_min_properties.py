@@ -1,6 +1,7 @@
 """Property tests: both MIN backends, the prediction-error histograms and
 victim scoring equal the loops, the native kernel equals the reference
-engine, and its next use, prediction-error histograms and in-loop victim
+engine (also with the trace's PCs renamed to share one SHCT or PC-table
+entry), and its next use, prediction-error histograms and in-loop victim
 ranks equal the numpy oracle's, every event log holds the residents of its
 set, no policy beats MIN, unbounded OPTgen equals offline MIN, Hawkeye and
 EHC share OPTgen's counters and every decision up to the first no-averse
@@ -38,7 +39,7 @@ from ehcsim import (
 from ehcsim.runner import POLICY_NAMES, make_policy, pick_backend, run_policy
 from ehcsim.engine import simulate
 from ehcsim.minoracle import MinPolicy
-from ehcsim.params import PC_TABLE_BITS
+from ehcsim.params import PC_TABLE_BITS, SHCT_BITS
 from ehcsim.sampler import PcCounterTable, RegionHitTable
 from ehcsim.trace import REGION_SHIFT
 
@@ -240,21 +241,29 @@ def _assert_residents_of_the_event_set(log, trace, geom):
     assert (by_block[:, 1:] != by_block[:, :-1]).all()
 
 
+#: Renamings of a trace's k-th distinct PC that make its PCs collide in
+#: ``xor_fold``: ``k << bits | k`` folds to 0, so every PC shares SHiP's
+#: SHCT entry 0, or Hawkeye's and EHC's PC-table entry 0.
+_COLLIDING_PCS = (lambda k: k << SHCT_BITS | k, lambda k: k << PC_TABLE_BITS | k)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(crowded_traces(), st.sampled_from(POLICY_NAMES))
 def test_kernel_events_match_reference(case, name):
-    # The kernel, the reference backend and auto give the engine's run.
-    geom, trace = case
-    r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
-                                       record_events=True, check=True)
-    for stats, log, flags in [
-            run_policy(trace, name, geom, backend="kernel", record_events=True),
-            run_policy(trace, name, geom, backend="reference", record_events=True),
-            run_policy(trace, name, geom)]:
-        assert stats == r_stats
-        assert_same_array(flags, r_flags, "hit flags")
-        if log is not None:
-            assert_same_log(log, r_log, "events")
+    # The kernel, the reference backend and auto give the engine's run, on
+    # the drawn trace and with its PCs renamed to share one predictor entry.
+    geom, drawn = case
+    for trace in [drawn, *(_renamed_pcs(drawn, rename) for rename in _COLLIDING_PCS)]:
+        r_stats, r_log, r_flags = simulate(trace, make_policy(name, geom), geom,
+                                           record_events=True, check=True)
+        for stats, log, flags in [
+                run_policy(trace, name, geom, backend="kernel", record_events=True),
+                run_policy(trace, name, geom, backend="reference", record_events=True),
+                run_policy(trace, name, geom)]:
+            assert stats == r_stats
+            assert_same_array(flags, r_flags, "hit flags")
+            if log is not None:
+                assert_same_log(log, r_log, "events")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

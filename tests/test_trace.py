@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -31,8 +32,9 @@ from ehcsim import (
 )
 from ehcsim import _kernels
 from ehcsim.trace import FORMAT_VERSION, MAGIC, MAX_GEN_SIZE, RECORD_DTYPE, _gen_region
+from ehcsim.traceformat import CHUNK_RECORDS as CHUNK, HEADER, RECORD_BYTES
 
-from conftest import make_trace
+from conftest import make_trace, traced_peak
 from loop_oracles import loop_gen_region
 
 
@@ -205,9 +207,6 @@ def test_load_trace_reads_a_pipe():
     assert proc.returncode == 0 and proc.stdout.strip() == b"10", proc.stderr
 
 
-CHUNK = _kernels._CHUNK_RECORDS
-
-
 def _chunked(n, defects=(), instruction_count=None):
     """Trace file bytes of ``n`` records over 4 cores, seq rising with the
     position, with ``defects`` of ``(position, field, value)`` applied."""
@@ -246,6 +245,53 @@ def test_kernel_loader_checks_records_across_chunk_boundaries(tmp_path, data):
     # A pipe's records go through the same chunks as a file's.
     for pipe in (False, True):
         _assert_loaders_read_as_read_trace(tmp_path, data, pipe)
+
+
+def _extreme(n):
+    """A valid trace of ``n`` records with PCs and addresses up to 2^64 - 1,
+    every core up to 255, and reads and writes; seq rises with the position."""
+    top = (1 << 64) - 1
+    return Trace(
+        seq=list(range(1, n + 1)),
+        pc=[top - i * 0x9E3779B97F4A7C15 % (1 << 64) for i in range(n)],
+        addr=[(i * 0x9E3779B97F4A7C15 + top) % (1 << 64) for i in range(n)],
+        core=[255 - i % 256 for i in range(n)],
+        kind=[i % 2 for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_writer_packs_every_record_across_chunk_boundaries(tmp_path, n):
+    trace = _extreme(n)
+    records = b"".join(struct.pack("<QQQBB", *fields) for fields in zip(
+        trace.seq.tolist(), trace.pc.tolist(), trace.addr.tolist(), trace.core.tolist(),
+        trace.kind.tolist()))
+    expected = HEADER.pack(MAGIC, FORMAT_VERSION, n, n) + records
+    path = tmp_path / "t.trace"
+    save_trace(trace, path)
+    assert write_trace(trace) == path.read_bytes() == expected
+    assert load_trace(path) == trace
+    columns = _kernels.load_trace(path)
+    assert list(columns.pc) == trace.pc.tolist() and list(columns.addr) == trace.addr.tolist()
+
+
+def test_trace_io_holds_one_chunk_of_records(tmp_path):
+    # Traces of 2 and 8 chunks: saving either peaks the same to within a
+    # chunk, and loading the longer one holds its five columns and one
+    # chunk, never a copy of the whole payload.
+    n, chunk = 2 * CHUNK, CHUNK * RECORD_BYTES
+    path = tmp_path / "t.trace"
+
+    def save_peak(length):
+        trace = gen_synthetic(GeneratorSpec("mixed", 4096, length, seed=5))
+        return traced_peak(lambda: save_trace(trace, path))[0]
+
+    short = save_peak(n)
+    assert abs(save_peak(4 * n) - short) < chunk
+    load_peak, trace = traced_peak(lambda: load_trace(path))
+    assert len(trace) == 4 * n
+    # 16 KB for the open file's read buffer and the call's small objects.
+    assert load_peak <= 4 * n * RECORD_BYTES + chunk + 16 * 1024
 
 
 @contextlib.contextmanager
